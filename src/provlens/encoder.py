@@ -2,9 +2,10 @@
 
 Each layer computes h_i' = act(W @ agg({h_j : j in N(i) or j == i})) where the
 neighborhood is the undirected 1-hop set. Embeddings of nodes that share an
-identity label are pulled together (and others pushed apart) by a temperature-
-scaled softmax over cosine similarities. Forward and backward passes are
-written out explicitly so gradients can be audited against finite differences.
+identity label are pulled together (and every other batch member pushed
+apart) by a temperature-scaled softmax over cosine similarities. Forward and
+backward passes are written out explicitly so gradients can be audited against
+finite differences.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import logging
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,11 +45,11 @@ class EncoderParams:
 
 @dataclass
 class ContrastiveBatch:
-    anchors: list[str]
-    positives: list[str]
-    negatives: list[tuple[str, ...]]
-    temperature: float
-    members: list[str] = field(default_factory=list)  # sampled batch nodes
+    """Row indices into the uuid-sorted node list. ``anchors[i]`` pairs with
+    ``positives[i]``; every member other than those two is a negative."""
+    anchors: list[int]
+    positives: list[int]
+    members: list[int]
 
     def __len__(self) -> int:
         return len(self.anchors)
@@ -165,60 +167,16 @@ def forward(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
 
 # --- contrastive objective -------------------------------------------------
 
-def _cosine_and_grads(a: np.ndarray, b: np.ndarray):
-    """Cosine similarity plus its gradients w.r.t. both arguments. A zero-norm
-    vector yields similarity 0 with zero gradient."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0, np.zeros_like(a), np.zeros_like(b)
-    cos = float(a @ b) / (na * nb)
-    da = b / (na * nb) - cos * a / (na * na)
-    db = a / (na * nb) - cos * b / (nb * nb)
-    return cos, da, db
-
-
-def infonce_loss_grad(z: np.ndarray, pairs, temperature: float):
-    """Loss and dLoss/dZ for index-space pairs [(anchor, positive, negatives)].
-
-    The loss is the sum over pairs of -log softmax(anchor-positive) against the
-    anchor's negatives, with temperature-scaled cosine logits.
+def batch_loss_grad(z: np.ndarray, batch: ContrastiveBatch,
+                    temperature: float):
+    """Loss and dLoss/dZ for one batch: the sum over anchors of
+    -log softmax(anchor-positive) against every other batch member, with
+    temperature-scaled cosine logits. A zero-norm row has cosine 0 with every
+    other row and receives zero gradient.
     """
-    loss = 0.0
-    dz = np.zeros_like(z)
-    for anchor, positive, negatives in pairs:
-        others = [positive] + list(negatives)
-        logits = np.empty(len(others))
-        grads_a = []
-        grads_o = []
-        for col, other in enumerate(others):
-            cos, da, do = _cosine_and_grads(z[anchor], z[other])
-            logits[col] = cos / temperature
-            grads_a.append(da)
-            grads_o.append(do)
-        shift = logits - logits.max()
-        softmax = np.exp(shift)
-        softmax /= softmax.sum()
-        loss -= shift[0] - math.log(np.exp(shift).sum())
-        for col, other in enumerate(others):
-            g = (softmax[col] - (1.0 if col == 0 else 0.0)) / temperature
-            dz[anchor] += g * grads_a[col]
-            dz[other] += g * grads_o[col]
-    return loss, dz
-
-
-def batch_indices(batch: ContrastiveBatch, uuids: list[str]):
-    pos = {u: i for i, u in enumerate(uuids)}
-    return [(pos[a], pos[p], tuple(pos[n] for n in negs))
-            for a, p, negs in zip(batch.anchors, batch.positives, batch.negatives)]
-
-
-def batch_loss_grad(z: np.ndarray, anchor_idx: np.ndarray, pos_idx: np.ndarray,
-                    member_idx: np.ndarray, temperature: float):
-    """Vectorized loss + dLoss/dZ for member-structured batches, where every
-    anchor's negative set is the batch membership minus itself and its
-    positive. Agrees with infonce_loss_grad to float precision; used by the
-    training loop because the pairwise reference path is Python-loop bound.
-    """
+    anchor_idx = np.asarray(batch.anchors, dtype=np.intp)
+    pos_idx = np.asarray(batch.positives, dtype=np.intp)
+    member_idx = np.asarray(batch.members, dtype=np.intp)
     if anchor_idx.size == 0:
         return 0.0, np.zeros_like(z)
     norms = np.linalg.norm(z, axis=1)
@@ -259,87 +217,61 @@ def batch_loss_grad(z: np.ndarray, anchor_idx: np.ndarray, pos_idx: np.ndarray,
     return loss, dz
 
 
-def batch_index_arrays(batch: ContrastiveBatch, uuids: list[str]):
-    pos = {u: i for i, u in enumerate(uuids)}
-    return (np.array([pos[a] for a in batch.anchors], dtype=np.intp),
-            np.array([pos[p] for p in batch.positives], dtype=np.intp),
-            np.array([pos[m] for m in batch.members], dtype=np.intp))
+def identity_groups(identities: list[str]) -> list[list[int]]:
+    """Row -> the ascending rows that share its identity. Rows of one identity
+    share one list object."""
+    by_identity: dict[str, list[int]] = {}
+    for row, identity in enumerate(identities):
+        by_identity.setdefault(identity, []).append(row)
+    return [by_identity[identity] for identity in identities]
 
 
-def infonce_loss(embeddings: dict[str, np.ndarray],
-                 batch: ContrastiveBatch) -> float:
-    """Contrastive loss over uuid-space embeddings; always >= 0."""
-    if batch.temperature <= 0:
-        raise ConfigError("temperature must be positive")
-    uuids = sorted(embeddings)
-    z = np.stack([np.asarray(embeddings[u], dtype=np.float64) for u in uuids])
-    loss, _ = infonce_loss_grad(z, batch_indices(batch, uuids),
-                                batch.temperature)
-    return loss
+def sample_contrastive_batch(groups: list[list[int]], batch_size: int,
+                             rng: np.random.Generator) -> ContrastiveBatch:
+    """Draw a training batch over rows ``0 .. len(groups) - 1``.
 
-
-def sample_contrastive_batch(nodes: list[str], identities: dict[str, str],
-                             batch_size: int, rng: np.random.Generator,
-                             temperature: float = 0.1) -> ContrastiveBatch:
-    """Draw a training batch.
-
-    Batch members are a uniform sample of nodes. Each member whose identity has
-    at least two members in the graph anchors one pair (its positive is drawn
-    from all same-identity peers and both are consumed); every other batch
-    member acts as that anchor's negative. Singleton identities can only ever
-    appear as negatives.
+    Batch members are a uniform sample of rows. Each member whose identity has
+    at least two rows anchors one pair (its positive is drawn from all
+    same-identity peers and both are consumed); every other batch member acts
+    as that anchor's negative. Singleton identities can only ever appear as
+    negatives.
     """
     if batch_size < 2:
         raise ConfigError("batch_size must be >= 2")
-    ordered = sorted(nodes)
-    groups: dict[str, list[str]] = {}
-    for node in ordered:
-        groups.setdefault(identities[node], []).append(node)
-
-    members = [ordered[i] for i in rng.permutation(len(ordered))[:batch_size]]
-    anchors, positives, negatives = [], [], []
-    consumed: set[str] = set()
+    members = rng.permutation(len(groups))[:batch_size].tolist()
+    anchors, positives = [], []
+    consumed: set[int] = set()
     for member in members:
-        if member in consumed:
+        group = groups[member]
+        if member in consumed or len(group) < 2:
             continue
-        peers = [p for p in groups[identities[member]] if p != member]
-        if not peers:
-            continue
-        positive = peers[int(rng.integers(len(peers)))]
+        k = int(rng.integers(len(group) - 1))
+        if k >= bisect_left(group, member):
+            k += 1  # step past the member itself
+        positive = group[k]
         consumed.add(member)
         consumed.add(positive)
         anchors.append(member)
         positives.append(positive)
-        negatives.append(tuple(m for m in members
-                               if m != member and m != positive))
     if not anchors:
         log.warning("no identity with >= 2 members in batch sample; step skipped")
     return ContrastiveBatch(anchors=anchors, positives=positives,
-                            negatives=negatives, temperature=temperature,
                             members=members)
 
 
-def canonical_eval_batch(nodes: list[str], identities: dict[str, str],
-                         temperature: float,
+def canonical_eval_batch(groups: list[list[int]],
                          cap: int = EVAL_BATCH_CAP) -> ContrastiveBatch:
     """Deterministic batch used to trace training progress: the first ``cap``
-    nodes in uuid order, each eligible one anchored with its first peer."""
-    members = sorted(nodes)[:cap]
-    groups: dict[str, list[str]] = {}
-    for node in sorted(nodes):
-        groups.setdefault(identities[node], []).append(node)
-    anchors, positives, negatives = [], [], []
+    rows, each eligible one anchored with its first peer."""
+    members = list(range(min(len(groups), cap)))
+    anchors, positives = [], []
     for member in members:
-        peers = [p for p in groups[identities[member]] if p != member]
-        if not peers:
+        group = groups[member]
+        if len(group) < 2:
             continue
-        positive = peers[0]
         anchors.append(member)
-        positives.append(positive)
-        negatives.append(tuple(m for m in members
-                               if m != member and m != positive))
+        positives.append(group[1] if group[0] == member else group[0])
     return ContrastiveBatch(anchors=anchors, positives=positives,
-                            negatives=negatives, temperature=temperature,
                             members=members)
 
 
@@ -360,24 +292,19 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
     params = init_params(dims, activation=config.activation,
                          aggregation=config.aggregation, seed=seed)
     prop = propagation_matrix(graph, uuids, config.aggregation)
-    identities = {u: graph.nodes[u].identity for u in uuids}
+    groups = identity_groups([graph.nodes[u].identity for u in uuids])
     rng = np.random.default_rng(seed)
-    eval_arrays = batch_index_arrays(
-        canonical_eval_batch(uuids, identities, config.temperature), uuids)
+    eval_batch = canonical_eval_batch(groups)
 
     batches_per_epoch = max(1, math.ceil(len(uuids) / config.batch_size))
     trace: list[float] = []
     for epoch in range(config.epochs):
         for step in range(batches_per_epoch):
-            batch = sample_contrastive_batch(uuids, identities,
-                                             config.batch_size, rng,
-                                             config.temperature)
+            batch = sample_contrastive_batch(groups, config.batch_size, rng)
             if not batch.anchors:
                 continue
             z, cache = forward_pass(prop, matrix, params)
-            anchor_idx, pos_idx, member_idx = batch_index_arrays(batch, uuids)
-            loss, dz = batch_loss_grad(z, anchor_idx, pos_idx, member_idx,
-                                       config.temperature)
+            loss, dz = batch_loss_grad(z, batch, config.temperature)
             if not math.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss {loss} at epoch {epoch} step {step}")
@@ -385,7 +312,7 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
             for w, dw in zip(params.weights, grads):
                 w -= config.learning_rate * dw
         z, _ = forward_pass(prop, matrix, params)
-        epoch_loss, _ = batch_loss_grad(z, *eval_arrays, config.temperature)
+        epoch_loss, _ = batch_loss_grad(z, eval_batch, config.temperature)
         if not math.isfinite(epoch_loss):
             raise TrainingError(f"non-finite evaluation loss after epoch {epoch}")
         trace.append(epoch_loss)

@@ -238,15 +238,6 @@ def incident_edges(graph: ProvenanceGraph, uuid: str) -> list[ProvEdge]:
     return list(_incident_index(graph).get(uuid, []))
 
 
-def neighbor_uuids(graph: ProvenanceGraph, uuid: str) -> list[str]:
-    seen = []
-    for edge in incident_edges(graph, uuid):
-        other = edge.dst if edge.src == uuid else edge.src
-        if other != uuid and other not in seen:
-            seen.append(other)
-    return seen
-
-
 # --- serialization ---------------------------------------------------------
 
 def graph_paths(directory: str | Path, name: str) -> dict[str, Path]:

@@ -6,7 +6,6 @@ from .llm import (
     LLMSession,
     ScriptedLLM,
     canonical_digest,
-    llm_invoke,
 )
 from .orchestrator import InvestigationBudget, run_investigation
 from .repository import (
@@ -38,7 +37,6 @@ __all__ = [
     "canonical_digest",
     "investigator_expand",
     "leader_synthesize",
-    "llm_invoke",
     "reporter_compose",
     "run_investigation",
 ]

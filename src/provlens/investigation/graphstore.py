@@ -29,9 +29,6 @@ class GraphStore:
                     graph, dict(zip(uuids, h0)), params)
         return store
 
-    def get_graph(self, graph_name: str) -> ProvenanceGraph | None:
-        return self.graphs.get(graph_name)
-
     def get_node(self, graph_name: str, uuid: str) -> Entity | None:
         graph = self.graphs.get(graph_name)
         if graph is None:

@@ -253,30 +253,6 @@ class HttpChatLLM:
 
 # --- invocation with retries -------------------------------------------------
 
-def llm_invoke(backend, role: str, payload: dict,
-               max_attempts: int = MAX_ATTEMPTS) -> dict:
-    """One validated agent request. Schema violations are retried with an
-    error-echo turn and transport failures are retried as-is; after
-    ``max_attempts`` the last error is raised, carrying the raw response."""
-    request = dict(payload)
-    last_error: LLMError | None = None
-    for _ in range(max_attempts):
-        try:
-            raw = backend.invoke(role, ROLE_PROMPTS[role], request)
-        except LLMTransportError as exc:
-            last_error = exc
-            continue
-        try:
-            return validate_response(role, json.loads(raw))
-        except (json.JSONDecodeError, LLMError) as exc:
-            last_error = LLMError(f"schema violation from {role}: {exc}",
-                                  raw_response=raw)
-            request = dict(payload)
-            request["previous_error"] = str(exc)
-            request["previous_response"] = raw[:2000]
-    raise last_error
-
-
 @dataclass
 class LLMSession:
     """Budgeted, journaled access to one backend for a whole investigation."""

@@ -15,7 +15,7 @@ import pytest
 from provlens import detector, encoder, features, ingest, profiler, synth
 from provlens.cli import main as cli_main
 from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig
-from provlens.encoder import ContrastiveBatch, infonce_loss
+from provlens.encoder import ContrastiveBatch, batch_loss_grad
 from provlens.investigation import InvestigationBudget, ScriptedLLM
 from provlens.profiler import compute_centroid, compute_radius, euclidean_distance
 
@@ -129,12 +129,9 @@ def test_equation_oracles():
 # --- criterion: contrastive loss hand value --------------------------------------
 
 def test_infonce_hand_value():
-    embeddings = {"a": np.array([1.0, 0.0]), "p": np.array([2.0, 0.0]),
-                  "n": np.array([0.0, 3.0])}
-    batch = ContrastiveBatch(anchors=["a"], positives=["p"],
-                             negatives=[("n",)], temperature=1.0,
-                             members=["a", "p", "n"])
-    loss = infonce_loss(embeddings, batch)
+    z = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])  # a, p, n
+    batch = ContrastiveBatch(anchors=[0], positives=[1], members=[0, 1, 2])
+    loss, _ = batch_loss_grad(z, batch, 1.0)
     expected = math.log(1.0 + math.exp(-1.0))
     check("infonce-hand-value", abs(loss - expected) <= 1e-9,
           f"loss={loss!r} expected log(1+e^-1)={expected!r}")

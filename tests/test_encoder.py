@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from provlens.config import EncoderConfig
 from provlens.encoder import (
     ContrastiveBatch,
-    batch_index_arrays,
     batch_loss_grad,
     backward_pass,
     canonical_eval_batch,
     forward,
     forward_pass,
-    infonce_loss,
-    infonce_loss_grad,
+    identity_groups,
     init_params,
     load_params,
     propagation_matrix,
@@ -27,6 +25,7 @@ from provlens.encoder import (
 from provlens.errors import ConfigError
 
 from conftest import manual_graph
+from contrastive_oracle import infonce_loss_grad, sample_uuid_batch
 
 
 def path_graph_3(dim=2):
@@ -122,53 +121,42 @@ def test_aggregation_invariant_to_edge_order():
 
 # --- contrastive loss ------------------------------------------------------------
 
+def single_pair_loss(rows, temperature):
+    """Loss of the one-pair batch: row 0 anchors row 1, the rest are negatives."""
+    z = np.array(rows, dtype=np.float64)
+    batch = ContrastiveBatch(anchors=[0], positives=[1],
+                             members=list(range(len(z))))
+    loss, _ = batch_loss_grad(z, batch, temperature)
+    return loss
+
+
 def test_infonce_single_pair_hand_value():
-    embeddings = {"a": np.array([1.0, 0.0]), "p": np.array([2.0, 0.0]),
-                  "n": np.array([0.0, 3.0])}
-    batch = ContrastiveBatch(anchors=["a"], positives=["p"],
-                             negatives=[("n",)], temperature=1.0,
-                             members=["a", "p", "n"])
-    loss = infonce_loss(embeddings, batch)
+    loss = single_pair_loss([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]], 1.0)
     assert abs(loss - math.log(1.0 + math.exp(-1.0))) <= 1e-9
 
 
 def test_infonce_no_negatives_is_zero():
-    embeddings = {"a": np.array([1.0, 1.0]), "p": np.array([1.0, 2.0])}
-    batch = ContrastiveBatch(anchors=["a"], positives=["p"], negatives=[()],
-                             temperature=0.5, members=["a", "p"])
-    assert infonce_loss(embeddings, batch) == 0.0
+    assert single_pair_loss([[1.0, 1.0], [1.0, 2.0]], 0.5) == 0.0
 
 
 def test_infonce_scale_invariance():
-    rng = np.random.default_rng(4)
-    embeddings = {k: rng.normal(size=4) for k in "apqn"}
-    batch = ContrastiveBatch(anchors=["a"], positives=["p"],
-                             negatives=[("q", "n")], temperature=0.3,
-                             members=["a", "p", "q", "n"])
-    doubled = {k: 2.0 * v for k, v in embeddings.items()}
-    assert abs(infonce_loss(embeddings, batch)
-               - infonce_loss(doubled, batch)) <= 1e-12
+    z = np.random.default_rng(4).normal(size=(4, 4))
+    assert abs(single_pair_loss(z, 0.3)
+               - single_pair_loss(2.0 * z, 0.3)) <= 1e-12
 
 
 def test_infonce_zero_norm_embedding_counts_as_cosine_zero():
-    embeddings = {"a": np.array([1.0, 0.0]), "p": np.array([0.0, 0.0]),
-                  "n": np.array([1.0, 0.0])}
-    batch = ContrastiveBatch(anchors=["a"], positives=["p"],
-                             negatives=[("n",)], temperature=1.0,
-                             members=["a", "p", "n"])
     # cos(a, p) -> 0, cos(a, n) = 1
     expected = -math.log(math.exp(0.0) / (math.exp(0.0) + math.exp(1.0)))
-    assert abs(infonce_loss(embeddings, batch) - expected) <= 1e-12
+    loss = single_pair_loss([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], 1.0)
+    assert abs(loss - expected) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 9), st.integers(2, 5), st.integers(0, 10_000))
 def test_infonce_nonnegative(n, d, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(n, d))
-    pairs = [(0, 1, tuple(range(2, n)))]
-    loss, _ = infonce_loss_grad(z, pairs, temperature=0.2)
-    assert loss >= 0.0
+    z = np.random.default_rng(seed).normal(size=(n, d))
+    assert single_pair_loss(z, 0.2) >= 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,9 +174,10 @@ def test_vectorized_loss_matches_reference(n, d, seed):
               tuple(int(j) for j in member_idx if j != a and j != p))
              for a, p in zip(anchor_idx, pos_idx)]
     ref_loss, ref_grad = infonce_loss_grad(z, pairs, 0.4)
-    fast_loss, fast_grad = batch_loss_grad(
-        z, anchor_idx.astype(np.intp), pos_idx.astype(np.intp),
-        member_idx.astype(np.intp), 0.4)
+    batch = ContrastiveBatch(anchors=anchor_idx.tolist(),
+                             positives=pos_idx.tolist(),
+                             members=member_idx.tolist())
+    fast_loss, fast_grad = batch_loss_grad(z, batch, 0.4)
     assert abs(ref_loss - fast_loss) <= 1e-9
     assert np.allclose(ref_grad, fast_grad, atol=1e-9)
 
@@ -197,29 +186,28 @@ def test_vectorized_loss_matches_reference(n, d, seed):
 
 def test_sampler_two_nodes_one_pair_no_negatives():
     rng = np.random.default_rng(0)
-    batch = sample_contrastive_batch(["a", "b"], {"a": "i", "b": "i"}, 2, rng)
+    batch = sample_contrastive_batch(identity_groups(["i", "i"]), 2, rng)
     assert len(batch) == 1
-    assert set(batch.anchors + batch.positives) == {"a", "b"}
-    assert batch.negatives == [()]
+    assert set(batch.anchors + batch.positives) == {0, 1}
+    # the members are exactly the pair, so the anchor has no negative
+    assert sorted(batch.members) == [0, 1]
 
 
 def test_sampler_singleton_identity_never_anchors():
-    nodes = ["a1", "a2", "b1"]
-    identities = {"a1": "A", "a2": "A", "b1": "B"}
+    groups = identity_groups(["A", "A", "B"])  # rows a1, a2, b1
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        batch = sample_contrastive_batch(nodes, identities, 3, rng)
-        assert "b1" not in batch.anchors
-        assert all("b1" in negs for negs in batch.negatives)
-        for anchor, negs in zip(batch.anchors, batch.negatives):
-            assert anchor not in negs
+        batch = sample_contrastive_batch(groups, 3, rng)
+        assert 2 not in batch.anchors and 2 not in batch.positives
+        assert 2 in batch.members  # so b1 is every anchor's negative
+        assert all(anchor in batch.members for anchor in batch.anchors)
 
 
 def test_sampler_pairs_share_identity():
-    nodes = [f"n{i}" for i in range(20)]
-    identities = {n: f"I{i % 4}" for i, n in enumerate(nodes)}
+    identities = [f"I{i % 4}" for i in range(20)]
+    groups = identity_groups(identities)
     for seed in range(8):
-        batch = sample_contrastive_batch(nodes, identities, 10,
+        batch = sample_contrastive_batch(groups, 10,
                                          np.random.default_rng(seed))
         for anchor, positive in zip(batch.anchors, batch.positives):
             assert identities[anchor] == identities[positive]
@@ -227,25 +215,51 @@ def test_sampler_pairs_share_identity():
 
 
 def test_sampler_deterministic_under_seed():
-    nodes = [f"n{i}" for i in range(12)]
-    identities = {n: f"I{i % 3}" for i, n in enumerate(nodes)}
-    one = sample_contrastive_batch(nodes, identities, 6,
-                                   np.random.default_rng(42))
-    two = sample_contrastive_batch(nodes, identities, 6,
-                                   np.random.default_rng(42))
-    assert (one.anchors, one.positives, one.negatives, one.members) \
-        == (two.anchors, two.positives, two.negatives, two.members)
+    groups = identity_groups([f"I{i % 3}" for i in range(12)])
+    one = sample_contrastive_batch(groups, 6, np.random.default_rng(42))
+    two = sample_contrastive_batch(groups, 6, np.random.default_rng(42))
+    assert (one.anchors, one.positives, one.members) \
+        == (two.anchors, two.positives, two.members)
+
+
+def test_sampler_matches_uuid_space_draw_sequence():
+    """Row-index batches mapped back through the sorted uuids equal the
+    uuid-space reference's batches drawn from the same seed."""
+    cases = [(["A", "A", "B"], 3), (["A", "B"], 2), (["A", "A"], 5)]
+    shape_rng = np.random.default_rng(0)
+    for n in (7, 20, 45):
+        for distinct in (2, 5, n):
+            labels = [f"I{int(shape_rng.integers(distinct))}"
+                      for _ in range(n)]
+            for batch_size in (2, n // 2 + 1, n, n + 3):
+                cases.append((labels, batch_size))
+    for labels, batch_size in cases:
+        # uuids whose sort order differs from their creation order
+        nodes = [f"u{j:03d}" for j in shape_rng.permutation(len(labels))]
+        identities = dict(zip(nodes, labels))
+        uuids = sorted(nodes)
+        groups = identity_groups([identities[u] for u in uuids])
+        for seed in range(6):
+            batch = sample_contrastive_batch(groups, batch_size,
+                                             np.random.default_rng(seed))
+            got = ([uuids[i] for i in batch.anchors],
+                   [uuids[i] for i in batch.positives],
+                   [uuids[i] for i in batch.members])
+            want = sample_uuid_batch(nodes, identities, batch_size,
+                                     np.random.default_rng(seed))
+            assert got == want, (labels, batch_size, seed)
 
 
 def test_sampler_no_eligible_identity_gives_empty_batch():
-    batch = sample_contrastive_batch(["a", "b"], {"a": "A", "b": "B"}, 2,
+    batch = sample_contrastive_batch(identity_groups(["A", "B"]), 2,
                                      np.random.default_rng(0))
     assert len(batch) == 0
 
 
 def test_sampler_rejects_tiny_batch_size():
     with pytest.raises(ConfigError):
-        sample_contrastive_batch(["a"], {"a": "A"}, 1, np.random.default_rng(0))
+        sample_contrastive_batch(identity_groups(["A"]), 1,
+                                 np.random.default_rng(0))
 
 
 # --- training -------------------------------------------------------------------
@@ -292,17 +306,21 @@ def test_train_reduces_canonical_loss_and_separates_clusters():
     config = EncoderConfig(embedding_dim=4, num_layers=2, epochs=60,
                            batch_size=6, temperature=0.2, activation="tanh")
     uuids = sorted(h0)
-    identities = {u: graph.nodes[u].identity for u in uuids}
-    eval_batch = canonical_eval_batch(uuids, identities, config.temperature)
+    eval_batch = canonical_eval_batch(
+        identity_groups([graph.nodes[u].identity for u in uuids]))
+
+    def canonical_loss(z):
+        loss, _ = batch_loss_grad(np.stack([z[u] for u in uuids]),
+                                  eval_batch, config.temperature)
+        return loss
 
     initial = init_params([3, 4, 4], activation=config.activation,
                           aggregation=config.aggregation, seed=5)
-    z0 = forward(graph, h0, initial)
-    initial_loss = infonce_loss(z0, eval_batch)
+    initial_loss = canonical_loss(forward(graph, h0, initial))
 
     result = train(graph, h0, config, seed=5)
     z1 = forward(graph, h0, result.params)
-    final_loss = infonce_loss(z1, eval_batch)
+    final_loss = canonical_loss(z1)
     assert final_loss < initial_loss
 
     def mean_cos(pairs):
@@ -355,15 +373,14 @@ def finite_difference_check(seed, activation):
     params = init_params(dims, activation=activation, seed=seed)
     prop = propagation_matrix(graph, uuids, params.aggregation)
 
-    identities = {u: graph.nodes[u].identity for u in uuids}
-    batch = canonical_eval_batch(uuids, identities, temperature=0.5)
+    batch = canonical_eval_batch(
+        identity_groups([graph.nodes[u].identity for u in uuids]))
     if not batch.anchors:
         return None
-    arrays = batch_index_arrays(batch, uuids)
 
     def loss_fn():
         z, cache = forward_pass(prop, h0, params)
-        loss, dz = batch_loss_grad(z, *arrays, 0.5)
+        loss, dz = batch_loss_grad(z, batch, 0.5)
         return loss, cache, dz
 
     loss, cache, dz = loss_fn()

@@ -14,11 +14,11 @@ from provlens.investigation import (
     canonical_digest,
     investigator_expand,
     leader_synthesize,
-    llm_invoke,
     run_investigation,
 )
 from provlens.investigation.llm import (
     FALLBACKS,
+    MAX_ATTEMPTS,
     LLMSession,
     heuristic_mock,
     validate_response,
@@ -127,13 +127,22 @@ def run_chain(backend=None, budget=None, alerts=None):
 
 # --- llm layer -----------------------------------------------------------------
 
+def invoke_once(backend, role, payload):
+    """One ``LLMSession.invoke`` with room to spare in the call budget."""
+    repo = InvestigationRepository("g")
+    session = LLMSession(backend=backend, max_llm_calls=10, repo=repo)
+    response, valid = session.invoke(role, payload)
+    return response, valid, repo
+
+
 def test_scripted_backend_exact_digest_keying():
     payload = {"node_uuid": "n1", "graph_name": "g"}
     backend = ScriptedLLM()
     backend.script("analyst", payload,
                    {"verdict": "BENIGN", "confidence": 0.9,
                     "cited_evidence": [], "rationale": "scripted"})
-    response = llm_invoke(backend, "analyst", payload)
+    response, valid, _ = invoke_once(backend, "analyst", payload)
+    assert valid
     assert response["verdict"] == "BENIGN"
     assert response["confidence"] == 0.9
     assert backend.calls == [("analyst", canonical_digest(payload))]
@@ -144,7 +153,7 @@ def test_canonical_digest_is_order_insensitive():
     assert canonical_digest({"a": 1}) != canonical_digest({"a": 2})
 
 
-def test_llm_invoke_repairs_schema_violation():
+def test_session_repairs_schema_violation():
     payload = {"node_uuid": "n1"}
     backend = ScriptedLLM()
     backend.responses[("analyst", canonical_digest(payload))] = [
@@ -153,27 +162,24 @@ def test_llm_invoke_repairs_schema_violation():
     fixed = {"verdict": "ANOMALY", "confidence": 0.7, "cited_evidence": [],
              "rationale": "r"}
     backend.handlers["analyst"] = lambda p: fixed
-    response = llm_invoke(backend, "analyst", payload)
+    response, valid, repo = invoke_once(backend, "analyst", payload)
+    assert valid
     assert response["confidence"] == 0.7
     assert len(backend.calls) == 2  # one repair retry issued
-
-
-def test_llm_invoke_raises_after_persistent_schema_failure():
-    backend = ScriptedLLM(handlers={"analyst": lambda p: {"verdict": "MAYBE"}})
-    with pytest.raises(LLMError):
-        llm_invoke(backend, "analyst", {"node_uuid": "n"})
-    assert len(backend.calls) == 3
+    assert [e["action"] for e in repo.journal_entries] == ["llm_schema_retry"]
 
 
 def test_session_falls_back_to_benign_and_journals():
-    repo = InvestigationRepository("g")
-    backend = ScriptedLLM(handlers={"analyst": lambda p: {"bogus": 1}})
-    session = LLMSession(backend=backend, max_llm_calls=10, repo=repo)
-    response, valid = session.invoke("analyst", {"node_uuid": "n"})
-    assert not valid
-    assert response == FALLBACKS["analyst"]
-    assert response["verdict"] == "BENIGN" and response["confidence"] == 0.0
-    assert any(e["action"] == "llm_fallback" for e in repo.journal_entries)
+    for bad in ({"bogus": 1}, {"verdict": "MAYBE"}):
+        backend = ScriptedLLM(handlers={"analyst": lambda p: bad})
+        response, valid, repo = invoke_once(backend, "analyst",
+                                            {"node_uuid": "n"})
+        assert not valid
+        assert response == FALLBACKS["analyst"]
+        assert response["verdict"] == "BENIGN" and response["confidence"] == 0.0
+        assert len(backend.calls) == MAX_ATTEMPTS
+        actions = [e["action"] for e in repo.journal_entries]
+        assert actions == ["llm_schema_retry"] * MAX_ATTEMPTS + ["llm_fallback"]
 
 
 @pytest.mark.parametrize("role,bad", [
@@ -631,8 +637,8 @@ def test_http_backend_chat_completion_contract():
     session = FakeHttpSession(content)
     backend = HttpChatLLM(endpoint="https://llm.example/v1", model="m-1",
                           api_key="sekrit", session=session)
-    response = llm_invoke(backend, "analyst", {"node_uuid": "n"})
-    assert response["verdict"] == "BENIGN"
+    response, valid, _ = invoke_once(backend, "analyst", {"node_uuid": "n"})
+    assert valid and response["verdict"] == "BENIGN"
 
     request = session.requests[0]
     assert request["url"] == "https://llm.example/v1/chat/completions"
