@@ -169,17 +169,31 @@ def test_session_repairs_schema_violation():
     assert [e["action"] for e in repo.journal_entries] == ["llm_schema_retry"]
 
 
+def test_llm_invoke_raises_after_persistent_schema_failure():
+    """Every attempt's schema check raises; the invoke gives up after
+    MAX_ATTEMPTS backend calls and journals each raised error."""
+    bad = {"verdict": "MAYBE"}
+    with pytest.raises(LLMError) as excinfo:
+        validate_response("analyst", dict(bad))
+    backend = ScriptedLLM(handlers={"analyst": lambda p: bad})
+    response, valid, repo = invoke_once(backend, "analyst", {"node_uuid": "n"})
+    assert not valid
+    assert response == FALLBACKS["analyst"]
+    assert len(backend.calls) == 3 == MAX_ATTEMPTS
+    retries = [e for e in repo.journal_entries
+               if e["action"] == "llm_schema_retry"]
+    assert [e["error"] for e in retries] == [str(excinfo.value)] * 3
+
+
 def test_session_falls_back_to_benign_and_journals():
-    for bad in ({"bogus": 1}, {"verdict": "MAYBE"}):
-        backend = ScriptedLLM(handlers={"analyst": lambda p: bad})
-        response, valid, repo = invoke_once(backend, "analyst",
-                                            {"node_uuid": "n"})
-        assert not valid
-        assert response == FALLBACKS["analyst"]
-        assert response["verdict"] == "BENIGN" and response["confidence"] == 0.0
-        assert len(backend.calls) == MAX_ATTEMPTS
-        actions = [e["action"] for e in repo.journal_entries]
-        assert actions == ["llm_schema_retry"] * MAX_ATTEMPTS + ["llm_fallback"]
+    backend = ScriptedLLM(handlers={"analyst": lambda p: {"bogus": 1}})
+    response, valid, repo = invoke_once(backend, "analyst", {"node_uuid": "n"})
+    assert not valid
+    assert response == FALLBACKS["analyst"]
+    assert response["verdict"] == "BENIGN" and response["confidence"] == 0.0
+    assert len(backend.calls) == MAX_ATTEMPTS
+    actions = [e["action"] for e in repo.journal_entries]
+    assert actions == ["llm_schema_retry"] * MAX_ATTEMPTS + ["llm_fallback"]
 
 
 @pytest.mark.parametrize("role,bad", [
