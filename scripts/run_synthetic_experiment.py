@@ -28,8 +28,8 @@ def build_graph(events, cfg, name):
 
 def separation(kb):
     sums, counts = [], []
-    for label in sorted(kb.member_embeddings):
-        vecs = np.stack([v for _, v in kb.member_embeddings[label]])
+    for rows in kb.rows.values():
+        vecs = kb.embeddings[rows]
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
         sums.append(np.divide(vecs, norms, out=np.zeros_like(vecs),
                               where=norms > 0).sum(axis=0))

@@ -47,13 +47,11 @@ def nearest_prototype(z: np.ndarray,
     lexicographically smallest label."""
     if not profiles:
         raise ConfigError("nearest_prototype requires at least one profile")
-    z = np.asarray(z, dtype=np.float64)
-    best_label, best_dist = None, None
-    for label in sorted(profiles):
-        dist = euclidean_distance(z, profiles[label].centroid)
-        if best_dist is None or dist < best_dist:
-            best_label, best_dist = label, dist
-    return best_label, best_dist
+    labels = sorted(profiles)
+    distances = euclidean_distance(
+        np.array([profiles[label].centroid for label in labels]), z)
+    best = int(np.argmin(distances))
+    return labels[best], float(distances[best])
 
 
 def detect_node(z: np.ndarray, claimed: str,
@@ -64,7 +62,6 @@ def detect_node(z: np.ndarray, claimed: str,
     Returns None for benign nodes. Identities never seen in benign data always
     alert (unknown_identity); the investigation stage adjudicates those.
     """
-    z = np.asarray(z, dtype=np.float64)
     matched, matched_dist = nearest_prototype(z, profiles)
     profile = profiles.get(claimed)
     if profile is None:
@@ -112,7 +109,7 @@ def detect_graph(graph: ProvenanceGraph, params: EncoderParams,
             f"encoder input dimension {params.dims[0]} does not match the "
             f"feature dimension {expected} "
             f"(semantic={vocab.dim}, ops={len(op_vocab)}, temporal=3)")
-    if kb.profiles and kb.embedding_dim != params.dims[-1]:
+    if kb.embedding_dim != params.dims[-1]:
         raise ConfigError(
             f"knowledge-base embedding dimension {kb.embedding_dim} does not "
             f"match encoder output dimension {params.dims[-1]}")

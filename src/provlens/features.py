@@ -251,7 +251,11 @@ def load_vocab(directory: str | Path) -> SemanticVocab:
                                 path=str(path))
     header = json.loads(paths["header"].read_text(encoding="utf-8"))
     raw = np.frombuffer(paths["vectors"].read_bytes(), dtype="<f4")
-    vectors = raw.reshape(len(header["tokens"]), header["dim"]).copy()
+    shape = (len(header["tokens"]), header["dim"])
+    if raw.size != shape[0] * shape[1]:
+        raise ArtifactError(f"vocabulary vector blob size mismatch in "
+                            f"{paths['vectors']}", path=str(paths["vectors"]))
+    vectors = raw.reshape(shape).copy()
     return SemanticVocab(tokens=header["tokens"], vectors=vectors,
                          dim=header["dim"], window=header["window"],
                          negatives=header["negatives"], epochs=header["epochs"],

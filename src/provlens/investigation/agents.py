@@ -46,9 +46,9 @@ def analyst_validate(lead: dict, kb: BenignKnowledgeBase, store: GraphStore,
                             "edges": meta.get("edges", [])[:digest_limit]})
     same_identity = []
     for uuid in attribute_query(kb, node.identity):
-        meta = kb.metadata.get(uuid, {})
-        if meta.get("identity") != node.identity or uuid == node_uuid:
+        if uuid == node_uuid:
             continue
+        meta = kb.metadata.get(uuid, {})
         same_identity.append({"node_uuid": uuid,
                               "edges": meta.get("edges", [])[:digest_limit]})
         if len(same_identity) >= SAME_IDENTITY_CAP:

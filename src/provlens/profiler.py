@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,33 +40,49 @@ class IdentityProfile:
 
 @dataclass
 class BenignKnowledgeBase:
+    """Identity profiles plus each benign member as a row of ``embeddings``,
+    sorted by (label, uuid); ``rows[label]`` is the label's slice of rows."""
     epsilon: float
     profiles: dict[str, IdentityProfile]
-    member_embeddings: dict[str, list[tuple[str, np.ndarray]]]
+    uuids: list[str]
+    labels: list[str]
+    embeddings: np.ndarray
     metadata: dict[str, dict] = field(default_factory=dict)
+    rows: dict[str, slice] = field(init=False, repr=False)
+    by_uuid: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.labels != sorted(self.labels):
+            raise ValueError("knowledge-base rows must be sorted by label")
+        self.rows = {label: slice(bisect_left(self.labels, label),
+                                  bisect_right(self.labels, label))
+                     for label in dict.fromkeys(self.labels)}
+        # rows in uuid order, so a stable sort by distance breaks ties by uuid
+        self.by_uuid = np.argsort(np.array(self.uuids, dtype=str),
+                                  kind="stable")
 
     @property
     def embedding_dim(self) -> int:
-        profile = next(iter(self.profiles.values()))
-        return profile.centroid.shape[0]
+        return self.embeddings.shape[1]
 
     def size(self) -> int:
-        return sum(len(v) for v in self.member_embeddings.values())
+        return len(self.uuids)
 
 
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Single shared distance routine. Profiling and detection must agree
-    bitwise on member distances, so neither may use a matrix-axis reduction
-    (its summation order differs from the 1-D one in the last ulp)."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64)
-                                - np.asarray(b, dtype=np.float64)))
+def euclidean_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
+    """The one distance routine: Euclidean distance over the last axis of
+    ``a - b``. The C-order difference makes each value depend only on its own
+    row, so profiling, detection and retrieval agree bitwise."""
+    diff = np.subtract(np.asarray(a, dtype=np.float64),
+                       np.asarray(b, dtype=np.float64), order="C")
+    return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 def compute_centroid(members) -> np.ndarray:
-    members = [np.asarray(m, dtype=np.float64) for m in members]
-    if not members:
+    members = np.asarray(members, dtype=np.float64)
+    if len(members) == 0:
         raise ValueError("cannot compute the centroid of zero members")
-    return np.mean(np.stack(members), axis=0)
+    return np.mean(members, axis=0)
 
 
 def compute_radius(members, centroid: np.ndarray, epsilon: float) -> float:
@@ -73,11 +90,12 @@ def compute_radius(members, centroid: np.ndarray, epsilon: float) -> float:
     the ceil((1 - epsilon) * N)-th smallest distance to the centroid."""
     if not 0.0 <= epsilon < 1.0:
         raise ConfigError("epsilon must lie in [0, 1)")
-    if not members:
+    members = np.asarray(members, dtype=np.float64)
+    if len(members) == 0:
         raise ValueError("cannot compute a radius over zero members")
-    distances = sorted(euclidean_distance(m, centroid) for m in members)
+    distances = np.sort(euclidean_distance(members, centroid))
     m = math.ceil((1.0 - epsilon) * len(members))
-    return distances[m - 1]
+    return float(distances[m - 1])
 
 
 def edge_digest(graph: ProvenanceGraph, uuid: str,
@@ -101,7 +119,7 @@ def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
     graphs = list(graphs)
     if not graphs:
         raise ConfigError("knowledge base needs at least one benign graph")
-    member_embeddings: dict[str, list[tuple[str, np.ndarray]]] = {}
+    members: list[tuple[str, str, np.ndarray]] = []
     metadata: dict[str, dict] = {}
     for graph in graphs:
         uuids, h0 = feature_matrix(graph, vocab, op_vocab)
@@ -110,8 +128,7 @@ def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
             node = graph.nodes[uuid]
             if uuid in metadata:
                 log.warning("duplicate node uuid %s across benign graphs", uuid)
-            member_embeddings.setdefault(node.identity, []).append(
-                (uuid, embeddings[uuid]))
+            members.append((node.identity, uuid, embeddings[uuid]))
             metadata[uuid] = {
                 "identity": node.identity,
                 "kind": node.kind,
@@ -119,65 +136,48 @@ def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
                 "graph": graph.name,
                 "edges": edge_digest(graph, uuid),
             }
-    profiles: dict[str, IdentityProfile] = {}
-    for label in sorted(member_embeddings):
-        members = sorted(member_embeddings[label], key=lambda m: m[0])
-        member_embeddings[label] = members
-        vectors = [vec for _, vec in members]
+    members.sort(key=lambda m: m[:2])
+    kb = BenignKnowledgeBase(
+        epsilon=epsilon, profiles={},
+        uuids=[uuid for _, uuid, _ in members],
+        labels=[label for label, _, _ in members],
+        embeddings=np.array([vec for _, _, vec in members]).reshape(
+            len(members), params.dims[-1]),
+        metadata=metadata)
+    for label, rows in kb.rows.items():
+        vectors = kb.embeddings[rows]
         centroid = compute_centroid(vectors)
         radius = compute_radius(vectors, centroid, epsilon)
-        profiles[label] = IdentityProfile(label=label, centroid=centroid,
-                                          radius=radius, count=len(vectors))
-    return BenignKnowledgeBase(epsilon=epsilon, profiles=profiles,
-                               member_embeddings=member_embeddings,
-                               metadata=metadata)
+        kb.profiles[label] = IdentityProfile(label=label, centroid=centroid,
+                                             radius=radius, count=len(vectors))
+    return kb
 
 
 def knn_query(kb: BenignKnowledgeBase, query: np.ndarray,
               k: int) -> list[tuple[str, str, float]]:
     """Exact k nearest benign members by Euclidean distance, ties broken by
-    uuid. Linear scan; fine at the scale a single host produces."""
+    uuid."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    query = np.asarray(query, dtype=np.float64)
-    scored = []
-    for label, members in kb.member_embeddings.items():
-        for uuid, vec in members:
-            scored.append((euclidean_distance(vec, query), uuid, label))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return [(uuid, label, dist) for dist, uuid, label in scored[:k]]
+    distances = euclidean_distance(kb.embeddings, query)
+    nearest = kb.by_uuid[np.argsort(distances[kb.by_uuid], kind="stable")[:k]]
+    return [(kb.uuids[i], kb.labels[i], float(distances[i])) for i in nearest]
 
 
-def attribute_query(kb: BenignKnowledgeBase, pattern: str) -> list[str]:
-    """Members matching ``pattern``: exact identity matches first, then
-    case-insensitive substring matches over identity and attribute values."""
-    exact = sorted(uuid for uuid, meta in kb.metadata.items()
-                   if meta["identity"] == pattern)
-    exact_set = set(exact)
-    needle = pattern.lower()
-
-    def matches(meta: dict) -> bool:
-        if needle in meta["identity"].lower():
-            return True
-        return any(needle in str(v).lower() for v in meta["attrs"].values())
-
-    partial = sorted(uuid for uuid, meta in kb.metadata.items()
-                     if uuid not in exact_set and matches(meta))
-    return exact + partial
+def attribute_query(kb: BenignKnowledgeBase, identity: str) -> list[str]:
+    """Benign members whose identity is exactly ``identity``, each uuid once,
+    in uuid order."""
+    return list(dict.fromkeys(kb.uuids[kb.rows.get(identity, slice(0))]))
 
 
 def export_embeddings(kb: BenignKnowledgeBase, path: str | Path) -> None:
     """CSV dump (uuid, identity, z components) for external visualization."""
-    rows = []
-    for label in sorted(kb.member_embeddings):
-        for uuid, vec in kb.member_embeddings[label]:
-            rows.append((uuid, label, vec))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        dim = kb.embedding_dim if kb.profiles else 0
-        writer.writerow(["uuid", "identity"] + [f"z{i}" for i in range(dim)])
-        for uuid, label, vec in rows:
-            writer.writerow([uuid, label] + [repr(float(x)) for x in vec])
+        writer.writerow(["uuid", "identity"]
+                        + [f"z{i}" for i in range(kb.embedding_dim)])
+        writer.writerows([uuid, label, *map(repr, vec)] for uuid, label, vec
+                         in zip(kb.uuids, kb.labels, kb.embeddings.tolist()))
 
 
 # --- serialization ---------------------------------------------------------
@@ -203,14 +203,9 @@ def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
     paths["profiles"].write_text(
         json.dumps({"epsilon": kb.epsilon, "profiles": profiles},
                    sort_keys=True) + "\n", encoding="utf-8")
-    manifest = []
-    blocks = []
-    for label in sorted(kb.member_embeddings):
-        for uuid, vec in kb.member_embeddings[label]:
-            manifest.append([uuid, label])
-            blocks.append(np.asarray(vec, dtype="<f8").tobytes())
-    paths["manifest"].write_text(json.dumps(manifest) + "\n", encoding="utf-8")
-    paths["embeddings"].write_bytes(b"".join(blocks))
+    paths["manifest"].write_text(json.dumps(list(zip(kb.uuids, kb.labels)))
+                                 + "\n", encoding="utf-8")
+    paths["embeddings"].write_bytes(kb.embeddings.astype("<f8").tobytes())
     with open(paths["metadata"], "w", encoding="utf-8") as fh:
         for uuid in sorted(kb.metadata):
             fh.write(json.dumps({"uuid": uuid, **kb.metadata[uuid]},
@@ -231,17 +226,19 @@ def load_kb(directory: str | Path) -> BenignKnowledgeBase:
         for label, rec in header["profiles"].items()
     }
     manifest = json.loads(paths["manifest"].read_text(encoding="utf-8"))
+    dim = next(iter(profiles.values())).centroid.shape[0] if profiles else 0
     raw = np.frombuffer(paths["embeddings"].read_bytes(), dtype="<f8")
-    dim = raw.size // len(manifest) if manifest else 0
-    member_embeddings: dict[str, list[tuple[str, np.ndarray]]] = {}
-    for i, (uuid, label) in enumerate(manifest):
-        member_embeddings.setdefault(label, []).append(
-            (uuid, raw[i * dim:(i + 1) * dim].copy()))
+    if raw.size != len(manifest) * dim:
+        raise ArtifactError(f"knowledge-base embedding blob size mismatch "
+                            f"in {paths['embeddings']}",
+                            path=str(paths["embeddings"]))
+    uuids, labels = np.array(manifest, dtype=str).reshape(-1, 2).T.tolist()
     metadata: dict[str, dict] = {}
     with open(paths["metadata"], encoding="utf-8") as fh:
         for line in fh:
             rec = json.loads(line)
             metadata[rec.pop("uuid")] = rec
     return BenignKnowledgeBase(epsilon=header["epsilon"], profiles=profiles,
-                               member_embeddings=member_embeddings,
+                               uuids=uuids, labels=labels,
+                               embeddings=raw.reshape(len(manifest), dim),
                                metadata=metadata)

@@ -244,8 +244,8 @@ def test_synthetic_detection_recall_and_soundness(synthetic_experiment):
 def test_contrastive_separation(synthetic_experiment):
     kb = synthetic_experiment["kb"]
     class_sums, class_counts = [], []
-    for label in sorted(kb.member_embeddings):
-        vecs = np.stack([v for _, v in kb.member_embeddings[label]])
+    for rows in kb.rows.values():
+        vecs = kb.embeddings[rows]
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
         normalized = np.divide(vecs, norms, out=np.zeros_like(vecs),
                                where=norms > 0)

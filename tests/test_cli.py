@@ -1,9 +1,13 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from provlens.cli import main
+from provlens.errors import ArtifactError
+from provlens.features import load_vocab
+from provlens.profiler import load_kb
 from provlens.synth import default_scenario, generate_scenario, write_scenario
 
 SUBCOMMANDS = ["ingest", "train", "profile", "detect", "investigate",
@@ -174,6 +178,27 @@ def test_report_command_is_idempotent(pipeline):
     assert main(["report", "--artifacts", str(artifacts), "--graph",
                  "attack"]) == 0
     assert report.read_bytes() == before
+
+
+@pytest.mark.parametrize("blob,loader,matrix", [
+    ("kb/kb.embeddings.bin", load_kb, "embeddings"),
+    ("model/vocab.vectors.bin", load_vocab, "vectors"),
+], ids=["kb", "vocab"])
+def test_blob_one_row_short_exits_2(pipeline, tmp_path, capsys, blob, loader,
+                                    matrix):
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    path = artifacts / blob
+    row_bytes = getattr(loader(path.parent), matrix)[0].nbytes
+    path.write_bytes(path.read_bytes()[:-row_bytes])
+    with pytest.raises(ArtifactError):
+        loader(path.parent)
+    capsys.readouterr()
+    code = main(["detect", "--artifacts", str(artifacts), "--graph", "attack"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error code=missing_artifact" in err and path.name in err
 
 
 def test_train_zero_epochs_writes_header_only_trace(tmp_path):

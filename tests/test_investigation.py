@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from provlens.detector import Alert
@@ -59,8 +60,9 @@ def benign_kb(graph):
                   "attrs": {"name": "editor"}, "graph": "day1",
                   "edges": edge_digest(graph, "ben-1")},
     }
-    return BenignKnowledgeBase(epsilon=0.02, profiles={}, member_embeddings={},
-                               metadata=metadata)
+    return BenignKnowledgeBase(epsilon=0.02, profiles={}, uuids=["ben-1"],
+                               labels=["subject::editor"],
+                               embeddings=np.zeros((1, 2)), metadata=metadata)
 
 
 def make_alert(uuid, graph_name="day1", score=2.0):

@@ -47,11 +47,6 @@ def toy_kb():
         "subject::dog": IdentityProfile("subject::dog", np.array([5.0, 0.0]),
                                         1.0, 1),
     }
-    member_embeddings = {
-        "subject::cat": [("c1", np.array([0.0, 0.5])),
-                         ("c2", np.array([0.0, -0.5]))],
-        "subject::dog": [("d1", np.array([5.0, 0.0]))],
-    }
     metadata = {
         "c1": {"identity": "subject::cat", "kind": "subject",
                "attrs": {"name": "cat"}, "graph": "g", "edges": []},
@@ -61,9 +56,11 @@ def toy_kb():
                "attrs": {"name": "dog", "cwd": "/var/catalog"}, "graph": "g",
                "edges": []},
     }
-    return BenignKnowledgeBase(epsilon=0.02, profiles=profiles,
-                               member_embeddings=member_embeddings,
-                               metadata=metadata)
+    return BenignKnowledgeBase(
+        epsilon=0.02, profiles=profiles, uuids=["c1", "c2", "d1"],
+        labels=["subject::cat", "subject::cat", "subject::dog"],
+        embeddings=np.array([[0.0, 0.5], [0.0, -0.5], [5.0, 0.0]]),
+        metadata=metadata)
 
 
 # --- centroid ------------------------------------------------------------------
@@ -137,6 +134,21 @@ def test_radius_matches_brute_force_and_coverage(count, epsilon, seed):
     assert outside <= math.floor(epsilon * count)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 140), st.integers(-6, 6),
+       st.sampled_from("CF"), st.integers(0, 2**32 - 1))
+def test_batched_distance_bitwise_equals_per_row(n, d, exponent, layout,
+                                                  seed):
+    rng = np.random.default_rng(seed)
+    matrix = np.asarray(rng.normal(scale=10.0 ** exponent, size=(n, d)),
+                        order=layout)
+    query = rng.normal(scale=10.0 ** exponent, size=d)
+    per_row = np.array([euclidean_distance(row, query) for row in matrix])
+    assert euclidean_distance(matrix, query).tobytes() == per_row.tobytes()
+    assert euclidean_distance(matrix[None], query)[0].tobytes() \
+        == per_row.tobytes()
+
+
 # --- knowledge base -------------------------------------------------------------
 
 def small_benign_setup(n_subjects=4):
@@ -162,15 +174,39 @@ def test_build_kb_groups_by_identity():
     graph, vocab, params = small_benign_setup()
     kb = build_knowledge_base([graph], params, vocab, 0.02, DEFAULT_OP_VOCAB)
     assert kb.profiles["subject::worker"].count == 4
-    assert len(kb.member_embeddings["subject::worker"]) == 4
+    assert len(kb.embeddings[kb.rows["subject::worker"]]) == 4
     assert {meta["identity"] for meta in kb.metadata.values()} \
         == set(kb.profiles)
     for label, profile in kb.profiles.items():
-        members = kb.member_embeddings[label]
-        outside = sum(1 for _, vec in members
+        members = kb.embeddings[kb.rows[label]]
+        outside = sum(1 for vec in members
                       if euclidean_distance(vec, profile.centroid)
                       > profile.radius)
         assert outside <= 0.02 * len(members)
+
+
+def test_build_kb_duplicate_uuid_across_graphs(tmp_path):
+    graphs = [
+        graph_from_events([make_event(
+            event_id=f"e{i}", subject_uuid="s0", object_uuid=f"f{i}",
+            operation=op, timestamp=i, subject_attrs={"name": "worker"},
+            object_attrs={"path": f"/data/part{i}.dat"})], name=f"day{i}")
+        for i, op in enumerate(["READ", "WRITE"])]
+    summaries = [build_node_summary(g.nodes[u], g)
+                 for g in graphs for u in sorted(g.nodes)]
+    vocab = train_semantic_vocab(summaries, dim=6, epochs=1, seed=4)
+    params = init_params([feature_dim(6, DEFAULT_OP_VOCAB), 5], seed=4)
+    kb = build_knowledge_base(graphs, params, vocab, 0.02, DEFAULT_OP_VOCAB)
+    assert kb.uuids[kb.rows["subject::worker"]] == ["s0", "s0"]
+    assert kb.profiles["subject::worker"].count == 2
+    assert sorted(kb.metadata) == sorted(set(kb.uuids))
+    assert kb.metadata["s0"]["graph"] == "day1"
+    assert attribute_query(kb, "subject::worker") == ["s0"]
+    save_kb(kb, tmp_path)
+    loaded = load_kb(tmp_path)
+    assert loaded.uuids == kb.uuids
+    assert loaded.labels == kb.labels
+    assert loaded.embeddings.tobytes() == kb.embeddings.tobytes()
 
 
 def test_build_kb_deterministic_serialization(tmp_path):
@@ -202,19 +238,18 @@ def test_kb_save_load_round_trip(tmp_path):
         assert np.array_equal(loaded.profiles[label].centroid,
                               kb.profiles[label].centroid)
         assert loaded.profiles[label].radius == kb.profiles[label].radius
-        got = loaded.member_embeddings[label]
-        want = kb.member_embeddings[label]
-        assert [u for u, _ in got] == [u for u, _ in want]
-        for (_, gv), (_, wv) in zip(got, want):
-            assert np.array_equal(gv, wv)
+    assert loaded.uuids == kb.uuids
+    assert loaded.labels == kb.labels
+    assert loaded.rows == kb.rows
+    assert np.array_equal(loaded.embeddings, kb.embeddings)
     assert loaded.metadata == kb.metadata
 
 
 # --- queries --------------------------------------------------------------------
 
 def test_knn_empty_kb_returns_empty():
-    kb = BenignKnowledgeBase(epsilon=0.0, profiles={}, member_embeddings={},
-                             metadata={})
+    kb = BenignKnowledgeBase(epsilon=0.0, profiles={}, uuids=[], labels=[],
+                             embeddings=np.zeros((0, 3)), metadata={})
     assert knn_query(kb, np.zeros(3), k=4) == []
 
 
@@ -241,7 +276,8 @@ def test_knn_matches_exhaustive_oracle():
     kb = BenignKnowledgeBase(
         epsilon=0.0,
         profiles={"i": IdentityProfile("i", np.zeros(3), 1.0, 20)},
-        member_embeddings={"i": members},
+        uuids=[u for u, _ in members], labels=["i"] * len(members),
+        embeddings=np.array([vec for _, vec in members]),
         metadata={u: {"identity": "i", "kind": "subject", "attrs": {},
                       "graph": "g", "edges": []} for u, _ in members})
     for _ in range(25):
@@ -258,7 +294,8 @@ def test_knn_matches_oracle_at_scale():
     kb = BenignKnowledgeBase(
         epsilon=0.0,
         profiles={"i": IdentityProfile("i", np.zeros(6), 1.0, len(members))},
-        member_embeddings={"i": members},
+        uuids=[u for u, _ in members], labels=["i"] * len(members),
+        embeddings=np.array([vec for _, vec in members]),
         metadata={u: {"identity": "i", "kind": "subject", "attrs": {},
                       "graph": "g", "edges": []} for u, _ in members})
     for _ in range(5):
@@ -278,13 +315,6 @@ def test_attribute_query_no_match():
     assert attribute_query(toy_kb(), "subject::mongoose") == []
 
 
-def test_attribute_query_substring_tier():
-    kb = toy_kb()
-    # "cat" matches c1/c2 exactly via identity substring and d1 via its
-    # /var/catalog attribute
-    assert attribute_query(kb, "cat") == ["c1", "c2", "d1"]
-
-
 # --- export ---------------------------------------------------------------------
 
 def test_export_embeddings_rows(tmp_path):
@@ -297,8 +327,8 @@ def test_export_embeddings_rows(tmp_path):
 
 
 def test_export_embeddings_empty_kb(tmp_path):
-    kb = BenignKnowledgeBase(epsilon=0.0, profiles={}, member_embeddings={},
-                             metadata={})
+    kb = BenignKnowledgeBase(epsilon=0.0, profiles={}, uuids=[], labels=[],
+                             embeddings=np.zeros((0, 0)), metadata={})
     path = tmp_path / "emb.csv"
     export_embeddings(kb, path)
     rows = list(csv.reader(path.open()))
@@ -309,8 +339,7 @@ def test_export_round_trip_exact(tmp_path):
     kb = toy_kb()
     path = tmp_path / "emb.csv"
     export_embeddings(kb, path)
-    stored = {uuid: vec for label in kb.member_embeddings
-              for uuid, vec in kb.member_embeddings[label]}
+    stored = dict(zip(kb.uuids, kb.embeddings))
     with path.open() as fh:
         reader = csv.reader(fh)
         next(reader)
