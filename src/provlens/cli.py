@@ -1,8 +1,8 @@
 """Command-line front end: ingest -> train -> profile -> detect -> investigate
 -> report, plus a synthetic-scenario generator.
 
-Exit codes: 0 ok, 1 runtime failure, 2 missing artifact, 3 bad configuration.
-Errors print a single machine-parsable line to stderr.
+Exit codes: 0 ok, 1 runtime failure, 2 missing or unreadable artifact, 3 bad
+configuration. Errors print a single machine-parsable line to stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import detector, encoder, features, ingest, profiler, synth
+from . import artifacts, detector, encoder, features, ingest, profiler, synth
 from .config import PipelineConfig, load_config
 from .errors import ArtifactError, ConfigError, ProvlensError
 from .investigation import (
@@ -156,7 +156,6 @@ def cmd_detect(cfg: PipelineConfig, args) -> int:
     alerts = detector.detect_graph(graph, params, vocab, kb,
                                    cfg.features.op_vocab)
     path = _alerts_path(cfg, args.graph)
-    os.makedirs(path.parent, exist_ok=True)
     detector.save_alerts(alerts, path)
     print(detector.format_alert_table(alerts))
     print(f"detected graph={args.graph} alerts={len(alerts)} -> {path}")
@@ -221,7 +220,7 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
             nodes_per_identity=args.nodes_per_identity,
             num_anomalies=args.anomalies, seed=cfg.seed)
     paths = synth.write_scenario(spec, args.out)
-    labels = json.loads(paths["labels"].read_text(encoding="utf-8"))
+    labels = artifacts.read_json(paths["labels"])
     print(f"synthesized out={args.out} labeled={labels['total_labeled']} "
           f"anomalies={len(labels['anomalous'])}")
     return EXIT_OK

@@ -14,15 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_jsonl, write_jsonl
 from .encoder import EncoderParams, forward
-from .errors import ArtifactError, ConfigError
+from .errors import ConfigError
 from .features import SemanticVocab, feature_dim, feature_matrix
 from .ingest import ProvenanceGraph
 from .profiler import BenignKnowledgeBase, IdentityProfile, euclidean_distance
 
 SCORE_DELTA = 1e-9
-
-VIOLATION_KINDS = ("deviation", "mismatch", "both", "unknown_identity")
 
 
 @dataclass
@@ -126,20 +125,11 @@ def detect_graph(graph: ProvenanceGraph, params: EncoderParams,
 
 
 def save_alerts(alerts: list[Alert], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for alert in alerts:
-            fh.write(alert.to_json() + "\n")
+    write_jsonl(path, map(vars, alerts))
 
 
 def load_alerts(path: str | Path) -> list[Alert]:
-    if not Path(path).exists():
-        raise ArtifactError(f"missing alerts artifact {path}", path=str(path))
-    alerts = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            alerts.append(Alert(**rec))
-    return alerts
+    return [Alert(**rec) for rec in read_jsonl(path)]
 
 
 def format_alert_table(alerts: list[Alert]) -> str:

@@ -10,10 +10,8 @@ finite differences.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,8 +19,9 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from .artifacts import read_blob, read_json, write_blob, write_json
 from .config import EncoderConfig
-from .errors import ArtifactError, ConfigError, TrainingError
+from .errors import ConfigError, TrainingError
 from .ingest import ProvenanceGraph
 
 log = logging.getLogger(__name__)
@@ -331,38 +330,26 @@ def encoder_paths(directory: str | Path) -> dict[str, Path]:
 
 def save_params(params: EncoderParams, directory: str | Path) -> None:
     paths = encoder_paths(directory)
-    os.makedirs(directory, exist_ok=True)
-    header = {
+    write_json(paths["header"], {
         "dims": params.dims,
         "activation": params.activation,
         "aggregation": params.aggregation,
         "seed": params.seed,
         "dtype": "<f4",
-    }
-    paths["header"].write_text(json.dumps(header, sort_keys=True) + "\n",
-                               encoding="utf-8")
-    blob = b"".join(w.astype("<f4").tobytes() for w in params.weights)
-    paths["weights"].write_bytes(blob)
+    })
+    write_blob(paths["weights"],
+               np.concatenate([w.ravel() for w in params.weights]), "<f4")
 
 
 def load_params(directory: str | Path) -> EncoderParams:
     paths = encoder_paths(directory)
-    for path in paths.values():
-        if not path.exists():
-            raise ArtifactError(f"missing encoder artifact {path}", path=str(path))
-    header = json.loads(paths["header"].read_text(encoding="utf-8"))
+    header = read_json(paths["header"])
     dims = header["dims"]
-    raw = np.frombuffer(paths["weights"].read_bytes(), dtype="<f4")
-    weights = []
-    offset = 0
-    for l in range(len(dims) - 1):
-        size = dims[l + 1] * dims[l]
-        weights.append(raw[offset:offset + size]
-                       .reshape(dims[l + 1], dims[l]).astype(np.float64))
-        offset += size
-    if offset != raw.size:
-        raise ArtifactError(f"encoder weight blob size mismatch in {paths['weights']}",
-                            path=str(paths["weights"]))
+    shapes = list(zip(dims[1:], dims[:-1]))
+    sizes = [rows * cols for rows, cols in shapes]
+    raw = read_blob(paths["weights"], "<f4", (sum(sizes),))
+    weights = [part.reshape(shape).astype(np.float64) for part, shape
+               in zip(np.split(raw, np.cumsum(sizes)[:-1]), shapes)]
     return EncoderParams(dims=dims, weights=weights,
                          activation=header["activation"],
                          aggregation=header["aggregation"], seed=header["seed"])

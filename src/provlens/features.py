@@ -10,15 +10,15 @@ inter-event idle periods.
 
 from __future__ import annotations
 
-import json
-import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, ConfigError
+from .artifacts import (read_blob, read_json, write_blob, write_json,
+                        write_jsonl)
+from .errors import ConfigError
 from .ingest import Entity, ProvenanceGraph, incident_edges
 
 TEMPORAL_DIM = 3
@@ -206,16 +206,12 @@ def feature_matrix(graph: ProvenanceGraph, vocab: SemanticVocab,
 def export_features(graph: ProvenanceGraph, vocab: SemanticVocab, op_vocab,
                     path: str | Path) -> None:
     """Debug dump: one JSONL record per node with the three feature parts."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for uuid in sorted(graph.nodes):
-            feats = initial_features(graph.nodes[uuid], graph, vocab, op_vocab)
-            fh.write(json.dumps({
-                "uuid": uuid,
-                "identity": graph.nodes[uuid].identity,
-                "x_sem": feats.x_sem.tolist(),
-                "x_act": feats.x_act.tolist(),
-                "x_tmp": feats.x_tmp.tolist(),
-            }, sort_keys=True) + "\n")
+    def record(uuid: str) -> dict:
+        feats = initial_features(graph.nodes[uuid], graph, vocab, op_vocab)
+        return {"uuid": uuid, "identity": graph.nodes[uuid].identity,
+                "x_sem": feats.x_sem.tolist(), "x_act": feats.x_act.tolist(),
+                "x_tmp": feats.x_tmp.tolist()}
+    write_jsonl(path, map(record, sorted(graph.nodes)))
 
 
 # --- serialization ---------------------------------------------------------
@@ -227,8 +223,7 @@ def vocab_paths(directory: str | Path) -> dict[str, Path]:
 
 def save_vocab(vocab: SemanticVocab, directory: str | Path) -> None:
     paths = vocab_paths(directory)
-    os.makedirs(directory, exist_ok=True)
-    header = {
+    write_json(paths["header"], {
         "tokens": vocab.tokens,
         "dim": vocab.dim,
         "window": vocab.window,
@@ -236,26 +231,15 @@ def save_vocab(vocab: SemanticVocab, directory: str | Path) -> None:
         "epochs": vocab.epochs,
         "seed": vocab.seed,
         "dtype": "<f4",
-    }
-    paths["header"].write_text(json.dumps(header, sort_keys=True) + "\n",
-                               encoding="utf-8")
-    paths["vectors"].write_bytes(
-        vocab.vectors.astype("<f4", copy=False).tobytes())
+    })
+    write_blob(paths["vectors"], vocab.vectors, "<f4")
 
 
 def load_vocab(directory: str | Path) -> SemanticVocab:
     paths = vocab_paths(directory)
-    for path in paths.values():
-        if not path.exists():
-            raise ArtifactError(f"missing vocabulary artifact {path}",
-                                path=str(path))
-    header = json.loads(paths["header"].read_text(encoding="utf-8"))
-    raw = np.frombuffer(paths["vectors"].read_bytes(), dtype="<f4")
-    shape = (len(header["tokens"]), header["dim"])
-    if raw.size != shape[0] * shape[1]:
-        raise ArtifactError(f"vocabulary vector blob size mismatch in "
-                            f"{paths['vectors']}", path=str(paths["vectors"]))
-    vectors = raw.reshape(shape).copy()
+    header = read_json(paths["header"])
+    vectors = read_blob(paths["vectors"], "<f4",
+                        (len(header["tokens"]), header["dim"]))
     return SemanticVocab(tokens=header["tokens"], vectors=vectors,
                          dim=header["dim"], window=header["window"],
                          negatives=header["negatives"], epochs=header["epochs"],

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .artifacts import read_json, read_jsonl, write_json, write_jsonl
 from .config import DEFAULT_OP_VOCAB
 from .errors import ArtifactError, FormatError
 
@@ -251,50 +251,23 @@ def graph_paths(directory: str | Path, name: str) -> dict[str, Path]:
 
 def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
     paths = graph_paths(directory, graph.name)
-    os.makedirs(directory, exist_ok=True)
-    header = {
+    write_json(paths["header"], {
         "name": graph.name,
         "window_start": graph.window_start,
         "window_end": graph.window_end,
         "node_count": len(graph.nodes),
         "edge_count": len(graph.edges),
-    }
-    paths["header"].write_text(json.dumps(header, sort_keys=True, indent=2) + "\n",
-                               encoding="utf-8")
-    with open(paths["nodes"], "w", encoding="utf-8") as fh:
-        for uuid in sorted(graph.nodes):
-            node = graph.nodes[uuid]
-            fh.write(json.dumps({"uuid": node.uuid, "kind": node.kind,
-                                 "attrs": node.attrs, "identity": node.identity},
-                                sort_keys=True) + "\n")
-    with open(paths["edges"], "w", encoding="utf-8") as fh:
-        for edge in graph.edges:
-            fh.write(json.dumps({"src": edge.src, "dst": edge.dst,
-                                 "operation": edge.operation,
-                                 "first_ts": edge.first_ts, "last_ts": edge.last_ts,
-                                 "weight": edge.weight}, sort_keys=True) + "\n")
+    }, indent=2)
+    write_jsonl(paths["nodes"],
+                (vars(graph.nodes[uuid]) for uuid in sorted(graph.nodes)))
+    write_jsonl(paths["edges"], map(vars, graph.edges))
 
 
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     paths = graph_paths(directory, name)
-    for path in paths.values():
-        if not path.exists():
-            raise ArtifactError(f"missing graph artifact {path}", path=str(path))
-    header = json.loads(paths["header"].read_text(encoding="utf-8"))
-    nodes: dict[str, Entity] = {}
-    with open(paths["nodes"], encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            nodes[rec["uuid"]] = Entity(uuid=rec["uuid"], kind=rec["kind"],
-                                        attrs=rec["attrs"], identity=rec["identity"])
-    edges: list[ProvEdge] = []
-    with open(paths["edges"], encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            edges.append(ProvEdge(src=rec["src"], dst=rec["dst"],
-                                  operation=rec["operation"],
-                                  first_ts=rec["first_ts"], last_ts=rec["last_ts"],
-                                  weight=rec["weight"]))
+    header = read_json(paths["header"])
+    nodes = {rec["uuid"]: Entity(**rec) for rec in read_jsonl(paths["nodes"])}
+    edges = [ProvEdge(**rec) for rec in read_jsonl(paths["edges"])]
     return ProvenanceGraph(name=header["name"], nodes=nodes, edges=edges,
                            window_start=header["window_start"],
                            window_end=header["window_end"])

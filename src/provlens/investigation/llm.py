@@ -199,11 +199,7 @@ class ScriptedLLM:
         digest = canonical_digest(payload)
         self.calls.append((role, digest))
         if (role, digest) in self.responses:
-            entry = self.responses[(role, digest)]
-            if isinstance(entry, list):  # sequential responses for repeats
-                response = entry.pop(0) if entry else FALLBACKS[role]
-            else:
-                response = entry
+            response = self.responses[(role, digest)]
         elif role in self.handlers:
             response = self.handlers[role](payload)
         else:
@@ -216,13 +212,11 @@ class HttpChatLLM:
     """Chat-completion client for OpenAI-compatible endpoints."""
 
     def __init__(self, endpoint: str, model: str, api_key: str = "",
-                 timeout_s: float = 60.0, json_mode: bool = True,
-                 session=None):
+                 timeout_s: float = 60.0, session=None):
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.api_key = api_key
         self.timeout_s = timeout_s
-        self.json_mode = json_mode
         self.session = session or requests.Session()
 
     def invoke(self, role: str, system_prompt: str, payload: dict) -> str:
@@ -233,9 +227,8 @@ class HttpChatLLM:
                 {"role": "system", "content": system_prompt},
                 {"role": "user", "content": json.dumps(payload, sort_keys=True)},
             ],
+            "response_format": {"type": "json_object"},
         }
-        if self.json_mode:
-            body["response_format"] = {"type": "json_object"}
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -261,7 +254,6 @@ class LLMSession:
     max_llm_calls: int
     repo: object  # InvestigationRepository
     calls_used: int = 0
-    max_attempts: int = MAX_ATTEMPTS
 
     def __post_init__(self):
         self.calls_used = self.repo.llm_calls_used
@@ -274,7 +266,7 @@ class LLMSession:
         request = dict(payload)
         last_raw = ""
         last_transport: LLMTransportError | None = None
-        for _ in range(self.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             self._charge(request)
             try:
                 raw = self.backend.invoke(role, ROLE_PROMPTS[role], request)

@@ -16,7 +16,7 @@ ANOMALY to everything.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..detector import Alert
 from ..errors import LLMTransportError
@@ -49,10 +49,7 @@ class InvestigationBudget:
 
     @classmethod
     def from_config(cls, cfg) -> "InvestigationBudget":
-        return cls(max_iterations=cfg.max_iterations,
-                   max_leads_per_ioc=cfg.max_leads_per_ioc,
-                   max_hypotheses=cfg.max_hypotheses,
-                   max_llm_calls=cfg.max_llm_calls)
+        return cls(**asdict(cfg))
 
 
 class _Orchestrator:

@@ -8,12 +8,10 @@ two identical runs journal byte for byte the same).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..errors import ArtifactError
+from ..artifacts import read_json, write_json, write_jsonl
 
 KILL_CHAIN_PHASES = ("IC", "IR", "CC", "PE", "LM", "MP", "DE", "CT")
 PHASE_NAMES = {
@@ -27,9 +25,6 @@ PHASE_NAMES = {
     "CT": "Covering Tracks",
 }
 UNASSIGNED = "UNASSIGNED"
-
-IOC_ORIGINS = ("alert", "lead", "hypothesis")
-IOC_STATUSES = ("candidate", "validated", "refuted")
 
 
 @dataclass
@@ -189,18 +184,9 @@ class InvestigationRepository:
 
     def save(self, directory: str | Path) -> None:
         base = Path(directory)
-        os.makedirs(base, exist_ok=True)
-        (base / "repository.json").write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
-        with open(base / "journal.jsonl", "w", encoding="utf-8") as fh:
-            for entry in self.journal_entries:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        write_json(base / "repository.json", self.to_dict(), indent=2)
+        write_jsonl(base / "journal.jsonl", self.journal_entries)
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvestigationRepository":
-        path = Path(directory) / "repository.json"
-        if not path.exists():
-            raise ArtifactError(f"missing repository artifact {path}",
-                                path=str(path))
-        return cls.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(Path(directory) / "repository.json"))

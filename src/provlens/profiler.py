@@ -10,18 +10,18 @@ the investigation agents can retrieve benign reference behavior.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import (read_blob, read_json, read_jsonl, write_blob,
+                        write_json, write_jsonl)
 from .encoder import EncoderParams, forward
-from .errors import ArtifactError, ConfigError
+from .errors import ConfigError
 from .features import SemanticVocab, feature_matrix
 from .ingest import ProvenanceGraph, incident_edges
 
@@ -194,51 +194,33 @@ def kb_paths(directory: str | Path) -> dict[str, Path]:
 
 def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
     paths = kb_paths(directory)
-    os.makedirs(directory, exist_ok=True)
     profiles = {
         label: {"centroid": [float(x) for x in profile.centroid],
                 "radius": profile.radius, "count": profile.count}
         for label, profile in kb.profiles.items()
     }
-    paths["profiles"].write_text(
-        json.dumps({"epsilon": kb.epsilon, "profiles": profiles},
-                   sort_keys=True) + "\n", encoding="utf-8")
-    paths["manifest"].write_text(json.dumps(list(zip(kb.uuids, kb.labels)))
-                                 + "\n", encoding="utf-8")
-    paths["embeddings"].write_bytes(kb.embeddings.astype("<f8").tobytes())
-    with open(paths["metadata"], "w", encoding="utf-8") as fh:
-        for uuid in sorted(kb.metadata):
-            fh.write(json.dumps({"uuid": uuid, **kb.metadata[uuid]},
-                                sort_keys=True) + "\n")
+    write_json(paths["profiles"],
+               {"epsilon": kb.epsilon, "profiles": profiles})
+    write_json(paths["manifest"], list(zip(kb.uuids, kb.labels)))
+    write_blob(paths["embeddings"], kb.embeddings, "<f8")
+    write_jsonl(paths["metadata"], ({"uuid": uuid, **kb.metadata[uuid]}
+                                    for uuid in sorted(kb.metadata)))
 
 
 def load_kb(directory: str | Path) -> BenignKnowledgeBase:
     paths = kb_paths(directory)
-    for path in paths.values():
-        if not path.exists():
-            raise ArtifactError(f"missing knowledge-base artifact {path}",
-                                path=str(path))
-    header = json.loads(paths["profiles"].read_text(encoding="utf-8"))
+    header = read_json(paths["profiles"])
     profiles = {
         label: IdentityProfile(label=label,
                                centroid=np.array(rec["centroid"]),
                                radius=rec["radius"], count=rec["count"])
         for label, rec in header["profiles"].items()
     }
-    manifest = json.loads(paths["manifest"].read_text(encoding="utf-8"))
+    manifest = read_json(paths["manifest"])
     dim = next(iter(profiles.values())).centroid.shape[0] if profiles else 0
-    raw = np.frombuffer(paths["embeddings"].read_bytes(), dtype="<f8")
-    if raw.size != len(manifest) * dim:
-        raise ArtifactError(f"knowledge-base embedding blob size mismatch "
-                            f"in {paths['embeddings']}",
-                            path=str(paths["embeddings"]))
+    embeddings = read_blob(paths["embeddings"], "<f8", (len(manifest), dim))
     uuids, labels = np.array(manifest, dtype=str).reshape(-1, 2).T.tolist()
-    metadata: dict[str, dict] = {}
-    with open(paths["metadata"], encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            metadata[rec.pop("uuid")] = rec
+    metadata = {rec.pop("uuid"): rec for rec in read_jsonl(paths["metadata"])}
     return BenignKnowledgeBase(epsilon=header["epsilon"], profiles=profiles,
                                uuids=uuids, labels=labels,
-                               embeddings=raw.reshape(len(manifest), dim),
-                               metadata=metadata)
+                               embeddings=embeddings, metadata=metadata)

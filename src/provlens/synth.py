@@ -11,11 +11,11 @@ seeded generator, so a fixed seed reproduces the files byte for byte.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json, write_jsonl
 from .config import DEFAULT_OP_VOCAB
 from .errors import ConfigError
 
@@ -243,18 +243,12 @@ def write_scenario(spec: dict, directory: str | Path) -> dict[str, Path]:
     """Generate and write benign.jsonl, attack.jsonl and labels.json."""
     benign, attack, labels = generate_scenario(spec)
     base = Path(directory)
-    os.makedirs(base, exist_ok=True)
     paths = {
         "benign": base / "benign.jsonl",
         "attack": base / "attack.jsonl",
         "labels": base / "labels.json",
     }
-    with open(paths["benign"], "w", encoding="utf-8") as fh:
-        for event in benign:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-    with open(paths["attack"], "w", encoding="utf-8") as fh:
-        for event in attack:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-    paths["labels"].write_text(json.dumps(labels, indent=2, sort_keys=True) + "\n",
-                               encoding="utf-8")
+    write_jsonl(paths["benign"], benign)
+    write_jsonl(paths["attack"], attack)
+    write_json(paths["labels"], labels, indent=2)
     return paths

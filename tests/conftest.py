@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,25 @@ def manual_graph(nodes, edges, name="g"):
     return ProvenanceGraph(name=name, nodes=node_map, edges=edge_objs,
                            window_start=min(stamps) if stamps else 0,
                            window_end=max(stamps) if stamps else 0)
+
+
+def _sorted_object(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys), f"unsorted keys {keys}"
+    return dict(pairs)
+
+
+def assert_canonical_json_files(directory):
+    """Every JSON and JSONL file under ``directory`` ends in a newline and
+    writes the keys of every object in sorted order."""
+    paths = sorted(Path(directory).rglob("*.json*"))
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n"), path
+        documents = text.splitlines() if path.suffix == ".jsonl" else [text]
+        for document in documents:
+            json.loads(document, object_pairs_hook=_sorted_object)
 
 
 @pytest.fixture

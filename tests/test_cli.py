@@ -5,8 +5,12 @@ from pathlib import Path
 import pytest
 
 from provlens.cli import main
+from provlens.detector import load_alerts
+from provlens.encoder import load_params
 from provlens.errors import ArtifactError
 from provlens.features import load_vocab
+from provlens.ingest import load_graph
+from provlens.investigation import InvestigationRepository
 from provlens.profiler import load_kb
 from provlens.synth import default_scenario, generate_scenario, write_scenario
 
@@ -180,22 +184,70 @@ def test_report_command_is_idempotent(pipeline):
     assert report.read_bytes() == before
 
 
-@pytest.mark.parametrize("blob,loader,matrix", [
-    ("kb/kb.embeddings.bin", load_kb, "embeddings"),
-    ("model/vocab.vectors.bin", load_vocab, "vectors"),
-], ids=["kb", "vocab"])
+@pytest.mark.parametrize("blob,loader,row", [
+    ("kb/kb.embeddings.bin", load_kb, lambda kb: kb.embeddings[0].nbytes),
+    ("model/vocab.vectors.bin", load_vocab, lambda v: v.vectors[0].nbytes),
+    ("model/encoder.weights.bin", load_params,
+     lambda params: params.weights[-1][0].astype("<f4").nbytes),
+], ids=["kb", "vocab", "encoder"])
 def test_blob_one_row_short_exits_2(pipeline, tmp_path, capsys, blob, loader,
-                                    matrix):
+                                    row):
     source, _ = pipeline
     artifacts = tmp_path / "artifacts"
     shutil.copytree(source, artifacts)
     path = artifacts / blob
-    row_bytes = getattr(loader(path.parent), matrix)[0].nbytes
+    row_bytes = row(loader(path.parent))
     path.write_bytes(path.read_bytes()[:-row_bytes])
     with pytest.raises(ArtifactError):
         loader(path.parent)
     capsys.readouterr()
     code = main(["detect", "--artifacts", str(artifacts), "--graph", "attack"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error code=missing_artifact" in err and path.name in err
+
+
+def _graph_loader(name):
+    return lambda path: load_graph(path.parent, name)
+
+
+DETECT = ("detect", "--graph", "attack")
+TRUNCATED = [
+    ("graphs/benign.nodes.jsonl", _graph_loader("benign"),
+     ("profile", "--graphs", "benign")),
+    ("graphs/attack.edges.jsonl", _graph_loader("attack"), DETECT),
+    ("graphs/attack.header.json", _graph_loader("attack"), DETECT),
+    ("model/encoder.json", lambda path: load_params(path.parent), DETECT),
+    ("model/vocab.json", lambda path: load_vocab(path.parent), DETECT),
+    ("kb/kb.profiles.json", lambda path: load_kb(path.parent), DETECT),
+    ("kb/kb.manifest.json", lambda path: load_kb(path.parent), DETECT),
+    ("kb/kb.metadata.jsonl", lambda path: load_kb(path.parent), DETECT),
+    ("alerts/attack.alerts.jsonl", load_alerts,
+     ("investigate", "--graph", "attack", "--llm", "mock")),
+    ("investigation/attack/repository.json",
+     lambda path: InvestigationRepository.load(path.parent),
+     ("report", "--graph", "attack")),
+]
+
+
+@pytest.mark.parametrize("artifact,loader,argv", TRUNCATED,
+                         ids=[Path(case[0]).name for case in TRUNCATED])
+def test_truncated_artifact_exits_2_and_names_file(pipeline, tmp_path, capsys,
+                                                   artifact, loader, argv):
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    path = artifacts / artifact
+    data = path.read_bytes()
+    cut = len(data) // 2
+    if data[cut - 1:cut] == b"\n":  # cut inside a record, not between two
+        cut += 1
+    path.write_bytes(data[:cut])
+    with pytest.raises(ArtifactError) as exc:
+        loader(path)
+    assert exc.value.path == str(path)
+    capsys.readouterr()
+    code = main([*argv, "--artifacts", str(artifacts)])
     err = capsys.readouterr().err
     assert code == 2
     assert "error code=missing_artifact" in err and path.name in err

@@ -25,7 +25,7 @@ from provlens.profiler import (
     euclidean_distance,
 )
 
-from conftest import graph_from_events, make_event
+from conftest import assert_canonical_json_files, graph_from_events, make_event
 
 
 def profiles_ab():
@@ -231,6 +231,8 @@ def test_alert_save_load_round_trip(tmp_path):
     save_alerts(alerts, path)
     loaded = load_alerts(path)
     assert [a.to_json() for a in loaded] == [a.to_json() for a in alerts]
+    assert loaded == alerts
+    assert_canonical_json_files(tmp_path)
 
 
 def test_alert_table_renders():

@@ -24,7 +24,7 @@ from provlens.encoder import (
 )
 from provlens.errors import ConfigError
 
-from conftest import manual_graph
+from conftest import assert_canonical_json_files, manual_graph
 from contrastive_oracle import infonce_loss_grad, sample_uuid_batch
 
 
@@ -432,5 +432,8 @@ def test_params_save_load_round_trip(tmp_path):
     assert loaded.dims == result.params.dims
     assert loaded.activation == result.params.activation
     assert loaded.aggregation == result.params.aggregation
+    assert loaded.seed == result.params.seed
+    assert len(loaded.weights) == len(result.params.weights)
     for got, want in zip(loaded.weights, result.params.weights):
         assert np.array_equal(got, want)
+    assert_canonical_json_files(tmp_path)

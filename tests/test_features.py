@@ -19,7 +19,8 @@ from provlens.features import (
     train_semantic_vocab,
 )
 
-from conftest import graph_from_events, make_event, manual_graph
+from conftest import (assert_canonical_json_files, graph_from_events,
+                      make_event, manual_graph)
 
 
 def vocab_from_table(table):
@@ -248,3 +249,4 @@ def test_vocab_save_load_round_trip(tmp_path):
     assert (loaded.dim, loaded.window, loaded.negatives, loaded.epochs,
             loaded.seed) == (vocab.dim, vocab.window, vocab.negatives,
                              vocab.epochs, vocab.seed)
+    assert_canonical_json_files(tmp_path)

@@ -13,7 +13,8 @@ from provlens.ingest import (
     save_graph,
 )
 
-from conftest import events_to_lines, graph_from_events, make_event
+from conftest import (assert_canonical_json_files, events_to_lines,
+                      graph_from_events, make_event)
 
 
 # --- parse_events ------------------------------------------------------------
@@ -205,6 +206,8 @@ def test_graph_save_load_round_trip(tmp_path):
     graph = graph_from_events(events, window_ns=5, name="win1")
     save_graph(graph, tmp_path)
     loaded = load_graph(tmp_path, "win1")
+    assert loaded == graph
+    assert_canonical_json_files(tmp_path)
     assert loaded.name == graph.name
     assert loaded.window_start == graph.window_start
     assert loaded.window_end == graph.window_end

@@ -26,7 +26,7 @@ from provlens.investigation.llm import (
 )
 from provlens.profiler import BenignKnowledgeBase, edge_digest
 
-from conftest import graph_from_events, make_event
+from conftest import assert_canonical_json_files, graph_from_events, make_event
 
 TRUTH = ("att-a", "att-b", "att-c")
 
@@ -607,6 +607,8 @@ def test_repository_round_trip(tmp_path):
     assert loaded.to_dict() == repo.to_dict()
     journal_file = (tmp_path / "journal.jsonl").read_text().splitlines()
     assert len(journal_file) == len(repo.journal_entries)
+    assert [json.loads(line) for line in journal_file] == repo.journal_entries
+    assert_canonical_json_files(tmp_path)
 
 
 def test_repository_invariants_after_run():

@@ -24,7 +24,7 @@ from provlens.profiler import (
     save_kb,
 )
 
-from conftest import graph_from_events, make_event
+from conftest import assert_canonical_json_files, graph_from_events, make_event
 
 
 def brute_force_radius(members, centroid, epsilon):
@@ -238,11 +238,13 @@ def test_kb_save_load_round_trip(tmp_path):
         assert np.array_equal(loaded.profiles[label].centroid,
                               kb.profiles[label].centroid)
         assert loaded.profiles[label].radius == kb.profiles[label].radius
+        assert loaded.profiles[label].count == kb.profiles[label].count
     assert loaded.uuids == kb.uuids
     assert loaded.labels == kb.labels
     assert loaded.rows == kb.rows
     assert np.array_equal(loaded.embeddings, kb.embeddings)
     assert loaded.metadata == kb.metadata
+    assert_canonical_json_files(tmp_path)
 
 
 # --- queries --------------------------------------------------------------------
