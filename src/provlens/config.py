@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -71,11 +71,15 @@ class EncoderConfig:
 
 
 @dataclass
-class BudgetConfig:
+class InvestigationBudget:
     max_iterations: int = 5
     max_leads_per_ioc: int = 10
     max_hypotheses: int = 16
     max_llm_calls: int = 200
+
+    @classmethod
+    def from_config(cls, cfg: "InvestigationBudget") -> "InvestigationBudget":
+        return cls(**asdict(cfg))
 
     def validate(self) -> None:
         for f in fields(self):
@@ -106,7 +110,7 @@ class PipelineConfig:
     epsilon: float = 0.02
     features: FeatureConfig = field(default_factory=FeatureConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    budget: BudgetConfig = field(default_factory=BudgetConfig)
+    budget: InvestigationBudget = field(default_factory=InvestigationBudget)
     llm: LLMConfig = field(default_factory=LLMConfig)
 
     def validate(self) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import read_jsonl, record, write_jsonl
 from .encoder import EncoderParams, forward
 from .errors import ConfigError
 from .features import SemanticVocab, feature_dim, feature_matrix
@@ -129,7 +129,7 @@ def save_alerts(alerts: list[Alert], path: str | Path) -> None:
 
 
 def load_alerts(path: str | Path) -> list[Alert]:
-    return [Alert(**rec) for rec in read_jsonl(path)]
+    return list(read_jsonl(path, record(Alert)))
 
 
 def format_alert_table(alerts: list[Alert]) -> str:

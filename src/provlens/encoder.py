@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .artifacts import read_blob, read_json, write_blob, write_json
+from .artifacts import keys, read_blob, read_json, write_blob, write_json
 from .config import EncoderConfig
 from .errors import ConfigError, TrainingError
 from .ingest import ProvenanceGraph
@@ -343,7 +343,8 @@ def save_params(params: EncoderParams, directory: str | Path) -> None:
 
 def load_params(directory: str | Path) -> EncoderParams:
     paths = encoder_paths(directory)
-    header = read_json(paths["header"])
+    header = read_json(paths["header"],
+                       keys("activation aggregation dims dtype seed"))
     dims = header["dims"]
     shapes = list(zip(dims[1:], dims[:-1]))
     sizes = [rows * cols for rows, cols in shapes]

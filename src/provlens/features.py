@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (read_blob, read_json, write_blob, write_json,
+from .artifacts import (keys, read_blob, read_json, write_blob, write_json,
                         write_jsonl)
 from .errors import ConfigError
 from .ingest import Entity, ProvenanceGraph, incident_edges
@@ -237,7 +237,8 @@ def save_vocab(vocab: SemanticVocab, directory: str | Path) -> None:
 
 def load_vocab(directory: str | Path) -> SemanticVocab:
     paths = vocab_paths(directory)
-    header = read_json(paths["header"])
+    header = read_json(paths["header"],
+                       keys("dim dtype epochs negatives seed tokens window"))
     vectors = read_blob(paths["vectors"], "<f4",
                         (len(header["tokens"]), header["dim"]))
     return SemanticVocab(tokens=header["tokens"], vectors=vectors,

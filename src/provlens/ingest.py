@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .artifacts import read_json, read_jsonl, write_json, write_jsonl
+from .artifacts import (keys, read_json, read_jsonl, record, write_json,
+                        write_jsonl)
 from .config import DEFAULT_OP_VOCAB
 from .errors import ArtifactError, FormatError
 
@@ -265,9 +266,10 @@ def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
 
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     paths = graph_paths(directory, name)
-    header = read_json(paths["header"])
-    nodes = {rec["uuid"]: Entity(**rec) for rec in read_jsonl(paths["nodes"])}
-    edges = [ProvEdge(**rec) for rec in read_jsonl(paths["edges"])]
+    header = read_json(paths["header"], keys(
+        "edge_count name node_count window_end window_start"))
+    nodes = {n.uuid: n for n in read_jsonl(paths["nodes"], record(Entity))}
+    edges = list(read_jsonl(paths["edges"], record(ProvEdge)))
     return ProvenanceGraph(name=header["name"], nodes=nodes, edges=edges,
                            window_start=header["window_start"],
                            window_end=header["window_end"])

@@ -1,5 +1,6 @@
 """Closed-loop alert investigation driven by four specialized LLM agents."""
 
+from ..config import InvestigationBudget
 from .graphstore import GraphStore
 from .llm import (
     HttpChatLLM,
@@ -7,7 +8,7 @@ from .llm import (
     ScriptedLLM,
     canonical_digest,
 )
-from .orchestrator import InvestigationBudget, run_investigation
+from .orchestrator import run_investigation
 from .repository import (
     AgentVerdict,
     Hypothesis,

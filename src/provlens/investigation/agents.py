@@ -73,7 +73,7 @@ def analyst_validate(lead: dict, kb: BenignKnowledgeBase, store: GraphStore,
 
 
 def investigator_expand(ioc, store: GraphStore, session: LLMSession,
-                        max_leads: int, reason: str = "") -> tuple[str, str, list[dict]]:
+                        max_leads: int) -> tuple[str, str, list[dict]]:
     """Reconstruct the IOC's atomic attack action and surface new leads.
 
     Returns (event narrative, kill-chain phase, leads); each lead carries
@@ -88,7 +88,7 @@ def investigator_expand(ioc, store: GraphStore, session: LLMSession,
         "graph_name": ioc.graph_name,
         "identity": ioc.identity,
         "current_event": ioc.event,
-        "reason": reason,
+        "reason": "",
         "neighborhood": store.neighborhood(ioc.graph_name, ioc.node_uuid,
                                            max_leads),
     }

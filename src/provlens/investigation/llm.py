@@ -252,11 +252,7 @@ class LLMSession:
 
     backend: object
     max_llm_calls: int
-    repo: object  # InvestigationRepository
-    calls_used: int = 0
-
-    def __post_init__(self):
-        self.calls_used = self.repo.llm_calls_used
+    repo: object  # InvestigationRepository, which holds the call count
 
     def invoke(self, role: str, payload: dict) -> tuple[dict, bool]:
         """Returns (response, valid). Persistent schema failure yields the
@@ -292,11 +288,10 @@ class LLMSession:
         return copy.deepcopy(FALLBACKS[role]), False
 
     def _charge(self, request: dict) -> None:
-        if self.calls_used >= self.max_llm_calls:
+        if self.repo.llm_calls_used >= self.max_llm_calls:
             raise BudgetExhausted(
                 f"llm call budget of {self.max_llm_calls} exhausted")
-        self.calls_used += 1
-        self.repo.llm_calls_used = self.calls_used
+        self.repo.llm_calls_used += 1
         self.repo.tokens_in += len(json.dumps(request)) // 4
 
 

@@ -16,8 +16,8 @@ ANOMALY to everything.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
 
+from ..config import InvestigationBudget
 from ..detector import Alert
 from ..errors import LLMTransportError
 from ..profiler import BenignKnowledgeBase
@@ -32,24 +32,13 @@ from .llm import BudgetExhausted, LLMSession
 from .repository import (
     KILL_CHAIN_PHASES,
     UNASSIGNED,
+    AgentVerdict,
     Hypothesis,
     InvestigationRepository,
     IOCRecord,
 )
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class InvestigationBudget:
-    max_iterations: int = 5
-    max_leads_per_ioc: int = 10
-    max_hypotheses: int = 16
-    max_llm_calls: int = 200
-
-    @classmethod
-    def from_config(cls, cfg) -> "InvestigationBudget":
-        return cls(**asdict(cfg))
 
 
 class _Orchestrator:
@@ -67,6 +56,16 @@ class _Orchestrator:
 
     # --- stage 1 and 2 building blocks ----------------------------------
 
+    def ask_analyst(self, lead: dict, origin: str) -> AgentVerdict:
+        """One journaled Analyst verdict on ``lead``."""
+        verdict = analyst_validate(lead, self.kb, self.store, self.session,
+                                   knn_k=self.knn_k,
+                                   digest_limit=self.budget.max_leads_per_ioc)
+        self.repo.journal("analyst_verdict", node_uuid=lead["node_uuid"],
+                          origin=origin, verdict=verdict.verdict,
+                          confidence=round(verdict.confidence, 6))
+        return verdict
+
     def validate_lead(self, lead: dict, origin: str,
                       parent: str | None = None) -> bool:
         """Analyst gate for one alert or clue; admits a validated IOC on an
@@ -78,12 +77,7 @@ class _Orchestrator:
             repo.journal("lead_invalid", node_uuid=uuid,
                          graph_name=lead["graph_name"])
             return False
-        verdict = analyst_validate(lead, self.kb, self.store, self.session,
-                                   knn_k=self.knn_k,
-                                   digest_limit=self.budget.max_leads_per_ioc)
-        repo.journal("analyst_verdict", node_uuid=uuid, origin=origin,
-                     verdict=verdict.verdict,
-                     confidence=round(verdict.confidence, 6))
+        verdict = self.ask_analyst(lead, origin)
         record = IOCRecord(node_uuid=uuid, graph_name=lead["graph_name"],
                            identity=node.identity, origin=origin,
                            confidence=verdict.confidence)
@@ -157,12 +151,7 @@ class _Orchestrator:
             if hyp.kind == "false_positive":
                 if ioc.status != "validated":
                     continue
-                verdict = analyst_validate(
-                    lead, self.kb, self.store, self.session, knn_k=self.knn_k,
-                    digest_limit=self.budget.max_leads_per_ioc)
-                repo.journal("analyst_verdict", node_uuid=target,
-                             origin="hypothesis", verdict=verdict.verdict,
-                             confidence=round(verdict.confidence, 6))
+                verdict = self.ask_analyst(lead, origin="hypothesis")
                 if verdict.verdict == "BENIGN":
                     repo.demote_ioc(target, hyp.statement)
                     demoted = True

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..artifacts import read_json, write_json, write_jsonl
+from ..artifacts import read_json, record, write_json, write_jsonl
 
 KILL_CHAIN_PHASES = ("IC", "IR", "CC", "PE", "LM", "MP", "DE", "CT")
 PHASE_NAMES = {
@@ -58,24 +58,24 @@ class Hypothesis:
     spawned_leads: list[str] = field(default_factory=list)
 
 
+@dataclass
 class InvestigationRepository:
-    def __init__(self, graph_name: str = ""):
-        self.graph_name = graph_name
-        self.iocs: dict[str, IOCRecord] = {}
-        self.hypotheses: list[Hypothesis] = []
-        self.evidence: dict[str, list[str]] = {}
-        self.relations: list[list[str]] = []  # [src_uuid, dst_uuid, label]
-        self.journal_entries: list[dict] = []
-        self.expansion_queue: list[str] = []
-        self.processed_alerts: list[str] = []
-        self.iteration = 0
-        self.llm_calls_used = 0
-        self.tokens_in = 0
-        self.tokens_out = 0
-        self.status = "new"
-        self.budget_exhausted = False
-        self.report_markdown = ""
-        self.attack_graph_dot = ""
+    graph_name: str = ""
+    iocs: dict[str, IOCRecord] = field(default_factory=dict)
+    hypotheses: list[Hypothesis] = field(default_factory=list)
+    evidence: dict[str, list[str]] = field(default_factory=dict)
+    relations: list[list[str]] = field(default_factory=list)  # [src, dst, label]
+    journal_entries: list[dict] = field(default_factory=list)
+    expansion_queue: list[str] = field(default_factory=list)
+    processed_alerts: list[str] = field(default_factory=list)
+    iteration: int = 0
+    llm_calls_used: int = 0
+    tokens_in: int = 0
+    tokens_out: int = 0
+    status: str = "new"
+    budget_exhausted: bool = False
+    report_markdown: str = ""
+    attack_graph_dot: str = ""
 
     # --- journal -------------------------------------------------------
 
@@ -142,44 +142,21 @@ class InvestigationRepository:
     # --- persistence -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "graph_name": self.graph_name,
-            "iocs": {u: asdict(r) for u, r in self.iocs.items()},
-            "hypotheses": [asdict(h) for h in self.hypotheses],
-            "evidence": self.evidence,
-            "relations": self.relations,
-            "narrative": self.narrative(),
-            "journal": self.journal_entries,
-            "expansion_queue": self.expansion_queue,
-            "processed_alerts": self.processed_alerts,
-            "iteration": self.iteration,
-            "llm_calls_used": self.llm_calls_used,
-            "tokens_in": self.tokens_in,
-            "tokens_out": self.tokens_out,
-            "status": self.status,
-            "budget_exhausted": self.budget_exhausted,
-            "report_markdown": self.report_markdown,
-            "attack_graph_dot": self.attack_graph_dot,
-        }
+        data = asdict(self)
+        data["journal"] = data.pop("journal_entries")
+        data["narrative"] = self.narrative()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "InvestigationRepository":
-        repo = cls(graph_name=data["graph_name"])
-        repo.iocs = {u: IOCRecord(**r) for u, r in data["iocs"].items()}
-        repo.hypotheses = [Hypothesis(**h) for h in data["hypotheses"]]
-        repo.evidence = {u: list(v) for u, v in data["evidence"].items()}
-        repo.relations = [list(r) for r in data["relations"]]
-        repo.journal_entries = list(data["journal"])
-        repo.expansion_queue = list(data["expansion_queue"])
-        repo.processed_alerts = list(data["processed_alerts"])
-        repo.iteration = data["iteration"]
-        repo.llm_calls_used = data["llm_calls_used"]
-        repo.tokens_in = data["tokens_in"]
-        repo.tokens_out = data["tokens_out"]
-        repo.status = data["status"]
-        repo.budget_exhausted = data["budget_exhausted"]
-        repo.report_markdown = data["report_markdown"]
-        repo.attack_graph_dot = data["attack_graph_dot"]
+        """The repository ``to_dict`` gave; a missing or unknown key raises."""
+        data = dict(data)
+        del data["narrative"]  # derived from the IOCs
+        data["journal_entries"] = data.pop("journal")
+        repo = record(cls)(data)
+        ioc = record(IOCRecord)
+        repo.iocs = {u: ioc(r) for u, r in repo.iocs.items()}
+        repo.hypotheses = list(map(record(Hypothesis), repo.hypotheses))
         return repo
 
     def save(self, directory: str | Path) -> None:
@@ -189,4 +166,4 @@ class InvestigationRepository:
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvestigationRepository":
-        return cls.from_dict(read_json(Path(directory) / "repository.json"))
+        return read_json(Path(directory) / "repository.json", cls.from_dict)

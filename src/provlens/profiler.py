@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (read_blob, read_json, read_jsonl, write_blob,
+from .artifacts import (keys, read_blob, read_json, read_jsonl, write_blob,
                         write_json, write_jsonl)
 from .encoder import EncoderParams, forward
 from .errors import ConfigError
@@ -207,20 +207,24 @@ def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
                                     for uuid in sorted(kb.metadata)))
 
 
+def _profiles_from_json(obj) -> tuple[float, dict[str, IdentityProfile]]:
+    header = keys("epsilon profiles")(obj)
+    entries = map(keys("centroid count radius"), header["profiles"].values())
+    return header["epsilon"], {
+        label: IdentityProfile(label=label, centroid=np.array(rec["centroid"]),
+                               radius=rec["radius"], count=rec["count"])
+        for label, rec in zip(header["profiles"], entries)}
+
+
 def load_kb(directory: str | Path) -> BenignKnowledgeBase:
     paths = kb_paths(directory)
-    header = read_json(paths["profiles"])
-    profiles = {
-        label: IdentityProfile(label=label,
-                               centroid=np.array(rec["centroid"]),
-                               radius=rec["radius"], count=rec["count"])
-        for label, rec in header["profiles"].items()
-    }
+    epsilon, profiles = read_json(paths["profiles"], _profiles_from_json)
     manifest = read_json(paths["manifest"])
     dim = next(iter(profiles.values())).centroid.shape[0] if profiles else 0
     embeddings = read_blob(paths["embeddings"], "<f8", (len(manifest), dim))
     uuids, labels = np.array(manifest, dtype=str).reshape(-1, 2).T.tolist()
-    metadata = {rec.pop("uuid"): rec for rec in read_jsonl(paths["metadata"])}
-    return BenignKnowledgeBase(epsilon=header["epsilon"], profiles=profiles,
+    metadata = dict(read_jsonl(paths["metadata"],
+                               lambda rec: (rec.pop("uuid"), rec)))
+    return BenignKnowledgeBase(epsilon=epsilon, profiles=profiles,
                                uuids=uuids, labels=labels,
                                embeddings=embeddings, metadata=metadata)

@@ -212,6 +212,8 @@ def _graph_loader(name):
 
 
 DETECT = ("detect", "--graph", "attack")
+INVESTIGATE = ("investigate", "--graph", "attack", "--llm", "mock")
+REPORT = ("report", "--graph", "attack")
 TRUNCATED = [
     ("graphs/benign.nodes.jsonl", _graph_loader("benign"),
      ("profile", "--graphs", "benign")),
@@ -222,27 +224,74 @@ TRUNCATED = [
     ("kb/kb.profiles.json", lambda path: load_kb(path.parent), DETECT),
     ("kb/kb.manifest.json", lambda path: load_kb(path.parent), DETECT),
     ("kb/kb.metadata.jsonl", lambda path: load_kb(path.parent), DETECT),
-    ("alerts/attack.alerts.jsonl", load_alerts,
-     ("investigate", "--graph", "attack", "--llm", "mock")),
+    ("alerts/attack.alerts.jsonl", load_alerts, INVESTIGATE),
     ("investigation/attack/repository.json",
-     lambda path: InvestigationRepository.load(path.parent),
-     ("report", "--graph", "attack")),
+     lambda path: InvestigationRepository.load(path.parent), REPORT),
 ]
 
 
-@pytest.mark.parametrize("artifact,loader,argv", TRUNCATED,
-                         ids=[Path(case[0]).name for case in TRUNCATED])
-def test_truncated_artifact_exits_2_and_names_file(pipeline, tmp_path, capsys,
-                                                   artifact, loader, argv):
-    source, _ = pipeline
-    artifacts = tmp_path / "artifacts"
-    shutil.copytree(source, artifacts)
-    path = artifacts / artifact
+def _halve(path):
     data = path.read_bytes()
     cut = len(data) // 2
     if data[cut - 1:cut] == b"\n":  # cut inside a record, not between two
         cut += 1
     path.write_bytes(data[:cut])
+
+
+def _without(field):
+    """Damage that deletes ``field`` from the first record of the file."""
+    def damage(path):
+        if path.suffix == ".jsonl":
+            first, _, rest = path.read_text().partition("\n")
+            rec = json.loads(first)
+            del rec[field]
+            path.write_text(json.dumps(rec) + "\n" + rest)
+        else:
+            obj = json.loads(path.read_text())
+            del obj[field]
+            path.write_text(json.dumps(obj))
+    return damage
+
+
+def _missing_field(artifact, field, loader, argv):
+    return pytest.param(artifact, _without(field), loader, argv,
+                        id=f"{Path(artifact).name}-without-{field}")
+
+
+DAMAGED = [
+    *[pytest.param(artifact, _halve, loader, argv, id=Path(artifact).name)
+      for artifact, loader, argv in TRUNCATED],
+    _missing_field("alerts/attack.alerts.jsonl", "score", load_alerts,
+                   INVESTIGATE),
+    _missing_field("model/encoder.json", "dims",
+                   lambda path: load_params(path.parent), DETECT),
+    _missing_field("investigation/attack/repository.json", "iteration",
+                   lambda path: InvestigationRepository.load(path.parent),
+                   REPORT),
+    _missing_field("kb/kb.profiles.json", "epsilon",
+                   lambda path: load_kb(path.parent), DETECT),
+    _missing_field("kb/kb.metadata.jsonl", "uuid",
+                   lambda path: load_kb(path.parent), DETECT),
+    _missing_field("model/vocab.json", "dim",
+                   lambda path: load_vocab(path.parent), DETECT),
+    _missing_field("graphs/attack.header.json", "window_start",
+                   _graph_loader("attack"), DETECT),
+    _missing_field("graphs/attack.nodes.jsonl", "identity",
+                   _graph_loader("attack"), DETECT),
+    _missing_field("graphs/attack.edges.jsonl", "weight",
+                   _graph_loader("attack"), DETECT),
+]
+
+
+@pytest.mark.parametrize("artifact,damage,loader,argv", DAMAGED)
+def test_truncated_artifact_exits_2_and_names_file(pipeline, tmp_path, capsys,
+                                                   artifact, damage, loader,
+                                                   argv):
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    path = artifacts / artifact
+    damage(path)
     with pytest.raises(ArtifactError) as exc:
         loader(path)
     assert exc.value.path == str(path)

@@ -548,13 +548,16 @@ def test_adversarial_always_anomaly_respects_llm_budget():
     assert len(admissions) <= len(verdicts) <= repo.llm_calls_used
 
 
+def never_satisfied_leader(payload):
+    return {"phase_coverage": {},
+            "hypotheses": [{"kind": "missing_stage", "statement": "dig again",
+                            "target_refs": ["CC"]}],
+            "false_positive_flags": [], "terminate": False}
+
+
 def test_max_iterations_bounds_the_synthesis_loop():
     backend = scripted_chain_backend()
-    backend.handlers["leader"] = lambda p: {
-        "phase_coverage": {},
-        "hypotheses": [{"kind": "missing_stage", "statement": "dig again",
-                        "target_refs": ["CC"]}],
-        "false_positive_flags": [], "terminate": False}
+    backend.handlers["leader"] = never_satisfied_leader
     budget = default_budget(max_iterations=2, max_llm_calls=200)
     repo = run_chain(backend=backend, budget=budget)
     assert repo.status == "complete"
@@ -600,15 +603,46 @@ def test_transport_failure_pauses_then_resumes(tmp_path):
     assert "investigation_resumed" in actions
 
 
-def test_repository_round_trip(tmp_path):
-    repo = run_chain()
+def test_resume_keeps_spent_call_budget(tmp_path):
+    graph = attack_graph()
+    store = GraphStore.build([graph])
+    kb = benign_kb(graph)
+    backend = FlakyBackend(scripted_chain_backend(), fail_calls=10)
+    repo = run_investigation([make_alert("att-a")], store, kb, backend,
+                             default_budget())
+    assert repo.status == "paused"
+    spent = repo.llm_calls_used
     repo.save(tmp_path)
-    loaded = InvestigationRepository.load(tmp_path)
-    assert loaded.to_dict() == repo.to_dict()
-    journal_file = (tmp_path / "journal.jsonl").read_text().splitlines()
-    assert len(journal_file) == len(repo.journal_entries)
-    assert [json.loads(line) for line in journal_file] == repo.journal_entries
-    assert_canonical_json_files(tmp_path)
+
+    resumed = InvestigationRepository.load(tmp_path)
+    backend.remaining = 0
+    final = run_investigation([make_alert("att-a")], store, kb, backend,
+                              default_budget(max_llm_calls=spent),
+                              repo=resumed)
+    assert final.llm_calls_used == spent
+    assert final.budget_exhausted
+    exhausted = [e for e in final.journal_entries
+                 if e["action"] == "llm_budget_exhausted"]
+    assert len(exhausted) == 1
+    assert backend.inner.calls == []  # no call beyond the spent budget
+
+
+def test_repository_round_trip(tmp_path):
+    synthesising = scripted_chain_backend()
+    synthesising.handlers["leader"] = never_satisfied_leader
+    for name, backend in (("chain", None), ("hypotheses", synthesising)):
+        repo = run_chain(backend=backend)
+        directory = tmp_path / name
+        repo.save(directory)
+        loaded = InvestigationRepository.load(directory)
+        assert loaded == repo
+        assert loaded.to_dict() == repo.to_dict()
+        journal_file = (directory / "journal.jsonl").read_text().splitlines()
+        assert len(journal_file) == len(repo.journal_entries)
+        assert ([json.loads(line) for line in journal_file]
+                == repo.journal_entries)
+        assert_canonical_json_files(directory)
+    assert repo.hypotheses  # the second run holds hypotheses
 
 
 def test_repository_invariants_after_run():

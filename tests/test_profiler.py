@@ -323,7 +323,8 @@ def test_export_embeddings_rows(tmp_path):
     kb = toy_kb()
     path = tmp_path / "emb.csv"
     export_embeddings(kb, path)
-    rows = list(csv.reader(path.open()))
+    with path.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0][:2] == ["uuid", "identity"]
     assert len(rows) == 4
 
@@ -333,7 +334,8 @@ def test_export_embeddings_empty_kb(tmp_path):
                              embeddings=np.zeros((0, 0)), metadata={})
     path = tmp_path / "emb.csv"
     export_embeddings(kb, path)
-    rows = list(csv.reader(path.open()))
+    with path.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows == [["uuid", "identity"]]
 
 
