@@ -1,17 +1,20 @@
 """Initial node features: semantic, action-frequency and temporal encodings.
 
 Every node gets a vector h0 = semantic || action || temporal. The semantic part
-comes from a small skip-gram model (negative sampling) trained on per-node
-summaries: the node's identity label followed by the operation tokens of its
-incident edges in temporal order. The action part is the L2-normalized
-operation histogram and the temporal part is a min-max-normalized summary of
-inter-event idle periods.
+is the mean token vector of the node's summary: its identity label followed by
+the operation tokens of its incident edges in temporal order. Token vectors are
+an SVD of the shifted positive PMI (SPPMI) of window co-occurrences, which
+skip-gram with negative sampling factorises implicitly (Levy & Goldberg, NeurIPS
+2014), in place of per-pair SGD. The action part is the L2-normalized operation
+histogram and the temporal part is a min-max-normalized summary of inter-event
+idle periods.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -59,68 +62,55 @@ def build_node_summary(node: Entity, graph: ProvenanceGraph) -> list[str]:
     return [node.identity] + [e.operation for e in incident_edges(graph, node.uuid)]
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
-
-
 def train_semantic_vocab(summaries: list[list[str]], dim: int, window: int = 5,
                          negatives: int = 5, epochs: int = 3,
                          seed: int = 7) -> SemanticVocab:
-    """Train skip-gram token embeddings with negative sampling.
+    """Token vectors: the rows of ``U * sqrt(S)`` from one SVD of the SPPMI.
 
-    Single-threaded and fully driven by one seeded generator, so a fixed seed
-    reproduces the table bit for bit.
+    #(w,c) counts the pairs at distance 1..``window`` inside a summary, and
+    SPPMI = max(log(#(w,c) / (#(w) * P(c))) - log(negatives), 0), where P is the
+    token frequency raised to 0.75 and normalised: the law skip-gram draws its
+    negatives from, so this is the matrix its objective is optimal at. Vectors
+    are truncated or zero-padded to ``dim``; a token with no positive entry gets
+    the zero vector, as an out-of-vocabulary token does. ``epochs`` and
+    ``seed`` are recorded but no longer affect the vectors.
     """
     if dim < 1:
         raise ConfigError("semantic dimension must be >= 1")
-    counts: Counter[str] = Counter()
-    for summary in summaries:
-        counts.update(summary)
+    if window < 1 or negatives < 1:
+        raise ConfigError("skip-gram window and negatives must be >= 1")
+    counts = Counter(chain.from_iterable(summaries))
     if not counts:
         raise ConfigError("cannot train semantic vocabulary on an empty corpus")
 
     tokens = sorted(counts, key=lambda t: (-counts[t], t))
     index = {tok: i for i, tok in enumerate(tokens)}
     vocab_size = len(tokens)
+    ids = np.fromiter(map(index.__getitem__, chain.from_iterable(summaries)),
+                      dtype=np.intp)
+    summary_of = np.repeat(np.arange(len(summaries)), list(map(len, summaries)))
 
-    freq = np.array([counts[t] for t in tokens], dtype=np.float64) ** 0.75
-    cumulative = np.cumsum(freq / freq.sum())
+    pairs = np.zeros((vocab_size, vocab_size))
+    for distance in range(1, window + 1):
+        same = summary_of[:-distance] == summary_of[distance:]
+        np.add.at(pairs, (ids[:-distance][same], ids[distance:][same]), 1.0)
+    pairs += pairs.T  # each pair is visited from both of its tokens
 
-    rng = np.random.default_rng(seed)
-    w_in = (rng.random((vocab_size, dim)) - 0.5) / dim
-    w_out = np.zeros((vocab_size, dim))
+    centres = pairs.sum(axis=1)  # #(w)
+    noise = np.array([counts[t] for t in tokens], dtype=np.float64) ** 0.75
+    w, c = np.nonzero(pairs)
+    sppmi = np.zeros_like(pairs)
+    sppmi[w, c] = np.maximum(np.log(pairs[w, c] * noise.sum()
+                                    / (centres[w] * noise[c]))
+                             - np.log(negatives), 0.0)
 
-    lr_start, lr_min = 0.025, 1e-4
-    total_centers = max(1, sum(len(s) for s in summaries) * epochs)
-    processed = 0
-
-    for _ in range(epochs):
-        for summary in summaries:
-            ids = [index[t] for t in summary]
-            for pos, center in enumerate(ids):
-                lr = max(lr_min, lr_start * (1.0 - processed / total_centers))
-                processed += 1
-                lo = max(0, pos - window)
-                ctx = np.array([ids[j] for j in range(lo, min(len(ids), pos + window + 1))
-                                if j != pos], dtype=np.intp)
-                if ctx.size == 0:
-                    continue
-                neg = np.searchsorted(cumulative,
-                                      rng.random((ctx.size, negatives)))
-                v = w_in[center]
-                ctx_vecs = w_out[ctx]
-                g_pos = (_sigmoid(ctx_vecs @ v) - 1.0) * lr
-                neg_vecs = w_out[neg]
-                g_neg = _sigmoid(neg_vecs @ v) * lr
-                dv = g_pos @ ctx_vecs + np.einsum("cn,cnd->d", g_neg, neg_vecs)
-                np.add.at(w_out, ctx, -g_pos[:, None] * v)
-                np.add.at(w_out, neg.ravel(),
-                          (-g_neg[:, :, None] * v).reshape(-1, dim))
-                w_in[center] = v - dv
-
-    return SemanticVocab(tokens=tokens, vectors=w_in.astype(np.float32), dim=dim,
-                         window=window, negatives=negatives, epochs=epochs,
-                         seed=seed)
+    u, s, _ = np.linalg.svd(sppmi)
+    vectors = np.zeros((vocab_size, dim))
+    vectors[:, :vocab_size] = (u * np.sqrt(s))[:, :dim]
+    vectors[~sppmi.any(axis=1)] = 0.0
+    return SemanticVocab(tokens=tokens, vectors=vectors.astype(np.float32),
+                         dim=dim, window=window, negatives=negatives,
+                         epochs=epochs, seed=seed)
 
 
 def semantic_encode(node: Entity, graph: ProvenanceGraph,

@@ -216,13 +216,19 @@ def _profiles_from_json(obj) -> tuple[float, dict[str, IdentityProfile]]:
         for label, rec in zip(header["profiles"], entries)}
 
 
+def _manifest_from_json(pairs) -> tuple[list[str], list[str]]:
+    if type(pairs) is not list or any(type(p) is not list or len(p) != 2
+                                      for p in pairs):
+        raise ValueError("manifest entries must be [uuid, label] pairs")
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
 def load_kb(directory: str | Path) -> BenignKnowledgeBase:
     paths = kb_paths(directory)
     epsilon, profiles = read_json(paths["profiles"], _profiles_from_json)
-    manifest = read_json(paths["manifest"])
+    uuids, labels = read_json(paths["manifest"], _manifest_from_json)
     dim = next(iter(profiles.values())).centroid.shape[0] if profiles else 0
-    embeddings = read_blob(paths["embeddings"], "<f8", (len(manifest), dim))
-    uuids, labels = np.array(manifest, dtype=str).reshape(-1, 2).T.tolist()
+    embeddings = read_blob(paths["embeddings"], "<f8", (len(uuids), dim))
     metadata = dict(read_jsonl(paths["metadata"],
                                lambda rec: (rec.pop("uuid"), rec)))
     return BenignKnowledgeBase(epsilon=epsilon, profiles=profiles,

@@ -54,9 +54,14 @@ def test_detect_without_model_exits_2_and_names_artifact(tmp_path, capsys):
     assert "vocab" in captured.err or "encoder" in captured.err
 
 
-def test_invalid_config_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    pytest.param('{"epsilon": 2.0}', id="epsilon"),
+    pytest.param('{"features": {"w2v_window": 0}}', id="w2v_window"),
+    pytest.param('{"features": {"w2v_negatives": 0}}', id="w2v_negatives"),
+])
+def test_invalid_config_exits_3(tmp_path, capsys, text):
     config = tmp_path / "conf.json"
-    config.write_text('{"epsilon": 2.0}', encoding="utf-8")
+    config.write_text(text, encoding="utf-8")
     code = main(["synth", "--config", str(config),
                  "--out", str(tmp_path / "out")])
     assert code == 3
@@ -253,6 +258,13 @@ def _without(field):
     return damage
 
 
+def _manifest_pair_cut(path):
+    """Damage that cuts the first manifest pair to ``[uuid]``."""
+    pairs = json.loads(path.read_text())
+    pairs[0] = pairs[0][:1]
+    path.write_text(json.dumps(pairs))
+
+
 def _missing_field(artifact, field, loader, argv):
     return pytest.param(artifact, _without(field), loader, argv,
                         id=f"{Path(artifact).name}-without-{field}")
@@ -272,6 +284,9 @@ DAMAGED = [
                    lambda path: load_kb(path.parent), DETECT),
     _missing_field("kb/kb.metadata.jsonl", "uuid",
                    lambda path: load_kb(path.parent), DETECT),
+    pytest.param("kb/kb.manifest.json", _manifest_pair_cut,
+                 lambda path: load_kb(path.parent), DETECT,
+                 id="kb.manifest.json-pair-without-label"),
     _missing_field("model/vocab.json", "dim",
                    lambda path: load_vocab(path.parent), DETECT),
     _missing_field("graphs/attack.header.json", "window_start",

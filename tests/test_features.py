@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,12 +61,69 @@ def test_summary_one_token_per_aggregated_edge():
         == ["subject::cat", "READ", "READ", "READ"]
 
 
-# --- skip-gram vocabulary ------------------------------------------------------
+# --- SPPMI token vectors --------------------------------------------------------
+
+def sppmi_oracle(summaries, tokens, window, negatives):
+    """Shifted positive PMI by brute force: visit every (centre, context) pair
+    position by position, as per-pair skip-gram does, then take scalar logs."""
+    pairs = {}
+    for summary in summaries:
+        for pos, centre in enumerate(summary):
+            for j in range(max(0, pos - window),
+                           min(len(summary), pos + window + 1)):
+                if j != pos:
+                    key = (centre, summary[j])
+                    pairs[key] = pairs.get(key, 0) + 1
+    row = {t: sum(n for (w, _), n in pairs.items() if w == t) for t in tokens}
+    freq = {t: sum(summary.count(t) for summary in summaries) for t in tokens}
+    norm = sum(freq[t] ** 0.75 for t in tokens)
+    matrix = np.zeros((len(tokens), len(tokens)))
+    for (w, c), n in pairs.items():
+        pmi = math.log(n / (row[w] * freq[c] ** 0.75 / norm))
+        matrix[tokens.index(w), tokens.index(c)] = max(
+            pmi - math.log(negatives), 0.0)
+    return matrix
+
+
+@pytest.mark.parametrize("dim", [3, 12])
+def test_vocab_gram_matches_sppmi_oracle(dim):
+    rng = np.random.default_rng(10)
+    topics = ["abc", "de", "fg", "ah"]  # tokens of a topic share windows
+    corpus = [list(rng.choice(list(topics[rng.integers(len(topics))]),
+                              size=rng.integers(2, 9)))
+              for _ in range(60)] + [["solo"]]
+    vocab = train_semantic_vocab(corpus, dim=dim, window=2, negatives=2)
+    matrix = sppmi_oracle(corpus, vocab.tokens, window=2, negatives=2)
+    u, s, _ = np.linalg.svd(matrix)
+    rank = min(dim, len(vocab.tokens))
+    if rank < len(s):
+        assert s[rank - 1] - s[rank] > 1e-3  # the truncation is unique
+    expected = (u[:, :rank] * s[:rank]) @ u[:, :rank].T
+    vectors = vocab.vectors.astype(np.float64)
+    assert vocab.vectors.shape == (len(vocab.tokens), dim)
+    assert np.allclose(vectors @ vectors.T, expected, atol=1e-5)
+    assert np.array_equal(vocab.lookup("solo"), np.zeros(dim))
+
+
+def test_vocab_epochs_and_seed_only_recorded():
+    corpus = [["a", "b", "c"], ["b", "c", "d"], ["a", "d"]] * 10
+    one = train_semantic_vocab(corpus, dim=6, epochs=1, seed=1)
+    two = train_semantic_vocab(corpus, dim=6, epochs=9, seed=2)
+    assert np.array_equal(one.vectors, two.vectors)
+    assert (two.epochs, two.seed) == (9, 2)
+
+
+@pytest.mark.parametrize("bad", [{"dim": 0}, {"window": 0}, {"negatives": 0}])
+def test_vocab_rejects_non_positive_sizes(bad):
+    with pytest.raises(ConfigError):
+        train_semantic_vocab([["a", "b"]], **{"dim": 4, **bad})
+
 
 def test_vocab_cooccurrence_orders_similarity():
-    corpus = [["alpha", "beta"]] * 60 + [["gamma"]] * 60
-    vocab = train_semantic_vocab(corpus, dim=16, window=2, negatives=4,
-                                 epochs=25, seed=3)
+    # SPPMI makes tokens alike through shared contexts: alpha and beta share x.
+    corpus = ([["alpha", "x"], ["beta", "x"]] * 60
+              + [["gamma", "y"]] * 60)
+    vocab = train_semantic_vocab(corpus, dim=16, window=2, negatives=2)
     a, b, c = (vocab.lookup(t) for t in ("alpha", "beta", "gamma"))
     cos = lambda x, y: float(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)))
     assert cos(a, b) > cos(a, c)

@@ -1,8 +1,12 @@
-"""The benchmark's span targets must resolve in the package, so that renaming
-a traced function fails this suite and not only the benchmark's self-test."""
+"""The benchmark must keep working against the package: its span targets
+resolve, and its self-test passes, so that renaming a traced function or
+dropping an argument the benchmark passes fails this suite and not only the
+benchmark."""
 
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -21,3 +25,10 @@ def test_perfbench_span_targets_resolve(monkeypatch):
         except AttributeError:
             missing.append(f"{module_name}.{attr_path}")
     assert missing == []
+
+
+def test_perfbench_selftest_passes():
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=PERFBENCH.parent, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
