@@ -116,10 +116,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 
     uuids, h0 = features.feature_matrix(union, vocab, cfg.features.op_vocab)
     if args.export_features:
-        features.export_features(union, vocab, cfg.features.op_vocab,
+        features.export_features(union, uuids, h0, vocab.dim,
                                  args.export_features)
-    if args.epochs is not None:
-        cfg.encoder.epochs = args.epochs
     result = encoder.train(union, dict(zip(uuids, h0)), cfg.encoder, cfg.seed)
     encoder.save_params(result.params, _model_dir(cfg))
     trace_path = _model_dir(cfg) / "loss_trace.csv"
@@ -213,6 +211,8 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
                                 path=args.spec) from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"scenario spec is not valid JSON: {exc}") from exc
+        if not isinstance(spec, dict):
+            raise ConfigError(f"scenario spec {args.spec} must be a JSON object")
         spec.setdefault("seed", cfg.seed)
     else:
         spec = synth.default_scenario(
@@ -315,6 +315,8 @@ def _config_from_args(args) -> PipelineConfig:
             budget[flag] = value
     if budget:
         overrides["budget"] = budget
+    if getattr(args, "epochs", None) is not None:
+        overrides["encoder"] = {"epochs": args.epochs}
     return load_config(args.config, overrides)
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 
@@ -62,13 +62,15 @@ class EncoderConfig:
     def validate(self) -> None:
         if self.embedding_dim < 1 or self.num_layers < 1:
             raise ConfigError("embedding_dim and num_layers must be >= 1")
+        if self.epochs < 0 or not self.learning_rate >= 0.0:
+            raise ConfigError("epochs and learning_rate must be >= 0")
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
         if self.activation not in ("relu", "tanh", "identity"):
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.aggregation not in ("mean", "sum"):
+        if self.aggregation != "mean":
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
 
 
@@ -124,18 +126,34 @@ class PipelineConfig:
         self.llm.validate()
 
 
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string",
+               tuple: "a list of strings"}
+
+
 def _apply_tree(cfg, tree: dict, path: str = "") -> None:
-    known = {f.name: f for f in fields(cfg)}
+    """Set fields from a JSON object. A value is accepted only if it has the
+    JSON type of the field's default: an integer may stand for a number, a
+    boolean is never an integer, a section is an object and ``op_vocab`` is a
+    list of strings."""
+    known = {f.name for f in fields(cfg)}
     for key, value in tree.items():
+        name = path + key
         if key not in known:
-            raise ConfigError(f"unknown config key {path + key!r}")
+            raise ConfigError(f"unknown config key {name!r}")
         current = getattr(cfg, key)
-        if isinstance(value, dict):
-            _apply_tree(current, value, path + key + ".")
-        elif key == "op_vocab":
+        kind = type(current)
+        if is_dataclass(current) and type(value) is dict:
+            _apply_tree(current, value, name + ".")
+        elif kind is tuple and type(value) is list \
+                and all(type(v) is str for v in value):
             setattr(cfg, key, tuple(value))
+        elif type(value) is kind or (kind, type(value)) == (float, int):
+            setattr(cfg, key, kind(value))
         else:
-            setattr(cfg, key, type(current)(value) if current is not None else value)
+            expected = ("an object" if is_dataclass(current)
+                        else _JSON_KINDS[kind])
+            raise ConfigError(f"config key {name!r} must be {expected}, "
+                              f"got {value!r}")
 
 
 def _apply_env(cfg: PipelineConfig, environ) -> None:
@@ -146,7 +164,10 @@ def _apply_env(cfg: PipelineConfig, environ) -> None:
     }
     for var, (attr, cast) in simple.items():
         if var in environ:
-            setattr(cfg, attr, cast(environ[var]))
+            try:
+                setattr(cfg, attr, cast(environ[var]))
+            except ValueError as exc:
+                raise ConfigError(f"environment variable {var}: {exc}") from exc
     llm = {
         ENV_PREFIX + "LLM_BACKEND": "backend",
         ENV_PREFIX + "LLM_ENDPOINT": "endpoint",

@@ -113,10 +113,9 @@ def detect_graph(graph: ProvenanceGraph, params: EncoderParams,
             f"knowledge-base embedding dimension {kb.embedding_dim} does not "
             f"match encoder output dimension {params.dims[-1]}")
     uuids, h0 = feature_matrix(graph, vocab, op_vocab)
-    embeddings = forward(graph, dict(zip(uuids, h0)), params)
     alerts = []
-    for uuid in uuids:
-        alert = detect_node(embeddings[uuid], graph.nodes[uuid].identity,
+    for uuid, z in zip(uuids, forward(graph, uuids, h0, params)):
+        alert = detect_node(z, graph.nodes[uuid].identity,
                             kb.profiles, node_uuid=uuid, graph_name=graph.name)
         if alert is not None:
             alerts.append(alert)

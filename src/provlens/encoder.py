@@ -21,7 +21,7 @@ from scipy import sparse
 
 from .artifacts import keys, read_blob, read_json, write_blob, write_json
 from .config import EncoderConfig
-from .errors import ConfigError, TrainingError
+from .errors import ArtifactError, ConfigError, TrainingError
 from .ingest import ProvenanceGraph
 
 log = logging.getLogger(__name__)
@@ -74,10 +74,10 @@ def init_params(dims: list[int], activation: str = "relu",
                          aggregation=aggregation, seed=seed)
 
 
-def propagation_matrix(graph: ProvenanceGraph, uuids: list[str],
-                       aggregation: str) -> sparse.csr_matrix:
-    """Neighborhood operator: row i averages (or sums) the undirected 1-hop
-    neighbor set of node i plus the node itself. Parallel edges count once."""
+def propagation_matrix(graph: ProvenanceGraph,
+                       uuids: list[str]) -> sparse.csr_matrix:
+    """Neighborhood operator: row i averages the undirected 1-hop neighbor set
+    of node i plus the node itself. Parallel edges count once."""
     pos = {u: i for i, u in enumerate(uuids)}
     neighbor_sets: list[set[int]] = [{i} for i in range(len(uuids))]
     for edge in graph.edges:
@@ -89,7 +89,7 @@ def propagation_matrix(graph: ProvenanceGraph, uuids: list[str],
     rows, cols, vals = [], [], []
     for i, nbrs in enumerate(neighbor_sets):
         ordered = sorted(nbrs)
-        value = 1.0 / len(ordered) if aggregation == "mean" else 1.0
+        value = 1.0 / len(ordered)
         for j in ordered:
             rows.append(i)
             cols.append(j)
@@ -152,16 +152,13 @@ def backward_pass(prop: sparse.csr_matrix, params: EncoderParams, cache,
     return grads
 
 
-def forward(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
-            params: EncoderParams) -> dict[str, np.ndarray]:
-    """Embed every node of the graph; deterministic and read-only."""
-    uuids = sorted(h0)
-    if not uuids:
-        return {}
-    matrix = np.stack([np.asarray(h0[u], dtype=np.float64) for u in uuids])
-    prop = propagation_matrix(graph, uuids, params.aggregation)
-    z, _ = forward_pass(prop, matrix, params)
-    return {u: z[i] for i, u in enumerate(uuids)}
+def forward(graph: ProvenanceGraph, uuids: list[str], h0: np.ndarray,
+            params: EncoderParams) -> np.ndarray:
+    """Embed the nodes ``uuids`` of the graph from their feature rows ``h0``;
+    row i of the result belongs to ``uuids[i]``. Deterministic and read-only."""
+    z, _ = forward_pass(propagation_matrix(graph, uuids),
+                        np.asarray(h0, dtype=np.float64), params)
+    return z
 
 
 # --- contrastive objective -------------------------------------------------
@@ -290,7 +287,7 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
     dims = [matrix.shape[1]] + [config.embedding_dim] * config.num_layers
     params = init_params(dims, activation=config.activation,
                          aggregation=config.aggregation, seed=seed)
-    prop = propagation_matrix(graph, uuids, config.aggregation)
+    prop = propagation_matrix(graph, uuids)
     groups = identity_groups([graph.nodes[u].identity for u in uuids])
     rng = np.random.default_rng(seed)
     eval_batch = canonical_eval_batch(groups)
@@ -345,6 +342,10 @@ def load_params(directory: str | Path) -> EncoderParams:
     paths = encoder_paths(directory)
     header = read_json(paths["header"],
                        keys("activation aggregation dims dtype seed"))
+    if header["aggregation"] != "mean":
+        raise ArtifactError(f"unreadable artifact {paths['header']}: unknown "
+                            f"aggregation {header['aggregation']!r}",
+                            path=str(paths["header"]))
     dims = header["dims"]
     shapes = list(zip(dims[1:], dims[:-1]))
     sizes = [rows * cols for rows, cols in shapes]

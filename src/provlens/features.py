@@ -1,13 +1,14 @@
 """Initial node features: semantic, action-frequency and temporal encodings.
 
-Every node gets a vector h0 = semantic || action || temporal. The semantic part
-is the mean token vector of the node's summary: its identity label followed by
-the operation tokens of its incident edges in temporal order. Token vectors are
-an SVD of the shifted positive PMI (SPPMI) of window co-occurrences, which
+``feature_matrix`` builds every node's row h0 = semantic || action || temporal
+in one walk over the node's incident edges. The semantic block is the mean
+token vector of the node's summary: its identity label followed by the
+operation tokens of its incident edges in temporal order. Token vectors are an
+SVD of the shifted positive PMI (SPPMI) of window co-occurrences, which
 skip-gram with negative sampling factorises implicitly (Levy & Goldberg, NeurIPS
-2014), in place of per-pair SGD. The action part is the L2-normalized operation
-histogram and the temporal part is a min-max-normalized summary of inter-event
-idle periods.
+2014), in place of per-pair SGD. The action block is the L2-normalized
+operation histogram and the temporal block is a min-max-normalized summary of
+inter-event idle periods.
 """
 
 from __future__ import annotations
@@ -46,14 +47,6 @@ class SemanticVocab:
         if i is None:
             return np.zeros(self.dim)
         return self.vectors[i].astype(np.float64)
-
-
-@dataclass
-class NodeFeatures:
-    x_sem: np.ndarray
-    x_act: np.ndarray
-    x_tmp: np.ndarray
-    h0: np.ndarray
 
 
 def build_node_summary(node: Entity, graph: ProvenanceGraph) -> list[str]:
@@ -113,95 +106,60 @@ def train_semantic_vocab(summaries: list[list[str]], dim: int, window: int = 5,
                          epochs=epochs, seed=seed)
 
 
-def semantic_encode(node: Entity, graph: ProvenanceGraph,
-                    vocab: SemanticVocab) -> np.ndarray:
-    summary = build_node_summary(node, graph)
-    acc = np.zeros(vocab.dim)
-    for token in summary:
-        acc += vocab.lookup(token)
-    return acc / len(summary)
-
-
-def action_frequency_encode(node: Entity, graph: ProvenanceGraph,
-                            op_vocab) -> np.ndarray:
-    """L2-normalized operation histogram over the node's incident edges.
-
-    Aggregated edge weights count as their original event multiplicity. A node
-    with no incident events maps to the zero vector.
-    """
-    counts = np.zeros(len(op_vocab))
-    positions = {op: i for i, op in enumerate(op_vocab)}
-    for edge in incident_edges(graph, node.uuid):
-        i = positions.get(edge.operation)
-        if i is not None:
-            counts[i] += edge.weight
-    norm = np.linalg.norm(counts)
-    if norm == 0.0:
-        return counts
-    return counts / norm
-
-
-def node_event_timestamps(graph: ProvenanceGraph, uuid: str) -> list[int]:
-    """Observable event timestamps for a node. Aggregated edges expose only
-    their first and last timestamps."""
-    stamps: list[int] = []
-    for edge in incident_edges(graph, uuid):
-        stamps.append(edge.first_ts)
-        if edge.last_ts != edge.first_ts:
-            stamps.append(edge.last_ts)
-    stamps.sort()
-    return stamps
-
-
-def temporal_encode(node: Entity, graph: ProvenanceGraph) -> np.ndarray:
-    """Min/max/mean of inter-event idle periods, min-max normalized to [0, 1].
-
-    Degenerate nodes (fewer than two events, or all idle periods equal) map to
-    zeros: there is no temporal signal to normalize.
-    """
-    stamps = node_event_timestamps(graph, node.uuid)
-    if len(stamps) < 2:
-        return np.zeros(TEMPORAL_DIM)
-    idle = np.diff(np.asarray(stamps, dtype=np.float64))
-    stats = np.array([idle.min(), idle.max(), idle.mean()])
-    span = stats.max() - stats.min()
-    if span == 0.0:
-        return np.zeros(TEMPORAL_DIM)
-    return (stats - stats.min()) / span
-
-
-def initial_features(node: Entity, graph: ProvenanceGraph, vocab: SemanticVocab,
-                     op_vocab) -> NodeFeatures:
-    x_sem = semantic_encode(node, graph, vocab)
-    x_act = action_frequency_encode(node, graph, op_vocab)
-    x_tmp = temporal_encode(node, graph)
-    return NodeFeatures(x_sem=x_sem, x_act=x_act, x_tmp=x_tmp,
-                        h0=np.concatenate([x_sem, x_act, x_tmp]))
-
-
 def feature_dim(semantic_dim: int, op_vocab) -> int:
     return semantic_dim + len(op_vocab) + TEMPORAL_DIM
 
 
 def feature_matrix(graph: ProvenanceGraph, vocab: SemanticVocab,
                    op_vocab) -> tuple[list[str], np.ndarray]:
-    """h0 rows for every node, in sorted-uuid order."""
+    """h0 rows for every node, in sorted-uuid order, from one walk over each
+    node's incident edges. An out-of-vocabulary token counts as zeros. An
+    aggregated edge adds its event multiplicity to the histogram and exposes
+    only its first and last timestamps. A block with no signal (no events, or
+    fewer than two events or equal idle periods) stays zero."""
     uuids = sorted(graph.nodes)
-    h0 = np.zeros((len(uuids), feature_dim(vocab.dim, op_vocab)))
+    positions = {op: i for i, op in enumerate(op_vocab)}
+    act_end = vocab.dim + len(op_vocab)
+    h0 = np.zeros((len(uuids), act_end + TEMPORAL_DIM))
     for row, uuid in enumerate(uuids):
-        h0[row] = initial_features(graph.nodes[uuid], graph, vocab, op_vocab).h0
+        tokens = [graph.nodes[uuid].identity]
+        counts = np.zeros(len(op_vocab))
+        stamps: list[int] = []
+        for edge in incident_edges(graph, uuid):
+            tokens.append(edge.operation)
+            i = positions.get(edge.operation)
+            if i is not None:
+                counts[i] += edge.weight
+            stamps.append(edge.first_ts)
+            if edge.last_ts != edge.first_ts:
+                stamps.append(edge.last_ts)
+
+        semantic = h0[row, :vocab.dim]
+        for token in tokens:
+            semantic += vocab.lookup(token)
+        semantic /= len(tokens)
+        norm = np.linalg.norm(counts)
+        h0[row, vocab.dim:act_end] = counts / norm if norm != 0.0 else counts
+        if len(stamps) < 2:
+            continue
+        stamps.sort()
+        idle = np.diff(np.asarray(stamps, dtype=np.float64))
+        stats = np.array([idle.min(), idle.max(), idle.mean()])
+        span = stats.max() - stats.min()
+        if span != 0.0:
+            h0[row, act_end:] = (stats - stats.min()) / span
     return uuids, h0
 
 
-def export_features(graph: ProvenanceGraph, vocab: SemanticVocab, op_vocab,
-                    path: str | Path) -> None:
-    """Debug dump: one JSONL record per node with the three feature parts."""
-    def record(uuid: str) -> dict:
-        feats = initial_features(graph.nodes[uuid], graph, vocab, op_vocab)
-        return {"uuid": uuid, "identity": graph.nodes[uuid].identity,
-                "x_sem": feats.x_sem.tolist(), "x_act": feats.x_act.tolist(),
-                "x_tmp": feats.x_tmp.tolist()}
-    write_jsonl(path, map(record, sorted(graph.nodes)))
+def export_features(graph: ProvenanceGraph, uuids: list[str], h0: np.ndarray,
+                    semantic_dim: int, path: str | Path) -> None:
+    """Debug dump: one JSONL record per ``feature_matrix`` row, with its
+    semantic, action and temporal column blocks."""
+    blocks = np.split(h0, [semantic_dim, h0.shape[1] - TEMPORAL_DIM], axis=1)
+    write_jsonl(path, ({"uuid": uuid, "identity": graph.nodes[uuid].identity,
+                        "x_sem": x_sem, "x_act": x_act, "x_tmp": x_tmp}
+                       for uuid, x_sem, x_act, x_tmp
+                       in zip(uuids, *(block.tolist() for block in blocks))))
 
 
 # --- serialization ---------------------------------------------------------

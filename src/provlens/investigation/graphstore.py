@@ -25,8 +25,8 @@ class GraphStore:
         if params is not None and vocab is not None:
             for graph in graphs:
                 uuids, h0 = feature_matrix(graph, vocab, op_vocab)
-                store.embeddings[graph.name] = forward(
-                    graph, dict(zip(uuids, h0)), params)
+                store.embeddings[graph.name] = dict(
+                    zip(uuids, forward(graph, uuids, h0, params)))
         return store
 
     def get_node(self, graph_name: str, uuid: str) -> Entity | None:

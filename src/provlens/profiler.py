@@ -119,16 +119,19 @@ def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
     graphs = list(graphs)
     if not graphs:
         raise ConfigError("knowledge base needs at least one benign graph")
-    members: list[tuple[str, str, np.ndarray]] = []
+    uuids: list[str] = []
+    labels: list[str] = []
+    embeddings: list[np.ndarray] = []
     metadata: dict[str, dict] = {}
     for graph in graphs:
-        uuids, h0 = feature_matrix(graph, vocab, op_vocab)
-        embeddings = forward(graph, dict(zip(uuids, h0)), params)
-        for uuid in uuids:
+        graph_uuids, h0 = feature_matrix(graph, vocab, op_vocab)
+        embeddings.append(forward(graph, graph_uuids, h0, params))
+        for uuid in graph_uuids:
             node = graph.nodes[uuid]
             if uuid in metadata:
                 log.warning("duplicate node uuid %s across benign graphs", uuid)
-            members.append((node.identity, uuid, embeddings[uuid]))
+            uuids.append(uuid)
+            labels.append(node.identity)
             metadata[uuid] = {
                 "identity": node.identity,
                 "kind": node.kind,
@@ -136,14 +139,11 @@ def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
                 "graph": graph.name,
                 "edges": edge_digest(graph, uuid),
             }
-    members.sort(key=lambda m: m[:2])
+    order = sorted(range(len(uuids)), key=lambda i: (labels[i], uuids[i]))
     kb = BenignKnowledgeBase(
-        epsilon=epsilon, profiles={},
-        uuids=[uuid for _, uuid, _ in members],
-        labels=[label for label, _, _ in members],
-        embeddings=np.array([vec for _, _, vec in members]).reshape(
-            len(members), params.dims[-1]),
-        metadata=metadata)
+        epsilon=epsilon, profiles={}, uuids=[uuids[i] for i in order],
+        labels=[labels[i] for i in order],
+        embeddings=np.concatenate(embeddings)[order], metadata=metadata)
     for label, rows in kb.rows.items():
         vectors = kb.embeddings[rows]
         centroid = compute_centroid(vectors)

@@ -110,6 +110,7 @@ def default_scenario(num_identities: int = 5, nodes_per_identity: int = 50,
 def _validate_scenario(spec: dict) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("scenario spec must be a JSON object")
+    spec = dict(spec)
     identities = spec.get("identities")
     if not identities:
         raise ConfigError("scenario spec needs a non-empty 'identities' list")
@@ -209,7 +210,7 @@ def generate_scenario(spec: dict) -> tuple[list[dict], list[dict], dict]:
     The attack event list is the benign background plus the events of the
     injected identity-swapped nodes.
     """
-    spec = _validate_scenario(dict(spec))
+    spec = _validate_scenario(spec)
     rng = np.random.default_rng(spec["seed"])
     templates = {t["name"]: t for t in spec["identities"]}
 

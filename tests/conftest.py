@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig
+from provlens.features import SemanticVocab, feature_matrix
 from provlens.ingest import Entity, ProvEdge, ProvenanceGraph, build_graph, parse_events
 
 
@@ -43,6 +45,19 @@ def manual_graph(nodes, edges, name="g"):
     return ProvenanceGraph(name=name, nodes=node_map, edges=edge_objs,
                            window_start=min(stamps) if stamps else 0,
                            window_end=max(stamps) if stamps else 0)
+
+
+# every token is out of vocabulary, so the semantic block is one zero
+EMPTY_VOCAB = SemanticVocab(tokens=[], vectors=np.zeros((0, 1), np.float32),
+                            dim=1, window=1, negatives=1, epochs=0, seed=0)
+
+
+def feature_blocks(graph, vocab, op_vocab, uuid="c"):
+    """The semantic, action and temporal column blocks of ``uuid``'s row of
+    ``feature_matrix``."""
+    uuids, h0 = feature_matrix(graph, vocab, op_vocab)
+    return np.split(h0[uuids.index(uuid)],
+                    [vocab.dim, vocab.dim + len(op_vocab)])
 
 
 def _sorted_object(pairs):

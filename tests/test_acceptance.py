@@ -19,7 +19,7 @@ from provlens.encoder import ContrastiveBatch, batch_loss_grad
 from provlens.investigation import InvestigationBudget, ScriptedLLM
 from provlens.profiler import compute_centroid, compute_radius, euclidean_distance
 
-from conftest import manual_graph
+from conftest import EMPTY_VOCAB, feature_blocks, manual_graph
 from test_investigation import TRUTH, default_budget, run_chain
 
 
@@ -56,8 +56,7 @@ def test_equation_oracles():
     # operation-frequency normalization against a hand-rolled loop
     for _ in range(100):
         graph = random_star_graph(rng)
-        got = features.action_frequency_encode(graph.nodes["c"], graph,
-                                               DEFAULT_OP_VOCAB)
+        got = feature_blocks(graph, EMPTY_VOCAB, DEFAULT_OP_VOCAB)[1]
         counts = [0.0] * len(DEFAULT_OP_VOCAB)
         for edge in graph.edges:
             counts[DEFAULT_OP_VOCAB.index(edge.operation)] += edge.weight
@@ -68,7 +67,7 @@ def test_equation_oracles():
     # idle-period statistics against direct arithmetic
     for _ in range(100):
         graph = random_star_graph(rng)
-        got = features.temporal_encode(graph.nodes["c"], graph)
+        got = feature_blocks(graph, EMPTY_VOCAB, DEFAULT_OP_VOCAB)[2]
         stamps = []
         for edge in graph.edges:
             stamps.append(edge.first_ts)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from provlens.cli import main
+from provlens.config import load_config
 from provlens.detector import load_alerts
 from provlens.encoder import load_params
 from provlens.errors import ArtifactError
@@ -54,18 +55,62 @@ def test_detect_without_model_exits_2_and_names_artifact(tmp_path, capsys):
     assert "vocab" in captured.err or "encoder" in captured.err
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param('{"epsilon": 2.0}', id="epsilon"),
-    pytest.param('{"features": {"w2v_window": 0}}', id="w2v_window"),
-    pytest.param('{"features": {"w2v_negatives": 0}}', id="w2v_negatives"),
-])
-def test_invalid_config_exits_3(tmp_path, capsys, text):
-    config = tmp_path / "conf.json"
-    config.write_text(text, encoding="utf-8")
-    code = main(["synth", "--config", str(config),
-                 "--out", str(tmp_path / "out")])
+def _config(text, names, case):
+    """A synth run whose config file holds ``text``."""
+    return pytest.param(["synth", "--out", "{dir}/out", "--config", "{file}"],
+                        text, {}, names, id=case)
+
+
+INVALID_CONFIG = [
+    _config('{"epsilon": 2.0}', "epsilon", "epsilon"),
+    _config('{"features": {"w2v_window": 0}}', "w2v_window", "w2v_window"),
+    _config('{"features": {"w2v_negatives": 0}}', "w2v_negatives",
+            "w2v_negatives"),
+    _config('{"encoder": 5}', "'encoder'", "section-not-object"),
+    _config('{"features": {"op_vocab": "READ"}}', "'features.op_vocab'",
+            "op_vocab-string"),
+    _config('{"features": {"op_vocab": ["READ", 1]}}', "'features.op_vocab'",
+            "op_vocab-non-string-item"),
+    _config('{"budget": {"max_llm_calls": 2.7}}', "'budget.max_llm_calls'",
+            "float-for-int"),
+    _config('{"seed": "abc"}', "'seed'", "string-for-int"),
+    _config('{"seed": {"a": 1}}', "'seed'", "object-for-int"),
+    _config('{"seed": true}', "'seed'", "bool-for-int"),
+    _config('{"epsilon": false}', "'epsilon'", "bool-for-float"),
+    _config('{"encoder": {"epochs": -3}}', "epochs", "negative-epochs"),
+    _config('{"encoder": {"learning_rate": -1}}', "learning_rate",
+            "negative-learning_rate"),
+    _config('{"encoder": {"aggregation": "sum"}}', "aggregation",
+            "sum-aggregation"),
+    pytest.param(["train", "--artifacts", "{dir}", "--epochs", "-1"], "", {},
+                 "epochs", id="train-epochs-negative"),
+    pytest.param(["synth", "--out", "{dir}/out", "--spec", "{file}"], "[1, 2]",
+                 {}, "JSON object", id="spec-not-object"),
+    pytest.param(["synth", "--out", "{dir}/out"], "", {"PROVLENS_SEED": "abc"},
+                 "PROVLENS_SEED", id="env-seed-not-int"),
+]
+
+
+@pytest.mark.parametrize("argv,text,env,names", INVALID_CONFIG)
+def test_invalid_config_exits_3(tmp_path, capsys, monkeypatch, argv, text,
+                                env, names):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code = main([arg.format(dir=tmp_path, file=path) for arg in argv])
+    err = capsys.readouterr().err
     assert code == 3
-    assert "error code=config" in capsys.readouterr().err
+    assert "error code=config" in err and names in err
+
+
+def test_integer_config_values_load_as_numbers(tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text('{"epsilon": 0, "llm": {"timeout_s": 30}}',
+                      encoding="utf-8")
+    cfg = load_config(str(config), environ={})
+    assert (cfg.epsilon, cfg.llm.timeout_s) == (0.0, 30.0)
+    assert type(cfg.epsilon) is type(cfg.llm.timeout_s) is float
 
 
 def test_unknown_config_key_exits_3(tmp_path, capsys):
@@ -265,6 +310,13 @@ def _manifest_pair_cut(path):
     path.write_text(json.dumps(pairs))
 
 
+def _sum_aggregation(path):
+    """Damage that names the removed ``sum`` operator in the header."""
+    header = json.loads(path.read_text())
+    header["aggregation"] = "sum"
+    path.write_text(json.dumps(header))
+
+
 def _missing_field(artifact, field, loader, argv):
     return pytest.param(artifact, _without(field), loader, argv,
                         id=f"{Path(artifact).name}-without-{field}")
@@ -287,6 +339,9 @@ DAMAGED = [
     pytest.param("kb/kb.manifest.json", _manifest_pair_cut,
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.manifest.json-pair-without-label"),
+    pytest.param("model/encoder.json", _sum_aggregation,
+                 lambda path: load_params(path.parent), DETECT,
+                 id="encoder.json-sum-aggregation"),
     _missing_field("model/vocab.json", "dim",
                    lambda path: load_vocab(path.parent), DETECT),
     _missing_field("graphs/attack.header.json", "window_start",

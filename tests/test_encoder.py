@@ -45,35 +45,41 @@ def identity_params(dim, layers=1):
 
 # --- forward -------------------------------------------------------------------
 
+def embed(graph, h0, params):
+    """``forward`` over the rows of a uuid -> feature dict, keyed back by
+    uuid."""
+    uuids = sorted(h0)
+    z = forward(graph, uuids, np.stack([h0[u] for u in uuids]), params)
+    return dict(zip(uuids, z))
+
+
 def test_forward_isolated_node_identity_weights():
     graph = manual_graph([("x", "subject", {"name": "x"}, "subject::x")], [])
-    h0 = {"x": np.array([1.5, -2.0])}
-    z = forward(graph, h0, identity_params(2))
-    assert np.array_equal(z["x"], h0["x"])
+    h0 = np.array([[1.5, -2.0]])
+    z = forward(graph, ["x"], h0, identity_params(2))
+    assert np.array_equal(z, h0)
 
 
 def test_forward_symmetric_nodes_equal():
     nodes = [("a", "subject", {}, "i"), ("b", "subject", {}, "i")]
     edges = [("a", "b", "READ", 0, 0, 1)]
     graph = manual_graph(nodes, edges)
-    h0 = {"a": np.array([1.0, 2.0]), "b": np.array([1.0, 2.0])}
+    h0 = np.array([[1.0, 2.0], [1.0, 2.0]])
     params = init_params([2, 3, 3], activation="relu", seed=1)
-    z = forward(graph, h0, params)
-    assert np.array_equal(z["a"], z["b"])
+    z = forward(graph, ["a", "b"], h0, params)
+    assert np.array_equal(z[0], z[1])
 
 
 def test_forward_matches_hand_matrix_arithmetic():
     graph = path_graph_3()
-    h0 = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
-          "c": np.array([1.0, 1.0])}
+    matrix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # rows a, b, c
     w0 = np.array([[0.5, -0.25], [0.75, 1.0]])
     w1 = np.array([[1.0, 2.0], [-0.5, 0.25]])
     params = EncoderParams(dims=[2, 2, 2], weights=[w0, w1],
                            activation="tanh", aggregation="mean")
-    z = forward(graph, h0, params)
+    z = forward(graph, ["a", "b", "c"], matrix, params)
 
     # independent straight-line recomputation of the two-layer recurrence
-    matrix = np.stack([h0["a"], h0["b"], h0["c"]])
     agg1 = np.stack([(matrix[0] + matrix[1]) / 2,
                      (matrix[0] + matrix[1] + matrix[2]) / 3,
                      (matrix[1] + matrix[2]) / 2])
@@ -82,41 +88,26 @@ def test_forward_matches_hand_matrix_arithmetic():
                      (h1[0] + h1[1] + h1[2]) / 3,
                      (h1[1] + h1[2]) / 2])
     expected = np.tanh(agg2 @ w1.T)
-    for row, uuid in enumerate(["a", "b", "c"]):
-        assert np.allclose(z[uuid], expected[row], atol=1e-12)
-
-
-def test_forward_sum_aggregation():
-    graph = path_graph_3()
-    h0 = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
-          "c": np.array([1.0, 1.0])}
-    params = EncoderParams(dims=[2, 2], weights=[np.eye(2)],
-                           activation="identity", aggregation="sum")
-    z = forward(graph, h0, params)
-    assert np.array_equal(z["a"], h0["a"] + h0["b"])
-    assert np.array_equal(z["b"], h0["a"] + h0["b"] + h0["c"])
-    assert np.array_equal(z["c"], h0["b"] + h0["c"])
+    assert np.allclose(z, expected, atol=1e-12)
 
 
 def test_forward_rejects_dimension_mismatch():
     graph = path_graph_3()
-    h0 = {u: np.zeros(3) for u in graph.nodes}
     with pytest.raises(ConfigError):
-        forward(graph, h0, identity_params(2))
+        forward(graph, sorted(graph.nodes), np.zeros((3, 3)),
+                identity_params(2))
 
 
 def test_aggregation_invariant_to_edge_order():
     graph = path_graph_3()
-    h0 = {"a": np.array([1.0, 2.0]), "b": np.array([-1.0, 0.5]),
-          "c": np.array([0.25, 0.75])}
+    h0 = np.array([[1.0, 2.0], [-1.0, 0.5], [0.25, 0.75]])  # rows a, b, c
     params = init_params([2, 2], seed=3)
-    z1 = forward(graph, h0, params)
+    z1 = forward(graph, ["a", "b", "c"], h0, params)
     reversed_graph = manual_graph(
         [(u, n.kind, n.attrs, n.identity) for u, n in graph.nodes.items()],
         [("b", "c", "READ", 1, 1, 1), ("a", "b", "READ", 0, 0, 1)])
-    z2 = forward(reversed_graph, h0, params)
-    for uuid in z1:
-        assert np.array_equal(z1[uuid], z2[uuid])
+    z2 = forward(reversed_graph, ["a", "b", "c"], h0, params)
+    assert np.array_equal(z1, z2)
 
 
 # --- contrastive loss ------------------------------------------------------------
@@ -316,10 +307,10 @@ def test_train_reduces_canonical_loss_and_separates_clusters():
 
     initial = init_params([3, 4, 4], activation=config.activation,
                           aggregation=config.aggregation, seed=5)
-    initial_loss = canonical_loss(forward(graph, h0, initial))
+    initial_loss = canonical_loss(embed(graph, h0, initial))
 
     result = train(graph, h0, config, seed=5)
-    z1 = forward(graph, h0, result.params)
+    z1 = embed(graph, h0, result.params)
     final_loss = canonical_loss(z1)
     assert final_loss < initial_loss
 
@@ -371,7 +362,7 @@ def finite_difference_check(seed, activation):
     uuids = sorted(graph.nodes)
     h0 = rng.normal(size=(n, dims[0]))
     params = init_params(dims, activation=activation, seed=seed)
-    prop = propagation_matrix(graph, uuids, params.aggregation)
+    prop = propagation_matrix(graph, uuids)
 
     batch = canonical_eval_batch(
         identity_groups([graph.nodes[u].identity for u in uuids]))

@@ -9,20 +9,17 @@ from provlens.config import DEFAULT_OP_VOCAB
 from provlens.errors import ConfigError
 from provlens.features import (
     SemanticVocab,
-    action_frequency_encode,
     build_node_summary,
     feature_dim,
     feature_matrix,
-    initial_features,
     load_vocab,
     save_vocab,
-    semantic_encode,
-    temporal_encode,
     train_semantic_vocab,
 )
 
-from conftest import (assert_canonical_json_files, graph_from_events,
-                      make_event, manual_graph)
+from conftest import (EMPTY_VOCAB, assert_canonical_json_files,
+                      feature_blocks, graph_from_events, make_event,
+                      manual_graph)
 
 
 def vocab_from_table(table):
@@ -150,45 +147,53 @@ def test_vocab_empty_corpus_rejected():
 
 # --- semantic encoding ---------------------------------------------------------
 
+def semantic(graph, vocab):
+    return feature_blocks(graph, vocab, DEFAULT_OP_VOCAB)[0]
+
+
+def action(graph, op_vocab):
+    return feature_blocks(graph, EMPTY_VOCAB, op_vocab)[1]
+
+
+def temporal(graph):
+    return feature_blocks(graph, EMPTY_VOCAB, DEFAULT_OP_VOCAB)[2]
+
+
 def test_semantic_all_oov_is_zero():
     graph = star_graph([("READ", 0, 0, 1)])
     vocab = vocab_from_table({"unrelated": [1.0, 2.0]})
-    assert np.array_equal(semantic_encode(graph.nodes["c"], graph, vocab),
-                          np.zeros(2))
+    assert np.array_equal(semantic(graph, vocab), np.zeros(2))
 
 
 def test_semantic_single_token_is_its_vector():
     graph = manual_graph([("c", "subject", {"name": "cat"}, "subject::cat")], [])
     vocab = vocab_from_table({"subject::cat": [0.5, -1.5]})
-    assert np.allclose(semantic_encode(graph.nodes["c"], graph, vocab),
-                       [0.5, -1.5])
+    assert np.allclose(semantic(graph, vocab), [0.5, -1.5])
 
 
 def test_semantic_mean_of_tokens():
     graph = star_graph([("READ", 0, 0, 1)])
     vocab = vocab_from_table({"subject::cat": [2.0, 0.0], "READ": [0.0, 4.0]})
-    assert np.allclose(semantic_encode(graph.nodes["c"], graph, vocab),
-                       [1.0, 2.0])
+    assert np.allclose(semantic(graph, vocab), [1.0, 2.0])
 
 
 # --- action frequency ----------------------------------------------------------
 
 def test_action_pythagorean_counts():
     graph = star_graph([("READ", 0, 0, 3), ("WRITE", 1, 1, 4)])
-    vec = action_frequency_encode(graph.nodes["c"], graph, ("READ", "WRITE"))
+    vec = action(graph, ("READ", "WRITE"))
     assert np.allclose(vec, [0.6, 0.8])
 
 
 def test_action_single_operation():
     graph = star_graph([("READ", 0, 0, 5)])
-    vec = action_frequency_encode(graph.nodes["c"], graph,
-                                  ("READ", "WRITE", "OPEN"))
+    vec = action(graph, ("READ", "WRITE", "OPEN"))
     assert np.allclose(vec, [1.0, 0.0, 0.0])
 
 
 def test_action_zero_counts_degenerate():
     graph = manual_graph([("c", "subject", {"name": "cat"}, "subject::cat")], [])
-    vec = action_frequency_encode(graph.nodes["c"], graph, ("READ", "WRITE"))
+    vec = action(graph, ("READ", "WRITE"))
     assert np.array_equal(vec, np.zeros(2))
 
 
@@ -198,7 +203,7 @@ def test_action_zero_counts_degenerate():
                 min_size=1, max_size=8))
 def test_action_norm_is_one_with_any_event(edge_spec):
     graph = star_graph([(op, ts, ts, w) for op, ts, w in edge_spec])
-    vec = action_frequency_encode(graph.nodes["c"], graph, DEFAULT_OP_VOCAB)
+    vec = action(graph, DEFAULT_OP_VOCAB)
     assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
 
 
@@ -207,20 +212,20 @@ def test_action_norm_is_one_with_any_event(edge_spec):
 def test_temporal_documented_example():
     graph = star_graph([("READ", 0, 0, 1), ("READ", 10, 10, 1),
                         ("WRITE", 30, 30, 1)])
-    assert np.allclose(temporal_encode(graph.nodes["c"], graph), [0, 1, 0.5])
+    assert np.allclose(temporal(graph), [0, 1, 0.5])
 
 
 def test_temporal_equal_idles_degenerate():
     graph = star_graph([("READ", 0, 0, 1), ("READ", 10, 10, 1),
                         ("WRITE", 20, 20, 1)])
-    assert np.array_equal(temporal_encode(graph.nodes["c"], graph), np.zeros(3))
+    assert np.array_equal(temporal(graph), np.zeros(3))
 
 
 def test_temporal_fewer_than_two_events():
     graph = star_graph([("READ", 5, 5, 1)])
-    assert np.array_equal(temporal_encode(graph.nodes["c"], graph), np.zeros(3))
+    assert np.array_equal(temporal(graph), np.zeros(3))
     isolated = manual_graph([("c", "subject", {"name": "cat"}, "subject::cat")], [])
-    assert np.array_equal(temporal_encode(isolated.nodes["c"], isolated),
+    assert np.array_equal(temporal(isolated),
                           np.zeros(3))
 
 
@@ -228,7 +233,7 @@ def test_temporal_fewer_than_two_events():
 @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=12, unique=True))
 def test_temporal_range_and_extremes(stamps):
     graph = star_graph([("READ", t, t, 1) for t in sorted(stamps)])
-    vec = temporal_encode(graph.nodes["c"], graph)
+    vec = temporal(graph)
     assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
     if np.any(vec != 0.0):
         assert vec[0] == 0.0 and vec[1] == 1.0
@@ -240,19 +245,20 @@ def test_initial_features_concatenation():
     graph = star_graph([("READ", 0, 0, 3), ("WRITE", 10, 10, 4),
                         ("READ", 30, 30, 1)])
     vocab = vocab_from_table({"subject::cat": [0.1, 0.2]})
-    feats = initial_features(graph.nodes["c"], graph, vocab, ("READ", "WRITE"))
-    assert np.array_equal(feats.h0,
-                          np.concatenate([feats.x_sem, feats.x_act, feats.x_tmp]))
-    assert len(feats.h0) == feature_dim(2, ("READ", "WRITE"))
+    uuids, h0 = feature_matrix(graph, vocab, ("READ", "WRITE"))
+    x_sem, x_act, x_tmp = feature_blocks(graph, vocab, ("READ", "WRITE"))
+    assert np.array_equal(h0[uuids.index("c")],
+                          np.concatenate([x_sem, x_act, x_tmp]))
+    assert h0.shape == (len(graph.nodes), feature_dim(2, ("READ", "WRITE")))
 
 
 def test_initial_features_isolated_node():
     graph = manual_graph([("c", "subject", {"name": "cat"}, "subject::cat")], [])
     vocab = vocab_from_table({"subject::cat": [1.0, 1.0]})
-    feats = initial_features(graph.nodes["c"], graph, vocab, ("READ",))
-    assert np.allclose(feats.x_sem, [1.0, 1.0])
-    assert np.array_equal(feats.x_act, np.zeros(1))
-    assert np.array_equal(feats.x_tmp, np.zeros(3))
+    x_sem, x_act, x_tmp = feature_blocks(graph, vocab, ("READ",))
+    assert np.allclose(x_sem, [1.0, 1.0])
+    assert np.array_equal(x_act, np.zeros(1))
+    assert np.array_equal(x_tmp, np.zeros(3))
 
 
 def test_features_invariant_to_event_order():
@@ -290,7 +296,8 @@ def test_export_features_jsonl(tmp_path):
     vocab = vocab_from_table({"subject::cat": [0.1, 0.2]})
     path = tmp_path / "features.jsonl"
     from provlens.features import export_features
-    export_features(graph, vocab, ("READ", "WRITE"), path)
+    uuids, h0 = feature_matrix(graph, vocab, ("READ", "WRITE"))
+    export_features(graph, uuids, h0, vocab.dim, path)
     records = [json_mod.loads(line) for line in path.read_text().splitlines()]
     assert len(records) == len(graph.nodes)
     by_uuid = {r["uuid"]: r for r in records}
