@@ -25,7 +25,10 @@ from .errors import ArtifactError
 
 
 @contextmanager
-def _reading(path):
+def reading(path):
+    """The error guard: a missing or undecodable ``path``, or a record built
+    from it that lacks a field or breaks a condition, raises ArtifactError
+    naming ``path``."""
     try:
         yield
     except FileNotFoundError as exc:
@@ -43,13 +46,13 @@ def _parent_made(path) -> Path:
 
 def read_json(path, build: Callable | None = None):
     """The JSON value of ``path``, passed through ``build`` when given."""
-    with _reading(path), open(path, encoding="utf-8") as fh:
+    with reading(path), open(path, encoding="utf-8") as fh:
         return json.load(fh) if build is None else build(json.load(fh))
 
 
 def read_jsonl(path, build: Callable | None = None) -> Iterator:
     """The records of a JSONL file, decoded (and built) one line at a time."""
-    with _reading(path), open(path, encoding="utf-8") as fh:
+    with reading(path), open(path, encoding="utf-8") as fh:
         for line in fh:
             yield json.loads(line) if build is None else build(json.loads(line))
 
@@ -77,7 +80,7 @@ def record(cls) -> Callable[[object], object]:
 
 def read_blob(path, dtype, shape) -> np.ndarray:
     """A writable array of ``shape`` read from raw ``dtype`` values."""
-    with _reading(path):
+    with reading(path):
         values = np.fromfile(path, dtype=np.uint8).view(dtype)
     if values.size != math.prod(shape):
         raise ArtifactError(f"artifact {path} holds {values.size} values, "

@@ -167,6 +167,7 @@ def cmd_investigate(cfg: PipelineConfig, args) -> int:
     kb = profiler.load_kb(_kb_dir(cfg))
     alerts_path = Path(args.alerts) if args.alerts else _alerts_path(cfg, args.graph)
     alerts = detector.load_alerts(alerts_path)
+    detector.check_dimensions(params, vocab, kb, cfg.features.op_vocab)
 
     store = GraphStore.build([graph], params, vocab, cfg.features.op_vocab)
     backend = _build_backend(cfg)

@@ -178,6 +178,10 @@ def _apply_env(cfg: PipelineConfig, environ) -> None:
             setattr(cfg.llm, attr, environ[var])
 
 
+def _reject_non_finite(literal: str):
+    raise ConfigError(f"config value {literal} is not a finite number")
+
+
 def load_config(path: str | None = None, overrides: dict | None = None,
                 environ=None) -> PipelineConfig:
     """Build a validated PipelineConfig from file + flag overrides + env."""
@@ -185,7 +189,7 @@ def load_config(path: str | None = None, overrides: dict | None = None,
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
-                tree = json.load(fh)
+                tree = json.load(fh, parse_constant=_reject_non_finite)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:

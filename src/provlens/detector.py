@@ -94,14 +94,10 @@ def detect_node(z: np.ndarray, claimed: str,
         score=score)
 
 
-def detect_graph(graph: ProvenanceGraph, params: EncoderParams,
-                 vocab: SemanticVocab, kb: BenignKnowledgeBase,
-                 op_vocab) -> list[Alert]:
-    """Embed every node of ``graph`` and run per-node detection.
-
-    Alerts come back sorted by score descending, uuid ascending, so identical
-    inputs always produce an identical alert list.
-    """
+def check_dimensions(params: EncoderParams, vocab: SemanticVocab,
+                     kb: BenignKnowledgeBase, op_vocab) -> None:
+    """Raise ConfigError unless the encoder takes the features ``vocab`` and
+    ``op_vocab`` make and emits vectors of the knowledge base's dimension."""
     expected = feature_dim(vocab.dim, op_vocab)
     if params.dims[0] != expected:
         raise ConfigError(
@@ -112,6 +108,17 @@ def detect_graph(graph: ProvenanceGraph, params: EncoderParams,
         raise ConfigError(
             f"knowledge-base embedding dimension {kb.embedding_dim} does not "
             f"match encoder output dimension {params.dims[-1]}")
+
+
+def detect_graph(graph: ProvenanceGraph, params: EncoderParams,
+                 vocab: SemanticVocab, kb: BenignKnowledgeBase,
+                 op_vocab) -> list[Alert]:
+    """Embed every node of ``graph`` and run per-node detection.
+
+    Alerts come back sorted by score descending, uuid ascending, so identical
+    inputs always produce an identical alert list.
+    """
+    check_dimensions(params, vocab, kb, op_vocab)
     uuids, h0 = feature_matrix(graph, vocab, op_vocab)
     alerts = []
     for uuid, z in zip(uuids, forward(graph, uuids, h0, params)):

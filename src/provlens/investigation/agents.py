@@ -38,19 +38,18 @@ def analyst_validate(lead: dict, kb: BenignKnowledgeBase, store: GraphStore,
 
     similar = []
     query = store.embedding(graph_name, node_uuid)
-    if query is not None and kb.profiles:
-        for uuid, label, distance in knn_query(kb, query, knn_k):
-            meta = kb.metadata.get(uuid, {})
-            similar.append({"node_uuid": uuid, "identity": label,
+    if query is not None:
+        for row, distance in knn_query(kb, query, knn_k):
+            similar.append({"node_uuid": kb.uuids[row],
+                            "identity": kb.labels[row],
                             "distance": round(distance, 6),
-                            "edges": meta.get("edges", [])[:digest_limit]})
+                            "edges": kb.digests[row][:digest_limit]})
     same_identity = []
-    for uuid in attribute_query(kb, node.identity):
-        if uuid == node_uuid:
+    for row in attribute_query(kb, node.identity):
+        if kb.uuids[row] == node_uuid:
             continue
-        meta = kb.metadata.get(uuid, {})
-        same_identity.append({"node_uuid": uuid,
-                              "edges": meta.get("edges", [])[:digest_limit]})
+        same_identity.append({"node_uuid": kb.uuids[row],
+                              "edges": kb.digests[row][:digest_limit]})
         if len(same_identity) >= SAME_IDENTITY_CAP:
             break
 

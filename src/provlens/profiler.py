@@ -1,16 +1,17 @@
 """Benign identity profiles and the retrieval-augmented knowledge base.
 
-Each identity observed in benign graphs gets a hypersphere profile: the
-centroid of its member embeddings and the smallest radius that still encloses
-at least a (1 - epsilon) fraction of them. The knowledge base additionally
-indexes every member embedding and its provenance metadata so detection and
-the investigation agents can retrieve benign reference behavior.
+The knowledge base stores one row per benign member: its uuid, identity,
+embedding and edge digest, sorted by (identity, uuid). Everything else is
+derived from those rows when the knowledge base is built or loaded: each
+identity's hypersphere profile is the centroid of its member embeddings and
+the smallest radius that still encloses at least a (1 - epsilon) fraction of
+them. Detection reads the profiles; the investigation agents retrieve member
+rows as benign reference behavior.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -18,14 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (keys, read_blob, read_json, read_jsonl, write_blob,
-                        write_json, write_jsonl)
+from .artifacts import (keys, read_blob, read_json, read_jsonl, reading,
+                        write_blob, write_json, write_jsonl)
 from .encoder import EncoderParams, forward
 from .errors import ConfigError
 from .features import SemanticVocab, feature_matrix
 from .ingest import ProvenanceGraph, incident_edges
-
-log = logging.getLogger(__name__)
 
 DIGEST_EDGE_LIMIT = 20
 
@@ -40,16 +39,18 @@ class IdentityProfile:
 
 @dataclass
 class BenignKnowledgeBase:
-    """Identity profiles plus each benign member as a row of ``embeddings``,
-    sorted by (label, uuid); ``rows[label]`` is the label's slice of rows."""
+    """Each benign member as one row: ``uuids[i]``, ``labels[i]``,
+    ``embeddings[i]`` and ``digests[i]``, its edge digest, sorted by
+    (label, uuid). ``rows[label]`` is the label's slice of rows and
+    ``profiles[label]`` the profile derived from that slice."""
     epsilon: float
-    profiles: dict[str, IdentityProfile]
     uuids: list[str]
     labels: list[str]
     embeddings: np.ndarray
-    metadata: dict[str, dict] = field(default_factory=dict)
+    digests: list[list[str]]
     rows: dict[str, slice] = field(init=False, repr=False)
     by_uuid: np.ndarray = field(init=False, repr=False)
+    profiles: dict[str, IdentityProfile] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.labels != sorted(self.labels):
@@ -60,6 +61,14 @@ class BenignKnowledgeBase:
         # rows in uuid order, so a stable sort by distance breaks ties by uuid
         self.by_uuid = np.argsort(np.array(self.uuids, dtype=str),
                                   kind="stable")
+        self.profiles = {}
+        for label, rows in self.rows.items():
+            vectors = self.embeddings[rows]
+            centroid = compute_centroid(vectors)
+            self.profiles[label] = IdentityProfile(
+                label=label, centroid=centroid,
+                radius=compute_radius(vectors, centroid, self.epsilon),
+                count=len(vectors))
 
     @property
     def embedding_dim(self) -> int:
@@ -115,59 +124,42 @@ def edge_digest(graph: ProvenanceGraph, uuid: str,
 
 def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
                          epsilon: float, op_vocab) -> BenignKnowledgeBase:
-    """Embed every node of the benign graphs and profile each identity."""
+    """Embed every node of the benign graphs as one member row, which carries
+    the edge digest of its own graph."""
     graphs = list(graphs)
     if not graphs:
         raise ConfigError("knowledge base needs at least one benign graph")
-    uuids: list[str] = []
-    labels: list[str] = []
+    members: list[tuple[str, str, list[str]]] = []  # (label, uuid, digest)
     embeddings: list[np.ndarray] = []
-    metadata: dict[str, dict] = {}
     for graph in graphs:
         graph_uuids, h0 = feature_matrix(graph, vocab, op_vocab)
         embeddings.append(forward(graph, graph_uuids, h0, params))
-        for uuid in graph_uuids:
-            node = graph.nodes[uuid]
-            if uuid in metadata:
-                log.warning("duplicate node uuid %s across benign graphs", uuid)
-            uuids.append(uuid)
-            labels.append(node.identity)
-            metadata[uuid] = {
-                "identity": node.identity,
-                "kind": node.kind,
-                "attrs": node.attrs,
-                "graph": graph.name,
-                "edges": edge_digest(graph, uuid),
-            }
-    order = sorted(range(len(uuids)), key=lambda i: (labels[i], uuids[i]))
-    kb = BenignKnowledgeBase(
-        epsilon=epsilon, profiles={}, uuids=[uuids[i] for i in order],
-        labels=[labels[i] for i in order],
-        embeddings=np.concatenate(embeddings)[order], metadata=metadata)
-    for label, rows in kb.rows.items():
-        vectors = kb.embeddings[rows]
-        centroid = compute_centroid(vectors)
-        radius = compute_radius(vectors, centroid, epsilon)
-        kb.profiles[label] = IdentityProfile(label=label, centroid=centroid,
-                                             radius=radius, count=len(vectors))
-    return kb
+        members += [(graph.nodes[uuid].identity, uuid, edge_digest(graph, uuid))
+                    for uuid in graph_uuids]
+    order = sorted(range(len(members)), key=lambda i: members[i][:2])
+    return BenignKnowledgeBase(
+        epsilon=epsilon, uuids=[members[i][1] for i in order],
+        labels=[members[i][0] for i in order],
+        embeddings=np.concatenate(embeddings)[order],
+        digests=[members[i][2] for i in order])
 
 
 def knn_query(kb: BenignKnowledgeBase, query: np.ndarray,
-              k: int) -> list[tuple[str, str, float]]:
-    """Exact k nearest benign members by Euclidean distance, ties broken by
-    uuid."""
+              k: int) -> list[tuple[int, float]]:
+    """(row, distance) of the exact k nearest benign members by Euclidean
+    distance, ties broken by uuid."""
     if k < 1:
         raise ValueError("k must be >= 1")
     distances = euclidean_distance(kb.embeddings, query)
     nearest = kb.by_uuid[np.argsort(distances[kb.by_uuid], kind="stable")[:k]]
-    return [(kb.uuids[i], kb.labels[i], float(distances[i])) for i in nearest]
+    return [(int(row), float(distances[row])) for row in nearest]
 
 
-def attribute_query(kb: BenignKnowledgeBase, identity: str) -> list[str]:
-    """Benign members whose identity is exactly ``identity``, each uuid once,
-    in uuid order."""
-    return list(dict.fromkeys(kb.uuids[kb.rows.get(identity, slice(0))]))
+def attribute_query(kb: BenignKnowledgeBase, identity: str) -> range:
+    """Rows of the benign members whose identity is exactly ``identity``, in
+    uuid order."""
+    rows = kb.rows.get(identity, slice(0, 0))
+    return range(rows.start, rows.stop)
 
 
 def export_embeddings(kb: BenignKnowledgeBase, path: str | Path) -> None:
@@ -185,52 +177,36 @@ def export_embeddings(kb: BenignKnowledgeBase, path: str | Path) -> None:
 def kb_paths(directory: str | Path) -> dict[str, Path]:
     base = Path(directory)
     return {
-        "profiles": base / "kb.profiles.json",
+        "header": base / "kb.json",
+        "members": base / "kb.members.jsonl",
         "embeddings": base / "kb.embeddings.bin",
-        "manifest": base / "kb.manifest.json",
-        "metadata": base / "kb.metadata.jsonl",
     }
 
 
 def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
     paths = kb_paths(directory)
-    profiles = {
-        label: {"centroid": [float(x) for x in profile.centroid],
-                "radius": profile.radius, "count": profile.count}
-        for label, profile in kb.profiles.items()
-    }
-    write_json(paths["profiles"],
-               {"epsilon": kb.epsilon, "profiles": profiles})
-    write_json(paths["manifest"], list(zip(kb.uuids, kb.labels)))
+    write_json(paths["header"], {"dim": kb.embedding_dim, "epsilon": kb.epsilon})
+    write_jsonl(paths["members"], (
+        {"uuid": uuid, "label": label, "edges": digest}
+        for uuid, label, digest in zip(kb.uuids, kb.labels, kb.digests)))
     write_blob(paths["embeddings"], kb.embeddings, "<f8")
-    write_jsonl(paths["metadata"], ({"uuid": uuid, **kb.metadata[uuid]}
-                                    for uuid in sorted(kb.metadata)))
 
 
-def _profiles_from_json(obj) -> tuple[float, dict[str, IdentityProfile]]:
-    header = keys("epsilon profiles")(obj)
-    entries = map(keys("centroid count radius"), header["profiles"].values())
-    return header["epsilon"], {
-        label: IdentityProfile(label=label, centroid=np.array(rec["centroid"]),
-                               radius=rec["radius"], count=rec["count"])
-        for label, rec in zip(header["profiles"], entries)}
-
-
-def _manifest_from_json(pairs) -> tuple[list[str], list[str]]:
-    if type(pairs) is not list or any(type(p) is not list or len(p) != 2
-                                      for p in pairs):
-        raise ValueError("manifest entries must be [uuid, label] pairs")
-    return [p[0] for p in pairs], [p[1] for p in pairs]
+def _header_from_json(obj) -> dict:
+    header = keys("dim epsilon")(obj)
+    if not 0.0 <= header["epsilon"] < 1.0:
+        raise ValueError(f"epsilon {header['epsilon']} outside [0, 1)")
+    return header
 
 
 def load_kb(directory: str | Path) -> BenignKnowledgeBase:
     paths = kb_paths(directory)
-    epsilon, profiles = read_json(paths["profiles"], _profiles_from_json)
-    uuids, labels = read_json(paths["manifest"], _manifest_from_json)
-    dim = next(iter(profiles.values())).centroid.shape[0] if profiles else 0
-    embeddings = read_blob(paths["embeddings"], "<f8", (len(uuids), dim))
-    metadata = dict(read_jsonl(paths["metadata"],
-                               lambda rec: (rec.pop("uuid"), rec)))
-    return BenignKnowledgeBase(epsilon=epsilon, profiles=profiles,
-                               uuids=uuids, labels=labels,
-                               embeddings=embeddings, metadata=metadata)
+    header = read_json(paths["header"], _header_from_json)
+    members = list(read_jsonl(paths["members"], keys("edges label uuid")))
+    embeddings = read_blob(paths["embeddings"], "<f8",
+                           (len(members), header["dim"]))
+    with reading(paths["members"]):
+        return BenignKnowledgeBase(
+            epsilon=header["epsilon"], uuids=[m["uuid"] for m in members],
+            labels=[m["label"] for m in members], embeddings=embeddings,
+            digests=[m["edges"] for m in members])

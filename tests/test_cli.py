@@ -82,6 +82,10 @@ INVALID_CONFIG = [
             "negative-learning_rate"),
     _config('{"encoder": {"aggregation": "sum"}}', "aggregation",
             "sum-aggregation"),
+    _config('{"encoder": {"temperature": NaN}}', "NaN", "temperature-NaN"),
+    _config('{"encoder": {"learning_rate": Infinity}}', "Infinity",
+            "learning_rate-Infinity"),
+    _config('{"llm": {"timeout_s": NaN}}', "NaN", "timeout_s-NaN"),
     pytest.param(["train", "--artifacts", "{dir}", "--epochs", "-1"], "", {},
                  "epochs", id="train-epochs-negative"),
     pytest.param(["synth", "--out", "{dir}/out", "--spec", "{file}"], "[1, 2]",
@@ -271,9 +275,8 @@ TRUNCATED = [
     ("graphs/attack.header.json", _graph_loader("attack"), DETECT),
     ("model/encoder.json", lambda path: load_params(path.parent), DETECT),
     ("model/vocab.json", lambda path: load_vocab(path.parent), DETECT),
-    ("kb/kb.profiles.json", lambda path: load_kb(path.parent), DETECT),
-    ("kb/kb.manifest.json", lambda path: load_kb(path.parent), DETECT),
-    ("kb/kb.metadata.jsonl", lambda path: load_kb(path.parent), DETECT),
+    ("kb/kb.json", lambda path: load_kb(path.parent), DETECT),
+    ("kb/kb.members.jsonl", lambda path: load_kb(path.parent), DETECT),
     ("alerts/attack.alerts.jsonl", load_alerts, INVESTIGATE),
     ("investigation/attack/repository.json",
      lambda path: InvestigationRepository.load(path.parent), REPORT),
@@ -303,11 +306,20 @@ def _without(field):
     return damage
 
 
-def _manifest_pair_cut(path):
-    """Damage that cuts the first manifest pair to ``[uuid]``."""
-    pairs = json.loads(path.read_text())
-    pairs[0] = pairs[0][:1]
-    path.write_text(json.dumps(pairs))
+def _swap_first_and_last(path):
+    """Damage that swaps the first and last records, so the labels are out
+    of order."""
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0])["label"] != json.loads(lines[-1])["label"]
+    lines[0], lines[-1] = lines[-1], lines[0]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _epsilon_too_large(path):
+    """Damage that sets the header's epsilon outside [0, 1)."""
+    header = json.loads(path.read_text())
+    header["epsilon"] = 1.5
+    path.write_text(json.dumps(header))
 
 
 def _sum_aggregation(path):
@@ -332,13 +344,18 @@ DAMAGED = [
     _missing_field("investigation/attack/repository.json", "iteration",
                    lambda path: InvestigationRepository.load(path.parent),
                    REPORT),
-    _missing_field("kb/kb.profiles.json", "epsilon",
+    _missing_field("kb/kb.json", "epsilon",
                    lambda path: load_kb(path.parent), DETECT),
-    _missing_field("kb/kb.metadata.jsonl", "uuid",
+    _missing_field("kb/kb.members.jsonl", "uuid",
                    lambda path: load_kb(path.parent), DETECT),
-    pytest.param("kb/kb.manifest.json", _manifest_pair_cut,
+    _missing_field("kb/kb.members.jsonl", "label",
+                   lambda path: load_kb(path.parent), DETECT),
+    pytest.param("kb/kb.members.jsonl", _swap_first_and_last,
                  lambda path: load_kb(path.parent), DETECT,
-                 id="kb.manifest.json-pair-without-label"),
+                 id="kb.members.jsonl-labels-out-of-order"),
+    pytest.param("kb/kb.json", _epsilon_too_large,
+                 lambda path: load_kb(path.parent), DETECT,
+                 id="kb.json-epsilon-1.5"),
     pytest.param("model/encoder.json", _sum_aggregation,
                  lambda path: load_params(path.parent), DETECT,
                  id="encoder.json-sum-aggregation"),
@@ -370,6 +387,28 @@ def test_truncated_artifact_exits_2_and_names_file(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 2
     assert "error code=missing_artifact" in err and path.name in err
+
+
+def test_kb_encoder_dimension_mismatch_exits_3(pipeline, tmp_path, capsys):
+    """A 16-d knowledge base with a 32-d encoder trained after it."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    config = tmp_path / "dim16.json"
+    config.write_text('{"encoder": {"embedding_dim": 16}}', encoding="utf-8")
+    common = ["--artifacts", str(artifacts)]
+    train = ["train", "--graphs", "benign", "--epochs", "1", *common]
+    assert main([*train, "--config", str(config)]) == 0
+    assert main(["profile", "--graphs", "benign", "--config", str(config),
+                 *common]) == 0
+    assert main(train) == 0
+    capsys.readouterr()
+    for argv in (DETECT, INVESTIGATE):
+        code = main([*argv, *common])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert ("error code=config detail=knowledge-base embedding dimension "
+                "16 does not match encoder output dimension 32") in err
 
 
 def test_train_zero_epochs_writes_header_only_trace(tmp_path):

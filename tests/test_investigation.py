@@ -55,14 +55,10 @@ def attack_graph():
 
 
 def benign_kb(graph):
-    metadata = {
-        "ben-1": {"identity": "subject::editor", "kind": "subject",
-                  "attrs": {"name": "editor"}, "graph": "day1",
-                  "edges": edge_digest(graph, "ben-1")},
-    }
-    return BenignKnowledgeBase(epsilon=0.02, profiles={}, uuids=["ben-1"],
+    return BenignKnowledgeBase(epsilon=0.02, uuids=["ben-1"],
                                labels=["subject::editor"],
-                               embeddings=np.zeros((1, 2)), metadata=metadata)
+                               embeddings=np.zeros((1, 2)),
+                               digests=[edge_digest(graph, "ben-1")])
 
 
 def make_alert(uuid, graph_name="day1", score=2.0):

@@ -12,11 +12,11 @@ from provlens.errors import ConfigError
 from provlens.features import feature_dim, train_semantic_vocab, build_node_summary
 from provlens.profiler import (
     BenignKnowledgeBase,
-    IdentityProfile,
     attribute_query,
     build_knowledge_base,
     compute_centroid,
     compute_radius,
+    edge_digest,
     euclidean_distance,
     export_embeddings,
     knn_query,
@@ -41,26 +41,16 @@ def brute_force_radius(members, centroid, epsilon):
 
 
 def toy_kb():
-    profiles = {
-        "subject::cat": IdentityProfile("subject::cat", np.array([0.0, 0.0]),
-                                        1.0, 2),
-        "subject::dog": IdentityProfile("subject::dog", np.array([5.0, 0.0]),
-                                        1.0, 1),
-    }
-    metadata = {
-        "c1": {"identity": "subject::cat", "kind": "subject",
-               "attrs": {"name": "cat"}, "graph": "g", "edges": []},
-        "c2": {"identity": "subject::cat", "kind": "subject",
-               "attrs": {"name": "cat"}, "graph": "g", "edges": []},
-        "d1": {"identity": "subject::dog", "kind": "subject",
-               "attrs": {"name": "dog", "cwd": "/var/catalog"}, "graph": "g",
-               "edges": []},
-    }
     return BenignKnowledgeBase(
-        epsilon=0.02, profiles=profiles, uuids=["c1", "c2", "d1"],
+        epsilon=0.02, uuids=["c1", "c2", "d1"],
         labels=["subject::cat", "subject::cat", "subject::dog"],
         embeddings=np.array([[0.0, 0.5], [0.0, -0.5], [5.0, 0.0]]),
-        metadata=metadata)
+        digests=[[], [], []])
+
+
+def found(kb, results):
+    """(uuid, label, distance) of each (row, distance) knn result."""
+    return [(kb.uuids[row], kb.labels[row], d) for row, d in results]
 
 
 # --- centroid ------------------------------------------------------------------
@@ -175,8 +165,7 @@ def test_build_kb_groups_by_identity():
     kb = build_knowledge_base([graph], params, vocab, 0.02, DEFAULT_OP_VOCAB)
     assert kb.profiles["subject::worker"].count == 4
     assert len(kb.embeddings[kb.rows["subject::worker"]]) == 4
-    assert {meta["identity"] for meta in kb.metadata.values()} \
-        == set(kb.profiles)
+    assert set(kb.labels) == set(kb.profiles)
     for label, profile in kb.profiles.items():
         members = kb.embeddings[kb.rows[label]]
         outside = sum(1 for vec in members
@@ -199,14 +188,17 @@ def test_build_kb_duplicate_uuid_across_graphs(tmp_path):
     kb = build_knowledge_base(graphs, params, vocab, 0.02, DEFAULT_OP_VOCAB)
     assert kb.uuids[kb.rows["subject::worker"]] == ["s0", "s0"]
     assert kb.profiles["subject::worker"].count == 2
-    assert sorted(kb.metadata) == sorted(set(kb.uuids))
-    assert kb.metadata["s0"]["graph"] == "day1"
-    assert attribute_query(kb, "subject::worker") == ["s0"]
+    own = [edge_digest(graph, "s0") for graph in graphs]
+    assert own[0] != own[1]
+    rows = attribute_query(kb, "subject::worker")
+    assert [kb.uuids[row] for row in rows] == ["s0", "s0"]
+    assert [kb.digests[row] for row in rows] == own
     save_kb(kb, tmp_path)
     loaded = load_kb(tmp_path)
     assert loaded.uuids == kb.uuids
     assert loaded.labels == kb.labels
     assert loaded.embeddings.tobytes() == kb.embeddings.tobytes()
+    assert [loaded.digests[row] for row in rows] == own
 
 
 def test_build_kb_deterministic_serialization(tmp_path):
@@ -215,8 +207,7 @@ def test_build_kb_deterministic_serialization(tmp_path):
         kb = build_knowledge_base([graph], params, vocab, 0.02,
                                   DEFAULT_OP_VOCAB)
         save_kb(kb, tmp_path / sub)
-    for name in ("kb.profiles.json", "kb.embeddings.bin", "kb.manifest.json",
-                 "kb.metadata.jsonl"):
+    for name in ("kb.json", "kb.members.jsonl", "kb.embeddings.bin"):
         assert (tmp_path / "one" / name).read_bytes() \
             == (tmp_path / "two" / name).read_bytes()
 
@@ -235,29 +226,29 @@ def test_kb_save_load_round_trip(tmp_path):
     assert loaded.epsilon == kb.epsilon
     assert set(loaded.profiles) == set(kb.profiles)
     for label in kb.profiles:
-        assert np.array_equal(loaded.profiles[label].centroid,
-                              kb.profiles[label].centroid)
+        assert loaded.profiles[label].centroid.tobytes() \
+            == kb.profiles[label].centroid.tobytes()
         assert loaded.profiles[label].radius == kb.profiles[label].radius
         assert loaded.profiles[label].count == kb.profiles[label].count
     assert loaded.uuids == kb.uuids
     assert loaded.labels == kb.labels
     assert loaded.rows == kb.rows
     assert np.array_equal(loaded.embeddings, kb.embeddings)
-    assert loaded.metadata == kb.metadata
+    assert loaded.digests == kb.digests
     assert_canonical_json_files(tmp_path)
 
 
 # --- queries --------------------------------------------------------------------
 
 def test_knn_empty_kb_returns_empty():
-    kb = BenignKnowledgeBase(epsilon=0.0, profiles={}, uuids=[], labels=[],
-                             embeddings=np.zeros((0, 3)), metadata={})
+    kb = BenignKnowledgeBase(epsilon=0.0, uuids=[], labels=[],
+                             embeddings=np.zeros((0, 3)), digests=[])
     assert knn_query(kb, np.zeros(3), k=4) == []
 
 
 def test_knn_exact_hit_first():
     kb = toy_kb()
-    result = knn_query(kb, np.array([0.0, 0.5]), k=2)
+    result = found(kb, knn_query(kb, np.array([0.0, 0.5]), k=2))
     assert result[0] == ("c1", "subject::cat", 0.0)
 
 
@@ -268,7 +259,7 @@ def test_knn_k_larger_than_kb():
 
 def test_knn_tie_broken_by_uuid():
     kb = toy_kb()
-    result = knn_query(kb, np.array([0.0, 0.0]), k=2)
+    result = found(kb, knn_query(kb, np.array([0.0, 0.0]), k=2))
     assert [r[0] for r in result] == ["c1", "c2"]
 
 
@@ -276,15 +267,13 @@ def test_knn_matches_exhaustive_oracle():
     rng = np.random.default_rng(77)
     members = [(f"m{i:02d}", rng.normal(size=3)) for i in range(20)]
     kb = BenignKnowledgeBase(
-        epsilon=0.0,
-        profiles={"i": IdentityProfile("i", np.zeros(3), 1.0, 20)},
-        uuids=[u for u, _ in members], labels=["i"] * len(members),
+        epsilon=0.0, uuids=[u for u, _ in members],
+        labels=["i"] * len(members),
         embeddings=np.array([vec for _, vec in members]),
-        metadata={u: {"identity": "i", "kind": "subject", "attrs": {},
-                      "graph": "g", "edges": []} for u, _ in members})
+        digests=[[] for _ in members])
     for _ in range(25):
         query = rng.normal(size=3)
-        got = knn_query(kb, query, k=3)
+        got = found(kb, knn_query(kb, query, k=3))
         oracle = sorted(((euclidean_distance(vec, query), uuid)
                          for uuid, vec in members))[:3]
         assert [(u, d) for d, u in oracle] == [(u, d) for u, _, d in got]
@@ -294,15 +283,13 @@ def test_knn_matches_oracle_at_scale():
     rng = np.random.default_rng(321)
     members = [(f"m{i:04d}", rng.normal(size=6)) for i in range(800)]
     kb = BenignKnowledgeBase(
-        epsilon=0.0,
-        profiles={"i": IdentityProfile("i", np.zeros(6), 1.0, len(members))},
-        uuids=[u for u, _ in members], labels=["i"] * len(members),
+        epsilon=0.0, uuids=[u for u, _ in members],
+        labels=["i"] * len(members),
         embeddings=np.array([vec for _, vec in members]),
-        metadata={u: {"identity": "i", "kind": "subject", "attrs": {},
-                      "graph": "g", "edges": []} for u, _ in members})
+        digests=[[] for _ in members])
     for _ in range(5):
         query = rng.normal(size=6)
-        got = knn_query(kb, query, k=10)
+        got = found(kb, knn_query(kb, query, k=10))
         oracle = sorted(((euclidean_distance(vec, query), uuid)
                          for uuid, vec in members))[:10]
         assert [(u, d) for d, u in oracle] == [(u, d) for u, _, d in got]
@@ -310,11 +297,12 @@ def test_knn_matches_oracle_at_scale():
 
 def test_attribute_query_exact_tier_first():
     kb = toy_kb()
-    assert attribute_query(kb, "subject::cat") == ["c1", "c2"]
+    assert [kb.uuids[row] for row in attribute_query(kb, "subject::cat")] \
+        == ["c1", "c2"]
 
 
 def test_attribute_query_no_match():
-    assert attribute_query(toy_kb(), "subject::mongoose") == []
+    assert list(attribute_query(toy_kb(), "subject::mongoose")) == []
 
 
 # --- export ---------------------------------------------------------------------
@@ -330,8 +318,8 @@ def test_export_embeddings_rows(tmp_path):
 
 
 def test_export_embeddings_empty_kb(tmp_path):
-    kb = BenignKnowledgeBase(epsilon=0.0, profiles={}, uuids=[], labels=[],
-                             embeddings=np.zeros((0, 0)), metadata={})
+    kb = BenignKnowledgeBase(epsilon=0.0, uuids=[], labels=[],
+                             embeddings=np.zeros((0, 0)), digests=[])
     path = tmp_path / "emb.csv"
     export_embeddings(kb, path)
     with path.open() as fh:
