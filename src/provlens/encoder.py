@@ -45,7 +45,9 @@ class EncoderParams:
 @dataclass
 class ContrastiveBatch:
     """Row indices into the uuid-sorted node list. ``anchors[i]`` pairs with
-    ``positives[i]``; every member other than those two is a negative."""
+    ``positives[i]``; every member other than those two is a negative.
+    Members are distinct; anchors and positives may repeat, and a positive
+    need not be a member."""
     anchors: list[int]
     positives: list[int]
     members: list[int]
@@ -78,23 +80,15 @@ def propagation_matrix(graph: ProvenanceGraph,
                        uuids: list[str]) -> sparse.csr_matrix:
     """Neighborhood operator: row i averages the undirected 1-hop neighbor set
     of node i plus the node itself. Parallel edges count once."""
-    pos = {u: i for i, u in enumerate(uuids)}
-    neighbor_sets: list[set[int]] = [{i} for i in range(len(uuids))]
-    for edge in graph.edges:
-        i, j = pos.get(edge.src), pos.get(edge.dst)
-        if i is None or j is None:
-            continue
-        neighbor_sets[i].add(j)
-        neighbor_sets[j].add(i)
-    rows, cols, vals = [], [], []
-    for i, nbrs in enumerate(neighbor_sets):
-        ordered = sorted(nbrs)
-        value = 1.0 / len(ordered)
-        for j in ordered:
-            rows.append(i)
-            cols.append(j)
-            vals.append(value)
     n = len(uuids)
+    pos = {u: i for i, u in enumerate(uuids)}
+    src = np.array([pos.get(e.src, -1) for e in graph.edges], dtype=np.int64)
+    dst = np.array([pos.get(e.dst, -1) for e in graph.edges], dtype=np.int64)
+    keep = (src >= 0) & (dst >= 0)
+    src, dst, loops = src[keep], dst[keep], np.arange(n, dtype=np.int64)
+    rows, cols = np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src,
+                                                     loops * n + loops])), n)
+    vals = 1.0 / np.bincount(rows, minlength=n)[rows]
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
@@ -163,6 +157,45 @@ def forward(graph: ProvenanceGraph, uuids: list[str], h0: np.ndarray,
 
 # --- contrastive objective -------------------------------------------------
 
+def _softmax_terms(z: np.ndarray, batch: ContrastiveBatch,
+                   temperature: float):
+    """The batch loss and what its gradient reuses: per part (anchors,
+    members, positives) the row indices, unit rows and inverse norms (zero
+    for a zero-norm row); the anchor-member and anchor-positive cosines; the
+    positive's softmax weight; and the members' softmax numerators and
+    denominators. An anchor's own column and its positive's column get logit
+    -inf, so they drop out."""
+    idx = [np.asarray(part, dtype=np.intp)
+           for part in (batch.anchors, batch.members, batch.positives)]
+    rows = [z[part] for part in idx]
+    norms = [np.linalg.norm(part, axis=1) for part in rows]
+    inv = [np.divide(1.0, v, out=np.zeros_like(v), where=v > 0) for v in norms]
+    anchors, members, positives = unit = [r * i[:, None] for r, i in zip(rows, inv)]
+    cos_members = anchors @ members.T                # (m, B)
+    cos_pos = np.einsum("md,md->m", anchors, positives)
+
+    column = np.full(len(z), -1, dtype=np.intp)
+    column[idx[1]] = np.arange(len(idx[1]))
+    own = column[np.stack([idx[0], idx[2]], axis=1)]  # (m, 2) member columns
+    owner, which = np.nonzero(own >= 0)
+    logit_pos = cos_pos / temperature
+    exp_mem = cos_members / temperature
+    exp_mem[owner, own[owner, which]] = -np.inf
+    shift = np.maximum(logit_pos, np.max(exp_mem, axis=1, initial=-np.inf))
+    exp_pos = np.exp(logit_pos - shift)
+    np.exp(exp_mem - shift[:, None], out=exp_mem)
+    denom = exp_pos + exp_mem.sum(axis=1)
+    p_pos = exp_pos / denom
+    return (float(-np.sum(np.log(p_pos))), idx, unit, inv, cos_members,
+            cos_pos, p_pos, exp_mem, denom)
+
+
+def batch_loss(z: np.ndarray, batch: ContrastiveBatch,
+               temperature: float) -> float:
+    """The loss of ``batch_loss_grad`` without its gradient."""
+    return _softmax_terms(z, batch, temperature)[0] if len(batch) else 0.0
+
+
 def batch_loss_grad(z: np.ndarray, batch: ContrastiveBatch,
                     temperature: float):
     """Loss and dLoss/dZ for one batch: the sum over anchors of
@@ -170,46 +203,27 @@ def batch_loss_grad(z: np.ndarray, batch: ContrastiveBatch,
     temperature-scaled cosine logits. A zero-norm row has cosine 0 with every
     other row and receives zero gradient.
     """
-    anchor_idx = np.asarray(batch.anchors, dtype=np.intp)
-    pos_idx = np.asarray(batch.positives, dtype=np.intp)
-    member_idx = np.asarray(batch.members, dtype=np.intp)
-    if anchor_idx.size == 0:
+    if len(batch) == 0:
         return 0.0, np.zeros_like(z)
-    norms = np.linalg.norm(z, axis=1)
-    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    z_hat = z * inv[:, None]
-    anchors = z_hat[anchor_idx]                      # (m, d)
-    members = z_hat[member_idx]                      # (B, d)
-    positives = z_hat[pos_idx]                       # (m, d)
-    cos_members = anchors @ members.T                # (m, B)
-    cos_pos = np.einsum("md,md->m", anchors, positives)
+    (loss, idx, (anchors, members, positives), inv, cos_members, cos_pos,
+     p_pos, g_mem, denom) = _softmax_terms(z, batch, temperature)
+    g_mem /= denom[:, None]                                 # (m, B)
+    g_mem /= temperature
+    g_pos = (p_pos - 1.0) / temperature                     # (m,)
+    g_cos = g_mem * cos_members
 
-    valid = (member_idx[None, :] != anchor_idx[:, None]) \
-        & (member_idx[None, :] != pos_idx[:, None])
-    logit_pos = cos_pos / temperature
-    logit_mem = cos_members / temperature
-    shift = np.maximum(logit_pos,
-                       np.max(np.where(valid, logit_mem, -np.inf), axis=1,
-                              initial=-np.inf))
-    exp_pos = np.exp(logit_pos - shift)
-    exp_mem = np.where(valid, np.exp(logit_mem - shift[:, None]), 0.0)
-    denom = exp_pos + exp_mem.sum(axis=1)
-    loss = float(-np.sum(np.log(exp_pos / denom)))
-
-    g_mem = exp_mem / denom[:, None] / temperature          # (m, B)
-    g_pos = (exp_pos / denom - 1.0) / temperature           # (m,)
-
-    row_dot = (g_mem * cos_members).sum(axis=1) + g_pos * cos_pos
+    row_dot = g_cos.sum(axis=1) + g_pos * cos_pos
     d_anchor = (g_mem @ members + g_pos[:, None] * positives
                 - row_dot[:, None] * anchors)
-    d_member = g_mem.T @ anchors \
-        - (g_mem * cos_members).sum(axis=0)[:, None] * members
+    d_member = g_mem.T @ anchors - g_cos.sum(axis=0)[:, None] * members
     d_positive = g_pos[:, None] * anchors - (g_pos * cos_pos)[:, None] * positives
 
+    # Members are distinct, so they take a direct indexed add; anchors and
+    # positives may repeat, so they accumulate in order.
     dz = np.zeros_like(z)
-    np.add.at(dz, anchor_idx, d_anchor * inv[anchor_idx][:, None])
-    np.add.at(dz, member_idx, d_member * inv[member_idx][:, None])
-    np.add.at(dz, pos_idx, d_positive * inv[pos_idx][:, None])
+    np.add.at(dz, idx[0], d_anchor * inv[0][:, None])
+    dz[idx[1]] += d_member * inv[1][:, None]
+    np.add.at(dz, idx[2], d_positive * inv[2][:, None])
     return loss, dz
 
 
@@ -308,7 +322,7 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
             for w, dw in zip(params.weights, grads):
                 w -= config.learning_rate * dw
         z, _ = forward_pass(prop, matrix, params)
-        epoch_loss, _ = batch_loss_grad(z, eval_batch, config.temperature)
+        epoch_loss = batch_loss(z, eval_batch, config.temperature)
         if not math.isfinite(epoch_loss):
             raise TrainingError(f"non-finite evaluation loss after epoch {epoch}")
         trace.append(epoch_loss)

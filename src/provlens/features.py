@@ -1,7 +1,7 @@
 """Initial node features: semantic, action-frequency and temporal encodings.
 
 ``feature_matrix`` builds every node's row h0 = semantic || action || temporal
-in one walk over the node's incident edges. The semantic block is the mean
+from arrays of all node-edge incidences. The semantic block is the mean
 token vector of the node's summary: its identity label followed by the
 operation tokens of its incident edges in temporal order. Token vectors are an
 SVD of the shifted positive PMI (SPPMI) of window co-occurrences, which
@@ -26,6 +26,11 @@ from .errors import ConfigError
 from .ingest import Entity, ProvenanceGraph, incident_edges
 
 TEMPORAL_DIM = 3
+SCATTER_CHUNK = 8192  # incidences per scatter, bounding its (chunk, dim) temporary
+# Integer-valued float64 terms sum exactly, in any order, while the sum stays
+# below 2**53. Past that the order decides the last bit, so such a row takes
+# the reduction a per-node walk uses: the norm's dot product and the mean's sum.
+EXACT_SUM = 2.0 ** 53
 
 
 @dataclass
@@ -40,13 +45,6 @@ class SemanticVocab:
 
     def __post_init__(self):
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
-
-    def lookup(self, token: str) -> np.ndarray:
-        """Vector for ``token``; out-of-vocabulary tokens map to zeros."""
-        i = self.index.get(token)
-        if i is None:
-            return np.zeros(self.dim)
-        return self.vectors[i].astype(np.float64)
 
 
 def build_node_summary(node: Entity, graph: ProvenanceGraph) -> list[str]:
@@ -112,43 +110,88 @@ def feature_dim(semantic_dim: int, op_vocab) -> int:
 
 def feature_matrix(graph: ProvenanceGraph, vocab: SemanticVocab,
                    op_vocab) -> tuple[list[str], np.ndarray]:
-    """h0 rows for every node, in sorted-uuid order, from one walk over each
-    node's incident edges. An out-of-vocabulary token counts as zeros. An
-    aggregated edge adds its event multiplicity to the histogram and exposes
-    only its first and last timestamps. A block with no signal (no events, or
-    fewer than two events or equal idle periods) stays zero."""
+    """h0 rows for every node, in sorted-uuid order, accumulating each node's
+    incident edges in the order of ``incident_edges``. An out-of-vocabulary
+    token counts as zeros. An aggregated edge adds its event multiplicity to
+    the histogram and exposes only its first and last timestamps. A block with
+    no signal (no events, or fewer than two events or equal idle periods)
+    stays zero."""
     uuids = sorted(graph.nodes)
-    positions = {op: i for i, op in enumerate(op_vocab)}
-    act_end = vocab.dim + len(op_vocab)
-    h0 = np.zeros((len(uuids), act_end + TEMPORAL_DIM))
-    for row, uuid in enumerate(uuids):
-        tokens = [graph.nodes[uuid].identity]
-        counts = np.zeros(len(op_vocab))
-        stamps: list[int] = []
-        for edge in incident_edges(graph, uuid):
-            tokens.append(edge.operation)
-            i = positions.get(edge.operation)
-            if i is not None:
-                counts[i] += edge.weight
-            stamps.append(edge.first_ts)
-            if edge.last_ts != edge.first_ts:
-                stamps.append(edge.last_ts)
+    pos = {u: i for i, u in enumerate(uuids)}
+    edges = sorted(graph.edges, key=lambda e: (e.first_ts, e.src, e.dst, e.operation))
+    src = np.array([pos.get(e.src, -1) for e in edges], dtype=np.intp)
+    dst = np.array([pos.get(e.dst, -1) for e in edges], dtype=np.intp)
+    # Incidences in edge order: each edge at its source, then at its
+    # destination unless that is the source; endpoints outside the graph's
+    # nodes drop out. Per row this is the order of ``incident_edges``.
+    row = np.stack([src, np.where(dst == src, -1, dst)], axis=1).ravel()
+    edge = np.repeat(np.arange(len(edges)), 2)[row >= 0]
+    row = row[row >= 0]
+    identities = [graph.nodes[u].identity for u in uuids]
+    # One block at a time, so each block's incidence temporaries are freed
+    # before the next is built.
+    return uuids, np.hstack([_semantic_block(identities, edges, row, edge, vocab),
+                             _action_block(len(uuids), edges, row, edge, op_vocab),
+                             _temporal_block(len(uuids), edges, row, edge)])
 
-        semantic = h0[row, :vocab.dim]
-        for token in tokens:
-            semantic += vocab.lookup(token)
-        semantic /= len(tokens)
-        norm = np.linalg.norm(counts)
-        h0[row, vocab.dim:act_end] = counts / norm if norm != 0.0 else counts
-        if len(stamps) < 2:
-            continue
-        stamps.sort()
-        idle = np.diff(np.asarray(stamps, dtype=np.float64))
-        stats = np.array([idle.min(), idle.max(), idle.mean()])
-        span = stats.max() - stats.min()
-        if span != 0.0:
-            h0[row, act_end:] = (stats - stats.min()) / span
-    return uuids, h0
+
+def _semantic_block(identities, edges, row, edge, vocab):
+    """Per node, the running sum of its token vectors (identity first) over
+    its token count."""
+    n, dim = len(identities), vocab.dim
+    tokens = identities + [e.operation for e in edges]
+    tok = np.array([vocab.index.get(t, -1) for t in tokens], dtype=np.intp)
+    # Row -1 of the table, an out-of-vocabulary token's, is zeros.
+    table = np.vstack([vocab.vectors.astype(np.float64), np.zeros((1, dim))])
+    sem_row, sem_tok = np.r_[np.arange(n), row], np.r_[tok[:n], tok[n:][edge]]
+    semantic = np.zeros((n, dim))
+    for start in range(0, len(sem_row), SCATTER_CHUNK):
+        chunk = slice(start, start + SCATTER_CHUNK)
+        cells = sem_row[chunk, None] * dim + np.arange(dim)
+        np.add.at(semantic.ravel(), cells.ravel(), table[sem_tok[chunk]].ravel())
+    return semantic / np.bincount(sem_row, minlength=n)[:, None]
+
+
+def _action_block(n, edges, row, edge, op_vocab):
+    """Per node, the L2-normalised histogram of its operations' weights."""
+    width = len(op_vocab)
+    positions = {op: i for i, op in enumerate(op_vocab)}
+    op_col = np.array([positions.get(e.operation, -1) for e in edges],
+                      dtype=np.intp)[edge]
+    weight = np.array([e.weight for e in edges], dtype=np.float64)[edge]
+    counts = np.zeros((n, width))
+    np.add.at(counts.ravel(), (row * width + op_col)[op_col >= 0], weight[op_col >= 0])
+    squares = np.einsum("ij,ij->i", counts, counts)
+    norm = np.sqrt(squares)
+    for k in np.flatnonzero(squares >= EXACT_SUM):
+        norm[k] = np.linalg.norm(counts[k])
+    return np.divide(counts, norm[:, None], out=counts, where=norm[:, None] != 0.0)
+
+
+def _temporal_block(n, edges, row, edge):
+    """Per node, the min-max-normalised (min, max, mean) of its idle periods."""
+    first, last = np.array([(e.first_ts, e.last_ts) for e in edges],
+                           dtype=np.float64).reshape(-1, 2)[edge].T
+    spread = np.array([e.last_ts != e.first_ts for e in edges], dtype=bool)[edge]
+    stamp_row, stamps = np.r_[row, row[spread]], np.r_[first, last[spread]]
+    order = np.lexsort((stamps, stamp_row))
+    stamp_row, stamps = stamp_row[order], stamps[order]
+    same = stamp_row[1:] == stamp_row[:-1]
+    idle, idle_row = np.diff(stamps)[same], stamp_row[1:][same]
+    starts = np.flatnonzero(np.diff(idle_row, prepend=-1))
+    sizes = np.diff(np.r_[starts, idle.size])
+    sums = np.add.reduceat(idle, starts)
+    for k in np.flatnonzero(sums >= EXACT_SUM):
+        sums[k] = idle[starts[k]:starts[k] + sizes[k]].sum()
+    stats = np.stack([np.minimum.reduceat(idle, starts),
+                      np.maximum.reduceat(idle, starts), sums / sizes], axis=1)
+    low = stats.min(axis=1)
+    span = stats.max(axis=1) - low
+    varied = span != 0.0
+    block = np.zeros((n, TEMPORAL_DIM))
+    block[idle_row[starts][varied]] = \
+        (stats[varied] - low[varied, None]) / span[varied, None]
+    return block
 
 
 def export_features(graph: ProvenanceGraph, uuids: list[str], h0: np.ndarray,

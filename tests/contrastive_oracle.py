@@ -1,5 +1,6 @@
 """Reference implementations the encoder tests check the production code
-against: a pairwise contrastive loss with explicit per-pair gradients, and the
+against: a pairwise contrastive loss with explicit per-pair gradients, the
+full-matrix batch loss the production loss must match byte for byte, and the
 uuid-space batch sampler whose random draws the index-space sampler must
 reproduce."""
 
@@ -74,3 +75,51 @@ def sample_uuid_batch(nodes: list[str], identities: dict[str, str],
         anchors.append(member)
         positives.append(positive)
     return anchors, positives, members
+
+
+def batch_loss_grad(z: np.ndarray, anchors, positives, members,
+                    temperature: float):
+    """Loss and dLoss/dZ over the whole (anchors, members) logit matrix, with
+    a validity mask for each anchor's own and its positive's column and
+    ``np.add.at`` scatters in the order anchors, members, positives."""
+    anchor_idx = np.asarray(anchors, dtype=np.intp)
+    pos_idx = np.asarray(positives, dtype=np.intp)
+    member_idx = np.asarray(members, dtype=np.intp)
+    if anchor_idx.size == 0:
+        return 0.0, np.zeros_like(z)
+    norms = np.linalg.norm(z, axis=1)
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    z_hat = z * inv[:, None]
+    anchors = z_hat[anchor_idx]
+    members = z_hat[member_idx]
+    positives = z_hat[pos_idx]
+    cos_members = anchors @ members.T
+    cos_pos = np.einsum("md,md->m", anchors, positives)
+
+    valid = (member_idx[None, :] != anchor_idx[:, None]) \
+        & (member_idx[None, :] != pos_idx[:, None])
+    logit_pos = cos_pos / temperature
+    logit_mem = cos_members / temperature
+    shift = np.maximum(logit_pos,
+                       np.max(np.where(valid, logit_mem, -np.inf), axis=1,
+                              initial=-np.inf))
+    exp_pos = np.exp(logit_pos - shift)
+    exp_mem = np.where(valid, np.exp(logit_mem - shift[:, None]), 0.0)
+    denom = exp_pos + exp_mem.sum(axis=1)
+    loss = float(-np.sum(np.log(exp_pos / denom)))
+
+    g_mem = exp_mem / denom[:, None] / temperature
+    g_pos = (exp_pos / denom - 1.0) / temperature
+
+    row_dot = (g_mem * cos_members).sum(axis=1) + g_pos * cos_pos
+    d_anchor = (g_mem @ members + g_pos[:, None] * positives
+                - row_dot[:, None] * anchors)
+    d_member = g_mem.T @ anchors \
+        - (g_mem * cos_members).sum(axis=0)[:, None] * members
+    d_positive = g_pos[:, None] * anchors - (g_pos * cos_pos)[:, None] * positives
+
+    dz = np.zeros_like(z)
+    np.add.at(dz, anchor_idx, d_anchor * inv[anchor_idx][:, None])
+    np.add.at(dz, member_idx, d_member * inv[member_idx][:, None])
+    np.add.at(dz, pos_idx, d_positive * inv[pos_idx][:, None])
+    return loss, dz

@@ -1,13 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provlens.config import EncoderConfig
 from provlens.encoder import (
     ContrastiveBatch,
+    batch_loss,
     batch_loss_grad,
     backward_pass,
     canonical_eval_batch,
@@ -24,7 +26,10 @@ from provlens.encoder import (
 )
 from provlens.errors import ConfigError
 
-from conftest import assert_canonical_json_files, manual_graph
+import contrastive_oracle
+import graph_oracle
+from conftest import (assert_canonical_json_files, manual_graph, oracle_case,
+                      oracle_graphs)
 from contrastive_oracle import infonce_loss_grad, sample_uuid_batch
 
 
@@ -171,6 +176,63 @@ def test_vectorized_loss_matches_reference(n, d, seed):
     fast_loss, fast_grad = batch_loss_grad(z, batch, 0.4)
     assert abs(ref_loss - fast_loss) <= 1e-9
     assert np.allclose(ref_grad, fast_grad, atol=1e-9)
+
+
+@st.composite
+def loss_cases(draw):
+    """(z, batch, temperature) with distinct members, anchors drawn from the
+    members with repeats, and positives drawn from every row with repeats, so
+    a positive can equal its anchor or lie outside the members."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    z = rng.normal(size=(n, draw(st.integers(1, 5))))
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        z[row] = 0.0
+    members = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    anchors = draw(st.lists(st.sampled_from(members), max_size=8))
+    positives = draw(st.lists(st.integers(0, n - 1), min_size=len(anchors),
+                              max_size=len(anchors)))
+    batch = ContrastiveBatch(anchors=anchors, positives=positives,
+                             members=members)
+    return z, batch, draw(st.sampled_from([0.07, 0.5, 1.0]))
+
+
+def named_loss_case():
+    """Repeated anchors (0), repeated positives (2), a positive equal to its
+    anchor (3), a positive outside the members (5) and a zero-norm row (1)."""
+    z = np.random.default_rng(4).normal(size=(6, 3))
+    z[1] = 0.0
+    batch = ContrastiveBatch(anchors=[0, 0, 3, 4, 1], positives=[2, 2, 3, 5, 0],
+                             members=[4, 0, 1, 3, 2])
+    return z, batch, 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(loss_cases())
+@example(named_loss_case())
+def test_batch_loss_grad_bytes_match_full_matrix_oracle(case):
+    z, batch, temperature = case
+    loss, dz = batch_loss_grad(z, batch, temperature)
+    ref_loss, ref_dz = contrastive_oracle.batch_loss_grad(
+        z, batch.anchors, batch.positives, batch.members, temperature)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert dz.tobytes() == ref_dz.tobytes()
+    assert batch_loss(z, batch, temperature) == loss
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_graphs(), st.randoms(use_true_random=False))
+@example(oracle_case(), random.Random(0))
+def test_propagation_matrix_bytes_match_neighbor_set_oracle(case, order):
+    graph = case[0]
+    uuids = sorted(graph.nodes)
+    order.shuffle(uuids)
+    prop = propagation_matrix(graph, uuids)
+    ref = graph_oracle.propagation_matrix(graph, uuids)
+    assert prop.shape == ref.shape
+    for part in ("indptr", "indices", "data"):
+        assert getattr(prop, part).dtype == getattr(ref, part).dtype
+        assert getattr(prop, part).tobytes() == getattr(ref, part).tobytes()
 
 
 # --- batch sampling -----------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provlens.config import DEFAULT_OP_VOCAB
@@ -17,9 +17,10 @@ from provlens.features import (
     train_semantic_vocab,
 )
 
+import graph_oracle
 from conftest import (EMPTY_VOCAB, assert_canonical_json_files,
                       feature_blocks, graph_from_events, make_event,
-                      manual_graph)
+                      manual_graph, oracle_case, oracle_graphs)
 
 
 def vocab_from_table(table):
@@ -99,7 +100,7 @@ def test_vocab_gram_matches_sppmi_oracle(dim):
     vectors = vocab.vectors.astype(np.float64)
     assert vocab.vectors.shape == (len(vocab.tokens), dim)
     assert np.allclose(vectors @ vectors.T, expected, atol=1e-5)
-    assert np.array_equal(vocab.lookup("solo"), np.zeros(dim))
+    assert np.array_equal(vocab.vectors[vocab.index["solo"]], np.zeros(dim))
 
 
 def test_vocab_epochs_and_seed_only_recorded():
@@ -121,7 +122,8 @@ def test_vocab_cooccurrence_orders_similarity():
     corpus = ([["alpha", "x"], ["beta", "x"]] * 60
               + [["gamma", "y"]] * 60)
     vocab = train_semantic_vocab(corpus, dim=16, window=2, negatives=2)
-    a, b, c = (vocab.lookup(t) for t in ("alpha", "beta", "gamma"))
+    a, b, c = (vocab.vectors[vocab.index[t]].astype(np.float64)
+               for t in ("alpha", "beta", "gamma"))
     cos = lambda x, y: float(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)))
     assert cos(a, b) > cos(a, c)
 
@@ -129,7 +131,7 @@ def test_vocab_cooccurrence_orders_similarity():
 def test_vocab_single_token_corpus():
     vocab = train_semantic_vocab([["solo"]], dim=8)
     assert vocab.tokens == ["solo"]
-    assert np.all(np.isfinite(vocab.lookup("solo")))
+    assert np.all(np.isfinite(vocab.vectors[vocab.index["solo"]]))
 
 
 def test_vocab_deterministic_under_seed():
@@ -274,6 +276,18 @@ def test_features_invariant_to_event_order():
     _, h_fwd = feature_matrix(forward, vocab, DEFAULT_OP_VOCAB)
     _, h_bwd = feature_matrix(backward, vocab, DEFAULT_OP_VOCAB)
     assert np.array_equal(h_fwd, h_bwd)
+
+
+@settings(max_examples=500, deadline=None)
+@given(oracle_graphs())
+@example(oracle_case())
+def test_feature_matrix_bytes_match_per_node_oracle(case):
+    graph, vocab, op_vocab = case
+    uuids, h0 = feature_matrix(graph, vocab, op_vocab)
+    ref_uuids, ref_h0 = graph_oracle.feature_matrix(graph, vocab, op_vocab)
+    assert uuids == ref_uuids
+    assert h0.shape == ref_h0.shape
+    assert h0.tobytes() == ref_h0.tobytes()
 
 
 def test_feature_pipeline_bit_reproducible():

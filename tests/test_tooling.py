@@ -32,3 +32,28 @@ def test_perfbench_selftest_passes():
                           cwd=PERFBENCH.parent, capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_a_property_that_fails(x):
+    assert x < 0
+
+
+def test_b_passes():
+    assert True
+'''
+
+
+def test_failing_hypothesis_test_does_not_end_the_session(tmp_path):
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PERFBENCH.parent / "pyproject.toml"),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_property.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout + proc.stderr
