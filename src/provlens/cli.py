@@ -23,7 +23,6 @@ from .investigation import (
     run_investigation,
 )
 from .investigation.llm import HttpChatLLM, heuristic_mock
-from .investigation.agents import reporter_compose
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -51,13 +50,13 @@ def _investigation_dir(cfg: PipelineConfig, graph_name: str) -> Path:
     return Path(cfg.artifacts_dir) / "investigation" / graph_name
 
 
-def _resolve_graph_names(cfg: PipelineConfig, spec: str | None) -> list[str]:
-    if spec:
-        return [name.strip() for name in spec.split(",") if name.strip()]
-    names = list(ingest.iter_graph_names(_graphs_dir(cfg)))
+def _resolve_graph_names(spec: str | None) -> list[str]:
+    """The benign graphs named by ``--graphs``; there is no default, because
+    an attack window among them would become benign reference behaviour."""
+    names = [name.strip() for name in (spec or "").split(",") if name.strip()]
     if not names:
-        raise ArtifactError(f"no ingested graphs under {_graphs_dir(cfg)}",
-                            path=str(_graphs_dir(cfg)))
+        raise ConfigError("--graphs must name the benign graphs, "
+                          "comma-separated")
     return names
 
 
@@ -75,9 +74,7 @@ def _union_graph(graphs: list[ingest.ProvenanceGraph]) -> ingest.ProvenanceGraph
         nodes.update(graph.nodes)
         edges.extend(graph.edges)
     return ingest.ProvenanceGraph(
-        name="+".join(g.name for g in graphs), nodes=nodes, edges=edges,
-        window_start=min(g.window_start for g in graphs),
-        window_end=max(g.window_end for g in graphs))
+        name="+".join(g.name for g in graphs), nodes=nodes, edges=edges)
 
 
 def _build_backend(cfg: PipelineConfig):
@@ -86,6 +83,13 @@ def _build_backend(cfg: PipelineConfig):
     api_key = os.environ.get(cfg.llm.api_key_env, "")
     return HttpChatLLM(endpoint=cfg.llm.endpoint, model=cfg.llm.model,
                        api_key=api_key, timeout_s=cfg.llm.timeout_s)
+
+
+def _write_report(repo: InvestigationRepository, out_dir: Path) -> None:
+    """Render the report and the attack graph from ``repo`` into ``out_dir``."""
+    (out_dir / "report.md").write_text(repo.report_markdown, encoding="utf-8")
+    (out_dir / "attack_graph.dot").write_text(repo.attack_graph_dot,
+                                              encoding="utf-8")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -102,7 +106,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
-    names = _resolve_graph_names(cfg, args.graphs)
+    names = _resolve_graph_names(args.graphs)
     graphs = _load_graphs(cfg, names)
     union = _union_graph(graphs)
 
@@ -132,7 +136,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_profile(cfg: PipelineConfig, args) -> int:
-    names = _resolve_graph_names(cfg, args.graphs)
+    names = _resolve_graph_names(args.graphs)
     graphs = _load_graphs(cfg, names)
     vocab = features.load_vocab(_model_dir(cfg))
     params = encoder.load_params(_model_dir(cfg))
@@ -180,9 +184,7 @@ def cmd_investigate(cfg: PipelineConfig, args) -> int:
                              knn_k=cfg.llm.knn_k, repo=repo)
     repo.save(out_dir)
     if repo.status == "complete":
-        (out_dir / "report.md").write_text(repo.report_markdown, encoding="utf-8")
-        (out_dir / "attack_graph.dot").write_text(repo.attack_graph_dot,
-                                                  encoding="utf-8")
+        _write_report(repo, out_dir)
     print(f"investigated graph={args.graph} status={repo.status} "
           f"validated={len(repo.validated_iocs())} "
           f"refuted={len(repo.refuted_iocs())} "
@@ -192,13 +194,7 @@ def cmd_investigate(cfg: PipelineConfig, args) -> int:
 
 def cmd_report(cfg: PipelineConfig, args) -> int:
     out_dir = _investigation_dir(cfg, args.graph)
-    repo = InvestigationRepository.load(out_dir)
-    if not repo.report_markdown:
-        markdown, dot = reporter_compose(repo, None)
-        repo.report_markdown, repo.attack_graph_dot = markdown, dot
-    (out_dir / "report.md").write_text(repo.report_markdown, encoding="utf-8")
-    (out_dir / "attack_graph.dot").write_text(repo.attack_graph_dot,
-                                              encoding="utf-8")
+    _write_report(InvestigationRepository.load(out_dir), out_dir)
     print(f"report graph={args.graph} -> {out_dir / 'report.md'}")
     return EXIT_OK
 
@@ -257,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common],
                        help="train the semantic vocabulary and encoder")
-    p.add_argument("--graphs", help="comma-separated graph names (default: all)")
+    p.add_argument("--graphs", help="comma-separated benign graph names (required)")
     p.add_argument("--epochs", type=int, help="encoder training epochs")
     p.add_argument("--export-features", help="debug JSONL dump of node features")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("profile", parents=[common],
                        help="build the benign knowledge base")
-    p.add_argument("--graphs", help="comma-separated graph names (default: all)")
+    p.add_argument("--graphs", help="comma-separated benign graph names (required)")
     p.add_argument("--export-embeddings", help="also write an embeddings CSV")
     p.set_defaults(func=cmd_profile)
 

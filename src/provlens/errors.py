@@ -28,10 +28,6 @@ class TrainingError(ProvlensError):
 class LLMError(ProvlensError):
     """LLM backend returned an unusable response."""
 
-    def __init__(self, message: str, raw_response: str | None = None):
-        super().__init__(message)
-        self.raw_response = raw_response
-
 
 class LLMTransportError(LLMError):
     """LLM backend is unreachable; the investigation can be resumed later."""

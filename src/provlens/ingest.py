@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .artifacts import (keys, read_json, read_jsonl, record, write_json,
                         write_jsonl)
@@ -61,8 +61,6 @@ class ProvenanceGraph:
     name: str
     nodes: dict[str, Entity]
     edges: list[ProvEdge]
-    window_start: int = 0
-    window_end: int = 0
 
 
 @dataclass
@@ -209,13 +207,7 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
             edges.append(agg)
 
     edges.sort(key=lambda e: (e.first_ts, e.src, e.dst, e.operation))
-    if ordered:
-        window_start = ordered[0].timestamp
-        window_end = max(e.last_ts for e in edges)
-    else:
-        window_start = window_end = 0
-    return ProvenanceGraph(name=name, nodes=nodes, edges=edges,
-                           window_start=window_start, window_end=window_end)
+    return ProvenanceGraph(name=name, nodes=nodes, edges=edges)
 
 
 def _incident_index(graph: ProvenanceGraph) -> dict[str, list[ProvEdge]]:
@@ -254,8 +246,6 @@ def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
     paths = graph_paths(directory, graph.name)
     write_json(paths["header"], {
         "name": graph.name,
-        "window_start": graph.window_start,
-        "window_end": graph.window_end,
         "node_count": len(graph.nodes),
         "edge_count": len(graph.edges),
     }, indent=2)
@@ -265,19 +255,16 @@ def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
 
 
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
+    """The saved graph; a record file holding another number of records than
+    its header counts (one cut at a record boundary) raises ArtifactError."""
     paths = graph_paths(directory, name)
-    header = read_json(paths["header"], keys(
-        "edge_count name node_count window_end window_start"))
+    header = read_json(paths["header"], keys("edge_count name node_count"))
     nodes = {n.uuid: n for n in read_jsonl(paths["nodes"], record(Entity))}
     edges = list(read_jsonl(paths["edges"], record(ProvEdge)))
-    return ProvenanceGraph(name=header["name"], nodes=nodes, edges=edges,
-                           window_start=header["window_start"],
-                           window_end=header["window_end"])
-
-
-def iter_graph_names(directory: str | Path) -> Iterator[str]:
-    base = Path(directory)
-    if not base.is_dir():
-        return
-    for path in sorted(base.glob("*.header.json")):
-        yield path.name[: -len(".header.json")]
+    for kind, count, expected in (("nodes", len(nodes), header["node_count"]),
+                                  ("edges", len(edges), header["edge_count"])):
+        if count != expected:
+            raise ArtifactError(
+                f"artifact {paths[kind]} holds {count} {kind}, its header "
+                f"counts {expected}", path=str(paths[kind]))
+    return ProvenanceGraph(name=header["name"], nodes=nodes, edges=edges)

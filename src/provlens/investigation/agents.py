@@ -11,12 +11,7 @@ from __future__ import annotations
 from ..profiler import BenignKnowledgeBase, attribute_query, knn_query
 from .graphstore import GraphStore
 from .llm import LLMSession
-from .repository import (
-    KILL_CHAIN_PHASES,
-    PHASE_NAMES,
-    AgentVerdict,
-    InvestigationRepository,
-)
+from .repository import KILL_CHAIN_PHASES, AgentVerdict, InvestigationRepository
 
 SAME_IDENTITY_CAP = 5
 
@@ -161,127 +156,20 @@ def leader_synthesize(repo: InvestigationRepository, session: LLMSession,
 
 # --- reporting ---------------------------------------------------------------
 
-def _phase_order(phase: str) -> int:
-    try:
-        return KILL_CHAIN_PHASES.index(phase)
-    except ValueError:
-        return len(KILL_CHAIN_PHASES)
-
-
-def attack_graph_dot(repo: InvestigationRepository) -> str:
-    """Directed attack graph: validated IOCs as nodes, related-IOC references
-    and expansion relations as edges. Plain DOT, renderable with graphviz."""
-    validated = repo.validated_iocs()
-    valid_ids = {ioc.node_uuid for ioc in validated}
-    lines = ["digraph attack {", "  rankdir=LR;"]
-    for ioc in validated:
-        label = f"{ioc.identity}\\n{ioc.kill_chain_phase}"
-        lines.append(f'  "{ioc.node_uuid}" [label="{label}"];')
-    edges: dict[tuple[str, str], str] = {}
-    for ioc in validated:
-        for ref in ioc.related_ioc_refs:
-            if ref in valid_ids:
-                edges.setdefault((ref, ioc.node_uuid), "related")
-    for src, dst, label in repo.relations:
-        if src in valid_ids and dst in valid_ids:
-            edges[(src, dst)] = label
-    for (src, dst), label in sorted(edges.items()):
-        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def render_report(repo: InvestigationRepository, summary: str,
-                  remediation: list[str]) -> str:
-    validated = repo.validated_iocs()
-    refuted = repo.refuted_iocs()
-    lines = [f"# Incident Report: {repo.graph_name}", ""]
-    if repo.budget_exhausted:
-        lines += ["> **Note:** the investigation stopped on budget "
-                  "exhaustion; open hypotheses were treated as false "
-                  "positives.", ""]
-    lines += [
-        f"Validated IOCs: {len(validated)} | Dismissed: {len(refuted)} | "
-        f"Hypotheses examined: {len(repo.hypotheses)} | "
-        f"LLM calls: {repo.llm_calls_used}",
-        "",
-        "## Campaign Summary",
-        "",
-    ]
-    if validated:
-        lines += [summary, ""]
-    else:
-        lines += ["No incident: no alert survived validation against benign "
-                  "reference behavior.", ""]
-    lines += ["## Attack Narrative", ""]
-    if not validated:
-        lines += ["(empty)", ""]
-    else:
-        ordered = sorted(validated,
-                         key=lambda i: (_phase_order(i.kill_chain_phase),
-                                        i.node_uuid))
-        for ioc in ordered:
-            phase = PHASE_NAMES.get(ioc.kill_chain_phase, ioc.kill_chain_phase)
-            lines.append(f"- **{phase}** — `{ioc.node_uuid}` ({ioc.identity}): "
-                         f"{ioc.event}")
-        lines.append("")
-    lines += ["## Indicator Details", ""]
-    for ioc in validated:
-        lines += [
-            f"### {ioc.identity} [{ioc.node_uuid}]",
-            "",
-            f"- verdict: malicious (confidence {ioc.confidence:.2f}, "
-            f"origin {ioc.origin})",
-            f"- kill-chain phase: {ioc.kill_chain_phase}",
-            f"- related indicators: "
-            f"{', '.join(ioc.related_ioc_refs) if ioc.related_ioc_refs else 'none'}",
-        ]
-        for line in repo.evidence.get(ioc.node_uuid, [])[:10]:
-            lines.append(f"  - evidence: {line}")
-        lines.append("")
-    lines += ["## Remediation", ""]
-    if remediation:
-        lines += [f"- {step}" for step in remediation]
-    else:
-        lines.append("- No remediation required.")
-    lines.append("")
-    if refuted:
-        lines += ["## Appendix: Dismissed Findings", ""]
-        for ioc in refuted:
-            lines.append(f"- `{ioc.node_uuid}` ({ioc.identity}): dismissed "
-                         f"as false positive")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def reporter_compose(repo: InvestigationRepository,
-                     session: LLMSession | None = None) -> tuple[str, str]:
-    """Final report: Markdown narrative plus the attack graph in DOT form.
-
-    The section skeleton, ordering and per-IOC lines are assembled
-    deterministically from the repository; the model only contributes the
-    campaign summary and remediation prose (skipped when no session is given,
-    e.g. after budget exhaustion).
-    """
-    summary = FALLBACK_SUMMARY
-    remediation: list[str] = []
-    if session is not None and repo.validated_iocs():
-        payload = {
-            "graph_name": repo.graph_name,
-            "iocs": [
-                {"node_uuid": i.node_uuid, "identity": i.identity,
-                 "kill_chain_phase": i.kill_chain_phase, "event": i.event}
-                for i in repo.validated_iocs()
-            ],
-            "narrative": repo.narrative(),
-        }
-        response, _ = session.invoke("reporter", payload)
-        summary = str(response["campaign_summary"])
-        remediation = [str(step) for step in response["remediation"]]
-    markdown = render_report(repo, summary, remediation)
-    dot = attack_graph_dot(repo)
-    return markdown, dot
-
-
-FALLBACK_SUMMARY = ("Validated indicators are listed below; no model-written "
-                    "summary is available for this run.")
+                     session: LLMSession) -> tuple[str, list[str]]:
+    """The Reporter's campaign summary and remediation steps for the
+    validated IOCs. The report around them is rendered from the repository
+    (``render_report``)."""
+    payload = {
+        "graph_name": repo.graph_name,
+        "iocs": [
+            {"node_uuid": i.node_uuid, "identity": i.identity,
+             "kill_chain_phase": i.kill_chain_phase, "event": i.event}
+            for i in repo.validated_iocs()
+        ],
+        "narrative": repo.narrative(),
+    }
+    response, _ = session.invoke("reporter", payload)
+    return (str(response["campaign_summary"]),
+            [str(step) for step in response["remediation"]])

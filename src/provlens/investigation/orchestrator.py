@@ -6,7 +6,9 @@ reconstructs each IOC's attack event and proposes leads, each of which must
 again pass the Analyst before it can enter the queue. Stage 3 asks the Leader
 for a global synthesis; accepted hypotheses spawn targeted leads back through
 the stage-2 machinery until the Leader declares the chain coherent, no
-testable hypotheses remain, or a budget runs out. Stage 4 renders the report.
+testable hypotheses remain, or a budget runs out. Stage 4 asks the Reporter
+for the campaign summary and remediation; the report is rendered from the
+repository.
 
 Every path that can grow the investigation is gated by the call budget, so
 the loop terminates under any model behavior, including one that answers
@@ -15,6 +17,7 @@ ANOMALY to everything.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 
 from ..config import InvestigationBudget
@@ -30,6 +33,7 @@ from .agents import (
 from .graphstore import GraphStore
 from .llm import BudgetExhausted, LLMSession
 from .repository import (
+    FALLBACK_SUMMARY,
     KILL_CHAIN_PHASES,
     UNASSIGNED,
     AgentVerdict,
@@ -207,7 +211,8 @@ class _Orchestrator:
 
     # --- whole run ---------------------------------------------------------
 
-    def run(self, alerts: list[Alert]) -> InvestigationRepository:
+    def investigate(self, alerts: list[Alert]) -> None:
+        """Stages 1 to 3; a budget that runs out stops them, flagged."""
         repo = self.repo
         try:
             for alert in alerts:
@@ -235,27 +240,27 @@ class _Orchestrator:
                 hyp.status = "refuted"
                 repo.journal("hypothesis_resolved", id=hyp.id,
                              status="refuted", reason="budget exhausted")
+
+    def run(self, alerts: list[Alert]) -> InvestigationRepository:
+        """The whole run; a failed LLM transport pauses it at any stage."""
+        repo = self.repo
+        try:
+            self.investigate(alerts)
+            # Stage 4: the Reporter's prose. Without it (no validated IOC, or
+            # the budget ran out) the report keeps the fallback summary.
+            prose = FALLBACK_SUMMARY, []
+            if repo.validated_iocs() and not repo.budget_exhausted:
+                with contextlib.suppress(BudgetExhausted):
+                    prose = reporter_compose(repo, self.session)
+            repo.campaign_summary, repo.remediation = prose
+            repo.status = "complete"
+            repo.journal("report_composed",
+                         validated=len(repo.validated_iocs()),
+                         refuted=len(repo.refuted_iocs()))
         except LLMTransportError as exc:
             repo.status = "paused"
             repo.journal("investigation_paused", detail=str(exc))
             log.warning("investigation paused: %s", exc)
-            return repo
-
-        try:
-            session = None if repo.budget_exhausted else self.session
-            markdown, dot = reporter_compose(repo, session)
-        except BudgetExhausted:
-            markdown, dot = reporter_compose(repo, None)
-        except LLMTransportError as exc:
-            repo.status = "paused"
-            repo.journal("investigation_paused", detail=str(exc))
-            return repo
-        repo.report_markdown = markdown
-        repo.attack_graph_dot = dot
-        repo.status = "complete"
-        repo.journal("report_composed",
-                     validated=len(repo.validated_iocs()),
-                     refuted=len(repo.refuted_iocs()))
         return repo
 
 

@@ -3,7 +3,9 @@
 The repository is the single source of truth that keeps the agents aligned.
 All mutations go through one writer and are recorded in an append-only journal
 with monotonically increasing sequence numbers (no wall-clock timestamps, so
-two identical runs journal byte for byte the same).
+two identical runs journal byte for byte the same). It stores each fact once:
+the report and the attack graph are rendered from the stored state, and the
+journal is saved only to ``journal.jsonl``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..artifacts import read_json, record, write_json, write_jsonl
+from ..artifacts import (read_json, read_jsonl, reading, record, write_json,
+                         write_jsonl)
 
 KILL_CHAIN_PHASES = ("IC", "IR", "CC", "PE", "LM", "MP", "DE", "CT")
 PHASE_NAMES = {
@@ -25,6 +28,8 @@ PHASE_NAMES = {
     "CT": "Covering Tracks",
 }
 UNASSIGNED = "UNASSIGNED"
+FALLBACK_SUMMARY = ("Validated indicators are listed below; no model-written "
+                    "summary is available for this run.")
 
 
 @dataclass
@@ -74,8 +79,16 @@ class InvestigationRepository:
     tokens_out: int = 0
     status: str = "new"
     budget_exhausted: bool = False
-    report_markdown: str = ""
-    attack_graph_dot: str = ""
+    campaign_summary: str = FALLBACK_SUMMARY  # the Reporter's prose
+    remediation: list[str] = field(default_factory=list)
+
+    @property
+    def report_markdown(self) -> str:
+        return render_report(self)
+
+    @property
+    def attack_graph_dot(self) -> str:
+        return attack_graph_dot(self)
 
     # --- journal -------------------------------------------------------
 
@@ -142,18 +155,18 @@ class InvestigationRepository:
     # --- persistence -----------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The stored state: everything but the journal, which
+        ``journal.jsonl`` holds."""
         data = asdict(self)
-        data["journal"] = data.pop("journal_entries")
-        data["narrative"] = self.narrative()
+        del data["journal_entries"]
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "InvestigationRepository":
-        """The repository ``to_dict`` gave; a missing or unknown key raises."""
-        data = dict(data)
-        del data["narrative"]  # derived from the IOCs
-        data["journal_entries"] = data.pop("journal")
-        repo = record(cls)(data)
+    def from_dict(cls, data: dict,
+                  journal_entries: list[dict]) -> "InvestigationRepository":
+        """The repository ``to_dict`` gave, with its journal; a missing or
+        unknown key raises."""
+        repo = record(cls)(dict(data, journal_entries=journal_entries))
         ioc = record(IOCRecord)
         repo.iocs = {u: ioc(r) for u, r in repo.iocs.items()}
         repo.hypotheses = list(map(record(Hypothesis), repo.hypotheses))
@@ -166,4 +179,114 @@ class InvestigationRepository:
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvestigationRepository":
-        return read_json(Path(directory) / "repository.json", cls.from_dict)
+        """The saved repository; a journal entry out of sequence or without
+        its action raises ArtifactError naming ``journal.jsonl``."""
+        base = Path(directory)
+        path = base / "journal.jsonl"
+        journal = list(read_jsonl(path))
+        with reading(path):
+            for seq, entry in enumerate(journal):
+                if (not isinstance(entry, dict) or entry.get("seq") != seq
+                        or "action" not in entry):
+                    raise ValueError(f"journal entry {seq} is out of "
+                                     f"sequence or lacks its action")
+        return read_json(base / "repository.json",
+                         lambda data: cls.from_dict(data, journal))
+
+
+# --- reporting ---------------------------------------------------------------
+
+def _phase_order(phase: str) -> int:
+    try:
+        return KILL_CHAIN_PHASES.index(phase)
+    except ValueError:
+        return len(KILL_CHAIN_PHASES)
+
+
+def attack_graph_dot(repo: InvestigationRepository) -> str:
+    """Directed attack graph: validated IOCs as nodes, related-IOC references
+    and expansion relations as edges. Plain DOT, renderable with graphviz."""
+    validated = repo.validated_iocs()
+    valid_ids = {ioc.node_uuid for ioc in validated}
+    lines = ["digraph attack {", "  rankdir=LR;"]
+    for ioc in validated:
+        label = f"{ioc.identity}\\n{ioc.kill_chain_phase}"
+        lines.append(f'  "{ioc.node_uuid}" [label="{label}"];')
+    edges: dict[tuple[str, str], str] = {}
+    for ioc in validated:
+        for ref in ioc.related_ioc_refs:
+            if ref in valid_ids:
+                edges.setdefault((ref, ioc.node_uuid), "related")
+    for src, dst, label in repo.relations:
+        if src in valid_ids and dst in valid_ids:
+            edges[(src, dst)] = label
+    for (src, dst), label in sorted(edges.items()):
+        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def render_report(repo: InvestigationRepository) -> str:
+    """The Markdown report. Its sections, ordering and per-IOC lines come
+    from the stored state; only the campaign summary and the remediation
+    steps are the Reporter's prose."""
+    validated = repo.validated_iocs()
+    refuted = repo.refuted_iocs()
+    lines = [f"# Incident Report: {repo.graph_name}", ""]
+    if repo.budget_exhausted:
+        lines += ["> **Note:** the investigation stopped on budget "
+                  "exhaustion; open hypotheses were treated as false "
+                  "positives.", ""]
+    lines += [
+        f"Validated IOCs: {len(validated)} | Dismissed: {len(refuted)} | "
+        f"Hypotheses examined: {len(repo.hypotheses)} | "
+        f"LLM calls: {repo.llm_calls_used}",
+        "",
+        "## Campaign Summary",
+        "",
+    ]
+    if validated:
+        lines += [repo.campaign_summary, ""]
+    else:
+        lines += ["No incident: no alert survived validation against benign "
+                  "reference behavior.", ""]
+    lines += ["## Attack Narrative", ""]
+    if not validated:
+        lines += ["(empty)", ""]
+    else:
+        ordered = sorted(validated,
+                         key=lambda i: (_phase_order(i.kill_chain_phase),
+                                        i.node_uuid))
+        for ioc in ordered:
+            phase = PHASE_NAMES.get(ioc.kill_chain_phase, ioc.kill_chain_phase)
+            lines.append(f"- **{phase}** — `{ioc.node_uuid}` ({ioc.identity}): "
+                         f"{ioc.event}")
+        lines.append("")
+    lines += ["## Indicator Details", ""]
+    for ioc in validated:
+        lines += [
+            f"### {ioc.identity} [{ioc.node_uuid}]",
+            "",
+            f"- verdict: malicious (confidence {ioc.confidence:.2f}, "
+            f"origin {ioc.origin})",
+            f"- kill-chain phase: {ioc.kill_chain_phase}",
+            f"- related indicators: "
+            f"{', '.join(ioc.related_ioc_refs) if ioc.related_ioc_refs else 'none'}",
+        ]
+        for line in repo.evidence.get(ioc.node_uuid, [])[:10]:
+            lines.append(f"  - evidence: {line}")
+        lines.append("")
+    lines += ["## Remediation", ""]
+    if repo.remediation:
+        lines += [f"- {step}" for step in repo.remediation]
+    else:
+        lines.append("- No remediation required.")
+    lines.append("")
+    if refuted:
+        lines += ["## Appendix: Dismissed Findings", ""]
+        for ioc in refuted:
+            lines.append(f"- `{ioc.node_uuid}` ({ioc.identity}): dismissed "
+                         f"as false positive")
+        lines.append("")
+    return "\n".join(lines)
+

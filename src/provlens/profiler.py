@@ -31,7 +31,6 @@ DIGEST_EDGE_LIMIT = 20
 
 @dataclass
 class IdentityProfile:
-    label: str
     centroid: np.ndarray
     radius: float
     count: int
@@ -66,7 +65,7 @@ class BenignKnowledgeBase:
             vectors = self.embeddings[rows]
             centroid = compute_centroid(vectors)
             self.profiles[label] = IdentityProfile(
-                label=label, centroid=centroid,
+                centroid=centroid,
                 radius=compute_radius(vectors, centroid, self.epsilon),
                 count=len(vectors))
 

@@ -42,10 +42,7 @@ def manual_graph(nodes, edges, name="g"):
                                 identity=identity)
     edge_objs = [ProvEdge(src=s, dst=d, operation=op, first_ts=f, last_ts=l,
                           weight=w) for (s, d, op, f, l, w) in edges]
-    stamps = [t for e in edge_objs for t in (e.first_ts, e.last_ts)]
-    return ProvenanceGraph(name=name, nodes=node_map, edges=edge_objs,
-                           window_start=min(stamps) if stamps else 0,
-                           window_end=max(stamps) if stamps else 0)
+    return ProvenanceGraph(name=name, nodes=node_map, edges=edge_objs)
 
 
 # Graphs for the byte-level oracle tests. "ghost" is an edge endpoint that is

@@ -110,8 +110,7 @@ def test_equation_oracles():
     # nearest prototype against exhaustive scan
     for _ in range(100):
         profiles = {
-            f"P{i:02d}": profiler.IdentityProfile(
-                f"P{i:02d}", rng.normal(size=4), 1.0, 1)
+            f"P{i:02d}": profiler.IdentityProfile(rng.normal(size=4), 1.0, 1)
             for i in range(int(rng.integers(1, 12)))
         }
         z = rng.normal(size=4)

@@ -92,6 +92,10 @@ INVALID_CONFIG = [
                  {}, "JSON object", id="spec-not-object"),
     pytest.param(["synth", "--out", "{dir}/out"], "", {"PROVLENS_SEED": "abc"},
                  "PROVLENS_SEED", id="env-seed-not-int"),
+    pytest.param(["train", "--artifacts", "{dir}"], "", {}, "--graphs",
+                 id="train-without-graphs"),
+    pytest.param(["profile", "--artifacts", "{dir}"], "", {}, "--graphs",
+                 id="profile-without-graphs"),
 ]
 
 
@@ -229,13 +233,30 @@ def test_pipeline_alert_artifacts_exist(pipeline):
     assert set(labels["anomalous"]) <= flagged
 
 
+REPORT_FILES = ("report.md", "attack_graph.dot")
+
+
 def test_report_command_is_idempotent(pipeline):
     artifacts, _ = pipeline
-    report = artifacts / "investigation" / "attack" / "report.md"
-    before = report.read_bytes()
+    out_dir = artifacts / "investigation" / "attack"
+    before = [(out_dir / name).read_bytes() for name in REPORT_FILES]
     assert main(["report", "--artifacts", str(artifacts), "--graph",
                  "attack"]) == 0
-    assert report.read_bytes() == before
+    assert [(out_dir / name).read_bytes() for name in REPORT_FILES] == before
+
+
+def test_report_renders_what_investigate_wrote(pipeline, tmp_path):
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    out_dir = artifacts / "investigation" / "attack"
+    common = ["--artifacts", str(artifacts), "--graph", "attack"]
+    assert main(["investigate", *common, "--llm", "mock"]) == 0
+    written = [(out_dir / name).read_bytes() for name in REPORT_FILES]
+    for name in REPORT_FILES:
+        (out_dir / name).unlink()
+    assert main(["report", *common]) == 0
+    assert [(out_dir / name).read_bytes() for name in REPORT_FILES] == written
 
 
 @pytest.mark.parametrize("blob,loader,row", [
@@ -268,10 +289,13 @@ def _graph_loader(name):
 DETECT = ("detect", "--graph", "attack")
 INVESTIGATE = ("investigate", "--graph", "attack", "--llm", "mock")
 REPORT = ("report", "--graph", "attack")
-TRUNCATED = [
+GRAPH_RECORDS = [  # counted in the graph header
     ("graphs/benign.nodes.jsonl", _graph_loader("benign"),
      ("profile", "--graphs", "benign")),
     ("graphs/attack.edges.jsonl", _graph_loader("attack"), DETECT),
+]
+TRUNCATED = [
+    *GRAPH_RECORDS,
     ("graphs/attack.header.json", _graph_loader("attack"), DETECT),
     ("model/encoder.json", lambda path: load_params(path.parent), DETECT),
     ("model/vocab.json", lambda path: load_vocab(path.parent), DETECT),
@@ -279,6 +303,8 @@ TRUNCATED = [
     ("kb/kb.members.jsonl", lambda path: load_kb(path.parent), DETECT),
     ("alerts/attack.alerts.jsonl", load_alerts, INVESTIGATE),
     ("investigation/attack/repository.json",
+     lambda path: InvestigationRepository.load(path.parent), REPORT),
+    ("investigation/attack/journal.jsonl",
      lambda path: InvestigationRepository.load(path.parent), REPORT),
 ]
 
@@ -289,6 +315,16 @@ def _halve(path):
     if data[cut - 1:cut] == b"\n":  # cut inside a record, not between two
         cut += 1
     path.write_bytes(data[:cut])
+
+
+def _halve_at_record(path):
+    """Damage that keeps the first half of the records, each one whole."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:len(lines) // 2]))
+
+
+def _delete(path):
+    path.unlink()
 
 
 def _without(field):
@@ -337,6 +373,15 @@ def _missing_field(artifact, field, loader, argv):
 DAMAGED = [
     *[pytest.param(artifact, _halve, loader, argv, id=Path(artifact).name)
       for artifact, loader, argv in TRUNCATED],
+    *[pytest.param(artifact, _halve_at_record, loader, argv,
+                   id=f"{Path(artifact).name}-at-record-boundary")
+      for artifact, loader, argv in GRAPH_RECORDS],
+    pytest.param("investigation/attack/journal.jsonl", _delete,
+                 lambda path: InvestigationRepository.load(path.parent),
+                 REPORT, id="journal.jsonl-deleted"),
+    _missing_field("investigation/attack/journal.jsonl", "action",
+                   lambda path: InvestigationRepository.load(path.parent),
+                   REPORT),
     _missing_field("alerts/attack.alerts.jsonl", "score", load_alerts,
                    INVESTIGATE),
     _missing_field("model/encoder.json", "dims",
@@ -361,7 +406,7 @@ DAMAGED = [
                  id="encoder.json-sum-aggregation"),
     _missing_field("model/vocab.json", "dim",
                    lambda path: load_vocab(path.parent), DETECT),
-    _missing_field("graphs/attack.header.json", "window_start",
+    _missing_field("graphs/attack.header.json", "node_count",
                    _graph_loader("attack"), DETECT),
     _missing_field("graphs/attack.nodes.jsonl", "identity",
                    _graph_loader("attack"), DETECT),

@@ -30,8 +30,8 @@ from conftest import assert_canonical_json_files, graph_from_events, make_event
 
 def profiles_ab():
     return {
-        "A": IdentityProfile("A", np.array([0.0, 0.0]), 1.0, 3),
-        "B": IdentityProfile("B", np.array([10.0, 0.0]), 1.0, 3),
+        "A": IdentityProfile(np.array([0.0, 0.0]), 1.0, 3),
+        "B": IdentityProfile(np.array([10.0, 0.0]), 1.0, 3),
     }
 
 
@@ -49,7 +49,7 @@ def test_nearest_prototype_tie_prefers_smallest_label():
 
 def test_nearest_prototype_matches_exhaustive_oracle():
     rng = np.random.default_rng(5)
-    profiles = {f"P{i}": IdentityProfile(f"P{i}", rng.normal(size=4), 1.0, 1)
+    profiles = {f"P{i}": IdentityProfile(rng.normal(size=4), 1.0, 1)
                 for i in range(10)}
     for _ in range(50):
         z = rng.normal(size=4)
@@ -80,8 +80,8 @@ def test_detect_node_deviation_only():
 
 def test_detect_node_mismatch_only():
     profiles = {
-        "A": IdentityProfile("A", np.array([0.0, 0.0]), 2.0, 3),
-        "B": IdentityProfile("B", np.array([2.0, 0.0]), 2.0, 3),
+        "A": IdentityProfile(np.array([0.0, 0.0]), 2.0, 3),
+        "B": IdentityProfile(np.array([2.0, 0.0]), 2.0, 3),
     }
     alert = detect_node(np.array([1.5, 0.0]), "A", profiles)
     assert alert.violation == "mismatch"

@@ -117,8 +117,6 @@ def test_graph_invariants():
     for edge in graph.edges:
         assert edge.src in graph.nodes and edge.dst in graph.nodes
         assert edge.first_ts <= edge.last_ts
-        assert graph.window_start <= edge.first_ts
-        assert edge.last_ts <= graph.window_end
         assert edge.weight >= 1
 
 
@@ -209,8 +207,6 @@ def test_graph_save_load_round_trip(tmp_path):
     assert loaded == graph
     assert_canonical_json_files(tmp_path)
     assert loaded.name == graph.name
-    assert loaded.window_start == graph.window_start
-    assert loaded.window_end == graph.window_end
     assert set(loaded.nodes) == set(graph.nodes)
     for uuid in graph.nodes:
         assert loaded.nodes[uuid].identity == graph.nodes[uuid].identity

@@ -24,6 +24,7 @@ from provlens.investigation.llm import (
     heuristic_mock,
     validate_response,
 )
+from provlens.investigation.repository import FALLBACK_SUMMARY
 from provlens.profiler import BenignKnowledgeBase, edge_digest
 
 from conftest import assert_canonical_json_files, graph_from_events, make_event
@@ -427,6 +428,26 @@ def test_journal_replay_is_deterministic():
     assert one.report_markdown == two.report_markdown
 
 
+def test_reporter_prose_is_stored_as_given():
+    backend = scripted_chain_backend()
+    backend.handlers["reporter"] = lambda p: {"campaign_summary": "",
+                                              "remediation": []}
+    repo = run_chain(backend=backend)
+    assert repo.campaign_summary == ""
+    summary = repo.report_markdown.split("## Campaign Summary")[1] \
+                                  .split("## Attack Narrative")[0]
+    assert summary.strip() == ""
+
+
+def test_budget_spent_before_reporter_keeps_fallback_summary():
+    calls = run_chain().llm_calls_used  # the Reporter's call is the last
+    repo = run_chain(budget=default_budget(max_llm_calls=calls - 1))
+    assert repo.status == "complete" and not repo.budget_exhausted
+    assert repo.campaign_summary == FALLBACK_SUMMARY
+    assert repo.remediation == []
+    assert FALLBACK_SUMMARY in repo.report_markdown
+
+
 def test_report_lists_each_validated_ioc_exactly_once():
     repo = run_chain()
     narrative = repo.report_markdown.split("## Attack Narrative")[1] \
@@ -637,6 +658,9 @@ def test_repository_round_trip(tmp_path):
         assert len(journal_file) == len(repo.journal_entries)
         assert ([json.loads(line) for line in journal_file]
                 == repo.journal_entries)
+        stored = json.loads((directory / "repository.json").read_text())
+        assert not {"journal", "journal_entries", "narrative",
+                    "report_markdown", "attack_graph_dot"} & set(stored)
         assert_canonical_json_files(directory)
     assert repo.hypotheses  # the second run holds hypotheses
 
