@@ -40,48 +40,51 @@ class Alert:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def nearest_prototype(z: np.ndarray,
-                      profiles: dict[str, IdentityProfile]) -> tuple[str, float]:
-    """Identity whose centroid is closest to ``z``; ties go to the
-    lexicographically smallest label."""
-    if not profiles:
-        raise ConfigError("nearest_prototype requires at least one profile")
-    labels = sorted(profiles)
-    distances = euclidean_distance(
-        np.array([profiles[label].centroid for label in labels]), z)
-    best = int(np.argmin(distances))
-    return labels[best], float(distances[best])
+def detect_embedded(uuids: list[str], z: np.ndarray, claimed: list[str],
+                    profiles: dict[str, IdentityProfile],
+                    graph_name: str = "") -> list[Alert]:
+    """Apply both violation criteria to every row of ``z``, where node
+    ``uuids[i]`` claims identity ``claimed[i]``; alerts come back sorted by
+    score descending, uuid ascending.
 
-
-def detect_node(z: np.ndarray, claimed: str,
-                profiles: dict[str, IdentityProfile],
-                node_uuid: str = "", graph_name: str = "") -> Alert | None:
-    """Apply both violation criteria to one embedded node.
-
-    Returns None for benign nodes. Identities never seen in benign data always
-    alert (unknown_identity); the investigation stage adjudicates those.
+    The distances form one (n, k) matrix, a column per identity in sorted-label
+    order. The matched identity is the first nearest column, so ties go to the
+    smallest label. Identities never seen in benign data always alert
+    (unknown_identity); the investigation stage adjudicates those.
     """
-    matched, matched_dist = nearest_prototype(z, profiles)
-    profile = profiles.get(claimed)
+    labels = sorted(profiles)
+    column = {label: i for i, label in enumerate(labels)}
+    distances = np.column_stack([
+        euclidean_distance(z, profiles[label].centroid) for label in labels])
+    nearest = np.argmin(distances, axis=1)
+    # the claimed identity's column; -1, which matches no column, if unknown
+    own = np.array([column.get(label, -1) for label in claimed], dtype=np.intp)
+    known = own >= 0
+    deviation = distances[np.arange(len(own)), np.where(known, own, nearest)]
+    radius = np.array([profiles[label].radius for label in labels])[own]
+    violating = (nearest != own) | (known & (deviation > radius))
+    alerts = [_alert(uuids[i], graph_name, claimed[i], labels[nearest[i]],
+                     float(deviation[i]), profiles.get(claimed[i]))
+              for i in np.flatnonzero(violating)]
+    alerts.sort(key=lambda a: (-a.score, a.node_uuid))
+    return alerts
+
+
+def _alert(node_uuid: str, graph_name: str, claimed: str, matched: str,
+           deviation: float, profile: IdentityProfile | None) -> Alert:
+    """The alert of a violating node: ``deviation`` is its distance to the
+    claimed identity, or to ``matched`` when the claim has no ``profile``."""
     if profile is None:
         return Alert(
             node_uuid=node_uuid, graph_name=graph_name, claimed=claimed,
-            matched=matched, deviation=matched_dist, radius=None,
+            matched=matched, deviation=deviation, radius=None,
             violation="unknown_identity",
             explanation=(f"declared {claimed} has no benign profile; "
-                         f"behaves like {matched}, d={matched_dist:.6g}"),
-            score=1.0 + matched_dist)
-    deviation = euclidean_distance(z, profile.centroid)
+                         f"behaves like {matched}, d={deviation:.6g}"),
+            score=1.0 + deviation)
     outside = deviation > profile.radius
     mismatched = matched != claimed
-    if not outside and not mismatched:
-        return None
-    if outside and mismatched:
-        violation = "both"
-    elif outside:
-        violation = "deviation"
-    else:
-        violation = "mismatch"
+    violation = ("both" if mismatched else "deviation") if outside else "mismatch"
     score = max(0.0, deviation - profile.radius) / (profile.radius + SCORE_DELTA)
     if mismatched:
         score += 1.0
@@ -113,21 +116,16 @@ def check_dimensions(params: EncoderParams, vocab: SemanticVocab,
 def detect_graph(graph: ProvenanceGraph, params: EncoderParams,
                  vocab: SemanticVocab, kb: BenignKnowledgeBase,
                  op_vocab) -> list[Alert]:
-    """Embed every node of ``graph`` and run per-node detection.
+    """Embed every node of ``graph`` and detect over the embedded rows.
 
     Alerts come back sorted by score descending, uuid ascending, so identical
     inputs always produce an identical alert list.
     """
     check_dimensions(params, vocab, kb, op_vocab)
     uuids, h0 = feature_matrix(graph, vocab, op_vocab)
-    alerts = []
-    for uuid, z in zip(uuids, forward(graph, uuids, h0, params)):
-        alert = detect_node(z, graph.nodes[uuid].identity,
-                            kb.profiles, node_uuid=uuid, graph_name=graph.name)
-        if alert is not None:
-            alerts.append(alert)
-    alerts.sort(key=lambda a: (-a.score, a.node_uuid))
-    return alerts
+    return detect_embedded(uuids, forward(graph, uuids, h0, params),
+                           [graph.nodes[uuid].identity for uuid in uuids],
+                           kb.profiles, graph.name)
 
 
 def save_alerts(alerts: list[Alert], path: str | Path) -> None:

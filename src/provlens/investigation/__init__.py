@@ -6,7 +6,6 @@ from .llm import (
     HttpChatLLM,
     LLMSession,
     ScriptedLLM,
-    canonical_digest,
 )
 from .orchestrator import run_investigation
 from .repository import (
@@ -35,7 +34,6 @@ __all__ = [
     "LLMSession",
     "ScriptedLLM",
     "analyst_validate",
-    "canonical_digest",
     "investigator_expand",
     "leader_synthesize",
     "reporter_compose",

@@ -1,17 +1,16 @@
 """LLM access layer: role prompts, response schemas, backends, call session.
 
 Two interchangeable backends sit behind one interface: an HTTP chat-completion
-client for live runs and a deterministic scripted mock keyed on the role plus
-a canonical digest of the request payload, which is what the offline test
-suite drives. Schema violations trigger a bounded number of repair retries in
-which the previous error is echoed back to the model; persistent failures fall
-back to the role's fail-closed default (never a fabricated anomaly).
+client for live runs and a deterministic scripted mock whose per-role handler
+functions answer from the request payload alone. Schema violations trigger a
+bounded number of repair retries in which the previous error is echoed back to
+the model; persistent failures fall back to the role's fail-closed default
+(never a fabricated anomaly).
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import logging
 import re
@@ -101,11 +100,6 @@ FALLBACKS = {
 }
 
 
-def canonical_digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 # --- schema validation ------------------------------------------------------
 
 def _require(cond: bool, message: str) -> None:
@@ -179,32 +173,16 @@ def validate_response(role: str, obj) -> dict:
 # --- backends ---------------------------------------------------------------
 
 class ScriptedLLM:
-    """Deterministic offline backend.
+    """Deterministic offline backend: each role's response is its handler
+    function of the payload, so replaying a run reproduces it exactly."""
 
-    Responses resolve in order: an exact (role, payload digest) script entry,
-    then a per-role handler function of the payload. Everything is a pure
-    function of the request, so replaying a run reproduces it exactly.
-    """
-
-    def __init__(self, responses: dict | None = None,
-                 handlers: dict | None = None):
-        self.responses = dict(responses or {})
-        self.handlers = dict(handlers or {})
-        self.calls: list[tuple[str, str]] = []
-
-    def script(self, role: str, payload: dict, response: dict) -> None:
-        self.responses[(role, canonical_digest(payload))] = response
+    def __init__(self, handlers: dict):
+        self.handlers = dict(handlers)
 
     def invoke(self, role: str, system_prompt: str, payload: dict) -> str:
-        digest = canonical_digest(payload)
-        self.calls.append((role, digest))
-        if (role, digest) in self.responses:
-            response = self.responses[(role, digest)]
-        elif role in self.handlers:
-            response = self.handlers[role](payload)
-        else:
-            raise LLMError(f"no scripted response for role {role!r} "
-                           f"digest {digest[:12]}")
+        if role not in self.handlers:
+            raise LLMError(f"no scripted response for role {role!r}")
+        response = self.handlers[role](payload)
         return response if isinstance(response, str) else json.dumps(response)
 
 

@@ -5,7 +5,8 @@ All mutations go through one writer and are recorded in an append-only journal
 with monotonically increasing sequence numbers (no wall-clock timestamps, so
 two identical runs journal byte for byte the same). It stores each fact once:
 the report and the attack graph are rendered from the stored state, and the
-journal is saved only to ``journal.jsonl``.
+journal is saved only to ``journal.jsonl``, whose length ``repository.json``
+records so that a journal cut at a record boundary is caught.
 """
 
 from __future__ import annotations
@@ -156,9 +157,9 @@ class InvestigationRepository:
 
     def to_dict(self) -> dict:
         """The stored state: everything but the journal, which
-        ``journal.jsonl`` holds."""
+        ``journal.jsonl`` holds, and in its place the journal's length."""
         data = asdict(self)
-        del data["journal_entries"]
+        data["journal_length"] = len(data.pop("journal_entries"))
         return data
 
     @classmethod
@@ -166,7 +167,9 @@ class InvestigationRepository:
                   journal_entries: list[dict]) -> "InvestigationRepository":
         """The repository ``to_dict`` gave, with its journal; a missing or
         unknown key raises."""
-        repo = record(cls)(dict(data, journal_entries=journal_entries))
+        state = dict(data, journal_entries=journal_entries)
+        del state["journal_length"]
+        repo = record(cls)(state)
         ioc = record(IOCRecord)
         repo.iocs = {u: ioc(r) for u, r in repo.iocs.items()}
         repo.hypotheses = list(map(record(Hypothesis), repo.hypotheses))
@@ -179,19 +182,25 @@ class InvestigationRepository:
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvestigationRepository":
-        """The saved repository; a journal entry out of sequence or without
-        its action raises ArtifactError naming ``journal.jsonl``."""
+        """The saved repository; a journal of another length than
+        ``repository.json`` records, or with an entry out of sequence or
+        without its action, raises ArtifactError naming ``journal.jsonl``."""
         base = Path(directory)
         path = base / "journal.jsonl"
         journal = list(read_jsonl(path))
+        repo, length = read_json(base / "repository.json",
+                                 lambda data: (cls.from_dict(data, journal),
+                                               data["journal_length"]))
         with reading(path):
+            if len(journal) != length:
+                raise ValueError(f"journal holds {len(journal)} entries, "
+                                 f"repository.json records {length}")
             for seq, entry in enumerate(journal):
                 if (not isinstance(entry, dict) or entry.get("seq") != seq
                         or "action" not in entry):
                     raise ValueError(f"journal entry {seq} is out of "
                                      f"sequence or lacks its action")
-        return read_json(base / "repository.json",
-                         lambda data: cls.from_dict(data, journal))
+        return repo
 
 
 # --- reporting ---------------------------------------------------------------

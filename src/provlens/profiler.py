@@ -41,7 +41,8 @@ class BenignKnowledgeBase:
     """Each benign member as one row: ``uuids[i]``, ``labels[i]``,
     ``embeddings[i]`` and ``digests[i]``, its edge digest, sorted by
     (label, uuid). ``rows[label]`` is the label's slice of rows and
-    ``profiles[label]`` the profile derived from that slice."""
+    ``profiles[label]`` the profile derived from that slice. It holds at
+    least one row, so detection always has an identity to match."""
     epsilon: float
     uuids: list[str]
     labels: list[str]
@@ -52,6 +53,8 @@ class BenignKnowledgeBase:
     profiles: dict[str, IdentityProfile] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.labels:
+            raise ValueError("knowledge base holds no member rows")
         if self.labels != sorted(self.labels):
             raise ValueError("knowledge-base rows must be sorted by label")
         self.rows = {label: slice(bisect_left(self.labels, label),
@@ -125,9 +128,6 @@ def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
                          epsilon: float, op_vocab) -> BenignKnowledgeBase:
     """Embed every node of the benign graphs as one member row, which carries
     the edge digest of its own graph."""
-    graphs = list(graphs)
-    if not graphs:
-        raise ConfigError("knowledge base needs at least one benign graph")
     members: list[tuple[str, str, list[str]]] = []  # (label, uuid, digest)
     embeddings: list[np.ndarray] = []
     for graph in graphs:
@@ -135,6 +135,8 @@ def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
         embeddings.append(forward(graph, graph_uuids, h0, params))
         members += [(graph.nodes[uuid].identity, uuid, edge_digest(graph, uuid))
                     for uuid in graph_uuids]
+    if not members:
+        raise ConfigError("knowledge base needs at least one benign node")
     order = sorted(range(len(members)), key=lambda i: members[i][:2])
     return BenignKnowledgeBase(
         epsilon=epsilon, uuids=[members[i][1] for i in order],

@@ -1,13 +1,16 @@
-"""Reference implementations the encoder and feature tests check the
-production code against byte for byte: the neighborhood operator built from
-per-node neighbor sets, and the node feature rows built by one walk over each
-node's incident edges."""
+"""Reference implementations the encoder, feature and detector tests check
+the production code against byte for byte: the neighborhood operator built from
+per-node neighbor sets, the node feature rows built by one walk over each
+node's incident edges, and the detection rule applied to one node at a time."""
 
 import numpy as np
 from scipy import sparse
 
+from provlens.detector import SCORE_DELTA, Alert
+from provlens.errors import ConfigError
 from provlens.features import TEMPORAL_DIM
 from provlens.ingest import incident_edges
+from provlens.profiler import euclidean_distance
 
 
 def propagation_matrix(graph, uuids):
@@ -72,3 +75,54 @@ def feature_matrix(graph, vocab, op_vocab):
         if span != 0.0:
             h0[row, act_end:] = (stats - stats.min()) / span
     return uuids, h0
+
+
+def nearest_prototype(z, profiles):
+    """Identity whose centroid is closest to ``z``; ties go to the
+    lexicographically smallest label."""
+    if not profiles:
+        raise ConfigError("nearest_prototype requires at least one profile")
+    labels = sorted(profiles)
+    distances = euclidean_distance(
+        np.array([profiles[label].centroid for label in labels]), z)
+    best = int(np.argmin(distances))
+    return labels[best], float(distances[best])
+
+
+def detect_node(z, claimed, profiles, node_uuid="", graph_name=""):
+    """Apply both violation criteria to one embedded node.
+
+    Returns None for benign nodes. Identities never seen in benign data always
+    alert (unknown_identity); the investigation stage adjudicates those.
+    """
+    matched, matched_dist = nearest_prototype(z, profiles)
+    profile = profiles.get(claimed)
+    if profile is None:
+        return Alert(
+            node_uuid=node_uuid, graph_name=graph_name, claimed=claimed,
+            matched=matched, deviation=matched_dist, radius=None,
+            violation="unknown_identity",
+            explanation=(f"declared {claimed} has no benign profile; "
+                         f"behaves like {matched}, d={matched_dist:.6g}"),
+            score=1.0 + matched_dist)
+    deviation = euclidean_distance(z, profile.centroid)
+    outside = deviation > profile.radius
+    mismatched = matched != claimed
+    if not outside and not mismatched:
+        return None
+    if outside and mismatched:
+        violation = "both"
+    elif outside:
+        violation = "deviation"
+    else:
+        violation = "mismatch"
+    score = max(0.0, deviation - profile.radius) / (profile.radius + SCORE_DELTA)
+    if mismatched:
+        score += 1.0
+    return Alert(
+        node_uuid=node_uuid, graph_name=graph_name, claimed=claimed,
+        matched=matched, deviation=deviation, radius=profile.radius,
+        violation=violation,
+        explanation=(f"declared {claimed} behaves like {matched}, "
+                     f"d={deviation:.6g}, R={profile.radius:.6g}"),
+        score=score)

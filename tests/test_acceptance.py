@@ -16,10 +16,11 @@ from provlens import detector, encoder, features, ingest, profiler, synth
 from provlens.cli import main as cli_main
 from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig
 from provlens.encoder import ContrastiveBatch, batch_loss_grad
-from provlens.investigation import InvestigationBudget, ScriptedLLM
+from provlens.investigation import InvestigationBudget
 from provlens.profiler import compute_centroid, compute_radius, euclidean_distance
 
 from conftest import EMPTY_VOCAB, feature_blocks, manual_graph
+from scripted_llm import RecordingLLM
 from test_investigation import TRUTH, default_budget, run_chain
 
 
@@ -114,12 +115,12 @@ def test_equation_oracles():
             for i in range(int(rng.integers(1, 12)))
         }
         z = rng.normal(size=4)
-        label, dist = detector.nearest_prototype(z, profiles)
+        alert, = detector.detect_embedded(["q"], z[None], ["unseen"], profiles)
         oracle_dist, oracle_label = min(
             (euclidean_distance(z, p.centroid), name)
             for name, p in sorted(profiles.items()))
-        assert oracle_label == label
-        worst = max(worst, abs(dist - oracle_dist))
+        assert oracle_label == alert.matched
+        worst = max(worst, abs(alert.deviation - oracle_dist))
 
     check("equation-oracles", worst <= 1e-9, f"max abs deviation {worst:.2e}")
 
@@ -308,7 +309,7 @@ def test_mai_safety_under_adversarial_mock():
                                 "target_refs": ["DE"]}],
                 "false_positive_flags": [], "terminate": False}
 
-    backend = ScriptedLLM(handlers={
+    backend = RecordingLLM(handlers={
         "analyst": analyst, "investigator": investigator, "leader": leader,
         "reporter": lambda p: {"campaign_summary": "s", "remediation": []}})
     budget = InvestigationBudget(max_iterations=1000, max_leads_per_ioc=10,

@@ -365,6 +365,12 @@ def _sum_aggregation(path):
     path.write_text(json.dumps(header))
 
 
+def _zero_rows(path):
+    """Damage that leaves the knowledge base without member rows."""
+    path.write_bytes(b"")
+    (path.parent / "kb.embeddings.bin").write_bytes(b"")
+
+
 def _missing_field(artifact, field, loader, argv):
     return pytest.param(artifact, _without(field), loader, argv,
                         id=f"{Path(artifact).name}-without-{field}")
@@ -395,6 +401,12 @@ DAMAGED = [
                    lambda path: load_kb(path.parent), DETECT),
     _missing_field("kb/kb.members.jsonl", "label",
                    lambda path: load_kb(path.parent), DETECT),
+    pytest.param("investigation/attack/journal.jsonl", _halve_at_record,
+                 lambda path: InvestigationRepository.load(path.parent),
+                 REPORT, id="journal.jsonl-at-record-boundary"),
+    pytest.param("kb/kb.members.jsonl", _zero_rows,
+                 lambda path: load_kb(path.parent), DETECT,
+                 id="kb.members.jsonl-zero-rows"),
     pytest.param("kb/kb.members.jsonl", _swap_first_and_last,
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.members.jsonl-labels-out-of-order"),
@@ -432,6 +444,22 @@ def test_truncated_artifact_exits_2_and_names_file(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 2
     assert "error code=missing_artifact" in err and path.name in err
+
+
+def test_profile_of_graph_without_nodes_exits_3(pipeline, tmp_path, capsys):
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    events = tmp_path / "empty.jsonl"
+    events.write_text("", encoding="utf-8")
+    common = ["--artifacts", str(artifacts)]
+    assert main(["ingest", *common, "--input", str(events),
+                 "--name", "empty"]) == 0
+    capsys.readouterr()
+    code = main(["profile", *common, "--graphs", "empty"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error code=config" in err and "at least one benign node" in err
 
 
 def test_kb_encoder_dimension_mismatch_exits_3(pipeline, tmp_path, capsys):

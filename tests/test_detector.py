@@ -3,15 +3,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from provlens import detector
 from provlens.config import DEFAULT_OP_VOCAB
 from provlens.detector import (
     Alert,
+    detect_embedded,
     detect_graph,
-    detect_node,
     format_alert_table,
     load_alerts,
-    nearest_prototype,
     save_alerts,
 )
 from provlens.encoder import init_params, train
@@ -25,6 +26,7 @@ from provlens.profiler import (
     euclidean_distance,
 )
 
+import graph_oracle
 from conftest import assert_canonical_json_files, graph_from_events, make_event
 
 
@@ -33,6 +35,19 @@ def profiles_ab():
         "A": IdentityProfile(np.array([0.0, 0.0]), 1.0, 3),
         "B": IdentityProfile(np.array([10.0, 0.0]), 1.0, 3),
     }
+
+
+def detect_node(z, claimed, profiles):
+    """The alert of one node at ``z`` claiming ``claimed``, or None."""
+    alerts = detect_embedded(["n"], np.array([z]), [claimed], profiles)
+    return alerts[0] if alerts else None
+
+
+def nearest_prototype(z, profiles):
+    """(matched identity, its distance), read off the alert of a node whose
+    claimed identity has no profile."""
+    alert = detect_node(z, "unseen", profiles)
+    return alert.matched, alert.deviation
 
 
 # --- nearest prototype ----------------------------------------------------------
@@ -51,23 +66,21 @@ def test_nearest_prototype_matches_exhaustive_oracle():
     rng = np.random.default_rng(5)
     profiles = {f"P{i}": IdentityProfile(rng.normal(size=4), 1.0, 1)
                 for i in range(10)}
-    for _ in range(50):
-        z = rng.normal(size=4)
-        label, dist = nearest_prototype(z, profiles)
-        oracle = min((euclidean_distance(z, p.centroid), name)
+    z = rng.normal(size=(50, 4))
+    uuids = [f"n{i:02d}" for i in range(50)]
+    alerts = detect_embedded(uuids, z, ["unseen"] * 50, profiles)
+    found = {a.node_uuid: (a.matched, a.deviation) for a in alerts}
+    for uuid, row in zip(uuids, z):
+        oracle = min((euclidean_distance(row, p.centroid), name)
                      for name, p in sorted(profiles.items()))
-        assert (oracle[1], oracle[0]) == (label, dist)
+        assert (oracle[1], oracle[0]) == found[uuid]
 
 
-def test_nearest_prototype_requires_profiles():
-    with pytest.raises(ConfigError):
-        nearest_prototype(np.zeros(2), {})
-
-
-# --- per-node rule ----------------------------------------------------------------
+# --- the detection rule -----------------------------------------------------------
 
 def test_detect_node_benign_inside_and_matched():
     assert detect_node(np.array([0.5, 0.0]), "A", profiles_ab()) is None
+    assert detect_node(np.array([0.0, 1.0]), "A", profiles_ab()) is None
 
 
 def test_detect_node_deviation_only():
@@ -103,6 +116,63 @@ def test_detect_node_unknown_identity_always_alerts():
     assert alert.matched == "A"
     assert alert.score == pytest.approx(1.0)
     assert "no benign profile" in alert.explanation
+
+
+def test_detect_embedded_one_distance_call_per_identity(monkeypatch):
+    """k distance calls for n nodes, none of them over an (n, k, d) array."""
+    shapes = []
+
+    def counted(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return euclidean_distance(a, b)
+
+    monkeypatch.setattr(detector, "euclidean_distance", counted)
+    z = np.random.default_rng(0).normal(size=(7, 2))
+    detect_embedded([f"n{i}" for i in range(7)], z, ["A", "B", "C"] * 2 + ["A"],
+                    profiles_ab())
+    assert shapes == [((7, 2), (2,))] * 2
+
+
+# Labels, coordinates and radii come from small pools, so that equal
+# centroids (ties), claims without a profile, points exactly on a radius and
+# equal scores are common. Rows are not in uuid order.
+EMBEDDED_LABELS = ("A", "B", "C")
+
+
+@st.composite
+def embedded_cases(draw):
+    """(uuids, z, claimed, profiles) for ``detect_embedded``."""
+    dim = draw(st.integers(1, 3))
+    coordinate = st.one_of(st.integers(-2, 2).map(float),
+                           st.floats(-4.0, 4.0, allow_subnormal=False))
+    point = st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
+    labels = draw(st.lists(st.sampled_from(EMBEDDED_LABELS), min_size=1,
+                           unique=True))
+    centroids = {label: draw(point) for label in labels}
+    n = draw(st.integers(0, 8))
+    z = np.array(draw(st.lists(point, min_size=n, max_size=n))).reshape(n, dim)
+    claimed = draw(st.lists(st.sampled_from(EMBEDDED_LABELS + ("unseen",)),
+                            min_size=n, max_size=n))
+    profiles = {}
+    for label in labels:
+        on_radius = [float(euclidean_distance(row, centroids[label]))
+                     for row in z]
+        radius = draw(st.one_of(st.sampled_from([0.0, 1.0, *on_radius]),
+                                st.floats(0.0, 6.0)))
+        profiles[label] = IdentityProfile(centroids[label], radius, 1)
+    uuids = draw(st.permutations([f"n{i}" for i in range(n)]))
+    return uuids, z, claimed, profiles
+
+
+@given(embedded_cases())
+def test_detect_embedded_matches_per_node_oracle(case):
+    uuids, z, claimed, profiles = case
+    oracle = [graph_oracle.detect_node(row, label, profiles, uuid, "g")
+              for uuid, row, label in zip(uuids, z, claimed)]
+    oracle = sorted((a for a in oracle if a is not None),
+                    key=lambda a: (-a.score, a.node_uuid))
+    got = detect_embedded(uuids, z, claimed, profiles, "g")
+    assert [a.to_json() for a in got] == [a.to_json() for a in oracle]
 
 
 # --- graph-level detection --------------------------------------------------------

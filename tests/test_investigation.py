@@ -10,9 +10,7 @@ from provlens.investigation import (
     InvestigationBudget,
     InvestigationRepository,
     IOCRecord,
-    ScriptedLLM,
     analyst_validate,
-    canonical_digest,
     investigator_expand,
     leader_synthesize,
     run_investigation,
@@ -28,6 +26,7 @@ from provlens.investigation.repository import FALLBACK_SUMMARY
 from provlens.profiler import BenignKnowledgeBase, edge_digest
 
 from conftest import assert_canonical_json_files, graph_from_events, make_event
+from scripted_llm import RecordingLLM, canonical_digest
 
 TRUTH = ("att-a", "att-b", "att-c")
 
@@ -102,9 +101,9 @@ def scripted_chain_backend():
                                     "launcher executed.",
                 "remediation": ["Quarantine the payload file."]}
 
-    return ScriptedLLM(handlers={"analyst": analyst,
-                                 "investigator": investigator,
-                                 "leader": leader, "reporter": reporter})
+    return RecordingLLM(handlers={"analyst": analyst,
+                                  "investigator": investigator,
+                                  "leader": leader, "reporter": reporter})
 
 
 def default_budget(**overrides):
@@ -136,7 +135,7 @@ def invoke_once(backend, role, payload):
 
 def test_scripted_backend_exact_digest_keying():
     payload = {"node_uuid": "n1", "graph_name": "g"}
-    backend = ScriptedLLM()
+    backend = RecordingLLM()
     backend.script("analyst", payload,
                    {"verdict": "BENIGN", "confidence": 0.9,
                     "cited_evidence": [], "rationale": "scripted"})
@@ -154,7 +153,7 @@ def test_canonical_digest_is_order_insensitive():
 
 def test_session_repairs_schema_violation():
     payload = {"node_uuid": "n1"}
-    backend = ScriptedLLM()
+    backend = RecordingLLM()
     backend.responses[("analyst", canonical_digest(payload))] = [
         {"verdict": "ANOMALY"},  # missing confidence
     ]
@@ -174,7 +173,7 @@ def test_llm_invoke_raises_after_persistent_schema_failure():
     bad = {"verdict": "MAYBE"}
     with pytest.raises(LLMError) as excinfo:
         validate_response("analyst", dict(bad))
-    backend = ScriptedLLM(handlers={"analyst": lambda p: bad})
+    backend = RecordingLLM(handlers={"analyst": lambda p: bad})
     response, valid, repo = invoke_once(backend, "analyst", {"node_uuid": "n"})
     assert not valid
     assert response == FALLBACKS["analyst"]
@@ -185,7 +184,7 @@ def test_llm_invoke_raises_after_persistent_schema_failure():
 
 
 def test_session_falls_back_to_benign_and_journals():
-    backend = ScriptedLLM(handlers={"analyst": lambda p: {"bogus": 1}})
+    backend = RecordingLLM(handlers={"analyst": lambda p: {"bogus": 1}})
     response, valid, repo = invoke_once(backend, "analyst", {"node_uuid": "n"})
     assert not valid
     assert response == FALLBACKS["analyst"]
@@ -223,7 +222,7 @@ def test_analyst_scripted_passthrough():
     graph = attack_graph()
     store = GraphStore.build([graph])
     repo = InvestigationRepository("day1")
-    backend = ScriptedLLM(handlers={"analyst": lambda p: {
+    backend = RecordingLLM(handlers={"analyst": lambda p: {
         "verdict": "BENIGN", "confidence": 0.9, "cited_evidence": [],
         "rationale": "fine"}})
     session = LLMSession(backend=backend, max_llm_calls=10, repo=repo)
@@ -249,7 +248,7 @@ def test_analyst_benign_when_digest_matches_same_identity_member():
                 "rationale": "no benign analogue"}
 
     repo = InvestigationRepository("day1")
-    session = LLMSession(backend=ScriptedLLM(handlers={"analyst": faithful}),
+    session = LLMSession(backend=RecordingLLM(handlers={"analyst": faithful}),
                          max_llm_calls=10, repo=repo)
     # ben-3 mirrors ben-1 exactly (same ops, timestamps, object identity)
     same = analyst_validate({"graph_name": "day1", "node_uuid": "ben-3",
@@ -297,7 +296,7 @@ def test_investigator_isolated_ioc_keeps_phase():
     graph._incident_cache = None
     store = GraphStore.build([graph])
     repo = InvestigationRepository("day1")
-    backend = ScriptedLLM(handlers={"investigator": lambda p: {
+    backend = RecordingLLM(handlers={"investigator": lambda p: {
         "event": "quiet", "kill_chain_phase": "IR", "leads": []}})
     session = LLMSession(backend=backend, max_llm_calls=10, repo=repo)
     event, phase, leads = investigator_expand(
@@ -329,7 +328,7 @@ def test_lead_already_validated_is_deduplicated():
 # --- leader ---------------------------------------------------------------------
 
 def leader_session(repo, handler):
-    return LLMSession(backend=ScriptedLLM(handlers={"leader": handler}),
+    return LLMSession(backend=RecordingLLM(handlers={"leader": handler}),
                       max_llm_calls=10, repo=repo)
 
 
@@ -546,7 +545,7 @@ def test_adversarial_always_anomaly_respects_llm_budget():
                                 "target_refs": ["DE"]}],
                 "false_positive_flags": [], "terminate": False}
 
-    backend = ScriptedLLM(handlers={
+    backend = RecordingLLM(handlers={
         "analyst": analyst, "investigator": investigator, "leader": leader,
         "reporter": lambda p: {"campaign_summary": "s", "remediation": []}})
     budget = default_budget(max_llm_calls=25, max_iterations=50)

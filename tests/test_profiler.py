@@ -10,6 +10,7 @@ from provlens.config import DEFAULT_OP_VOCAB
 from provlens.encoder import init_params
 from provlens.errors import ConfigError
 from provlens.features import feature_dim, train_semantic_vocab, build_node_summary
+from provlens.ingest import build_graph
 from provlens.profiler import (
     BenignKnowledgeBase,
     attribute_query,
@@ -214,8 +215,9 @@ def test_build_kb_deterministic_serialization(tmp_path):
 
 def test_build_kb_requires_graphs():
     graph, vocab, params = small_benign_setup()
-    with pytest.raises(ConfigError):
-        build_knowledge_base([], params, vocab, 0.02, DEFAULT_OP_VOCAB)
+    for graphs in ([], [build_graph([], window_ns=10, name="empty")]):
+        with pytest.raises(ConfigError):
+            build_knowledge_base(graphs, params, vocab, 0.02, DEFAULT_OP_VOCAB)
 
 
 def test_kb_save_load_round_trip(tmp_path):
@@ -239,12 +241,6 @@ def test_kb_save_load_round_trip(tmp_path):
 
 
 # --- queries --------------------------------------------------------------------
-
-def test_knn_empty_kb_returns_empty():
-    kb = BenignKnowledgeBase(epsilon=0.0, uuids=[], labels=[],
-                             embeddings=np.zeros((0, 3)), digests=[])
-    assert knn_query(kb, np.zeros(3), k=4) == []
-
 
 def test_knn_exact_hit_first():
     kb = toy_kb()
@@ -315,16 +311,6 @@ def test_export_embeddings_rows(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0][:2] == ["uuid", "identity"]
     assert len(rows) == 4
-
-
-def test_export_embeddings_empty_kb(tmp_path):
-    kb = BenignKnowledgeBase(epsilon=0.0, uuids=[], labels=[],
-                             embeddings=np.zeros((0, 0)), digests=[])
-    path = tmp_path / "emb.csv"
-    export_embeddings(kb, path)
-    with path.open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows == [["uuid", "identity"]]
 
 
 def test_export_round_trip_exact(tmp_path):

@@ -1,15 +1,21 @@
 """The benchmark must keep working against the package: its span targets
 resolve, and its self-test passes, so that renaming a traced function or
 dropping an argument the benchmark passes fails this suite and not only the
-benchmark."""
+benchmark. And every public name the package defines has a caller in the
+package or the benchmark."""
 
+import ast
 import importlib
 import inspect
 import subprocess
 import sys
+import tokenize
+from collections import Counter
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "provlens"
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_perfbench_span_targets_resolve(monkeypatch):
@@ -32,6 +38,28 @@ def test_perfbench_selftest_passes():
                           cwd=PERFBENCH.parent, capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_every_public_definition_has_a_caller():
+    """Every public function, class and method defined in the package is
+    named in ``src/`` or ``perfbench/`` outside its own definition. Names
+    count as code tokens, so a docstring or a comment is not a caller."""
+    mentions = Counter()
+    for path in [*(ROOT / "src").rglob("*.py"), *PERFBENCH.rglob("*.py")]:
+        with tokenize.open(path) as fh:
+            mentions.update(token.string
+                            for token in tokenize.generate_tokens(fh.readline)
+                            if token.type == tokenize.NAME)
+    definitions = Counter()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("_")):
+                definitions[node.name] += 1
+    uncalled = sorted(name for name, count in definitions.items()
+                      if mentions[name] <= count)
+    assert definitions and uncalled == []
 
 
 FAILING_PROPERTY = '''
