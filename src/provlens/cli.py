@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import artifacts, detector, encoder, features, ingest, profiler, synth
@@ -65,14 +66,19 @@ def _load_graphs(cfg: PipelineConfig, names: list[str]) -> list[ingest.Provenanc
 
 
 def _union_graph(graphs: list[ingest.ProvenanceGraph]) -> ingest.ProvenanceGraph:
-    """Disjoint union used to train one encoder over several benign windows."""
+    """Disjoint union used to train one encoder over several benign windows.
+    Each node is keyed ``<position in graphs>:<uuid>``, so a uuid seen in two
+    windows stays two nodes with their own edges, as in the knowledge base."""
     if len(graphs) == 1:
         return graphs[0]
     nodes: dict[str, ingest.Entity] = {}
     edges: list[ingest.ProvEdge] = []
-    for graph in graphs:
-        nodes.update(graph.nodes)
-        edges.extend(graph.edges)
+    for position, graph in enumerate(graphs):
+        prefix = f"{position}:"
+        nodes.update((prefix + uuid, replace(node, uuid=prefix + uuid))
+                     for uuid, node in graph.nodes.items())
+        edges += [replace(edge, src=prefix + edge.src, dst=prefix + edge.dst)
+                  for edge in graph.edges]
     return ingest.ProvenanceGraph(
         name="+".join(g.name for g in graphs), nodes=nodes, edges=edges)
 

@@ -27,6 +27,10 @@ DEFAULT_OP_VOCAB = (
 
 ENV_PREFIX = "PROVLENS_"
 
+# the values the encoder implements, by EncoderConfig field
+KNOWN_OPERATORS = {"activation": ("relu", "tanh", "identity"),
+                   "aggregation": ("mean",)}
+
 
 @dataclass
 class FeatureConfig:
@@ -68,10 +72,9 @@ class EncoderConfig:
             raise ConfigError("temperature must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
-        if self.activation not in ("relu", "tanh", "identity"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.aggregation != "mean":
-            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
+        for key, known in KNOWN_OPERATORS.items():
+            if getattr(self, key) not in known:
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r}")
 
 
 @dataclass

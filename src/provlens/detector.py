@@ -14,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_jsonl, record, write_jsonl
+from .artifacts import (keys, read_json, read_jsonl, record, write_json,
+                        write_jsonl)
 from .encoder import EncoderParams, forward
-from .errors import ConfigError
+from .errors import ArtifactError, ConfigError
 from .features import SemanticVocab, feature_dim, feature_matrix
 from .ingest import ProvenanceGraph
 from .profiler import BenignKnowledgeBase, IdentityProfile, euclidean_distance
@@ -128,12 +129,29 @@ def detect_graph(graph: ProvenanceGraph, params: EncoderParams,
                            kb.profiles, graph.name)
 
 
+def _header_path(path: str | Path) -> Path:
+    path = Path(path)
+    return path.with_name(f"{path.stem}.header.json")
+
+
 def save_alerts(alerts: list[Alert], path: str | Path) -> None:
+    """The alerts as JSONL at ``path``, and their count in the header file
+    ``<stem>.header.json`` beside it."""
     write_jsonl(path, map(vars, alerts))
+    write_json(_header_path(path), {"alert_count": len(alerts)})
 
 
 def load_alerts(path: str | Path) -> list[Alert]:
-    return list(read_jsonl(path, record(Alert)))
+    """The alerts ``save_alerts`` wrote; a file holding another number of
+    alerts than its header records (one cut at a record boundary) raises
+    ArtifactError naming it, and a missing header one naming the header."""
+    alerts = list(read_jsonl(path, record(Alert)))
+    header = read_json(_header_path(path), keys("alert_count"))
+    if len(alerts) != header["alert_count"]:
+        raise ArtifactError(f"artifact {path} holds {len(alerts)} alerts, its "
+                            f"header records {header['alert_count']}",
+                            path=str(path))
+    return alerts
 
 
 def format_alert_table(alerts: list[Alert]) -> str:

@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .artifacts import keys, read_blob, read_json, write_blob, write_json
-from .config import EncoderConfig
-from .errors import ArtifactError, ConfigError, TrainingError
+from .artifacts import (keys, read_blob, read_json, reading, write_blob,
+                        write_json)
+from .config import KNOWN_OPERATORS, EncoderConfig
+from .errors import ConfigError, TrainingError
 from .ingest import ProvenanceGraph
 
 log = logging.getLogger(__name__)
@@ -356,10 +357,10 @@ def load_params(directory: str | Path) -> EncoderParams:
     paths = encoder_paths(directory)
     header = read_json(paths["header"],
                        keys("activation aggregation dims dtype seed"))
-    if header["aggregation"] != "mean":
-        raise ArtifactError(f"unreadable artifact {paths['header']}: unknown "
-                            f"aggregation {header['aggregation']!r}",
-                            path=str(paths["header"]))
+    with reading(paths["header"]):
+        for key, known in KNOWN_OPERATORS.items():
+            if header[key] not in known:
+                raise ValueError(f"unknown {key} {header[key]!r}")
     dims = header["dims"]
     shapes = list(zip(dims[1:], dims[:-1]))
     sizes = [rows * cols for rows, cols in shapes]

@@ -2,11 +2,7 @@
 
 from ..config import InvestigationBudget
 from .graphstore import GraphStore
-from .llm import (
-    HttpChatLLM,
-    LLMSession,
-    ScriptedLLM,
-)
+from .llm import HttpChatLLM, LLMSession, ScriptedLLM
 from .orchestrator import run_investigation
 from .repository import (
     AgentVerdict,

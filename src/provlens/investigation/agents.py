@@ -8,7 +8,8 @@ and returns typed results; all repository mutations stay in the orchestrator.
 
 from __future__ import annotations
 
-from ..profiler import BenignKnowledgeBase, attribute_query, knn_query
+from ..profiler import (BenignKnowledgeBase, attribute_query, edge_digest,
+                        knn_query)
 from .graphstore import GraphStore
 from .llm import LLMSession
 from .repository import KILL_CHAIN_PHASES, AgentVerdict, InvestigationRepository
@@ -27,12 +28,12 @@ def analyst_validate(lead: dict, kb: BenignKnowledgeBase, store: GraphStore,
     falls back to BENIGN with zero confidence.
     """
     graph_name, node_uuid = lead["graph_name"], lead["node_uuid"]
-    node = store.get_node(graph_name, node_uuid)
+    node = store.target(lead)
     if node is None:
         raise KeyError(f"lead target {node_uuid} not found in graph {graph_name}")
 
     similar = []
-    query = store.embedding(graph_name, node_uuid)
+    query = store.embeddings.get(node_uuid)
     if query is not None:
         for row, distance in knn_query(kb, query, knn_k):
             similar.append({"node_uuid": kb.uuids[row],
@@ -55,11 +56,11 @@ def analyst_validate(lead: dict, kb: BenignKnowledgeBase, store: GraphStore,
         "kind": node.kind,
         "attrs": node.attrs,
         "investigator_reason": lead.get("reason", ""),
-        "edges": store.node_digest(graph_name, node_uuid, digest_limit),
+        "edges": edge_digest(store.graph, node_uuid, digest_limit),
         "similar_behavior": similar,
         "same_identity": same_identity,
     }
-    response, _ = session.invoke("analyst", payload)
+    response = session.invoke("analyst", payload)
     return AgentVerdict(verdict=response["verdict"],
                         confidence=float(response["confidence"]),
                         cited_evidence=list(response["cited_evidence"]),
@@ -79,14 +80,13 @@ def investigator_expand(ioc, store: GraphStore, session: LLMSession,
                          f"{ioc.status!r}; only validated IOCs are expanded")
     payload = {
         "node_uuid": ioc.node_uuid,
-        "graph_name": ioc.graph_name,
+        "graph_name": store.graph.name,
         "identity": ioc.identity,
         "current_event": ioc.event,
         "reason": "",
-        "neighborhood": store.neighborhood(ioc.graph_name, ioc.node_uuid,
-                                           max_leads),
+        "neighborhood": store.neighborhood(ioc.node_uuid, max_leads),
     }
-    response, _ = session.invoke("investigator", payload)
+    response = session.invoke("investigator", payload)
     leads = list(response["leads"])[:max_leads]
     return str(response["event"]), response["kill_chain_phase"], leads
 
@@ -120,7 +120,7 @@ def leader_synthesize(repo: InvestigationRepository, session: LLMSession,
         "ioc_table": table,
         "open_hypotheses": [h.statement for h in repo.open_hypotheses()],
     }
-    response, _ = session.invoke("leader", payload)
+    response = session.invoke("leader", payload)
 
     known = set(repo.iocs)
     valid_refs = known | set(KILL_CHAIN_PHASES)
@@ -170,6 +170,6 @@ def reporter_compose(repo: InvestigationRepository,
         ],
         "narrative": repo.narrative(),
     }
-    response, _ = session.invoke("reporter", payload)
+    response = session.invoke("reporter", payload)
     return (str(response["campaign_summary"]),
             [str(step) for step in response["remediation"]])

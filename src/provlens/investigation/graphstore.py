@@ -1,4 +1,5 @@
-"""Read-only access to provenance graphs plus node embeddings for the agents."""
+"""Read-only access to the investigated provenance graph plus its node
+embeddings for the agents. An investigation covers exactly one graph."""
 
 from __future__ import annotations
 
@@ -9,49 +10,40 @@ import numpy as np
 from ..encoder import EncoderParams, forward
 from ..features import SemanticVocab, feature_matrix
 from ..ingest import Entity, ProvenanceGraph, incident_edges
-from ..profiler import edge_digest
 
 
 @dataclass
 class GraphStore:
-    graphs: dict[str, ProvenanceGraph]
-    embeddings: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
+    graph: ProvenanceGraph
+    embeddings: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def build(cls, graphs, params: EncoderParams | None = None,
               vocab: SemanticVocab | None = None,
               op_vocab=None) -> "GraphStore":
-        store = cls(graphs={g.name: g for g in graphs})
+        """The store of the one graph in ``graphs``, with its embeddings when
+        ``params`` and ``vocab`` are given; another count raises ValueError."""
+        if len(graphs) != 1:
+            raise ValueError(f"an investigation covers one graph, "
+                             f"got {len(graphs)}")
+        store = cls(graph=graphs[0])
         if params is not None and vocab is not None:
-            for graph in graphs:
-                uuids, h0 = feature_matrix(graph, vocab, op_vocab)
-                store.embeddings[graph.name] = dict(
-                    zip(uuids, forward(graph, uuids, h0, params)))
+            uuids, h0 = feature_matrix(store.graph, vocab, op_vocab)
+            store.embeddings = dict(
+                zip(uuids, forward(store.graph, uuids, h0, params)))
         return store
 
-    def get_node(self, graph_name: str, uuid: str) -> Entity | None:
-        graph = self.graphs.get(graph_name)
-        if graph is None:
+    def target(self, lead: dict) -> Entity | None:
+        """The node ``lead`` names, or None when it names another graph or a
+        uuid this graph does not hold."""
+        if lead["graph_name"] != self.graph.name:
             return None
-        return graph.nodes.get(uuid)
+        return self.graph.nodes.get(lead["node_uuid"])
 
-    def embedding(self, graph_name: str, uuid: str) -> np.ndarray | None:
-        return self.embeddings.get(graph_name, {}).get(uuid)
-
-    def node_digest(self, graph_name: str, uuid: str, limit: int) -> list[str]:
-        graph = self.graphs.get(graph_name)
-        if graph is None:
-            return []
-        return edge_digest(graph, uuid, limit)
-
-    def neighborhood(self, graph_name: str, uuid: str,
-                     cap: int) -> list[dict]:
+    def neighborhood(self, uuid: str, cap: int) -> list[dict]:
         """The node's 1-hop neighborhood: the ``cap`` incident edges ranked by
         weight then recency, presented in temporal order."""
-        graph = self.graphs.get(graph_name)
-        if graph is None:
-            return []
-        edges = incident_edges(graph, uuid)
+        edges = incident_edges(self.graph, uuid)
         edges.sort(key=lambda e: (-e.weight, -e.last_ts, e.src, e.dst,
                                   e.operation))
         selected = sorted(edges[:cap],
@@ -62,7 +54,7 @@ class GraphStore:
                 other, direction = edge.dst, "out"
             else:
                 other, direction = edge.src, "in"
-            other_node = graph.nodes.get(other)
+            other_node = self.graph.nodes.get(other)
             entries.append({
                 "node_uuid": other,
                 "identity": other_node.identity if other_node else other,

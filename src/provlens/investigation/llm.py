@@ -232,9 +232,9 @@ class LLMSession:
     max_llm_calls: int
     repo: object  # InvestigationRepository, which holds the call count
 
-    def invoke(self, role: str, payload: dict) -> tuple[dict, bool]:
-        """Returns (response, valid). Persistent schema failure yields the
-        role's fail-closed fallback with valid=False (journaled); a transport
+    def invoke(self, role: str, payload: dict) -> dict:
+        """The role's validated response. Persistent schema failure yields the
+        role's fail-closed fallback, journaled as ``llm_fallback``; a transport
         failure that survives all retries propagates so the investigation can
         pause with resumable state."""
         request = dict(payload)
@@ -253,7 +253,7 @@ class LLMSession:
             self.repo.tokens_out += len(raw) // 4
             last_raw = raw
             try:
-                return validate_response(role, json.loads(raw)), True
+                return validate_response(role, json.loads(raw))
             except (json.JSONDecodeError, LLMError) as exc:
                 self.repo.journal("llm_schema_retry", role=role, error=str(exc))
                 request = dict(payload)
@@ -263,7 +263,7 @@ class LLMSession:
             self.repo.journal("llm_transport_failure", role=role)
             raise last_transport
         self.repo.journal("llm_fallback", role=role, raw=last_raw[:2000])
-        return copy.deepcopy(FALLBACKS[role]), False
+        return copy.deepcopy(FALLBACKS[role])
 
     def _charge(self, request: dict) -> None:
         if self.repo.llm_calls_used >= self.max_llm_calls:

@@ -23,7 +23,7 @@ import logging
 from ..config import InvestigationBudget
 from ..detector import Alert
 from ..errors import LLMTransportError
-from ..profiler import BenignKnowledgeBase
+from ..profiler import BenignKnowledgeBase, edge_digest
 from .agents import (
     analyst_validate,
     investigator_expand,
@@ -71,36 +71,33 @@ class _Orchestrator:
         return verdict
 
     def validate_lead(self, lead: dict, origin: str,
-                      parent: str | None = None) -> bool:
+                      parent: str | None = None) -> None:
         """Analyst gate for one alert or clue; admits a validated IOC on an
-        ANOMALY verdict, records a dismissed candidate otherwise."""
+        ANOMALY verdict, records a dismissed candidate otherwise. A lead that
+        names another graph or an unknown node is journaled and dropped."""
         repo = self.repo
         uuid = lead["node_uuid"]
-        node = self.store.get_node(lead["graph_name"], uuid)
+        node = self.store.target(lead)
         if node is None:
             repo.journal("lead_invalid", node_uuid=uuid,
                          graph_name=lead["graph_name"])
-            return False
+            return
         verdict = self.ask_analyst(lead, origin)
-        record = IOCRecord(node_uuid=uuid, graph_name=lead["graph_name"],
-                           identity=node.identity, origin=origin,
-                           confidence=verdict.confidence)
+        record = IOCRecord(node_uuid=uuid, identity=node.identity,
+                           origin=origin, confidence=verdict.confidence)
         if verdict.verdict == "ANOMALY" and verdict.confidence > 0.0:
             if parent is not None:
                 record.related_ioc_refs.append(parent)
             repo.admit_ioc(record, verdict)
-            repo.add_evidence(uuid, self.store.node_digest(
-                lead["graph_name"], uuid, self.budget.max_leads_per_ioc))
+            repo.add_evidence(uuid, edge_digest(
+                self.store.graph, uuid, self.budget.max_leads_per_ioc))
             repo.add_evidence(uuid, [str(e) for e in verdict.cited_evidence])
-            if parent is not None:
-                repo.add_relation(parent, uuid, "expanded")
             repo.expansion_queue.append(uuid)
-            return True
+            return
         if verdict.verdict == "ANOMALY":
             repo.journal("ioc_rejected_zero_confidence", node_uuid=uuid)
         record.status = "candidate"
         repo.iocs.setdefault(uuid, record)
-        return False
 
     def drain_expansion_queue(self) -> None:
         repo = self.repo
@@ -150,7 +147,7 @@ class _Orchestrator:
             ioc = repo.iocs.get(target)
             if ioc is None:
                 continue
-            lead = {"graph_name": ioc.graph_name, "node_uuid": target,
+            lead = {"graph_name": self.store.graph.name, "node_uuid": target,
                     "reason": hyp.statement}
             if hyp.kind == "false_positive":
                 if ioc.status != "validated":
@@ -269,19 +266,14 @@ def run_investigation(alerts: list[Alert], store: GraphStore,
                       budget: InvestigationBudget, knn_k: int = 5,
                       repo: InvestigationRepository | None = None
                       ) -> InvestigationRepository:
-    """Run (or resume) the full four-stage investigation over ``alerts``.
+    """Run (or resume) the full four-stage investigation of the store's graph
+    over ``alerts``; a new repository takes the graph's name.
 
     Returns the repository in status "complete", or "paused" when the LLM
     transport failed; a paused repository can be passed back in to resume.
     """
     if repo is None:
-        if alerts:
-            graph_name = alerts[0].graph_name
-        elif store.graphs:
-            graph_name = sorted(store.graphs)[0]
-        else:
-            graph_name = ""
-        repo = InvestigationRepository(graph_name=graph_name)
+        repo = InvestigationRepository(graph_name=store.graph.name)
         repo.journal("investigation_started", alerts=len(alerts))
     else:
         repo.journal("investigation_resumed")

@@ -44,7 +44,6 @@ class AgentVerdict:
 @dataclass
 class IOCRecord:
     node_uuid: str
-    graph_name: str
     identity: str
     kill_chain_phase: str = UNASSIGNED
     event: str = ""
@@ -70,7 +69,6 @@ class InvestigationRepository:
     iocs: dict[str, IOCRecord] = field(default_factory=dict)
     hypotheses: list[Hypothesis] = field(default_factory=list)
     evidence: dict[str, list[str]] = field(default_factory=dict)
-    relations: list[list[str]] = field(default_factory=list)  # [src, dst, label]
     journal_entries: list[dict] = field(default_factory=list)
     expansion_queue: list[str] = field(default_factory=list)
     processed_alerts: list[str] = field(default_factory=list)
@@ -99,7 +97,7 @@ class InvestigationRepository:
 
     # --- IOC lifecycle ---------------------------------------------------
 
-    def admit_ioc(self, record: IOCRecord, verdict: AgentVerdict) -> IOCRecord:
+    def admit_ioc(self, record: IOCRecord, verdict: AgentVerdict) -> None:
         """Admit a validated IOC. Only callable with an ANOMALY verdict of
         positive confidence; that gate is what keeps the IOC set trustworthy."""
         if verdict.verdict != "ANOMALY" or verdict.confidence <= 0.0:
@@ -112,7 +110,6 @@ class InvestigationRepository:
         self.iocs[record.node_uuid] = record
         self.journal("ioc_validated", node_uuid=record.node_uuid,
                      origin=record.origin, confidence=record.confidence)
-        return record
 
     def demote_ioc(self, node_uuid: str, reason: str) -> None:
         ioc = self.iocs.get(node_uuid)
@@ -128,11 +125,6 @@ class InvestigationRepository:
     def refuted_iocs(self) -> list[IOCRecord]:
         return [self.iocs[u] for u in sorted(self.iocs)
                 if self.iocs[u].status == "refuted"]
-
-    def add_relation(self, src: str, dst: str, label: str) -> None:
-        entry = [src, dst, label]
-        if entry not in self.relations:
-            self.relations.append(entry)
 
     def add_evidence(self, node_uuid: str, lines: list[str]) -> None:
         bucket = self.evidence.setdefault(node_uuid, [])
@@ -213,24 +205,19 @@ def _phase_order(phase: str) -> int:
 
 
 def attack_graph_dot(repo: InvestigationRepository) -> str:
-    """Directed attack graph: validated IOCs as nodes, related-IOC references
-    and expansion relations as edges. Plain DOT, renderable with graphviz."""
+    """Directed attack graph: validated IOCs as nodes, and an edge from each
+    validated IOC whose expansion led to another to that one. Plain DOT,
+    renderable with graphviz."""
     validated = repo.validated_iocs()
     valid_ids = {ioc.node_uuid for ioc in validated}
     lines = ["digraph attack {", "  rankdir=LR;"]
     for ioc in validated:
         label = f"{ioc.identity}\\n{ioc.kill_chain_phase}"
         lines.append(f'  "{ioc.node_uuid}" [label="{label}"];')
-    edges: dict[tuple[str, str], str] = {}
-    for ioc in validated:
-        for ref in ioc.related_ioc_refs:
-            if ref in valid_ids:
-                edges.setdefault((ref, ioc.node_uuid), "related")
-    for src, dst, label in repo.relations:
-        if src in valid_ids and dst in valid_ids:
-            edges[(src, dst)] = label
-    for (src, dst), label in sorted(edges.items()):
-        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
+    edges = {(ref, ioc.node_uuid) for ioc in validated
+             for ref in ioc.related_ioc_refs if ref in valid_ids}
+    for src, dst in sorted(edges):
+        lines.append(f'  "{src}" -> "{dst}" [label="expanded"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

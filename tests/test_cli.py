@@ -351,18 +351,13 @@ def _swap_first_and_last(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _epsilon_too_large(path):
-    """Damage that sets the header's epsilon outside [0, 1)."""
-    header = json.loads(path.read_text())
-    header["epsilon"] = 1.5
-    path.write_text(json.dumps(header))
-
-
-def _sum_aggregation(path):
-    """Damage that names the removed ``sum`` operator in the header."""
-    header = json.loads(path.read_text())
-    header["aggregation"] = "sum"
-    path.write_text(json.dumps(header))
+def _setting(field, value):
+    """Damage that sets the header's ``field`` to ``value``."""
+    def damage(path):
+        header = json.loads(path.read_text())
+        header[field] = value
+        path.write_text(json.dumps(header))
+    return damage
 
 
 def _zero_rows(path):
@@ -410,12 +405,20 @@ DAMAGED = [
     pytest.param("kb/kb.members.jsonl", _swap_first_and_last,
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.members.jsonl-labels-out-of-order"),
-    pytest.param("kb/kb.json", _epsilon_too_large,
+    pytest.param("kb/kb.json", _setting("epsilon", 1.5),
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.json-epsilon-1.5"),
-    pytest.param("model/encoder.json", _sum_aggregation,
+    pytest.param("model/encoder.json", _setting("aggregation", "sum"),
                  lambda path: load_params(path.parent), DETECT,
                  id="encoder.json-sum-aggregation"),
+    pytest.param("model/encoder.json", _setting("activation", "gelu"),
+                 lambda path: load_params(path.parent), DETECT,
+                 id="encoder.json-unknown-activation"),
+    pytest.param("alerts/attack.alerts.jsonl", _halve_at_record, load_alerts,
+                 INVESTIGATE, id="attack.alerts.jsonl-at-record-boundary"),
+    pytest.param("alerts/attack.alerts.header.json", _delete,
+                 lambda path: load_alerts(path.with_name("attack.alerts.jsonl")),
+                 INVESTIGATE, id="attack.alerts.header.json-deleted"),
     _missing_field("model/vocab.json", "dim",
                    lambda path: load_vocab(path.parent), DETECT),
     _missing_field("graphs/attack.header.json", "node_count",
@@ -444,6 +447,26 @@ def test_truncated_artifact_exits_2_and_names_file(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 2
     assert "error code=missing_artifact" in err and path.name in err
+
+
+def test_multi_graph_train_has_a_row_per_profile_member(pipeline, tmp_path,
+                                                       capsys):
+    """``attack`` repeats every uuid of ``benign``; training keeps each
+    (graph, node) as its own row, as the knowledge base does."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    common = ["--artifacts", str(artifacts), "--graphs", "benign,attack"]
+    capsys.readouterr()
+    assert main(["train", *common, "--epochs", "1"]) == 0
+    assert main(["profile", *common]) == 0
+    out = capsys.readouterr().out
+    rows = dict(field.split("=") for field in out.split() if "=" in field)
+    benign = load_graph(artifacts / "graphs", "benign")
+    attack = load_graph(artifacts / "graphs", "attack")
+    assert set(benign.nodes) & set(attack.nodes)
+    assert rows["nodes"] == rows["members"] \
+        == str(len(benign.nodes) + len(attack.nodes))
 
 
 def test_profile_of_graph_without_nodes_exits_3(pipeline, tmp_path, capsys):

@@ -129,8 +129,11 @@ def invoke_once(backend, role, payload):
     """One ``LLMSession.invoke`` with room to spare in the call budget."""
     repo = InvestigationRepository("g")
     session = LLMSession(backend=backend, max_llm_calls=10, repo=repo)
-    response, valid = session.invoke(role, payload)
-    return response, valid, repo
+    return session.invoke(role, payload), repo
+
+
+def fell_back(repo):
+    return any(e["action"] == "llm_fallback" for e in repo.journal_entries)
 
 
 def test_scripted_backend_exact_digest_keying():
@@ -139,8 +142,8 @@ def test_scripted_backend_exact_digest_keying():
     backend.script("analyst", payload,
                    {"verdict": "BENIGN", "confidence": 0.9,
                     "cited_evidence": [], "rationale": "scripted"})
-    response, valid, _ = invoke_once(backend, "analyst", payload)
-    assert valid
+    response, repo = invoke_once(backend, "analyst", payload)
+    assert not fell_back(repo)
     assert response["verdict"] == "BENIGN"
     assert response["confidence"] == 0.9
     assert backend.calls == [("analyst", canonical_digest(payload))]
@@ -160,8 +163,8 @@ def test_session_repairs_schema_violation():
     fixed = {"verdict": "ANOMALY", "confidence": 0.7, "cited_evidence": [],
              "rationale": "r"}
     backend.handlers["analyst"] = lambda p: fixed
-    response, valid, repo = invoke_once(backend, "analyst", payload)
-    assert valid
+    response, repo = invoke_once(backend, "analyst", payload)
+    assert not fell_back(repo)
     assert response["confidence"] == 0.7
     assert len(backend.calls) == 2  # one repair retry issued
     assert [e["action"] for e in repo.journal_entries] == ["llm_schema_retry"]
@@ -174,8 +177,8 @@ def test_llm_invoke_raises_after_persistent_schema_failure():
     with pytest.raises(LLMError) as excinfo:
         validate_response("analyst", dict(bad))
     backend = RecordingLLM(handlers={"analyst": lambda p: bad})
-    response, valid, repo = invoke_once(backend, "analyst", {"node_uuid": "n"})
-    assert not valid
+    response, repo = invoke_once(backend, "analyst", {"node_uuid": "n"})
+    assert fell_back(repo)
     assert response == FALLBACKS["analyst"]
     assert len(backend.calls) == 3 == MAX_ATTEMPTS
     retries = [e for e in repo.journal_entries
@@ -185,8 +188,8 @@ def test_llm_invoke_raises_after_persistent_schema_failure():
 
 def test_session_falls_back_to_benign_and_journals():
     backend = RecordingLLM(handlers={"analyst": lambda p: {"bogus": 1}})
-    response, valid, repo = invoke_once(backend, "analyst", {"node_uuid": "n"})
-    assert not valid
+    response, repo = invoke_once(backend, "analyst", {"node_uuid": "n"})
+    assert fell_back(repo)
     assert response == FALLBACKS["analyst"]
     assert response["verdict"] == "BENIGN" and response["confidence"] == 0.0
     assert len(backend.calls) == MAX_ATTEMPTS
@@ -267,9 +270,9 @@ def test_unknown_identity_lead_with_scripted_anomaly_creates_ioc():
 
 # --- investigator ------------------------------------------------------------------
 
-def make_validated_ioc(uuid, graph_name="day1", identity="subject::dropper"):
-    return IOCRecord(node_uuid=uuid, graph_name=graph_name, identity=identity,
-                     status="validated", confidence=0.9, event="seed event")
+def make_validated_ioc(uuid, identity="subject::dropper"):
+    return IOCRecord(node_uuid=uuid, identity=identity, status="validated",
+                     confidence=0.9, event="seed event")
 
 
 def test_investigator_returns_scripted_leads():
@@ -315,6 +318,33 @@ def test_investigator_requires_validated_status():
     ioc.status = "candidate"
     with pytest.raises(ValueError):
         investigator_expand(ioc, store, session, max_leads=5)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_graph_store_holds_exactly_one_graph(count):
+    with pytest.raises(ValueError, match="one graph"):
+        GraphStore.build([attack_graph()] * count)
+
+
+def test_lead_outside_the_graph_is_journaled_invalid():
+    """A lead naming a uuid the graph does not hold, or another graph, is
+    journaled with the graph it names, reaches no Analyst and is no IOC."""
+    backend = scripted_chain_backend()
+    leads = [{"graph_name": "day1", "node_uuid": "no-such-node",
+              "reason": "unknown uuid"},
+             {"graph_name": "day2", "node_uuid": "ben-1",
+              "reason": "another graph"}]
+    backend.handlers["investigator"] = lambda p: {
+        "event": "drop", "kill_chain_phase": "IC", "leads": leads}
+    repo = run_chain(backend=backend)
+    invalid = [(e["node_uuid"], e["graph_name"]) for e in repo.journal_entries
+               if e["action"] == "lead_invalid"]
+    assert invalid == [("no-such-node", "day1"), ("ben-1", "day2")]
+    analysed = [e["node_uuid"] for e in repo.journal_entries
+                if e["action"] == "analyst_verdict"]
+    assert analysed == ["att-a"]
+    assert [role for role, _ in backend.calls].count("analyst") == 1
+    assert set(repo.iocs) == {"att-a"}
 
 
 def test_lead_already_validated_is_deduplicated():
@@ -462,12 +492,9 @@ def test_attack_graph_counts_match_repository():
     edge_lines = [l for l in lines if "->" in l]
     assert len(node_lines) == len(repo.validated_iocs())
     valid = {i.node_uuid for i in repo.validated_iocs()}
-    expected_edges = {(s, d) for s, d, _ in repo.relations
-                      if s in valid and d in valid}
-    for ioc in repo.validated_iocs():
-        for ref in ioc.related_ioc_refs:
-            if ref in valid:
-                expected_edges.add((ref, ioc.node_uuid))
+    expected_edges = {(ref, ioc.node_uuid) for ioc in repo.validated_iocs()
+                      for ref in ioc.related_ioc_refs if ref in valid}
+    assert expected_edges
     assert len(edge_lines) == len(expected_edges)
 
 
@@ -708,8 +735,8 @@ def test_http_backend_chat_completion_contract():
     session = FakeHttpSession(content)
     backend = HttpChatLLM(endpoint="https://llm.example/v1", model="m-1",
                           api_key="sekrit", session=session)
-    response, valid, _ = invoke_once(backend, "analyst", {"node_uuid": "n"})
-    assert valid and response["verdict"] == "BENIGN"
+    response, repo = invoke_once(backend, "analyst", {"node_uuid": "n"})
+    assert not fell_back(repo) and response["verdict"] == "BENIGN"
 
     request = session.requests[0]
     assert request["url"] == "https://llm.example/v1/chat/completions"
