@@ -177,6 +177,11 @@ def cmd_investigate(cfg: PipelineConfig, args) -> int:
     kb = profiler.load_kb(_kb_dir(cfg))
     alerts_path = Path(args.alerts) if args.alerts else _alerts_path(cfg, args.graph)
     alerts = detector.load_alerts(alerts_path)
+    foreign = sorted({alert.graph_name for alert in alerts} - {args.graph})
+    if foreign:
+        raise ArtifactError(f"artifact {alerts_path} holds alerts of graph "
+                            f"{foreign[0]!r}, not of {args.graph!r}",
+                            path=str(alerts_path))
     detector.check_dimensions(params, vocab, kb, cfg.features.op_vocab)
 
     store = GraphStore.build([graph], params, vocab, cfg.features.op_vocab)

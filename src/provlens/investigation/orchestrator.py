@@ -83,8 +83,12 @@ class _Orchestrator:
                          graph_name=lead["graph_name"])
             return
         verdict = self.ask_analyst(lead, origin)
+        # a re-validated IOC keeps the links to the IOCs that led to it
+        known = repo.iocs.get(uuid)
         record = IOCRecord(node_uuid=uuid, identity=node.identity,
-                           origin=origin, confidence=verdict.confidence)
+                           origin=origin, confidence=verdict.confidence,
+                           related_ioc_refs=list(known.related_ioc_refs)
+                           if known else [])
         if verdict.verdict == "ANOMALY" and verdict.confidence > 0.0:
             if parent is not None:
                 record.related_ioc_refs.append(parent)

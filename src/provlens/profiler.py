@@ -49,7 +49,7 @@ class BenignKnowledgeBase:
     embeddings: np.ndarray
     digests: list[list[str]]
     rows: dict[str, slice] = field(init=False, repr=False)
-    by_uuid: np.ndarray = field(init=False, repr=False)
+    uuid_rank: np.ndarray = field(init=False, repr=False)
     profiles: dict[str, IdentityProfile] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -60,9 +60,10 @@ class BenignKnowledgeBase:
         self.rows = {label: slice(bisect_left(self.labels, label),
                                   bisect_right(self.labels, label))
                      for label in dict.fromkeys(self.labels)}
-        # rows in uuid order, so a stable sort by distance breaks ties by uuid
-        self.by_uuid = np.argsort(np.array(self.uuids, dtype=str),
-                                  kind="stable")
+        # each row's position in (uuid, row) order, the tie-break of kNN
+        by_uuid = np.argsort(np.array(self.uuids, dtype=str), kind="stable")
+        self.uuid_rank = np.empty_like(by_uuid)
+        self.uuid_rank[by_uuid] = np.arange(len(by_uuid))
         self.profiles = {}
         for label, rows in self.rows.items():
             vectors = self.embeddings[rows]
@@ -83,10 +84,12 @@ class BenignKnowledgeBase:
 def euclidean_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
     """The one distance routine: Euclidean distance over the last axis of
     ``a - b``. The C-order difference makes each value depend only on its own
-    row, so profiling, detection and retrieval agree bitwise."""
+    row, so profiling, detection and retrieval agree bitwise. The difference
+    is squared in place: one temporary of the broadcast shape per call."""
     diff = np.subtract(np.asarray(a, dtype=np.float64),
                        np.asarray(b, dtype=np.float64), order="C")
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(np.sum(diff, axis=-1))
 
 
 def compute_centroid(members) -> np.ndarray:
@@ -104,8 +107,8 @@ def compute_radius(members, centroid: np.ndarray, epsilon: float) -> float:
     members = np.asarray(members, dtype=np.float64)
     if len(members) == 0:
         raise ValueError("cannot compute a radius over zero members")
-    distances = np.sort(euclidean_distance(members, centroid))
     m = math.ceil((1.0 - epsilon) * len(members))
+    distances = np.partition(euclidean_distance(members, centroid), m - 1)
     return float(distances[m - 1])
 
 
@@ -148,11 +151,21 @@ def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
 def knn_query(kb: BenignKnowledgeBase, query: np.ndarray,
               k: int) -> list[tuple[int, float]]:
     """(row, distance) of the exact k nearest benign members by Euclidean
-    distance, ties broken by uuid."""
+    distance, ties broken by uuid and then by row; NaN distances come last.
+
+    Selection, not a full sort: only the rows no farther than the k-th
+    smallest distance are ordered. ``~(d > kth)`` also keeps every NaN row,
+    so a NaN k-th distance keeps them all and the order matches a stable
+    sort of every row."""
     if k < 1:
         raise ValueError("k must be >= 1")
     distances = euclidean_distance(kb.embeddings, query)
-    nearest = kb.by_uuid[np.argsort(distances[kb.by_uuid], kind="stable")[:k]]
+    if k < len(distances):
+        kth = np.partition(distances, k - 1)[k - 1]
+        rows = np.flatnonzero(~(distances > kth))
+    else:
+        rows = np.arange(len(distances))
+    nearest = rows[np.lexsort((kb.uuid_rank[rows], distances[rows]))[:k]]
     return [(int(row), float(distances[row])) for row in nearest]
 
 

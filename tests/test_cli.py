@@ -1,12 +1,15 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from provlens.cli import main
 from provlens.config import load_config
-from provlens.detector import load_alerts
+from provlens.detector import load_alerts, save_alerts
 from provlens.encoder import load_params
 from provlens.errors import ArtifactError
 from provlens.features import load_vocab
@@ -15,6 +18,8 @@ from provlens.investigation import InvestigationRepository
 from provlens.profiler import load_kb
 from provlens.synth import default_scenario, generate_scenario, write_scenario
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SUBCOMMANDS = ["ingest", "train", "profile", "detect", "investigate",
                "report", "synth"]
 
@@ -449,6 +454,25 @@ def test_truncated_artifact_exits_2_and_names_file(pipeline, tmp_path, capsys,
     assert "error code=missing_artifact" in err and path.name in err
 
 
+def test_investigate_rejects_alerts_of_another_graph(pipeline, tmp_path,
+                                                    capsys):
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    common = ["--artifacts", str(artifacts)]
+    assert main(["detect", *common, "--graph", "benign"]) == 0
+    foreign = artifacts / "alerts" / "benign.alerts.jsonl"
+    assert load_alerts(foreign)
+    capsys.readouterr()
+    code = main([*INVESTIGATE, *common, "--alerts", str(foreign)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error code=missing_artifact" in err and str(foreign) in err
+    empty = tmp_path / "empty.alerts.jsonl"
+    save_alerts([], empty)
+    assert main([*INVESTIGATE, *common, "--alerts", str(empty)]) == 0
+
+
 def test_multi_graph_train_has_a_row_per_profile_member(pipeline, tmp_path,
                                                        capsys):
     """``attack`` repeats every uuid of ``benign``; training keeps each
@@ -540,3 +564,45 @@ def test_command_idempotence_identical_artifacts(tmp_path):
                 "model/vocab.vectors.bin", "model/encoder.weights.bin",
                 "model/loss_trace.csv"):
         assert (one / rel).read_bytes() == (two / rel).read_bytes()
+
+
+# --- BLAS thread count -------------------------------------------------------------
+
+def _python(argv, **blas):
+    """``python argv`` in a fresh process whose environment holds no BLAS
+    thread variable but those in ``blas``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env={**env, **blas},
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_training_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """With 5x100 nodes, one epoch at OpenBLAS's default of one thread per
+    core writes another loss trace than at one thread, unless the package
+    sets that default itself."""
+    scenario = tmp_path / "scenario"
+    write_scenario(default_scenario(num_identities=5, nodes_per_identity=100,
+                                    num_anomalies=0), scenario)
+    models = []
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        artifacts = tmp_path / f"artifacts{len(models)}"
+        assert main(["ingest", "--artifacts", str(artifacts), "--input",
+                     str(scenario / "benign.jsonl"), "--name", "benign"]) == 0
+        proc = _python(["-m", "provlens.cli", "train", "--artifacts",
+                        str(artifacts), "--graphs", "benign", "--epochs", "1"],
+                       **blas)
+        assert proc.returncode == 0, proc.stderr
+        models.append({path.name: path.read_bytes()
+                       for path in sorted((artifacts / "model").iterdir())})
+    assert "encoder.weights.bin" in models[0]
+    assert models[0] == models[1]
+
+
+def test_blas_thread_count_set_by_the_caller_wins():
+    proc = _python(["-c", "import os, provlens; print(*(os.environ[v] for v "
+                          f"in {BLAS_ENV!r}))"],
+                   OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "1", "1"]

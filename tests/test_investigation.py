@@ -553,6 +553,31 @@ def test_false_positive_hypothesis_revalidation_demotes():
     assert hypothesis.status == "confirmed"
 
 
+def test_revalidated_ioc_keeps_its_expansion_link():
+    backend = scripted_chain_backend()
+    state = {"leader_calls": 0}
+
+    def leader(payload):
+        state["leader_calls"] += 1
+        if state["leader_calls"] == 1:
+            return {"phase_coverage": {}, "hypotheses": [
+                {"kind": "missing_stage",
+                 "statement": "the payload is part of the chain after all",
+                 "target_refs": ["att-b"]}],
+                "false_positive_flags": ["att-b"], "terminate": False}
+        return {"phase_coverage": {}, "hypotheses": [],
+                "false_positive_flags": [], "terminate": True}
+
+    backend.handlers["leader"] = leader
+    repo = run_chain(backend=backend)
+    assert any(e["action"] == "ioc_refuted" and e["node_uuid"] == "att-b"
+               for e in repo.journal_entries)
+    ioc = repo.iocs["att-b"]
+    assert (ioc.status, ioc.origin) == ("validated", "hypothesis")
+    assert ioc.related_ioc_refs == ["att-a"]
+    assert '"att-a" -> "att-b"' in repo.attack_graph_dot
+
+
 def test_adversarial_always_anomaly_respects_llm_budget():
     def analyst(payload):
         return {"verdict": "ANOMALY", "confidence": 0.99,

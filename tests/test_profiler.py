@@ -25,6 +25,7 @@ from provlens.profiler import (
     save_kb,
 )
 
+import profiler_oracle
 from conftest import assert_canonical_json_files, graph_from_events, make_event
 
 
@@ -289,6 +290,64 @@ def test_knn_matches_oracle_at_scale():
         oracle = sorted(((euclidean_distance(vec, query), uuid)
                          for uuid, vec in members))[:10]
         assert [(u, d) for d, u in oracle] == [(u, d) for u, _, d in got]
+
+
+HALVES = st.integers(-2, 2).map(lambda v: v / 2)
+SPECIALS = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def tied_kbs(draw):
+    """A KB built to tie, and a query: rounded embeddings in runs of
+    identical rows, one uuid held by two rows (as in overlapping windows),
+    and sometimes one non-finite component in the KB or the query."""
+    dim = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        vec = draw(st.lists(HALVES, min_size=dim, max_size=dim))
+        rows += [vec] * draw(st.integers(1, 3))
+    n = len(rows)
+    uuids = [f"u{i:02d}" for i in draw(st.permutations(range(n)))]
+    if n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        uuids[j] = uuids[i]
+    embeddings = np.array(rows, dtype=np.float64)
+    if draw(st.booleans()):
+        embeddings[draw(st.integers(0, n - 1)),
+                   draw(st.integers(0, dim - 1))] = draw(SPECIALS)
+    labels = sorted(draw(st.lists(st.sampled_from("ab"), min_size=n,
+                                  max_size=n)))
+    epsilon = draw(st.sampled_from([0.0, 0.02, 0.3, 0.5]))
+    query = draw(st.lists(HALVES, min_size=dim, max_size=dim))
+    if draw(st.booleans()):
+        query[draw(st.integers(0, dim - 1))] = draw(SPECIALS)
+    return epsilon, uuids, labels, embeddings, np.array(query)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_kbs())
+def test_knn_selection_matches_stable_sort_oracle(drawn):
+    """Every k from 1 to n + 3, so each tie that spans the k-th row is a
+    boundary: same rows, same tie order, bitwise-equal distances."""
+    epsilon, uuids, labels, embeddings, query = drawn
+    with np.errstate(invalid="ignore"):
+        kb = BenignKnowledgeBase(epsilon=epsilon, uuids=uuids, labels=labels,
+                                 embeddings=embeddings,
+                                 digests=[[] for _ in uuids])
+        for k in range(1, len(uuids) + 4):
+            got = knn_query(kb, query, k)
+            want = profiler_oracle.knn_query(kb, query, k)
+            assert [(r, d.hex()) for r, d in got] \
+                == [(r, d.hex()) for r, d in want]
+        for a, b in ((embeddings, query), (embeddings[:, None], embeddings)):
+            assert euclidean_distance(a, b).tobytes() \
+                == profiler_oracle.euclidean_distance(a, b).tobytes()
+        for label, rows in kb.rows.items():
+            profile = kb.profiles[label]
+            want = profiler_oracle.compute_radius(
+                embeddings[rows], profile.centroid, epsilon)
+            assert profile.radius.hex() == want.hex()
 
 
 def test_attribute_query_exact_tier_first():
