@@ -4,9 +4,9 @@ Headers are JSON, record streams are JSONL (one object per line) and matrices
 are raw little-endian blobs. Writers create the parent directory and write
 sorted keys plus a trailing newline, so equal objects give equal bytes.
 Readers build records inside one error guard and raise ArtifactError naming
-the file when it is missing, does not decode, holds the wrong number of values
-or a record whose fields differ from those its writer wrote; the CLI reports
-that as exit code 2.
+the file when it is missing, does not decode, holds the wrong number of values,
+a non-finite matrix value or a record whose fields differ from those its writer
+wrote; the CLI reports that as exit code 2.
 """
 
 from __future__ import annotations
@@ -79,12 +79,16 @@ def record(cls) -> Callable[[object], object]:
 
 
 def read_blob(path, dtype, shape) -> np.ndarray:
-    """A writable array of ``shape`` read from raw ``dtype`` values."""
+    """A writable array of ``shape`` read from raw ``dtype`` values, every
+    one of them finite."""
     with reading(path):
         values = np.fromfile(path, dtype=np.uint8).view(dtype)
     if values.size != math.prod(shape):
         raise ArtifactError(f"artifact {path} holds {values.size} values, "
                             f"expected {math.prod(shape)}", path=str(path))
+    if not np.isfinite(values).all():
+        raise ArtifactError(f"artifact {path} holds a non-finite value",
+                            path=str(path))
     return values.reshape(shape)
 
 

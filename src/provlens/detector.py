@@ -51,7 +51,9 @@ def detect_embedded(uuids: list[str], z: np.ndarray, claimed: list[str],
     The distances form one (n, k) matrix, a column per identity in sorted-label
     order. The matched identity is the first nearest column, so ties go to the
     smallest label. Identities never seen in benign data always alert
-    (unknown_identity); the investigation stage adjudicates those.
+    (unknown_identity), with the distance to the matched identity as their
+    deviation; the investigation stage adjudicates those. Every field of an
+    alert comes from the arrays of this one pass.
     """
     labels = sorted(profiles)
     column = {label: i for i, label in enumerate(labels)}
@@ -63,39 +65,26 @@ def detect_embedded(uuids: list[str], z: np.ndarray, claimed: list[str],
     known = own >= 0
     deviation = distances[np.arange(len(own)), np.where(known, own, nearest)]
     radius = np.array([profiles[label].radius for label in labels])[own]
-    violating = (nearest != own) | (known & (deviation > radius))
-    alerts = [_alert(uuids[i], graph_name, claimed[i], labels[nearest[i]],
-                     float(deviation[i]), profiles.get(claimed[i]))
-              for i in np.flatnonzero(violating)]
+    mismatched = nearest != own
+    outside = known & (deviation > radius)
+    violation = np.select([~known, outside & mismatched, outside],
+                          ["unknown_identity", "both", "deviation"], "mismatch")
+    # fmax, unlike maximum, takes 0.0 over a NaN excess, as max(0.0, nan) does
+    excess = np.fmax(0.0, deviation - radius) / (radius + SCORE_DELTA)
+    score = np.where(known, excess, deviation) + mismatched
+    alerts = []
+    for i in np.flatnonzero(mismatched | outside):
+        matched, d, r = labels[nearest[i]], float(deviation[i]), float(radius[i])
+        alerts.append(Alert(
+            node_uuid=uuids[i], graph_name=graph_name, claimed=claimed[i],
+            matched=matched, deviation=d, radius=r if known[i] else None,
+            violation=str(violation[i]), score=float(score[i]),
+            explanation=(f"declared {claimed[i]} behaves like {matched}, "
+                         f"d={d:.6g}, R={r:.6g}" if known[i] else
+                         f"declared {claimed[i]} has no benign profile; "
+                         f"behaves like {matched}, d={d:.6g}")))
     alerts.sort(key=lambda a: (-a.score, a.node_uuid))
     return alerts
-
-
-def _alert(node_uuid: str, graph_name: str, claimed: str, matched: str,
-           deviation: float, profile: IdentityProfile | None) -> Alert:
-    """The alert of a violating node: ``deviation`` is its distance to the
-    claimed identity, or to ``matched`` when the claim has no ``profile``."""
-    if profile is None:
-        return Alert(
-            node_uuid=node_uuid, graph_name=graph_name, claimed=claimed,
-            matched=matched, deviation=deviation, radius=None,
-            violation="unknown_identity",
-            explanation=(f"declared {claimed} has no benign profile; "
-                         f"behaves like {matched}, d={deviation:.6g}"),
-            score=1.0 + deviation)
-    outside = deviation > profile.radius
-    mismatched = matched != claimed
-    violation = ("both" if mismatched else "deviation") if outside else "mismatch"
-    score = max(0.0, deviation - profile.radius) / (profile.radius + SCORE_DELTA)
-    if mismatched:
-        score += 1.0
-    return Alert(
-        node_uuid=node_uuid, graph_name=graph_name, claimed=claimed,
-        matched=matched, deviation=deviation, radius=profile.radius,
-        violation=violation,
-        explanation=(f"declared {claimed} behaves like {matched}, "
-                     f"d={deviation:.6g}, R={profile.radius:.6g}"),
-        score=score)
 
 
 def check_dimensions(params: EncoderParams, vocab: SemanticVocab,

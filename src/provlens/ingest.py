@@ -94,9 +94,9 @@ def derive_identity(kind: str, attrs: dict) -> str:
 
 
 def _event_from_record(record: dict) -> RawEvent:
-    subject_uuid = record["subject_uuid"]
-    if not isinstance(subject_uuid, str) or not subject_uuid:
-        raise ValueError("subject_uuid must be a non-empty string")
+    for field in ("subject_uuid", "object_uuid"):
+        if not isinstance(record[field], str) or not record[field]:
+            raise ValueError(f"{field} must be a non-empty string")
     timestamp = record["timestamp"]
     if not isinstance(timestamp, int) or isinstance(timestamp, bool) or timestamp < 0:
         raise ValueError("timestamp must be a non-negative integer")
@@ -109,8 +109,8 @@ def _event_from_record(record: dict) -> RawEvent:
         raise ValueError("attribute maps must be objects")
     return RawEvent(
         event_id=str(record["event_id"]),
-        subject_uuid=subject_uuid,
-        object_uuid=str(record["object_uuid"]),
+        subject_uuid=record["subject_uuid"],
+        object_uuid=record["object_uuid"],
         operation=str(record["operation"]),
         timestamp=timestamp,
         subject_attrs=subject_attrs,

@@ -115,7 +115,7 @@ def validate_response(role: str, obj) -> dict:
         _require(obj.get("verdict") in ("ANOMALY", "BENIGN"),
                  'field "verdict" must be "ANOMALY" or "BENIGN"')
         conf = obj.get("confidence")
-        _require(isinstance(conf, (int, float)) and 0.0 <= conf <= 1.0,
+        _require(type(conf) in (int, float) and 0.0 <= conf <= 1.0,
                  'field "confidence" must be a number in [0, 1]')
         _require(isinstance(obj.get("cited_evidence", []), list),
                  'field "cited_evidence" must be a list')

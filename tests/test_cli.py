@@ -5,16 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from provlens import cli
 from provlens.cli import main
 from provlens.config import load_config
 from provlens.detector import load_alerts, save_alerts
 from provlens.encoder import load_params
-from provlens.errors import ArtifactError
+from provlens.errors import ArtifactError, LLMTransportError
 from provlens.features import load_vocab
 from provlens.ingest import load_graph
 from provlens.investigation import InvestigationRepository
+from provlens.investigation.llm import heuristic_mock
 from provlens.profiler import load_kb
 from provlens.synth import default_scenario, generate_scenario, write_scenario
 
@@ -371,6 +374,15 @@ def _zero_rows(path):
     (path.parent / "kb.embeddings.bin").write_bytes(b"")
 
 
+def _nan_first(dtype):
+    """Damage that sets the blob's first ``dtype`` value to NaN."""
+    def damage(path):
+        values = np.fromfile(path, dtype=dtype)
+        values[0] = np.nan
+        values.tofile(path)
+    return damage
+
+
 def _missing_field(artifact, field, loader, argv):
     return pytest.param(artifact, _without(field), loader, argv,
                         id=f"{Path(artifact).name}-without-{field}")
@@ -424,6 +436,15 @@ DAMAGED = [
     pytest.param("alerts/attack.alerts.header.json", _delete,
                  lambda path: load_alerts(path.with_name("attack.alerts.jsonl")),
                  INVESTIGATE, id="attack.alerts.header.json-deleted"),
+    pytest.param("kb/kb.embeddings.bin", _nan_first("<f8"),
+                 lambda path: load_kb(path.parent), DETECT,
+                 id="kb.embeddings.bin-nan"),
+    pytest.param("model/encoder.weights.bin", _nan_first("<f4"),
+                 lambda path: load_params(path.parent), DETECT,
+                 id="encoder.weights.bin-nan"),
+    pytest.param("model/vocab.vectors.bin", _nan_first("<f4"),
+                 lambda path: load_vocab(path.parent), DETECT,
+                 id="vocab.vectors.bin-nan"),
     _missing_field("model/vocab.json", "dim",
                    lambda path: load_vocab(path.parent), DETECT),
     _missing_field("graphs/attack.header.json", "node_count",
@@ -471,6 +492,72 @@ def test_investigate_rejects_alerts_of_another_graph(pipeline, tmp_path,
     empty = tmp_path / "empty.alerts.jsonl"
     save_alerts([], empty)
     assert main([*INVESTIGATE, *common, "--alerts", str(empty)]) == 0
+
+
+class _FailingAfter:
+    """A backend that answers like ``inner`` for ``calls`` requests and then
+    fails every transport attempt."""
+
+    def __init__(self, inner, calls):
+        self.inner = inner
+        self.calls = calls
+
+    def invoke(self, role, system_prompt, payload):
+        if self.calls == 0:
+            raise LLMTransportError("backend unreachable")
+        self.calls -= 1
+        return self.inner.invoke(role, system_prompt, payload)
+
+
+# what a pause and a resume add to the journal
+RESUME_ACTIONS = {"llm_transport_retry", "llm_transport_failure",
+                  "investigation_paused", "investigation_resumed"}
+
+
+def _investigation(artifacts):
+    """The stored repository without the counts a pause changes, and its
+    journal without the entries a pause and a resume add.
+
+    The alert in flight at the pause is received again on resume; with the
+    entries between them dropped, the two receipts are adjacent and equal,
+    and one is kept."""
+    out_dir = artifacts / "investigation" / "attack"
+    repo = InvestigationRepository.load(out_dir)
+    journal = []
+    for entry in repo.journal_entries:
+        entry = {k: v for k, v in entry.items() if k != "seq"}
+        if entry["action"] not in RESUME_ACTIONS and entry not in journal[-1:]:
+            journal.append(entry)
+    state = repo.to_dict()
+    for key in ("llm_calls_used", "tokens_in", "journal_length"):
+        del state[key]
+    return state, journal
+
+
+def test_investigate_resume_matches_an_uninterrupted_run(
+        pipeline, tmp_path, capsys, monkeypatch):
+    source, _ = pipeline
+    whole, resumed = tmp_path / "whole", tmp_path / "resumed"
+    for artifacts in (whole, resumed):
+        shutil.copytree(source, artifacts)
+        shutil.rmtree(artifacts / "investigation")
+    assert main([*INVESTIGATE, "--artifacts", str(whole)]) == 0
+    monkeypatch.setattr(cli, "_build_backend",
+                        lambda cfg: _FailingAfter(heuristic_mock(), 3))
+    capsys.readouterr()
+    assert main([*INVESTIGATE, "--artifacts", str(resumed)]) == 1
+    assert "status=paused" in capsys.readouterr().out
+    assert not (resumed / "investigation" / "attack" / "report.md").exists()
+    monkeypatch.undo()
+    assert main([*INVESTIGATE, "--artifacts", str(resumed), "--resume"]) == 0
+    assert "status=complete" in capsys.readouterr().out
+    actions = [entry["action"] for entry in InvestigationRepository.load(
+        resumed / "investigation" / "attack").journal_entries]
+    assert actions.count("investigation_paused") == 1
+    assert actions.count("investigation_resumed") == 1
+    state, entries = _investigation(resumed)
+    assert state["iocs"]
+    assert (state, entries) == _investigation(whole)
 
 
 def test_multi_graph_train_has_a_row_per_profile_member(pipeline, tmp_path,

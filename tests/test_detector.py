@@ -135,7 +135,8 @@ def test_detect_embedded_one_distance_call_per_identity(monkeypatch):
 
 # Labels, coordinates and radii come from small pools, so that equal
 # centroids (ties), claims without a profile, points exactly on a radius and
-# equal scores are common. Rows are not in uuid order.
+# equal scores are common. A NaN coordinate makes NaN distances, scores and,
+# through a point on a radius, radii. Rows are not in uuid order.
 EMBEDDED_LABELS = ("A", "B", "C")
 
 
@@ -144,7 +145,8 @@ def embedded_cases(draw):
     """(uuids, z, claimed, profiles) for ``detect_embedded``."""
     dim = draw(st.integers(1, 3))
     coordinate = st.one_of(st.integers(-2, 2).map(float),
-                           st.floats(-4.0, 4.0, allow_subnormal=False))
+                           st.floats(-4.0, 4.0, allow_subnormal=False),
+                           st.just(float("nan")))
     point = st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
     labels = draw(st.lists(st.sampled_from(EMBEDDED_LABELS), min_size=1,
                            unique=True))

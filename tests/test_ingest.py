@@ -54,6 +54,9 @@ def test_parse_skips_malformed_lines():
     {"subject_uuid": ""},
     {"operation": "TELEPORT"},
     {"object_kind": "moon"},
+    {"object_uuid": None},
+    {"object_uuid": ""},
+    {"object_uuid": 7},
 ])
 def test_parse_rejects_invalid_field(bad):
     event = make_event()

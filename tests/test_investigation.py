@@ -205,6 +205,7 @@ def test_session_falls_back_to_benign_and_journals():
     ("leader", {"terminate": "yes"}),
     ("leader", {"terminate": True, "hypotheses": [{"kind": "wild"}]}),
     ("reporter", {"remediation": []}),
+    ("analyst", {"verdict": "ANOMALY", "confidence": True}),
 ])
 def test_validate_response_rejects_bad_payloads(role, bad):
     with pytest.raises(LLMError):
