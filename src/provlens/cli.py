@@ -30,6 +30,8 @@ EXIT_RUNTIME = 1
 EXIT_MISSING_ARTIFACT = 2
 EXIT_CONFIG = 3
 
+API_KEY_ENV = "PROVLENS_API_KEY"  # the HTTP backend's bearer token
+
 
 def _graphs_dir(cfg: PipelineConfig) -> Path:
     return Path(cfg.artifacts_dir) / "graphs"
@@ -86,7 +88,7 @@ def _union_graph(graphs: list[ingest.ProvenanceGraph]) -> ingest.ProvenanceGraph
 def _build_backend(cfg: PipelineConfig):
     if cfg.llm.backend == "mock":
         return heuristic_mock()
-    api_key = os.environ.get(cfg.llm.api_key_env, "")
+    api_key = os.environ.get(API_KEY_ENV, "")
     return HttpChatLLM(endpoint=cfg.llm.endpoint, model=cfg.llm.model,
                        api_key=api_key, timeout_s=cfg.llm.timeout_s)
 
@@ -241,14 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to a JSON config file")
     common.add_argument("--artifacts", help="artifact directory override")
     common.add_argument("--seed", type=int, help="global random seed")
-    common.add_argument("--epsilon", type=float,
-                        help="benign fraction allowed outside each profile")
     common.add_argument("--llm", choices=("http", "mock"),
                         help="LLM backend selection")
-    common.add_argument("--budget-max-iterations", type=int)
-    common.add_argument("--budget-max-leads-per-ioc", type=int)
-    common.add_argument("--budget-max-hypotheses", type=int)
-    common.add_argument("--budget-max-llm-calls", type=int)
 
     parser = argparse.ArgumentParser(
         prog="provlens",
@@ -311,18 +307,8 @@ def _config_from_args(args) -> PipelineConfig:
         overrides["artifacts_dir"] = args.artifacts
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
     if args.llm is not None:
-        overrides.setdefault("llm", {})["backend"] = args.llm
-    budget = {}
-    for flag in ("max_iterations", "max_leads_per_ioc", "max_hypotheses",
-                 "max_llm_calls"):
-        value = getattr(args, f"budget_{flag}")
-        if value is not None:
-            budget[flag] = value
-    if budget:
-        overrides["budget"] = budget
+        overrides["llm"] = {"backend": args.llm}
     if getattr(args, "epochs", None) is not None:
         overrides["encoder"] = {"epochs": args.epochs}
     return load_config(args.config, overrides)

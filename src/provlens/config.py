@@ -1,12 +1,14 @@
-"""Pipeline configuration: dataclass tree, JSON config file loading, env overrides.
+"""Pipeline configuration: dataclass tree and JSON config file loading.
 
-Precedence for every setting is env > CLI flag > config file > default.
+Settings come from the config file and the command-line flags only; the
+precedence for every setting is CLI flag > config file > default. The
+environment sets none of them: the HTTP backend's API key is a credential,
+not a setting, and the CLI reads it from ``PROVLENS_API_KEY``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
@@ -24,8 +26,6 @@ DEFAULT_OP_VOCAB = (
     "CLONE",
     "MODIFY",
 )
-
-ENV_PREFIX = "PROVLENS_"
 
 # the values the encoder implements, by EncoderConfig field
 KNOWN_OPERATORS = {"activation": ("relu", "tanh", "identity"),
@@ -99,7 +99,6 @@ class LLMConfig:
     backend: str = "mock"  # "mock" or "http"
     endpoint: str = ""
     model: str = ""
-    api_key_env: str = ENV_PREFIX + "API_KEY"
     timeout_s: float = 60.0
     knn_k: int = 5
 
@@ -159,35 +158,13 @@ def _apply_tree(cfg, tree: dict, path: str = "") -> None:
                               f"got {value!r}")
 
 
-def _apply_env(cfg: PipelineConfig, environ) -> None:
-    simple = {
-        ENV_PREFIX + "SEED": ("seed", int),
-        ENV_PREFIX + "EPSILON": ("epsilon", float),
-        ENV_PREFIX + "ARTIFACTS_DIR": ("artifacts_dir", str),
-    }
-    for var, (attr, cast) in simple.items():
-        if var in environ:
-            try:
-                setattr(cfg, attr, cast(environ[var]))
-            except ValueError as exc:
-                raise ConfigError(f"environment variable {var}: {exc}") from exc
-    llm = {
-        ENV_PREFIX + "LLM_BACKEND": "backend",
-        ENV_PREFIX + "LLM_ENDPOINT": "endpoint",
-        ENV_PREFIX + "LLM_MODEL": "model",
-    }
-    for var, attr in llm.items():
-        if var in environ:
-            setattr(cfg.llm, attr, environ[var])
-
-
 def _reject_non_finite(literal: str):
     raise ConfigError(f"config value {literal} is not a finite number")
 
 
-def load_config(path: str | None = None, overrides: dict | None = None,
-                environ=None) -> PipelineConfig:
-    """Build a validated PipelineConfig from file + flag overrides + env."""
+def load_config(path: str | None = None,
+                overrides: dict | None = None) -> PipelineConfig:
+    """Build a validated PipelineConfig from the file, then flag overrides."""
     cfg = PipelineConfig()
     if path is not None:
         try:
@@ -202,6 +179,5 @@ def load_config(path: str | None = None, overrides: dict | None = None,
         _apply_tree(cfg, tree)
     if overrides:
         _apply_tree(cfg, overrides)
-    _apply_env(cfg, os.environ if environ is None else environ)
     cfg.validate()
     return cfg

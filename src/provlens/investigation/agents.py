@@ -8,6 +8,8 @@ and returns typed results; all repository mutations stay in the orchestrator.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from ..profiler import (BenignKnowledgeBase, attribute_query, edge_digest,
                         knn_query)
 from .graphstore import GraphStore
@@ -87,8 +89,8 @@ def investigator_expand(ioc, store: GraphStore, session: LLMSession,
         "neighborhood": store.neighborhood(ioc.node_uuid, max_leads),
     }
     response = session.invoke("investigator", payload)
-    leads = list(response["leads"])[:max_leads]
-    return str(response["event"]), response["kill_chain_phase"], leads
+    return (response["event"], response["kill_chain_phase"],
+            response["leads"][:max_leads])
 
 
 def leader_synthesize(repo: InvestigationRepository, session: LLMSession,
@@ -98,26 +100,14 @@ def leader_synthesize(repo: InvestigationRepository, session: LLMSession,
 
     Hypotheses must reference node uuids already in the repository or
     kill-chain phase codes; anything else is rejected and journaled, which is
-    what keeps the hypothesis space bounded.
+    what keeps the hypothesis space bounded. The payload carries the
+    iteration the call is for; the orchestrator counts it once answered.
     """
-    table = []
-    for uuid in sorted(repo.iocs):
-        ioc = repo.iocs[uuid]
-        table.append({
-            "node_uuid": ioc.node_uuid,
-            "identity": ioc.identity,
-            "status": ioc.status,
-            "kill_chain_phase": ioc.kill_chain_phase,
-            "event": ioc.event,
-            "confidence": ioc.confidence,
-            "related_ioc_refs": ioc.related_ioc_refs,
-            "origin": ioc.origin,
-        })
     payload = {
         "graph_name": repo.graph_name,
-        "iteration": repo.iteration,
+        "iteration": repo.iteration + 1,
         "phases": list(KILL_CHAIN_PHASES),
-        "ioc_table": table,
+        "ioc_table": [asdict(repo.iocs[uuid]) for uuid in sorted(repo.iocs)],
         "open_hypotheses": [h.statement for h in repo.open_hypotheses()],
     }
     response = session.invoke("leader", payload)
@@ -150,7 +140,7 @@ def leader_synthesize(repo: InvestigationRepository, session: LLMSession,
         "phase_coverage": response["phase_coverage"],
         "hypotheses": hypotheses,
         "false_positive_flags": flags,
-        "terminate": bool(response["terminate"]),
+        "terminate": response["terminate"],
     }
 
 
@@ -171,5 +161,5 @@ def reporter_compose(repo: InvestigationRepository,
         "narrative": repo.narrative(),
     }
     response = session.invoke("reporter", payload)
-    return (str(response["campaign_summary"]),
+    return (response["campaign_summary"],
             [str(step) for step in response["remediation"]])

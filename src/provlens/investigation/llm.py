@@ -217,7 +217,7 @@ class HttpChatLLM:
             resp.raise_for_status()
             data = resp.json()
             return data["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, IndexError,
+        except (requests.RequestException, KeyError, IndexError, TypeError,
                 ValueError) as exc:
             raise LLMTransportError(f"chat completion request failed: {exc}") from exc
 
@@ -250,15 +250,17 @@ class LLMSession:
                                   error=str(exc))
                 continue
             last_transport = None
-            self.repo.tokens_out += len(raw) // 4
-            last_raw = raw
+            last_raw = raw if isinstance(raw, str) else ""
+            self.repo.tokens_out += len(last_raw) // 4
             try:
+                if not isinstance(raw, str):  # e.g. a null message content
+                    raise LLMError("response content must be a string")
                 return validate_response(role, json.loads(raw))
             except (json.JSONDecodeError, LLMError) as exc:
                 self.repo.journal("llm_schema_retry", role=role, error=str(exc))
                 request = dict(payload)
                 request["previous_error"] = str(exc)
-                request["previous_response"] = raw[:2000]
+                request["previous_response"] = last_raw[:2000]
         if last_transport is not None:
             self.repo.journal("llm_transport_failure", role=role)
             raise last_transport

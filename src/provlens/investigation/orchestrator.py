@@ -181,9 +181,10 @@ class _Orchestrator:
         for hyp in repo.open_hypotheses():  # resume interrupted iteration
             self.process_hypothesis(hyp)
         while repo.iteration < self.budget.max_iterations:
-            repo.iteration += 1
+            # counted once answered, so a pause at the Leader resumes to it
             result = leader_synthesize(repo, self.session,
                                        self.budget.max_hypotheses)
+            repo.iteration += 1
             repo.journal("leader_synthesis", iteration=repo.iteration,
                          phase_coverage=result["phase_coverage"],
                          hypotheses=len(result["hypotheses"]),
@@ -246,7 +247,10 @@ class _Orchestrator:
         """The whole run; a failed LLM transport pauses it at any stage."""
         repo = self.repo
         try:
-            self.investigate(alerts)
+            # a run paused at the Reporter resumes to it
+            if not any(entry["action"] == "investigation_terminated"
+                       for entry in repo.journal_entries):
+                self.investigate(alerts)
             # Stage 4: the Reporter's prose. Without it (no validated IOC, or
             # the budget ran out) the report keeps the fallback summary.
             prose = FALLBACK_SUMMARY, []

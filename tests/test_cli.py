@@ -10,14 +10,14 @@ import pytest
 
 from provlens import cli
 from provlens.cli import main
-from provlens.config import load_config
+from provlens.config import PipelineConfig, load_config
 from provlens.detector import load_alerts, save_alerts
 from provlens.encoder import load_params
 from provlens.errors import ArtifactError, LLMTransportError
 from provlens.features import load_vocab
 from provlens.ingest import load_graph
 from provlens.investigation import InvestigationRepository
-from provlens.investigation.llm import heuristic_mock
+from provlens.investigation.llm import HttpChatLLM, heuristic_mock
 from provlens.profiler import load_kb
 from provlens.synth import default_scenario, generate_scenario, write_scenario
 
@@ -28,8 +28,6 @@ SUBCOMMANDS = ["ingest", "train", "profile", "detect", "investigate",
 
 
 def test_default_configuration_values():
-    from provlens.config import PipelineConfig
-
     cfg = PipelineConfig()
     assert cfg.encoder.embedding_dim == 32
     assert cfg.encoder.num_layers == 2
@@ -46,7 +44,9 @@ def test_help_exits_zero(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
-    assert "usage" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "usage" in out
+    assert "--epsilon" not in out and "--budget" not in out
 
 
 def test_detect_without_model_exits_2_and_names_artifact(tmp_path, capsys):
@@ -66,7 +66,7 @@ def test_detect_without_model_exits_2_and_names_artifact(tmp_path, capsys):
 def _config(text, names, case):
     """A synth run whose config file holds ``text``."""
     return pytest.param(["synth", "--out", "{dir}/out", "--config", "{file}"],
-                        text, {}, names, id=case)
+                        text, names, id=case)
 
 
 INVALID_CONFIG = [
@@ -94,26 +94,23 @@ INVALID_CONFIG = [
     _config('{"encoder": {"learning_rate": Infinity}}', "Infinity",
             "learning_rate-Infinity"),
     _config('{"llm": {"timeout_s": NaN}}', "NaN", "timeout_s-NaN"),
-    pytest.param(["train", "--artifacts", "{dir}", "--epochs", "-1"], "", {},
+    _config('{"llm": {"api_key_env": "MY_KEY"}}', "'llm.api_key_env'",
+            "api_key_env-unknown"),
+    pytest.param(["train", "--artifacts", "{dir}", "--epochs", "-1"], "",
                  "epochs", id="train-epochs-negative"),
     pytest.param(["synth", "--out", "{dir}/out", "--spec", "{file}"], "[1, 2]",
-                 {}, "JSON object", id="spec-not-object"),
-    pytest.param(["synth", "--out", "{dir}/out"], "", {"PROVLENS_SEED": "abc"},
-                 "PROVLENS_SEED", id="env-seed-not-int"),
-    pytest.param(["train", "--artifacts", "{dir}"], "", {}, "--graphs",
+                 "JSON object", id="spec-not-object"),
+    pytest.param(["train", "--artifacts", "{dir}"], "", "--graphs",
                  id="train-without-graphs"),
-    pytest.param(["profile", "--artifacts", "{dir}"], "", {}, "--graphs",
+    pytest.param(["profile", "--artifacts", "{dir}"], "", "--graphs",
                  id="profile-without-graphs"),
 ]
 
 
-@pytest.mark.parametrize("argv,text,env,names", INVALID_CONFIG)
-def test_invalid_config_exits_3(tmp_path, capsys, monkeypatch, argv, text,
-                                env, names):
+@pytest.mark.parametrize("argv,text,names", INVALID_CONFIG)
+def test_invalid_config_exits_3(tmp_path, capsys, argv, text, names):
     path = tmp_path / "input.json"
     path.write_text(text, encoding="utf-8")
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     code = main([arg.format(dir=tmp_path, file=path) for arg in argv])
     err = capsys.readouterr().err
     assert code == 3
@@ -124,9 +121,44 @@ def test_integer_config_values_load_as_numbers(tmp_path):
     config = tmp_path / "conf.json"
     config.write_text('{"epsilon": 0, "llm": {"timeout_s": 30}}',
                       encoding="utf-8")
-    cfg = load_config(str(config), environ={})
+    cfg = load_config(str(config))
     assert (cfg.epsilon, cfg.llm.timeout_s) == (0.0, 30.0)
     assert type(cfg.epsilon) is type(cfg.llm.timeout_s) is float
+
+
+def test_environment_sets_no_setting(monkeypatch):
+    """Settings come from the file and the flags only: a PROVLENS_* variable
+    left in the shell neither changes nor fails a loaded config."""
+    monkeypatch.setenv("PROVLENS_SEED", "abc")
+    monkeypatch.setenv("PROVLENS_EPSILON", "0.5")
+    monkeypatch.setenv("PROVLENS_ARTIFACTS_DIR", "elsewhere")
+    monkeypatch.setenv("PROVLENS_LLM_BACKEND", "http")
+    assert load_config() == PipelineConfig()
+    assert load_config(overrides={"seed": 3}).seed == 3
+
+
+def test_http_backend_reads_the_api_key_variable(tmp_path, monkeypatch):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"llm": {
+        "backend": "http", "endpoint": "https://llm.example/v1/",
+        "model": "m-1", "timeout_s": 12}}), encoding="utf-8")
+    monkeypatch.setenv("PROVLENS_API_KEY", "sekrit")
+    backend = cli._build_backend(load_config(str(config)))
+    assert isinstance(backend, HttpChatLLM)
+    assert (backend.endpoint, backend.model, backend.api_key,
+            backend.timeout_s) == ("https://llm.example/v1", "m-1", "sekrit",
+                                   12.0)
+
+
+def test_readme_configuration_block_is_the_defaults(tmp_path):
+    """The JSON block in the README's Configuration section loads to the
+    defaults, so a changed default fails here until the README follows."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "readme.json"
+    config.write_text(block, encoding="utf-8")
+    assert load_config(str(config)) == PipelineConfig()
 
 
 def test_unknown_config_key_exits_3(tmp_path, capsys):
@@ -534,8 +566,11 @@ def _investigation(artifacts):
     return state, journal
 
 
+# pauses at the first Analyst call, mid-stage 1, at the Leader and at the
+# Reporter of the fixture's 38 calls
+@pytest.mark.parametrize("calls", [0, 3, 36, 37])
 def test_investigate_resume_matches_an_uninterrupted_run(
-        pipeline, tmp_path, capsys, monkeypatch):
+        pipeline, tmp_path, capsys, monkeypatch, calls):
     source, _ = pipeline
     whole, resumed = tmp_path / "whole", tmp_path / "resumed"
     for artifacts in (whole, resumed):
@@ -543,7 +578,7 @@ def test_investigate_resume_matches_an_uninterrupted_run(
         shutil.rmtree(artifacts / "investigation")
     assert main([*INVESTIGATE, "--artifacts", str(whole)]) == 0
     monkeypatch.setattr(cli, "_build_backend",
-                        lambda cfg: _FailingAfter(heuristic_mock(), 3))
+                        lambda cfg: _FailingAfter(heuristic_mock(), calls))
     capsys.readouterr()
     assert main([*INVESTIGATE, "--artifacts", str(resumed)]) == 1
     assert "status=paused" in capsys.readouterr().out

@@ -734,7 +734,7 @@ class FakeHttpSession:
     """Captures chat-completion requests and replays canned responses."""
 
     def __init__(self, content):
-        self.content = content
+        self.reply = {"choices": [{"message": {"content": content}}]}
         self.requests = []
 
     def post(self, url, json=None, headers=None, timeout=None):
@@ -748,7 +748,7 @@ class FakeHttpSession:
 
             @staticmethod
             def json():
-                return {"choices": [{"message": {"content": self.content}}]}
+                return self.reply
 
         return Response()
 
@@ -775,6 +775,25 @@ def test_http_backend_chat_completion_contract():
     assert json.loads(body["messages"][1]["content"]) == {"node_uuid": "n"}
 
 
+def test_http_backend_null_content_falls_back():
+    """A reply whose message content is null is a schema failure: it is
+    retried with the error echoed, then ends in the role's fallback."""
+    from provlens.investigation.llm import HttpChatLLM
+
+    session = FakeHttpSession(None)
+    backend = HttpChatLLM(endpoint="https://llm.example/v1", model="m",
+                          session=session)
+    response, repo = invoke_once(backend, "analyst", {"node_uuid": "n"})
+    assert fell_back(repo) and response == FALLBACKS["analyst"]
+    retries = [e for e in repo.journal_entries
+               if e["action"] == "llm_schema_retry"]
+    assert len(retries) == len(session.requests) == MAX_ATTEMPTS
+    assert repo.tokens_out == 0
+    echoed = json.loads(session.requests[-1]["json"]["messages"][1]["content"])
+    assert echoed["previous_response"] == ""
+    assert "must be a string" in echoed["previous_error"]
+
+
 def test_http_backend_wraps_transport_errors():
     from provlens.investigation.llm import HttpChatLLM
 
@@ -785,6 +804,23 @@ def test_http_backend_wraps_transport_errors():
 
     backend = HttpChatLLM(endpoint="https://llm.example/v1", model="m",
                           session=DeadSession())
+    with pytest.raises(LLMTransportError):
+        backend.invoke("analyst", "sys", {"node_uuid": "n"})
+
+
+@pytest.mark.parametrize("envelope", [
+    {"choices": None}, "not an object", {"choices": [{"message": None}]},
+    {"choices": []}], ids=["null-choices", "string", "null-message",
+                           "no-choice"])
+def test_http_backend_malformed_envelope_is_a_transport_error(envelope):
+    """A reply without a message is the server's fault, not the model's: it
+    raises LLMTransportError, which pauses a run instead of ending it."""
+    from provlens.investigation.llm import HttpChatLLM
+
+    session = FakeHttpSession(None)
+    session.reply = envelope
+    backend = HttpChatLLM(endpoint="https://llm.example/v1", model="m",
+                          session=session)
     with pytest.raises(LLMTransportError):
         backend.invoke("analyst", "sys", {"node_uuid": "n"})
 
