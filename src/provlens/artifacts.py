@@ -3,10 +3,12 @@
 Headers are JSON, record streams are JSONL (one object per line) and matrices
 are raw little-endian blobs. Writers create the parent directory and write
 sorted keys plus a trailing newline, so equal objects give equal bytes.
+Every JSONL file has a record count that its writer stores in a JSON header.
 Readers build records inside one error guard and raise ArtifactError naming
-the file when it is missing, does not decode, holds the wrong number of values,
-a non-finite matrix value or a record whose fields differ from those its writer
-wrote; the CLI reports that as exit code 2.
+the file when it is missing, does not decode, holds another number of records
+or values than its writer recorded, a non-finite matrix value or a record
+whose fields differ from those its writer wrote; the CLI reports that as exit
+code 2. The event input of ``ingest`` is opened through the same guard.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -50,11 +52,17 @@ def read_json(path, build: Callable | None = None):
         return json.load(fh) if build is None else build(json.load(fh))
 
 
-def read_jsonl(path, build: Callable | None = None) -> Iterator:
-    """The records of a JSONL file, decoded (and built) one line at a time."""
+def read_jsonl(path, count: int, build: Callable | None = None) -> list:
+    """The records of a JSONL file, decoded (and built) one line at a time;
+    a file holding another number of records than the ``count`` its writer
+    recorded, such as one cut at a record boundary, raises ArtifactError."""
     with reading(path), open(path, encoding="utf-8") as fh:
-        for line in fh:
-            yield json.loads(line) if build is None else build(json.loads(line))
+        records = [json.loads(line) if build is None
+                   else build(json.loads(line)) for line in fh]
+        if len(records) != count:
+            raise ValueError(f"holds {len(records)} records, its writer "
+                             f"recorded {count}")
+    return records
 
 
 def _exact(expected: frozenset, obj) -> dict:

@@ -207,7 +207,12 @@ def cmd_investigate(cfg: PipelineConfig, args) -> int:
 
 def cmd_report(cfg: PipelineConfig, args) -> int:
     out_dir = _investigation_dir(cfg, args.graph)
-    _write_report(InvestigationRepository.load(out_dir), out_dir)
+    repo = InvestigationRepository.load(out_dir)
+    if repo.status != "complete":
+        raise ProvlensError(f"investigation of graph {args.graph!r} is "
+                            f"{repo.status}, not complete; resume it with "
+                            f"investigate --resume")
+    _write_report(repo, out_dir)
     print(f"report graph={args.graph} -> {out_dir / 'report.md'}")
     return EXIT_OK
 

@@ -107,6 +107,10 @@ class LLMConfig:
             raise ConfigError(f"unknown llm backend {self.backend!r}")
         if self.backend == "http" and not self.endpoint:
             raise ConfigError("http llm backend requires an endpoint")
+        if not self.timeout_s > 0:
+            raise ConfigError("llm.timeout_s must be positive")
+        if self.knn_k < 1:
+            raise ConfigError("llm.knn_k must be >= 1")
 
 
 @dataclass
@@ -120,6 +124,8 @@ class PipelineConfig:
     llm: LLMConfig = field(default_factory=LLMConfig)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError("epsilon must lie in [0, 1)")
         self.features.validate()

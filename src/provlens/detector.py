@@ -17,7 +17,7 @@ import numpy as np
 from .artifacts import (keys, read_json, read_jsonl, record, write_json,
                         write_jsonl)
 from .encoder import EncoderParams, forward
-from .errors import ArtifactError, ConfigError
+from .errors import ConfigError
 from .features import SemanticVocab, feature_dim, feature_matrix
 from .ingest import ProvenanceGraph
 from .profiler import BenignKnowledgeBase, IdentityProfile, euclidean_distance
@@ -131,16 +131,9 @@ def save_alerts(alerts: list[Alert], path: str | Path) -> None:
 
 
 def load_alerts(path: str | Path) -> list[Alert]:
-    """The alerts ``save_alerts`` wrote; a file holding another number of
-    alerts than its header records (one cut at a record boundary) raises
-    ArtifactError naming it, and a missing header one naming the header."""
-    alerts = list(read_jsonl(path, record(Alert)))
+    """The alerts ``save_alerts`` wrote."""
     header = read_json(_header_path(path), keys("alert_count"))
-    if len(alerts) != header["alert_count"]:
-        raise ArtifactError(f"artifact {path} holds {len(alerts)} alerts, its "
-                            f"header records {header['alert_count']}",
-                            path=str(path))
-    return alerts
+    return read_jsonl(path, header["alert_count"], record(Alert))
 
 
 def format_alert_table(alerts: list[Alert]) -> str:

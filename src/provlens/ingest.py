@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .artifacts import (keys, read_json, read_jsonl, record, write_json,
-                        write_jsonl)
+from .artifacts import (keys, read_json, read_jsonl, reading, record,
+                        write_json, write_jsonl)
 from .config import DEFAULT_OP_VOCAB
-from .errors import ArtifactError, FormatError
+from .errors import FormatError
 
 log = logging.getLogger(__name__)
 
@@ -128,12 +128,8 @@ def parse_events(source, op_vocab: Iterable[str] = DEFAULT_OP_VOCAB) -> ParseRes
     """
     ops = set(op_vocab)
     if isinstance(source, (str, Path)):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                return _parse_lines(fh, ops, str(source))
-        except OSError as exc:
-            raise ArtifactError(f"cannot read event input {source}: {exc}",
-                                path=str(source)) from exc
+        with reading(source), open(source, encoding="utf-8") as fh:
+            return _parse_lines(fh, ops, str(source))
     return _parse_lines(source, ops, "<stream>")
 
 
@@ -255,16 +251,14 @@ def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
 
 
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
-    """The saved graph; a record file holding another number of records than
-    its header counts (one cut at a record boundary) raises ArtifactError."""
+    """The saved graph; a nodes file that repeats a uuid raises
+    ArtifactError naming it."""
     paths = graph_paths(directory, name)
     header = read_json(paths["header"], keys("edge_count name node_count"))
-    nodes = {n.uuid: n for n in read_jsonl(paths["nodes"], record(Entity))}
-    edges = list(read_jsonl(paths["edges"], record(ProvEdge)))
-    for kind, count, expected in (("nodes", len(nodes), header["node_count"]),
-                                  ("edges", len(edges), header["edge_count"])):
-        if count != expected:
-            raise ArtifactError(
-                f"artifact {paths[kind]} holds {count} {kind}, its header "
-                f"counts {expected}", path=str(paths[kind]))
-    return ProvenanceGraph(name=header["name"], nodes=nodes, edges=edges)
+    nodes = read_jsonl(paths["nodes"], header["node_count"], record(Entity))
+    edges = read_jsonl(paths["edges"], header["edge_count"], record(ProvEdge))
+    by_uuid = {node.uuid: node for node in nodes}
+    with reading(paths["nodes"]):
+        if len(by_uuid) != len(nodes):
+            raise ValueError("a node uuid is repeated")
+    return ProvenanceGraph(name=header["name"], nodes=by_uuid, edges=edges)

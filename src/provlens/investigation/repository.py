@@ -155,17 +155,16 @@ class InvestigationRepository:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict,
-                  journal_entries: list[dict]) -> "InvestigationRepository":
-        """The repository ``to_dict`` gave, with its journal; a missing or
-        unknown key raises."""
-        state = dict(data, journal_entries=journal_entries)
-        del state["journal_length"]
+    def from_dict(cls, data: dict) -> tuple["InvestigationRepository", int]:
+        """The repository ``to_dict`` gave, still without its journal, and
+        the journal's length; a missing or unknown key raises."""
+        state = dict(data, journal_entries=[])
+        length = state.pop("journal_length")
         repo = record(cls)(state)
         ioc = record(IOCRecord)
         repo.iocs = {u: ioc(r) for u, r in repo.iocs.items()}
         repo.hypotheses = list(map(record(Hypothesis), repo.hypotheses))
-        return repo
+        return repo, length
 
     def save(self, directory: str | Path) -> None:
         base = Path(directory)
@@ -174,20 +173,14 @@ class InvestigationRepository:
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvestigationRepository":
-        """The saved repository; a journal of another length than
-        ``repository.json`` records, or with an entry out of sequence or
-        without its action, raises ArtifactError naming ``journal.jsonl``."""
+        """The saved repository; a journal entry out of sequence or without
+        its action raises ArtifactError naming ``journal.jsonl``."""
         base = Path(directory)
         path = base / "journal.jsonl"
-        journal = list(read_jsonl(path))
-        repo, length = read_json(base / "repository.json",
-                                 lambda data: (cls.from_dict(data, journal),
-                                               data["journal_length"]))
+        repo, length = read_json(base / "repository.json", cls.from_dict)
+        repo.journal_entries = read_jsonl(path, length)
         with reading(path):
-            if len(journal) != length:
-                raise ValueError(f"journal holds {len(journal)} entries, "
-                                 f"repository.json records {length}")
-            for seq, entry in enumerate(journal):
+            for seq, entry in enumerate(repo.journal_entries):
                 if (not isinstance(entry, dict) or entry.get("seq") != seq
                         or "action" not in entry):
                     raise ValueError(f"journal entry {seq} is out of "

@@ -199,7 +199,8 @@ def kb_paths(directory: str | Path) -> dict[str, Path]:
 
 def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
     paths = kb_paths(directory)
-    write_json(paths["header"], {"dim": kb.embedding_dim, "epsilon": kb.epsilon})
+    write_json(paths["header"], {"dim": kb.embedding_dim, "epsilon": kb.epsilon,
+                                 "members": kb.size()})
     write_jsonl(paths["members"], (
         {"uuid": uuid, "label": label, "edges": digest}
         for uuid, label, digest in zip(kb.uuids, kb.labels, kb.digests)))
@@ -207,7 +208,7 @@ def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
 
 
 def _header_from_json(obj) -> dict:
-    header = keys("dim epsilon")(obj)
+    header = keys("dim epsilon members")(obj)
     if not 0.0 <= header["epsilon"] < 1.0:
         raise ValueError(f"epsilon {header['epsilon']} outside [0, 1)")
     return header
@@ -216,7 +217,8 @@ def _header_from_json(obj) -> dict:
 def load_kb(directory: str | Path) -> BenignKnowledgeBase:
     paths = kb_paths(directory)
     header = read_json(paths["header"], _header_from_json)
-    members = list(read_jsonl(paths["members"], keys("edges label uuid")))
+    members = read_jsonl(paths["members"], header["members"],
+                         keys("edges label uuid"))
     embeddings = read_blob(paths["embeddings"], "<f8",
                            (len(members), header["dim"]))
     with reading(paths["members"]):

@@ -96,6 +96,11 @@ INVALID_CONFIG = [
     _config('{"llm": {"timeout_s": NaN}}', "NaN", "timeout_s-NaN"),
     _config('{"llm": {"api_key_env": "MY_KEY"}}', "'llm.api_key_env'",
             "api_key_env-unknown"),
+    _config('{"seed": -1}', "seed must be >= 0", "negative-seed"),
+    _config('{"llm": {"knn_k": 0}}', "llm.knn_k", "knn_k-zero"),
+    _config('{"llm": {"timeout_s": 0}}', "llm.timeout_s", "timeout_s-zero"),
+    pytest.param(["synth", "--out", "{dir}/out", "--seed", "-1"], "",
+                 "seed must be >= 0", id="seed-flag-negative"),
     pytest.param(["train", "--artifacts", "{dir}", "--epochs", "-1"], "",
                  "epochs", id="train-epochs-negative"),
     pytest.param(["synth", "--out", "{dir}/out", "--spec", "{file}"], "[1, 2]",
@@ -329,22 +334,24 @@ def _graph_loader(name):
 DETECT = ("detect", "--graph", "attack")
 INVESTIGATE = ("investigate", "--graph", "attack", "--llm", "mock")
 REPORT = ("report", "--graph", "attack")
-GRAPH_RECORDS = [  # counted in the graph header
-    ("graphs/benign.nodes.jsonl", _graph_loader("benign"),
-     ("profile", "--graphs", "benign")),
+PROFILE = ("profile", "--graphs", "benign")
+RECORD_FILES = [  # every JSONL file the pipeline fixture writes
+    ("graphs/benign.nodes.jsonl", _graph_loader("benign"), PROFILE),
+    ("graphs/benign.edges.jsonl", _graph_loader("benign"), PROFILE),
+    ("graphs/attack.nodes.jsonl", _graph_loader("attack"), DETECT),
     ("graphs/attack.edges.jsonl", _graph_loader("attack"), DETECT),
+    ("kb/kb.members.jsonl", lambda path: load_kb(path.parent), DETECT),
+    ("alerts/attack.alerts.jsonl", load_alerts, INVESTIGATE),
+    ("investigation/attack/journal.jsonl",
+     lambda path: InvestigationRepository.load(path.parent), REPORT),
 ]
 TRUNCATED = [
-    *GRAPH_RECORDS,
+    *RECORD_FILES,
     ("graphs/attack.header.json", _graph_loader("attack"), DETECT),
     ("model/encoder.json", lambda path: load_params(path.parent), DETECT),
     ("model/vocab.json", lambda path: load_vocab(path.parent), DETECT),
     ("kb/kb.json", lambda path: load_kb(path.parent), DETECT),
-    ("kb/kb.members.jsonl", lambda path: load_kb(path.parent), DETECT),
-    ("alerts/attack.alerts.jsonl", load_alerts, INVESTIGATE),
     ("investigation/attack/repository.json",
-     lambda path: InvestigationRepository.load(path.parent), REPORT),
-    ("investigation/attack/journal.jsonl",
      lambda path: InvestigationRepository.load(path.parent), REPORT),
 ]
 
@@ -361,6 +368,13 @@ def _halve_at_record(path):
     """Damage that keeps the first half of the records, each one whole."""
     lines = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(b"".join(lines[:len(lines) // 2]))
+
+
+def _repeat_first_record(path):
+    """Damage that overwrites the last record with a copy of the first, so
+    the record count is kept and a uuid is repeated."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join([*lines[:-1], lines[0]]))
 
 
 def _delete(path):
@@ -425,7 +439,7 @@ DAMAGED = [
       for artifact, loader, argv in TRUNCATED],
     *[pytest.param(artifact, _halve_at_record, loader, argv,
                    id=f"{Path(artifact).name}-at-record-boundary")
-      for artifact, loader, argv in GRAPH_RECORDS],
+      for artifact, loader, argv in RECORD_FILES],
     pytest.param("investigation/attack/journal.jsonl", _delete,
                  lambda path: InvestigationRepository.load(path.parent),
                  REPORT, id="journal.jsonl-deleted"),
@@ -441,13 +455,12 @@ DAMAGED = [
                    REPORT),
     _missing_field("kb/kb.json", "epsilon",
                    lambda path: load_kb(path.parent), DETECT),
+    _missing_field("kb/kb.json", "members",
+                   lambda path: load_kb(path.parent), DETECT),
     _missing_field("kb/kb.members.jsonl", "uuid",
                    lambda path: load_kb(path.parent), DETECT),
     _missing_field("kb/kb.members.jsonl", "label",
                    lambda path: load_kb(path.parent), DETECT),
-    pytest.param("investigation/attack/journal.jsonl", _halve_at_record,
-                 lambda path: InvestigationRepository.load(path.parent),
-                 REPORT, id="journal.jsonl-at-record-boundary"),
     pytest.param("kb/kb.members.jsonl", _zero_rows,
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.members.jsonl-zero-rows"),
@@ -463,8 +476,6 @@ DAMAGED = [
     pytest.param("model/encoder.json", _setting("activation", "gelu"),
                  lambda path: load_params(path.parent), DETECT,
                  id="encoder.json-unknown-activation"),
-    pytest.param("alerts/attack.alerts.jsonl", _halve_at_record, load_alerts,
-                 INVESTIGATE, id="attack.alerts.jsonl-at-record-boundary"),
     pytest.param("alerts/attack.alerts.header.json", _delete,
                  lambda path: load_alerts(path.with_name("attack.alerts.jsonl")),
                  INVESTIGATE, id="attack.alerts.header.json-deleted"),
@@ -483,6 +494,9 @@ DAMAGED = [
                    _graph_loader("attack"), DETECT),
     _missing_field("graphs/attack.nodes.jsonl", "identity",
                    _graph_loader("attack"), DETECT),
+    pytest.param("graphs/attack.nodes.jsonl", _repeat_first_record,
+                 _graph_loader("attack"), DETECT,
+                 id="attack.nodes.jsonl-repeated-uuid"),
     _missing_field("graphs/attack.edges.jsonl", "weight",
                    _graph_loader("attack"), DETECT),
 ]
@@ -505,6 +519,29 @@ def test_truncated_artifact_exits_2_and_names_file(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 2
     assert "error code=missing_artifact" in err and path.name in err
+
+
+def test_every_record_file_has_an_at_record_boundary_case(pipeline):
+    """A record file added to the pipeline without a recorded count, and so
+    without a case above, fails here."""
+    artifacts, _ = pipeline
+    written = {path.relative_to(artifacts).as_posix()
+               for path in artifacts.rglob("*.jsonl")}
+    covered = {case.values[0] for case in DAMAGED
+               if case.id.endswith("-at-record-boundary")}
+    assert written == covered
+
+
+def test_ingest_of_a_non_utf8_input_exits_2_and_names_it(tmp_path, capsys):
+    events = tmp_path / "latin1.jsonl"
+    events.write_bytes('{"event_id": "caf\u00e9"}\n'.encode("latin-1"))
+    artifacts = tmp_path / "artifacts"
+    code = main(["ingest", "--artifacts", str(artifacts), "--input",
+                 str(events), "--name", "latin1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error code=missing_artifact" in err and events.name in err
+    assert not artifacts.exists()
 
 
 def test_investigate_rejects_alerts_of_another_graph(pipeline, tmp_path,
@@ -593,6 +630,26 @@ def test_investigate_resume_matches_an_uninterrupted_run(
     state, entries = _investigation(resumed)
     assert state["iocs"]
     assert (state, entries) == _investigation(whole)
+
+
+def test_report_of_a_paused_investigation_exits_1_and_writes_nothing(
+        pipeline, tmp_path, capsys, monkeypatch):
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    shutil.rmtree(artifacts / "investigation")
+    monkeypatch.setattr(cli, "_build_backend",
+                        lambda cfg: _FailingAfter(heuristic_mock(), 0))
+    assert main([*INVESTIGATE, "--artifacts", str(artifacts)]) == 1
+    out_dir = artifacts / "investigation" / "attack"
+    written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    capsys.readouterr()
+    assert main([*REPORT, "--artifacts", str(artifacts)]) == 1
+    err = capsys.readouterr().err
+    assert "error code=runtime" in err and "is paused, not complete" in err
+    assert {path.name: path.read_bytes()
+            for path in out_dir.iterdir()} == written
+    assert not set(REPORT_FILES) & set(written)
 
 
 def test_multi_graph_train_has_a_row_per_profile_member(pipeline, tmp_path,
