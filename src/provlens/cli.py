@@ -118,8 +118,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     graphs = _load_graphs(cfg, names)
     union = _union_graph(graphs)
 
-    summaries = [features.build_node_summary(union.nodes[u], union)
-                 for u in sorted(union.nodes)]
+    summaries = [features.build_node_summary(node, union)
+                 for node in union.nodes.values()]
     vocab = features.train_semantic_vocab(
         summaries, cfg.features.semantic_dim, window=cfg.features.w2v_window,
         negatives=cfg.features.w2v_negatives, epochs=cfg.features.w2v_epochs,
@@ -128,8 +128,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 
     uuids, h0 = features.feature_matrix(union, vocab, cfg.features.op_vocab)
     if args.export_features:
-        features.export_features(union, uuids, h0, vocab.dim,
-                                 args.export_features)
+        features.export_features(union, h0, vocab.dim, args.export_features)
     result = encoder.train(union, dict(zip(uuids, h0)), cfg.encoder, cfg.seed)
     encoder.save_params(result.params, _model_dir(cfg))
     trace_path = _model_dir(cfg) / "loss_trace.csv"
@@ -224,8 +223,9 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
         except OSError as exc:
             raise ArtifactError(f"cannot read scenario spec {args.spec}: {exc}",
                                 path=args.spec) from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario spec is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"scenario spec {args.spec} is not valid JSON: "
+                              f"{exc}") from exc
         if not isinstance(spec, dict):
             raise ConfigError(f"scenario spec {args.spec} must be a JSON object")
         spec.setdefault("seed", cfg.seed)

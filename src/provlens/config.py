@@ -178,7 +178,7 @@ def load_config(path: str | None = None,
                 tree = json.load(fh, parse_constant=_reject_non_finite)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(tree, dict):
             raise ConfigError("config file must contain a JSON object")

@@ -113,8 +113,8 @@ def detect_graph(graph: ProvenanceGraph, params: EncoderParams,
     """
     check_dimensions(params, vocab, kb, op_vocab)
     uuids, h0 = feature_matrix(graph, vocab, op_vocab)
-    return detect_embedded(uuids, forward(graph, uuids, h0, params),
-                           [graph.nodes[uuid].identity for uuid in uuids],
+    return detect_embedded(uuids, forward(graph, h0, params),
+                           [node.identity for node in graph.nodes.values()],
                            kb.profiles, graph.name)
 
 

@@ -45,7 +45,7 @@ class EncoderParams:
 
 @dataclass
 class ContrastiveBatch:
-    """Row indices into the uuid-sorted node list. ``anchors[i]`` pairs with
+    """Row indices into the graph's node list. ``anchors[i]`` pairs with
     ``positives[i]``; every member other than those two is a negative.
     Members are distinct; anchors and positives may repeat, and a positive
     need not be a member."""
@@ -77,16 +77,13 @@ def init_params(dims: list[int], activation: str = "relu",
                          aggregation=aggregation, seed=seed)
 
 
-def propagation_matrix(graph: ProvenanceGraph,
-                       uuids: list[str]) -> sparse.csr_matrix:
+def propagation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
     """Neighborhood operator: row i averages the undirected 1-hop neighbor set
     of node i plus the node itself. Parallel edges count once."""
-    n = len(uuids)
-    pos = {u: i for i, u in enumerate(uuids)}
-    src = np.array([pos.get(e.src, -1) for e in graph.edges], dtype=np.int64)
-    dst = np.array([pos.get(e.dst, -1) for e in graph.edges], dtype=np.int64)
+    n = len(graph.nodes)
+    src, dst = graph.endpoint_rows
     keep = (src >= 0) & (dst >= 0)
-    src, dst, loops = src[keep], dst[keep], np.arange(n, dtype=np.int64)
+    src, dst, loops = src[keep], dst[keep], np.arange(n, dtype=np.intp)
     rows, cols = np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src,
                                                      loops * n + loops])), n)
     vals = 1.0 / np.bincount(rows, minlength=n)[rows]
@@ -147,11 +144,11 @@ def backward_pass(prop: sparse.csr_matrix, params: EncoderParams, cache,
     return grads
 
 
-def forward(graph: ProvenanceGraph, uuids: list[str], h0: np.ndarray,
+def forward(graph: ProvenanceGraph, h0: np.ndarray,
             params: EncoderParams) -> np.ndarray:
-    """Embed the nodes ``uuids`` of the graph from their feature rows ``h0``;
-    row i of the result belongs to ``uuids[i]``. Deterministic and read-only."""
-    z, _ = forward_pass(propagation_matrix(graph, uuids),
+    """Embed the graph's nodes from their feature rows ``h0``, in the graph's
+    node order. Deterministic and read-only."""
+    z, _ = forward_pass(propagation_matrix(graph),
                         np.asarray(h0, dtype=np.float64), params)
     return z
 
@@ -289,25 +286,25 @@ def canonical_eval_batch(groups: list[list[int]],
 def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
           config: EncoderConfig, seed: int) -> TrainResult:
     """SGD over sampled contrastive batches; full-graph forward per step.
+    ``h0`` maps every node of ``graph`` to its feature row.
 
     The loss trace holds one entry per epoch, evaluated on a fixed canonical
     batch so the trace is comparable across epochs. Weights are rounded to
     float32-representable values at the end so that serialization round-trips
     exactly.
     """
-    uuids = sorted(h0)
-    if not uuids:
+    if not graph.nodes:
         raise ConfigError("cannot train an encoder on an empty graph")
-    matrix = np.stack([np.asarray(h0[u], dtype=np.float64) for u in uuids])
+    matrix = np.stack([np.asarray(h0[u], dtype=np.float64) for u in graph.nodes])
     dims = [matrix.shape[1]] + [config.embedding_dim] * config.num_layers
     params = init_params(dims, activation=config.activation,
                          aggregation=config.aggregation, seed=seed)
-    prop = propagation_matrix(graph, uuids)
-    groups = identity_groups([graph.nodes[u].identity for u in uuids])
+    prop = propagation_matrix(graph)
+    groups = identity_groups([node.identity for node in graph.nodes.values()])
     rng = np.random.default_rng(seed)
     eval_batch = canonical_eval_batch(groups)
 
-    batches_per_epoch = max(1, math.ceil(len(uuids) / config.batch_size))
+    batches_per_epoch = max(1, math.ceil(len(matrix) / config.batch_size))
     trace: list[float] = []
     for epoch in range(config.epochs):
         for step in range(batches_per_epoch):

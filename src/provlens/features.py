@@ -110,24 +110,21 @@ def feature_dim(semantic_dim: int, op_vocab) -> int:
 
 def feature_matrix(graph: ProvenanceGraph, vocab: SemanticVocab,
                    op_vocab) -> tuple[list[str], np.ndarray]:
-    """h0 rows for every node, in sorted-uuid order, accumulating each node's
-    incident edges in the order of ``incident_edges``. An out-of-vocabulary
-    token counts as zeros. An aggregated edge adds its event multiplicity to
-    the histogram and exposes only its first and last timestamps. A block with
-    no signal (no events, or fewer than two events or equal idle periods)
-    stays zero."""
-    uuids = sorted(graph.nodes)
-    pos = {u: i for i, u in enumerate(uuids)}
-    edges = sorted(graph.edges, key=lambda e: (e.first_ts, e.src, e.dst, e.operation))
-    src = np.array([pos.get(e.src, -1) for e in edges], dtype=np.intp)
-    dst = np.array([pos.get(e.dst, -1) for e in edges], dtype=np.intp)
+    """h0 rows for every node, in the graph's node order, accumulating each
+    node's incident edges in the order of ``incident_edges``. An
+    out-of-vocabulary token counts as zeros. An aggregated edge adds its event
+    multiplicity to the histogram and exposes only its first and last
+    timestamps. A block with no signal (no events, or fewer than two events or
+    equal idle periods) stays zero."""
+    uuids, edges = list(graph.nodes), graph.edges
+    src, dst = graph.endpoint_rows
     # Incidences in edge order: each edge at its source, then at its
     # destination unless that is the source; endpoints outside the graph's
     # nodes drop out. Per row this is the order of ``incident_edges``.
     row = np.stack([src, np.where(dst == src, -1, dst)], axis=1).ravel()
     edge = np.repeat(np.arange(len(edges)), 2)[row >= 0]
     row = row[row >= 0]
-    identities = [graph.nodes[u].identity for u in uuids]
+    identities = [node.identity for node in graph.nodes.values()]
     # One block at a time, so each block's incidence temporaries are freed
     # before the next is built.
     return uuids, np.hstack([_semantic_block(identities, edges, row, edge, vocab),
@@ -194,15 +191,15 @@ def _temporal_block(n, edges, row, edge):
     return block
 
 
-def export_features(graph: ProvenanceGraph, uuids: list[str], h0: np.ndarray,
-                    semantic_dim: int, path: str | Path) -> None:
+def export_features(graph: ProvenanceGraph, h0: np.ndarray, semantic_dim: int,
+                    path: str | Path) -> None:
     """Debug dump: one JSONL record per ``feature_matrix`` row, with its
     semantic, action and temporal column blocks."""
     blocks = np.split(h0, [semantic_dim, h0.shape[1] - TEMPORAL_DIM], axis=1)
-    write_jsonl(path, ({"uuid": uuid, "identity": graph.nodes[uuid].identity,
+    write_jsonl(path, ({"uuid": node.uuid, "identity": node.identity,
                         "x_sem": x_sem, "x_act": x_act, "x_tmp": x_tmp}
-                       for uuid, x_sem, x_act, x_tmp
-                       in zip(uuids, *(block.tolist() for block in blocks))))
+                       for node, x_sem, x_act, x_tmp in zip(
+                           graph.nodes.values(), *(b.tolist() for b in blocks))))
 
 
 # --- serialization ---------------------------------------------------------

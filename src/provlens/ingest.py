@@ -11,8 +11,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .artifacts import (keys, read_json, read_jsonl, reading, record,
                         write_json, write_jsonl)
@@ -56,11 +59,42 @@ class ProvEdge:
     weight: int = 1
 
 
+def edge_order(edge: ProvEdge):
+    """A graph's edge order: first timestamp, source, destination, operation."""
+    return (edge.first_ts, edge.src, edge.dst, edge.operation)
+
+
 @dataclass
 class ProvenanceGraph:
+    """Nodes in uuid order and edges in ``edge_order`` (stable), however it is
+    built. It is not changed once built, so what it derives is cached."""
     name: str
     nodes: dict[str, Entity]
     edges: list[ProvEdge]
+
+    def __post_init__(self):
+        self.nodes = dict(sorted(self.nodes.items()))
+        self.edges = sorted(self.edges, key=edge_order)
+
+    @cached_property
+    def incidence(self) -> dict[str, list[ProvEdge]]:
+        """uuid -> the edges touching it, in edge order."""
+        index: dict[str, list[ProvEdge]] = {}
+        for edge in self.edges:
+            index.setdefault(edge.src, []).append(edge)
+            if edge.dst != edge.src:
+                index.setdefault(edge.dst, []).append(edge)
+        return index
+
+    @cached_property
+    def endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only source and destination node rows of the edges; -1 for an
+        endpoint that is not a node."""
+        row = dict(zip(self.nodes, range(len(self.nodes))))
+        src = np.array([row.get(e.src, -1) for e in self.edges], dtype=np.intp)
+        dst = np.array([row.get(e.dst, -1) for e in self.edges], dtype=np.intp)
+        src.flags.writeable = dst.flags.writeable = False
+        return src, dst
 
 
 @dataclass
@@ -202,29 +236,12 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
             open_aggregates[key] = agg
             edges.append(agg)
 
-    edges.sort(key=lambda e: (e.first_ts, e.src, e.dst, e.operation))
     return ProvenanceGraph(name=name, nodes=nodes, edges=edges)
 
 
-def _incident_index(graph: ProvenanceGraph) -> dict[str, list[ProvEdge]]:
-    # Built lazily; graphs are immutable once constructed, so the index is
-    # stored on the instance.
-    cache = getattr(graph, "_incident_cache", None)
-    if cache is None:
-        cache = {}
-        for edge in graph.edges:
-            cache.setdefault(edge.src, []).append(edge)
-            if edge.dst != edge.src:
-                cache.setdefault(edge.dst, []).append(edge)
-        for edges in cache.values():
-            edges.sort(key=lambda e: (e.first_ts, e.src, e.dst, e.operation))
-        graph._incident_cache = cache
-    return cache
-
-
 def incident_edges(graph: ProvenanceGraph, uuid: str) -> list[ProvEdge]:
-    """All edges touching ``uuid``, in deterministic temporal order."""
-    return list(_incident_index(graph).get(uuid, []))
+    """A new list of the edges touching ``uuid``, in edge order."""
+    return list(graph.incidence.get(uuid, ()))
 
 
 # --- serialization ---------------------------------------------------------
@@ -245,8 +262,7 @@ def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
         "node_count": len(graph.nodes),
         "edge_count": len(graph.edges),
     }, indent=2)
-    write_jsonl(paths["nodes"],
-                (vars(graph.nodes[uuid]) for uuid in sorted(graph.nodes)))
+    write_jsonl(paths["nodes"], map(vars, graph.nodes.values()))
     write_jsonl(paths["edges"], map(vars, graph.edges))
 
 

@@ -3,7 +3,8 @@ expansion), Leader (strategic synthesis) and Reporter (analyst-facing output).
 
 Each agent assembles a bounded context from the knowledge base and graph
 store, issues exactly one structured LLM request through the shared session,
-and returns typed results; all repository mutations stay in the orchestrator.
+and returns typed results. The orchestrator mutates the repository, except
+that ``leader_synthesize`` journals the hypotheses and flags it rejects.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..encoder import EncoderParams, forward
 from ..features import SemanticVocab, feature_matrix
-from ..ingest import Entity, ProvenanceGraph, incident_edges
+from ..ingest import Entity, ProvenanceGraph, edge_order, incident_edges
 
 
 @dataclass
@@ -29,8 +29,7 @@ class GraphStore:
         store = cls(graph=graphs[0])
         if params is not None and vocab is not None:
             uuids, h0 = feature_matrix(store.graph, vocab, op_vocab)
-            store.embeddings = dict(
-                zip(uuids, forward(store.graph, uuids, h0, params)))
+            store.embeddings = dict(zip(uuids, forward(store.graph, h0, params)))
         return store
 
     def target(self, lead: dict) -> Entity | None:
@@ -46,8 +45,7 @@ class GraphStore:
         edges = incident_edges(self.graph, uuid)
         edges.sort(key=lambda e: (-e.weight, -e.last_ts, e.src, e.dst,
                                   e.operation))
-        selected = sorted(edges[:cap],
-                          key=lambda e: (e.first_ts, e.src, e.dst, e.operation))
+        selected = sorted(edges[:cap], key=edge_order)
         entries = []
         for edge in selected:
             if edge.src == uuid:

@@ -134,10 +134,10 @@ def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
     members: list[tuple[str, str, list[str]]] = []  # (label, uuid, digest)
     embeddings: list[np.ndarray] = []
     for graph in graphs:
-        graph_uuids, h0 = feature_matrix(graph, vocab, op_vocab)
-        embeddings.append(forward(graph, graph_uuids, h0, params))
-        members += [(graph.nodes[uuid].identity, uuid, edge_digest(graph, uuid))
-                    for uuid in graph_uuids]
+        _, h0 = feature_matrix(graph, vocab, op_vocab)
+        embeddings.append(forward(graph, h0, params))
+        members += [(node.identity, uuid, edge_digest(graph, uuid))
+                    for uuid, node in graph.nodes.items()]
     if not members:
         raise ConfigError("knowledge base needs at least one benign node")
     order = sorted(range(len(members)), key=lambda i: members[i][:2])

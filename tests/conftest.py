@@ -45,6 +45,17 @@ def manual_graph(nodes, edges, name="g"):
     return ProvenanceGraph(name=name, nodes=node_map, edges=edge_objs)
 
 
+def shuffled_graph(graph, order):
+    """``graph`` built again from its nodes and edges in the order the
+    ``random.Random`` ``order`` shuffles them into."""
+    nodes, edges = list(graph.nodes.values()), list(graph.edges)
+    order.shuffle(nodes)
+    order.shuffle(edges)
+    return ProvenanceGraph(name=graph.name,
+                           nodes={node.uuid: node for node in nodes},
+                           edges=edges)
+
+
 # Graphs for the byte-level oracle tests. "ghost" is an edge endpoint that is
 # not a node; "net::none" and "MOUNT" are in no vocabulary and "EXEC" only in
 # the token vocabulary. Small pools make self-loops, parallel edges, nodes

@@ -13,9 +13,10 @@ from provlens.ingest import incident_edges
 from provlens.profiler import euclidean_distance
 
 
-def propagation_matrix(graph, uuids):
-    """Row i averages the undirected 1-hop neighbor set of node i plus the
-    node itself. Parallel edges count once."""
+def propagation_matrix(graph):
+    """Row i averages the undirected 1-hop neighbor set of the i-th node in
+    uuid order plus the node itself. Parallel edges count once."""
+    uuids = sorted(graph.nodes)
     pos = {u: i for i, u in enumerate(uuids)}
     neighbor_sets = [{i} for i in range(len(uuids))]
     for edge in graph.edges:

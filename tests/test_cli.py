@@ -99,12 +99,15 @@ INVALID_CONFIG = [
     _config('{"seed": -1}', "seed must be >= 0", "negative-seed"),
     _config('{"llm": {"knn_k": 0}}', "llm.knn_k", "knn_k-zero"),
     _config('{"llm": {"timeout_s": 0}}', "llm.timeout_s", "timeout_s-zero"),
+    _config(b'{"seed": "caf\xe9"}', "input.json", "config-not-utf8"),
     pytest.param(["synth", "--out", "{dir}/out", "--seed", "-1"], "",
                  "seed must be >= 0", id="seed-flag-negative"),
     pytest.param(["train", "--artifacts", "{dir}", "--epochs", "-1"], "",
                  "epochs", id="train-epochs-negative"),
     pytest.param(["synth", "--out", "{dir}/out", "--spec", "{file}"], "[1, 2]",
                  "JSON object", id="spec-not-object"),
+    pytest.param(["synth", "--out", "{dir}/out", "--spec", "{file}"],
+                 b'{"seed": "caf\xe9"}', "input.json", id="spec-not-utf8"),
     pytest.param(["train", "--artifacts", "{dir}"], "", "--graphs",
                  id="train-without-graphs"),
     pytest.param(["profile", "--artifacts", "{dir}"], "", "--graphs",
@@ -115,7 +118,7 @@ INVALID_CONFIG = [
 @pytest.mark.parametrize("argv,text,names", INVALID_CONFIG)
 def test_invalid_config_exits_3(tmp_path, capsys, argv, text, names):
     path = tmp_path / "input.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     code = main([arg.format(dir=tmp_path, file=path) for arg in argv])
     err = capsys.readouterr().err
     assert code == 3

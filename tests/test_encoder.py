@@ -29,7 +29,7 @@ from provlens.errors import ConfigError
 import contrastive_oracle
 import graph_oracle
 from conftest import (assert_canonical_json_files, manual_graph, oracle_case,
-                      oracle_graphs)
+                      oracle_graphs, shuffled_graph)
 from contrastive_oracle import infonce_loss_grad, sample_uuid_batch
 
 
@@ -54,14 +54,14 @@ def embed(graph, h0, params):
     """``forward`` over the rows of a uuid -> feature dict, keyed back by
     uuid."""
     uuids = sorted(h0)
-    z = forward(graph, uuids, np.stack([h0[u] for u in uuids]), params)
+    z = forward(graph, np.stack([h0[u] for u in uuids]), params)
     return dict(zip(uuids, z))
 
 
 def test_forward_isolated_node_identity_weights():
     graph = manual_graph([("x", "subject", {"name": "x"}, "subject::x")], [])
     h0 = np.array([[1.5, -2.0]])
-    z = forward(graph, ["x"], h0, identity_params(2))
+    z = forward(graph, h0, identity_params(2))
     assert np.array_equal(z, h0)
 
 
@@ -71,7 +71,7 @@ def test_forward_symmetric_nodes_equal():
     graph = manual_graph(nodes, edges)
     h0 = np.array([[1.0, 2.0], [1.0, 2.0]])
     params = init_params([2, 3, 3], activation="relu", seed=1)
-    z = forward(graph, ["a", "b"], h0, params)
+    z = forward(graph, h0, params)
     assert np.array_equal(z[0], z[1])
 
 
@@ -82,7 +82,7 @@ def test_forward_matches_hand_matrix_arithmetic():
     w1 = np.array([[1.0, 2.0], [-0.5, 0.25]])
     params = EncoderParams(dims=[2, 2, 2], weights=[w0, w1],
                            activation="tanh", aggregation="mean")
-    z = forward(graph, ["a", "b", "c"], matrix, params)
+    z = forward(graph, matrix, params)
 
     # independent straight-line recomputation of the two-layer recurrence
     agg1 = np.stack([(matrix[0] + matrix[1]) / 2,
@@ -99,19 +99,18 @@ def test_forward_matches_hand_matrix_arithmetic():
 def test_forward_rejects_dimension_mismatch():
     graph = path_graph_3()
     with pytest.raises(ConfigError):
-        forward(graph, sorted(graph.nodes), np.zeros((3, 3)),
-                identity_params(2))
+        forward(graph, np.zeros((3, 3)), identity_params(2))
 
 
 def test_aggregation_invariant_to_edge_order():
     graph = path_graph_3()
     h0 = np.array([[1.0, 2.0], [-1.0, 0.5], [0.25, 0.75]])  # rows a, b, c
     params = init_params([2, 2], seed=3)
-    z1 = forward(graph, ["a", "b", "c"], h0, params)
+    z1 = forward(graph, h0, params)
     reversed_graph = manual_graph(
         [(u, n.kind, n.attrs, n.identity) for u, n in graph.nodes.items()],
         [("b", "c", "READ", 1, 1, 1), ("a", "b", "READ", 0, 0, 1)])
-    z2 = forward(reversed_graph, ["a", "b", "c"], h0, params)
+    z2 = forward(reversed_graph, h0, params)
     assert np.array_equal(z1, z2)
 
 
@@ -225,10 +224,8 @@ def test_batch_loss_grad_bytes_match_full_matrix_oracle(case):
 @example(oracle_case(), random.Random(0))
 def test_propagation_matrix_bytes_match_neighbor_set_oracle(case, order):
     graph = case[0]
-    uuids = sorted(graph.nodes)
-    order.shuffle(uuids)
-    prop = propagation_matrix(graph, uuids)
-    ref = graph_oracle.propagation_matrix(graph, uuids)
+    prop = propagation_matrix(shuffled_graph(graph, order))
+    ref = graph_oracle.propagation_matrix(graph)
     assert prop.shape == ref.shape
     for part in ("indptr", "indices", "data"):
         assert getattr(prop, part).dtype == getattr(ref, part).dtype
@@ -424,7 +421,7 @@ def finite_difference_check(seed, activation):
     uuids = sorted(graph.nodes)
     h0 = rng.normal(size=(n, dims[0]))
     params = init_params(dims, activation=activation, seed=seed)
-    prop = propagation_matrix(graph, uuids)
+    prop = propagation_matrix(graph)
 
     batch = canonical_eval_batch(
         identity_groups([graph.nodes[u].identity for u in uuids]))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from provlens.features import (
 import graph_oracle
 from conftest import (EMPTY_VOCAB, assert_canonical_json_files,
                       feature_blocks, graph_from_events, make_event,
-                      manual_graph, oracle_case, oracle_graphs)
+                      manual_graph, oracle_case, oracle_graphs,
+                      shuffled_graph)
 
 
 def vocab_from_table(table):
@@ -279,15 +281,17 @@ def test_features_invariant_to_event_order():
 
 
 @settings(max_examples=500, deadline=None)
-@given(oracle_graphs())
-@example(oracle_case())
-def test_feature_matrix_bytes_match_per_node_oracle(case):
+@given(oracle_graphs(), st.randoms(use_true_random=False))
+@example(oracle_case(), random.Random(0))
+def test_feature_matrix_bytes_match_per_node_oracle(case, order):
+    """Also for the same graph built from its nodes and edges shuffled."""
     graph, vocab, op_vocab = case
-    uuids, h0 = feature_matrix(graph, vocab, op_vocab)
     ref_uuids, ref_h0 = graph_oracle.feature_matrix(graph, vocab, op_vocab)
-    assert uuids == ref_uuids
-    assert h0.shape == ref_h0.shape
-    assert h0.tobytes() == ref_h0.tobytes()
+    for built in (graph, shuffled_graph(graph, order)):
+        uuids, h0 = feature_matrix(built, vocab, op_vocab)
+        assert uuids == ref_uuids
+        assert h0.shape == ref_h0.shape
+        assert h0.tobytes() == ref_h0.tobytes()
 
 
 def test_feature_pipeline_bit_reproducible():
@@ -310,8 +314,8 @@ def test_export_features_jsonl(tmp_path):
     vocab = vocab_from_table({"subject::cat": [0.1, 0.2]})
     path = tmp_path / "features.jsonl"
     from provlens.features import export_features
-    uuids, h0 = feature_matrix(graph, vocab, ("READ", "WRITE"))
-    export_features(graph, uuids, h0, vocab.dim, path)
+    _, h0 = feature_matrix(graph, vocab, ("READ", "WRITE"))
+    export_features(graph, h0, vocab.dim, path)
     records = [json_mod.loads(line) for line in path.read_text().splitlines()]
     assert len(records) == len(graph.nodes)
     by_uuid = {r["uuid"]: r for r in records}

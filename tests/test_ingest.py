@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from provlens.errors import ArtifactError, FormatError
 from provlens.ingest import (
     derive_identity,
+    graph_paths,
     incident_edges,
     load_graph,
     parse_events,
@@ -14,7 +16,7 @@ from provlens.ingest import (
 )
 
 from conftest import (assert_canonical_json_files, events_to_lines,
-                      graph_from_events, make_event)
+                      graph_from_events, make_event, shuffled_graph)
 
 
 # --- parse_events ------------------------------------------------------------
@@ -209,6 +211,11 @@ def test_graph_save_load_round_trip(tmp_path):
     loaded = load_graph(tmp_path, "win1")
     assert loaded == graph
     assert_canonical_json_files(tmp_path)
+    # the same graph built from its nodes and edges shuffled saves the same
+    save_graph(shuffled_graph(graph, random.Random(0)), tmp_path / "shuffled")
+    for path in graph_paths(tmp_path, "win1").values():
+        assert (tmp_path / "shuffled" / path.name).read_bytes() \
+            == path.read_bytes()
     assert loaded.name == graph.name
     assert set(loaded.nodes) == set(graph.nodes)
     for uuid in graph.nodes:

@@ -25,7 +25,8 @@ from provlens.investigation.llm import (
 from provlens.investigation.repository import FALLBACK_SUMMARY
 from provlens.profiler import BenignKnowledgeBase, edge_digest
 
-from conftest import assert_canonical_json_files, graph_from_events, make_event
+from conftest import (assert_canonical_json_files, graph_from_events,
+                      make_event, manual_graph)
 from scripted_llm import RecordingLLM, canonical_digest
 
 TRUTH = ("att-a", "att-b", "att-c")
@@ -291,13 +292,8 @@ def test_investigator_returns_scripted_leads():
 
 
 def test_investigator_isolated_ioc_keeps_phase():
-    graph = graph_from_events(
-        [make_event(event_id="z", subject_uuid="lonely", object_uuid="o",
-                    operation="READ", timestamp=1,
-                    subject_attrs={"name": "x"})], name="day1")
-    # remove the only edge so the IOC truly has no neighborhood
-    graph.edges.clear()
-    graph._incident_cache = None
+    graph = manual_graph([("lonely", "subject", {"name": "x"}, "subject::x")],
+                         [], name="day1")
     store = GraphStore.build([graph])
     repo = InvestigationRepository("day1")
     backend = RecordingLLM(handlers={"investigator": lambda p: {
