@@ -85,6 +85,19 @@ def _union_graph(graphs: list[ingest.ProvenanceGraph]) -> ingest.ProvenanceGraph
         name="+".join(g.name for g in graphs), nodes=nodes, edges=edges)
 
 
+def _load_model(cfg: PipelineConfig):
+    """The trained vocabulary and encoder. The configured operation list must
+    be the one the model was trained on, order included, because it orders
+    the columns of the action block."""
+    vocab = features.load_vocab(_model_dir(cfg))
+    ops = cfg.features.op_vocab
+    if vocab.op_vocab != ops:
+        raise ConfigError(f"features.op_vocab {list(ops)} is not the list "
+                          f"{list(vocab.op_vocab)} the model in "
+                          f"{_model_dir(cfg)} was trained on")
+    return vocab, encoder.load_params(_model_dir(cfg))
+
+
 def _build_backend(cfg: PipelineConfig):
     if cfg.llm.backend == "mock":
         return heuristic_mock()
@@ -123,7 +136,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     vocab = features.train_semantic_vocab(
         summaries, cfg.features.semantic_dim, window=cfg.features.w2v_window,
         negatives=cfg.features.w2v_negatives, epochs=cfg.features.w2v_epochs,
-        seed=cfg.seed)
+        seed=cfg.seed, op_vocab=cfg.features.op_vocab)
     features.save_vocab(vocab, _model_dir(cfg))
 
     uuids, h0 = features.feature_matrix(union, vocab, cfg.features.op_vocab)
@@ -145,8 +158,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 def cmd_profile(cfg: PipelineConfig, args) -> int:
     names = _resolve_graph_names(args.graphs)
     graphs = _load_graphs(cfg, names)
-    vocab = features.load_vocab(_model_dir(cfg))
-    params = encoder.load_params(_model_dir(cfg))
+    vocab, params = _load_model(cfg)
     kb = profiler.build_knowledge_base(graphs, params, vocab, cfg.epsilon,
                                        cfg.features.op_vocab)
     profiler.save_kb(kb, _kb_dir(cfg))
@@ -159,8 +171,7 @@ def cmd_profile(cfg: PipelineConfig, args) -> int:
 
 def cmd_detect(cfg: PipelineConfig, args) -> int:
     graph = ingest.load_graph(_graphs_dir(cfg), args.graph)
-    vocab = features.load_vocab(_model_dir(cfg))
-    params = encoder.load_params(_model_dir(cfg))
+    vocab, params = _load_model(cfg)
     kb = profiler.load_kb(_kb_dir(cfg))
     alerts = detector.detect_graph(graph, params, vocab, kb,
                                    cfg.features.op_vocab)
@@ -173,8 +184,7 @@ def cmd_detect(cfg: PipelineConfig, args) -> int:
 
 def cmd_investigate(cfg: PipelineConfig, args) -> int:
     graph = ingest.load_graph(_graphs_dir(cfg), args.graph)
-    vocab = features.load_vocab(_model_dir(cfg))
-    params = encoder.load_params(_model_dir(cfg))
+    vocab, params = _load_model(cfg)
     kb = profiler.load_kb(_kb_dir(cfg))
     alerts_path = Path(args.alerts) if args.alerts else _alerts_path(cfg, args.graph)
     alerts = detector.load_alerts(alerts_path)
@@ -286,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--alerts", help="alerts file (default: detect output)")
     p.add_argument("--resume", action="store_true",
-                   help="resume a paused investigation")
+                   help="resume a paused investigation; a complete one "
+                        "is left as it is")
     p.set_defaults(func=cmd_investigate)
 
     p = sub.add_parser("report", parents=[common],

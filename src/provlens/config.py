@@ -48,6 +48,8 @@ class FeatureConfig:
             raise ConfigError("window_ns must be positive")
         if not self.op_vocab:
             raise ConfigError("op_vocab must not be empty")
+        if len(set(self.op_vocab)) != len(self.op_vocab):
+            raise ConfigError("features.op_vocab repeats an operation")
         if self.w2v_window < 1 or self.w2v_negatives < 1:
             raise ConfigError("w2v_window and w2v_negatives must be >= 1")
 

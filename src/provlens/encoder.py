@@ -90,24 +90,13 @@ def propagation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _activate(s: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(s, 0.0)
-    if kind == "tanh":
-        return np.tanh(s)
-    if kind == "identity":
-        return s
-    raise ConfigError(f"unknown activation {kind!r}")
-
-
-def _activate_prime(s: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (s > 0.0).astype(np.float64)
-    if kind == "tanh":
-        return 1.0 - np.tanh(s) ** 2
-    if kind == "identity":
-        return np.ones_like(s)
-    raise ConfigError(f"unknown activation {kind!r}")
+# activation -> (function, derivative), for each name KNOWN_OPERATORS lists
+ACTIVATIONS = {
+    "relu": (lambda s: np.maximum(s, 0.0),
+             lambda s: (s > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, lambda s: 1.0 - np.tanh(s) ** 2),
+    "identity": (lambda s: s, np.ones_like),
+}
 
 
 def forward_pass(prop: sparse.csr_matrix, h0: np.ndarray,
@@ -125,7 +114,7 @@ def forward_pass(prop: sparse.csr_matrix, h0: np.ndarray,
         pre = aggregated @ w.T
         agg_cache.append(aggregated)
         pre_cache.append(pre)
-        h = _activate(pre, params.activation)
+        h = ACTIVATIONS[params.activation][0](pre)
     return h, (agg_cache, pre_cache)
 
 
@@ -137,7 +126,7 @@ def backward_pass(prop: sparse.csr_matrix, params: EncoderParams, cache,
     grads: list[np.ndarray] = [np.zeros_like(w) for w in params.weights]
     g = d_out
     for l in reversed(range(params.num_layers)):
-        d_pre = g * _activate_prime(pre_cache[l], params.activation)
+        d_pre = g * ACTIVATIONS[params.activation][1](pre_cache[l])
         grads[l] = d_pre.T @ agg_cache[l]
         if l > 0:
             g = prop.T @ (d_pre @ params.weights[l])

@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (keys, read_blob, read_json, write_blob, write_json,
-                        write_jsonl)
+from .artifacts import (keys, read_blob, read_json, reading, write_blob,
+                        write_json, write_jsonl)
+from .config import DEFAULT_OP_VOCAB
 from .errors import ConfigError
 from .ingest import Entity, ProvenanceGraph, incident_edges
 
@@ -42,6 +43,7 @@ class SemanticVocab:
     negatives: int
     epochs: int
     seed: int
+    op_vocab: tuple[str, ...] = DEFAULT_OP_VOCAB  # the action block's columns
 
     def __post_init__(self):
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
@@ -54,8 +56,8 @@ def build_node_summary(node: Entity, graph: ProvenanceGraph) -> list[str]:
 
 
 def train_semantic_vocab(summaries: list[list[str]], dim: int, window: int = 5,
-                         negatives: int = 5, epochs: int = 3,
-                         seed: int = 7) -> SemanticVocab:
+                         negatives: int = 5, epochs: int = 3, seed: int = 7,
+                         op_vocab=DEFAULT_OP_VOCAB) -> SemanticVocab:
     """Token vectors: the rows of ``U * sqrt(S)`` from one SVD of the SPPMI.
 
     #(w,c) counts the pairs at distance 1..``window`` inside a summary, and
@@ -64,7 +66,8 @@ def train_semantic_vocab(summaries: list[list[str]], dim: int, window: int = 5,
     negatives from, so this is the matrix its objective is optimal at. Vectors
     are truncated or zero-padded to ``dim``; a token with no positive entry gets
     the zero vector, as an out-of-vocabulary token does. ``epochs`` and
-    ``seed`` are recorded but no longer affect the vectors.
+    ``seed`` are recorded but no longer affect the vectors. ``op_vocab`` is
+    recorded as the column order of the action block the model is trained on.
     """
     if dim < 1:
         raise ConfigError("semantic dimension must be >= 1")
@@ -101,7 +104,7 @@ def train_semantic_vocab(summaries: list[list[str]], dim: int, window: int = 5,
     vectors[~sppmi.any(axis=1)] = 0.0
     return SemanticVocab(tokens=tokens, vectors=vectors.astype(np.float32),
                          dim=dim, window=window, negatives=negatives,
-                         epochs=epochs, seed=seed)
+                         epochs=epochs, seed=seed, op_vocab=tuple(op_vocab))
 
 
 def feature_dim(semantic_dim: int, op_vocab) -> int:
@@ -218,6 +221,7 @@ def save_vocab(vocab: SemanticVocab, directory: str | Path) -> None:
         "negatives": vocab.negatives,
         "epochs": vocab.epochs,
         "seed": vocab.seed,
+        "op_vocab": list(vocab.op_vocab),
         "dtype": "<f4",
     })
     write_blob(paths["vectors"], vocab.vectors, "<f4")
@@ -226,10 +230,15 @@ def save_vocab(vocab: SemanticVocab, directory: str | Path) -> None:
 def load_vocab(directory: str | Path) -> SemanticVocab:
     paths = vocab_paths(directory)
     header = read_json(paths["header"],
-                       keys("dim dtype epochs negatives seed tokens window"))
+                       keys("dim dtype epochs negatives op_vocab seed tokens "
+                            "window"))
+    with reading(paths["header"]):
+        if type(header["op_vocab"]) is not list:
+            raise ValueError("op_vocab is not a list")
     vectors = read_blob(paths["vectors"], "<f4",
                         (len(header["tokens"]), header["dim"]))
     return SemanticVocab(tokens=header["tokens"], vectors=vectors,
                          dim=header["dim"], window=header["window"],
                          negatives=header["negatives"], epochs=header["epochs"],
-                         seed=header["seed"])
+                         seed=header["seed"],
+                         op_vocab=tuple(header["op_vocab"]))

@@ -5,7 +5,6 @@ from .graphstore import GraphStore
 from .llm import HttpChatLLM, LLMSession, ScriptedLLM
 from .orchestrator import run_investigation
 from .repository import (
-    AgentVerdict,
     Hypothesis,
     InvestigationRepository,
     IOCRecord,
@@ -19,7 +18,6 @@ from .agents import (
 )
 
 __all__ = [
-    "AgentVerdict",
     "GraphStore",
     "Hypothesis",
     "HttpChatLLM",

@@ -3,40 +3,40 @@ expansion), Leader (strategic synthesis) and Reporter (analyst-facing output).
 
 Each agent assembles a bounded context from the knowledge base and graph
 store, issues exactly one structured LLM request through the shared session,
-and returns typed results. The orchestrator mutates the repository, except
-that ``leader_synthesize`` journals the hypotheses and flags it rejects.
+and returns its validated reply, or the parts of it the orchestrator uses.
+The orchestrator decides admission on the Analyst's reply and mutates the
+repository, except that ``leader_synthesize`` journals the hypotheses and
+flags it rejects.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
 
+from ..ingest import Entity
 from ..profiler import (BenignKnowledgeBase, attribute_query, edge_digest,
                         knn_query)
 from .graphstore import GraphStore
 from .llm import LLMSession
-from .repository import KILL_CHAIN_PHASES, AgentVerdict, InvestigationRepository
+from .repository import KILL_CHAIN_PHASES, InvestigationRepository
 
 SAME_IDENTITY_CAP = 5
 
 
-def analyst_validate(lead: dict, kb: BenignKnowledgeBase, store: GraphStore,
-                     session: LLMSession, knn_k: int = 5,
-                     digest_limit: int = 10) -> AgentVerdict:
-    """Validate one alert or clue against benign reference behavior.
+def analyst_validate(node: Entity, reason: str, kb: BenignKnowledgeBase,
+                     store: GraphStore, session: LLMSession, knn_k: int = 5,
+                     digest_limit: int = 10) -> tuple[dict, list[str]]:
+    """Validate one alert or clue, the store's ``node``, against benign
+    reference behavior; returns the validated reply and the node's edge
+    digest the Analyst was shown.
 
     Context pairs two retrieval modes: nearest benign members by embedding
     distance (similar behavior) and benign members sharing the node's identity
     (expected behavior), each with their edge digests. Malformed model output
     falls back to BENIGN with zero confidence.
     """
-    graph_name, node_uuid = lead["graph_name"], lead["node_uuid"]
-    node = store.target(lead)
-    if node is None:
-        raise KeyError(f"lead target {node_uuid} not found in graph {graph_name}")
-
     similar = []
-    query = store.embeddings.get(node_uuid)
+    query = store.embeddings.get(node.uuid)
     if query is not None:
         for row, distance in knn_query(kb, query, knn_k):
             similar.append({"node_uuid": kb.uuids[row],
@@ -45,29 +45,26 @@ def analyst_validate(lead: dict, kb: BenignKnowledgeBase, store: GraphStore,
                             "edges": kb.digests[row][:digest_limit]})
     same_identity = []
     for row in attribute_query(kb, node.identity):
-        if kb.uuids[row] == node_uuid:
+        if kb.uuids[row] == node.uuid:
             continue
         same_identity.append({"node_uuid": kb.uuids[row],
                               "edges": kb.digests[row][:digest_limit]})
         if len(same_identity) >= SAME_IDENTITY_CAP:
             break
 
+    edges = edge_digest(store.graph, node.uuid, digest_limit)
     payload = {
-        "node_uuid": node_uuid,
-        "graph_name": graph_name,
+        "node_uuid": node.uuid,
+        "graph_name": store.graph.name,
         "identity": node.identity,
         "kind": node.kind,
         "attrs": node.attrs,
-        "investigator_reason": lead.get("reason", ""),
-        "edges": edge_digest(store.graph, node_uuid, digest_limit),
+        "investigator_reason": reason,
+        "edges": edges,
         "similar_behavior": similar,
         "same_identity": same_identity,
     }
-    response = session.invoke("analyst", payload)
-    return AgentVerdict(verdict=response["verdict"],
-                        confidence=float(response["confidence"]),
-                        cited_evidence=list(response["cited_evidence"]),
-                        rationale=str(response.get("rationale", "")))
+    return session.invoke("analyst", payload), edges
 
 
 def investigator_expand(ioc, store: GraphStore, session: LLMSession,

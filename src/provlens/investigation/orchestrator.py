@@ -23,7 +23,8 @@ import logging
 from ..config import InvestigationBudget
 from ..detector import Alert
 from ..errors import LLMTransportError
-from ..profiler import BenignKnowledgeBase, edge_digest
+from ..ingest import Entity
+from ..profiler import BenignKnowledgeBase
 from .agents import (
     analyst_validate,
     investigator_expand,
@@ -36,7 +37,6 @@ from .repository import (
     FALLBACK_SUMMARY,
     KILL_CHAIN_PHASES,
     UNASSIGNED,
-    AgentVerdict,
     Hypothesis,
     InvestigationRepository,
     IOCRecord,
@@ -60,21 +60,26 @@ class _Orchestrator:
 
     # --- stage 1 and 2 building blocks ----------------------------------
 
-    def ask_analyst(self, lead: dict, origin: str) -> AgentVerdict:
-        """One journaled Analyst verdict on ``lead``."""
-        verdict = analyst_validate(lead, self.kb, self.store, self.session,
-                                   knn_k=self.knn_k,
-                                   digest_limit=self.budget.max_leads_per_ioc)
-        self.repo.journal("analyst_verdict", node_uuid=lead["node_uuid"],
-                          origin=origin, verdict=verdict.verdict,
-                          confidence=round(verdict.confidence, 6))
-        return verdict
+    def ask_analyst(self, node: Entity, reason: str,
+                    origin: str) -> tuple[dict, list[str]]:
+        """One journaled Analyst reply on ``node``, its confidence made a
+        float, and the edge digest the Analyst was shown."""
+        reply, edges = analyst_validate(
+            node, reason, self.kb, self.store, self.session, knn_k=self.knn_k,
+            digest_limit=self.budget.max_leads_per_ioc)
+        reply["confidence"] = float(reply["confidence"])
+        self.repo.journal("analyst_verdict", node_uuid=node.uuid,
+                          origin=origin, verdict=reply["verdict"],
+                          confidence=round(reply["confidence"], 6))
+        return reply, edges
 
     def validate_lead(self, lead: dict, origin: str,
                       parent: str | None = None) -> None:
-        """Analyst gate for one alert or clue; admits a validated IOC on an
-        ANOMALY verdict, records a dismissed candidate otherwise. A lead that
-        names another graph or an unknown node is journaled and dropped."""
+        """The admission gate for one alert or clue: an ANOMALY verdict of
+        positive confidence admits a validated IOC, whose evidence is the
+        edge digest the Analyst saw and then the evidence it cited; any other
+        verdict records a dismissed candidate. A lead that names another
+        graph or an unknown node is journaled and dropped."""
         repo = self.repo
         uuid = lead["node_uuid"]
         node = self.store.target(lead)
@@ -82,25 +87,27 @@ class _Orchestrator:
             repo.journal("lead_invalid", node_uuid=uuid,
                          graph_name=lead["graph_name"])
             return
-        verdict = self.ask_analyst(lead, origin)
+        reply, edges = self.ask_analyst(node, lead.get("reason", ""), origin)
         # a re-validated IOC keeps the links to the IOCs that led to it
         known = repo.iocs.get(uuid)
         record = IOCRecord(node_uuid=uuid, identity=node.identity,
-                           origin=origin, confidence=verdict.confidence,
+                           origin=origin, confidence=reply["confidence"],
                            related_ioc_refs=list(known.related_ioc_refs)
                            if known else [])
-        if verdict.verdict == "ANOMALY" and verdict.confidence > 0.0:
+        if reply["verdict"] == "ANOMALY" and record.confidence > 0.0:
             if parent is not None:
                 record.related_ioc_refs.append(parent)
-            repo.admit_ioc(record, verdict)
-            repo.add_evidence(uuid, edge_digest(
-                self.store.graph, uuid, self.budget.max_leads_per_ioc))
-            repo.add_evidence(uuid, [str(e) for e in verdict.cited_evidence])
+            record.status = "validated"
+            record.event = str(reply["rationale"]) or "validated anomaly"
+            repo.iocs[uuid] = record
+            repo.journal("ioc_validated", node_uuid=uuid, origin=origin,
+                         confidence=record.confidence)
+            cited = [str(e) for e in reply["cited_evidence"]]
+            repo.add_evidence(uuid, edges + cited)
             repo.expansion_queue.append(uuid)
             return
-        if verdict.verdict == "ANOMALY":
+        if reply["verdict"] == "ANOMALY":
             repo.journal("ioc_rejected_zero_confidence", node_uuid=uuid)
-        record.status = "candidate"
         repo.iocs.setdefault(uuid, record)
 
     def drain_expansion_queue(self) -> None:
@@ -151,13 +158,12 @@ class _Orchestrator:
             ioc = repo.iocs.get(target)
             if ioc is None:
                 continue
-            lead = {"graph_name": self.store.graph.name, "node_uuid": target,
-                    "reason": hyp.statement}
             if hyp.kind == "false_positive":
                 if ioc.status != "validated":
                     continue
-                verdict = self.ask_analyst(lead, origin="hypothesis")
-                if verdict.verdict == "BENIGN":
+                reply, _ = self.ask_analyst(self.store.graph.nodes[target],
+                                            hyp.statement, origin="hypothesis")
+                if reply["verdict"] == "BENIGN":
                     repo.demote_ioc(target, hyp.statement)
                     demoted = True
             else:  # missing_stage: dig deeper around or re-validate targets
@@ -166,7 +172,10 @@ class _Orchestrator:
                     repo.journal("ioc_reexpansion", node_uuid=target,
                                  hypothesis=hyp.id)
                 else:
-                    self.validate_lead(lead, origin="hypothesis")
+                    self.validate_lead({"graph_name": self.store.graph.name,
+                                        "node_uuid": target,
+                                        "reason": hyp.statement},
+                                       origin="hypothesis")
         self.drain_expansion_queue()
         validated_after = {i.node_uuid for i in repo.validated_iocs()}
         if hyp.kind == "false_positive":
@@ -278,11 +287,14 @@ def run_investigation(alerts: list[Alert], store: GraphStore,
     over ``alerts``; a new repository takes the graph's name.
 
     Returns the repository in status "complete", or "paused" when the LLM
-    transport failed; a paused repository can be passed back in to resume.
+    transport failed; a paused repository can be passed back in to resume,
+    and a complete one comes back untouched.
     """
     if repo is None:
         repo = InvestigationRepository(graph_name=store.graph.name)
         repo.journal("investigation_started", alerts=len(alerts))
+    elif repo.status == "complete":
+        return repo
     else:
         repo.journal("investigation_resumed")
     repo.status = "running"

@@ -1,7 +1,8 @@
 """Shared investigation state: IOC records, hypotheses, evidence, journal.
 
 The repository is the single source of truth that keeps the agents aligned.
-All mutations go through one writer and are recorded in an append-only journal
+All mutations go through one writer, the orchestrator, whose Analyst gate
+alone admits a validated IOC, and are recorded in an append-only journal
 with monotonically increasing sequence numbers (no wall-clock timestamps, so
 two identical runs journal byte for byte the same). It stores each fact once:
 the report and the attack graph are rendered from the stored state, and the
@@ -31,14 +32,6 @@ PHASE_NAMES = {
 UNASSIGNED = "UNASSIGNED"
 FALLBACK_SUMMARY = ("Validated indicators are listed below; no model-written "
                     "summary is available for this run.")
-
-
-@dataclass
-class AgentVerdict:
-    verdict: str  # ANOMALY or BENIGN
-    confidence: float
-    cited_evidence: list[str] = field(default_factory=list)
-    rationale: str = ""
 
 
 @dataclass
@@ -96,20 +89,6 @@ class InvestigationRepository:
             {"seq": len(self.journal_entries), "action": action, **details})
 
     # --- IOC lifecycle ---------------------------------------------------
-
-    def admit_ioc(self, record: IOCRecord, verdict: AgentVerdict) -> None:
-        """Admit a validated IOC. Only callable with an ANOMALY verdict of
-        positive confidence; that gate is what keeps the IOC set trustworthy."""
-        if verdict.verdict != "ANOMALY" or verdict.confidence <= 0.0:
-            raise ValueError("IOC admission requires an ANOMALY verdict with "
-                             "positive confidence")
-        record.status = "validated"
-        record.confidence = verdict.confidence
-        if not record.event:
-            record.event = verdict.rationale or "validated anomaly"
-        self.iocs[record.node_uuid] = record
-        self.journal("ioc_validated", node_uuid=record.node_uuid,
-                     origin=record.origin, confidence=record.confidence)
 
     def demote_ioc(self, node_uuid: str, reason: str) -> None:
         ioc = self.iocs.get(node_uuid)

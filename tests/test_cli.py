@@ -10,7 +10,7 @@ import pytest
 
 from provlens import cli
 from provlens.cli import main
-from provlens.config import PipelineConfig, load_config
+from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig, load_config
 from provlens.detector import load_alerts, save_alerts
 from provlens.encoder import load_params
 from provlens.errors import ArtifactError, LLMTransportError
@@ -79,6 +79,8 @@ INVALID_CONFIG = [
             "op_vocab-string"),
     _config('{"features": {"op_vocab": ["READ", 1]}}', "'features.op_vocab'",
             "op_vocab-non-string-item"),
+    _config('{"features": {"op_vocab": ["READ", "WRITE", "READ"]}}',
+            "features.op_vocab repeats an operation", "op_vocab-repeated"),
     _config('{"budget": {"max_llm_calls": 2.7}}', "'budget.max_llm_calls'",
             "float-for-int"),
     _config('{"seed": "abc"}', "'seed'", "string-for-int"),
@@ -458,6 +460,8 @@ DAMAGED = [
                    REPORT),
     _missing_field("kb/kb.json", "epsilon",
                    lambda path: load_kb(path.parent), DETECT),
+    _missing_field("model/vocab.json", "op_vocab",
+                   lambda path: load_vocab(path.parent), DETECT),
     _missing_field("kb/kb.json", "members",
                    lambda path: load_kb(path.parent), DETECT),
     _missing_field("kb/kb.members.jsonl", "uuid",
@@ -479,6 +483,9 @@ DAMAGED = [
     pytest.param("model/encoder.json", _setting("activation", "gelu"),
                  lambda path: load_params(path.parent), DETECT,
                  id="encoder.json-unknown-activation"),
+    pytest.param("model/vocab.json", _setting("op_vocab", 5),
+                 lambda path: load_vocab(path.parent), DETECT,
+                 id="vocab.json-op_vocab-not-a-list"),
     pytest.param("alerts/attack.alerts.header.json", _delete,
                  lambda path: load_alerts(path.with_name("attack.alerts.jsonl")),
                  INVESTIGATE, id="attack.alerts.header.json-deleted"),
@@ -635,6 +642,24 @@ def test_investigate_resume_matches_an_uninterrupted_run(
     assert (state, entries) == _investigation(whole)
 
 
+def test_investigate_resume_of_a_complete_investigation_changes_nothing(
+        pipeline, tmp_path, capsys, monkeypatch):
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    out_dir = artifacts / "investigation" / "attack"
+    written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert set(REPORT_FILES) <= set(written)
+    backend = _FailingAfter(heuristic_mock(), 100)
+    monkeypatch.setattr(cli, "_build_backend", lambda cfg: backend)
+    capsys.readouterr()
+    assert main([*INVESTIGATE, "--artifacts", str(artifacts), "--resume"]) == 0
+    assert "status=complete" in capsys.readouterr().out
+    assert backend.calls == 100  # no request reached the backend
+    assert {path.name: path.read_bytes()
+            for path in out_dir.iterdir()} == written
+
+
 def test_report_of_a_paused_investigation_exits_1_and_writes_nothing(
         pipeline, tmp_path, capsys, monkeypatch):
     source, _ = pipeline
@@ -711,6 +736,53 @@ def test_kb_encoder_dimension_mismatch_exits_3(pipeline, tmp_path, capsys):
         assert code == 3
         assert ("error code=config detail=knowledge-base embedding dimension "
                 "16 does not match encoder output dimension 32") in err
+
+
+def _files(directory):
+    return {path: path.read_bytes() for path in directory.rglob("*")
+            if path.is_file()}
+
+
+def _op_vocab_config(tmp_path, ops):
+    config = tmp_path / "op_vocab.json"
+    config.write_text(json.dumps({"features": {"op_vocab": list(ops)}}),
+                      encoding="utf-8")
+    return str(config)
+
+
+@pytest.mark.parametrize("argv", [PROFILE, DETECT, INVESTIGATE],
+                         ids=lambda argv: argv[0])
+def test_reordered_op_vocab_exits_3_and_writes_nothing(pipeline, tmp_path,
+                                                       capsys, argv):
+    """The model records the operation list it was trained on; the same
+    operations in another order would move the action block's columns."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    assert load_vocab(artifacts / "model").op_vocab == DEFAULT_OP_VOCAB
+    before = _files(artifacts)
+    config = _op_vocab_config(tmp_path, reversed(DEFAULT_OP_VOCAB))
+    capsys.readouterr()
+    code = main([*argv, "--artifacts", str(artifacts), "--config", config])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error code=config detail=features.op_vocab" in err
+    assert _files(artifacts) == before
+
+
+def test_model_trained_on_a_reordered_op_vocab_takes_that_order(pipeline,
+                                                                tmp_path):
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    ops = tuple(reversed(DEFAULT_OP_VOCAB))
+    common = ["--artifacts", str(artifacts),
+              "--config", _op_vocab_config(tmp_path, ops)]
+    assert main(["train", "--graphs", "benign", "--epochs", "1", *common]) == 0
+    assert load_vocab(artifacts / "model").op_vocab == ops
+    assert main([*PROFILE, *common]) == 0
+    assert main([*DETECT, *common]) == 0
+    assert main([*DETECT, "--artifacts", str(artifacts)]) == 3
 
 
 def test_train_zero_epochs_writes_header_only_trace(tmp_path):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from provlens.config import EncoderConfig
+from provlens.config import KNOWN_OPERATORS, EncoderConfig
 from provlens.encoder import (
+    ACTIVATIONS,
     ContrastiveBatch,
     batch_loss,
     batch_loss_grad,
@@ -454,6 +455,10 @@ def finite_difference_check(seed, activation):
             numeric = (up - down) / (2 * step)
             worst = max(worst, relative_error(analytic[layer][idx], numeric))
     return worst
+
+
+def test_activation_table_covers_the_known_activations():
+    assert tuple(ACTIVATIONS) == KNOWN_OPERATORS["activation"]
 
 
 def test_gradients_match_finite_differences():

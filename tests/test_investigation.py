@@ -231,10 +231,10 @@ def test_analyst_scripted_passthrough():
         "verdict": "BENIGN", "confidence": 0.9, "cited_evidence": [],
         "rationale": "fine"}})
     session = LLMSession(backend=backend, max_llm_calls=10, repo=repo)
-    verdict = analyst_validate({"graph_name": "day1", "node_uuid": "ben-1",
-                                "reason": "why not"}, benign_kb(graph), store,
-                               session)
-    assert verdict.verdict == "BENIGN" and verdict.confidence == 0.9
+    reply, edges = analyst_validate(graph.nodes["ben-1"], "why not",
+                                    benign_kb(graph), store, session)
+    assert reply["verdict"] == "BENIGN" and reply["confidence"] == 0.9
+    assert edges == edge_digest(graph, "ben-1", 10)
 
 
 def test_analyst_benign_when_digest_matches_same_identity_member():
@@ -256,12 +256,12 @@ def test_analyst_benign_when_digest_matches_same_identity_member():
     session = LLMSession(backend=RecordingLLM(handlers={"analyst": faithful}),
                          max_llm_calls=10, repo=repo)
     # ben-3 mirrors ben-1 exactly (same ops, timestamps, object identity)
-    same = analyst_validate({"graph_name": "day1", "node_uuid": "ben-3",
-                             "reason": "looks odd"}, kb, store, session)
-    assert same.verdict == "BENIGN"
-    diverging = analyst_validate({"graph_name": "day1", "node_uuid": "att-a",
-                                  "reason": "alerted"}, kb, store, session)
-    assert diverging.verdict == "ANOMALY"
+    same, _ = analyst_validate(graph.nodes["ben-3"], "looks odd", kb, store,
+                               session)
+    assert same["verdict"] == "BENIGN"
+    diverging, _ = analyst_validate(graph.nodes["att-a"], "alerted", kb,
+                                    store, session)
+    assert diverging["verdict"] == "ANOMALY"
 
 
 def test_unknown_identity_lead_with_scripted_anomaly_creates_ioc():
@@ -443,6 +443,50 @@ def test_gatekeeping_every_validated_ioc_has_anomaly_verdict():
         assert verdicts and admissions
         assert verdicts[0]["verdict"] == "ANOMALY"
         assert verdicts[0]["seq"] < admissions[0]["seq"]
+
+
+def _anomaly_on_alert(confidence, cited_evidence=(), seen=None):
+    """An Analyst that answers ANOMALY at ``confidence`` for att-a and BENIGN
+    otherwise, keeping the edges of every payload in ``seen``."""
+    def analyst(payload):
+        if seen is not None:
+            seen[payload["node_uuid"]] = payload["edges"]
+        if payload["node_uuid"] != "att-a":
+            return {"verdict": "BENIGN", "confidence": 0.8,
+                    "cited_evidence": [], "rationale": "benign"}
+        return {"verdict": "ANOMALY", "confidence": confidence,
+                "cited_evidence": list(cited_evidence), "rationale": "odd"}
+    backend = scripted_chain_backend()
+    backend.handlers["analyst"] = analyst
+    return backend
+
+
+def test_zero_confidence_anomaly_leaves_a_candidate_and_queues_nothing():
+    backend = _anomaly_on_alert(0)
+    repo = run_chain(backend=backend)
+    assert repo.iocs["att-a"].status == "candidate"
+    assert [e["node_uuid"] for e in repo.journal_entries
+            if e["action"] == "ioc_rejected_zero_confidence"] == ["att-a"]
+    assert [r for r, _ in backend.calls] == ["analyst"]
+    assert repo.expansion_queue == []
+
+
+def test_integer_confidence_is_journaled_and_stored_as_a_float():
+    repo = run_chain(backend=_anomaly_on_alert(1))
+    confidences = [e["confidence"] for e in repo.journal_entries
+                   if e["action"] in ("analyst_verdict", "ioc_validated")
+                   and e["node_uuid"] == "att-a"]
+    assert confidences == [1.0, 1.0]
+    assert all(type(c) is float for c in confidences)
+    assert type(repo.iocs["att-a"].confidence) is float
+    assert '"confidence": 1.0' in json.dumps(repo.to_dict())
+
+
+def test_validated_ioc_evidence_is_the_analyst_digest_then_its_citations():
+    seen = {}
+    repo = run_chain(backend=_anomaly_on_alert(0.9, [7, "cited line"], seen))
+    assert seen["att-a"]
+    assert repo.evidence["att-a"] == seen["att-a"] + ["7", "cited line"]
 
 
 def test_journal_replay_is_deterministic():
