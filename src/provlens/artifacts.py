@@ -4,10 +4,15 @@ Headers are JSON, record streams are JSONL (one object per line) and matrices
 are raw little-endian blobs. Writers create the parent directory and write
 sorted keys plus a trailing newline, so equal objects give equal bytes.
 Every JSONL file has a record count that its writer stores in a JSON header.
+``decode`` and ``encode`` are the one JSON decoder and encoder of a record:
+each line is decoded on its own, and each record is encoded to the bytes of
+``json.dumps(record, sort_keys=True)``, without the per-call set-up of
+``json.loads`` and ``json.dumps``.
 Readers build records inside one error guard and raise ArtifactError naming
 the file when it is missing, does not decode, holds another number of records
-or values than its writer recorded, a non-finite matrix value or a record
-whose fields differ from those its writer wrote; the CLI reports that as exit
+or values than its writer recorded, a non-finite matrix value, a header
+count or dimension that is not a JSON integer, or a record whose fields
+differ from those its writer wrote; the CLI reports that as exit
 code 2. The event input of ``ingest`` is opened through the same guard.
 """
 
@@ -25,6 +30,24 @@ import numpy as np
 
 from .errors import ArtifactError
 
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
+def decode(text: str):
+    """The JSON value that ``text`` holds, with JSON whitespace around it;
+    like ``json.loads``, anything else after the value raises ValueError."""
+    text = text.strip(_JSON_SPACE)
+    value, end = _raw_decode(text)
+    if end != len(text):
+        raise ValueError(f"extra data at column {end + 1}")
+    return value
+
+
+# The text of a JSON value with sorted keys, ``json.dumps(obj,
+# sort_keys=True)``, from one encoder; ``json.dumps`` builds one per call.
+encode = json.JSONEncoder(sort_keys=True).encode
+
 
 @contextmanager
 def reading(path):
@@ -35,7 +58,8 @@ def reading(path):
         yield
     except FileNotFoundError as exc:
         raise ArtifactError(f"missing artifact {path}", path=str(path)) from exc
-    except (OSError, ValueError, KeyError) as exc:  # decoding and fields
+    # decoding (RecursionError: nested past the decoder's depth) and fields
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         raise ArtifactError(f"unreadable artifact {path}: {exc}",
                             path=str(path)) from exc
 
@@ -49,7 +73,8 @@ def _parent_made(path) -> Path:
 def read_json(path, build: Callable | None = None):
     """The JSON value of ``path``, passed through ``build`` when given."""
     with reading(path), open(path, encoding="utf-8") as fh:
-        return json.load(fh) if build is None else build(json.load(fh))
+        value = decode(fh.read())
+        return value if build is None else build(value)
 
 
 def read_jsonl(path, count: int, build: Callable | None = None) -> list:
@@ -57,26 +82,39 @@ def read_jsonl(path, count: int, build: Callable | None = None) -> list:
     a file holding another number of records than the ``count`` its writer
     recorded, such as one cut at a record boundary, raises ArtifactError."""
     with reading(path), open(path, encoding="utf-8") as fh:
-        records = [json.loads(line) if build is None
-                   else build(json.loads(line)) for line in fh]
+        records = ([decode(line) for line in fh] if build is None
+                   else [build(decode(line)) for line in fh])
         if len(records) != count:
             raise ValueError(f"holds {len(records)} records, its writer "
                              f"recorded {count}")
     return records
 
 
-def _exact(expected: frozenset, obj) -> dict:
+def _exact(expected: frozenset, obj, counts: tuple = ()) -> dict:
     if type(obj) is not dict or obj.keys() != expected:
         found = obj.keys() if isinstance(obj, dict) else frozenset()
         raise ValueError(f"fields missing {sorted(expected - found)}, "
                          f"unknown {sorted(found - expected)}")
+    for name in counts:
+        count_field(obj, name)
     return obj
 
 
-def keys(names: str) -> Callable[[object], dict]:
+def keys(names: str, counts: str = "") -> Callable[[object], dict]:
     """A build step passing on a JSON object whose keys are exactly the
-    space-separated ``names``, so no default fills a missing one."""
-    return partial(_exact, frozenset(names.split()))
+    space-separated ``names``, so no default fills a missing one, and whose
+    space-separated ``counts`` fields each pass ``count_field``."""
+    return partial(_exact, frozenset(names.split()),
+                   counts=tuple(counts.split()))
+
+
+def count_field(obj: dict, name: str) -> int:
+    """Field ``name`` of ``obj`` if it is a non-negative JSON integer (not a
+    boolean); a count or dimension that is anything else raises ValueError."""
+    value = obj[name]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} {value!r} is not a non-negative integer")
+    return value
 
 
 def record(cls) -> Callable[[object], object]:
@@ -101,14 +139,14 @@ def read_blob(path, dtype, shape) -> np.ndarray:
 
 
 def write_json(path, obj, indent: int | None = None) -> None:
-    _parent_made(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=indent) + "\n", encoding="utf-8")
+    text = (encode(obj) if indent is None
+            else json.dumps(obj, sort_keys=True, indent=indent))
+    _parent_made(path).write_text(text + "\n", encoding="utf-8")
 
 
 def write_jsonl(path, records: Iterable[dict]) -> None:
     with open(_parent_made(path), "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.writelines(encode(record) + "\n" for record in records)
 
 
 def write_blob(path, array, dtype) -> None:

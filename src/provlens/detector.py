@@ -8,14 +8,13 @@ identity, which is what makes the alert explainable to an analyst.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (keys, read_json, read_jsonl, record, write_json,
-                        write_jsonl)
+from .artifacts import (encode, keys, read_json, read_jsonl, record,
+                        write_json, write_jsonl)
 from .encoder import EncoderParams, forward
 from .errors import ConfigError
 from .features import SemanticVocab, feature_dim, feature_matrix
@@ -38,7 +37,7 @@ class Alert:
     score: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return encode(asdict(self))
 
 
 def detect_embedded(uuids: list[str], z: np.ndarray, claimed: list[str],
@@ -132,7 +131,7 @@ def save_alerts(alerts: list[Alert], path: str | Path) -> None:
 
 def load_alerts(path: str | Path) -> list[Alert]:
     """The alerts ``save_alerts`` wrote."""
-    header = read_json(_header_path(path), keys("alert_count"))
+    header = read_json(_header_path(path), keys("alert_count", "alert_count"))
     return read_jsonl(path, header["alert_count"], record(Alert))
 
 

@@ -343,11 +343,14 @@ def load_params(directory: str | Path) -> EncoderParams:
     paths = encoder_paths(directory)
     header = read_json(paths["header"],
                        keys("activation aggregation dims dtype seed"))
+    dims = header["dims"]
     with reading(paths["header"]):
         for key, known in KNOWN_OPERATORS.items():
             if header[key] not in known:
                 raise ValueError(f"unknown {key} {header[key]!r}")
-    dims = header["dims"]
+        if type(dims) is not list or any(type(d) is not int or d < 1
+                                         for d in dims):
+            raise ValueError(f"dims {dims!r} are not positive integers")
     shapes = list(zip(dims[1:], dims[:-1]))
     sizes = [rows * cols for rows, cols in shapes]
     raw = read_blob(paths["weights"], "<f4", (sum(sizes),))

@@ -231,7 +231,7 @@ def load_vocab(directory: str | Path) -> SemanticVocab:
     paths = vocab_paths(directory)
     header = read_json(paths["header"],
                        keys("dim dtype epochs negatives op_vocab seed tokens "
-                            "window"))
+                            "window", "dim epochs negatives window"))
     with reading(paths["header"]):
         if type(header["op_vocab"]) is not list:
             raise ValueError("op_vocab is not a list")

@@ -8,16 +8,16 @@ does not explode the graph.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .artifacts import (keys, read_json, read_jsonl, reading, record,
+from .artifacts import (decode, keys, read_json, read_jsonl, reading, record,
                         write_json, write_jsonl)
 from .config import DEFAULT_OP_VOCAB
 from .errors import FormatError
@@ -29,7 +29,7 @@ ENTITY_KINDS = ("subject", "file", "netflow")
 IDENTITY_PREFIX = {"subject": "subject", "file": "file", "netflow": "net"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RawEvent:
     event_id: str
     subject_uuid: str
@@ -59,9 +59,8 @@ class ProvEdge:
     weight: int = 1
 
 
-def edge_order(edge: ProvEdge):
-    """A graph's edge order: first timestamp, source, destination, operation."""
-    return (edge.first_ts, edge.src, edge.dst, edge.operation)
+# A graph's edge order: first timestamp, source, destination, operation.
+edge_order = attrgetter("first_ts", "src", "dst", "operation")
 
 
 @dataclass
@@ -127,30 +126,40 @@ def derive_identity(kind: str, attrs: dict) -> str:
     return f"{prefix}::{key}"
 
 
+def _attribute_map(record: dict, name: str) -> dict:
+    """The attribute map ``name`` of ``record``: a JSON object, or ``{}`` when
+    it is missing or null."""
+    attrs = record.get(name)
+    if attrs is None:
+        return {}
+    if type(attrs) is not dict:
+        raise ValueError(f"{name} must be an object")
+    return attrs
+
+
 def _event_from_record(record: dict) -> RawEvent:
-    for field in ("subject_uuid", "object_uuid"):
-        if not isinstance(record[field], str) or not record[field]:
-            raise ValueError(f"{field} must be a non-empty string")
+    if type(record) is not dict:
+        raise ValueError("an event must be an object")
+    subject_uuid = record["subject_uuid"]
+    object_uuid = record["object_uuid"]
+    if (type(subject_uuid) is not str or type(object_uuid) is not str
+            or not subject_uuid or not object_uuid):
+        raise ValueError("subject_uuid and object_uuid must be non-empty "
+                         "strings")
     timestamp = record["timestamp"]
-    if not isinstance(timestamp, int) or isinstance(timestamp, bool) or timestamp < 0:
+    if type(timestamp) is not int or timestamp < 0:
         raise ValueError("timestamp must be a non-negative integer")
     object_kind = record["object_kind"]
     if object_kind not in ENTITY_KINDS:
         raise ValueError(f"unknown object_kind {object_kind!r}")
-    subject_attrs = record.get("subject_attrs") or {}
-    object_attrs = record.get("object_attrs") or {}
-    if not isinstance(subject_attrs, dict) or not isinstance(object_attrs, dict):
-        raise ValueError("attribute maps must be objects")
-    return RawEvent(
-        event_id=str(record["event_id"]),
-        subject_uuid=record["subject_uuid"],
-        object_uuid=record["object_uuid"],
-        operation=str(record["operation"]),
-        timestamp=timestamp,
-        subject_attrs=subject_attrs,
-        object_attrs=object_attrs,
-        object_kind=object_kind,
-    )
+    object_attrs = _attribute_map(record, "object_attrs")
+    path = object_attrs.get("path")
+    if object_kind == "file" and path is not None and type(path) is not str:
+        raise ValueError("a file's path must be a string")
+    return RawEvent(str(record["event_id"]), subject_uuid, object_uuid,
+                    str(record["operation"]), timestamp,
+                    _attribute_map(record, "subject_attrs"), object_attrs,
+                    object_kind)
 
 
 def parse_events(source, op_vocab: Iterable[str] = DEFAULT_OP_VOCAB) -> ParseResult:
@@ -177,11 +186,10 @@ def _parse_lines(lines: Iterable[str], ops: set, origin: str) -> ParseResult:
             continue
         total += 1
         try:
-            record = json.loads(line)
-            event = _event_from_record(record)
+            event = _event_from_record(decode(line))
             if event.operation not in ops:
                 raise ValueError(f"operation {event.operation!r} not in vocabulary")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             skipped += 1
             log.debug("skipping malformed line in %s: %s", origin, exc)
             continue
@@ -193,9 +201,8 @@ def _parse_lines(lines: Iterable[str], ops: set, origin: str) -> ParseResult:
     return ParseResult(events=events, skipped=skipped)
 
 
-def _sort_key(event: RawEvent):
-    return (event.timestamp, event.subject_uuid, event.object_uuid,
-            event.operation, event.event_id)
+_sort_key = attrgetter("timestamp", "subject_uuid", "object_uuid", "operation",
+                       "event_id")
 
 
 def build_graph(events: Iterable[RawEvent], window_ns: int,
@@ -214,25 +221,24 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
     nodes: dict[str, Entity] = {}
     open_aggregates: dict[tuple[str, str, str], ProvEdge] = {}
     edges: list[ProvEdge] = []
-
-    def ensure_node(uuid: str, kind: str, attrs: dict) -> None:
-        if uuid in nodes:
-            return
-        nodes[uuid] = Entity(uuid=uuid, kind=kind, attrs=dict(attrs),
-                             identity=derive_identity(kind, attrs))
-
     for event in ordered:
-        ensure_node(event.subject_uuid, "subject", event.subject_attrs)
-        ensure_node(event.object_uuid, event.object_kind, event.object_attrs)
-        key = (event.subject_uuid, event.object_uuid, event.operation)
+        src, dst = event.subject_uuid, event.object_uuid
+        operation, timestamp = event.operation, event.timestamp
+        if src not in nodes:
+            attrs = event.subject_attrs
+            nodes[src] = Entity(src, "subject", dict(attrs),
+                                derive_identity("subject", attrs))
+        if dst not in nodes:
+            kind, attrs = event.object_kind, event.object_attrs
+            nodes[dst] = Entity(dst, kind, dict(attrs),
+                                derive_identity(kind, attrs))
+        key = (src, dst, operation)
         agg = open_aggregates.get(key)
-        if agg is not None and event.timestamp - agg.first_ts <= window_ns:
+        if agg is not None and timestamp - agg.first_ts <= window_ns:
             agg.weight += 1
-            agg.last_ts = max(agg.last_ts, event.timestamp)
+            agg.last_ts = timestamp  # events come in timestamp order
         else:
-            agg = ProvEdge(src=event.subject_uuid, dst=event.object_uuid,
-                           operation=event.operation, first_ts=event.timestamp,
-                           last_ts=event.timestamp)
+            agg = ProvEdge(src, dst, operation, timestamp, timestamp)
             open_aggregates[key] = agg
             edges.append(agg)
 
@@ -270,7 +276,8 @@ def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     """The saved graph; a nodes file that repeats a uuid raises
     ArtifactError naming it."""
     paths = graph_paths(directory, name)
-    header = read_json(paths["header"], keys("edge_count name node_count"))
+    header = read_json(paths["header"], keys("edge_count name node_count",
+                                             "edge_count node_count"))
     nodes = read_jsonl(paths["nodes"], header["node_count"], record(Entity))
     edges = read_jsonl(paths["edges"], header["edge_count"], record(ProvEdge))
     by_uuid = {node.uuid: node for node in nodes}

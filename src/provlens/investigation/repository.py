@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..artifacts import (read_json, read_jsonl, reading, record, write_json,
-                         write_jsonl)
+from ..artifacts import (count_field, read_json, read_jsonl, reading,
+                         record, write_json, write_jsonl)
 
 KILL_CHAIN_PHASES = ("IC", "IR", "CC", "PE", "LM", "MP", "DE", "CT")
 PHASE_NAMES = {
@@ -138,7 +138,8 @@ class InvestigationRepository:
         """The repository ``to_dict`` gave, still without its journal, and
         the journal's length; a missing or unknown key raises."""
         state = dict(data, journal_entries=[])
-        length = state.pop("journal_length")
+        length = count_field(state, "journal_length")
+        del state["journal_length"]
         repo = record(cls)(state)
         ioc = record(IOCRecord)
         repo.iocs = {u: ioc(r) for u, r in repo.iocs.items()}

@@ -208,9 +208,10 @@ def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
 
 
 def _header_from_json(obj) -> dict:
-    header = keys("dim epsilon members")(obj)
-    if not 0.0 <= header["epsilon"] < 1.0:
-        raise ValueError(f"epsilon {header['epsilon']} outside [0, 1)")
+    header = keys("dim epsilon members", "dim members")(obj)
+    epsilon = header["epsilon"]
+    if type(epsilon) not in (int, float) or not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"epsilon {epsilon!r} is not a number in [0, 1)")
     return header
 
 

@@ -382,6 +382,13 @@ def _repeat_first_record(path):
     path.write_bytes(b"".join([*lines[:-1], lines[0]]))
 
 
+def _nest_first_record(path):
+    """Damage that replaces the first record with a value nested past the
+    decoder's depth."""
+    _, _, rest = path.read_text().partition("\n")
+    path.write_text("[" * 100_000 + "\n" + rest)
+
+
 def _delete(path):
     path.unlink()
 
@@ -415,6 +422,15 @@ def _setting(field, value):
     def damage(path):
         header = json.loads(path.read_text())
         header[field] = value
+        path.write_text(json.dumps(header))
+    return damage
+
+
+def _quoted(field):
+    """Damage that turns the header's ``field`` into a JSON string."""
+    def damage(path):
+        header = json.loads(path.read_text())
+        header[field] = str(header[field])
         path.write_text(json.dumps(header))
     return damage
 
@@ -486,6 +502,18 @@ DAMAGED = [
     pytest.param("model/vocab.json", _setting("op_vocab", 5),
                  lambda path: load_vocab(path.parent), DETECT,
                  id="vocab.json-op_vocab-not-a-list"),
+    pytest.param("model/vocab.json", _quoted("dim"),
+                 lambda path: load_vocab(path.parent), DETECT,
+                 id="vocab.json-dim-a-string"),
+    pytest.param("graphs/attack.header.json", _quoted("node_count"),
+                 _graph_loader("attack"), DETECT,
+                 id="attack.header.json-node_count-a-string"),
+    pytest.param("kb/kb.json", _quoted("epsilon"),
+                 lambda path: load_kb(path.parent), DETECT,
+                 id="kb.json-epsilon-a-string"),
+    pytest.param("kb/kb.json", _setting("dim", True),
+                 lambda path: load_kb(path.parent), DETECT,
+                 id="kb.json-dim-true"),
     pytest.param("alerts/attack.alerts.header.json", _delete,
                  lambda path: load_alerts(path.with_name("attack.alerts.jsonl")),
                  INVESTIGATE, id="attack.alerts.header.json-deleted"),
@@ -509,6 +537,9 @@ DAMAGED = [
                  id="attack.nodes.jsonl-repeated-uuid"),
     _missing_field("graphs/attack.edges.jsonl", "weight",
                    _graph_loader("attack"), DETECT),
+    pytest.param("graphs/attack.nodes.jsonl", _nest_first_record,
+                 _graph_loader("attack"), DETECT,
+                 id="attack.nodes.jsonl-nested-too-deep"),
 ]
 
 

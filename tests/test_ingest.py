@@ -69,6 +69,56 @@ def test_parse_rejects_invalid_field(bad):
     assert len(result.events) == 2
 
 
+@pytest.mark.parametrize("path", [7, 0, True, False, ["/tmp/f"], {"p": 1}])
+def test_parse_skips_a_file_whose_path_is_not_a_string(path):
+    bad = make_event(object_attrs={"path": path})
+    result = parse_events(events_to_lines([bad, make_event(event_id="ok2"),
+                                           make_event(event_id="ok3")]))
+    assert result.skipped == 1 and len(result.events) == 2
+
+
+def test_parse_reads_a_null_or_missing_path_as_unknown():
+    events = [make_event(event_id="a", object_uuid="o1",
+                         object_attrs={"path": None}),
+              make_event(event_id="b", object_uuid="o2",
+                         object_attrs={"mode": "r"})]
+    graph = graph_from_events(events)
+    assert [graph.nodes[u].identity for u in ("o1", "o2")] == [
+        "file::unknown", "file::unknown"]
+
+
+@pytest.mark.parametrize("attrs", [[], "", 0, False, [1], "x", 5, True])
+@pytest.mark.parametrize("field", ["subject_attrs", "object_attrs"])
+def test_parse_skips_an_attribute_map_that_is_not_an_object(field, attrs):
+    bad = make_event()
+    bad[field] = attrs
+    result = parse_events(events_to_lines([bad, make_event(event_id="ok2"),
+                                           make_event(event_id="ok3")]))
+    assert result.skipped == 1 and len(result.events) == 2
+
+
+@pytest.mark.parametrize("field", ["subject_attrs", "object_attrs"])
+def test_parse_reads_a_null_or_missing_attribute_map_as_empty(field):
+    null, missing = make_event(event_id="a"), make_event(event_id="b")
+    null[field] = None
+    del missing[field]
+    result = parse_events(events_to_lines([null, missing]))
+    assert result.skipped == 0
+    assert [getattr(e, field) for e in result.events] == [{}, {}]
+
+
+def test_parse_judges_each_line_on_its_own():
+    """A JSON value split over two lines is two malformed lines, two events
+    on one line are one, and so is a line nested past the decoder's depth."""
+    good = events_to_lines([make_event(event_id=f"e{i}", timestamp=i)
+                            for i in range(5)])
+    joined = ", ".join(events_to_lines([make_event(event_id="x1"),
+                                        make_event(event_id="x2")]))
+    result = parse_events([*good, "[1", "2]", joined, "[" * 100_000])
+    assert result.skipped == 4
+    assert [e.event_id for e in result.events] == [f"e{i}" for i in range(5)]
+
+
 def test_parse_mostly_malformed_is_a_format_error():
     lines = ["garbage"] * 6 + events_to_lines([make_event()])
     with pytest.raises(FormatError):

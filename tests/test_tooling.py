@@ -2,7 +2,8 @@
 resolve, and its self-test passes, so that renaming a traced function or
 dropping an argument the benchmark passes fails this suite and not only the
 benchmark. And every public name the package defines has a caller in the
-package or the benchmark."""
+package or the benchmark. And the modules that own a JSONL artifact leave
+every JSON decode and encode to ``provlens.artifacts``."""
 
 import ast
 import importlib
@@ -60,6 +61,29 @@ def test_every_public_definition_has_a_caller():
     uncalled = sorted(name for name, count in definitions.items()
                       if mentions[name] <= count)
     assert definitions and uncalled == []
+
+
+JSONL_OWNERS = ["ingest.py", "features.py", "profiler.py", "detector.py",
+                "investigation/repository.py"]
+JSON_CALLS = {"load", "loads", "dump", "dumps"}
+
+
+def test_jsonl_owners_call_no_json_function():
+    """Their records cross the JSONL boundary only through the one decoder
+    and encoder of ``artifacts``."""
+    found = []
+    for name in JSONL_OWNERS:
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in JSON_CALLS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"):
+                found.append(f"{name}:{node.lineno} json.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.extend(f"{name}:{node.lineno} from json import "
+                             f"{alias.name}" for alias in node.names
+                             if alias.name in JSON_CALLS)
+    assert found == []
 
 
 FAILING_PROPERTY = '''
