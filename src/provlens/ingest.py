@@ -138,8 +138,6 @@ def _attribute_map(record: dict, name: str) -> dict:
 
 
 def _event_from_record(record: dict) -> RawEvent:
-    if type(record) is not dict:
-        raise ValueError("an event must be an object")
     subject_uuid = record["subject_uuid"]
     object_uuid = record["object_uuid"]
     if (type(subject_uuid) is not str or type(object_uuid) is not str

@@ -109,14 +109,16 @@ def test_parse_reads_a_null_or_missing_attribute_map_as_empty(field):
 
 def test_parse_judges_each_line_on_its_own():
     """A JSON value split over two lines is two malformed lines, two events
-    on one line are one, and so is a line nested past the decoder's depth."""
+    on one line are one, and so are a line nested past the decoder's depth
+    and a value that is not an object."""
     good = events_to_lines([make_event(event_id=f"e{i}", timestamp=i)
-                            for i in range(5)])
+                            for i in range(8)])
     joined = ", ".join(events_to_lines([make_event(event_id="x1"),
                                         make_event(event_id="x2")]))
-    result = parse_events([*good, "[1", "2]", joined, "[" * 100_000])
-    assert result.skipped == 4
-    assert [e.event_id for e in result.events] == [f"e{i}" for i in range(5)]
+    result = parse_events([*good, "[1", "2]", joined, "[" * 100_000,
+                           "null", "[]", '"e"'])
+    assert result.skipped == 7
+    assert [e.event_id for e in result.events] == [f"e{i}" for i in range(8)]
 
 
 def test_parse_mostly_malformed_is_a_format_error():
