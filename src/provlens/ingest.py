@@ -28,6 +28,11 @@ ENTITY_KINDS = ("subject", "file", "netflow")
 
 IDENTITY_PREFIX = {"subject": "subject", "file": "file", "netflow": "net"}
 
+# The attribute an entity's identity is keyed by, and its JSON type when it
+# is present and not null (a bool is not an integer).
+KEY_ATTRIBUTE = {"subject": ("name", str), "file": ("path", str),
+                 "netflow": ("port", int)}
+
 
 @dataclass(slots=True)
 class RawEvent:
@@ -107,19 +112,17 @@ def derive_identity(kind: str, attrs: dict) -> str:
 
     Subjects are keyed by process name, files by file name (basename of the
     path) and network flows by the remote service port. A missing key attribute
-    yields the reserved "<prefix>::unknown" label instead of failing.
+    yields the reserved "<prefix>::unknown" label instead of failing. Parsing
+    has already made a line malformed whose key attribute has another type
+    than ``KEY_ATTRIBUTE`` names.
     """
     prefix = IDENTITY_PREFIX.get(kind)
     if prefix is None:
         raise ValueError(f"unknown entity kind {kind!r}")
-    if kind == "subject":
-        key = attrs.get("name")
-    elif kind == "file":
-        path = attrs.get("path")
-        key = path.rstrip("/").rpartition("/")[2] if path else None
-    else:
-        port = attrs.get("port")
-        key = str(port) if port is not None else None
+    key = attrs.get(KEY_ATTRIBUTE[kind][0])
+    if kind == "file" and key:
+        key = key.rstrip("/").rpartition("/")[2]
+    key = "" if key is None else str(key)
     if not key:
         log.warning("entity of kind %s has no key attribute; labelling unknown", kind)
         key = "unknown"
@@ -150,14 +153,19 @@ def _event_from_record(record: dict) -> RawEvent:
     object_kind = record["object_kind"]
     if object_kind not in ENTITY_KINDS:
         raise ValueError(f"unknown object_kind {object_kind!r}")
+    subject_attrs = _attribute_map(record, "subject_attrs")
     object_attrs = _attribute_map(record, "object_attrs")
-    path = object_attrs.get("path")
-    if object_kind == "file" and path is not None and type(path) is not str:
-        raise ValueError("a file's path must be a string")
+    name = subject_attrs.get("name")
+    if name is not None and type(name) is not str:
+        raise ValueError("a subject's name must be a string")
+    key, required = KEY_ATTRIBUTE[object_kind]
+    value = object_attrs.get(key)
+    if value is not None and type(value) is not required:
+        raise ValueError(f"a {object_kind}'s {key} must be of type "
+                         f"{required.__name__}")
     return RawEvent(str(record["event_id"]), subject_uuid, object_uuid,
-                    str(record["operation"]), timestamp,
-                    _attribute_map(record, "subject_attrs"), object_attrs,
-                    object_kind)
+                    str(record["operation"]), timestamp, subject_attrs,
+                    object_attrs, object_kind)
 
 
 def parse_events(source, op_vocab: Iterable[str] = DEFAULT_OP_VOCAB) -> ParseResult:

@@ -15,6 +15,7 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from .features import SemanticVocab, feature_matrix
 from .ingest import ProvenanceGraph, incident_edges
 
 DIGEST_EDGE_LIMIT = 20
+EPSILON = float(np.finfo(np.float64).eps)
+SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass
@@ -42,7 +45,9 @@ class BenignKnowledgeBase:
     ``embeddings[i]`` and ``digests[i]``, its edge digest, sorted by
     (label, uuid). ``rows[label]`` is the label's slice of rows and
     ``profiles[label]`` the profile derived from that slice. It holds at
-    least one row, so detection always has an identity to match."""
+    least one row, so detection always has an identity to match. It is not
+    changed once built, so the rows' squared norms, which only retrieval
+    reads, are cached on first use."""
     epsilon: float
     uuids: list[str]
     labels: list[str]
@@ -72,6 +77,14 @@ class BenignKnowledgeBase:
                 centroid=centroid,
                 radius=compute_radius(vectors, centroid, self.epsilon),
                 count=len(vectors))
+
+    @cached_property
+    def squared_norms(self) -> np.ndarray:
+        """Read-only ``||x||^2`` of each embedding row, for the kNN
+        prefilter."""
+        norms = np.einsum("ij,ij->i", self.embeddings, self.embeddings)
+        norms.flags.writeable = False
+        return norms
 
     @property
     def embedding_dim(self) -> int:
@@ -153,20 +166,45 @@ def knn_query(kb: BenignKnowledgeBase, query: np.ndarray,
     """(row, distance) of the exact k nearest benign members by Euclidean
     distance, ties broken by uuid and then by row; NaN distances come last.
 
-    Selection, not a full sort: only the rows no farther than the k-th
-    smallest distance are ordered. ``~(d > kth)`` also keeps every NaN row,
-    so a NaN k-th distance keeps them all and the order matches a stable
-    sort of every row."""
+    A prefilter picks candidate rows and ``euclidean_distance`` ranks only
+    those. It scores each row by ``||x||^2 - 2 x.q``, the squared distance
+    less ``||q||^2``, with one matrix-vector product, and keeps every row
+    scored at most ``2 delta`` above the k-th smallest score. ``delta``, 16
+    (d + 2) ulps of ``max ||x||^2 + ||q||^2`` plus 4 (d + 2) subnormals for
+    underflow, is several times the most that a score and the exact
+    routine's squared distance can round apart, so every row no farther
+    than the k-th distance is a candidate. Each distance depends only on its
+    own row, so the rows, their tie order and the distance bits are those of
+    a scan of every row. A non-finite input, or one whose squared distance
+    could overflow, makes ``delta`` inf or NaN and every row a candidate, as
+    does k >= n.
+
+    Selection, not a full sort: only the candidates no farther than the
+    k-th smallest distance are ordered. ``~(d > kth)`` also keeps every NaN
+    row, so a NaN k-th distance keeps them all and the order matches a
+    stable sort of every row."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    distances = euclidean_distance(kb.embeddings, query)
-    if k < len(distances):
+    query = np.asarray(query, dtype=np.float64)
+    n, dim = kb.embeddings.shape
+    j = min(k, n) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = kb.embeddings @ (-2.0 * query)
+        scores += kb.squared_norms
+        # 4 (max ||x||^2 + ||q||^2) is inf whenever a squared distance, at
+        # most 2 (||x||^2 + ||q||^2), could overflow
+        scale = 4.0 * (float(kb.squared_norms.max()) + float(query @ query))
+        delta = 4.0 * (dim + 2) * (EPSILON * scale + SUBNORMAL)
+        limit = np.partition(scores, j)[j] + 2.0 * delta
+    rows = np.flatnonzero(~(scores > limit))
+    distances = euclidean_distance(kb.embeddings[rows], query)
+    if k < len(rows):
         kth = np.partition(distances, k - 1)[k - 1]
-        rows = np.flatnonzero(~(distances > kth))
-    else:
-        rows = np.arange(len(distances))
-    nearest = rows[np.lexsort((kb.uuid_rank[rows], distances[rows]))[:k]]
-    return [(int(row), float(distances[row])) for row in nearest]
+        keep = ~(distances > kth)
+        rows, distances = rows[keep], distances[keep]
+    order = np.lexsort((kb.uuid_rank[rows], distances))[:k]
+    return [(int(row), float(distance))
+            for row, distance in zip(rows[order], distances[order])]
 
 
 def attribute_query(kb: BenignKnowledgeBase, identity: str) -> range:

@@ -77,6 +77,41 @@ def test_parse_skips_a_file_whose_path_is_not_a_string(path):
     assert result.skipped == 1 and len(result.events) == 2
 
 
+@pytest.mark.parametrize("value", [["nginx"], True, 7, 44.0, {"n": 1}])
+@pytest.mark.parametrize("where", ["subject", "object"])
+def test_parse_skips_a_subject_whose_name_is_not_a_string(where, value):
+    if where == "subject":
+        bad = make_event(subject_attrs={"name": value})
+    else:
+        bad = make_event(object_kind="subject", object_attrs={"name": value})
+    result = parse_events(events_to_lines([bad, make_event(event_id="ok2"),
+                                           make_event(event_id="ok3")]))
+    assert result.skipped == 1 and len(result.events) == 2
+
+
+@pytest.mark.parametrize("port", [44.0, True, False, "443", [443], {"n": 443}])
+def test_parse_skips_a_netflow_whose_port_is_not_an_integer(port):
+    bad = make_event(object_kind="netflow", object_attrs={"port": port})
+    result = parse_events(events_to_lines([bad, make_event(event_id="ok2"),
+                                           make_event(event_id="ok3")]))
+    assert result.skipped == 1 and len(result.events) == 2
+
+
+def test_parse_reads_a_null_or_missing_name_or_port_as_unknown():
+    events = [make_event(event_id="a", subject_uuid="s1", object_uuid="n1",
+                         subject_attrs={"name": None}, object_kind="netflow",
+                         object_attrs={"port": None}),
+              make_event(event_id="b", subject_uuid="s2", object_uuid="n2",
+                         subject_attrs={"pid": 4}, object_kind="netflow",
+                         object_attrs={"ip": "10.0.0.1"}),
+              make_event(event_id="c", subject_uuid="s3", object_uuid="n3",
+                         object_kind="netflow", object_attrs={"port": 0})]
+    graph = graph_from_events(events)
+    assert [graph.nodes[u].identity for u in ("s1", "s2", "n1", "n2", "n3")] \
+        == ["subject::unknown", "subject::unknown", "net::unknown",
+            "net::unknown", "net::0"]
+
+
 def test_parse_reads_a_null_or_missing_path_as_unknown():
     events = [make_event(event_id="a", object_uuid="o1",
                          object_attrs={"path": None}),

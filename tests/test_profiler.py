@@ -10,6 +10,7 @@ from provlens.config import DEFAULT_OP_VOCAB
 from provlens.encoder import init_params
 from provlens.errors import ConfigError
 from provlens.features import feature_dim, train_semantic_vocab, build_node_summary
+from provlens import profiler
 from provlens.ingest import build_graph
 from provlens.profiler import (
     BenignKnowledgeBase,
@@ -348,6 +349,74 @@ def test_knn_selection_matches_stable_sort_oracle(drawn):
             want = profiler_oracle.compute_radius(
                 embeddings[rows], profile.centroid, epsilon)
             assert profile.radius.hex() == want.hex()
+
+
+@st.composite
+def cancelling_kbs(draw):
+    """A KB and a query near each other but far from the origin, where
+    ``||x||^2 - 2 x.q`` cancels catastrophically: dim up to 64, offsets up
+    to 1e8 (or 1e-160, where squares underflow), spreads down to 1e-12 of
+    the offset, and rows that repeat or lie 1 ulp from an earlier row."""
+    dim = draw(st.integers(1, 64))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = 10.0 ** draw(st.one_of(st.integers(-3, 8), st.just(-160)))
+    spread = offset * 10.0 ** -draw(st.integers(0, 12))
+    centre = rng.normal(size=dim) * offset
+    rows = centre + rng.normal(size=(n, dim)) * spread
+    for i in range(1, n):
+        kind = draw(st.sampled_from(["own", "copy", "ulp"]))
+        if kind != "own":
+            rows[i] = rows[draw(st.integers(0, i - 1))]
+        if kind == "ulp":
+            col = draw(st.integers(0, dim - 1))
+            rows[i, col] = np.nextafter(rows[i, col],
+                                        draw(st.sampled_from([-np.inf, np.inf])))
+    query = draw(st.sampled_from(["own", "row", "ulp"]))
+    if query == "own":
+        query = centre + rng.normal(size=dim) * spread
+    else:
+        query = rows[draw(st.integers(0, n - 1))].copy()
+        if draw(st.booleans()):
+            query = np.nextafter(query, np.inf)
+    uuids = [f"u{i:02d}" for i in draw(st.permutations(range(n)))]
+    return uuids, rows, query
+
+
+@settings(max_examples=200, deadline=None)
+@given(cancelling_kbs())
+def test_knn_prefilter_matches_stable_sort_oracle(drawn):
+    """Every k from 1 to n + 3: the same rows in the same order, with
+    bitwise-equal distances, as a scan of every row."""
+    uuids, embeddings, query = drawn
+    kb = BenignKnowledgeBase(epsilon=0.0, uuids=uuids, labels=["i"] * len(uuids),
+                             embeddings=embeddings, digests=[[] for _ in uuids])
+    for k in range(1, len(uuids) + 4):
+        got = knn_query(kb, query, k)
+        want = profiler_oracle.knn_query(kb, query, k)
+        assert [(r, d.hex()) for r, d in got] \
+            == [(r, d.hex()) for r, d in want]
+
+
+def test_knn_ranks_only_the_candidate_rows(monkeypatch):
+    """On a 4,000-row KB the exact routine sees a handful of rows per query,
+    not the whole KB."""
+    rng = np.random.default_rng(2024)
+    n = 4000
+    kb = BenignKnowledgeBase(
+        epsilon=0.0, uuids=[f"m{i:04d}" for i in range(n)], labels=["i"] * n,
+        embeddings=rng.normal(size=(n, 32)), digests=[[] for _ in range(n)])
+    ranked = []
+
+    def counted(a, b):
+        ranked.append(len(a))
+        return euclidean_distance(a, b)
+
+    monkeypatch.setattr(profiler, "euclidean_distance", counted)
+    for query in rng.normal(size=(20, 32)):
+        assert knn_query(kb, query, 5) \
+            == profiler_oracle.knn_query(kb, query, 5)
+    assert len(ranked) == 20 and max(ranked) <= 64
 
 
 def test_attribute_query_exact_tier_first():
