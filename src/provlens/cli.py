@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import artifacts, detector, encoder, features, ingest, profiler, synth
@@ -253,6 +254,7 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
+@cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config file")
@@ -331,8 +333,7 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         return args.func(cfg, args)

@@ -82,8 +82,7 @@ def propagation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
     of node i plus the node itself. Parallel edges count once."""
     n = len(graph.nodes)
     src, dst = graph.endpoint_rows
-    keep = (src >= 0) & (dst >= 0)
-    src, dst, loops = src[keep], dst[keep], np.arange(n, dtype=np.intp)
+    loops = np.arange(n, dtype=np.intp)
     rows, cols = np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src,
                                                      loops * n + loops])), n)
     vals = 1.0 / np.bincount(rows, minlength=n)[rows]

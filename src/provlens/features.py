@@ -24,7 +24,7 @@ from .artifacts import (keys, read_blob, read_json, reading, write_blob,
                         write_json, write_jsonl)
 from .config import DEFAULT_OP_VOCAB
 from .errors import ConfigError
-from .ingest import Entity, ProvenanceGraph, incident_edges
+from .ingest import Entity, ProvenanceGraph
 
 TEMPORAL_DIM = 3
 SCATTER_CHUNK = 8192  # incidences per scatter, bounding its (chunk, dim) temporary
@@ -52,7 +52,7 @@ class SemanticVocab:
 def build_node_summary(node: Entity, graph: ProvenanceGraph) -> list[str]:
     """Token summary of a node: identity label, then incident operations in
     temporal order."""
-    return [node.identity] + [e.operation for e in incident_edges(graph, node.uuid)]
+    return [node.identity] + [e.operation for e in graph.incidence[node.uuid]]
 
 
 def train_semantic_vocab(summaries: list[list[str]], dim: int, window: int = 5,
@@ -114,7 +114,7 @@ def feature_dim(semantic_dim: int, op_vocab) -> int:
 def feature_matrix(graph: ProvenanceGraph, vocab: SemanticVocab,
                    op_vocab) -> tuple[list[str], np.ndarray]:
     """h0 rows for every node, in the graph's node order, accumulating each
-    node's incident edges in the order of ``incident_edges``. An
+    node's incident edges in the order of ``graph.incidence``. An
     out-of-vocabulary token counts as zeros. An aggregated edge adds its event
     multiplicity to the histogram and exposes only its first and last
     timestamps. A block with no signal (no events, or fewer than two events or
@@ -122,8 +122,8 @@ def feature_matrix(graph: ProvenanceGraph, vocab: SemanticVocab,
     uuids, edges = list(graph.nodes), graph.edges
     src, dst = graph.endpoint_rows
     # Incidences in edge order: each edge at its source, then at its
-    # destination unless that is the source; endpoints outside the graph's
-    # nodes drop out. Per row this is the order of ``incident_edges``.
+    # destination unless that is the source (a self-loop's second incidence
+    # is -1 and drops out). Per row this is the order of ``graph.incidence``.
     row = np.stack([src, np.where(dst == src, -1, dst)], axis=1).ravel()
     edge = np.repeat(np.arange(len(edges)), 2)[row >= 0]
     row = row[row >= 0]

@@ -71,7 +71,8 @@ edge_order = attrgetter("first_ts", "src", "dst", "operation")
 @dataclass
 class ProvenanceGraph:
     """Nodes in uuid order and edges in ``edge_order`` (stable), however it is
-    built. It is not changed once built, so what it derives is cached."""
+    built; every edge joins two of its nodes, else construction raises
+    ValueError. It is not changed once built, so what it derives is cached."""
     name: str
     nodes: dict[str, Entity]
     edges: list[ProvEdge]
@@ -79,24 +80,27 @@ class ProvenanceGraph:
     def __post_init__(self):
         self.nodes = dict(sorted(self.nodes.items()))
         self.edges = sorted(self.edges, key=edge_order)
+        dangling = {e.src for e in self.edges}.union(
+            e.dst for e in self.edges).difference(self.nodes)
+        if dangling:
+            raise ValueError(f"edge endpoint {min(dangling)!r} is not a node")
 
     @cached_property
-    def incidence(self) -> dict[str, list[ProvEdge]]:
-        """uuid -> the edges touching it, in edge order."""
-        index: dict[str, list[ProvEdge]] = {}
+    def incidence(self) -> dict[str, tuple[ProvEdge, ...]]:
+        """uuid -> the edges touching it, in edge order, for every node."""
+        index: dict[str, list[ProvEdge]] = {uuid: [] for uuid in self.nodes}
         for edge in self.edges:
-            index.setdefault(edge.src, []).append(edge)
+            index[edge.src].append(edge)
             if edge.dst != edge.src:
-                index.setdefault(edge.dst, []).append(edge)
-        return index
+                index[edge.dst].append(edge)
+        return {uuid: tuple(edges) for uuid, edges in index.items()}
 
     @cached_property
     def endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only source and destination node rows of the edges; -1 for an
-        endpoint that is not a node."""
+        """Read-only source and destination node rows of the edges."""
         row = dict(zip(self.nodes, range(len(self.nodes))))
-        src = np.array([row.get(e.src, -1) for e in self.edges], dtype=np.intp)
-        dst = np.array([row.get(e.dst, -1) for e in self.edges], dtype=np.intp)
+        src = np.array([row[e.src] for e in self.edges], dtype=np.intp)
+        dst = np.array([row[e.dst] for e in self.edges], dtype=np.intp)
         src.flags.writeable = dst.flags.writeable = False
         return src, dst
 
@@ -251,11 +255,6 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
     return ProvenanceGraph(name=name, nodes=nodes, edges=edges)
 
 
-def incident_edges(graph: ProvenanceGraph, uuid: str) -> list[ProvEdge]:
-    """A new list of the edges touching ``uuid``, in edge order."""
-    return list(graph.incidence.get(uuid, ()))
-
-
 # --- serialization ---------------------------------------------------------
 
 def graph_paths(directory: str | Path, name: str) -> dict[str, Path]:
@@ -279,8 +278,8 @@ def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
 
 
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
-    """The saved graph; a nodes file that repeats a uuid raises
-    ArtifactError naming it."""
+    """The saved graph; a nodes file that repeats a uuid, or an edges file
+    that names a uuid the nodes file lacks, raises ArtifactError naming it."""
     paths = graph_paths(directory, name)
     header = read_json(paths["header"], keys("edge_count name node_count",
                                              "edge_count node_count"))
@@ -290,4 +289,5 @@ def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     with reading(paths["nodes"]):
         if len(by_uuid) != len(nodes):
             raise ValueError("a node uuid is repeated")
-    return ProvenanceGraph(name=header["name"], nodes=by_uuid, edges=edges)
+    with reading(paths["edges"]):
+        return ProvenanceGraph(name=header["name"], nodes=by_uuid, edges=edges)

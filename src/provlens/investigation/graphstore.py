@@ -9,7 +9,7 @@ import numpy as np
 
 from ..encoder import EncoderParams, forward
 from ..features import SemanticVocab, feature_matrix
-from ..ingest import Entity, ProvenanceGraph, edge_order, incident_edges
+from ..ingest import Entity, ProvenanceGraph, edge_order
 
 
 @dataclass
@@ -42,9 +42,9 @@ class GraphStore:
     def neighborhood(self, uuid: str, cap: int) -> list[dict]:
         """The node's 1-hop neighborhood: the ``cap`` incident edges ranked by
         weight then recency, presented in temporal order."""
-        edges = incident_edges(self.graph, uuid)
-        edges.sort(key=lambda e: (-e.weight, -e.last_ts, e.src, e.dst,
-                                  e.operation))
+        edges = sorted(self.graph.incidence[uuid],
+                       key=lambda e: (-e.weight, -e.last_ts, e.src, e.dst,
+                                      e.operation))
         selected = sorted(edges[:cap], key=edge_order)
         entries = []
         for edge in selected:
@@ -52,11 +52,11 @@ class GraphStore:
                 other, direction = edge.dst, "out"
             else:
                 other, direction = edge.src, "in"
-            other_node = self.graph.nodes.get(other)
+            other_node = self.graph.nodes[other]
             entries.append({
                 "node_uuid": other,
-                "identity": other_node.identity if other_node else other,
-                "kind": other_node.kind if other_node else "unknown",
+                "identity": other_node.identity,
+                "kind": other_node.kind,
                 "operation": edge.operation,
                 "direction": direction,
                 "weight": edge.weight,

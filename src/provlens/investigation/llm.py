@@ -153,8 +153,9 @@ def validate_response(role: str, obj) -> dict:
                      '{missing_stage,false_positive}, a "statement" string '
                      'and a "target_refs" list')
         flags = obj.get("false_positive_flags", [])
-        _require(isinstance(flags, list),
-                 'field "false_positive_flags" must be a list')
+        _require(isinstance(flags, list)
+                 and all(isinstance(flag, str) for flag in flags),
+                 'field "false_positive_flags" must be a list of strings')
         obj.setdefault("phase_coverage", {})
         obj.setdefault("hypotheses", [])
         obj.setdefault("false_positive_flags", [])

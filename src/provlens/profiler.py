@@ -25,7 +25,7 @@ from .artifacts import (keys, read_blob, read_json, read_jsonl, reading,
 from .encoder import EncoderParams, forward
 from .errors import ConfigError
 from .features import SemanticVocab, feature_matrix
-from .ingest import ProvenanceGraph, incident_edges
+from .ingest import ProvenanceGraph
 
 DIGEST_EDGE_LIMIT = 20
 EPSILON = float(np.finfo(np.float64).eps)
@@ -129,13 +129,12 @@ def edge_digest(graph: ProvenanceGraph, uuid: str,
                 limit: int = DIGEST_EDGE_LIMIT) -> list[str]:
     """Readable one-line summaries of a node's incident edges, temporal order."""
     lines = []
-    for edge in incident_edges(graph, uuid)[:limit]:
+    for edge in graph.incidence[uuid][:limit]:
         if edge.src == uuid:
             other, arrow = edge.dst, "->"
         else:
             other, arrow = edge.src, "<-"
-        other_id = graph.nodes[other].identity if other in graph.nodes else other
-        lines.append(f"{arrow} {edge.operation} {other_id} "
+        lines.append(f"{arrow} {edge.operation} {graph.nodes[other].identity} "
                      f"w={edge.weight} t=[{edge.first_ts}..{edge.last_ts}]")
     return lines
 

@@ -56,13 +56,13 @@ def shuffled_graph(graph, order):
                            edges=edges)
 
 
-# Graphs for the byte-level oracle tests. "ghost" is an edge endpoint that is
-# not a node; "net::none" and "MOUNT" are in no vocabulary and "EXEC" only in
-# the token vocabulary. Small pools make self-loops, parallel edges, nodes
-# without edges and equal stamps common. Numbers come from a seeded generator:
-# half the stamps and weights reach 2**62 and 2**40, and token vectors span
-# 2**-30 to 2**30, so that idle-period, squared-count and token-vector sums
-# round in float64 and their result depends on the order of summation.
+# Graphs for the byte-level oracle tests. "net::none" and "MOUNT" are in no
+# vocabulary and "EXEC" only in the token vocabulary. Small pools make
+# self-loops, parallel edges, nodes without edges and equal stamps common.
+# Numbers come from a seeded generator: half the stamps and weights reach
+# 2**62 and 2**40, and token vectors span 2**-30 to 2**30, so that
+# idle-period, squared-count and token-vector sums round in float64 and their
+# result depends on the order of summation.
 ORACLE_NODES = ("n0", "n1", "n2", "n3", "n4", "n5")
 ORACLE_IDENTITIES = ("subject::a", "subject::b", "file::c", "net::none")
 ORACLE_OPS = ("READ", "WRITE", "EXEC", "MOUNT")
@@ -75,7 +75,7 @@ def oracle_graphs(draw):
                           unique=True))
     nodes = [(u, "subject", {}, draw(st.sampled_from(ORACLE_IDENTITIES)))
              for u in names]
-    endpoint = st.sampled_from(names + ["ghost"])
+    endpoint = st.sampled_from(names)
     ends = draw(st.lists(st.tuples(endpoint, endpoint,
                                    st.sampled_from(ORACLE_OPS)), max_size=40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
@@ -98,17 +98,17 @@ def oracle_graphs(draw):
 
 
 def oracle_case():
-    """``oracle_graphs`` output with every case at once: an edge to a
-    non-node, a self-loop, parallel edges, an identity and operations outside
-    the vocabularies, a node without edges (n5), one with one timestamp (n3)
-    and one with equal idle periods (n2)."""
+    """``oracle_graphs`` output with every case at once: a self-loop,
+    parallel edges, an identity and operations outside the vocabularies, a
+    node without edges (n5), one with one timestamp (n3) and one with equal
+    idle periods (n2)."""
     nodes = [(u, "subject", {}, identity) for u, identity in [
         ("n0", "subject::a"), ("n1", "subject::b"), ("n2", "file::c"),
-        ("n3", "net::none"), ("n5", "subject::a")]]
-    edges = [("n0", "ghost", "READ", 5, 5, 1), ("n0", "n0", "WRITE", 7, 9, 2),
+        ("n3", "net::none"), ("n4", "subject::b"), ("n5", "subject::a")]]
+    edges = [("n0", "n4", "READ", 5, 5, 1), ("n0", "n0", "WRITE", 7, 9, 2),
              ("n0", "n1", "READ", 1, 1, 1), ("n0", "n1", "READ", 1, 1, 1),
-             ("n1", "n2", "MOUNT", 0, 0, 1), ("n2", "ghost", "EXEC", 10, 20, 1),
-             ("n3", "ghost", "READ", 4, 4, 1)]
+             ("n1", "n2", "MOUNT", 0, 0, 1), ("n2", "n4", "EXEC", 10, 20, 1),
+             ("n3", "n4", "READ", 4, 4, 1)]
     tokens = ["subject::a", "file::c", "READ", "EXEC"]
     vocab = SemanticVocab(tokens=tokens, vectors=np.random.default_rng(3).normal(
         size=(len(tokens), 2)).astype(np.float32), dim=2, window=1, negatives=1,

@@ -9,7 +9,6 @@ from scipy import sparse
 from provlens.detector import SCORE_DELTA, Alert
 from provlens.errors import ConfigError
 from provlens.features import TEMPORAL_DIM
-from provlens.ingest import incident_edges
 from provlens.profiler import euclidean_distance
 
 
@@ -20,9 +19,7 @@ def propagation_matrix(graph):
     pos = {u: i for i, u in enumerate(uuids)}
     neighbor_sets = [{i} for i in range(len(uuids))]
     for edge in graph.edges:
-        i, j = pos.get(edge.src), pos.get(edge.dst)
-        if i is None or j is None:
-            continue
+        i, j = pos[edge.src], pos[edge.dst]
         neighbor_sets[i].add(j)
         neighbor_sets[j].add(i)
     rows, cols, vals = [], [], []
@@ -50,7 +47,7 @@ def feature_matrix(graph, vocab, op_vocab):
         tokens = [graph.nodes[uuid].identity]
         counts = np.zeros(len(op_vocab))
         stamps = []
-        for edge in incident_edges(graph, uuid):
+        for edge in graph.incidence[uuid]:
             tokens.append(edge.operation)
             i = positions.get(edge.operation)
             if i is not None:

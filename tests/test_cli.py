@@ -389,6 +389,15 @@ def _nest_first_record(path):
     path.write_text("[" * 100_000 + "\n" + rest)
 
 
+def _dangle_first_edge(path):
+    """Damage that points the first edge's destination at a uuid the nodes
+    file does not hold."""
+    first, _, rest = path.read_text().partition("\n")
+    rec = json.loads(first)
+    rec["dst"] = "not-a-node"
+    path.write_text(json.dumps(rec) + "\n" + rest)
+
+
 def _delete(path):
     path.unlink()
 
@@ -540,6 +549,9 @@ DAMAGED = [
     pytest.param("graphs/attack.nodes.jsonl", _nest_first_record,
                  _graph_loader("attack"), DETECT,
                  id="attack.nodes.jsonl-nested-too-deep"),
+    pytest.param("graphs/attack.edges.jsonl", _dangle_first_edge,
+                 _graph_loader("attack"), DETECT,
+                 id="attack.edges.jsonl-dangling-endpoint"),
 ]
 
 

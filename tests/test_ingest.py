@@ -9,14 +9,14 @@ from provlens.errors import ArtifactError, FormatError
 from provlens.ingest import (
     derive_identity,
     graph_paths,
-    incident_edges,
     load_graph,
     parse_events,
     save_graph,
 )
 
 from conftest import (assert_canonical_json_files, events_to_lines,
-                      graph_from_events, make_event, shuffled_graph)
+                      graph_from_events, make_event, manual_graph,
+                      shuffled_graph)
 
 
 # --- parse_events ------------------------------------------------------------
@@ -250,14 +250,21 @@ def test_aggregation_idempotent_on_expanded_edges(events):
     assert sorted(map(key, rebuilt.edges)) == sorted(map(key, graph.edges))
 
 
-def test_incident_edges_sorted_and_copied():
+def test_incidence_in_edge_order_and_read_only():
     events = [make_event(event_id="e1", timestamp=50, operation="WRITE"),
               make_event(event_id="e2", timestamp=10, operation="READ")]
     graph = graph_from_events(events, window_ns=1)
-    edges = incident_edges(graph, "s1")
+    edges = graph.incidence["s1"]
     assert [e.operation for e in edges] == ["READ", "WRITE"]
-    edges.reverse()  # caller-side mutation must not corrupt the index
-    assert [e.operation for e in incident_edges(graph, "s1")] == ["READ", "WRITE"]
+    assert type(edges) is tuple  # no caller can reorder the index
+
+
+def test_graph_with_a_dangling_edge_endpoint_raises():
+    nodes = [("s1", "subject", {}, "subject::a")]
+    edges = [("s1", "s1", "READ", 1, 1, 1), ("s1", "o2", "READ", 2, 2, 1),
+             ("o1", "s1", "READ", 3, 3, 1)]
+    with pytest.raises(ValueError, match="'o1' is not a node"):
+        manual_graph(nodes, edges)
 
 
 # --- derive_identity ---------------------------------------------------------

@@ -207,6 +207,7 @@ def test_session_falls_back_to_benign_and_journals():
     ("leader", {"terminate": True, "hypotheses": [{"kind": "wild"}]}),
     ("reporter", {"remediation": []}),
     ("analyst", {"verdict": "ANOMALY", "confidence": True}),
+    ("leader", {"terminate": False, "false_positive_flags": [["att-a"]]}),
 ])
 def test_validate_response_rejects_bad_payloads(role, bad):
     with pytest.raises(LLMError):
@@ -560,6 +561,28 @@ def test_false_positive_flag_demotes_to_appendix():
     assert "att-c" not in narrative
     appendix = repo.report_markdown.split("Dismissed Findings")[1]
     assert "att-c" in appendix
+
+
+def test_malformed_false_positive_flag_takes_a_schema_retry():
+    """A flag that is not a uuid string is repaired like any other malformed
+    field instead of ending the investigation."""
+    backend = scripted_chain_backend()
+    valid = backend.handlers["leader"]
+    state = {"called": False}
+
+    def leader(payload):
+        if not state["called"]:
+            state["called"] = True
+            return {"phase_coverage": {}, "hypotheses": [],
+                    "false_positive_flags": [["att-a"]], "terminate": False}
+        return valid(payload)
+
+    backend.handlers["leader"] = leader
+    repo = run_chain(backend=backend)
+    assert repo.status == "complete"
+    retries = [e["role"] for e in repo.journal_entries
+               if e["action"] == "llm_schema_retry"]
+    assert retries == ["leader"]
 
 
 def test_false_positive_hypothesis_revalidation_demotes():
