@@ -12,7 +12,8 @@ Readers build records inside one error guard and raise ArtifactError naming
 the file when it is missing, does not decode, holds another number of records
 or values than its writer recorded, a non-finite matrix value, a header
 count or dimension that is not a JSON integer, or a record whose fields
-differ from those its writer wrote; the CLI reports that as exit
+differ from those its writer wrote or, where the reader checks them, hold
+another JSON type; the CLI reports that as exit
 code 2. The event input of ``ingest`` is opened through the same guard.
 """
 
@@ -32,6 +33,7 @@ from .errors import ArtifactError
 
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"
+_JSON_TYPES = {str: "string", int: "integer", dict: "object"}
 
 
 def decode(text: str):
@@ -117,11 +119,22 @@ def count_field(obj: dict, name: str) -> int:
     return value
 
 
-def record(cls) -> Callable[[object], object]:
+def record(cls, types: dict[str, type] | None = None
+           ) -> Callable[[object], object]:
     """A build step that makes dataclass ``cls`` from a JSON object holding
-    exactly its fields."""
+    exactly its fields, each field named in ``types`` a JSON value of exactly
+    that Python type (so a boolean is no integer)."""
     expected = frozenset(f.name for f in fields(cls))
-    return lambda obj: cls(**_exact(expected, obj))
+    checks = tuple((types or {}).items())
+
+    def build(obj):
+        _exact(expected, obj)
+        for name, kind in checks:
+            if type(obj[name]) is not kind:
+                raise ValueError(f"{name} {obj[name]!r} is not a JSON "
+                                 f"{_JSON_TYPES[kind]}")
+        return cls(**obj)
+    return build
 
 
 def read_blob(path, dtype, shape) -> np.ndarray:

@@ -277,14 +277,22 @@ def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
     write_jsonl(paths["edges"], map(vars, graph.edges))
 
 
+_NODE_TYPES = {"uuid": str, "kind": str, "identity": str, "attrs": dict}
+_EDGE_TYPES = {"src": str, "dst": str, "operation": str, "first_ts": int,
+               "last_ts": int, "weight": int}
+
+
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
-    """The saved graph; a nodes file that repeats a uuid, or an edges file
-    that names a uuid the nodes file lacks, raises ArtifactError naming it."""
+    """The saved graph; a record whose field has another JSON type than its
+    writer wrote, a nodes file that repeats a uuid, or an edges file that
+    names a uuid the nodes file lacks, raises ArtifactError naming it."""
     paths = graph_paths(directory, name)
     header = read_json(paths["header"], keys("edge_count name node_count",
                                              "edge_count node_count"))
-    nodes = read_jsonl(paths["nodes"], header["node_count"], record(Entity))
-    edges = read_jsonl(paths["edges"], header["edge_count"], record(ProvEdge))
+    nodes = read_jsonl(paths["nodes"], header["node_count"],
+                       record(Entity, _NODE_TYPES))
+    edges = read_jsonl(paths["edges"], header["edge_count"],
+                       record(ProvEdge, _EDGE_TYPES))
     by_uuid = {node.uuid: node for node in nodes}
     with reading(paths["nodes"]):
         if len(by_uuid) != len(nodes):

@@ -15,6 +15,7 @@ from .agents import (
     investigator_expand,
     leader_synthesize,
     reporter_compose,
+    similar_behavior,
 )
 
 __all__ = [
@@ -32,4 +33,5 @@ __all__ = [
     "leader_synthesize",
     "reporter_compose",
     "run_investigation",
+    "similar_behavior",
 ]

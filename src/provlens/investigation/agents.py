@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
+import numpy as np
+
 from ..ingest import Entity
 from ..profiler import (BenignKnowledgeBase, attribute_query, edge_digest,
                         knn_query)
@@ -23,26 +25,40 @@ from .repository import KILL_CHAIN_PHASES, InvestigationRepository
 SAME_IDENTITY_CAP = 5
 
 
-def analyst_validate(node: Entity, reason: str, kb: BenignKnowledgeBase,
-                     store: GraphStore, session: LLMSession, knn_k: int = 5,
+def similar_behavior(uuids: list[str], kb: BenignKnowledgeBase,
+                     store: GraphStore, knn_k: int,
+                     digest_limit: int) -> dict[str, list[dict]]:
+    """Each of the store's nodes ``uuids`` mapped to the Analyst's similar
+    behavior for it: its nearest benign members by embedding distance, each
+    with its edge digest, fetched for all of them through one ``knn_query``.
+    A node without an embedding has none."""
+    similar: dict[str, list[dict]] = {uuid: [] for uuid in uuids}
+    embedded = [uuid for uuid in similar if uuid in store.embeddings]
+    if embedded:
+        queries = np.stack([store.embeddings[uuid] for uuid in embedded])
+        for uuid, nearest in zip(embedded, knn_query(kb, queries, knn_k)):
+            similar[uuid] = [{"node_uuid": kb.uuids[row],
+                              "identity": kb.labels[row],
+                              "distance": round(distance, 6),
+                              "edges": kb.digests[row][:digest_limit]}
+                             for row, distance in nearest]
+    return similar
+
+
+def analyst_validate(node: Entity, reason: str, similar: list[dict],
+                     kb: BenignKnowledgeBase, store: GraphStore,
+                     session: LLMSession,
                      digest_limit: int = 10) -> tuple[dict, list[str]]:
     """Validate one alert or clue, the store's ``node``, against benign
     reference behavior; returns the validated reply and the node's edge
     digest the Analyst was shown.
 
-    Context pairs two retrieval modes: nearest benign members by embedding
-    distance (similar behavior) and benign members sharing the node's identity
-    (expected behavior), each with their edge digests. Malformed model output
-    falls back to BENIGN with zero confidence.
+    Context pairs two retrieval modes: ``similar``, the node's nearest
+    benign members by embedding distance (``similar_behavior``), and benign
+    members sharing the node's identity (expected behavior), each with their
+    edge digests. Malformed model output falls back to BENIGN with zero
+    confidence.
     """
-    similar = []
-    query = store.embeddings.get(node.uuid)
-    if query is not None:
-        for row, distance in knn_query(kb, query, knn_k):
-            similar.append({"node_uuid": kb.uuids[row],
-                            "identity": kb.labels[row],
-                            "distance": round(distance, 6),
-                            "edges": kb.digests[row][:digest_limit]})
     same_identity = []
     for row in attribute_query(kb, node.identity):
         if kb.uuids[row] == node.uuid:

@@ -24,12 +24,13 @@ from ..config import InvestigationBudget
 from ..detector import Alert
 from ..errors import LLMTransportError
 from ..ingest import Entity
-from ..profiler import BenignKnowledgeBase
+from ..profiler import BenignKnowledgeBase, knn_block_rows
 from .agents import (
     analyst_validate,
     investigator_expand,
     leader_synthesize,
     reporter_compose,
+    similar_behavior,
 )
 from .graphstore import GraphStore
 from .llm import BudgetExhausted, LLMSession
@@ -57,15 +58,27 @@ class _Orchestrator:
         self.session = LLMSession(backend=backend,
                                   max_llm_calls=budget.max_llm_calls,
                                   repo=repo)
+        # membership in the persisted ``processed_alerts`` list
+        self.processed = set(repo.processed_alerts)
+        # similar behavior fetched ahead for stage 1's pending alerts
+        self.similar: dict[str, list[dict]] = {}
 
     # --- stage 1 and 2 building blocks ----------------------------------
+
+    def fetch_similar(self, uuids: list[str]) -> dict[str, list[dict]]:
+        return similar_behavior(uuids, self.kb, self.store, self.knn_k,
+                                self.budget.max_leads_per_ioc)
 
     def ask_analyst(self, node: Entity, reason: str,
                     origin: str) -> tuple[dict, list[str]]:
         """One journaled Analyst reply on ``node``, its confidence made a
-        float, and the edge digest the Analyst was shown."""
+        float, and the edge digest the Analyst was shown. The node's similar
+        behavior is the one fetched ahead for it, else fetched now."""
+        similar = self.similar.pop(node.uuid, None)
+        if similar is None:
+            similar = self.fetch_similar([node.uuid])[node.uuid]
         reply, edges = analyst_validate(
-            node, reason, self.kb, self.store, self.session, knn_k=self.knn_k,
+            node, reason, similar, self.kb, self.store, self.session,
             digest_limit=self.budget.max_leads_per_ioc)
         reply["confidence"] = float(reply["confidence"])
         self.repo.journal("analyst_verdict", node_uuid=node.uuid,
@@ -222,21 +235,41 @@ class _Orchestrator:
 
     # --- whole run ---------------------------------------------------------
 
+    def validate_alerts(self, alerts: list[Alert]) -> None:
+        """Stage 1: each alert not yet processed through the Analyst, in
+        order. Before an alert whose similar behavior is not fetched yet,
+        fetch it for the next block of pending alerts (those in the store
+        and not yet processed) in one retrieval, so that a budget that stops
+        the stage wastes at most one block."""
+        repo = self.repo
+        leads = [{"graph_name": alert.graph_name, "node_uuid": alert.node_uuid,
+                  "reason": alert.explanation} for alert in alerts]
+        pending = list(dict.fromkeys(
+            lead["node_uuid"] for lead in leads
+            if lead["node_uuid"] not in self.processed
+            and self.store.target(lead) is not None))
+        position = {uuid: i for i, uuid in enumerate(pending)}
+        block = knn_block_rows(self.kb)
+        for alert, lead in zip(alerts, leads):
+            uuid = alert.node_uuid
+            if uuid in self.processed:
+                continue
+            if uuid in position and uuid not in self.similar:
+                start = position[uuid]
+                self.similar.update(
+                    self.fetch_similar(pending[start:start + block]))
+            repo.journal("alert_received", node_uuid=uuid,
+                         violation=alert.violation,
+                         score=round(alert.score, 6))
+            self.validate_lead(lead, origin="alert")
+            repo.processed_alerts.append(uuid)
+            self.processed.add(uuid)
+
     def investigate(self, alerts: list[Alert]) -> None:
         """Stages 1 to 3; a budget that runs out stops them, flagged."""
         repo = self.repo
         try:
-            for alert in alerts:
-                if alert.node_uuid in repo.processed_alerts:
-                    continue
-                lead = {"graph_name": alert.graph_name,
-                        "node_uuid": alert.node_uuid,
-                        "reason": alert.explanation}
-                repo.journal("alert_received", node_uuid=alert.node_uuid,
-                             violation=alert.violation,
-                             score=round(alert.score, 6))
-                self.validate_lead(lead, origin="alert")
-                repo.processed_alerts.append(alert.node_uuid)
+            self.validate_alerts(alerts)
             self.drain_expansion_queue()
             if repo.validated_iocs():
                 outcome = self.synthesis_loop()

@@ -30,6 +30,9 @@ from .ingest import ProvenanceGraph
 DIGEST_EDGE_LIMIT = 20
 EPSILON = float(np.finfo(np.float64).eps)
 SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+# The most float64 values a kNN block's (queries x members) score matrix
+# holds, about 1 MB, so that it stays in cache.
+SCORE_BUDGET = 2 ** 17
 
 
 @dataclass
@@ -160,50 +163,71 @@ def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
         digests=[members[i][2] for i in order])
 
 
-def knn_query(kb: BenignKnowledgeBase, query: np.ndarray,
-              k: int) -> list[tuple[int, float]]:
-    """(row, distance) of the exact k nearest benign members by Euclidean
-    distance, ties broken by uuid and then by row; NaN distances come last.
+def knn_query(kb: BenignKnowledgeBase, queries: np.ndarray,
+              k: int) -> list[list[tuple[int, float]]]:
+    """For each row of the (m, d) ``queries``, the (row, distance) of its
+    exact k nearest benign members by Euclidean distance, ties broken by uuid
+    and then by row; NaN distances come last. One query is a 1-row matrix.
 
-    A prefilter picks candidate rows and ``euclidean_distance`` ranks only
-    those. It scores each row by ``||x||^2 - 2 x.q``, the squared distance
-    less ``||q||^2``, with one matrix-vector product, and keeps every row
-    scored at most ``2 delta`` above the k-th smallest score. ``delta``, 16
-    (d + 2) ulps of ``max ||x||^2 + ||q||^2`` plus 4 (d + 2) subnormals for
-    underflow, is several times the most that a score and the exact
-    routine's squared distance can round apart, so every row no farther
-    than the k-th distance is a candidate. Each distance depends only on its
-    own row, so the rows, their tie order and the distance bits are those of
-    a scan of every row. A non-finite input, or one whose squared distance
-    could overflow, makes ``delta`` inf or NaN and every row a candidate, as
-    does k >= n.
+    Queries are taken in blocks of ``knn_block_rows(kb)``, so that a block's
+    (block x n) score matrix stays within ``SCORE_BUDGET`` values and in
+    cache. A prefilter picks each query's candidate rows and
+    ``euclidean_distance`` ranks only those. It scores every (query, row)
+    pair by ``||x||^2 - 2 x.q``, the squared distance less ``||q||^2``, with
+    one matrix-matrix product per block, and keeps every row scored at most
+    ``2 delta`` above the query's k-th smallest score. Each query has its own
+    ``delta``, 16 (d + 2) ulps of ``max ||x||^2 + ||q||^2`` plus 4 (d + 2)
+    subnormals for underflow: several times the most that a score and the
+    exact routine's squared distance can round apart, so every row no
+    farther than the k-th distance is a candidate. A non-finite query, or
+    one whose squared distance could overflow, makes its own ``delta`` inf
+    or NaN and every row its candidate, and leaves the other queries as they
+    are; a non-finite member, or k >= n, does so for every query.
 
-    Selection, not a full sort: only the candidates no farther than the
-    k-th smallest distance are ordered. ``~(d > kth)`` also keeps every NaN
-    row, so a NaN k-th distance keeps them all and the order matches a
-    stable sort of every row."""
+    One ``euclidean_distance`` call measures all of a block's candidate
+    pairs and one ``lexsort`` orders them by (query, distance, uuid rank);
+    each query keeps its first k. Each distance depends only on its own
+    pair, so the rows, their tie order and the distance bits are those of a
+    scan of every row for that query alone."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    query = np.asarray(query, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2:
+        raise ValueError("queries must be an (m, d) matrix")
+    step = knn_block_rows(kb)
+    results = []
+    for start in range(0, len(queries), step):
+        results += _knn_block(kb, queries[start:start + step], k)
+    return results
+
+
+def knn_block_rows(kb: BenignKnowledgeBase) -> int:
+    """Queries per ``knn_query`` block: as many as keep the block's score
+    matrix within ``SCORE_BUDGET`` values, and at least one."""
+    return max(1, SCORE_BUDGET // kb.size())
+
+
+def _knn_block(kb: BenignKnowledgeBase, block: np.ndarray,
+               k: int) -> list[list[tuple[int, float]]]:
     n, dim = kb.embeddings.shape
     j = min(k, n) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = kb.embeddings @ (-2.0 * query)
+        scores = (-2.0 * block) @ kb.embeddings.T
         scores += kb.squared_norms
         # 4 (max ||x||^2 + ||q||^2) is inf whenever a squared distance, at
         # most 2 (||x||^2 + ||q||^2), could overflow
-        scale = 4.0 * (float(kb.squared_norms.max()) + float(query @ query))
+        scale = 4.0 * (float(kb.squared_norms.max())
+                       + np.einsum("ij,ij->i", block, block))
         delta = 4.0 * (dim + 2) * (EPSILON * scale + SUBNORMAL)
-        limit = np.partition(scores, j)[j] + 2.0 * delta
-    rows = np.flatnonzero(~(scores > limit))
-    distances = euclidean_distance(kb.embeddings[rows], query)
-    if k < len(rows):
-        kth = np.partition(distances, k - 1)[k - 1]
-        keep = ~(distances > kth)
-        rows, distances = rows[keep], distances[keep]
-    order = np.lexsort((kb.uuid_rank[rows], distances))[:k]
-    return [(int(row), float(distance))
-            for row, distance in zip(rows[order], distances[order])]
+        limit = np.partition(scores, j, axis=1)[:, j] + 2.0 * delta
+    query, rows = np.nonzero(~(scores > limit[:, None]))
+    distances = euclidean_distance(kb.embeddings[rows], block[query])
+    order = np.lexsort((kb.uuid_rank[rows], distances, query))
+    pairs = list(zip(rows[order].tolist(), distances[order].tolist()))
+    # ``query`` is ascending, so block row i's candidates are
+    # pairs[bounds[i]:bounds[i + 1]], nearest first
+    bounds = np.searchsorted(query, np.arange(len(block) + 1)).tolist()
+    return [pairs[lo:min(lo + k, hi)] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def attribute_query(kb: BenignKnowledgeBase, identity: str) -> range:

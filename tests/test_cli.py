@@ -389,13 +389,14 @@ def _nest_first_record(path):
     path.write_text("[" * 100_000 + "\n" + rest)
 
 
-def _dangle_first_edge(path):
-    """Damage that points the first edge's destination at a uuid the nodes
-    file does not hold."""
-    first, _, rest = path.read_text().partition("\n")
-    rec = json.loads(first)
-    rec["dst"] = "not-a-node"
-    path.write_text(json.dumps(rec) + "\n" + rest)
+def _first_record(field, value):
+    """Damage that sets ``field`` of the file's first record to ``value``."""
+    def damage(path):
+        first, _, rest = path.read_text().partition("\n")
+        rec = json.loads(first)
+        rec[field] = value
+        path.write_text(json.dumps(rec) + "\n" + rest)
+    return damage
 
 
 def _delete(path):
@@ -549,9 +550,19 @@ DAMAGED = [
     pytest.param("graphs/attack.nodes.jsonl", _nest_first_record,
                  _graph_loader("attack"), DETECT,
                  id="attack.nodes.jsonl-nested-too-deep"),
-    pytest.param("graphs/attack.edges.jsonl", _dangle_first_edge,
+    pytest.param("graphs/attack.edges.jsonl",
+                 _first_record("dst", "not-a-node"),
                  _graph_loader("attack"), DETECT,
                  id="attack.edges.jsonl-dangling-endpoint"),
+    pytest.param("graphs/attack.edges.jsonl", _first_record("dst", ["x"]),
+                 _graph_loader("attack"), DETECT,
+                 id="attack.edges.jsonl-dst-a-list"),
+    pytest.param("graphs/attack.edges.jsonl", _first_record("first_ts", "12"),
+                 _graph_loader("attack"), DETECT,
+                 id="attack.edges.jsonl-first_ts-a-string"),
+    pytest.param("graphs/attack.nodes.jsonl", _first_record("attrs", []),
+                 _graph_loader("attack"), DETECT,
+                 id="attack.nodes.jsonl-attrs-a-list"),
 ]
 
 

@@ -14,7 +14,10 @@ from provlens.investigation import (
     investigator_expand,
     leader_synthesize,
     run_investigation,
+    similar_behavior,
 )
+from provlens import profiler
+from provlens.investigation import agents
 from provlens.investigation.llm import (
     FALLBACKS,
     MAX_ATTEMPTS,
@@ -232,7 +235,7 @@ def test_analyst_scripted_passthrough():
         "verdict": "BENIGN", "confidence": 0.9, "cited_evidence": [],
         "rationale": "fine"}})
     session = LLMSession(backend=backend, max_llm_calls=10, repo=repo)
-    reply, edges = analyst_validate(graph.nodes["ben-1"], "why not",
+    reply, edges = analyst_validate(graph.nodes["ben-1"], "why not", [],
                                     benign_kb(graph), store, session)
     assert reply["verdict"] == "BENIGN" and reply["confidence"] == 0.9
     assert edges == edge_digest(graph, "ben-1", 10)
@@ -257,10 +260,10 @@ def test_analyst_benign_when_digest_matches_same_identity_member():
     session = LLMSession(backend=RecordingLLM(handlers={"analyst": faithful}),
                          max_llm_calls=10, repo=repo)
     # ben-3 mirrors ben-1 exactly (same ops, timestamps, object identity)
-    same, _ = analyst_validate(graph.nodes["ben-3"], "looks odd", kb, store,
-                               session)
+    same, _ = analyst_validate(graph.nodes["ben-3"], "looks odd", [], kb,
+                               store, session)
     assert same["verdict"] == "BENIGN"
-    diverging, _ = analyst_validate(graph.nodes["att-a"], "alerted", kb,
+    diverging, _ = analyst_validate(graph.nodes["att-a"], "alerted", [], kb,
                                     store, session)
     assert diverging["verdict"] == "ANOMALY"
 
@@ -900,3 +903,160 @@ def test_heuristic_mock_validates_mismatch_alert_only():
                                "subject::a, d=2, R=0.5"}))
     assert anomaly["verdict"] == "ANOMALY"
     assert benign["verdict"] == "BENIGN"
+
+
+# --- stage-1 retrieval in blocks ---------------------------------------------
+
+FLOOD_BLOCK = 4
+
+
+def flood(monkeypatch):
+    """A store of 13 embedded nodes, a 50-row KB whose kNN blocks hold
+    ``FLOOD_BLOCK`` queries, and 13 alerts: the first 11 nodes in order with
+    an unknown uuid and a repeat among them, so three blocks. Every
+    ``knn_query`` call's query count is kept in the returned list."""
+    rng = np.random.default_rng(5)
+    uuids = [f"n{i:02d}" for i in range(13)]
+    graph = manual_graph([(u, "subject", {"name": "x"}, "subject::x")
+                          for u in uuids], [], name="day1")
+    store = GraphStore(graph=graph, embeddings={u: rng.normal(size=4)
+                                                for u in uuids})
+    members = [f"m{i:03d}" for i in range(50)]
+    kb = BenignKnowledgeBase(epsilon=0.0, uuids=members,
+                             labels=["subject::x"] * 50,
+                             embeddings=rng.normal(size=(50, 4)),
+                             digests=[[f"-> READ {m}"] for m in members])
+    monkeypatch.setattr(profiler, "SCORE_BUDGET", FLOOD_BLOCK * 50)
+    fetched = []
+    knn = agents.knn_query
+
+    def counted(kb, queries, k):
+        fetched.append(len(queries))
+        return knn(kb, queries, k)
+
+    monkeypatch.setattr(agents, "knn_query", counted)
+    alerts = [make_alert(u) for u in uuids[:11]]
+    alerts[3:3] = [make_alert("ghost")]
+    alerts[7:7] = [make_alert("n01")]
+    return store, kb, alerts, fetched
+
+
+def capturing_backend(payloads):
+    """ANOMALY on n03, whose expansion leads to n12; BENIGN elsewhere. Each
+    Analyst payload is kept in ``payloads``."""
+    def analyst(payload):
+        payloads.append(payload)
+        if payload["node_uuid"] == "n03":
+            return {"verdict": "ANOMALY", "confidence": 0.9,
+                    "cited_evidence": [], "rationale": "odd"}
+        return {"verdict": "BENIGN", "confidence": 0.8, "cited_evidence": [],
+                "rationale": "benign"}
+
+    def investigator(payload):
+        leads = []
+        if payload["node_uuid"] == "n03":
+            leads = [{"graph_name": "day1", "node_uuid": "n12",
+                      "reason": "contact"}]
+        return {"event": "drop", "kill_chain_phase": "IC", "leads": leads}
+
+    return RecordingLLM(handlers={
+        "analyst": analyst, "investigator": investigator,
+        "leader": lambda p: {"phase_coverage": {}, "hypotheses": [],
+                             "false_positive_flags": [], "terminate": True},
+        "reporter": lambda p: {"campaign_summary": "s", "remediation": []}})
+
+
+def assert_one_node_fetches(payloads, store, kb, budget):
+    """Each payload's similar behavior is that of a one-node fetch."""
+    assert payloads
+    for payload in payloads:
+        uuid = payload["node_uuid"]
+        one = similar_behavior([uuid], kb, store, 5, budget.max_leads_per_ioc)
+        assert len(one[uuid]) == 5
+        assert payload["similar_behavior"] == one[uuid]
+
+
+def test_stage_one_fetches_pending_alerts_in_blocks(monkeypatch):
+    store, kb, alerts, fetched = flood(monkeypatch)
+    payloads = []
+    budget = default_budget()
+    repo = run_investigation(alerts, store, kb, capturing_backend(payloads),
+                             budget)
+    assert repo.status == "complete" and not repo.budget_exhausted
+    # three blocks of the 11 pending alerts, then the lead on its own
+    assert fetched == [4, 4, 3, 1]
+    assert [p["node_uuid"] for p in payloads] \
+        == [f"n{i:02d}" for i in range(11)] + ["n12"]
+    assert repo.processed_alerts == list(dict.fromkeys(
+        a.node_uuid for a in alerts))
+    fetched.clear()
+    assert_one_node_fetches(payloads, store, kb, budget)
+
+
+def test_budget_that_stops_stage_one_mid_block(monkeypatch):
+    store, kb, alerts, fetched = flood(monkeypatch)
+    payloads = []
+    budget = default_budget(max_llm_calls=6)
+    repo = run_investigation(alerts, store, kb, capturing_backend(payloads),
+                             budget)
+    assert repo.budget_exhausted
+    assert [p["node_uuid"] for p in payloads] \
+        == [f"n{i:02d}" for i in range(6)]
+    assert fetched == [4, 4]  # the stop wastes the rest of one block
+    assert_one_node_fetches(payloads, store, kb, budget)
+
+
+class PausingBackend:
+    """Fails transport on the Analyst request for ``node`` while ``down``."""
+
+    def __init__(self, inner, node):
+        self.inner, self.node, self.down = inner, node, True
+
+    def invoke(self, role, system_prompt, payload):
+        if self.down and role == "analyst" \
+                and payload["node_uuid"] == self.node:
+            raise LLMTransportError("backend unreachable")
+        return self.inner.invoke(role, system_prompt, payload)
+
+
+def test_pause_mid_block_resumes_to_the_uninterrupted_journal(monkeypatch,
+                                                              tmp_path):
+    store, kb, alerts, fetched = flood(monkeypatch)
+    budget = default_budget()
+    whole = run_investigation(alerts, store, kb,
+                              capturing_backend([]), budget)
+    payloads = []
+    backend = PausingBackend(capturing_backend(payloads), node="n06")
+    paused = run_investigation(alerts, store, kb, backend, budget)
+    assert paused.status == "paused"
+    assert [p["node_uuid"] for p in payloads] \
+        == [f"n{i:02d}" for i in range(6)]
+    paused.save(tmp_path)
+    fetched.clear()
+    backend.down = False
+    resumed = run_investigation(alerts, store, kb, backend, budget,
+                                repo=InvestigationRepository.load(tmp_path))
+    assert resumed.status == "complete"
+    # the five pending alerts from n06 on in two blocks, then the lead
+    assert fetched == [4, 1, 1]
+    assert [p["node_uuid"] for p in payloads] \
+        == [f"n{i:02d}" for i in range(11)] + ["n12"]
+    fetched.clear()
+    assert_one_node_fetches(payloads, store, kb, budget)
+
+    def unsequenced(repo):
+        return [{k: v for k, v in e.items() if k != "seq"}
+                for e in repo.journal_entries]
+
+    got, want = unsequenced(resumed), unsequenced(whole)
+    first = next(i for i, e in enumerate(got)
+                 if e["action"] == "llm_transport_retry")
+    last = next(i for i, e in enumerate(got)
+                if e["action"] == "investigation_resumed")
+    # n06 was received, then the run paused; on resume it is received again
+    assert [e["action"] for e in got[first - 1:last + 1]] == [
+        "alert_received", *["llm_transport_retry"] * MAX_ATTEMPTS,
+        "llm_transport_failure", "investigation_paused",
+        "investigation_resumed"]
+    assert got[first - 1]["node_uuid"] == "n06"
+    assert got[:first - 1] + got[last + 1:] == want

@@ -1,5 +1,6 @@
 import csv
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -246,19 +247,26 @@ def test_kb_save_load_round_trip(tmp_path):
 
 def test_knn_exact_hit_first():
     kb = toy_kb()
-    result = found(kb, knn_query(kb, np.array([0.0, 0.5]), k=2))
-    assert result[0] == ("c1", "subject::cat", 0.0)
+    [result] = knn_query(kb, np.array([[0.0, 0.5]]), k=2)
+    assert found(kb, result)[0] == ("c1", "subject::cat", 0.0)
 
 
 def test_knn_k_larger_than_kb():
     kb = toy_kb()
-    assert len(knn_query(kb, np.zeros(2), k=10)) == 3
+    assert [len(r) for r in knn_query(kb, np.zeros((2, 2)), k=10)] == [3, 3]
 
 
 def test_knn_tie_broken_by_uuid():
     kb = toy_kb()
-    result = found(kb, knn_query(kb, np.array([0.0, 0.0]), k=2))
-    assert [r[0] for r in result] == ["c1", "c2"]
+    [result] = knn_query(kb, np.array([[0.0, 0.0]]), k=2)
+    assert [r[0] for r in found(kb, result)] == ["c1", "c2"]
+
+
+def test_knn_takes_a_query_matrix():
+    kb = toy_kb()
+    assert knn_query(kb, np.zeros((0, 2)), k=1) == []
+    with pytest.raises(ValueError, match="matrix"):
+        knn_query(kb, np.zeros(2), k=1)
 
 
 def test_knn_matches_exhaustive_oracle():
@@ -269,12 +277,12 @@ def test_knn_matches_exhaustive_oracle():
         labels=["i"] * len(members),
         embeddings=np.array([vec for _, vec in members]),
         digests=[[] for _ in members])
-    for _ in range(25):
-        query = rng.normal(size=3)
-        got = found(kb, knn_query(kb, query, k=3))
+    queries = rng.normal(size=(25, 3))
+    for query, result in zip(queries, knn_query(kb, queries, k=3)):
         oracle = sorted(((euclidean_distance(vec, query), uuid)
                          for uuid, vec in members))[:3]
-        assert [(u, d) for d, u in oracle] == [(u, d) for u, _, d in got]
+        assert [(u, d) for d, u in oracle] \
+            == [(u, d) for u, _, d in found(kb, result)]
 
 
 def test_knn_matches_oracle_at_scale():
@@ -285,12 +293,12 @@ def test_knn_matches_oracle_at_scale():
         labels=["i"] * len(members),
         embeddings=np.array([vec for _, vec in members]),
         digests=[[] for _ in members])
-    for _ in range(5):
-        query = rng.normal(size=6)
-        got = found(kb, knn_query(kb, query, k=10))
+    queries = rng.normal(size=(5, 6))
+    for query, result in zip(queries, knn_query(kb, queries, k=10)):
         oracle = sorted(((euclidean_distance(vec, query), uuid)
                          for uuid, vec in members))[:10]
-        assert [(u, d) for d, u in oracle] == [(u, d) for u, _, d in got]
+        assert [(u, d) for d, u in oracle] \
+            == [(u, d) for u, _, d in found(kb, result)]
 
 
 HALVES = st.integers(-2, 2).map(lambda v: v / 2)
@@ -298,10 +306,44 @@ SPECIALS = st.sampled_from([math.inf, -math.inf, math.nan])
 
 
 @st.composite
+def query_blocks(draw, n):
+    """A block size of 1 to 3 queries and a query count m from 0 to past
+    two blocks: the ``SCORE_BUDGET`` that gives the block size on an n-row
+    KB, and m."""
+    block = draw(st.integers(1, 3))
+    return block * n, draw(st.integers(0, 2 * block + 1))
+
+
+def with_specials(draw, queries, dim):
+    """The (m, dim) matrix of the m ``queries``, with one non-finite
+    component in some of its rows."""
+    queries = np.array(queries, dtype=np.float64).reshape(len(queries), dim)
+    for row in queries:
+        if draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(SPECIALS)
+    return queries
+
+
+def assert_rows_match_oracle(kb, queries, budget, k):
+    """Each row's result, from one ``knn_query`` over the whole matrix in
+    blocks of ``budget // n`` queries, equals the oracle on that row alone:
+    the same rows, the same tie order and bitwise-equal distances. So no
+    row, non-finite or not, changed another's result."""
+    with patch.object(profiler, "SCORE_BUDGET", budget):
+        got = knn_query(kb, queries, k)
+    assert len(got) == len(queries)
+    for query, result in zip(queries, got):
+        want = profiler_oracle.knn_query(kb, query, k)
+        assert [(r, d.hex()) for r, d in result] \
+            == [(r, d.hex()) for r, d in want]
+
+
+@st.composite
 def tied_kbs(draw):
-    """A KB built to tie, and a query: rounded embeddings in runs of
+    """A KB built to tie, and a query matrix: rounded embeddings in runs of
     identical rows, one uuid held by two rows (as in overlapping windows),
-    and sometimes one non-finite component in the KB or the query."""
+    sometimes one non-finite component in the KB, and query rows with and
+    without one."""
     dim = draw(st.integers(1, 3))
     rows = []
     for _ in range(draw(st.integers(1, 10))):
@@ -320,10 +362,11 @@ def tied_kbs(draw):
     labels = sorted(draw(st.lists(st.sampled_from("ab"), min_size=n,
                                   max_size=n)))
     epsilon = draw(st.sampled_from([0.0, 0.02, 0.3, 0.5]))
-    query = draw(st.lists(HALVES, min_size=dim, max_size=dim))
-    if draw(st.booleans()):
-        query[draw(st.integers(0, dim - 1))] = draw(SPECIALS)
-    return epsilon, uuids, labels, embeddings, np.array(query)
+    budget, m = draw(query_blocks(n))
+    queries = with_specials(
+        draw, [draw(st.lists(HALVES, min_size=dim, max_size=dim))
+               for _ in range(m)], dim)
+    return epsilon, uuids, labels, embeddings, queries, budget
 
 
 @settings(max_examples=200, deadline=None)
@@ -331,17 +374,15 @@ def tied_kbs(draw):
 def test_knn_selection_matches_stable_sort_oracle(drawn):
     """Every k from 1 to n + 3, so each tie that spans the k-th row is a
     boundary: same rows, same tie order, bitwise-equal distances."""
-    epsilon, uuids, labels, embeddings, query = drawn
+    epsilon, uuids, labels, embeddings, queries, budget = drawn
     with np.errstate(invalid="ignore"):
         kb = BenignKnowledgeBase(epsilon=epsilon, uuids=uuids, labels=labels,
                                  embeddings=embeddings,
                                  digests=[[] for _ in uuids])
         for k in range(1, len(uuids) + 4):
-            got = knn_query(kb, query, k)
-            want = profiler_oracle.knn_query(kb, query, k)
-            assert [(r, d.hex()) for r, d in got] \
-                == [(r, d.hex()) for r, d in want]
-        for a, b in ((embeddings, query), (embeddings[:, None], embeddings)):
+            assert_rows_match_oracle(kb, queries, budget, k)
+        for a, b in [*((embeddings, query) for query in queries),
+                     (embeddings[:, None], embeddings)]:
             assert euclidean_distance(a, b).tobytes() \
                 == profiler_oracle.euclidean_distance(a, b).tobytes()
         for label, rows in kb.rows.items():
@@ -353,10 +394,11 @@ def test_knn_selection_matches_stable_sort_oracle(drawn):
 
 @st.composite
 def cancelling_kbs(draw):
-    """A KB and a query near each other but far from the origin, where
-    ``||x||^2 - 2 x.q`` cancels catastrophically: dim up to 64, offsets up
-    to 1e8 (or 1e-160, where squares underflow), spreads down to 1e-12 of
-    the offset, and rows that repeat or lie 1 ulp from an earlier row."""
+    """A KB and a query matrix near each other but far from the origin,
+    where ``||x||^2 - 2 x.q`` cancels catastrophically: dim up to 64,
+    offsets up to 1e8 (or 1e-160, where squares underflow), spreads down to
+    1e-12 of the offset, rows that repeat or lie 1 ulp from an earlier row,
+    and query rows among them, some with one non-finite component."""
     dim = draw(st.integers(1, 64))
     n = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -372,15 +414,19 @@ def cancelling_kbs(draw):
             col = draw(st.integers(0, dim - 1))
             rows[i, col] = np.nextafter(rows[i, col],
                                         draw(st.sampled_from([-np.inf, np.inf])))
-    query = draw(st.sampled_from(["own", "row", "ulp"]))
-    if query == "own":
-        query = centre + rng.normal(size=dim) * spread
-    else:
-        query = rows[draw(st.integers(0, n - 1))].copy()
-        if draw(st.booleans()):
-            query = np.nextafter(query, np.inf)
+    budget, m = draw(query_blocks(n))
+    queries = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["own", "row", "ulp"]))
+        if kind == "own":
+            query = centre + rng.normal(size=dim) * spread
+        else:
+            query = rows[draw(st.integers(0, n - 1))].copy()
+            if kind == "ulp":
+                query = np.nextafter(query, np.inf)
+        queries.append(query)
     uuids = [f"u{i:02d}" for i in draw(st.permutations(range(n)))]
-    return uuids, rows, query
+    return uuids, rows, with_specials(draw, queries, dim), budget
 
 
 @settings(max_examples=200, deadline=None)
@@ -388,35 +434,35 @@ def cancelling_kbs(draw):
 def test_knn_prefilter_matches_stable_sort_oracle(drawn):
     """Every k from 1 to n + 3: the same rows in the same order, with
     bitwise-equal distances, as a scan of every row."""
-    uuids, embeddings, query = drawn
+    uuids, embeddings, queries, budget = drawn
     kb = BenignKnowledgeBase(epsilon=0.0, uuids=uuids, labels=["i"] * len(uuids),
                              embeddings=embeddings, digests=[[] for _ in uuids])
-    for k in range(1, len(uuids) + 4):
-        got = knn_query(kb, query, k)
-        want = profiler_oracle.knn_query(kb, query, k)
-        assert [(r, d.hex()) for r, d in got] \
-            == [(r, d.hex()) for r, d in want]
+    with np.errstate(invalid="ignore"):
+        for k in range(1, len(uuids) + 4):
+            assert_rows_match_oracle(kb, queries, budget, k)
 
 
 def test_knn_ranks_only_the_candidate_rows(monkeypatch):
-    """On a 4,000-row KB the exact routine sees a handful of rows per query,
-    not the whole KB."""
+    """On a 4,000-row KB one call over 20 queries is one block, and the
+    exact routine sees a handful of rows per query, not the whole KB."""
     rng = np.random.default_rng(2024)
     n = 4000
     kb = BenignKnowledgeBase(
         epsilon=0.0, uuids=[f"m{i:04d}" for i in range(n)], labels=["i"] * n,
         embeddings=rng.normal(size=(n, 32)), digests=[[] for _ in range(n)])
-    ranked = []
+    calls = []
 
     def counted(a, b):
-        ranked.append(len(a))
+        # rows per query: each query's rows of ``b`` are copies of it
+        calls.append(np.unique(b, axis=0, return_counts=True)[1])
         return euclidean_distance(a, b)
 
     monkeypatch.setattr(profiler, "euclidean_distance", counted)
-    for query in rng.normal(size=(20, 32)):
-        assert knn_query(kb, query, 5) \
-            == profiler_oracle.knn_query(kb, query, 5)
-    assert len(ranked) == 20 and max(ranked) <= 64
+    queries = rng.normal(size=(20, 32))
+    for query, result in zip(queries, knn_query(kb, queries, 5)):
+        assert result == profiler_oracle.knn_query(kb, query, 5)
+    [per_query] = calls
+    assert len(per_query) == 20 and max(per_query) <= 64
 
 
 def test_attribute_query_exact_tier_first():

@@ -3,7 +3,8 @@ resolve, and its self-test passes, so that renaming a traced function or
 dropping an argument the benchmark passes fails this suite and not only the
 benchmark. And every public name the package defines has a caller in the
 package or the benchmark. And the modules that own a JSONL artifact leave
-every JSON decode and encode to ``provlens.artifacts``."""
+every JSON decode and encode to ``provlens.artifacts``. And the
+investigation retrieves through the one name the benchmark traces."""
 
 import ast
 import importlib
@@ -84,6 +85,20 @@ def test_jsonl_owners_call_no_json_function():
                              f"{alias.name}" for alias in node.names
                              if alias.name in JSON_CALLS)
     assert found == []
+
+
+def test_only_the_agents_module_names_knn_query():
+    """perfbench's ``profiler.knn`` span wraps ``knn_query`` where
+    ``investigation.agents`` resolves it, so that span sees every retrieval
+    of the investigation only while no other investigation module names it.
+    Names count as code tokens, so a docstring or a comment does not."""
+    naming = []
+    for path in sorted((PACKAGE / "investigation").rglob("*.py")):
+        with tokenize.open(path) as fh:
+            if any(token.type == tokenize.NAME and token.string == "knn_query"
+                   for token in tokenize.generate_tokens(fh.readline)):
+                naming.append(path.relative_to(PACKAGE).as_posix())
+    assert naming == ["investigation/agents.py"]
 
 
 FAILING_PROPERTY = '''
