@@ -16,8 +16,6 @@ import logging
 import re
 from dataclasses import dataclass
 
-import requests
-
 from ..errors import LLMError, LLMTransportError
 from .repository import KILL_CHAIN_PHASES, UNASSIGNED
 
@@ -188,10 +186,12 @@ class ScriptedLLM:
 
 
 class HttpChatLLM:
-    """Chat-completion client for OpenAI-compatible endpoints."""
+    """Chat-completion client for OpenAI-compatible endpoints. It imports
+    ``requests`` on first use, so that only ``--llm http`` pays for it."""
 
     def __init__(self, endpoint: str, model: str, api_key: str = "",
                  timeout_s: float = 60.0, session=None):
+        import requests
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.api_key = api_key
@@ -199,6 +199,7 @@ class HttpChatLLM:
         self.session = session or requests.Session()
 
     def invoke(self, role: str, system_prompt: str, payload: dict) -> str:
+        import requests
         body = {
             "model": self.model,
             "temperature": 0,

@@ -1,14 +1,15 @@
 """Hypothesis-driven orchestration over the four agents.
 
-Stage 1 validates every alert through the Analyst; confirmed ones become
-validated IOCs. Stage 2 drains a FIFO expansion queue: the Investigator
-reconstructs each IOC's attack event and proposes leads, each of which must
-again pass the Analyst before it can enter the queue. Stage 3 asks the Leader
-for a global synthesis; accepted hypotheses spawn targeted leads back through
-the stage-2 machinery until the Leader declares the chain coherent, no
-testable hypotheses remain, or a budget runs out. Stage 4 asks the Reporter
-for the campaign summary and remediation; the report is rendered from the
-repository.
+One persisted FIFO, the repository's ``pending_leads``, holds every node
+waiting for the Analyst: the alerts, queued when the repository is created,
+the Investigator's leads and the Leader's hypothesis targets. One loop
+validates its head, or else has the Investigator expand the head of the
+expansion queue, which an ANOMALY verdict joins. An entry leaves its queue
+only once its work is journaled, so a paused run resumes to the same result.
+The Leader's global synthesis sends accepted hypotheses' targets back through
+that loop until it declares the chain coherent, no testable hypotheses
+remain, or a budget runs out. The Reporter writes the campaign summary and
+remediation; the report is rendered from the repository.
 
 Every path that can grow the investigation is gated by the call budget, so
 the loop terminates under any model behavior, including one that answers
@@ -58,49 +59,49 @@ class _Orchestrator:
         self.session = LLMSession(backend=backend,
                                   max_llm_calls=budget.max_llm_calls,
                                   repo=repo)
-        # membership in the persisted ``processed_alerts`` list
-        self.processed = set(repo.processed_alerts)
-        # similar behavior fetched ahead for stage 1's pending alerts
+        # similar behavior fetched ahead for pending leads
         self.similar: dict[str, list[dict]] = {}
-
-    # --- stage 1 and 2 building blocks ----------------------------------
-
-    def fetch_similar(self, uuids: list[str]) -> dict[str, list[dict]]:
-        return similar_behavior(uuids, self.kb, self.store, self.knn_k,
-                                self.budget.max_leads_per_ioc)
 
     def ask_analyst(self, node: Entity, reason: str,
                     origin: str) -> tuple[dict, list[str]]:
         """One journaled Analyst reply on ``node``, its confidence made a
-        float, and the edge digest the Analyst was shown. The node's similar
-        behavior is the one fetched ahead for it, else fetched now."""
-        similar = self.similar.pop(node.uuid, None)
-        if similar is None:
-            similar = self.fetch_similar([node.uuid])[node.uuid]
+        float, and the edge digest the Analyst was shown. A node's similar
+        behavior is fetched with that of the next distinct pending leads in
+        the store, one ``knn_query`` block in all, so a budget that runs out
+        wastes at most one block's retrieval."""
+        if node.uuid not in self.similar:
+            block, size = {node.uuid: None}, knn_block_rows(self.kb)
+            for lead in self.repo.pending_leads:
+                if len(block) == size:
+                    break
+                if self.store.target(lead) is not None:
+                    block[lead["node_uuid"]] = None
+            self.similar.update(similar_behavior(
+                list(block), self.kb, self.store, self.knn_k,
+                self.budget.max_leads_per_ioc))
         reply, edges = analyst_validate(
-            node, reason, similar, self.kb, self.store, self.session,
-            digest_limit=self.budget.max_leads_per_ioc)
+            node, reason, self.similar.pop(node.uuid), self.kb, self.store,
+            self.session, digest_limit=self.budget.max_leads_per_ioc)
         reply["confidence"] = float(reply["confidence"])
         self.repo.journal("analyst_verdict", node_uuid=node.uuid,
                           origin=origin, verdict=reply["verdict"],
                           confidence=round(reply["confidence"], 6))
         return reply, edges
 
-    def validate_lead(self, lead: dict, origin: str,
-                      parent: str | None = None) -> None:
-        """The admission gate for one alert or clue: an ANOMALY verdict of
+    def validate_lead(self, lead: dict) -> None:
+        """The admission gate for one pending lead: an ANOMALY verdict of
         positive confidence admits a validated IOC, whose evidence is the
         edge digest the Analyst saw and then the evidence it cited; any other
         verdict records a dismissed candidate. A lead that names another
         graph or an unknown node is journaled and dropped."""
         repo = self.repo
-        uuid = lead["node_uuid"]
+        uuid, origin = lead["node_uuid"], lead["origin"]
         node = self.store.target(lead)
         if node is None:
             repo.journal("lead_invalid", node_uuid=uuid,
                          graph_name=lead["graph_name"])
             return
-        reply, edges = self.ask_analyst(node, lead.get("reason", ""), origin)
+        reply, edges = self.ask_analyst(node, lead["reason"], origin)
         # a re-validated IOC keeps the links to the IOCs that led to it
         known = repo.iocs.get(uuid)
         record = IOCRecord(node_uuid=uuid, identity=node.identity,
@@ -108,8 +109,8 @@ class _Orchestrator:
                            related_ioc_refs=list(known.related_ioc_refs)
                            if known else [])
         if reply["verdict"] == "ANOMALY" and record.confidence > 0.0:
-            if parent is not None:
-                record.related_ioc_refs.append(parent)
+            if lead["parent"] is not None:
+                record.related_ioc_refs.append(lead["parent"])
             record.status = "validated"
             record.event = str(reply["rationale"]) or "validated anomaly"
             repo.iocs[uuid] = record
@@ -123,14 +124,19 @@ class _Orchestrator:
             repo.journal("ioc_rejected_zero_confidence", node_uuid=uuid)
         repo.iocs.setdefault(uuid, record)
 
-    def drain_expansion_queue(self) -> None:
+    def drain(self) -> None:
+        """Validate the head pending lead, or else have the Investigator
+        expand the head IOC and queue each lead it names that is new to the
+        repository, until both queues are empty. An entry leaves its queue
+        only after its work is journaled, so a paused run resumes at it."""
         repo = self.repo
-        while repo.expansion_queue:
-            uuid = repo.expansion_queue[0]
-            ioc = repo.iocs.get(uuid)
-            if ioc is None or ioc.status != "validated":
-                repo.expansion_queue.pop(0)
+        while repo.pending_leads or repo.expansion_queue:
+            if repo.pending_leads:
+                self.validate_lead(repo.pending_leads[0])
+                repo.pending_leads.pop(0)
                 continue
+            uuid = repo.expansion_queue[0]
+            ioc = repo.iocs[uuid]
             event, phase, leads = investigator_expand(
                 ioc, self.store, self.session, self.budget.max_leads_per_ioc)
             if event:
@@ -140,7 +146,6 @@ class _Orchestrator:
             repo.journal("ioc_expanded", node_uuid=uuid,
                          phase=ioc.kill_chain_phase,
                          leads=[lead["node_uuid"] for lead in leads])
-            repo.expansion_queue.pop(0)
             seen: set[str] = set()
             for lead in leads:
                 target = lead["node_uuid"]
@@ -148,53 +153,55 @@ class _Orchestrator:
                     repo.journal("lead_deduplicated", node_uuid=target)
                     continue
                 seen.add(target)
-                self.validate_lead(lead, origin="lead", parent=uuid)
+                repo.queue_lead(lead["graph_name"], target, lead["reason"],
+                                "lead", parent=uuid)
+            repo.expansion_queue.pop(0)
 
-    # --- stage 3 ----------------------------------------------------------
+    # --- synthesis --------------------------------------------------------
 
     def process_hypothesis(self, hyp: Hypothesis) -> None:
+        """Send the hypothesis's targets through the Analyst or the
+        Investigator. A false-positive hypothesis is confirmed by a demotion,
+        a missing stage by a new validated IOC, journaled since its work
+        began: after the last hypothesis entry, so also across a pause."""
         repo = self.repo
-        validated_before = {i.node_uuid for i in repo.validated_iocs()}
-        demoted = False
+        start = max(i for i, entry in enumerate(repo.journal_entries)
+                    if entry["action"] in ("hypothesis_opened",
+                                           "hypothesis_resolved"))
         targets: list[str] = []
         for ref in hyp.target_refs:
             if ref in KILL_CHAIN_PHASES:
                 targets.extend(i.node_uuid for i in repo.validated_iocs())
             else:
                 targets.append(ref)
-        deduped = []
-        for target in targets:
-            if target not in deduped and target not in hyp.spawned_leads:
-                deduped.append(target)
-        for target in deduped[:self.budget.max_leads_per_ioc]:
-            hyp.spawned_leads.append(target)
-            ioc = repo.iocs.get(target)
-            if ioc is None:
-                continue
+        targets = [t for t in dict.fromkeys(targets)
+                   if t not in hyp.spawned_leads]
+        # a target counts as spawned once handled, so a resumed hypothesis
+        # handles what an uninterrupted one would, and no more
+        for target in targets[:self.budget.max_leads_per_ioc
+                              - len(hyp.spawned_leads)]:
+            ioc = repo.iocs[target]
             if hyp.kind == "false_positive":
-                if ioc.status != "validated":
-                    continue
-                reply, _ = self.ask_analyst(self.store.graph.nodes[target],
-                                            hyp.statement, origin="hypothesis")
-                if reply["verdict"] == "BENIGN":
-                    repo.demote_ioc(target, hyp.statement)
-                    demoted = True
-            else:  # missing_stage: dig deeper around or re-validate targets
                 if ioc.status == "validated":
-                    repo.expansion_queue.append(target)
-                    repo.journal("ioc_reexpansion", node_uuid=target,
-                                 hypothesis=hyp.id)
-                else:
-                    self.validate_lead({"graph_name": self.store.graph.name,
-                                        "node_uuid": target,
-                                        "reason": hyp.statement},
-                                       origin="hypothesis")
-        self.drain_expansion_queue()
-        validated_after = {i.node_uuid for i in repo.validated_iocs()}
-        if hyp.kind == "false_positive":
-            confirmed = demoted
-        else:
-            confirmed = bool(validated_after - validated_before)
+                    reply, _ = self.ask_analyst(
+                        self.store.graph.nodes[target], hyp.statement,
+                        origin="hypothesis")
+                    if reply["verdict"] == "BENIGN":
+                        repo.demote_ioc(target, hyp.statement)
+            # missing_stage: dig deeper around or re-validate targets
+            elif ioc.status == "validated":
+                repo.expansion_queue.append(target)
+                repo.journal("ioc_reexpansion", node_uuid=target,
+                             hypothesis=hyp.id)
+            else:
+                repo.queue_lead(self.store.graph.name, target, hyp.statement,
+                                "hypothesis")
+            hyp.spawned_leads.append(target)
+        self.drain()
+        sign = ("ioc_refuted" if hyp.kind == "false_positive"
+                else "ioc_validated")
+        confirmed = any(entry["action"] == sign
+                        for entry in repo.journal_entries[start:])
         hyp.status = "confirmed" if confirmed else "refuted"
         repo.journal("hypothesis_resolved", id=hyp.id, status=hyp.status)
 
@@ -218,7 +225,7 @@ class _Orchestrator:
                 return "coherent"
             opened = []
             for spec in result["hypotheses"]:
-                hyp = Hypothesis(id=repo.next_hypothesis_id(),
+                hyp = Hypothesis(id=f"H{len(repo.hypotheses) + 1}",
                                  kind=spec["kind"],
                                  statement=spec["statement"],
                                  target_refs=spec["target_refs"])
@@ -235,42 +242,12 @@ class _Orchestrator:
 
     # --- whole run ---------------------------------------------------------
 
-    def validate_alerts(self, alerts: list[Alert]) -> None:
-        """Stage 1: each alert not yet processed through the Analyst, in
-        order. Before an alert whose similar behavior is not fetched yet,
-        fetch it for the next block of pending alerts (those in the store
-        and not yet processed) in one retrieval, so that a budget that stops
-        the stage wastes at most one block."""
-        repo = self.repo
-        leads = [{"graph_name": alert.graph_name, "node_uuid": alert.node_uuid,
-                  "reason": alert.explanation} for alert in alerts]
-        pending = list(dict.fromkeys(
-            lead["node_uuid"] for lead in leads
-            if lead["node_uuid"] not in self.processed
-            and self.store.target(lead) is not None))
-        position = {uuid: i for i, uuid in enumerate(pending)}
-        block = knn_block_rows(self.kb)
-        for alert, lead in zip(alerts, leads):
-            uuid = alert.node_uuid
-            if uuid in self.processed:
-                continue
-            if uuid in position and uuid not in self.similar:
-                start = position[uuid]
-                self.similar.update(
-                    self.fetch_similar(pending[start:start + block]))
-            repo.journal("alert_received", node_uuid=uuid,
-                         violation=alert.violation,
-                         score=round(alert.score, 6))
-            self.validate_lead(lead, origin="alert")
-            repo.processed_alerts.append(uuid)
-            self.processed.add(uuid)
-
-    def investigate(self, alerts: list[Alert]) -> None:
-        """Stages 1 to 3; a budget that runs out stops them, flagged."""
+    def investigate(self) -> None:
+        """Validation, expansion and synthesis; a budget that runs out stops
+        them, flagged."""
         repo = self.repo
         try:
-            self.validate_alerts(alerts)
-            self.drain_expansion_queue()
+            self.drain()
             if repo.validated_iocs():
                 outcome = self.synthesis_loop()
             else:
@@ -285,14 +262,14 @@ class _Orchestrator:
                 repo.journal("hypothesis_resolved", id=hyp.id,
                              status="refuted", reason="budget exhausted")
 
-    def run(self, alerts: list[Alert]) -> InvestigationRepository:
+    def run(self) -> InvestigationRepository:
         """The whole run; a failed LLM transport pauses it at any stage."""
         repo = self.repo
         try:
             # a run paused at the Reporter resumes to it
             if not any(entry["action"] == "investigation_terminated"
                        for entry in repo.journal_entries):
-                self.investigate(alerts)
+                self.investigate()
             # Stage 4: the Reporter's prose. Without it (no validated IOC, or
             # the budget ran out) the report keeps the fallback summary.
             prose = FALLBACK_SUMMARY, []
@@ -317,7 +294,9 @@ def run_investigation(alerts: list[Alert], store: GraphStore,
                       repo: InvestigationRepository | None = None
                       ) -> InvestigationRepository:
     """Run (or resume) the full four-stage investigation of the store's graph
-    over ``alerts``; a new repository takes the graph's name.
+    over ``alerts``. A new repository takes the graph's name and queues each
+    distinct alerted node once, in alert order; a resumed one takes its work
+    from its queues, and ``alerts`` is not read.
 
     Returns the repository in status "complete", or "paused" when the LLM
     transport failed; a paused repository can be passed back in to resume,
@@ -326,6 +305,15 @@ def run_investigation(alerts: list[Alert], store: GraphStore,
     if repo is None:
         repo = InvestigationRepository(graph_name=store.graph.name)
         repo.journal("investigation_started", alerts=len(alerts))
+        queued = set()
+        for alert in alerts:
+            if alert.node_uuid not in queued:
+                queued.add(alert.node_uuid)
+                repo.journal("alert_received", node_uuid=alert.node_uuid,
+                             violation=alert.violation,
+                             score=round(alert.score, 6))
+                repo.queue_lead(alert.graph_name, alert.node_uuid,
+                                alert.explanation, "alert")
     elif repo.status == "complete":
         return repo
     else:
@@ -333,4 +321,4 @@ def run_investigation(alerts: list[Alert], store: GraphStore,
     repo.status = "running"
     orchestrator = _Orchestrator(store=store, kb=kb, backend=backend,
                                  budget=budget, knn_k=knn_k, repo=repo)
-    return orchestrator.run(alerts)
+    return orchestrator.run()

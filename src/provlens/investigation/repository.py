@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..artifacts import (count_field, read_json, read_jsonl, reading,
-                         record, write_json, write_jsonl)
+from ..artifacts import (count_field, keys, read_json, read_jsonl,
+                         reading, record, write_json, write_jsonl)
 
 KILL_CHAIN_PHASES = ("IC", "IR", "CC", "PE", "LM", "MP", "DE", "CT")
 PHASE_NAMES = {
@@ -64,7 +64,9 @@ class InvestigationRepository:
     evidence: dict[str, list[str]] = field(default_factory=dict)
     journal_entries: list[dict] = field(default_factory=list)
     expansion_queue: list[str] = field(default_factory=list)
-    processed_alerts: list[str] = field(default_factory=list)
+    # nodes waiting for the Analyst, in order; a lead's ``parent`` is the
+    # IOC whose expansion named it
+    pending_leads: list[dict] = field(default_factory=list)
     iteration: int = 0
     llm_calls_used: int = 0
     tokens_in: int = 0
@@ -90,6 +92,13 @@ class InvestigationRepository:
 
     # --- IOC lifecycle ---------------------------------------------------
 
+    def queue_lead(self, graph_name: str, node_uuid: str, reason: str,
+                   origin: str, parent: str | None = None) -> None:
+        """Append the node to ``pending_leads``."""
+        self.pending_leads.append({"graph_name": graph_name,
+                                   "node_uuid": node_uuid, "reason": reason,
+                                   "origin": origin, "parent": parent})
+
     def demote_ioc(self, node_uuid: str, reason: str) -> None:
         ioc = self.iocs.get(node_uuid)
         if ioc is None or ioc.status != "validated":
@@ -113,9 +122,6 @@ class InvestigationRepository:
 
     def open_hypotheses(self) -> list[Hypothesis]:
         return [h for h in self.hypotheses if h.status == "open"]
-
-    def next_hypothesis_id(self) -> str:
-        return f"H{len(self.hypotheses) + 1}"
 
     def narrative(self) -> dict[str, list[str]]:
         """Phase -> ordered validated IOC uuids."""
@@ -144,6 +150,9 @@ class InvestigationRepository:
         ioc = record(IOCRecord)
         repo.iocs = {u: ioc(r) for u, r in repo.iocs.items()}
         repo.hypotheses = list(map(record(Hypothesis), repo.hypotheses))
+        repo.pending_leads = list(map(
+            keys("graph_name node_uuid reason origin parent"),
+            repo.pending_leads))
         return repo, length
 
     def save(self, directory: str | Path) -> None:

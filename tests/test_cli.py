@@ -436,6 +436,16 @@ def _setting(field, value):
     return damage
 
 
+def _renamed(field, earlier):
+    """Damage that stores the header's ``field`` as an earlier version named
+    it, ``earlier``."""
+    def damage(path):
+        header = json.loads(path.read_text())
+        header[earlier] = header.pop(field)
+        path.write_text(json.dumps(header))
+    return damage
+
+
 def _quoted(field):
     """Damage that turns the header's ``field`` into a JSON string."""
     def damage(path):
@@ -494,6 +504,16 @@ DAMAGED = [
                    lambda path: load_kb(path.parent), DETECT),
     _missing_field("kb/kb.members.jsonl", "label",
                    lambda path: load_kb(path.parent), DETECT),
+    pytest.param("investigation/attack/repository.json",
+                 _setting("pending_leads", [{"graph_name": "attack",
+                                             "reason": "r", "origin": "alert",
+                                             "parent": None}]),
+                 lambda path: InvestigationRepository.load(path.parent),
+                 REPORT, id="repository.json-pending-lead-without-node_uuid"),
+    pytest.param("investigation/attack/repository.json",
+                 _renamed("pending_leads", "processed_alerts"),
+                 lambda path: InvestigationRepository.load(path.parent),
+                 REPORT, id="repository.json-earlier-processed_alerts"),
     pytest.param("kb/kb.members.jsonl", _zero_rows,
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.members.jsonl-zero-rows"),

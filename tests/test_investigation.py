@@ -117,14 +117,14 @@ def default_budget(**overrides):
     return InvestigationBudget(**values)
 
 
-def run_chain(backend=None, budget=None, alerts=None):
+def run_chain(backend=None, budget=None, alerts=None, repo=None):
     graph = attack_graph()
     store = GraphStore.build([graph])
     kb = benign_kb(graph)
     return run_investigation(
         alerts if alerts is not None else [make_alert("att-a")],
         store, kb, backend or scripted_chain_backend(),
-        budget or default_budget())
+        budget or default_budget(), repo=repo)
 
 
 # --- llm layer -----------------------------------------------------------------
@@ -588,7 +588,12 @@ def test_malformed_false_positive_flag_takes_a_schema_retry():
     assert retries == ["leader"]
 
 
-def test_false_positive_hypothesis_revalidation_demotes():
+FP_STATEMENT = "the launcher looks like normal tooling"
+
+
+def false_positive_backend(target_refs=("att-c",)):
+    """The chain backend whose Leader first opens a false-positive
+    hypothesis on ``target_refs``, and whose Analyst re-checks them BENIGN."""
     backend = scripted_chain_backend()
     state = {"leader_calls": 0}
 
@@ -596,9 +601,8 @@ def test_false_positive_hypothesis_revalidation_demotes():
         state["leader_calls"] += 1
         if state["leader_calls"] == 1:
             return {"phase_coverage": {}, "hypotheses": [
-                {"kind": "false_positive",
-                 "statement": "the launcher looks like normal tooling",
-                 "target_refs": ["att-c"]}],
+                {"kind": "false_positive", "statement": FP_STATEMENT,
+                 "target_refs": list(target_refs)}],
                 "false_positive_flags": [], "terminate": False}
         return {"phase_coverage": {}, "hypotheses": [],
                 "false_positive_flags": [], "terminate": True}
@@ -606,21 +610,30 @@ def test_false_positive_hypothesis_revalidation_demotes():
     original_analyst = backend.handlers["analyst"]
 
     def analyst(payload):
-        if "normal tooling" in payload.get("investigator_reason", ""):
+        if payload["investigator_reason"] == FP_STATEMENT:
             return {"verdict": "BENIGN", "confidence": 0.8,
                     "cited_evidence": [], "rationale": "re-checked; benign"}
         return original_analyst(payload)
 
     backend.handlers["leader"] = leader
     backend.handlers["analyst"] = analyst
-    repo = run_chain(backend=backend)
+    return backend
+
+
+def test_false_positive_hypothesis_revalidation_demotes():
+    repo = run_chain(backend=false_positive_backend())
     assert repo.iocs["att-c"].status == "refuted"
     hypothesis = repo.hypotheses[0]
     assert hypothesis.kind == "false_positive"
     assert hypothesis.status == "confirmed"
 
 
-def test_revalidated_ioc_keeps_its_expansion_link():
+MISSING_STATEMENT = "the payload is part of the chain after all"
+
+
+def revalidating_backend():
+    """The chain backend whose Leader first flags att-b a false positive and
+    opens a missing-stage hypothesis on it."""
     backend = scripted_chain_backend()
     state = {"leader_calls": 0}
 
@@ -628,21 +641,25 @@ def test_revalidated_ioc_keeps_its_expansion_link():
         state["leader_calls"] += 1
         if state["leader_calls"] == 1:
             return {"phase_coverage": {}, "hypotheses": [
-                {"kind": "missing_stage",
-                 "statement": "the payload is part of the chain after all",
+                {"kind": "missing_stage", "statement": MISSING_STATEMENT,
                  "target_refs": ["att-b"]}],
                 "false_positive_flags": ["att-b"], "terminate": False}
         return {"phase_coverage": {}, "hypotheses": [],
                 "false_positive_flags": [], "terminate": True}
 
     backend.handlers["leader"] = leader
-    repo = run_chain(backend=backend)
+    return backend
+
+
+def test_revalidated_ioc_keeps_its_expansion_link():
+    repo = run_chain(backend=revalidating_backend())
     assert any(e["action"] == "ioc_refuted" and e["node_uuid"] == "att-b"
                for e in repo.journal_entries)
     ioc = repo.iocs["att-b"]
     assert (ioc.status, ioc.origin) == ("validated", "hypothesis")
     assert ioc.related_ioc_refs == ["att-a"]
     assert '"att-a" -> "att-b"' in repo.attack_graph_dot
+    assert repo.hypotheses[0].status == "confirmed"
 
 
 def test_adversarial_always_anomaly_respects_llm_budget():
@@ -765,8 +782,15 @@ def test_resume_keeps_spent_call_budget(tmp_path):
 def test_repository_round_trip(tmp_path):
     synthesising = scripted_chain_backend()
     synthesising.handlers["leader"] = never_satisfied_leader
-    for name, backend in (("chain", None), ("hypotheses", synthesising)):
-        repo = run_chain(backend=backend)
+    # one call validates att-a, and the budget leaves ben-1 and att-c queued
+    queued = {"alerts": [make_alert(u) for u in ("att-a", "ben-1", "att-c")],
+              "budget": default_budget(max_llm_calls=1)}
+    for name, kwargs in (("chain", {}), ("queued", queued),
+                         ("hypotheses", {"backend": synthesising})):
+        repo = run_chain(**kwargs)
+        if name == "queued":
+            assert [lead["node_uuid"] for lead in repo.pending_leads] \
+                == ["ben-1", "att-c"]
         directory = tmp_path / name
         repo.save(directory)
         loaded = InvestigationRepository.load(directory)
@@ -987,8 +1011,7 @@ def test_stage_one_fetches_pending_alerts_in_blocks(monkeypatch):
     assert fetched == [4, 4, 3, 1]
     assert [p["node_uuid"] for p in payloads] \
         == [f"n{i:02d}" for i in range(11)] + ["n12"]
-    assert repo.processed_alerts == list(dict.fromkeys(
-        a.node_uuid for a in alerts))
+    assert repo.pending_leads == []
     fetched.clear()
     assert_one_node_fetches(payloads, store, kb, budget)
 
@@ -1007,16 +1030,41 @@ def test_budget_that_stops_stage_one_mid_block(monkeypatch):
 
 
 class PausingBackend:
-    """Fails transport on the Analyst request for ``node`` while ``down``."""
+    """Fails transport on the Analyst request for ``node`` while ``down``,
+    or only on the one given ``reason`` when that is named."""
 
-    def __init__(self, inner, node):
-        self.inner, self.node, self.down = inner, node, True
+    def __init__(self, inner, node, reason=None):
+        self.inner, self.node, self.reason = inner, node, reason
+        self.down = True
 
     def invoke(self, role, system_prompt, payload):
         if self.down and role == "analyst" \
-                and payload["node_uuid"] == self.node:
+                and payload["node_uuid"] == self.node \
+                and self.reason in (None, payload["investigator_reason"]):
             raise LLMTransportError("backend unreachable")
         return self.inner.invoke(role, system_prompt, payload)
+
+
+PAUSE_ACTIONS = {"llm_transport_retry", "llm_transport_failure",
+                 "investigation_paused", "investigation_resumed"}
+
+
+def unsequenced(repo, drop=frozenset()):
+    """The journal without sequence numbers or the ``drop`` actions."""
+    return [{k: v for k, v in e.items() if k != "seq"}
+            for e in repo.journal_entries if e["action"] not in drop]
+
+
+def resume_after_pause(tmp_path, backend, run):
+    """``run(backend, repo)`` paused by ``backend``, a PausingBackend, then
+    saved, loaded and resumed with the backend up."""
+    paused = run(backend, None)
+    assert paused.status == "paused"
+    paused.save(tmp_path)
+    backend.down = False
+    resumed = run(backend, InvestigationRepository.load(tmp_path))
+    assert resumed.status == "complete"
+    return resumed
 
 
 def test_pause_mid_block_resumes_to_the_uninterrupted_journal(monkeypatch,
@@ -1044,19 +1092,78 @@ def test_pause_mid_block_resumes_to_the_uninterrupted_journal(monkeypatch,
     fetched.clear()
     assert_one_node_fetches(payloads, store, kb, budget)
 
-    def unsequenced(repo):
-        return [{k: v for k, v in e.items() if k != "seq"}
-                for e in repo.journal_entries]
-
     got, want = unsequenced(resumed), unsequenced(whole)
     first = next(i for i, e in enumerate(got)
                  if e["action"] == "llm_transport_retry")
     last = next(i for i, e in enumerate(got)
                 if e["action"] == "investigation_resumed")
-    # n06 was received, then the run paused; on resume it is received again
-    assert [e["action"] for e in got[first - 1:last + 1]] == [
-        "alert_received", *["llm_transport_retry"] * MAX_ATTEMPTS,
+    # every alert was received when the run began; n06 is validated once
+    assert [e["action"] for e in got[first:last + 1]] == [
+        *["llm_transport_retry"] * MAX_ATTEMPTS,
         "llm_transport_failure", "investigation_paused",
         "investigation_resumed"]
-    assert got[first - 1]["node_uuid"] == "n06"
-    assert got[:first - 1] + got[last + 1:] == want
+    assert got[:first] + got[last + 1:] == want
+
+
+def test_pause_at_a_lead_resumes_to_the_uninterrupted_iocs(monkeypatch,
+                                                           tmp_path):
+    """n12 is n03's lead; the pause at its Analyst call keeps it queued."""
+    store, kb, alerts, _ = flood(monkeypatch)
+    budget = default_budget()
+    whole = run_investigation(alerts, store, kb, capturing_backend([]),
+                              budget)
+    assert "n12" in whole.iocs
+
+    def run(backend, repo):
+        return run_investigation(alerts, store, kb, backend, budget,
+                                 repo=repo)
+
+    resumed = resume_after_pause(
+        tmp_path, PausingBackend(capturing_backend([]), node="n12"), run)
+    assert resumed.iocs == whole.iocs
+    assert unsequenced(resumed, PAUSE_ACTIONS) == unsequenced(whole)
+
+
+def chain_run(backend, repo):
+    return run_chain(backend=backend, repo=repo)
+
+
+def test_pause_at_a_false_positive_recheck_resumes_to_its_demotion(tmp_path):
+    whole = run_chain(backend=false_positive_backend())
+    backend = PausingBackend(false_positive_backend(), node="att-c",
+                             reason=FP_STATEMENT)
+    resumed = resume_after_pause(tmp_path, backend, chain_run)
+    assert resumed.iocs["att-c"].status == "refuted"
+    assert resumed.iocs == whole.iocs
+    assert resumed.hypotheses == whole.hypotheses
+    assert unsequenced(resumed, PAUSE_ACTIONS) == unsequenced(whole)
+
+
+def test_pause_at_a_missing_stage_target_resumes_to_its_validation(tmp_path):
+    """att-b, demoted by the Leader's flag, waits as a hypothesis lead."""
+    whole = run_chain(backend=revalidating_backend())
+    backend = PausingBackend(revalidating_backend(), node="att-b",
+                             reason=MISSING_STATEMENT)
+    resumed = resume_after_pause(tmp_path, backend, chain_run)
+    assert resumed.iocs["att-b"].status == "validated"
+    assert resumed.iocs == whole.iocs
+    assert resumed.hypotheses == whole.hypotheses
+    assert unsequenced(resumed, PAUSE_ACTIONS) == unsequenced(whole)
+
+
+def test_resumed_hypothesis_handles_no_more_targets(tmp_path):
+    """A phase target names every validated IOC, of which a hypothesis
+    handles two; a pause at the second one's re-check keeps it at two."""
+    budget = default_budget(max_leads_per_ioc=2)
+
+    def run(backend, repo):
+        return run_chain(backend=backend, budget=budget, repo=repo)
+
+    whole = run(false_positive_backend(["IC"]), None)
+    assert whole.hypotheses[0].spawned_leads == ["att-a", "att-b"]
+    backend = PausingBackend(false_positive_backend(["IC"]), node="att-b",
+                             reason=FP_STATEMENT)
+    resumed = resume_after_pause(tmp_path, backend, run)
+    assert resumed.hypotheses == whole.hypotheses
+    assert resumed.iocs == whole.iocs
+    assert unsequenced(resumed, PAUSE_ACTIONS) == unsequenced(whole)

@@ -4,11 +4,13 @@ dropping an argument the benchmark passes fails this suite and not only the
 benchmark. And every public name the package defines has a caller in the
 package or the benchmark. And the modules that own a JSONL artifact leave
 every JSON decode and encode to ``provlens.artifacts``. And the
-investigation retrieves through the one name the benchmark traces."""
+investigation retrieves through the one name the benchmark traces. And
+importing the CLI leaves ``requests`` unimported."""
 
 import ast
 import importlib
 import inspect
+import os
 import subprocess
 import sys
 import tokenize
@@ -40,6 +42,16 @@ def test_perfbench_selftest_passes():
                           cwd=PERFBENCH.parent, capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_cli_import_leaves_requests_unloaded():
+    """Only the HTTP backend needs ``requests``, so it imports it itself."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, provlens.cli; print('requests' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "False", proc.stdout + proc.stderr
 
 
 def test_every_public_definition_has_a_caller():
