@@ -187,22 +187,25 @@ def cmd_investigate(cfg: PipelineConfig, args) -> int:
     graph = ingest.load_graph(_graphs_dir(cfg), args.graph)
     vocab, params = _load_model(cfg)
     kb = profiler.load_kb(_kb_dir(cfg))
-    alerts_path = Path(args.alerts) if args.alerts else _alerts_path(cfg, args.graph)
-    alerts = detector.load_alerts(alerts_path)
-    foreign = sorted({alert.graph_name for alert in alerts} - {args.graph})
-    if foreign:
-        raise ArtifactError(f"artifact {alerts_path} holds alerts of graph "
-                            f"{foreign[0]!r}, not of {args.graph!r}",
-                            path=str(alerts_path))
+    out_dir = _investigation_dir(cfg, args.graph)
+    # a resumed run takes its work from the repository, never the alerts
+    repo, alerts = None, []
+    if args.resume:
+        repo = InvestigationRepository.load(out_dir)
+    else:
+        alerts_path = (Path(args.alerts) if args.alerts
+                       else _alerts_path(cfg, args.graph))
+        alerts = detector.load_alerts(alerts_path)
+        foreign = sorted({alert.graph_name for alert in alerts} - {args.graph})
+        if foreign:
+            raise ArtifactError(f"artifact {alerts_path} holds alerts of "
+                                f"graph {foreign[0]!r}, not of {args.graph!r}",
+                                path=str(alerts_path))
     detector.check_dimensions(params, vocab, kb, cfg.features.op_vocab)
 
     store = GraphStore.build([graph], params, vocab, cfg.features.op_vocab)
     backend = _build_backend(cfg)
     budget = InvestigationBudget.from_config(cfg.budget)
-    out_dir = _investigation_dir(cfg, args.graph)
-    repo = None
-    if args.resume:
-        repo = InvestigationRepository.load(out_dir)
     repo = run_investigation(alerts, store, kb, backend, budget,
                              knn_k=cfg.llm.knn_k, repo=repo)
     repo.save(out_dir)
@@ -296,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("investigate", parents=[common],
                        help="run the agent investigation loop")
     p.add_argument("--graph", required=True)
-    p.add_argument("--alerts", help="alerts file (default: detect output)")
+    p.add_argument("--alerts", help="alerts file (default: detect output); "
+                                    "not read with --resume")
     p.add_argument("--resume", action="store_true",
                    help="resume a paused investigation; a complete one "
                         "is left as it is")

@@ -17,14 +17,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .artifacts import (decode, keys, read_json, read_jsonl, reading, record,
-                        write_json, write_jsonl)
+from .artifacts import (decode, keys, read_blob, read_json, read_jsonl,
+                        reading, record, write_blob, write_json, write_jsonl)
 from .config import DEFAULT_OP_VOCAB
 from .errors import FormatError
 
 log = logging.getLogger(__name__)
 
 ENTITY_KINDS = ("subject", "file", "netflow")
+
+# Timestamps are below this bound, so a saved graph holds them as int64.
+TIMESTAMP_END = 2 ** 63
 
 IDENTITY_PREFIX = {"subject": "subject", "file": "file", "netflow": "net"}
 
@@ -152,8 +155,9 @@ def _event_from_record(record: dict) -> RawEvent:
         raise ValueError("subject_uuid and object_uuid must be non-empty "
                          "strings")
     timestamp = record["timestamp"]
-    if type(timestamp) is not int or timestamp < 0:
-        raise ValueError("timestamp must be a non-negative integer")
+    if type(timestamp) is not int or not 0 <= timestamp < TIMESTAMP_END:
+        raise ValueError("timestamp must be a non-negative integer below "
+                         "2**63")
     object_kind = record["object_kind"]
     if object_kind not in ENTITY_KINDS:
         raise ValueError(f"unknown object_kind {object_kind!r}")
@@ -257,45 +261,85 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
 
 # --- serialization ---------------------------------------------------------
 
+# The columns of a row of ``<name>.edges.bin``, one row per edge in edge order.
+EDGE_COLUMNS = ("src_row", "dst_row", "operation", "first_ts", "last_ts",
+                "weight")
+
+
 def graph_paths(directory: str | Path, name: str) -> dict[str, Path]:
     base = Path(directory)
     return {
         "header": base / f"{name}.header.json",
         "nodes": base / f"{name}.nodes.jsonl",
-        "edges": base / f"{name}.edges.jsonl",
+        "edges": base / f"{name}.edges.bin",
     }
 
 
 def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
+    """Write the header, the nodes in node order as JSONL, and the edges as
+    an int64 matrix whose rows hold ``EDGE_COLUMNS``: the endpoints' node
+    rows, the operation's index into the header's sorted ``operations``,
+    the timestamps and the weight."""
     paths = graph_paths(directory, graph.name)
+    operations = sorted({edge.operation for edge in graph.edges})
+    index = {op: i for i, op in enumerate(operations)}
+    src, dst = graph.endpoint_rows
+    rest = np.array([(index[e.operation], e.first_ts, e.last_ts, e.weight)
+                     for e in graph.edges], dtype=np.int64).reshape(-1, 4)
     write_json(paths["header"], {
         "name": graph.name,
         "node_count": len(graph.nodes),
         "edge_count": len(graph.edges),
+        "operations": operations,
     }, indent=2)
     write_jsonl(paths["nodes"], map(vars, graph.nodes.values()))
-    write_jsonl(paths["edges"], map(vars, graph.edges))
+    write_blob(paths["edges"], np.column_stack([src, dst, rest]), "<i8")
 
 
 _NODE_TYPES = {"uuid": str, "kind": str, "identity": str, "attrs": dict}
-_EDGE_TYPES = {"src": str, "dst": str, "operation": str, "first_ts": int,
-               "last_ts": int, "weight": int}
+_header_keys = keys("edge_count name node_count operations",
+                    "edge_count node_count")
+
+
+def _graph_header(obj) -> dict:
+    header = _header_keys(obj)
+    operations = header["operations"]
+    if (type(operations) is not list
+            or any(type(op) is not str for op in operations)
+            or len(set(operations)) != len(operations)):
+        raise ValueError("operations is not a list of distinct strings")
+    return header
 
 
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     """The saved graph; a record whose field has another JSON type than its
-    writer wrote, a nodes file that repeats a uuid, or an edges file that
-    names a uuid the nodes file lacks, raises ArtifactError naming it."""
+    writer wrote, a nodes file that repeats a uuid, a header whose
+    ``operations`` is not a list of distinct strings, or an edges matrix of
+    another size than the header records or with an endpoint row or
+    operation index out of range, raises ArtifactError naming the file."""
     paths = graph_paths(directory, name)
-    header = read_json(paths["header"], keys("edge_count name node_count",
-                                             "edge_count node_count"))
+    header = read_json(paths["header"], _graph_header)
     nodes = read_jsonl(paths["nodes"], header["node_count"],
                        record(Entity, _NODE_TYPES))
-    edges = read_jsonl(paths["edges"], header["edge_count"],
-                       record(ProvEdge, _EDGE_TYPES))
     by_uuid = {node.uuid: node for node in nodes}
     with reading(paths["nodes"]):
         if len(by_uuid) != len(nodes):
             raise ValueError("a node uuid is repeated")
+    columns = read_blob(paths["edges"], "<i8",
+                        (header["edge_count"], len(EDGE_COLUMNS)))
+    operations = header["operations"]
     with reading(paths["edges"]):
-        return ProvenanceGraph(name=header["name"], nodes=by_uuid, edges=edges)
+        rows, ops = columns[:, :2], columns[:, 2]
+        bad = rows[(rows < 0) | (rows >= len(nodes))]
+        if bad.size:
+            raise ValueError(f"endpoint row {bad[0]} is outside the node "
+                             f"rows [0, {len(nodes)})")
+        bad = ops[(ops < 0) | (ops >= len(operations))]
+        if bad.size:
+            raise ValueError(f"operation index {bad[0]} is outside "
+                             f"[0, {len(operations)})")
+    uuids = list(by_uuid)
+    edges = [ProvEdge(uuids[src], uuids[dst], operations[op], first, last,
+                      weight)
+             for src, dst, op, first, last, weight in columns.tolist()]
+    return ProvenanceGraph(name=header["name"], nodes=by_uuid, edges=edges)

@@ -142,7 +142,9 @@ class InvestigationRepository:
     @classmethod
     def from_dict(cls, data: dict) -> tuple["InvestigationRepository", int]:
         """The repository ``to_dict`` gave, still without its journal, and
-        the journal's length; a missing or unknown key raises."""
+        the journal's length; a missing or unknown key, an IOC stored under
+        another uuid than its own, or a reference to an IOC that names none
+        raises."""
         state = dict(data, journal_entries=[])
         length = count_field(state, "journal_length")
         del state["journal_length"]
@@ -153,6 +155,21 @@ class InvestigationRepository:
         repo.pending_leads = list(map(
             keys("graph_name node_uuid reason origin parent"),
             repo.pending_leads))
+        for uuid, stored in repo.iocs.items():
+            if stored.node_uuid != uuid:
+                raise ValueError(f"IOC {stored.node_uuid!r} is stored as "
+                                 f"{uuid!r}")
+        refs = [*repo.expansion_queue,
+                *(ref for hyp in repo.hypotheses for ref in hyp.target_refs
+                  if ref not in KILL_CHAIN_PHASES),
+                *(ref for stored in repo.iocs.values()
+                  for ref in stored.related_ioc_refs),
+                *(lead["parent"] for lead in repo.pending_leads
+                  if lead["parent"] is not None)]
+        unknown = [ref for ref in refs
+                   if type(ref) is not str or ref not in repo.iocs]
+        if unknown:
+            raise ValueError(f"{unknown[0]!r} names no IOC")
         return repo, length
 
     def save(self, directory: str | Path) -> None:

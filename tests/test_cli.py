@@ -15,7 +15,7 @@ from provlens.detector import load_alerts, save_alerts
 from provlens.encoder import load_params
 from provlens.errors import ArtifactError, LLMTransportError
 from provlens.features import load_vocab
-from provlens.ingest import load_graph
+from provlens.ingest import EDGE_COLUMNS, load_graph
 from provlens.investigation import InvestigationRepository
 from provlens.investigation.llm import HttpChatLLM, heuristic_mock
 from provlens.profiler import load_kb
@@ -309,14 +309,31 @@ def test_report_renders_what_investigate_wrote(pipeline, tmp_path):
     assert [(out_dir / name).read_bytes() for name in REPORT_FILES] == written
 
 
-@pytest.mark.parametrize("blob,loader,row", [
-    ("kb/kb.embeddings.bin", load_kb, lambda kb: kb.embeddings[0].nbytes),
-    ("model/vocab.vectors.bin", load_vocab, lambda v: v.vectors[0].nbytes),
+DETECT = ("detect", "--graph", "attack")
+INVESTIGATE = ("investigate", "--graph", "attack", "--llm", "mock")
+RESUME = (*INVESTIGATE, "--resume")
+REPORT = ("report", "--graph", "attack")
+PROFILE = ("profile", "--graphs", "benign")
+EDGE_ROW_BYTES = len(EDGE_COLUMNS) * 8
+BLOBS = [  # every blob the pipeline fixture writes
+    ("kb/kb.embeddings.bin", load_kb, lambda kb: kb.embeddings[0].nbytes,
+     DETECT),
+    ("model/vocab.vectors.bin", load_vocab, lambda v: v.vectors[0].nbytes,
+     DETECT),
     ("model/encoder.weights.bin", load_params,
-     lambda params: params.weights[-1][0].astype("<f4").nbytes),
-], ids=["kb", "vocab", "encoder"])
+     lambda params: params.weights[-1][0].astype("<f4").nbytes, DETECT),
+    ("graphs/attack.edges.bin", lambda path: load_graph(path, "attack"),
+     lambda graph: EDGE_ROW_BYTES, DETECT),
+    ("graphs/benign.edges.bin", lambda path: load_graph(path, "benign"),
+     lambda graph: EDGE_ROW_BYTES, PROFILE),
+]
+
+
+@pytest.mark.parametrize("blob,loader,row,argv", BLOBS,
+                         ids=["kb", "vocab", "encoder", "attack-edges",
+                              "benign-edges"])
 def test_blob_one_row_short_exits_2(pipeline, tmp_path, capsys, blob, loader,
-                                    row):
+                                    row, argv):
     source, _ = pipeline
     artifacts = tmp_path / "artifacts"
     shutil.copytree(source, artifacts)
@@ -326,25 +343,27 @@ def test_blob_one_row_short_exits_2(pipeline, tmp_path, capsys, blob, loader,
     with pytest.raises(ArtifactError):
         loader(path.parent)
     capsys.readouterr()
-    code = main(["detect", "--artifacts", str(artifacts), "--graph", "attack"])
+    code = main([*argv, "--artifacts", str(artifacts)])
     err = capsys.readouterr().err
     assert code == 2
     assert "error code=missing_artifact" in err and path.name in err
+
+
+def test_every_blob_has_a_one_row_short_case(pipeline):
+    """A blob added to the pipeline without a case above fails here."""
+    artifacts, _ = pipeline
+    written = {path.relative_to(artifacts).as_posix()
+               for path in artifacts.rglob("*.bin")}
+    assert written == {blob for blob, *_ in BLOBS}
 
 
 def _graph_loader(name):
     return lambda path: load_graph(path.parent, name)
 
 
-DETECT = ("detect", "--graph", "attack")
-INVESTIGATE = ("investigate", "--graph", "attack", "--llm", "mock")
-REPORT = ("report", "--graph", "attack")
-PROFILE = ("profile", "--graphs", "benign")
 RECORD_FILES = [  # every JSONL file the pipeline fixture writes
     ("graphs/benign.nodes.jsonl", _graph_loader("benign"), PROFILE),
-    ("graphs/benign.edges.jsonl", _graph_loader("benign"), PROFILE),
     ("graphs/attack.nodes.jsonl", _graph_loader("attack"), DETECT),
-    ("graphs/attack.edges.jsonl", _graph_loader("attack"), DETECT),
     ("kb/kb.members.jsonl", lambda path: load_kb(path.parent), DETECT),
     ("alerts/attack.alerts.jsonl", load_alerts, INVESTIGATE),
     ("investigation/attack/journal.jsonl",
@@ -353,6 +372,8 @@ RECORD_FILES = [  # every JSONL file the pipeline fixture writes
 TRUNCATED = [
     *RECORD_FILES,
     ("graphs/attack.header.json", _graph_loader("attack"), DETECT),
+    ("graphs/benign.edges.bin", _graph_loader("benign"), PROFILE),
+    ("graphs/attack.edges.bin", _graph_loader("attack"), DETECT),
     ("model/encoder.json", lambda path: load_params(path.parent), DETECT),
     ("model/vocab.json", lambda path: load_vocab(path.parent), DETECT),
     ("kb/kb.json", lambda path: load_kb(path.parent), DETECT),
@@ -396,6 +417,34 @@ def _first_record(field, value):
         rec = json.loads(first)
         rec[field] = value
         path.write_text(json.dumps(rec) + "\n" + rest)
+    return damage
+
+
+def _first_edge(column, value):
+    """Damage that sets ``column`` of the edge blob's first row to what
+    ``value`` gives for the graph's header."""
+    def damage(path):
+        header = json.loads(path.with_name(
+            path.name.replace(".edges.bin", ".header.json")).read_text())
+        values = np.fromfile(path, dtype="<i8")
+        values[EDGE_COLUMNS.index(column)] = value(header)
+        values.tofile(path)
+    return damage
+
+
+def _short_bytes(count):
+    """Damage that cuts the file's last ``count`` bytes."""
+    def damage(path):
+        path.write_bytes(path.read_bytes()[:-count])
+    return damage
+
+
+def _edited(edit):
+    """Damage that applies ``edit`` to the file's JSON object."""
+    def damage(path):
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
     return damage
 
 
@@ -514,6 +563,27 @@ DAMAGED = [
                  _renamed("pending_leads", "processed_alerts"),
                  lambda path: InvestigationRepository.load(path.parent),
                  REPORT, id="repository.json-earlier-processed_alerts"),
+    *[pytest.param("investigation/attack/repository.json", _edited(edit),
+                   lambda path: InvestigationRepository.load(path.parent),
+                   RESUME, id=f"repository.json-{name}")
+      for name, edit in [
+          ("unknown-expansion_queue-uuid",
+           lambda repo: repo.update(expansion_queue=["nope"])),
+          ("expansion_queue-list-entry",
+           lambda repo: repo.update(expansion_queue=[["nope"]])),
+          ("unknown-target_ref", lambda repo: repo["hypotheses"].append(
+              {"id": "H99", "kind": "missing_stage", "statement": "s",
+               "target_refs": ["IC", "nope"], "status": "open",
+               "spawned_leads": []})),
+          ("unknown-related_ioc_ref",
+           lambda repo: repo["iocs"][min(repo["iocs"])]["related_ioc_refs"]
+           .append("nope")),
+          ("unknown-parent", lambda repo: repo["pending_leads"].append(
+              {"graph_name": "attack", "node_uuid": "x", "reason": "r",
+               "origin": "lead", "parent": "nope"})),
+          ("ioc-under-another-key", lambda repo: repo["iocs"].update(
+              nope=repo["iocs"].pop(min(repo["iocs"])))),
+      ]],
     pytest.param("kb/kb.members.jsonl", _zero_rows,
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.members.jsonl-zero-rows"),
@@ -565,21 +635,25 @@ DAMAGED = [
     pytest.param("graphs/attack.nodes.jsonl", _repeat_first_record,
                  _graph_loader("attack"), DETECT,
                  id="attack.nodes.jsonl-repeated-uuid"),
-    _missing_field("graphs/attack.edges.jsonl", "weight",
-                   _graph_loader("attack"), DETECT),
+    pytest.param("graphs/attack.edges.bin", _short_bytes(3),
+                 _graph_loader("attack"), DETECT,
+                 id="attack.edges.bin-wrong-byte-length"),
     pytest.param("graphs/attack.nodes.jsonl", _nest_first_record,
                  _graph_loader("attack"), DETECT,
                  id="attack.nodes.jsonl-nested-too-deep"),
-    pytest.param("graphs/attack.edges.jsonl",
-                 _first_record("dst", "not-a-node"),
+    pytest.param("graphs/attack.edges.bin",
+                 _first_edge("dst_row", lambda header: header["node_count"]),
                  _graph_loader("attack"), DETECT,
-                 id="attack.edges.jsonl-dangling-endpoint"),
-    pytest.param("graphs/attack.edges.jsonl", _first_record("dst", ["x"]),
+                 id="attack.edges.bin-endpoint-row-node_count"),
+    pytest.param("graphs/attack.edges.bin",
+                 _first_edge("operation",
+                             lambda header: len(header["operations"])),
                  _graph_loader("attack"), DETECT,
-                 id="attack.edges.jsonl-dst-a-list"),
-    pytest.param("graphs/attack.edges.jsonl", _first_record("first_ts", "12"),
+                 id="attack.edges.bin-operation-past-operations"),
+    pytest.param("graphs/attack.header.json",
+                 _setting("operations", ["READ", 1]),
                  _graph_loader("attack"), DETECT,
-                 id="attack.edges.jsonl-first_ts-a-string"),
+                 id="attack.header.json-operations-not-strings"),
     pytest.param("graphs/attack.nodes.jsonl", _first_record("attrs", []),
                  _graph_loader("attack"), DETECT,
                  id="attack.nodes.jsonl-attrs-a-list"),
@@ -724,6 +798,7 @@ def test_investigate_resume_of_a_complete_investigation_changes_nothing(
     out_dir = artifacts / "investigation" / "attack"
     written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
     assert set(REPORT_FILES) <= set(written)
+    (artifacts / "alerts" / "attack.alerts.jsonl").unlink()  # resume reads none
     backend = _FailingAfter(heuristic_mock(), 100)
     monkeypatch.setattr(cli, "_build_backend", lambda cfg: backend)
     capsys.readouterr()
@@ -888,7 +963,7 @@ def test_command_idempotence_identical_artifacts(tmp_path):
         return Path(artifacts)
 
     one, two = run("one"), run("two")
-    for rel in ("graphs/b.nodes.jsonl", "graphs/b.edges.jsonl",
+    for rel in ("graphs/b.nodes.jsonl", "graphs/b.edges.bin",
                 "model/vocab.vectors.bin", "model/encoder.weights.bin",
                 "model/loss_trace.csv"):
         assert (one / rel).read_bytes() == (two / rel).read_bytes()

@@ -1,12 +1,17 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provlens.errors import ArtifactError, FormatError
 from provlens.ingest import (
+    EDGE_COLUMNS,
+    ENTITY_KINDS,
     derive_identity,
     graph_paths,
     load_graph,
@@ -59,6 +64,7 @@ def test_parse_skips_malformed_lines():
     {"object_uuid": None},
     {"object_uuid": ""},
     {"object_uuid": 7},
+    {"timestamp": 2 ** 63},  # past int64 nanoseconds
 ])
 def test_parse_rejects_invalid_field(bad):
     event = make_event()
@@ -321,3 +327,98 @@ def test_graph_save_load_round_trip(tmp_path):
 def test_load_graph_missing_artifact(tmp_path):
     with pytest.raises(ArtifactError):
         load_graph(tmp_path, "ghost")
+
+
+LAST_STAMP = 2 ** 63 - 1
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(allow_nan=False, allow_infinity=False),
+                         st.text(max_size=6))
+
+
+@st.composite
+def saved_graphs(draw):
+    """Graphs over small pools of uuids and operations, so self-loops,
+    parallel edges and nodes without edges are common, with any text in
+    uuids, identities and attributes and stamps up to ``LAST_STAMP``."""
+    uuids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1,
+                          max_size=5, unique=True))
+    nodes = [(uuid, draw(st.sampled_from(ENTITY_KINDS)),
+              draw(st.dictionaries(st.text(max_size=4), JSON_SCALARS,
+                                   max_size=3)),
+              draw(st.text(max_size=8))) for uuid in uuids]
+    endpoint = st.sampled_from(uuids)
+    stamp = st.integers(0, LAST_STAMP)
+    # as in a graph built from events, no two edges share the key of edge
+    # order, so a shuffle cannot reorder ties
+    edges = draw(st.lists(st.tuples(endpoint, endpoint,
+                                    st.sampled_from(["READ", "WRITE", "é"]),
+                                    stamp, stamp, st.integers(1, LAST_STAMP)),
+                          max_size=12,
+                          unique_by=lambda e: (e[3], e[0], e[1], e[2])))
+    return manual_graph(nodes, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(saved_graphs(), st.randoms())
+@example(manual_graph([("s", "subject", {"näme": "prøc 名"}, "subject::é")],
+                      []), random.Random(0))
+@example(manual_graph(
+    [("s", "subject", {"name": "ß"}, "subject::ß"),
+     ("f", "file", {"path": "/tmp/ü", "n": [1, {"x": None}]}, "file::ü")],
+    [("s", "s", "READ", 0, LAST_STAMP, LAST_STAMP),
+     ("s", "f", "READ", 5, 9, 2), ("s", "f", "WRITE", 5, 7, 1)]),
+    random.Random(0))
+def test_saved_graph_loads_equal_and_saves_the_same_bytes(graph, order):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again, shuffled = (Path(tmp, sub) for sub in "abc")
+        save_graph(graph, first)
+        loaded = load_graph(first, graph.name)
+        assert loaded == graph
+        save_graph(loaded, again)
+        save_graph(shuffled_graph(graph, order), shuffled)
+        for path in graph_paths(first, graph.name).values():
+            assert (again / path.name).read_bytes() == path.read_bytes()
+            assert (shuffled / path.name).read_bytes() == path.read_bytes()
+
+
+def test_the_last_int64_stamp_is_ingested_and_saved(tmp_path):
+    graph = graph_from_events([make_event(timestamp=LAST_STAMP)])
+    assert graph.edges[0].first_ts == LAST_STAMP
+    save_graph(graph, tmp_path)
+    assert load_graph(tmp_path, graph.name) == graph
+
+
+def _saved_graph(directory):
+    """The paths of a saved three-node graph with two operations."""
+    graph = manual_graph(
+        [(u, "subject", {}, "subject::a") for u in ("a", "b", "c")],
+        [("a", "b", "READ", 1, 1, 1), ("b", "c", "WRITE", 2, 3, 2)])
+    save_graph(graph, directory)
+    return graph_paths(directory, graph.name)
+
+
+@pytest.mark.parametrize("column,value", [
+    ("src_row", -1), ("dst_row", 3), ("operation", -1), ("operation", 2)])
+def test_load_graph_rejects_an_edge_cell_out_of_range(tmp_path, column,
+                                                      value):
+    paths = _saved_graph(tmp_path)
+    rows = np.fromfile(paths["edges"], dtype="<i8").reshape(
+        -1, len(EDGE_COLUMNS))
+    rows[-1, EDGE_COLUMNS.index(column)] = value
+    rows.tofile(paths["edges"])
+    with pytest.raises(ArtifactError) as exc:
+        load_graph(tmp_path, "g")
+    assert exc.value.path == str(paths["edges"])
+
+
+@pytest.mark.parametrize("operations", [
+    "READ", ["READ", "READ"], ["READ", 7], [["READ"], "WRITE"], None])
+def test_load_graph_rejects_operations_not_distinct_strings(tmp_path,
+                                                            operations):
+    paths = _saved_graph(tmp_path)
+    header = json.loads(paths["header"].read_text())
+    header["operations"] = operations
+    paths["header"].write_text(json.dumps(header))
+    with pytest.raises(ArtifactError) as exc:
+        load_graph(tmp_path, "g")
+    assert exc.value.path == str(paths["header"])

@@ -5,7 +5,8 @@ benchmark. And every public name the package defines has a caller in the
 package or the benchmark. And the modules that own a JSONL artifact leave
 every JSON decode and encode to ``provlens.artifacts``. And the
 investigation retrieves through the one name the benchmark traces. And
-importing the CLI leaves ``requests`` unimported."""
+importing the CLI leaves ``requests`` unimported. And ``graph_paths`` names
+every file ``save_graph`` writes, which the benchmark deletes by it."""
 
 import ast
 import importlib
@@ -16,6 +17,10 @@ import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
+
+from provlens.ingest import graph_paths, save_graph
+
+from conftest import manual_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "provlens"
@@ -52,6 +57,15 @@ def test_cli_import_leaves_requests_unloaded():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == "False", proc.stdout + proc.stderr
+
+
+def test_graph_paths_names_every_file_save_graph_writes(tmp_path):
+    """perfbench's per-window clean-up deletes exactly ``graph_paths``, so a
+    file it does not name would pile up."""
+    graph = manual_graph([("s", "subject", {}, "subject::a")],
+                         [("s", "s", "READ", 1, 1, 1)], name="w")
+    save_graph(graph, tmp_path)
+    assert set(tmp_path.iterdir()) == set(graph_paths(tmp_path, "w").values())
 
 
 def test_every_public_definition_has_a_caller():
