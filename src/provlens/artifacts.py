@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
@@ -33,7 +34,8 @@ from .errors import ArtifactError
 
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"
-_JSON_TYPES = {str: "string", int: "integer", dict: "object"}
+_JSON_TYPES = {str: "string", int: "integer", dict: "object", list: "array",
+               bool: "boolean"}
 
 
 def decode(text: str):
@@ -131,8 +133,8 @@ def record(cls, types: dict[str, type] | None = None
         _exact(expected, obj)
         for name, kind in checks:
             if type(obj[name]) is not kind:
-                raise ValueError(f"{name} {obj[name]!r} is not a JSON "
-                                 f"{_JSON_TYPES[kind]}")
+                raise ValueError(f"{name} {reprlib.repr(obj[name])} is not "
+                                 f"a JSON {_JSON_TYPES[kind]}")
         return cls(**obj)
     return build
 

@@ -55,12 +55,16 @@ def _investigation_dir(cfg: PipelineConfig, graph_name: str) -> Path:
 
 
 def _resolve_graph_names(spec: str | None) -> list[str]:
-    """The benign graphs named by ``--graphs``; there is no default, because
-    an attack window among them would become benign reference behaviour."""
+    """The benign graphs named by ``--graphs``, each once; there is no
+    default, because an attack window among them would become benign
+    reference behaviour."""
     names = [name.strip() for name in (spec or "").split(",") if name.strip()]
     if not names:
         raise ConfigError("--graphs must name the benign graphs, "
                           "comma-separated")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"--graphs names {repeated[0]!r} more than once")
     return names
 
 

@@ -81,7 +81,7 @@ def propagation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
     """Neighborhood operator: row i averages the undirected 1-hop neighbor set
     of node i plus the node itself. Parallel edges count once."""
     n = len(graph.nodes)
-    src, dst = graph.endpoint_rows
+    src, dst = graph.edge_columns[:, :2].T
     loops = np.arange(n, dtype=np.intp)
     rows, cols = np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src,
                                                      loops * n + loops])), n)

@@ -114,36 +114,35 @@ def feature_dim(semantic_dim: int, op_vocab) -> int:
 def feature_matrix(graph: ProvenanceGraph, vocab: SemanticVocab,
                    op_vocab) -> tuple[list[str], np.ndarray]:
     """h0 rows for every node, in the graph's node order, accumulating each
-    node's incident edges in the order of ``graph.incidence``. An
-    out-of-vocabulary token counts as zeros. An aggregated edge adds its event
-    multiplicity to the histogram and exposes only its first and last
-    timestamps. A block with no signal (no events, or fewer than two events or
-    equal idle periods) stays zero."""
-    uuids, edges = list(graph.nodes), graph.edges
-    src, dst = graph.endpoint_rows
+    node's incident edges in the order of ``graph.incidence``, from the rows
+    of ``graph.edge_columns``. An out-of-vocabulary token counts as zeros. An
+    aggregated edge adds its event multiplicity to the histogram and exposes
+    only its first and last timestamps. A block with no signal (no events, or
+    fewer than two events or equal idle periods) stays zero."""
+    uuids, (src, dst) = list(graph.nodes), graph.edge_columns[:, :2].T
     # Incidences in edge order: each edge at its source, then at its
     # destination unless that is the source (a self-loop's second incidence
     # is -1 and drops out). Per row this is the order of ``graph.incidence``.
     row = np.stack([src, np.where(dst == src, -1, dst)], axis=1).ravel()
-    edge = np.repeat(np.arange(len(edges)), 2)[row >= 0]
+    incident = graph.edge_columns[np.repeat(np.arange(len(src)), 2)[row >= 0]]
     row = row[row >= 0]
-    identities = [node.identity for node in graph.nodes.values()]
     # One block at a time, so each block's incidence temporaries are freed
     # before the next is built.
-    return uuids, np.hstack([_semantic_block(identities, edges, row, edge, vocab),
-                             _action_block(len(uuids), edges, row, edge, op_vocab),
-                             _temporal_block(len(uuids), edges, row, edge)])
+    return uuids, np.hstack([_semantic_block(graph, row, incident, vocab),
+                             _action_block(graph, row, incident, op_vocab),
+                             _temporal_block(graph, row, incident)])
 
 
-def _semantic_block(identities, edges, row, edge, vocab):
+def _semantic_block(graph, row, incident, vocab):
     """Per node, the running sum of its token vectors (identity first) over
     its token count."""
-    n, dim = len(identities), vocab.dim
-    tokens = identities + [e.operation for e in edges]
+    n, dim = len(graph.nodes), vocab.dim
+    tokens = [node.identity for node in graph.nodes.values()] + graph.operations
     tok = np.array([vocab.index.get(t, -1) for t in tokens], dtype=np.intp)
     # Row -1 of the table, an out-of-vocabulary token's, is zeros.
     table = np.vstack([vocab.vectors.astype(np.float64), np.zeros((1, dim))])
-    sem_row, sem_tok = np.r_[np.arange(n), row], np.r_[tok[:n], tok[n:][edge]]
+    sem_row = np.r_[np.arange(n), row]
+    sem_tok = np.r_[tok[:n], tok[n:][incident[:, 2]]]
     semantic = np.zeros((n, dim))
     for start in range(0, len(sem_row), SCATTER_CHUNK):
         chunk = slice(start, start + SCATTER_CHUNK)
@@ -152,15 +151,15 @@ def _semantic_block(identities, edges, row, edge, vocab):
     return semantic / np.bincount(sem_row, minlength=n)[:, None]
 
 
-def _action_block(n, edges, row, edge, op_vocab):
+def _action_block(graph, row, incident, op_vocab):
     """Per node, the L2-normalised histogram of its operations' weights."""
-    width = len(op_vocab)
+    n, width = len(graph.nodes), len(op_vocab)
     positions = {op: i for i, op in enumerate(op_vocab)}
-    op_col = np.array([positions.get(e.operation, -1) for e in edges],
-                      dtype=np.intp)[edge]
-    weight = np.array([e.weight for e in edges], dtype=np.float64)[edge]
+    op_col = np.array([positions.get(op, -1) for op in graph.operations],
+                      dtype=np.intp)[incident[:, 2]]
     counts = np.zeros((n, width))
-    np.add.at(counts.ravel(), (row * width + op_col)[op_col >= 0], weight[op_col >= 0])
+    kept = op_col >= 0
+    np.add.at(counts.ravel(), row[kept] * width + op_col[kept], incident[kept, 5])
     squares = np.einsum("ij,ij->i", counts, counts)
     norm = np.sqrt(squares)
     for k in np.flatnonzero(squares >= EXACT_SUM):
@@ -168,11 +167,10 @@ def _action_block(n, edges, row, edge, op_vocab):
     return np.divide(counts, norm[:, None], out=counts, where=norm[:, None] != 0.0)
 
 
-def _temporal_block(n, edges, row, edge):
+def _temporal_block(graph, row, incident):
     """Per node, the min-max-normalised (min, max, mean) of its idle periods."""
-    first, last = np.array([(e.first_ts, e.last_ts) for e in edges],
-                           dtype=np.float64).reshape(-1, 2)[edge].T
-    spread = np.array([e.last_ts != e.first_ts for e in edges], dtype=bool)[edge]
+    first, last = incident[:, 3:5].astype(np.float64).T
+    spread = incident[:, 4] != incident[:, 3]
     stamp_row, stamps = np.r_[row, row[spread]], np.r_[first, last[spread]]
     order = np.lexsort((stamps, stamp_row))
     stamp_row, stamps = stamp_row[order], stamps[order]
@@ -188,7 +186,7 @@ def _temporal_block(n, edges, row, edge):
     low = stats.min(axis=1)
     span = stats.max(axis=1) - low
     varied = span != 0.0
-    block = np.zeros((n, TEMPORAL_DIM))
+    block = np.zeros((len(graph.nodes), TEMPORAL_DIM))
     block[idle_row[starts][varied]] = \
         (stats[varied] - low[varied, None]) / span[varied, None]
     return block

@@ -70,12 +70,17 @@ class ProvEdge:
 # A graph's edge order: first timestamp, source, destination, operation.
 edge_order = attrgetter("first_ts", "src", "dst", "operation")
 
+# The columns of ``ProvenanceGraph.edge_columns`` and ``<name>.edges.bin``.
+EDGE_COLUMNS = ("src_row", "dst_row", "operation", "first_ts", "last_ts",
+                "weight")
+
 
 @dataclass
 class ProvenanceGraph:
     """Nodes in uuid order and edges in ``edge_order`` (stable), however it is
     built; every edge joins two of its nodes, else construction raises
-    ValueError. It is not changed once built, so what it derives is cached."""
+    ValueError. It is not changed once built, so what it derives is cached,
+    such as ``edge_columns``, the one numeric form of its edges."""
     name: str
     nodes: dict[str, Entity]
     edges: list[ProvEdge]
@@ -99,13 +104,22 @@ class ProvenanceGraph:
         return {uuid: tuple(edges) for uuid, edges in index.items()}
 
     @cached_property
-    def endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only source and destination node rows of the edges."""
+    def operations(self) -> list[str]:
+        """The sorted distinct operations of the edges."""
+        return sorted({edge.operation for edge in self.edges})
+
+    @cached_property
+    def edge_columns(self) -> np.ndarray:
+        """Read-only int64 (edge count, ``EDGE_COLUMNS``) matrix, row i for
+        edge i: its endpoints' node rows, its operation's index into
+        ``operations``, its timestamps and its weight."""
         row = dict(zip(self.nodes, range(len(self.nodes))))
-        src = np.array([row[e.src] for e in self.edges], dtype=np.intp)
-        dst = np.array([row[e.dst] for e in self.edges], dtype=np.intp)
-        src.flags.writeable = dst.flags.writeable = False
-        return src, dst
+        op = dict(zip(self.operations, range(len(self.operations))))
+        columns = np.array([(row[e.src], row[e.dst], op[e.operation],
+                             e.first_ts, e.last_ts, e.weight) for e in self.edges],
+                           dtype=np.int64).reshape(-1, len(EDGE_COLUMNS))
+        columns.flags.writeable = False
+        return columns
 
 
 @dataclass
@@ -261,11 +275,6 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
 
 # --- serialization ---------------------------------------------------------
 
-# The columns of a row of ``<name>.edges.bin``, one row per edge in edge order.
-EDGE_COLUMNS = ("src_row", "dst_row", "operation", "first_ts", "last_ts",
-                "weight")
-
-
 def graph_paths(directory: str | Path, name: str) -> dict[str, Path]:
     base = Path(directory)
     return {
@@ -276,24 +285,17 @@ def graph_paths(directory: str | Path, name: str) -> dict[str, Path]:
 
 
 def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
-    """Write the header, the nodes in node order as JSONL, and the edges as
-    an int64 matrix whose rows hold ``EDGE_COLUMNS``: the endpoints' node
-    rows, the operation's index into the header's sorted ``operations``,
-    the timestamps and the weight."""
+    """Write the header, the nodes in node order as JSONL, and the graph's
+    ``edge_columns`` as ``<i8``; its operation column indexes ``operations``."""
     paths = graph_paths(directory, graph.name)
-    operations = sorted({edge.operation for edge in graph.edges})
-    index = {op: i for i, op in enumerate(operations)}
-    src, dst = graph.endpoint_rows
-    rest = np.array([(index[e.operation], e.first_ts, e.last_ts, e.weight)
-                     for e in graph.edges], dtype=np.int64).reshape(-1, 4)
     write_json(paths["header"], {
         "name": graph.name,
         "node_count": len(graph.nodes),
         "edge_count": len(graph.edges),
-        "operations": operations,
+        "operations": graph.operations,
     }, indent=2)
     write_jsonl(paths["nodes"], map(vars, graph.nodes.values()))
-    write_blob(paths["edges"], np.column_stack([src, dst, rest]), "<i8")
+    write_blob(paths["edges"], graph.edge_columns, "<i8")
 
 
 _NODE_TYPES = {"uuid": str, "kind": str, "identity": str, "attrs": dict}
@@ -313,12 +315,16 @@ def _graph_header(obj) -> dict:
 
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     """The saved graph; a record whose field has another JSON type than its
-    writer wrote, a nodes file that repeats a uuid, a header whose
-    ``operations`` is not a list of distinct strings, or an edges matrix of
-    another size than the header records or with an endpoint row or
-    operation index out of range, raises ArtifactError naming the file."""
+    writer wrote, a nodes file that repeats a uuid, a header of another
+    graph than ``name`` or whose ``operations`` is not a list of distinct
+    strings, or an edges matrix of another size than the header records or
+    with an endpoint row or operation index out of range, raises
+    ArtifactError naming the file."""
     paths = graph_paths(directory, name)
     header = read_json(paths["header"], _graph_header)
+    with reading(paths["header"]):
+        if header["name"] != name:
+            raise ValueError(f"holds graph {header['name']!r}, not {name!r}")
     nodes = read_jsonl(paths["nodes"], header["node_count"],
                        record(Entity, _NODE_TYPES))
     by_uuid = {node.uuid: node for node in nodes}
@@ -342,4 +348,4 @@ def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     edges = [ProvEdge(uuids[src], uuids[dst], operations[op], first, last,
                       weight)
              for src, dst, op, first, last, weight in columns.tolist()]
-    return ProvenanceGraph(name=header["name"], nodes=by_uuid, edges=edges)
+    return ProvenanceGraph(name=name, nodes=by_uuid, edges=edges)

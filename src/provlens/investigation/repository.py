@@ -56,6 +56,12 @@ class Hypothesis:
     spawned_leads: list[str] = field(default_factory=list)
 
 
+# The JSON type of each container and flag field of ``repository.json``.
+_REPOSITORY_TYPES = {"iocs": dict, "hypotheses": list, "evidence": dict,
+                     "expansion_queue": list, "pending_leads": list,
+                     "budget_exhausted": bool, "remediation": list}
+
+
 @dataclass
 class InvestigationRepository:
     graph_name: str = ""
@@ -142,16 +148,18 @@ class InvestigationRepository:
     @classmethod
     def from_dict(cls, data: dict) -> tuple["InvestigationRepository", int]:
         """The repository ``to_dict`` gave, still without its journal, and
-        the journal's length; a missing or unknown key, an IOC stored under
-        another uuid than its own, or a reference to an IOC that names none
-        raises."""
+        the journal's length; a missing or unknown key, a container field of
+        another JSON type, an IOC stored under another uuid than its own, or
+        a reference to an IOC that names none raises."""
         state = dict(data, journal_entries=[])
         length = count_field(state, "journal_length")
         del state["journal_length"]
-        repo = record(cls)(state)
-        ioc = record(IOCRecord)
+        repo = record(cls, _REPOSITORY_TYPES)(state)
+        ioc = record(IOCRecord, {"related_ioc_refs": list})
         repo.iocs = {u: ioc(r) for u, r in repo.iocs.items()}
-        repo.hypotheses = list(map(record(Hypothesis), repo.hypotheses))
+        repo.hypotheses = list(map(
+            record(Hypothesis, {"target_refs": list, "spawned_leads": list}),
+            repo.hypotheses))
         repo.pending_leads = list(map(
             keys("graph_name node_uuid reason origin parent"),
             repo.pending_leads))

@@ -583,6 +583,11 @@ DAMAGED = [
                "origin": "lead", "parent": "nope"})),
           ("ioc-under-another-key", lambda repo: repo["iocs"].update(
               nope=repo["iocs"].pop(min(repo["iocs"])))),
+          ("paused-expansion_queue-a-number",
+           lambda repo: repo.update(status="paused", expansion_queue=5)),
+          ("iocs-a-list",
+           lambda repo: repo.update(iocs=list(repo["iocs"].values()))),
+          ("hypotheses-an-object", lambda repo: repo.update(hypotheses={})),
       ]],
     pytest.param("kb/kb.members.jsonl", _zero_rows,
                  lambda path: load_kb(path.parent), DETECT,
@@ -654,6 +659,9 @@ DAMAGED = [
                  _setting("operations", ["READ", 1]),
                  _graph_loader("attack"), DETECT,
                  id="attack.header.json-operations-not-strings"),
+    pytest.param("graphs/attack.header.json", _setting("name", "other"),
+                 _graph_loader("attack"), DETECT,
+                 id="attack.header.json-name-of-another-graph"),
     pytest.param("graphs/attack.nodes.jsonl", _first_record("attrs", []),
                  _graph_loader("attack"), DETECT,
                  id="attack.nodes.jsonl-attrs-a-list"),
@@ -847,6 +855,22 @@ def test_multi_graph_train_has_a_row_per_profile_member(pipeline, tmp_path,
     assert set(benign.nodes) & set(attack.nodes)
     assert rows["nodes"] == rows["members"] \
         == str(len(benign.nodes) + len(attack.nodes))
+
+
+@pytest.mark.parametrize("command", ["train", "profile"])
+def test_graphs_naming_a_graph_twice_exits_3(pipeline, tmp_path, capsys,
+                                             command):
+    """A repeated name would put each of that graph's nodes into the
+    training union and the knowledge base twice."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    capsys.readouterr()
+    code = main([command, "--artifacts", str(artifacts), "--graphs",
+                 "benign, attack,benign"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error code=config" in err and "'benign' more than once" in err
 
 
 def test_profile_of_graph_without_nodes_exits_3(pipeline, tmp_path, capsys):

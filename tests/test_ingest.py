@@ -374,6 +374,18 @@ def test_saved_graph_loads_equal_and_saves_the_same_bytes(graph, order):
         save_graph(graph, first)
         loaded = load_graph(first, graph.name)
         assert loaded == graph
+        columns = graph.edge_columns
+        node_row = {uuid: i for i, uuid in enumerate(graph.nodes)}
+        assert columns.dtype == np.int64 and not columns.flags.writeable
+        assert columns.shape == (len(graph.edges), len(EDGE_COLUMNS))
+        assert columns.tolist() == [
+            [node_row[e.src], node_row[e.dst],
+             graph.operations.index(e.operation), e.first_ts, e.last_ts,
+             e.weight] for e in graph.edges]
+        assert graph.operations == sorted({e.operation for e in graph.edges})
+        edges_file = graph_paths(first, graph.name)["edges"]
+        assert edges_file.read_bytes() == columns.astype("<i8").tobytes()
+        assert np.array_equal(loaded.edge_columns, columns)
         save_graph(loaded, again)
         save_graph(shuffled_graph(graph, order), shuffled)
         for path in graph_paths(first, graph.name).values():
