@@ -86,8 +86,8 @@ def _union_graph(graphs: list[ingest.ProvenanceGraph]) -> ingest.ProvenanceGraph
                      for uuid, node in graph.nodes.items())
         edges += [replace(edge, src=prefix + edge.src, dst=prefix + edge.dst)
                   for edge in graph.edges]
-    return ingest.ProvenanceGraph(
-        name="+".join(g.name for g in graphs), nodes=nodes, edges=edges)
+    return ingest.ProvenanceGraph.from_edges(
+        "+".join(g.name for g in graphs), nodes, edges)
 
 
 def _load_model(cfg: PipelineConfig):
@@ -127,7 +127,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     ingest.save_graph(graph, _graphs_dir(cfg))
     print(f"ingested graph={graph.name} events={len(result.events)} "
           f"skipped={result.skipped} nodes={len(graph.nodes)} "
-          f"edges={len(graph.edges)}")
+          f"edges={len(graph.edge_columns)}")
     return EXIT_OK
 
 

@@ -3,12 +3,16 @@
 Events arrive as one JSON object per line (see README for the schema). Repeated
 events with the same (source, destination, operation) inside a temporal window
 are collapsed into a single weighted edge so that high-frequency system noise
-does not explode the graph.
+does not explode the graph. A graph is its columns: ``build_graph`` makes them
+from the events, ``save_graph`` writes them and ``load_graph`` hands them back
+to the one checked ``ProvenanceGraph`` constructor, so no edge object is made
+between ingest and detection.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -75,23 +79,74 @@ EDGE_COLUMNS = ("src_row", "dst_row", "operation", "first_ts", "last_ts",
                 "weight")
 
 
-@dataclass
 class ProvenanceGraph:
-    """Nodes in uuid order and edges in ``edge_order`` (stable), however it is
-    built; every edge joins two of its nodes, else construction raises
-    ValueError. It is not changed once built, so what it derives is cached,
-    such as ``edge_columns``, the one numeric form of its edges."""
-    name: str
-    nodes: dict[str, Entity]
-    edges: list[ProvEdge]
+    """A graph in its stored form: ``nodes`` in uuid order, the sorted
+    distinct ``operations``, and ``edge_columns``, a read-only int64
+    (edge count, ``EDGE_COLUMNS``) matrix. Row i holds edge i's endpoint node
+    rows, its index into ``operations``, its timestamps and its weight, and
+    rows are in canonical order (first_ts, src row, dst row, operation): the
+    ``edge_order`` of the edges, as rows and indices follow sorted names.
+    Construction checks this form, else raises ValueError. A graph is not
+    changed once built, so its object views are derived on first use."""
 
-    def __post_init__(self):
-        self.nodes = dict(sorted(self.nodes.items()))
-        self.edges = sorted(self.edges, key=edge_order)
-        dangling = {e.src for e in self.edges}.union(
-            e.dst for e in self.edges).difference(self.nodes)
+    def __init__(self, name: str, nodes: dict[str, Entity],
+                 operations: list[str], edge_columns: np.ndarray):
+        if list(nodes) != sorted(nodes):
+            raise ValueError("node uuids are not in ascending order")
+        if operations != sorted(set(operations)):
+            raise ValueError("operations are not sorted and distinct")
+        columns = np.asarray(edge_columns, dtype=np.int64)
+        for cells, end, what in ((columns[:, :2], len(nodes), "endpoint row"),
+                                 (columns[:, 2], len(operations),
+                                  "operation index")):
+            bad = cells[(cells < 0) | (cells >= end)]
+            if bad.size:
+                raise ValueError(f"{what} {bad[0]} is outside [0, {end})")
+        # No row's (first_ts, src, dst, operation) is below the previous one's.
+        before, after = columns[:-1], columns[1:]
+        down, tied = before[:, 3] > after[:, 3], before[:, 3] == after[:, 3]
+        for column in (0, 1, 2):
+            down |= tied & (before[:, column] > after[:, column])
+            tied &= before[:, column] == after[:, column]
+        if down.any():
+            raise ValueError(f"edge row {down.argmax() + 1} is out of "
+                             "canonical order")
+        columns.flags.writeable = False
+        self.name, self.nodes, self.operations = name, nodes, operations
+        self.edge_columns = columns
+
+    @classmethod
+    def from_edges(cls, name: str, nodes: dict[str, Entity],
+                   edges: Iterable[ProvEdge]) -> "ProvenanceGraph":
+        """The graph of ``nodes`` and ``edges`` given in any order; an edge
+        endpoint that is not a node raises ValueError."""
+        nodes = dict(sorted(nodes.items()))
+        edges = sorted(edges, key=edge_order)
+        dangling = {x for e in edges for x in (e.src, e.dst)} - nodes.keys()
         if dangling:
             raise ValueError(f"edge endpoint {min(dangling)!r} is not a node")
+        operations = sorted({e.operation for e in edges})
+        row = dict(zip(nodes, range(len(nodes))))
+        op = dict(zip(operations, range(len(operations))))
+        columns = np.array([(row[e.src], row[e.dst], op[e.operation],
+                             e.first_ts, e.last_ts, e.weight) for e in edges],
+                           dtype=np.int64).reshape(-1, len(EDGE_COLUMNS))
+        return cls(name, nodes, operations, columns)
+
+    def __eq__(self, other):
+        return (isinstance(other, ProvenanceGraph)
+                and (self.name, self.nodes, self.operations)
+                == (other.name, other.nodes, other.operations)
+                and np.array_equal(self.edge_columns, other.edge_columns))
+
+    @cached_property
+    def edges(self) -> tuple[ProvEdge, ...]:
+        """The edges as objects, in row order."""
+        uuids, ops = list(self.nodes), self.operations
+        return tuple(ProvEdge(uuids[src], uuids[dst], ops[op], first, last,
+                              weight)
+                     for src, dst, op, first, last, weight
+                     in self.edge_columns.tolist())
 
     @cached_property
     def incidence(self) -> dict[str, tuple[ProvEdge, ...]]:
@@ -102,24 +157,6 @@ class ProvenanceGraph:
             if edge.dst != edge.src:
                 index[edge.dst].append(edge)
         return {uuid: tuple(edges) for uuid, edges in index.items()}
-
-    @cached_property
-    def operations(self) -> list[str]:
-        """The sorted distinct operations of the edges."""
-        return sorted({edge.operation for edge in self.edges})
-
-    @cached_property
-    def edge_columns(self) -> np.ndarray:
-        """Read-only int64 (edge count, ``EDGE_COLUMNS``) matrix, row i for
-        edge i: its endpoints' node rows, its operation's index into
-        ``operations``, its timestamps and its weight."""
-        row = dict(zip(self.nodes, range(len(self.nodes))))
-        op = dict(zip(self.operations, range(len(self.operations))))
-        columns = np.array([(row[e.src], row[e.dst], op[e.operation],
-                             e.first_ts, e.last_ts, e.weight) for e in self.edges],
-                           dtype=np.int64).reshape(-1, len(EDGE_COLUMNS))
-        columns.flags.writeable = False
-        return columns
 
 
 @dataclass
@@ -229,48 +266,74 @@ def _parse_lines(lines: Iterable[str], ops: set, origin: str) -> ParseResult:
     return ParseResult(events=events, skipped=skipped)
 
 
-_sort_key = attrgetter("timestamp", "subject_uuid", "object_uuid", "operation",
-                       "event_id")
+def _ranked(names: list[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct ``names``, and each name's position in that list."""
+    distinct = sorted(set(names))
+    rank = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(rank.__getitem__, names), np.intp,
+                                 len(names))
 
 
 def build_graph(events: Iterable[RawEvent], window_ns: int,
                 name: str = "graph") -> ProvenanceGraph:
     """Aggregate raw events into a provenance graph.
 
-    Events are sorted by timestamp; consecutive events with the same
-    (src, dst, operation) merge into one weighted edge while they stay within
-    ``window_ns`` of the aggregate's first timestamp, so the result is
-    independent of input order.
+    Events are taken in (timestamp, subject, object, operation, event_id)
+    order. Those of one (src, dst, operation) key merge into one weighted edge
+    while they stay within ``window_ns`` of the edge's first timestamp, and a
+    node takes its kind and attributes from the first event naming it, so the
+    result is independent of input order. Only a key whose events span more
+    than ``window_ns`` is walked, one edge at a time; the rest is array
+    operations on the integer codes of uuids and operations.
     """
     if window_ns <= 0:
         raise ValueError("window_ns must be positive")
-    ordered = sorted(events, key=_sort_key)
+    events = list(events)
+    uuids, codes = _ranked([e.subject_uuid for e in events]
+                           + [e.object_uuid for e in events])
+    src, dst = codes[:len(events)], codes[len(events):]
+    operations, op = _ranked([e.operation for e in events])
+    ts = np.array([e.timestamp for e in events], dtype=np.int64)
 
-    nodes: dict[str, Entity] = {}
-    open_aggregates: dict[tuple[str, str, str], ProvEdge] = {}
-    edges: list[ProvEdge] = []
-    for event in ordered:
-        src, dst = event.subject_uuid, event.object_uuid
-        operation, timestamp = event.operation, event.timestamp
-        if src not in nodes:
-            attrs = event.subject_attrs
-            nodes[src] = Entity(src, "subject", dict(attrs),
-                                derive_identity("subject", attrs))
-        if dst not in nodes:
-            kind, attrs = event.object_kind, event.object_attrs
-            nodes[dst] = Entity(dst, kind, dict(attrs),
-                                derive_identity(kind, attrs))
-        key = (src, dst, operation)
-        agg = open_aggregates.get(key)
-        if agg is not None and timestamp - agg.first_ts <= window_ns:
-            agg.weight += 1
-            agg.last_ts = timestamp  # events come in timestamp order
-        else:
-            agg = ProvEdge(src, dst, operation, timestamp, timestamp)
-            open_aggregates[key] = agg
-            edges.append(agg)
+    # Events by key and time, and in event order: time, then key. Both sorts
+    # are stable, so ties keep input order until event ids order them.
+    by_key = np.lexsort((ts, op, dst, src))
+    order = by_key[np.argsort(ts[by_key], kind="stable")]
+    keys = np.stack([ts, src, dst, op])[:, order]
+    if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
+        ids = _ranked([e.event_id for e in events])[1]
+        order = np.lexsort((ids, op, dst, src, ts))
+    # A uuid's first naming: the subject (even) or the object (odd) of an
+    # event, the subject first.
+    named = np.unique(np.stack([src[order], dst[order]], axis=1),
+                      return_index=True)[1]
+    nodes = {}
+    for uuid, i, as_object in zip(uuids, order[named // 2].tolist(),
+                                  (named % 2).tolist()):
+        kind, attrs = ((events[i].object_kind, events[i].object_attrs)
+                       if as_object else ("subject", events[i].subject_attrs))
+        nodes[uuid] = Entity(uuid, kind, dict(attrs),
+                             derive_identity(kind, attrs))
 
-    return ProvenanceGraph(name=name, nodes=nodes, edges=edges)
+    # Every key starts an edge, and an edge ends where the next one starts.
+    src, dst, op, ts = src[by_key], dst[by_key], op[by_key], ts[by_key]
+    bounds = np.flatnonzero(np.diff(np.stack([src, dst, op]), prepend=-1,
+                                    append=-1).any(axis=0))
+    spread = np.flatnonzero(ts[bounds[1:] - 1] - ts[bounds[:-1]] > window_ns)
+    heads, stamps = bounds.tolist(), ts.tolist()  # with len(ts) as a sentinel
+    for head, stop in zip(bounds[spread].tolist(),
+                          bounds[spread + 1].tolist()):
+        while (head := bisect_right(stamps, stamps[head] + window_ns, head,
+                                    stop)) < stop:
+            heads.append(head)
+    heads = np.sort(np.array(heads, dtype=np.intp))
+    heads, ends = heads[:-1], heads[1:]
+    # Canonical order: by first_ts, and stably so, then by key.
+    canonical = np.argsort(ts[heads], kind="stable")
+    heads, ends = heads[canonical], ends[canonical]
+    columns = np.stack([src[heads], dst[heads], op[heads], ts[heads],
+                        ts[ends - 1], ends - heads], axis=1)
+    return ProvenanceGraph(name, nodes, operations, columns)
 
 
 # --- serialization ---------------------------------------------------------
@@ -285,13 +348,13 @@ def graph_paths(directory: str | Path, name: str) -> dict[str, Path]:
 
 
 def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
-    """Write the header, the nodes in node order as JSONL, and the graph's
-    ``edge_columns`` as ``<i8``; its operation column indexes ``operations``."""
+    """Write the stored form: the header with the graph's ``operations``, the
+    nodes in node order as JSONL, and ``edge_columns`` as ``<i8``."""
     paths = graph_paths(directory, graph.name)
     write_json(paths["header"], {
         "name": graph.name,
         "node_count": len(graph.nodes),
-        "edge_count": len(graph.edges),
+        "edge_count": len(graph.edge_columns),
         "operations": graph.operations,
     }, indent=2)
     write_jsonl(paths["nodes"], map(vars, graph.nodes.values()))
@@ -308,18 +371,20 @@ def _graph_header(obj) -> dict:
     operations = header["operations"]
     if (type(operations) is not list
             or any(type(op) is not str for op in operations)
-            or len(set(operations)) != len(operations)):
-        raise ValueError("operations is not a list of distinct strings")
+            or operations != sorted(set(operations))):
+        raise ValueError("operations is not a sorted list of distinct "
+                         "strings")
     return header
 
 
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
-    """The saved graph; a record whose field has another JSON type than its
-    writer wrote, a nodes file that repeats a uuid, a header of another
-    graph than ``name`` or whose ``operations`` is not a list of distinct
-    strings, or an edges matrix of another size than the header records or
-    with an endpoint row or operation index out of range, raises
-    ArtifactError naming the file."""
+    """The saved graph, built from its files as they are. A record whose
+    field has another JSON type than its writer wrote, a header of another
+    graph than ``name`` or whose ``operations`` is not a sorted list of
+    distinct strings, a nodes file out of strictly ascending uuid order, or
+    an edges matrix of another size than the header records, with an endpoint
+    row or operation index out of range or with rows out of canonical order,
+    raises ArtifactError naming the file."""
     paths = graph_paths(directory, name)
     header = read_json(paths["header"], _graph_header)
     with reading(paths["header"]):
@@ -327,25 +392,12 @@ def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
             raise ValueError(f"holds graph {header['name']!r}, not {name!r}")
     nodes = read_jsonl(paths["nodes"], header["node_count"],
                        record(Entity, _NODE_TYPES))
-    by_uuid = {node.uuid: node for node in nodes}
-    with reading(paths["nodes"]):
-        if len(by_uuid) != len(nodes):
-            raise ValueError("a node uuid is repeated")
+    uuids = [node.uuid for node in nodes]
+    with reading(paths["nodes"]):  # before the constructor, to name this file
+        if uuids != sorted(set(uuids)):
+            raise ValueError("node uuids are not strictly ascending")
     columns = read_blob(paths["edges"], "<i8",
                         (header["edge_count"], len(EDGE_COLUMNS)))
-    operations = header["operations"]
     with reading(paths["edges"]):
-        rows, ops = columns[:, :2], columns[:, 2]
-        bad = rows[(rows < 0) | (rows >= len(nodes))]
-        if bad.size:
-            raise ValueError(f"endpoint row {bad[0]} is outside the node "
-                             f"rows [0, {len(nodes)})")
-        bad = ops[(ops < 0) | (ops >= len(operations))]
-        if bad.size:
-            raise ValueError(f"operation index {bad[0]} is outside "
-                             f"[0, {len(operations)})")
-    uuids = list(by_uuid)
-    edges = [ProvEdge(uuids[src], uuids[dst], operations[op], first, last,
-                      weight)
-             for src, dst, op, first, last, weight in columns.tolist()]
-    return ProvenanceGraph(name=name, nodes=by_uuid, edges=edges)
+        return ProvenanceGraph(name, dict(zip(uuids, nodes)),
+                               header["operations"], columns)

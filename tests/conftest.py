@@ -42,7 +42,7 @@ def manual_graph(nodes, edges, name="g"):
                                 identity=identity)
     edge_objs = [ProvEdge(src=s, dst=d, operation=op, first_ts=f, last_ts=l,
                           weight=w) for (s, d, op, f, l, w) in edges]
-    return ProvenanceGraph(name=name, nodes=node_map, edges=edge_objs)
+    return ProvenanceGraph.from_edges(name, node_map, edge_objs)
 
 
 def shuffled_graph(graph, order):
@@ -51,9 +51,9 @@ def shuffled_graph(graph, order):
     nodes, edges = list(graph.nodes.values()), list(graph.edges)
     order.shuffle(nodes)
     order.shuffle(edges)
-    return ProvenanceGraph(name=graph.name,
-                           nodes={node.uuid: node for node in nodes},
-                           edges=edges)
+    return ProvenanceGraph.from_edges(graph.name,
+                                      {node.uuid: node for node in nodes},
+                                      edges)
 
 
 # Graphs for the byte-level oracle tests. "net::none" and "MOUNT" are in no

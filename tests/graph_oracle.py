@@ -1,7 +1,10 @@
-"""Reference implementations the encoder, feature and detector tests check
-the production code against byte for byte: the neighborhood operator built from
-per-node neighbor sets, the node feature rows built by one walk over each
-node's incident edges, and the detection rule applied to one node at a time."""
+"""Reference implementations the ingest, encoder, feature and detector tests
+check the production code against byte for byte: the graph built by one walk
+over the sorted events, the neighborhood operator built from per-node neighbor
+sets, the node feature rows built by one walk over each node's incident edges,
+and the detection rule applied to one node at a time."""
+
+from operator import attrgetter
 
 import numpy as np
 from scipy import sparse
@@ -9,7 +12,46 @@ from scipy import sparse
 from provlens.detector import SCORE_DELTA, Alert
 from provlens.errors import ConfigError
 from provlens.features import TEMPORAL_DIM
+from provlens.ingest import Entity, ProvEdge, derive_identity, edge_order
 from provlens.profiler import euclidean_distance
+
+
+_event_order = attrgetter("timestamp", "subject_uuid", "object_uuid",
+                          "operation", "event_id")
+
+
+def build_graph(events, window_ns):
+    """The nodes in uuid order, the sorted operations and the edge rows in
+    edge order of the graph of ``events``: taken in timestamp order, a node
+    is made from the first event naming it, and an event joins the open edge
+    of its (src, dst, operation) key while it is within ``window_ns`` of that
+    edge's first timestamp, else it opens a new one."""
+    nodes, open_edges, edges = {}, {}, []
+    for event in sorted(events, key=_event_order):
+        src, dst = event.subject_uuid, event.object_uuid
+        for uuid, kind, attrs in (
+                (src, "subject", event.subject_attrs),
+                (dst, event.object_kind, event.object_attrs)):
+            if uuid not in nodes:
+                nodes[uuid] = Entity(uuid, kind, dict(attrs),
+                                     derive_identity(kind, attrs))
+        key = (src, dst, event.operation)
+        edge = open_edges.get(key)
+        if edge is not None and event.timestamp - edge.first_ts <= window_ns:
+            edge.weight += 1
+            edge.last_ts = event.timestamp
+        else:
+            edge = ProvEdge(src, dst, event.operation, event.timestamp,
+                            event.timestamp)
+            open_edges[key] = edge
+            edges.append(edge)
+    nodes = dict(sorted(nodes.items()))
+    operations = sorted({edge.operation for edge in edges})
+    row = {uuid: i for i, uuid in enumerate(nodes)}
+    rows = [[row[e.src], row[e.dst], operations.index(e.operation),
+             e.first_ts, e.last_ts, e.weight]
+            for e in sorted(edges, key=edge_order)]
+    return nodes, operations, rows
 
 
 def propagation_matrix(graph):

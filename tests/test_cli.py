@@ -15,7 +15,7 @@ from provlens.detector import load_alerts, save_alerts
 from provlens.encoder import load_params
 from provlens.errors import ArtifactError, LLMTransportError
 from provlens.features import load_vocab
-from provlens.ingest import EDGE_COLUMNS, load_graph
+from provlens.ingest import EDGE_COLUMNS, ProvEdge, load_graph
 from provlens.investigation import InvestigationRepository
 from provlens.investigation.llm import HttpChatLLM, heuristic_mock
 from provlens.profiler import load_kb
@@ -432,6 +432,19 @@ def _first_edge(column, value):
     return damage
 
 
+def _swap_first_records(path):
+    """Damage that swaps the first two records, keeping every byte."""
+    first, second, *rest = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join([second, first, *rest]))
+
+
+def _swap_first_edges(path):
+    """Damage that swaps the edge blob's first two rows."""
+    rows = np.fromfile(path, dtype="<i8").reshape(-1, len(EDGE_COLUMNS))
+    rows[[0, 1]] = rows[[1, 0]]
+    rows.tofile(path)
+
+
 def _short_bytes(count):
     """Damage that cuts the file's last ``count`` bytes."""
     def damage(path):
@@ -665,6 +678,12 @@ DAMAGED = [
     pytest.param("graphs/attack.nodes.jsonl", _first_record("attrs", []),
                  _graph_loader("attack"), DETECT,
                  id="attack.nodes.jsonl-attrs-a-list"),
+    pytest.param("graphs/attack.nodes.jsonl", _swap_first_records,
+                 _graph_loader("attack"), DETECT,
+                 id="attack.nodes.jsonl-first-two-swapped"),
+    pytest.param("graphs/attack.edges.bin", _swap_first_edges,
+                 _graph_loader("attack"), DETECT,
+                 id="attack.edges.bin-first-two-rows-swapped"),
 ]
 
 
@@ -991,6 +1010,30 @@ def test_command_idempotence_identical_artifacts(tmp_path):
                 "model/vocab.vectors.bin", "model/encoder.weights.bin",
                 "model/loss_trace.csv"):
         assert (one / rel).read_bytes() == (two / rel).read_bytes()
+
+
+def test_ingest_and_detect_build_no_edge_objects(pipeline, tmp_path,
+                                                monkeypatch, capsys):
+    """From the events to the alerts a graph stays its edge columns:
+    ``ingest`` (build, save and the printed edge count) and ``detect`` (load,
+    features, propagation and detection) construct no ``ProvEdge``."""
+    source, scenario = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    alerts = (artifacts / "alerts" / "attack.alerts.jsonl").read_bytes()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a ProvEdge was built")
+
+    monkeypatch.setattr(ProvEdge, "__init__", refuse)
+    capsys.readouterr()
+    assert main(["ingest", "--artifacts", str(artifacts), "--input",
+                 str(scenario / "attack.jsonl"), "--name", "attack"]) == 0
+    edges = len(load_graph(artifacts / "graphs", "attack").edge_columns)
+    assert f" edges={edges}\n" in capsys.readouterr().out
+    assert main([*DETECT, "--artifacts", str(artifacts)]) == 0
+    assert (artifacts / "alerts" / "attack.alerts.jsonl").read_bytes() \
+        == alerts
 
 
 # --- BLAS thread count -------------------------------------------------------------

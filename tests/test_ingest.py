@@ -12,6 +12,10 @@ from provlens.errors import ArtifactError, FormatError
 from provlens.ingest import (
     EDGE_COLUMNS,
     ENTITY_KINDS,
+    Entity,
+    ProvenanceGraph,
+    RawEvent,
+    build_graph,
     derive_identity,
     graph_paths,
     load_graph,
@@ -19,6 +23,7 @@ from provlens.ingest import (
     save_graph,
 )
 
+import graph_oracle
 from conftest import (assert_canonical_json_files, events_to_lines,
                       graph_from_events, make_event, manual_graph,
                       shuffled_graph)
@@ -271,6 +276,97 @@ def test_graph_with_a_dangling_edge_endpoint_raises():
              ("o1", "s1", "READ", 3, 3, 1)]
     with pytest.raises(ValueError, match="'o1' is not a node"):
         manual_graph(nodes, edges)
+
+
+# Small pools, so that one key's events often span more than the window,
+# events often tie on everything but their event id and attributes, and
+# self-loops and uuids named first as an object and later as a subject are
+# common. Attribute values 1, 1.0 and True are equal but not the same bytes.
+KEY_ATTRS = {"subject": ("name", ["p", "q"]), "file": ("path", ["/a", "/b/"]),
+             "netflow": ("port", [80, 443])}
+EXTRA_ATTR = st.dictionaries(st.just("v"), st.sampled_from([1, 1.0, True]),
+                             max_size=1)
+
+
+@st.composite
+def raw_events(draw):
+    kind = draw(st.sampled_from(ENTITY_KINDS))
+    key, values = KEY_ATTRS[kind]
+    return RawEvent(
+        draw(st.sampled_from(["e0", "e1", "e2"])),
+        draw(st.sampled_from(["a", "b", "c"])),
+        draw(st.sampled_from(["a", "b", "c", "d"])),
+        draw(st.sampled_from(["READ", "WRITE"])),
+        draw(st.one_of(st.integers(0, 30),
+                       st.integers(LAST_STAMP - 3, LAST_STAMP))),
+        {"name": draw(st.sampled_from(KEY_ATTRS["subject"][1])),
+         **draw(EXTRA_ATTR)},
+        {key: draw(st.sampled_from(values)), **draw(EXTRA_ATTR)}, kind)
+
+
+def _event(event_id, src, dst, timestamp, name="p", kind="file", **attrs):
+    return RawEvent(event_id, src, dst, "READ", timestamp,
+                    {"name": name}, {**attrs, "path": "/a"} if kind == "file"
+                    else {**attrs, "name": name}, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(raw_events(), max_size=30),
+       st.sampled_from([1, 3, 10, 2 ** 63, 2 ** 70]))
+@example([_event("e1", "a", "b", 0), _event("e0", "a", "b", 4),  # spread key
+          _event("e2", "a", "b", 9), _event("e0", "a", "b", 12)], 5)
+@example([_event("e1", "a", "b", 7, v=True),  # ties up to event id and attrs
+          _event("e0", "a", "b", 7, v=1.0), _event("e2", "a", "b", 7)], 3)
+@example([_event("e0", "c", "c", 5, kind="subject", name="q"),  # self-loop
+          _event("e1", "a", "c", 2), _event("e2", "c", "a", 3)], 1)
+def test_build_graph_equals_the_event_walk(events, window_ns):
+    """Node order, kind, attributes and identity, ``operations`` and
+    ``edge_columns`` equal the event-by-event oracle's, compared by repr so
+    that 1, 1.0 and True differ."""
+    graph = build_graph(events, window_ns, name="w")
+    nodes, operations, rows = graph_oracle.build_graph(events, window_ns)
+    assert repr(list(graph.nodes.items())) == repr(list(nodes.items()))
+    assert graph.operations == operations
+    assert graph.edge_columns.dtype == np.int64
+    assert graph.edge_columns.tolist() == rows
+
+
+def _two_nodes():
+    return {u: Entity(u, "subject", {}, "subject::a") for u in ("a", "b")}
+
+
+@pytest.mark.parametrize("nodes,operations,rows,message", [
+    (dict(reversed(_two_nodes().items())), [], [], "ascending order"),
+    (_two_nodes(), ["WRITE", "READ"], [], "sorted and distinct"),
+    (_two_nodes(), ["READ", "READ"], [], "sorted and distinct"),
+    (_two_nodes(), ["READ"], [[0, 2, 0, 1, 1, 1]], "endpoint row 2"),
+    (_two_nodes(), ["READ"], [[-1, 0, 0, 1, 1, 1]], "endpoint row -1"),
+    (_two_nodes(), ["READ"], [[0, 1, 1, 1, 1, 1]], "operation index 1"),
+    (_two_nodes(), ["READ", "WRITE"],
+     [[0, 1, 0, 5, 5, 1], [0, 1, 1, 4, 4, 1]], "edge row 1"),  # first_ts
+    (_two_nodes(), ["READ"],
+     [[1, 0, 0, 5, 5, 1], [0, 1, 0, 5, 5, 1]], "edge row 1"),  # src row
+    (_two_nodes(), ["READ", "WRITE"],
+     [[0, 1, 0, 5, 5, 1], [0, 0, 1, 5, 5, 1]], "edge row 1"),  # dst row
+    (_two_nodes(), ["READ", "WRITE"],
+     [[0, 1, 1, 5, 5, 1], [0, 1, 0, 5, 5, 1]], "edge row 1"),  # operation
+], ids=["uuids-descending", "operations-unsorted", "operations-repeated",
+        "dst-row-past-nodes", "src-row-negative", "operation-past-operations",
+        "first_ts-decreasing", "src-row-decreasing", "dst-row-decreasing",
+        "operation-decreasing"])
+def test_graph_constructor_rejects_a_broken_stored_form(nodes, operations,
+                                                        rows, message):
+    columns = np.array(rows or np.empty((0, len(EDGE_COLUMNS))),
+                       dtype=np.int64)
+    with pytest.raises(ValueError, match=message):
+        ProvenanceGraph("g", nodes, operations, columns)
+
+
+def test_graph_constructor_keeps_equal_keys_in_row_order():
+    rows = [[0, 1, 0, 5, 6, 1], [0, 1, 0, 5, 5, 2], [1, 0, 0, 5, 5, 1]]
+    graph = ProvenanceGraph("g", _two_nodes(), ["READ"], np.array(rows))
+    assert graph.edge_columns.tolist() == rows
+    assert not graph.edge_columns.flags.writeable
 
 
 # --- derive_identity ---------------------------------------------------------

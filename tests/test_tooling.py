@@ -6,7 +6,8 @@ package or the benchmark. And the modules that own a JSONL artifact leave
 every JSON decode and encode to ``provlens.artifacts``. And the
 investigation retrieves through the one name the benchmark traces. And
 importing the CLI leaves ``requests`` unimported. And ``graph_paths`` names
-every file ``save_graph`` writes, which the benchmark deletes by it."""
+every file ``save_graph`` writes, which the benchmark deletes by it. And only
+``ingest`` constructs graphs and edge objects."""
 
 import ast
 import importlib
@@ -125,6 +126,26 @@ def test_only_the_agents_module_names_knn_query():
                    for token in tokenize.generate_tokens(fh.readline)):
                 naming.append(path.relative_to(PACKAGE).as_posix())
     assert naming == ["investigation/agents.py"]
+
+
+def test_only_the_ingest_module_constructs_graphs_and_edges():
+    """A graph has one construction path, the checked ``ProvenanceGraph``
+    constructor, and only ``ingest`` calls it (in ``build_graph``,
+    ``load_graph`` and ``ProvenanceGraph.from_edges``) or ``ProvEdge``. A
+    call through a module or class attribute counts;
+    ``ProvenanceGraph.from_edges(...)`` does not."""
+    constructors = {"ProvenanceGraph", "ProvEdge"}
+    calling = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calling += [f"{path.relative_to(PACKAGE).as_posix()}:{node.lineno}"
+                    for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None))
+                    in constructors]
+    assert [site for site in calling
+            if not site.startswith("ingest.py:")] == []
+    assert calling  # the walk sees ingest's own calls
 
 
 FAILING_PROPERTY = '''
