@@ -81,11 +81,11 @@ EDGE_COLUMNS = ("src_row", "dst_row", "operation", "first_ts", "last_ts",
 
 class ProvenanceGraph:
     """A graph in its stored form: ``nodes`` in uuid order, the sorted
-    distinct ``operations``, and ``edge_columns``, a read-only int64
-    (edge count, ``EDGE_COLUMNS``) matrix. Row i holds edge i's endpoint node
-    rows, its index into ``operations``, its timestamps and its weight, and
-    rows are in canonical order (first_ts, src row, dst row, operation): the
-    ``edge_order`` of the edges, as rows and indices follow sorted names.
+    distinct ``operations`` of its edges, and ``edge_columns``, a read-only
+    int64 (edge count, ``EDGE_COLUMNS``) matrix. Row i holds edge i's endpoint
+    node rows, its index into ``operations``, its timestamps and its weight,
+    and rows are in canonical order (first_ts, src row, dst row, operation):
+    the ``edge_order`` of the edges, as rows and indices follow sorted names.
     Construction checks this form, else raises ValueError. A graph is not
     changed once built, so its object views are derived on first use."""
 
@@ -102,15 +102,12 @@ class ProvenanceGraph:
             bad = cells[(cells < 0) | (cells >= end)]
             if bad.size:
                 raise ValueError(f"{what} {bad[0]} is outside [0, {end})")
-        # No row's (first_ts, src, dst, operation) is below the previous one's.
-        before, after = columns[:-1], columns[1:]
-        down, tied = before[:, 3] > after[:, 3], before[:, 3] == after[:, 3]
-        for column in (0, 1, 2):
-            down |= tied & (before[:, column] > after[:, column])
-            tied &= before[:, column] == after[:, column]
-        if down.any():
-            raise ValueError(f"edge row {down.argmax() + 1} is out of "
-                             "canonical order")
+        if np.unique(columns[:, 2]).size != len(operations):
+            raise ValueError("an operation is used by no edge")
+        # A stable sort by (first_ts, src, dst, operation) keeps every row.
+        if (np.lexsort(columns[:, [2, 1, 0, 3]].T)
+                != np.arange(len(columns))).any():
+            raise ValueError("edge rows are out of canonical order")
         columns.flags.writeable = False
         self.name, self.nodes, self.operations = name, nodes, operations
         self.edge_columns = columns
@@ -296,13 +293,11 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
     ts = np.array([e.timestamp for e in events], dtype=np.int64)
 
     # Events by key and time, and in event order: time, then key. Both sorts
-    # are stable, so ties keep input order until event ids order them.
-    by_key = np.lexsort((ts, op, dst, src))
+    # are stable and start from event id order, so event ids break ties.
+    ids = [e.event_id for e in events]
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), np.intp)
+    by_key = by_id[np.lexsort(np.stack([ts, op, dst, src])[:, by_id])]
     order = by_key[np.argsort(ts[by_key], kind="stable")]
-    keys = np.stack([ts, src, dst, op])[:, order]
-    if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
-        ids = _ranked([e.event_id for e in events])[1]
-        order = np.lexsort((ids, op, dst, src, ts))
     # A uuid's first naming: the subject (even) or the object (odd) of an
     # event, the subject first.
     named = np.unique(np.stack([src[order], dst[order]], axis=1),
@@ -328,11 +323,10 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
             heads.append(head)
     heads = np.sort(np.array(heads, dtype=np.intp))
     heads, ends = heads[:-1], heads[1:]
-    # Canonical order: by first_ts, and stably so, then by key.
-    canonical = np.argsort(ts[heads], kind="stable")
-    heads, ends = heads[canonical], ends[canonical]
     columns = np.stack([src[heads], dst[heads], op[heads], ts[heads],
                         ts[ends - 1], ends - heads], axis=1)
+    # Canonical order: by first_ts, and stably so, then by key.
+    columns = columns[np.argsort(columns[:, 3], kind="stable")]
     return ProvenanceGraph(name, nodes, operations, columns)
 
 
@@ -372,8 +366,7 @@ def _graph_header(obj) -> dict:
     if (type(operations) is not list
             or any(type(op) is not str for op in operations)
             or operations != sorted(set(operations))):
-        raise ValueError("operations is not a sorted list of distinct "
-                         "strings")
+        raise ValueError("operations are not sorted distinct strings")
     return header
 
 
@@ -383,8 +376,9 @@ def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     graph than ``name`` or whose ``operations`` is not a sorted list of
     distinct strings, a nodes file out of strictly ascending uuid order, or
     an edges matrix of another size than the header records, with an endpoint
-    row or operation index out of range or with rows out of canonical order,
-    raises ArtifactError naming the file."""
+    row or operation index out of range, with rows out of canonical order or
+    using not every operation of the header, raises ArtifactError naming the
+    file."""
     paths = graph_paths(directory, name)
     header = read_json(paths["header"], _graph_header)
     with reading(paths["header"]):

@@ -706,6 +706,25 @@ def test_truncated_artifact_exits_2_and_names_file(pipeline, tmp_path, capsys,
     assert "error code=missing_artifact" in err and path.name in err
 
 
+def test_header_operation_that_no_edge_uses_exits_2(pipeline, tmp_path,
+                                                     capsys):
+    """A graph's operations are those of its edges, so a header listing one
+    more disagrees with the edges file. As for a header's counts, the
+    error names the file that disagrees with the header."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    header = artifacts / "graphs" / "attack.header.json"
+    operations = json.loads(header.read_text())["operations"]
+    _setting("operations", [*operations, "~UNUSED"])(header)
+    with pytest.raises(ArtifactError, match="used by no edge") as exc:
+        load_graph(header.parent, "attack")
+    assert exc.value.path == str(header.with_name("attack.edges.bin"))
+    capsys.readouterr()
+    assert main([*DETECT, "--artifacts", str(artifacts)]) == 2
+    assert "attack.edges.bin" in capsys.readouterr().err
+
+
 def test_every_record_file_has_an_at_record_boundary_case(pipeline):
     """A record file added to the pipeline without a recorded count, and so
     without a case above, fails here."""

@@ -343,17 +343,18 @@ def _two_nodes():
     (_two_nodes(), ["READ"], [[-1, 0, 0, 1, 1, 1]], "endpoint row -1"),
     (_two_nodes(), ["READ"], [[0, 1, 1, 1, 1, 1]], "operation index 1"),
     (_two_nodes(), ["READ", "WRITE"],
-     [[0, 1, 0, 5, 5, 1], [0, 1, 1, 4, 4, 1]], "edge row 1"),  # first_ts
+     [[0, 1, 0, 5, 5, 1], [0, 1, 1, 4, 4, 1]], "canonical order"),  # first_ts
     (_two_nodes(), ["READ"],
-     [[1, 0, 0, 5, 5, 1], [0, 1, 0, 5, 5, 1]], "edge row 1"),  # src row
+     [[1, 0, 0, 5, 5, 1], [0, 1, 0, 5, 5, 1]], "canonical order"),  # src row
     (_two_nodes(), ["READ", "WRITE"],
-     [[0, 1, 0, 5, 5, 1], [0, 0, 1, 5, 5, 1]], "edge row 1"),  # dst row
+     [[0, 1, 0, 5, 5, 1], [0, 0, 1, 5, 5, 1]], "canonical order"),  # dst row
     (_two_nodes(), ["READ", "WRITE"],
-     [[0, 1, 1, 5, 5, 1], [0, 1, 0, 5, 5, 1]], "edge row 1"),  # operation
+     [[0, 1, 1, 5, 5, 1], [0, 1, 0, 5, 5, 1]], "canonical order"),  # operation
+    (_two_nodes(), ["READ", "WRITE"], [[0, 1, 0, 5, 5, 1]], "used by no edge"),
 ], ids=["uuids-descending", "operations-unsorted", "operations-repeated",
         "dst-row-past-nodes", "src-row-negative", "operation-past-operations",
         "first_ts-decreasing", "src-row-decreasing", "dst-row-decreasing",
-        "operation-decreasing"])
+        "operation-decreasing", "operation-unused"])
 def test_graph_constructor_rejects_a_broken_stored_form(nodes, operations,
                                                         rows, message):
     columns = np.array(rows or np.empty((0, len(EDGE_COLUMNS))),

@@ -7,7 +7,7 @@ every JSON decode and encode to ``provlens.artifacts``. And the
 investigation retrieves through the one name the benchmark traces. And
 importing the CLI leaves ``requests`` unimported. And ``graph_paths`` names
 every file ``save_graph`` writes, which the benchmark deletes by it. And only
-``ingest`` constructs graphs and edge objects."""
+``ingest`` calls the graph and edge constructors."""
 
 import ast
 import importlib
@@ -129,11 +129,11 @@ def test_only_the_agents_module_names_knn_query():
 
 
 def test_only_the_ingest_module_constructs_graphs_and_edges():
-    """A graph has one construction path, the checked ``ProvenanceGraph``
-    constructor, and only ``ingest`` calls it (in ``build_graph``,
-    ``load_graph`` and ``ProvenanceGraph.from_edges``) or ``ProvEdge``. A
-    call through a module or class attribute counts;
-    ``ProvenanceGraph.from_edges(...)`` does not."""
+    """Only ``ingest`` calls the ``ProvenanceGraph`` constructor (in
+    ``build_graph``, ``load_graph`` and ``ProvenanceGraph.from_edges``) or
+    ``ProvEdge`` by name. A call through a module or class attribute counts;
+    ``ProvenanceGraph.from_edges(...)`` does not, and neither does a copy
+    such as ``dataclasses.replace(edge, ...)``."""
     constructors = {"ProvenanceGraph", "ProvEdge"}
     calling = []
     for path in sorted(PACKAGE.rglob("*.py")):
