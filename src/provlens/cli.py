@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -72,24 +71,6 @@ def _load_graphs(cfg: PipelineConfig, names: list[str]) -> list[ingest.Provenanc
     return [ingest.load_graph(_graphs_dir(cfg), name) for name in names]
 
 
-def _union_graph(graphs: list[ingest.ProvenanceGraph]) -> ingest.ProvenanceGraph:
-    """Disjoint union used to train one encoder over several benign windows.
-    Each node is keyed ``<position in graphs>:<uuid>``, so a uuid seen in two
-    windows stays two nodes with their own edges, as in the knowledge base."""
-    if len(graphs) == 1:
-        return graphs[0]
-    nodes: dict[str, ingest.Entity] = {}
-    edges: list[ingest.ProvEdge] = []
-    for position, graph in enumerate(graphs):
-        prefix = f"{position}:"
-        nodes.update((prefix + uuid, replace(node, uuid=prefix + uuid))
-                     for uuid, node in graph.nodes.items())
-        edges += [replace(edge, src=prefix + edge.src, dst=prefix + edge.dst)
-                  for edge in graph.edges]
-    return ingest.ProvenanceGraph.from_edges(
-        "+".join(g.name for g in graphs), nodes, edges)
-
-
 def _load_model(cfg: PipelineConfig):
     """The trained vocabulary and encoder. The configured operation list must
     be the one the model was trained on, order included, because it orders
@@ -133,8 +114,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
     names = _resolve_graph_names(args.graphs)
-    graphs = _load_graphs(cfg, names)
-    union = _union_graph(graphs)
+    union = ingest.union_graph(_load_graphs(cfg, names))
 
     summaries = [features.build_node_summary(node, union)
                  for node in union.nodes.values()]

@@ -1,9 +1,9 @@
 """Initial node features: semantic, action-frequency and temporal encodings.
 
 ``feature_matrix`` builds every node's row h0 = semantic || action || temporal
-from arrays of all node-edge incidences. The semantic block is the mean
-token vector of the node's summary: its identity label followed by the
-operation tokens of its incident edges in temporal order. Token vectors are an
+from the graph's incidence arrays, with no edge objects. The semantic block is
+the mean token vector of the node's summary: its identity label followed by
+the operations of its incident edges in temporal order. Token vectors are an
 SVD of the shifted positive PMI (SPPMI) of window co-occurrences, which
 skip-gram with negative sampling factorises implicitly (Levy & Goldberg, NeurIPS
 2014), in place of per-pair SGD. The action block is the L2-normalized
@@ -52,7 +52,8 @@ class SemanticVocab:
 def build_node_summary(node: Entity, graph: ProvenanceGraph) -> list[str]:
     """Token summary of a node: identity label, then incident operations in
     temporal order."""
-    return [node.identity] + [e.operation for e in graph.incidence[node.uuid]]
+    ops = graph.incidence.of(node.uuid)[:, 2].tolist()
+    return [node.identity] + [graph.operations[op] for op in ops]
 
 
 def train_semantic_vocab(summaries: list[list[str]], dim: int, window: int = 5,
@@ -114,18 +115,14 @@ def feature_dim(semantic_dim: int, op_vocab) -> int:
 def feature_matrix(graph: ProvenanceGraph, vocab: SemanticVocab,
                    op_vocab) -> tuple[list[str], np.ndarray]:
     """h0 rows for every node, in the graph's node order, accumulating each
-    node's incident edges in the order of ``graph.incidence``, from the rows
-    of ``graph.edge_columns``. An out-of-vocabulary token counts as zeros. An
-    aggregated edge adds its event multiplicity to the histogram and exposes
-    only its first and last timestamps. A block with no signal (no events, or
-    fewer than two events or equal idle periods) stays zero."""
-    uuids, (src, dst) = list(graph.nodes), graph.edge_columns[:, :2].T
-    # Incidences in edge order: each edge at its source, then at its
-    # destination unless that is the source (a self-loop's second incidence
-    # is -1 and drops out). Per row this is the order of ``graph.incidence``.
-    row = np.stack([src, np.where(dst == src, -1, dst)], axis=1).ravel()
-    incident = graph.edge_columns[np.repeat(np.arange(len(src)), 2)[row >= 0]]
-    row = row[row >= 0]
+    node's incident edges in the row order of ``graph.incidence``. An
+    out-of-vocabulary token counts as zeros. An aggregated edge adds its
+    event multiplicity to the histogram and exposes only its first and last
+    timestamps. A block with no signal (no events, or fewer than two events
+    or equal idle periods) stays zero."""
+    uuids, incidence = list(graph.nodes), graph.incidence
+    row = np.repeat(np.arange(len(uuids)), np.diff(incidence.offsets))
+    incident = graph.edge_columns[incidence.edge_rows]
     # One block at a time, so each block's incidence temporaries are freed
     # before the next is built.
     return uuids, np.hstack([_semantic_block(graph, row, incident, vocab),

@@ -3,21 +3,20 @@
 Events arrive as one JSON object per line (see README for the schema). Repeated
 events with the same (source, destination, operation) inside a temporal window
 are collapsed into a single weighted edge so that high-frequency system noise
-does not explode the graph. A graph is its columns: ``build_graph`` makes them
-from the events, ``save_graph`` writes them and ``load_graph`` hands them back
-to the one checked ``ProvenanceGraph`` constructor, so no edge object is made
-between ingest and detection.
+does not explode the graph. A graph is its columns: ``build_graph`` and
+``union_graph`` make them and ``load_graph`` hands saved ones back to the one
+checked ``ProvenanceGraph`` constructor, and readers take a node's incident
+edges as rows of them through ``incidence``, so no edge object is made.
 """
 
 from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -71,9 +70,6 @@ class ProvEdge:
     weight: int = 1
 
 
-# A graph's edge order: first timestamp, source, destination, operation.
-edge_order = attrgetter("first_ts", "src", "dst", "operation")
-
 # The columns of ``ProvenanceGraph.edge_columns`` and ``<name>.edges.bin``.
 EDGE_COLUMNS = ("src_row", "dst_row", "operation", "first_ts", "last_ts",
                 "weight")
@@ -84,10 +80,10 @@ class ProvenanceGraph:
     distinct ``operations`` of its edges, and ``edge_columns``, a read-only
     int64 (edge count, ``EDGE_COLUMNS``) matrix. Row i holds edge i's endpoint
     node rows, its index into ``operations``, its timestamps and its weight,
-    and rows are in canonical order (first_ts, src row, dst row, operation):
-    the ``edge_order`` of the edges, as rows and indices follow sorted names.
-    Construction checks this form, else raises ValueError. A graph is not
-    changed once built, so its object views are derived on first use."""
+    and rows are in canonical order (first_ts, src row, dst row, operation),
+    which orders (first_ts, src, dst, operation) by name too. Construction
+    checks this form, else raises ValueError. A graph is not changed once
+    built, so its views ``edges`` and ``incidence`` are built on first use."""
 
     def __init__(self, name: str, nodes: dict[str, Entity],
                  operations: list[str], edge_columns: np.ndarray):
@@ -112,24 +108,6 @@ class ProvenanceGraph:
         self.name, self.nodes, self.operations = name, nodes, operations
         self.edge_columns = columns
 
-    @classmethod
-    def from_edges(cls, name: str, nodes: dict[str, Entity],
-                   edges: Iterable[ProvEdge]) -> "ProvenanceGraph":
-        """The graph of ``nodes`` and ``edges`` given in any order; an edge
-        endpoint that is not a node raises ValueError."""
-        nodes = dict(sorted(nodes.items()))
-        edges = sorted(edges, key=edge_order)
-        dangling = {x for e in edges for x in (e.src, e.dst)} - nodes.keys()
-        if dangling:
-            raise ValueError(f"edge endpoint {min(dangling)!r} is not a node")
-        operations = sorted({e.operation for e in edges})
-        row = dict(zip(nodes, range(len(nodes))))
-        op = dict(zip(operations, range(len(operations))))
-        columns = np.array([(row[e.src], row[e.dst], op[e.operation],
-                             e.first_ts, e.last_ts, e.weight) for e in edges],
-                           dtype=np.int64).reshape(-1, len(EDGE_COLUMNS))
-        return cls(name, nodes, operations, columns)
-
     def __eq__(self, other):
         return (isinstance(other, ProvenanceGraph)
                 and (self.name, self.nodes, self.operations)
@@ -146,14 +124,34 @@ class ProvenanceGraph:
                      in self.edge_columns.tolist())
 
     @cached_property
-    def incidence(self) -> dict[str, tuple[ProvEdge, ...]]:
-        """uuid -> the edges touching it, in edge order, for every node."""
-        index: dict[str, list[ProvEdge]] = {uuid: [] for uuid in self.nodes}
-        for edge in self.edges:
-            index[edge.src].append(edge)
-            if edge.dst != edge.src:
-                index[edge.dst].append(edge)
-        return {uuid: tuple(edges) for uuid, edges in index.items()}
+    def incidence(self) -> Incidence:
+        """Each node's incident edge rows, built on first use."""
+        src, dst = self.edge_columns[:, :2].T
+        at = np.r_[src, dst[dst != src]]  # the node row of each incidence
+        edge = np.r_[np.arange(len(src)), np.flatnonzero(dst != src)]
+        edge_rows = edge[np.lexsort((edge, at))]
+        offsets = np.r_[0, np.bincount(at, minlength=len(self.nodes)).cumsum()]
+        edge_rows.flags.writeable = offsets.flags.writeable = False
+        return Incidence(dict(zip(self.nodes, range(len(self.nodes)))),
+                         tuple(self.nodes.values()), offsets, edge_rows,
+                         self.edge_columns)
+
+
+class Incidence(NamedTuple):
+    """Read-only: node row r's incident edges are the ``edge_columns`` rows
+    ``edge_rows[offsets[r]:offsets[r + 1]]``, ascending, a self-loop once.
+    ``row_of`` maps a uuid to its node row, ``nodes`` a row to its entity."""
+    row_of: dict[str, int]
+    nodes: tuple[Entity, ...]
+    offsets: np.ndarray
+    edge_rows: np.ndarray
+    edge_columns: np.ndarray
+
+    def of(self, uuid: str) -> np.ndarray:
+        """The ``edge_columns`` rows of node ``uuid``'s incident edges."""
+        row = self.row_of[uuid]
+        return self.edge_columns.take(
+            self.edge_rows[self.offsets[row]:self.offsets[row + 1]], axis=0)
 
 
 @dataclass
@@ -328,6 +326,32 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
     # Canonical order: by first_ts, and stably so, then by key.
     columns = columns[np.argsort(columns[:, 3], kind="stable")]
     return ProvenanceGraph(name, nodes, operations, columns)
+
+
+def union_graph(graphs: list[ProvenanceGraph]) -> ProvenanceGraph:
+    """Disjoint union used to train one encoder over several benign windows.
+    Each node is keyed ``<position in graphs>:<uuid>``, so a uuid seen in two
+    windows stays two nodes with their own edges, as in the knowledge base.
+    Each graph's node rows and operation indices move to their places in the
+    sorted union, and one stable sort restores canonical row order."""
+    if len(graphs) == 1:
+        return graphs[0]
+    nodes, ops, parts = {}, [], []
+    for position, graph in enumerate(graphs):
+        # rows and indices into the concatenated nodes and operations
+        shift = [len(nodes), len(nodes), len(ops), 0, 0, 0]
+        parts.append(graph.edge_columns + shift)
+        nodes.update((f"{position}:{uuid}", node)
+                     for uuid, node in graph.nodes.items())
+        ops += graph.operations
+    operations, op = _ranked(ops)
+    columns = np.concatenate(parts)
+    columns[:, :2] = _ranked(list(nodes))[1][columns[:, :2]]
+    columns[:, 2] = op[columns[:, 2]]
+    return ProvenanceGraph(
+        "+".join(graph.name for graph in graphs),
+        {name: replace(nodes[name], uuid=name) for name in sorted(nodes)},
+        operations, columns[np.lexsort(columns[:, [2, 1, 0, 3]].T)])
 
 
 # --- serialization ---------------------------------------------------------

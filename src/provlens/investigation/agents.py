@@ -16,8 +16,8 @@ from dataclasses import asdict
 import numpy as np
 
 from ..ingest import Entity
-from ..profiler import (BenignKnowledgeBase, attribute_query, edge_digest,
-                        knn_query)
+from ..profiler import (DIGEST_EDGE_LIMIT, BenignKnowledgeBase,
+                        attribute_query, edge_digest, knn_query)
 from .graphstore import GraphStore
 from .llm import LLMSession
 from .repository import KILL_CHAIN_PHASES, InvestigationRepository
@@ -51,7 +51,7 @@ def analyst_validate(node: Entity, reason: str, similar: list[dict],
                      digest_limit: int = 10) -> tuple[dict, list[str]]:
     """Validate one alert or clue, the store's ``node``, against benign
     reference behavior; returns the validated reply and the node's edge
-    digest the Analyst was shown.
+    digest the Analyst was shown, cut as the references' stored digests are.
 
     Context pairs two retrieval modes: ``similar``, the node's nearest
     benign members by embedding distance (``similar_behavior``), and benign
@@ -68,7 +68,8 @@ def analyst_validate(node: Entity, reason: str, similar: list[dict],
         if len(same_identity) >= SAME_IDENTITY_CAP:
             break
 
-    edges = edge_digest(store.graph, node.uuid, digest_limit)
+    edges = edge_digest(store.graph, node.uuid,
+                        min(digest_limit, DIGEST_EDGE_LIMIT))
     payload = {
         "node_uuid": node.uuid,
         "graph_name": store.graph.name,

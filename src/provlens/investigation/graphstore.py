@@ -9,7 +9,7 @@ import numpy as np
 
 from ..encoder import EncoderParams, forward
 from ..features import SemanticVocab, feature_matrix
-from ..ingest import Entity, ProvenanceGraph, edge_order
+from ..ingest import Entity, ProvenanceGraph
 
 
 @dataclass
@@ -41,26 +41,25 @@ class GraphStore:
 
     def neighborhood(self, uuid: str, cap: int) -> list[dict]:
         """The node's 1-hop neighborhood: the ``cap`` incident edges ranked by
-        weight then recency, presented in temporal order."""
-        edges = sorted(self.graph.incidence[uuid],
-                       key=lambda e: (-e.weight, -e.last_ts, e.src, e.dst,
-                                      e.operation))
-        selected = sorted(edges[:cap], key=edge_order)
+        weight, recency, then (src, dst, operation), listed in row order."""
+        graph, incidence = self.graph, self.graph.incidence
+        row, edges = incidence.row_of[uuid], incidence.of(uuid).tolist()
+        # Positions follow rows, and rows and indices follow sorted names.
+        ranked = sorted(range(len(edges)), key=lambda i: (
+            -edges[i][5], -edges[i][4], edges[i][0], edges[i][1], edges[i][2]))
         entries = []
-        for edge in selected:
-            if edge.src == uuid:
-                other, direction = edge.dst, "out"
-            else:
-                other, direction = edge.src, "in"
-            other_node = self.graph.nodes[other]
+        for i in sorted(ranked[:cap]):
+            src, dst, op, first, last, weight = edges[i]
+            other, direction = (dst, "out") if src == row else (src, "in")
+            other_node = incidence.nodes[other]
             entries.append({
-                "node_uuid": other,
+                "node_uuid": other_node.uuid,
                 "identity": other_node.identity,
                 "kind": other_node.kind,
-                "operation": edge.operation,
+                "operation": graph.operations[op],
                 "direction": direction,
-                "weight": edge.weight,
-                "first_ts": edge.first_ts,
-                "last_ts": edge.last_ts,
+                "weight": weight,
+                "first_ts": first,
+                "last_ts": last,
             })
         return entries

@@ -131,14 +131,13 @@ def compute_radius(members, centroid: np.ndarray, epsilon: float) -> float:
 def edge_digest(graph: ProvenanceGraph, uuid: str,
                 limit: int = DIGEST_EDGE_LIMIT) -> list[str]:
     """Readable one-line summaries of a node's incident edges, temporal order."""
-    lines = []
-    for edge in graph.incidence[uuid][:limit]:
-        if edge.src == uuid:
-            other, arrow = edge.dst, "->"
-        else:
-            other, arrow = edge.src, "<-"
-        lines.append(f"{arrow} {edge.operation} {graph.nodes[other].identity} "
-                     f"w={edge.weight} t=[{edge.first_ts}..{edge.last_ts}]")
+    incidence, lines = graph.incidence, []
+    row, edges = incidence.row_of[uuid], incidence.of(uuid)[:limit].tolist()
+    for src, dst, op, first, last, weight in edges:
+        other, arrow = (dst, "->") if src == row else (src, "<-")
+        lines.append(f"{arrow} {graph.operations[op]} "
+                     f"{incidence.nodes[other].identity} w={weight} "
+                     f"t=[{first}..{last}]")
     return lines
 
 

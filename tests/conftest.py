@@ -1,4 +1,5 @@
 import json
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,11 @@ from hypothesis import strategies as st
 
 from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig
 from provlens.features import SemanticVocab, feature_matrix
-from provlens.ingest import Entity, ProvEdge, ProvenanceGraph, build_graph, parse_events
+from provlens.ingest import (EDGE_COLUMNS, Entity, ProvEdge, ProvenanceGraph,
+                             build_graph, parse_events)
+
+# A graph's edge order: first timestamp, source, destination, operation.
+edge_order = attrgetter("first_ts", "src", "dst", "operation")
 
 
 def make_event(event_id="e1", subject_uuid="s1", object_uuid="o1",
@@ -34,6 +39,24 @@ def graph_from_events(events, window_ns=10_000_000_000, name="g"):
     return build_graph(parsed.events, window_ns, name=name)
 
 
+def from_edges(name, nodes, edges):
+    """The graph of the ``Entity`` map ``nodes`` and the ``ProvEdge``s
+    ``edges`` given in any order; an edge endpoint that is not a node raises
+    ValueError."""
+    nodes = dict(sorted(nodes.items()))
+    edges = sorted(edges, key=edge_order)
+    dangling = {x for e in edges for x in (e.src, e.dst)} - nodes.keys()
+    if dangling:
+        raise ValueError(f"edge endpoint {min(dangling)!r} is not a node")
+    operations = sorted({e.operation for e in edges})
+    row = dict(zip(nodes, range(len(nodes))))
+    op = dict(zip(operations, range(len(operations))))
+    columns = np.array([(row[e.src], row[e.dst], op[e.operation],
+                         e.first_ts, e.last_ts, e.weight) for e in edges],
+                       dtype=np.int64).reshape(-1, len(EDGE_COLUMNS))
+    return ProvenanceGraph(name, nodes, operations, columns)
+
+
 def manual_graph(nodes, edges, name="g"):
     """Graph from raw (uuid, kind, attrs, identity) and edge tuples."""
     node_map = {}
@@ -42,7 +65,7 @@ def manual_graph(nodes, edges, name="g"):
                                 identity=identity)
     edge_objs = [ProvEdge(src=s, dst=d, operation=op, first_ts=f, last_ts=l,
                           weight=w) for (s, d, op, f, l, w) in edges]
-    return ProvenanceGraph.from_edges(name, node_map, edge_objs)
+    return from_edges(name, node_map, edge_objs)
 
 
 def shuffled_graph(graph, order):
@@ -51,9 +74,7 @@ def shuffled_graph(graph, order):
     nodes, edges = list(graph.nodes.values()), list(graph.edges)
     order.shuffle(nodes)
     order.shuffle(edges)
-    return ProvenanceGraph.from_edges(graph.name,
-                                      {node.uuid: node for node in nodes},
-                                      edges)
+    return from_edges(graph.name, {node.uuid: node for node in nodes}, edges)
 
 
 # Graphs for the byte-level oracle tests. "net::none" and "MOUNT" are in no
@@ -100,15 +121,16 @@ def oracle_graphs(draw):
 def oracle_case():
     """``oracle_graphs`` output with every case at once: a self-loop,
     parallel edges, an identity and operations outside the vocabularies, a
-    node without edges (n5), one with one timestamp (n3) and one with equal
-    idle periods (n2)."""
+    node without edges (n5), one with one timestamp (n3), one with equal
+    idle periods (n2) and one whose most recent edges, from n1 and n2, tie in
+    weight and last timestamp in another order than their rows (n4)."""
     nodes = [(u, "subject", {}, identity) for u, identity in [
         ("n0", "subject::a"), ("n1", "subject::b"), ("n2", "file::c"),
         ("n3", "net::none"), ("n4", "subject::b"), ("n5", "subject::a")]]
     edges = [("n0", "n4", "READ", 5, 5, 1), ("n0", "n0", "WRITE", 7, 9, 2),
              ("n0", "n1", "READ", 1, 1, 1), ("n0", "n1", "READ", 1, 1, 1),
              ("n1", "n2", "MOUNT", 0, 0, 1), ("n2", "n4", "EXEC", 10, 20, 1),
-             ("n3", "n4", "READ", 4, 4, 1)]
+             ("n3", "n4", "READ", 4, 4, 1), ("n1", "n4", "WRITE", 15, 20, 1)]
     tokens = ["subject::a", "file::c", "READ", "EXEC"]
     vocab = SemanticVocab(tokens=tokens, vectors=np.random.default_rng(3).normal(
         size=(len(tokens), 2)).astype(np.float32), dim=2, window=1, negatives=1,

@@ -1,6 +1,8 @@
-"""Reference implementations the ingest, encoder, feature and detector tests
-check the production code against byte for byte: the graph built by one walk
-over the sorted events, the neighborhood operator built from per-node neighbor
+"""Reference implementations the ingest, encoder, feature, investigation and
+detector tests check the production code against byte for byte: the graph
+built by one walk over the sorted events, each node's incident edges and the
+readers of them (token summary, edge digest and 1-hop neighborhood) as walks
+over edge objects, the neighborhood operator built from per-node neighbor
 sets, the node feature rows built by one walk over each node's incident edges,
 and the detection rule applied to one node at a time."""
 
@@ -12,8 +14,10 @@ from scipy import sparse
 from provlens.detector import SCORE_DELTA, Alert
 from provlens.errors import ConfigError
 from provlens.features import TEMPORAL_DIM
-from provlens.ingest import Entity, ProvEdge, derive_identity, edge_order
+from provlens.ingest import Entity, ProvEdge, derive_identity
 from provlens.profiler import euclidean_distance
+
+from conftest import edge_order
 
 
 _event_order = attrgetter("timestamp", "subject_uuid", "object_uuid",
@@ -54,6 +58,62 @@ def build_graph(events, window_ns):
     return nodes, operations, rows
 
 
+def incidence(graph):
+    """uuid -> the edges touching it, in edge order, for every node."""
+    index = {uuid: [] for uuid in graph.nodes}
+    for edge in graph.edges:
+        index[edge.src].append(edge)
+        if edge.dst != edge.src:
+            index[edge.dst].append(edge)
+    return {uuid: tuple(edges) for uuid, edges in index.items()}
+
+
+def build_node_summary(node, graph):
+    """Identity label, then incident operations in temporal order."""
+    return [node.identity] + [e.operation for e in incidence(graph)[node.uuid]]
+
+
+def edge_digest(graph, uuid, limit):
+    """Readable one-line summaries of a node's first ``limit`` incident
+    edges, in temporal order."""
+    lines = []
+    for edge in incidence(graph)[uuid][:limit]:
+        if edge.src == uuid:
+            other, arrow = edge.dst, "->"
+        else:
+            other, arrow = edge.src, "<-"
+        lines.append(f"{arrow} {edge.operation} {graph.nodes[other].identity} "
+                     f"w={edge.weight} t=[{edge.first_ts}..{edge.last_ts}]")
+    return lines
+
+
+def neighborhood(graph, uuid, cap):
+    """The ``cap`` incident edges ranked by weight, then recency, then (src,
+    dst, operation), presented in edge order; edges equal in edge order keep
+    their order in the graph."""
+    edges = list(enumerate(incidence(graph)[uuid]))
+    ranked = sorted(edges, key=lambda p: (-p[1].weight, -p[1].last_ts,
+                                          p[1].src, p[1].dst, p[1].operation))
+    entries = []
+    for _, edge in sorted(ranked[:cap], key=lambda p: (edge_order(p[1]), p[0])):
+        if edge.src == uuid:
+            other, direction = edge.dst, "out"
+        else:
+            other, direction = edge.src, "in"
+        other_node = graph.nodes[other]
+        entries.append({
+            "node_uuid": other,
+            "identity": other_node.identity,
+            "kind": other_node.kind,
+            "operation": edge.operation,
+            "direction": direction,
+            "weight": edge.weight,
+            "first_ts": edge.first_ts,
+            "last_ts": edge.last_ts,
+        })
+    return entries
+
+
 def propagation_matrix(graph):
     """Row i averages the undirected 1-hop neighbor set of the i-th node in
     uuid order plus the node itself. Parallel edges count once."""
@@ -85,11 +145,12 @@ def feature_matrix(graph, vocab, op_vocab):
     positions = {op: i for i, op in enumerate(op_vocab)}
     act_end = vocab.dim + len(op_vocab)
     h0 = np.zeros((len(uuids), act_end + TEMPORAL_DIM))
+    incident = incidence(graph)
     for row, uuid in enumerate(uuids):
         tokens = [graph.nodes[uuid].identity]
         counts = np.zeros(len(op_vocab))
         stamps = []
-        for edge in graph.incidence[uuid]:
+        for edge in incident[uuid]:
             tokens.append(edge.operation)
             i = positions.get(edge.operation)
             if i is not None:

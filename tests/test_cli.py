@@ -1031,11 +1031,14 @@ def test_command_idempotence_identical_artifacts(tmp_path):
         assert (one / rel).read_bytes() == (two / rel).read_bytes()
 
 
-def test_ingest_and_detect_build_no_edge_objects(pipeline, tmp_path,
-                                                monkeypatch, capsys):
-    """From the events to the alerts a graph stays its edge columns:
-    ``ingest`` (build, save and the printed edge count) and ``detect`` (load,
-    features, propagation and detection) construct no ``ProvEdge``."""
+def test_the_pipeline_builds_no_edge_objects(pipeline, tmp_path, monkeypatch,
+                                             capsys):
+    """From the events to the report a graph stays its edge columns:
+    ``ingest`` (build, save and the printed edge count), ``detect`` (load,
+    features, propagation and detection), ``train`` on a two-graph union
+    (union, token summaries and features), ``profile`` (the knowledge base's
+    edge digests), ``investigate`` (digests and neighborhoods) and ``report``
+    construct no ``ProvEdge``."""
     source, scenario = pipeline
     artifacts = tmp_path / "artifacts"
     shutil.copytree(source, artifacts)
@@ -1053,6 +1056,13 @@ def test_ingest_and_detect_build_no_edge_objects(pipeline, tmp_path,
     assert main([*DETECT, "--artifacts", str(artifacts)]) == 0
     assert (artifacts / "alerts" / "attack.alerts.jsonl").read_bytes() \
         == alerts
+    assert main(["ingest", "--artifacts", str(artifacts), "--input",
+                 str(scenario / "benign.jsonl"), "--name", "benign2"]) == 0
+    assert main(["train", "--artifacts", str(artifacts), "--graphs",
+                 "benign,benign2", "--epochs", "1"]) == 0
+    for argv in (PROFILE, DETECT, INVESTIGATE, REPORT):
+        assert main([*argv, "--artifacts", str(artifacts)]) == 0
+    assert (artifacts / "investigation" / "attack" / "report.md").exists()
 
 
 # --- BLAS thread count -------------------------------------------------------------

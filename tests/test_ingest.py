@@ -1,6 +1,7 @@
 import json
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provlens.errors import ArtifactError, FormatError
+from provlens.features import build_node_summary
 from provlens.ingest import (
     EDGE_COLUMNS,
     ENTITY_KINDS,
@@ -21,12 +23,15 @@ from provlens.ingest import (
     load_graph,
     parse_events,
     save_graph,
+    union_graph,
 )
+from provlens.investigation import GraphStore
+from provlens.profiler import edge_digest
 
 import graph_oracle
-from conftest import (assert_canonical_json_files, events_to_lines,
+from conftest import (assert_canonical_json_files, events_to_lines, from_edges,
                       graph_from_events, make_event, manual_graph,
-                      shuffled_graph)
+                      oracle_case, oracle_graphs, shuffled_graph)
 
 
 # --- parse_events ------------------------------------------------------------
@@ -265,9 +270,74 @@ def test_incidence_in_edge_order_and_read_only():
     events = [make_event(event_id="e1", timestamp=50, operation="WRITE"),
               make_event(event_id="e2", timestamp=10, operation="READ")]
     graph = graph_from_events(events, window_ns=1)
-    edges = graph.incidence["s1"]
-    assert [e.operation for e in edges] == ["READ", "WRITE"]
-    assert type(edges) is tuple  # no caller can reorder the index
+    rows = graph.incidence.of("s1")
+    assert [graph.operations[op] for op in rows[:, 2]] == ["READ", "WRITE"]
+    # no caller can reorder the index
+    assert not graph.incidence.offsets.flags.writeable
+    assert not graph.incidence.edge_rows.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_graphs())
+@example(oracle_case())
+def test_incidence_readers_equal_the_object_walks(case):
+    """Each node's incident edge rows, its token summary, edge digest and
+    1-hop neighborhood equal the walks over edge objects, at every limit or
+    cap that matters: 0, 1, the node's degree and one more."""
+    graph = case[0]
+    store, walk = GraphStore(graph), graph_oracle.incidence(graph)
+    for uuid, node in graph.nodes.items():
+        assert graph.incidence.of(uuid).tolist() == [
+            graph.edge_columns[graph.edges.index(edge)].tolist()
+            for edge in walk[uuid]]
+        assert build_node_summary(node, graph) \
+            == graph_oracle.build_node_summary(node, graph)
+        for limit in sorted({0, 1, len(walk[uuid]), len(walk[uuid]) + 1}):
+            assert edge_digest(graph, uuid, limit) \
+                == graph_oracle.edge_digest(graph, uuid, limit)
+            assert store.neighborhood(uuid, limit) \
+                == graph_oracle.neighborhood(graph, uuid, limit)
+
+
+def _union_of_edges(graphs):
+    """``union_graph`` built from edge objects: every node and edge copied
+    with its uuids keyed by the graph's position."""
+    if len(graphs) == 1:
+        return graphs[0]
+    nodes, edges = {}, []
+    for position, graph in enumerate(graphs):
+        prefix = f"{position}:"
+        nodes.update((prefix + uuid, replace(node, uuid=prefix + uuid))
+                     for uuid, node in graph.nodes.items())
+        edges += [replace(edge, src=prefix + edge.src, dst=prefix + edge.dst)
+                  for edge in graph.edges]
+    return from_edges("+".join(g.name for g in graphs), nodes, edges)
+
+
+def _window(position):
+    """A small graph; odd and even positions use disjoint operations, and
+    every window names s0 and o0 at equal stamps."""
+    ops = ["READ", "WRITE"] if position % 2 else ["EXECUTE", "CONNECT"]
+    events = [make_event(event_id=f"e{i}", subject_uuid=f"s{i % 3}",
+                         object_uuid=f"o{i * (position + 1) % 4}",
+                         operation=ops[i % 2], timestamp=i * 5 % 13)
+              for i in range(2 + position)]
+    return graph_from_events(events, window_ns=3, name=f"w{position}")
+
+
+EDGELESS = manual_graph([("s9", "subject", {}, "subject::p")], [],
+                        name="edgeless")
+
+
+@pytest.mark.parametrize("graphs", [
+    [_window(0)],
+    [_window(0), _window(1)],
+    [_window(p) for p in range(11)] + [EDGELESS],
+], ids=["1", "2", "12"])
+def test_union_graph_equals_the_union_of_edge_objects(graphs):
+    union = union_graph(graphs)
+    assert union == _union_of_edges(graphs)
+    assert len(union.edge_columns) == sum(len(g.edge_columns) for g in graphs)
 
 
 def test_graph_with_a_dangling_edge_endpoint_raises():

@@ -241,6 +241,30 @@ def test_analyst_scripted_passthrough():
     assert edges == edge_digest(graph, "ben-1", 10)
 
 
+def test_analyst_digest_is_cut_as_the_reference_digests_are():
+    """With 30 leads per IOC, a node of 31 edges shows the Analyst as many
+    digest lines as a stored benign digest holds, not 30."""
+    events = [make_event(event_id=f"{uuid}{i}", subject_uuid=uuid,
+                         object_uuid=f"{uuid}-f{i}", operation="WRITE",
+                         timestamp=i, subject_attrs={"name": "editor"},
+                         object_attrs={"path": f"/tmp/{uuid}{i}"})
+              for uuid, count in (("hub", 31), ("peer", 25))
+              for i in range(count)]
+    graph = graph_from_events(events, name="day1")
+    kb = BenignKnowledgeBase(epsilon=0.02, uuids=["peer"],
+                             labels=["subject::editor"],
+                             embeddings=np.zeros((1, 2)),
+                             digests=[edge_digest(graph, "peer")])
+    payloads = []
+    run_investigation([make_alert("hub")], GraphStore.build([graph]), kb,
+                      capturing_backend(payloads),
+                      default_budget(max_leads_per_ioc=30))
+    shown = payloads[0]
+    assert shown["edges"] == edge_digest(graph, "hub", profiler.DIGEST_EDGE_LIMIT)
+    assert len(shown["edges"]) \
+        == len(shown["same_identity"][0]["edges"]) == profiler.DIGEST_EDGE_LIMIT
+
+
 def test_analyst_benign_when_digest_matches_same_identity_member():
     graph = attack_graph()
     store = GraphStore.build([graph])

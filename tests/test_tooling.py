@@ -130,10 +130,9 @@ def test_only_the_agents_module_names_knn_query():
 
 def test_only_the_ingest_module_constructs_graphs_and_edges():
     """Only ``ingest`` calls the ``ProvenanceGraph`` constructor (in
-    ``build_graph``, ``load_graph`` and ``ProvenanceGraph.from_edges``) or
-    ``ProvEdge`` by name. A call through a module or class attribute counts;
-    ``ProvenanceGraph.from_edges(...)`` does not, and neither does a copy
-    such as ``dataclasses.replace(edge, ...)``."""
+    ``build_graph``, ``union_graph`` and ``load_graph``) or ``ProvEdge`` by
+    name. A call through a module or class attribute counts, such as
+    ``ingest.ProvEdge(...)``."""
     constructors = {"ProvenanceGraph", "ProvEdge"}
     calling = []
     for path in sorted(PACKAGE.rglob("*.py")):
