@@ -6,6 +6,13 @@ identity label are pulled together (and every other batch member pushed
 apart) by a temperature-scaled softmax over cosine similarities. Forward and
 backward passes are written out explicitly so gradients can be audited against
 finite differences.
+
+The passes take one neighborhood operator per layer. Inference uses the
+whole-graph operator at every layer; a training step uses its batch's
+receptive field (``batch_field``): only the rows the batch's loss reads and,
+layer by layer, the rows those read, as in GraphSAGE's minibatch algorithm
+(Hamilton et al., arXiv:1706.02216). Each of those rows aggregates the same
+entries in the same order as in the whole graph.
 """
 
 from __future__ import annotations
@@ -45,13 +52,13 @@ class EncoderParams:
 
 @dataclass
 class ContrastiveBatch:
-    """Row indices into the graph's node list. ``anchors[i]`` pairs with
-    ``positives[i]``; every member other than those two is a negative.
-    Members are distinct; anchors and positives may repeat, and a positive
-    need not be a member."""
-    anchors: list[int]
-    positives: list[int]
-    members: list[int]
+    """Row indices into the graph's node list, as lists or integer arrays.
+    ``anchors[i]`` pairs with ``positives[i]``; every member other than those
+    two is a negative. Members are distinct; anchors and positives may repeat,
+    and a positive need not be a member."""
+    anchors: list[int] | np.ndarray
+    positives: list[int] | np.ndarray
+    members: list[int] | np.ndarray
 
     def __len__(self) -> int:
         return len(self.anchors)
@@ -89,6 +96,52 @@ def propagation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def batch_field(prop: sparse.csr_matrix, batch: ContrastiveBatch,
+                num_layers: int) -> tuple[list[sparse.csr_matrix],
+                                          ContrastiveBatch]:
+    """The receptive field of a batch: per-layer operators that compute only
+    the rows its loss reads, ``members ∪ positives`` in ascending order, and
+    the batch renumbered to positions in those rows.
+
+    ``ops[-1]`` is ``prop`` restricted to those rows; going back a layer, the
+    next operator's rows are the columns the later one reads. Each operator's
+    columns are renumbered in ascending order, except that ``ops[0]`` keeps
+    the global columns and applies to the whole feature matrix. Every row
+    keeps ``prop``'s entries in their order, so its sums are the whole
+    graph's, and so is its embedding wherever BLAS computes a row of a dense
+    product the same way whatever the number of rows."""
+    n = prop.shape[0]
+    marked = np.zeros(n, dtype=bool)
+    marked[batch.members] = True
+    marked[batch.positives] = True
+    position = np.cumsum(marked) - 1
+    local = ContrastiveBatch(anchors=position[batch.anchors],
+                             positives=position[batch.positives],
+                             members=position[batch.members])
+    rows = np.flatnonzero(marked)
+    ops = []
+    for layer in reversed(range(num_layers)):
+        starts = prop.indptr[rows]
+        counts = prop.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=prop.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        entries = (np.arange(indptr[-1])
+                   + np.repeat(starts - indptr[:-1], counts))
+        cols, data = prop.indices[entries], prop.data[entries]
+        if layer == 0:
+            ops.append(sparse.csr_matrix((data, cols, indptr),
+                                         shape=(len(rows), n)))
+            break
+        marked = np.zeros(n, dtype=bool)
+        marked[cols] = True
+        position = (np.cumsum(marked) - 1).astype(prop.indices.dtype)
+        inputs = np.flatnonzero(marked)
+        ops.append(sparse.csr_matrix((data, position[cols], indptr),
+                                     shape=(len(rows), len(inputs))))
+        rows = inputs
+    return ops[::-1], local
+
+
 # activation -> (function, derivative), for each name KNOWN_OPERATORS lists
 ACTIVATIONS = {
     "relu": (lambda s: np.maximum(s, 0.0),
@@ -98,9 +151,10 @@ ACTIVATIONS = {
 }
 
 
-def forward_pass(prop: sparse.csr_matrix, h0: np.ndarray,
+def forward_pass(ops: list[sparse.csr_matrix], h0: np.ndarray,
                  params: EncoderParams):
-    """Run all layers, returning final embeddings and the per-layer cache
+    """Run all layers, layer ``l`` aggregating with ``ops[l]``, returning the
+    final embeddings of ``ops[-1]``'s rows and the per-layer cache
     (aggregated inputs and pre-activations) needed for backpropagation."""
     if h0.shape[1] != params.dims[0]:
         raise ConfigError(
@@ -108,8 +162,8 @@ def forward_pass(prop: sparse.csr_matrix, h0: np.ndarray,
             f"dimension {params.dims[0]}")
     h = h0
     agg_cache, pre_cache = [], []
-    for w in params.weights:
-        aggregated = prop @ h
+    for op, w in zip(ops, params.weights):
+        aggregated = op @ h
         pre = aggregated @ w.T
         agg_cache.append(aggregated)
         pre_cache.append(pre)
@@ -117,10 +171,11 @@ def forward_pass(prop: sparse.csr_matrix, h0: np.ndarray,
     return h, (agg_cache, pre_cache)
 
 
-def backward_pass(prop: sparse.csr_matrix, params: EncoderParams, cache,
+def backward_pass(ops: list[sparse.csr_matrix], params: EncoderParams, cache,
                   d_out: np.ndarray) -> list[np.ndarray]:
     """Gradients of a scalar loss w.r.t. every layer weight matrix, given the
-    loss gradient w.r.t. the final embeddings."""
+    operators and cache of ``forward_pass`` and the loss gradient w.r.t. the
+    final embeddings."""
     agg_cache, pre_cache = cache
     grads: list[np.ndarray] = [np.zeros_like(w) for w in params.weights]
     g = d_out
@@ -128,7 +183,7 @@ def backward_pass(prop: sparse.csr_matrix, params: EncoderParams, cache,
         d_pre = g * ACTIVATIONS[params.activation][1](pre_cache[l])
         grads[l] = d_pre.T @ agg_cache[l]
         if l > 0:
-            g = prop.T @ (d_pre @ params.weights[l])
+            g = ops[l].T @ (d_pre @ params.weights[l])
     return grads
 
 
@@ -136,7 +191,7 @@ def forward(graph: ProvenanceGraph, h0: np.ndarray,
             params: EncoderParams) -> np.ndarray:
     """Embed the graph's nodes from their feature rows ``h0``, in the graph's
     node order. Deterministic and read-only."""
-    z, _ = forward_pass(propagation_matrix(graph),
+    z, _ = forward_pass([propagation_matrix(graph)] * params.num_layers,
                         np.asarray(h0, dtype=np.float64), params)
     return z
 
@@ -273,8 +328,10 @@ def canonical_eval_batch(groups: list[list[int]],
 
 def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
           config: EncoderConfig, seed: int) -> TrainResult:
-    """SGD over sampled contrastive batches; full-graph forward per step.
-    ``h0`` maps every node of ``graph`` to its feature row.
+    """SGD over sampled contrastive batches. ``h0`` maps every node of
+    ``graph`` to its feature row. Each step computes embeddings, loss and
+    gradients on its batch's receptive field only (``batch_field``), not on
+    the whole graph.
 
     The loss trace holds one entry per epoch, evaluated on a fixed canonical
     batch so the trace is comparable across epochs. Weights are rounded to
@@ -290,7 +347,8 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
     prop = propagation_matrix(graph)
     groups = identity_groups([node.identity for node in graph.nodes.values()])
     rng = np.random.default_rng(seed)
-    eval_batch = canonical_eval_batch(groups)
+    eval_ops, eval_batch = batch_field(prop, canonical_eval_batch(groups),
+                                       params.num_layers)
 
     batches_per_epoch = max(1, math.ceil(len(matrix) / config.batch_size))
     trace: list[float] = []
@@ -299,15 +357,16 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
             batch = sample_contrastive_batch(groups, config.batch_size, rng)
             if not batch.anchors:
                 continue
-            z, cache = forward_pass(prop, matrix, params)
+            ops, batch = batch_field(prop, batch, params.num_layers)
+            z, cache = forward_pass(ops, matrix, params)
             loss, dz = batch_loss_grad(z, batch, config.temperature)
             if not math.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss {loss} at epoch {epoch} step {step}")
-            grads = backward_pass(prop, params, cache, dz)
+            grads = backward_pass(ops, params, cache, dz)
             for w, dw in zip(params.weights, grads):
                 w -= config.learning_rate * dw
-        z, _ = forward_pass(prop, matrix, params)
+        z, _ = forward_pass(eval_ops, matrix, params)
         epoch_loss = batch_loss(z, eval_batch, config.temperature)
         if not math.isfinite(epoch_loss):
             raise TrainingError(f"non-finite evaluation loss after epoch {epoch}")

@@ -10,6 +10,7 @@ from provlens.config import KNOWN_OPERATORS, EncoderConfig
 from provlens.encoder import (
     ACTIVATIONS,
     ContrastiveBatch,
+    batch_field,
     batch_loss,
     batch_loss_grad,
     backward_pass,
@@ -113,6 +114,93 @@ def test_aggregation_invariant_to_edge_order():
         [("b", "c", "READ", 1, 1, 1), ("a", "b", "READ", 0, 0, 1)])
     z2 = forward(reversed_graph, h0, params)
     assert np.array_equal(z1, z2)
+
+
+# --- batch receptive field -------------------------------------------------------
+
+def field_graph(n, edges):
+    """Graph of rows ``n00 ..`` in row order, from (row, row) edges."""
+    return manual_graph([(f"n{i:02d}", "subject", {}, "i") for i in range(n)],
+                        [(f"n{s:02d}", f"n{d:02d}", "READ", 0, 0, 1)
+                         for s, d in edges])
+
+
+def field_case(graph, dims, activation, seed, batch):
+    prop = propagation_matrix(graph)
+    h0 = np.random.default_rng(seed).normal(size=(prop.shape[0], dims[0]))
+    return prop, h0, init_params(dims, activation=activation, seed=seed), batch
+
+
+@st.composite
+def field_cases(draw):
+    """(prop, h0, params, batch): a graph whose rows from ``linked`` on have
+    no edges, 1 to 3 layers, and anchors drawn from the distinct members with
+    repeats and positives from every row, so a positive may lie outside the
+    members.
+
+    Batches have two or more members, as every training batch has, and layer
+    widths are at least two. numpy sends a product with one row or one output
+    column to BLAS dot or gemv instead of gemm, and those give a row that
+    depends on the other rows."""
+    n = draw(st.integers(2, 14))
+    linked = draw(st.integers(1, n))
+    end = st.integers(0, linked - 1)
+    edges = draw(st.lists(st.tuples(end, end), max_size=3 * n))
+    dims = [draw(st.integers(1, 4))] + draw(
+        st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    members = draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
+    anchors = draw(st.lists(st.sampled_from(members), max_size=6))
+    positives = draw(st.lists(st.integers(0, n - 1), min_size=len(anchors),
+                              max_size=len(anchors)))
+    return field_case(field_graph(n, edges), dims,
+                      draw(st.sampled_from(KNOWN_OPERATORS["activation"])),
+                      draw(st.integers(0, 2 ** 16)),
+                      ContrastiveBatch(anchors=anchors, positives=positives,
+                                       members=members))
+
+
+def named_field_case():
+    """A path 0-1-2-3-4, a pair 5-6 and a row 7 without edges; positives 5
+    and 1 lie outside the members, and rows 2, 4 and 6 are computed only by
+    the first layer, for the last layer to read."""
+    graph = field_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)])
+    batch = ContrastiveBatch(anchors=[0, 3, 0], positives=[5, 1, 7],
+                             members=[7, 0, 3])
+    return field_case(graph, [3, 4, 2], "tanh", 11, batch)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_cases())
+@example(named_field_case())
+def test_batch_field_matches_whole_graph(case):
+    """The field's embeddings, loss and loss gradient are bitwise the whole
+    graph's on the batch's rows; its weight gradients differ only by the
+    order of their sums, by at most 1e-12 of the sum of the terms'
+    magnitudes, which ``backward_pass`` gives on absolute values."""
+    prop, h0, params, batch = case
+    rows = sorted(set(batch.members) | set(batch.positives))
+    ops, local = batch_field(prop, batch, params.num_layers)
+    for part in ("anchors", "positives", "members"):
+        assert np.array_equal(np.asarray(rows)[getattr(local, part)],
+                              getattr(batch, part))
+    whole = [prop] * params.num_layers
+    z, cache = forward_pass(whole, h0, params)
+    z_field, cache_field = forward_pass(ops, h0, params)
+    assert z_field.tobytes() == z[rows].tobytes()
+    loss, dz = batch_loss_grad(z, batch, 0.5)
+    loss_field, dz_field = batch_loss_grad(z_field, local, 0.5)
+    assert np.float64(loss_field).tobytes() == np.float64(loss).tobytes()
+    assert dz_field.tobytes() == dz[rows].tobytes()
+    grads = backward_pass(whole, params, cache, dz)
+    magnitude = EncoderParams(dims=params.dims,
+                              weights=[np.abs(w) for w in params.weights],
+                              activation=params.activation)
+    scales = backward_pass(whole, magnitude,
+                           ([np.abs(a) for a in cache[0]], cache[1]),
+                           np.abs(dz))
+    for got, want, scale in zip(
+            backward_pass(ops, params, cache_field, dz_field), grads, scales):
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 # --- contrastive loss ------------------------------------------------------------
@@ -390,6 +478,49 @@ def test_train_reduces_canonical_loss_and_separates_clusters():
     assert intra > inter
 
 
+def test_train_steps_compute_only_the_batch_field(monkeypatch):
+    """On a graph much larger than a batch, ``train`` reaches the four traced
+    names through the module once per step, and each step's forward pass
+    returns only the rows of ``members ∪ positives``."""
+    import provlens.encoder as module
+    graph, h0 = two_cluster_graph(per_cluster=30)
+    config = EncoderConfig(embedding_dim=3, num_layers=2, epochs=2,
+                           batch_size=4)
+    calls = []
+
+    def spy(name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((name, result))
+            return result
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("sample_contrastive_batch", "forward_pass",
+                 "batch_loss_grad", "backward_pass"):
+        spy(name)
+    train(graph, h0, config, seed=5)
+
+    steps, i = 0, 0
+    for _ in range(config.epochs):
+        for _ in range(math.ceil(len(graph.nodes) / config.batch_size)):
+            name, batch = calls[i]
+            assert name == "sample_contrastive_batch"
+            i += 1
+            if not batch.anchors:
+                continue
+            assert [name for name, _ in calls[i:i + 3]] == [
+                "forward_pass", "batch_loss_grad", "backward_pass"]
+            z, _ = calls[i][1]
+            assert len(z) == len(set(batch.members) | set(batch.positives))
+            i += 3
+            steps += 1
+        assert calls[i][0] == "forward_pass"  # the epoch's evaluation
+        i += 1
+    assert i == len(calls) and steps > 0
+
+
 def test_train_aborts_on_nonfinite_loss():
     graph, h0 = two_cluster_graph()
     h0 = {u: np.full(3, np.nan) for u in h0}
@@ -408,8 +539,20 @@ def relative_error(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-4)
 
 
-def finite_difference_check(seed, activation):
-    """Analytic gradients of the batch loss against central differences."""
+def whole_graph(prop, groups, num_layers):
+    """The canonical batch over every row, with ``prop`` at every layer."""
+    return [prop] * num_layers, canonical_eval_batch(groups)
+
+
+def first_rows_field(prop, groups, num_layers):
+    """The receptive field of the canonical batch of the first two rows,
+    whose last operator leaves out the rows that batch does not read."""
+    return batch_field(prop, canonical_eval_batch(groups, cap=2), num_layers)
+
+
+def finite_difference_check(seed, activation, operators=whole_graph):
+    """Analytic gradients of the batch loss against central differences,
+    through the per-layer operators and batch that ``operators`` builds."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 7))
     dims = [int(rng.integers(2, 5)) for _ in range(3)]
@@ -422,15 +565,15 @@ def finite_difference_check(seed, activation):
     uuids = sorted(graph.nodes)
     h0 = rng.normal(size=(n, dims[0]))
     params = init_params(dims, activation=activation, seed=seed)
-    prop = propagation_matrix(graph)
-
-    batch = canonical_eval_batch(
-        identity_groups([graph.nodes[u].identity for u in uuids]))
-    if not batch.anchors:
+    ops, batch = operators(
+        propagation_matrix(graph),
+        identity_groups([graph.nodes[u].identity for u in uuids]),
+        params.num_layers)
+    if len(batch) == 0:
         return None
 
     def loss_fn():
-        z, cache = forward_pass(prop, h0, params)
+        z, cache = forward_pass(ops, h0, params)
         loss, dz = batch_loss_grad(z, batch, 0.5)
         return loss, cache, dz
 
@@ -440,7 +583,7 @@ def finite_difference_check(seed, activation):
         for pre in cache[1]:
             if np.min(np.abs(pre)) < 1e-3:
                 return None
-    analytic = backward_pass(prop, params, cache, dz)
+    analytic = backward_pass(ops, params, cache, dz)
 
     step = 1e-5
     worst = 0.0
@@ -463,16 +606,19 @@ def test_activation_table_covers_the_known_activations():
 
 def test_gradients_match_finite_differences():
     activations = ["identity", "tanh", "relu"]
-    checked = 0
-    seed = 0
-    while checked < 20:
-        worst = finite_difference_check(seed, activations[seed % 3])
-        seed += 1
-        if worst is None:
-            continue
-        checked += 1
-        assert worst <= 1e-4, f"gradient mismatch {worst} at seed {seed - 1}"
-    assert checked == 20
+    for operators in (whole_graph, first_rows_field):
+        checked = 0
+        seed = 0
+        while checked < 20:
+            worst = finite_difference_check(seed, activations[seed % 3],
+                                            operators)
+            seed += 1
+            if worst is None:
+                continue
+            checked += 1
+            assert worst <= 1e-4, (f"gradient mismatch {worst} at seed "
+                                   f"{seed - 1} through {operators.__name__}")
+        assert checked == 20
 
 
 # --- serialization ---------------------------------------------------------------
