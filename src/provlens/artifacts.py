@@ -68,7 +68,8 @@ def reading(path):
                             path=str(path)) from exc
 
 
-def _parent_made(path) -> Path:
+def parent_made(path) -> Path:
+    """``path`` as a Path, with its parent directory made."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
@@ -156,13 +157,13 @@ def read_blob(path, dtype, shape) -> np.ndarray:
 def write_json(path, obj, indent: int | None = None) -> None:
     text = (encode(obj) if indent is None
             else json.dumps(obj, sort_keys=True, indent=indent))
-    _parent_made(path).write_text(text + "\n", encoding="utf-8")
+    parent_made(path).write_text(text + "\n", encoding="utf-8")
 
 
 def write_jsonl(path, records: Iterable[dict]) -> None:
-    with open(_parent_made(path), "w", encoding="utf-8") as fh:
+    with open(parent_made(path), "w", encoding="utf-8") as fh:
         fh.writelines(encode(record) + "\n" for record in records)
 
 
 def write_blob(path, array, dtype) -> None:
-    _parent_made(path).write_bytes(np.asarray(array).astype(dtype).tobytes())
+    parent_made(path).write_bytes(np.asarray(array).astype(dtype).tobytes())

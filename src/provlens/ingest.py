@@ -60,16 +60,6 @@ class Entity:
     identity: str
 
 
-@dataclass
-class ProvEdge:
-    src: str
-    dst: str
-    operation: str
-    first_ts: int
-    last_ts: int
-    weight: int = 1
-
-
 # The columns of ``ProvenanceGraph.edge_columns`` and ``<name>.edges.bin``.
 EDGE_COLUMNS = ("src_row", "dst_row", "operation", "first_ts", "last_ts",
                 "weight")
@@ -83,7 +73,7 @@ class ProvenanceGraph:
     and rows are in canonical order (first_ts, src row, dst row, operation),
     which orders (first_ts, src, dst, operation) by name too. Construction
     checks this form, else raises ValueError. A graph is not changed once
-    built, so its views ``edges`` and ``incidence`` are built on first use."""
+    built, so its ``incidence`` view is built on first use."""
 
     def __init__(self, name: str, nodes: dict[str, Entity],
                  operations: list[str], edge_columns: np.ndarray):
@@ -114,14 +104,10 @@ class ProvenanceGraph:
                 == (other.name, other.nodes, other.operations)
                 and np.array_equal(self.edge_columns, other.edge_columns))
 
-    @cached_property
-    def edges(self) -> tuple[ProvEdge, ...]:
-        """The edges as objects, in row order."""
-        uuids, ops = list(self.nodes), self.operations
-        return tuple(ProvEdge(uuids[src], uuids[dst], ops[op], first, last,
-                              weight)
-                     for src, dst, op, first, last, weight
-                     in self.edge_columns.tolist())
+    @property
+    def edges(self) -> np.ndarray:
+        """``edge_columns``, under the name the benchmark's build hook reads."""
+        return self.edge_columns
 
     @cached_property
     def incidence(self) -> Incidence:

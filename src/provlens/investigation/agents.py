@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
-import numpy as np
-
 from ..ingest import Entity
 from ..profiler import (DIGEST_EDGE_LIMIT, BenignKnowledgeBase,
                         attribute_query, edge_digest, knn_query)
@@ -26,26 +24,18 @@ SAME_IDENTITY_CAP = 5
 
 
 def similar_behavior(uuids: list[str], kb: BenignKnowledgeBase,
-                     store: GraphStore, knn_k: int,
-                     digest_limit: int) -> dict[str, list[dict]]:
-    """Each of the store's nodes ``uuids`` mapped to the Analyst's similar
-    behavior for it: its nearest benign members by embedding distance, each
-    with its edge digest, fetched for all of them through one ``knn_query``.
-    A node without an embedding has none."""
-    similar: dict[str, list[dict]] = {uuid: [] for uuid in uuids}
-    embedded = [uuid for uuid in similar if uuid in store.embeddings]
-    if embedded:
-        queries = np.stack([store.embeddings[uuid] for uuid in embedded])
-        for uuid, nearest in zip(embedded, knn_query(kb, queries, knn_k)):
-            similar[uuid] = [{"node_uuid": kb.uuids[row],
-                              "identity": kb.labels[row],
-                              "distance": round(distance, 6),
-                              "edges": kb.digests[row][:digest_limit]}
-                             for row, distance in nearest]
-    return similar
+                     store: GraphStore, knn_k: int
+                     ) -> dict[str, list[tuple[int, float]]]:
+    """Each of the store's nodes ``uuids`` mapped to its nearest benign
+    members by embedding distance, as ``(row, distance)`` pairs, fetched for
+    all of them through one ``knn_query``."""
+    row_of = store.graph.incidence.row_of
+    queries = store.embeddings[[row_of[uuid] for uuid in uuids]]
+    return dict(zip(uuids, knn_query(kb, queries, knn_k)))
 
 
-def analyst_validate(node: Entity, reason: str, similar: list[dict],
+def analyst_validate(node: Entity, reason: str,
+                     similar: list[tuple[int, float]],
                      kb: BenignKnowledgeBase, store: GraphStore,
                      session: LLMSession,
                      digest_limit: int = 10) -> tuple[dict, list[str]]:
@@ -53,11 +43,12 @@ def analyst_validate(node: Entity, reason: str, similar: list[dict],
     reference behavior; returns the validated reply and the node's edge
     digest the Analyst was shown, cut as the references' stored digests are.
 
-    Context pairs two retrieval modes: ``similar``, the node's nearest
-    benign members by embedding distance (``similar_behavior``), and benign
-    members sharing the node's identity (expected behavior), each with their
-    edge digests. Malformed model output falls back to BENIGN with zero
-    confidence.
+    Context pairs two retrieval modes: ``similar``, the ``(row, distance)``
+    pairs of the node's nearest benign members by embedding distance
+    (``similar_behavior``), and benign members sharing the node's identity
+    (expected behavior), each shown with its edge digest cut at
+    ``digest_limit`` lines. Malformed model output falls back to BENIGN with
+    zero confidence.
     """
     same_identity = []
     for row in attribute_query(kb, node.identity):
@@ -67,6 +58,10 @@ def analyst_validate(node: Entity, reason: str, similar: list[dict],
                               "edges": kb.digests[row][:digest_limit]})
         if len(same_identity) >= SAME_IDENTITY_CAP:
             break
+    similar = [{"node_uuid": kb.uuids[row], "identity": kb.labels[row],
+                "distance": round(distance, 6),
+                "edges": kb.digests[row][:digest_limit]}
+               for row, distance in similar]
 
     edges = edge_digest(store.graph, node.uuid,
                         min(digest_limit, DIGEST_EDGE_LIMIT))

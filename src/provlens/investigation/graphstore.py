@@ -3,7 +3,7 @@ embeddings for the agents. An investigation covers exactly one graph."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,23 +14,22 @@ from ..ingest import Entity, ProvenanceGraph
 
 @dataclass
 class GraphStore:
+    """``graph`` and ``embeddings``, its (nodes × d) ``forward`` matrix whose
+    row i embeds node row i."""
     graph: ProvenanceGraph
-    embeddings: dict[str, np.ndarray] = field(default_factory=dict)
+    embeddings: np.ndarray
 
     @classmethod
-    def build(cls, graphs, params: EncoderParams | None = None,
-              vocab: SemanticVocab | None = None,
-              op_vocab=None) -> "GraphStore":
-        """The store of the one graph in ``graphs``, with its embeddings when
-        ``params`` and ``vocab`` are given; another count raises ValueError."""
+    def build(cls, graphs, params: EncoderParams, vocab: SemanticVocab,
+              op_vocab) -> "GraphStore":
+        """The store of the one graph in ``graphs``, embedded by ``params``;
+        another count raises ValueError."""
         if len(graphs) != 1:
             raise ValueError(f"an investigation covers one graph, "
                              f"got {len(graphs)}")
-        store = cls(graph=graphs[0])
-        if params is not None and vocab is not None:
-            uuids, h0 = feature_matrix(store.graph, vocab, op_vocab)
-            store.embeddings = dict(zip(uuids, forward(store.graph, h0, params)))
-        return store
+        graph = graphs[0]
+        return cls(graph, forward(graph, feature_matrix(graph, vocab,
+                                                        op_vocab)[1], params))
 
     def target(self, lead: dict) -> Entity | None:
         """The node ``lead`` names, or None when it names another graph or a

@@ -60,7 +60,7 @@ class _Orchestrator:
                                   max_llm_calls=budget.max_llm_calls,
                                   repo=repo)
         # similar behavior fetched ahead for pending leads
-        self.similar: dict[str, list[dict]] = {}
+        self.similar: dict[str, list[tuple[int, float]]] = {}
 
     def ask_analyst(self, node: Entity, reason: str,
                     origin: str) -> tuple[dict, list[str]]:
@@ -77,8 +77,7 @@ class _Orchestrator:
                 if self.store.target(lead) is not None:
                     block[lead["node_uuid"]] = None
             self.similar.update(similar_behavior(
-                list(block), self.kb, self.store, self.knn_k,
-                self.budget.max_leads_per_ioc))
+                list(block), self.kb, self.store, self.knn_k))
         reply, edges = analyst_validate(
             node, reason, self.similar.pop(node.uuid), self.kb, self.store,
             self.session, digest_limit=self.budget.max_leads_per_ioc)

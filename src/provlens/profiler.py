@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (keys, read_blob, read_json, read_jsonl, reading,
-                        write_blob, write_json, write_jsonl)
+from .artifacts import (keys, parent_made, read_blob, read_json, read_jsonl,
+                        reading, write_blob, write_json, write_jsonl)
 from .encoder import EncoderParams, forward
 from .errors import ConfigError
 from .features import SemanticVocab, feature_matrix
@@ -238,7 +238,7 @@ def attribute_query(kb: BenignKnowledgeBase, identity: str) -> range:
 
 def export_embeddings(kb: BenignKnowledgeBase, path: str | Path) -> None:
     """CSV dump (uuid, identity, z components) for external visualization."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(parent_made(path), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["uuid", "identity"]
                         + [f"z{i}" for i in range(kb.embedding_dim)])

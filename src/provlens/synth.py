@@ -107,13 +107,20 @@ def default_scenario(num_identities: int = 5, nodes_per_identity: int = 50,
     }
 
 
+def _count(value) -> bool:
+    """Whether ``value`` is a non-negative integer (a bool is not)."""
+    return type(value) is int and value >= 0
+
+
 def _validate_scenario(spec: dict) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("scenario spec must be a JSON object")
     spec = dict(spec)
     identities = spec.get("identities")
-    if not identities:
-        raise ConfigError("scenario spec needs a non-empty 'identities' list")
+    if (not identities or type(identities) is not list
+            or any(type(t) is not dict for t in identities)):
+        raise ConfigError("scenario spec needs a non-empty 'identities' list "
+                          "of objects")
     names = [t.get("name") for t in identities]
     if len(set(names)) != len(names) or not all(names):
         raise ConfigError("identity template names must be unique and non-empty")
@@ -131,8 +138,11 @@ def _validate_scenario(spec: dict) -> dict:
                     f"template {template['name']!r} uses operations outside "
                     f"the vocabulary: {sorted(unknown)}")
     anomalies = spec.get("anomalies", [])
+    if type(anomalies) is not list:
+        raise ConfigError("scenario spec field 'anomalies' must be a list")
     for anomaly in anomalies:
-        if anomaly.get("claimed") not in names or anomaly.get("behavior") not in names:
+        if (type(anomaly) is not dict or anomaly.get("claimed") not in names
+                or anomaly.get("behavior") not in names):
             raise ConfigError("anomaly 'claimed'/'behavior' must name templates")
         if anomaly["claimed"] == anomaly["behavior"]:
             raise ConfigError("anomaly must swap two different identities")
@@ -141,9 +151,15 @@ def _validate_scenario(spec: dict) -> dict:
     spec.setdefault("events_per_node", [20, 40])
     spec.setdefault("start_ts", DEFAULT_START_TS)
     spec.setdefault("base_gap_ns", DEFAULT_BASE_GAP_NS)
-    lo, hi = spec["events_per_node"]
-    if lo < 1 or hi < lo:
-        raise ConfigError("events_per_node must be an increasing positive pair")
+    for name in ("seed", "nodes_per_identity", "start_ts", "base_gap_ns"):
+        if not _count(spec[name]):
+            raise ConfigError(f"scenario spec field {name!r} must be a "
+                              "non-negative integer")
+    pair = spec["events_per_node"]
+    if not (type(pair) is list and len(pair) == 2 and all(map(_count, pair))
+            and 1 <= pair[0] <= pair[1]):
+        raise ConfigError("scenario spec field 'events_per_node' must be an "
+                          "increasing pair of positive integers")
     return spec
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
@@ -8,11 +9,31 @@ from hypothesis import strategies as st
 
 from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig
 from provlens.features import SemanticVocab, feature_matrix
-from provlens.ingest import (EDGE_COLUMNS, Entity, ProvEdge, ProvenanceGraph,
+from provlens.ingest import (EDGE_COLUMNS, Entity, ProvenanceGraph,
                              build_graph, parse_events)
+
+
+@dataclass
+class ProvEdge:
+    """One edge as an object, the form the oracles walk."""
+    src: str
+    dst: str
+    operation: str
+    first_ts: int
+    last_ts: int
+    weight: int = 1
+
 
 # A graph's edge order: first timestamp, source, destination, operation.
 edge_order = attrgetter("first_ts", "src", "dst", "operation")
+
+
+def edge_objects(graph):
+    """The rows of ``graph.edge_columns`` as ``ProvEdge``s, in row order."""
+    uuids, ops = list(graph.nodes), graph.operations
+    return [ProvEdge(uuids[src], uuids[dst], ops[op], first, last, weight)
+            for src, dst, op, first, last, weight
+            in graph.edge_columns.tolist()]
 
 
 def make_event(event_id="e1", subject_uuid="s1", object_uuid="o1",
@@ -71,7 +92,7 @@ def manual_graph(nodes, edges, name="g"):
 def shuffled_graph(graph, order):
     """``graph`` built again from its nodes and edges in the order the
     ``random.Random`` ``order`` shuffles them into."""
-    nodes, edges = list(graph.nodes.values()), list(graph.edges)
+    nodes, edges = list(graph.nodes.values()), edge_objects(graph)
     order.shuffle(nodes)
     order.shuffle(edges)
     return from_edges(graph.name, {node.uuid: node for node in nodes}, edges)

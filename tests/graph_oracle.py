@@ -14,10 +14,10 @@ from scipy import sparse
 from provlens.detector import SCORE_DELTA, Alert
 from provlens.errors import ConfigError
 from provlens.features import TEMPORAL_DIM
-from provlens.ingest import Entity, ProvEdge, derive_identity
+from provlens.ingest import Entity, derive_identity
 from provlens.profiler import euclidean_distance
 
-from conftest import edge_order
+from conftest import ProvEdge, edge_objects, edge_order
 
 
 _event_order = attrgetter("timestamp", "subject_uuid", "object_uuid",
@@ -61,7 +61,7 @@ def build_graph(events, window_ns):
 def incidence(graph):
     """uuid -> the edges touching it, in edge order, for every node."""
     index = {uuid: [] for uuid in graph.nodes}
-    for edge in graph.edges:
+    for edge in edge_objects(graph):
         index[edge.src].append(edge)
         if edge.dst != edge.src:
             index[edge.dst].append(edge)
@@ -120,7 +120,7 @@ def propagation_matrix(graph):
     uuids = sorted(graph.nodes)
     pos = {u: i for i, u in enumerate(uuids)}
     neighbor_sets = [{i} for i in range(len(uuids))]
-    for edge in graph.edges:
+    for edge in edge_objects(graph):
         i, j = pos[edge.src], pos[edge.dst]
         neighbor_sets[i].add(j)
         neighbor_sets[j].add(i)

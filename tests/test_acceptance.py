@@ -19,7 +19,7 @@ from provlens.encoder import ContrastiveBatch, batch_loss_grad
 from provlens.investigation import InvestigationBudget
 from provlens.profiler import compute_centroid, compute_radius, euclidean_distance
 
-from conftest import EMPTY_VOCAB, feature_blocks, manual_graph
+from conftest import EMPTY_VOCAB, edge_objects, feature_blocks, manual_graph
 from scripted_llm import RecordingLLM
 from test_investigation import TRUTH, default_budget, run_chain
 
@@ -59,7 +59,7 @@ def test_equation_oracles():
         graph = random_star_graph(rng)
         got = feature_blocks(graph, EMPTY_VOCAB, DEFAULT_OP_VOCAB)[1]
         counts = [0.0] * len(DEFAULT_OP_VOCAB)
-        for edge in graph.edges:
+        for edge in edge_objects(graph):
             counts[DEFAULT_OP_VOCAB.index(edge.operation)] += edge.weight
         norm = math.sqrt(sum(c * c for c in counts))
         oracle = [c / norm if norm else 0.0 for c in counts]
@@ -70,7 +70,7 @@ def test_equation_oracles():
         graph = random_star_graph(rng)
         got = feature_blocks(graph, EMPTY_VOCAB, DEFAULT_OP_VOCAB)[2]
         stamps = []
-        for edge in graph.edges:
+        for edge in edge_objects(graph):
             stamps.append(edge.first_ts)
             if edge.last_ts != edge.first_ts:
                 stamps.append(edge.last_ts)

@@ -29,8 +29,9 @@ from provlens.investigation import GraphStore
 from provlens.profiler import edge_digest
 
 import graph_oracle
-from conftest import (assert_canonical_json_files, events_to_lines, from_edges,
-                      graph_from_events, make_event, manual_graph,
+from conftest import (assert_canonical_json_files, edge_objects,
+                      events_to_lines, from_edges, graph_from_events,
+                      make_event, manual_graph,
                       oracle_case, oracle_graphs, shuffled_graph)
 
 
@@ -188,8 +189,8 @@ def test_parse_unreadable_path():
 def test_aggregation_merges_within_window():
     events = [make_event(event_id=f"e{i}", timestamp=i) for i in range(3)]
     graph = graph_from_events(events, window_ns=10)
-    assert len(graph.edges) == 1
-    edge = graph.edges[0]
+    assert len(graph.edge_columns) == 1
+    edge = edge_objects(graph)[0]
     assert (edge.weight, edge.first_ts, edge.last_ts) == (3, 0, 2)
 
 
@@ -197,16 +198,16 @@ def test_aggregation_partitions_by_operation():
     events = [make_event(event_id="e1", operation="READ"),
               make_event(event_id="e2", operation="WRITE")]
     graph = graph_from_events(events, window_ns=10)
-    assert len(graph.edges) == 2
-    assert all(e.weight == 1 for e in graph.edges)
+    assert len(graph.edge_columns) == 2
+    assert all(e.weight == 1 for e in edge_objects(graph))
 
 
 def test_aggregation_window_gap_opens_new_edge():
     events = [make_event(event_id="e1", timestamp=0),
               make_event(event_id="e2", timestamp=15)]
     graph = graph_from_events(events, window_ns=10)
-    assert len(graph.edges) == 2
-    assert all(e.weight == 1 for e in graph.edges)
+    assert len(graph.edge_columns) == 2
+    assert all(e.weight == 1 for e in edge_objects(graph))
 
 
 def test_window_anchored_at_first_event():
@@ -214,7 +215,7 @@ def test_window_anchored_at_first_event():
     events = [make_event(event_id=f"e{i}", timestamp=t)
               for i, t in enumerate([0, 8, 14])]
     graph = graph_from_events(events, window_ns=10)
-    weights = sorted(e.weight for e in graph.edges)
+    weights = sorted(e.weight for e in edge_objects(graph))
     assert weights == [1, 2]
 
 
@@ -222,7 +223,7 @@ def test_graph_invariants():
     events = [make_event(event_id=f"e{i}", subject_uuid=f"s{i % 2}",
                          timestamp=i * 5) for i in range(6)]
     graph = graph_from_events(events, window_ns=7)
-    for edge in graph.edges:
+    for edge in edge_objects(graph):
         assert edge.src in graph.nodes and edge.dst in graph.nodes
         assert edge.first_ts <= edge.last_ts
         assert edge.weight >= 1
@@ -245,9 +246,10 @@ def test_weight_conservation_under_permutation(events, rnd):
     rnd.shuffle(shuffled)
     graph = graph_from_events(events, window_ns=13)
     graph_shuffled = graph_from_events(shuffled, window_ns=13)
-    assert sum(e.weight for e in graph.edges) == len(events)
+    assert sum(e.weight for e in edge_objects(graph)) == len(events)
     key = lambda e: (e.src, e.dst, e.operation, e.first_ts, e.last_ts, e.weight)
-    assert sorted(map(key, graph.edges)) == sorted(map(key, graph_shuffled.edges))
+    assert sorted(map(key, edge_objects(graph))) \
+        == sorted(map(key, edge_objects(graph_shuffled)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -255,7 +257,7 @@ def test_weight_conservation_under_permutation(events, rnd):
 def test_aggregation_idempotent_on_expanded_edges(events):
     graph = graph_from_events(events, window_ns=13)
     expanded = []
-    for i, edge in enumerate(graph.edges):
+    for i, edge in enumerate(edge_objects(graph)):
         for j in range(edge.weight):
             ts = edge.first_ts if j < edge.weight - 1 else edge.last_ts
             expanded.append(make_event(
@@ -263,7 +265,8 @@ def test_aggregation_idempotent_on_expanded_edges(events):
                 object_uuid=edge.dst, operation=edge.operation, timestamp=ts))
     rebuilt = graph_from_events(expanded, window_ns=13)
     key = lambda e: (e.src, e.dst, e.operation, e.first_ts, e.last_ts, e.weight)
-    assert sorted(map(key, rebuilt.edges)) == sorted(map(key, graph.edges))
+    assert sorted(map(key, edge_objects(rebuilt))) \
+        == sorted(map(key, edge_objects(graph)))
 
 
 def test_incidence_in_edge_order_and_read_only():
@@ -285,10 +288,11 @@ def test_incidence_readers_equal_the_object_walks(case):
     1-hop neighborhood equal the walks over edge objects, at every limit or
     cap that matters: 0, 1, the node's degree and one more."""
     graph = case[0]
-    store, walk = GraphStore(graph), graph_oracle.incidence(graph)
+    store = GraphStore(graph, np.zeros((len(graph.nodes), 1)))
+    walk, edges = graph_oracle.incidence(graph), edge_objects(graph)
     for uuid, node in graph.nodes.items():
         assert graph.incidence.of(uuid).tolist() == [
-            graph.edge_columns[graph.edges.index(edge)].tolist()
+            graph.edge_columns[edges.index(edge)].tolist()
             for edge in walk[uuid]]
         assert build_node_summary(node, graph) \
             == graph_oracle.build_node_summary(node, graph)
@@ -310,7 +314,7 @@ def _union_of_edges(graphs):
         nodes.update((prefix + uuid, replace(node, uuid=prefix + uuid))
                      for uuid, node in graph.nodes.items())
         edges += [replace(edge, src=prefix + edge.src, dst=prefix + edge.dst)
-                  for edge in graph.edges]
+                  for edge in edge_objects(graph)]
     return from_edges("+".join(g.name for g in graphs), nodes, edges)
 
 
@@ -488,7 +492,8 @@ def test_graph_save_load_round_trip(tmp_path):
     for uuid in graph.nodes:
         assert loaded.nodes[uuid].identity == graph.nodes[uuid].identity
     key = lambda e: (e.src, e.dst, e.operation, e.first_ts, e.last_ts, e.weight)
-    assert sorted(map(key, loaded.edges)) == sorted(map(key, graph.edges))
+    assert sorted(map(key, edge_objects(loaded))) \
+        == sorted(map(key, edge_objects(graph)))
 
 
 def test_load_graph_missing_artifact(tmp_path):
@@ -544,12 +549,13 @@ def test_saved_graph_loads_equal_and_saves_the_same_bytes(graph, order):
         columns = graph.edge_columns
         node_row = {uuid: i for i, uuid in enumerate(graph.nodes)}
         assert columns.dtype == np.int64 and not columns.flags.writeable
-        assert columns.shape == (len(graph.edges), len(EDGE_COLUMNS))
+        assert columns.shape[1] == len(EDGE_COLUMNS)
         assert columns.tolist() == [
             [node_row[e.src], node_row[e.dst],
              graph.operations.index(e.operation), e.first_ts, e.last_ts,
-             e.weight] for e in graph.edges]
-        assert graph.operations == sorted({e.operation for e in graph.edges})
+             e.weight] for e in edge_objects(graph)]
+        assert graph.operations \
+            == sorted({e.operation for e in edge_objects(graph)})
         edges_file = graph_paths(first, graph.name)["edges"]
         assert edges_file.read_bytes() == columns.astype("<i8").tobytes()
         assert np.array_equal(loaded.edge_columns, columns)
@@ -562,7 +568,7 @@ def test_saved_graph_loads_equal_and_saves_the_same_bytes(graph, order):
 
 def test_the_last_int64_stamp_is_ingested_and_saved(tmp_path):
     graph = graph_from_events([make_event(timestamp=LAST_STAMP)])
-    assert graph.edges[0].first_ts == LAST_STAMP
+    assert edge_objects(graph)[0].first_ts == LAST_STAMP
     save_graph(graph, tmp_path)
     assert load_graph(tmp_path, graph.name) == graph
 

@@ -17,6 +17,8 @@ from provlens.investigation import (
     similar_behavior,
 )
 from provlens import profiler
+from provlens.encoder import forward, init_params
+from provlens.features import feature_dim, feature_matrix
 from provlens.investigation import agents
 from provlens.investigation.llm import (
     FALLBACKS,
@@ -28,8 +30,8 @@ from provlens.investigation.llm import (
 from provlens.investigation.repository import FALLBACK_SUMMARY
 from provlens.profiler import BenignKnowledgeBase, edge_digest
 
-from conftest import (assert_canonical_json_files, graph_from_events,
-                      make_event, manual_graph)
+from conftest import (EMPTY_VOCAB, assert_canonical_json_files,
+                      graph_from_events, make_event, manual_graph)
 from scripted_llm import RecordingLLM, canonical_digest
 
 TRUTH = ("att-a", "att-b", "att-c")
@@ -63,6 +65,12 @@ def benign_kb(graph):
                                labels=["subject::editor"],
                                embeddings=np.zeros((1, 2)),
                                digests=[edge_digest(graph, "ben-1")])
+
+
+def zero_store(graph):
+    """The store of ``graph`` with every node embedded at the origin, in the
+    width of the tests' KBs."""
+    return GraphStore(graph, np.zeros((len(graph.nodes), 2)))
 
 
 def make_alert(uuid, graph_name="day1", score=2.0):
@@ -119,7 +127,7 @@ def default_budget(**overrides):
 
 def run_chain(backend=None, budget=None, alerts=None, repo=None):
     graph = attack_graph()
-    store = GraphStore.build([graph])
+    store = zero_store(graph)
     kb = benign_kb(graph)
     return run_investigation(
         alerts if alerts is not None else [make_alert("att-a")],
@@ -229,7 +237,7 @@ def test_validate_response_parses_fields():
 
 def test_analyst_scripted_passthrough():
     graph = attack_graph()
-    store = GraphStore.build([graph])
+    store = zero_store(graph)
     repo = InvestigationRepository("day1")
     backend = RecordingLLM(handlers={"analyst": lambda p: {
         "verdict": "BENIGN", "confidence": 0.9, "cited_evidence": [],
@@ -256,7 +264,7 @@ def test_analyst_digest_is_cut_as_the_reference_digests_are():
                              embeddings=np.zeros((1, 2)),
                              digests=[edge_digest(graph, "peer")])
     payloads = []
-    run_investigation([make_alert("hub")], GraphStore.build([graph]), kb,
+    run_investigation([make_alert("hub")], zero_store(graph), kb,
                       capturing_backend(payloads),
                       default_budget(max_leads_per_ioc=30))
     shown = payloads[0]
@@ -267,7 +275,7 @@ def test_analyst_digest_is_cut_as_the_reference_digests_are():
 
 def test_analyst_benign_when_digest_matches_same_identity_member():
     graph = attack_graph()
-    store = GraphStore.build([graph])
+    store = zero_store(graph)
     kb = benign_kb(graph)
 
     def faithful(payload):
@@ -307,7 +315,7 @@ def make_validated_ioc(uuid, identity="subject::dropper"):
 
 def test_investigator_returns_scripted_leads():
     graph = attack_graph()
-    store = GraphStore.build([graph])
+    store = zero_store(graph)
     repo = InvestigationRepository("day1")
     session = LLMSession(backend=scripted_chain_backend(), max_llm_calls=10,
                          repo=repo)
@@ -322,7 +330,7 @@ def test_investigator_returns_scripted_leads():
 def test_investigator_isolated_ioc_keeps_phase():
     graph = manual_graph([("lonely", "subject", {"name": "x"}, "subject::x")],
                          [], name="day1")
-    store = GraphStore.build([graph])
+    store = zero_store(graph)
     repo = InvestigationRepository("day1")
     backend = RecordingLLM(handlers={"investigator": lambda p: {
         "event": "quiet", "kill_chain_phase": "IR", "leads": []}})
@@ -335,7 +343,7 @@ def test_investigator_isolated_ioc_keeps_phase():
 
 def test_investigator_requires_validated_status():
     graph = attack_graph()
-    store = GraphStore.build([graph])
+    store = zero_store(graph)
     repo = InvestigationRepository("day1")
     session = LLMSession(backend=scripted_chain_backend(), max_llm_calls=10,
                          repo=repo)
@@ -345,10 +353,43 @@ def test_investigator_requires_validated_status():
         investigator_expand(ioc, store, session, max_leads=5)
 
 
+def tiny_model():
+    """Encoder parameters, a token vocabulary and an operation vocabulary
+    that embed any graph into two dimensions."""
+    op_vocab = ("READ", "WRITE", "EXECUTE")
+    params = init_params([feature_dim(EMPTY_VOCAB.dim, op_vocab), 3, 2],
+                         activation="identity", seed=4)
+    return params, EMPTY_VOCAB, op_vocab
+
+
 @pytest.mark.parametrize("count", [0, 2])
 def test_graph_store_holds_exactly_one_graph(count):
     with pytest.raises(ValueError, match="one graph"):
-        GraphStore.build([attack_graph()] * count)
+        GraphStore.build([attack_graph()] * count, *tiny_model())
+
+
+def test_graph_store_embeds_node_row_i_in_row_i():
+    """The store's matrix is ``forward`` of the graph's feature matrix, bit
+    for bit, and row i embeds node row i: a node's similar behavior in a KB
+    of the store's own rows holds the node's row at distance 0."""
+    graph = attack_graph()
+    params, vocab, op_vocab = tiny_model()
+    store = GraphStore.build([graph], params, vocab, op_vocab)
+    uuids, h0 = feature_matrix(graph, vocab, op_vocab)
+    expected = forward(graph, h0, params)
+    assert store.graph is graph
+    assert store.embeddings.shape == expected.shape == (len(uuids), 2)
+    assert store.embeddings.dtype == expected.dtype
+    assert store.embeddings.tobytes() == expected.tobytes()
+    assert uuids == list(graph.nodes) == list(graph.incidence.row_of)
+    kb = BenignKnowledgeBase(epsilon=0.02, uuids=uuids,
+                             labels=["subject::x"] * len(uuids),
+                             embeddings=store.embeddings,
+                             digests=[[] for _ in uuids])
+    assert len(np.unique(kb.embeddings, axis=0)) > 2  # rows tell nodes apart
+    similar = similar_behavior(uuids, kb, store, len(uuids))
+    for row, uuid in enumerate(uuids):
+        assert (row, 0.0) in similar[uuid]
 
 
 def test_lead_outside_the_graph_is_journaled_invalid():
@@ -757,7 +798,7 @@ class FlakyBackend:
 
 def test_transport_failure_pauses_then_resumes(tmp_path):
     graph = attack_graph()
-    store = GraphStore.build([graph])
+    store = zero_store(graph)
     kb = benign_kb(graph)
     backend = FlakyBackend(scripted_chain_backend(), fail_calls=10)
     repo = run_investigation([make_alert("att-a")], store, kb, backend,
@@ -781,7 +822,7 @@ def test_transport_failure_pauses_then_resumes(tmp_path):
 
 def test_resume_keeps_spent_call_budget(tmp_path):
     graph = attack_graph()
-    store = GraphStore.build([graph])
+    store = zero_store(graph)
     kb = benign_kb(graph)
     backend = FlakyBackend(scripted_chain_backend(), fail_calls=10)
     repo = run_investigation([make_alert("att-a")], store, kb, backend,
@@ -967,8 +1008,7 @@ def flood(monkeypatch):
     uuids = [f"n{i:02d}" for i in range(13)]
     graph = manual_graph([(u, "subject", {"name": "x"}, "subject::x")
                           for u in uuids], [], name="day1")
-    store = GraphStore(graph=graph, embeddings={u: rng.normal(size=4)
-                                                for u in uuids})
+    store = GraphStore(graph, rng.normal(size=(len(uuids), 4)))
     members = [f"m{i:03d}" for i in range(50)]
     kb = BenignKnowledgeBase(epsilon=0.0, uuids=members,
                              labels=["subject::x"] * 50,
@@ -1015,13 +1055,19 @@ def capturing_backend(payloads):
 
 
 def assert_one_node_fetches(payloads, store, kb, budget):
-    """Each payload's similar behavior is that of a one-node fetch."""
+    """Each payload's similar behavior is that of a one-node fetch, rendered
+    with digests cut at the budget's leads per IOC."""
     assert payloads
+    limit = budget.max_leads_per_ioc
     for payload in payloads:
         uuid = payload["node_uuid"]
-        one = similar_behavior([uuid], kb, store, 5, budget.max_leads_per_ioc)
+        one = similar_behavior([uuid], kb, store, 5)
         assert len(one[uuid]) == 5
-        assert payload["similar_behavior"] == one[uuid]
+        assert payload["similar_behavior"] == [
+            {"node_uuid": kb.uuids[row], "identity": kb.labels[row],
+             "distance": round(distance, 6),
+             "edges": kb.digests[row][:limit]}
+            for row, distance in one[uuid]]
 
 
 def test_stage_one_fetches_pending_alerts_in_blocks(monkeypatch):

@@ -7,7 +7,8 @@ every JSON decode and encode to ``provlens.artifacts``. And the
 investigation retrieves through the one name the benchmark traces. And
 importing the CLI leaves ``requests`` unimported. And ``graph_paths`` names
 every file ``save_graph`` writes, which the benchmark deletes by it. And only
-``ingest`` calls the graph and edge constructors."""
+``ingest`` calls the graph constructor, and no module names an edge object,
+so the benchmark's build hook counts edge columns."""
 
 import ast
 import importlib
@@ -16,12 +17,13 @@ import os
 import subprocess
 import sys
 import tokenize
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 from provlens.ingest import graph_paths, save_graph
 
-from conftest import manual_graph
+from conftest import graph_from_events, make_event, manual_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "provlens"
@@ -130,21 +132,48 @@ def test_only_the_agents_module_names_knn_query():
 
 def test_only_the_ingest_module_constructs_graphs_and_edges():
     """Only ``ingest`` calls the ``ProvenanceGraph`` constructor (in
-    ``build_graph``, ``union_graph`` and ``load_graph``) or ``ProvEdge`` by
-    name. A call through a module or class attribute counts, such as
-    ``ingest.ProvEdge(...)``."""
-    constructors = {"ProvenanceGraph", "ProvEdge"}
-    calling = []
+    ``build_graph``, ``union_graph`` and ``load_graph``). A call through a
+    module or class attribute counts, such as ``ingest.ProvenanceGraph(...)``.
+    And no module names ``ProvEdge``: edge objects are the tests' own form."""
+    calling, naming = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
+        name = path.relative_to(PACKAGE).as_posix()
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        calling += [f"{path.relative_to(PACKAGE).as_posix()}:{node.lineno}"
-                    for node in ast.walk(tree) if isinstance(node, ast.Call)
+        calling += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
                     and getattr(node.func, "id",
                                 getattr(node.func, "attr", None))
-                    in constructors]
+                    == "ProvenanceGraph"]
+        with tokenize.open(path) as fh:
+            if any(token.string == "ProvEdge"
+                   for token in tokenize.generate_tokens(fh.readline)):
+                naming.append(name)
     assert [site for site in calling
             if not site.startswith("ingest.py:")] == []
     assert calling  # the walk sees ingest's own calls
+    assert naming == []
+
+
+def test_perfbench_build_hook_counts_edge_columns(monkeypatch):
+    """The ``ingest.build`` count hook, called on a built graph, reports its
+    edge-column rows and allocates no per-edge objects: under a kilobyte
+    for a graph of over a thousand edges."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    events = [make_event(event_id=f"e{i}", subject_uuid=f"s{i % 40}",
+                         object_uuid=f"o{i % 70}", timestamp=i)
+              for i in range(1500)]
+    graph = graph_from_events(events, window_ns=1)
+    assert len(graph.edge_columns) > 1000
+    hook = {span: count for span, _, _, count in layers.TARGETS}
+    tracemalloc.start()
+    try:
+        counts = hook["ingest.build"]({}, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == {"edges": len(graph.edge_columns)}
+    assert peak < 1024
 
 
 FAILING_PROPERTY = '''
