@@ -8,17 +8,20 @@ Every JSONL file has a record count that its writer stores in a JSON header.
 each line is decoded on its own, and each record is encoded to the bytes of
 ``json.dumps(record, sort_keys=True)``, without the per-call set-up of
 ``json.loads`` and ``json.dumps``.
-Readers build records inside one error guard and raise ArtifactError naming
-the file when it is missing, does not decode, holds another number of records
-or values than its writer recorded, a non-finite matrix value, a header
-count or dimension that is not a JSON integer, or a record whose fields
-differ from those its writer wrote or, where the reader checks them, hold
-another JSON type; the CLI reports that as exit
-code 2. The event input of ``ingest`` is opened through the same guard.
+Each writer of an artifact set names its files in one ``*_paths`` dict and
+calls ``seal`` last; its loader calls ``check_seal`` first, so it reads only
+the bytes its writer wrote and checks no field that only a hand edit could
+break. Readers build records inside one error guard and raise ArtifactError
+naming the file when it is missing, does not decode, differs from its seal or
+holds another number of records or values than its writer recorded, or when
+a record of an unsealed input lacks a field or holds one of another JSON
+type; the CLI reports that as exit code 2. The event input of ``ingest`` is
+opened through the same guard.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import reprlib
@@ -34,8 +37,8 @@ from .errors import ArtifactError
 
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"
-_JSON_TYPES = {str: "string", int: "integer", dict: "object", list: "array",
-               bool: "boolean"}
+# The Python types of each JSON type a ``record`` field may be declared as.
+_JSON_TYPES = {"string": (str,), "number": (int, float), "null": (type(None),)}
 
 
 def decode(text: str):
@@ -101,56 +104,49 @@ def _exact(expected: frozenset, obj, counts: tuple = ()) -> dict:
         raise ValueError(f"fields missing {sorted(expected - found)}, "
                          f"unknown {sorted(found - expected)}")
     for name in counts:
-        count_field(obj, name)
+        if type(obj[name]) is not int or obj[name] < 0:
+            raise ValueError(f"{name} {obj[name]!r} is not a non-negative "
+                             f"integer")
     return obj
 
 
 def keys(names: str, counts: str = "") -> Callable[[object], dict]:
     """A build step passing on a JSON object whose keys are exactly the
     space-separated ``names``, so no default fills a missing one, and whose
-    space-separated ``counts`` fields each pass ``count_field``."""
+    space-separated ``counts`` fields each hold a non-negative JSON integer
+    (not a boolean)."""
     return partial(_exact, frozenset(names.split()),
                    counts=tuple(counts.split()))
 
 
-def count_field(obj: dict, name: str) -> int:
-    """Field ``name`` of ``obj`` if it is a non-negative JSON integer (not a
-    boolean); a count or dimension that is anything else raises ValueError."""
-    value = obj[name]
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} {value!r} is not a non-negative integer")
-    return value
-
-
-def record(cls, types: dict[str, type] | None = None
+def record(cls, types: dict[str, str] | None = None
            ) -> Callable[[object], object]:
     """A build step that makes dataclass ``cls`` from a JSON object holding
-    exactly its fields, each field named in ``types`` a JSON value of exactly
-    that Python type (so a boolean is no integer)."""
+    exactly its fields, each field named in ``types`` of one of the
+    space-separated JSON types it gives there: string, number (a boolean is
+    none) or null."""
     expected = frozenset(f.name for f in fields(cls))
-    checks = tuple((types or {}).items())
+    checks = [(name, kinds, tuple(t for kind in kinds.split()
+                                  for t in _JSON_TYPES[kind]))
+              for name, kinds in (types or {}).items()]
 
     def build(obj):
         _exact(expected, obj)
-        for name, kind in checks:
-            if type(obj[name]) is not kind:
+        for name, kinds, allowed in checks:
+            if type(obj[name]) not in allowed:
                 raise ValueError(f"{name} {reprlib.repr(obj[name])} is not "
-                                 f"a JSON {_JSON_TYPES[kind]}")
+                                 f"a JSON {' or '.join(kinds.split())}")
         return cls(**obj)
     return build
 
 
 def read_blob(path, dtype, shape) -> np.ndarray:
-    """A writable array of ``shape`` read from raw ``dtype`` values, every
-    one of them finite."""
+    """A writable array of ``shape`` read from raw ``dtype`` values."""
     with reading(path):
         values = np.fromfile(path, dtype=np.uint8).view(dtype)
     if values.size != math.prod(shape):
         raise ArtifactError(f"artifact {path} holds {values.size} values, "
                             f"expected {math.prod(shape)}", path=str(path))
-    if not np.isfinite(values).all():
-        raise ArtifactError(f"artifact {path} holds a non-finite value",
-                            path=str(path))
     return values.reshape(shape)
 
 
@@ -167,3 +163,28 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
 
 def write_blob(path, array, dtype) -> None:
     parent_made(path).write_bytes(np.asarray(array).astype(dtype).tobytes())
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def seal(paths: dict[str, Path]) -> None:
+    """Record the sha256 of every file of ``paths`` but ``paths["seal"]`` in
+    that file, keyed by its entry, so a renamed or copied set keeps its seal.
+    A writer calls it last."""
+    write_json(paths["seal"], {key: _sha256(path)
+                               for key, path in paths.items() if key != "seal"})
+
+
+def check_seal(paths: dict[str, Path]) -> None:
+    """Raise ArtifactError naming the seal if it is missing (as in a set
+    written before seals) or unreadable, else the first file of ``paths``
+    that is missing or differs from what ``seal`` recorded. A loader calls
+    it first."""
+    files = {key: path for key, path in paths.items() if key != "seal"}
+    digests = read_json(paths["seal"], keys(" ".join(files)))
+    for key, path in files.items():
+        with reading(path):
+            if _sha256(path) != digests[key]:
+                raise ValueError(f"differs from its seal {paths['seal']}")

@@ -22,6 +22,13 @@ from .ingest import ProvenanceGraph
 from .profiler import BenignKnowledgeBase, IdentityProfile, euclidean_distance
 
 SCORE_DELTA = 1e-9
+# The JSON type of each field of an alert. An alerts file may be made by
+# hand (``investigate --alerts``), so it is checked field by field.
+_ALERT_TYPES = {**dict.fromkeys(("node_uuid", "graph_name", "claimed",
+                                 "matched", "violation", "explanation"),
+                                "string"),
+                "deviation": "number", "score": "number",
+                "radius": "number null"}
 
 
 @dataclass
@@ -130,9 +137,11 @@ def save_alerts(alerts: list[Alert], path: str | Path) -> None:
 
 
 def load_alerts(path: str | Path) -> list[Alert]:
-    """The alerts ``save_alerts`` wrote."""
+    """The alerts of ``path``, as ``save_alerts`` writes them; the file is
+    not sealed, so a field of another JSON type raises ArtifactError."""
     header = read_json(_header_path(path), keys("alert_count", "alert_count"))
-    return read_jsonl(path, header["alert_count"], record(Alert))
+    return read_jsonl(path, header["alert_count"],
+                      record(Alert, _ALERT_TYPES))
 
 
 def format_alert_table(alerts: list[Alert]) -> str:

@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .artifacts import (keys, read_blob, read_json, reading, write_blob,
+from .artifacts import (check_seal, read_blob, read_json, seal, write_blob,
                         write_json)
-from .config import KNOWN_OPERATORS, EncoderConfig
+from .config import EncoderConfig
 from .errors import ConfigError, TrainingError
 from .ingest import ProvenanceGraph
 
@@ -381,7 +381,8 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
 def encoder_paths(directory: str | Path) -> dict[str, Path]:
     base = Path(directory)
     return {"header": base / "encoder.json",
-            "weights": base / "encoder.weights.bin"}
+            "weights": base / "encoder.weights.bin",
+            "seal": base / "encoder.seal.json"}
 
 
 def save_params(params: EncoderParams, directory: str | Path) -> None:
@@ -395,20 +396,14 @@ def save_params(params: EncoderParams, directory: str | Path) -> None:
     })
     write_blob(paths["weights"],
                np.concatenate([w.ravel() for w in params.weights]), "<f4")
+    seal(paths)
 
 
 def load_params(directory: str | Path) -> EncoderParams:
     paths = encoder_paths(directory)
-    header = read_json(paths["header"],
-                       keys("activation aggregation dims dtype seed"))
+    check_seal(paths)
+    header = read_json(paths["header"])
     dims = header["dims"]
-    with reading(paths["header"]):
-        for key, known in KNOWN_OPERATORS.items():
-            if header[key] not in known:
-                raise ValueError(f"unknown {key} {header[key]!r}")
-        if type(dims) is not list or any(type(d) is not int or d < 1
-                                         for d in dims):
-            raise ValueError(f"dims {dims!r} are not positive integers")
     shapes = list(zip(dims[1:], dims[:-1]))
     sizes = [rows * cols for rows, cols in shapes]
     raw = read_blob(paths["weights"], "<f4", (sum(sizes),))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (keys, read_blob, read_json, reading, write_blob,
+from .artifacts import (check_seal, read_blob, read_json, seal, write_blob,
                         write_json, write_jsonl)
 from .config import DEFAULT_OP_VOCAB
 from .errors import ConfigError
@@ -204,7 +204,8 @@ def export_features(graph: ProvenanceGraph, h0: np.ndarray, semantic_dim: int,
 
 def vocab_paths(directory: str | Path) -> dict[str, Path]:
     base = Path(directory)
-    return {"header": base / "vocab.json", "vectors": base / "vocab.vectors.bin"}
+    return {"header": base / "vocab.json", "vectors": base / "vocab.vectors.bin",
+            "seal": base / "vocab.seal.json"}
 
 
 def save_vocab(vocab: SemanticVocab, directory: str | Path) -> None:
@@ -220,16 +221,13 @@ def save_vocab(vocab: SemanticVocab, directory: str | Path) -> None:
         "dtype": "<f4",
     })
     write_blob(paths["vectors"], vocab.vectors, "<f4")
+    seal(paths)
 
 
 def load_vocab(directory: str | Path) -> SemanticVocab:
     paths = vocab_paths(directory)
-    header = read_json(paths["header"],
-                       keys("dim dtype epochs negatives op_vocab seed tokens "
-                            "window", "dim epochs negatives window"))
-    with reading(paths["header"]):
-        if type(header["op_vocab"]) is not list:
-            raise ValueError("op_vocab is not a list")
+    check_seal(paths)
+    header = read_json(paths["header"])
     vectors = read_blob(paths["vectors"], "<f4",
                         (len(header["tokens"]), header["dim"]))
     return SemanticVocab(tokens=header["tokens"], vectors=vectors,

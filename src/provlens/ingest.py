@@ -20,8 +20,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .artifacts import (decode, keys, read_blob, read_json, read_jsonl,
-                        reading, record, write_blob, write_json, write_jsonl)
+from .artifacts import (check_seal, decode, read_blob, read_json, read_jsonl,
+                        reading, record, seal, write_blob, write_json,
+                        write_jsonl)
 from .config import DEFAULT_OP_VOCAB
 from .errors import FormatError
 
@@ -348,12 +349,13 @@ def graph_paths(directory: str | Path, name: str) -> dict[str, Path]:
         "header": base / f"{name}.header.json",
         "nodes": base / f"{name}.nodes.jsonl",
         "edges": base / f"{name}.edges.bin",
+        "seal": base / f"{name}.seal.json",
     }
 
 
 def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
     """Write the stored form: the header with the graph's ``operations``, the
-    nodes in node order as JSONL, and ``edge_columns`` as ``<i8``."""
+    nodes in node order as JSONL, ``edge_columns`` as ``<i8``, and the seal."""
     paths = graph_paths(directory, graph.name)
     write_json(paths["header"], {
         "name": graph.name,
@@ -363,45 +365,23 @@ def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
     }, indent=2)
     write_jsonl(paths["nodes"], map(vars, graph.nodes.values()))
     write_blob(paths["edges"], graph.edge_columns, "<i8")
-
-
-_NODE_TYPES = {"uuid": str, "kind": str, "identity": str, "attrs": dict}
-_header_keys = keys("edge_count name node_count operations",
-                    "edge_count node_count")
-
-
-def _graph_header(obj) -> dict:
-    header = _header_keys(obj)
-    operations = header["operations"]
-    if (type(operations) is not list
-            or any(type(op) is not str for op in operations)
-            or operations != sorted(set(operations))):
-        raise ValueError("operations are not sorted distinct strings")
-    return header
+    seal(paths)
 
 
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
-    """The saved graph, built from its files as they are. A record whose
-    field has another JSON type than its writer wrote, a header of another
-    graph than ``name`` or whose ``operations`` is not a sorted list of
-    distinct strings, a nodes file out of strictly ascending uuid order, or
-    an edges matrix of another size than the header records, with an endpoint
-    row or operation index out of range, with rows out of canonical order or
-    using not every operation of the header, raises ArtifactError naming the
+    """The saved graph, built from its files as they are. A file that differs
+    from its seal, a header of another graph than ``name`` (as in a renamed
+    set), or a graph the constructor rejects, raises ArtifactError naming the
     file."""
     paths = graph_paths(directory, name)
-    header = read_json(paths["header"], _graph_header)
+    check_seal(paths)
+    header = read_json(paths["header"])
     with reading(paths["header"]):
         if header["name"] != name:
             raise ValueError(f"holds graph {header['name']!r}, not {name!r}")
-    nodes = read_jsonl(paths["nodes"], header["node_count"],
-                       record(Entity, _NODE_TYPES))
-    uuids = [node.uuid for node in nodes]
-    with reading(paths["nodes"]):  # before the constructor, to name this file
-        if uuids != sorted(set(uuids)):
-            raise ValueError("node uuids are not strictly ascending")
+    nodes = read_jsonl(paths["nodes"], header["node_count"], record(Entity))
     columns = read_blob(paths["edges"], "<i8",
                         (header["edge_count"], len(EDGE_COLUMNS)))
     with reading(paths["edges"]):
-        return ProvenanceGraph(name, dict(zip(uuids, nodes)),
+        return ProvenanceGraph(name, {node.uuid: node for node in nodes},
                                header["operations"], columns)

@@ -7,7 +7,7 @@ with monotonically increasing sequence numbers (no wall-clock timestamps, so
 two identical runs journal byte for byte the same). It stores each fact once:
 the report and the attack graph are rendered from the stored state, and the
 journal is saved only to ``journal.jsonl``, whose length ``repository.json``
-records so that a journal cut at a record boundary is caught.
+records; ``repository_paths`` names both and the seal that covers them.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..artifacts import (count_field, keys, read_json, read_jsonl,
-                         reading, record, write_json, write_jsonl)
+from ..artifacts import (check_seal, read_json, read_jsonl, record, seal,
+                         write_json, write_jsonl)
 
 KILL_CHAIN_PHASES = ("IC", "IR", "CC", "PE", "LM", "MP", "DE", "CT")
 PHASE_NAMES = {
@@ -54,12 +54,6 @@ class Hypothesis:
     target_refs: list[str] = field(default_factory=list)
     status: str = "open"
     spawned_leads: list[str] = field(default_factory=list)
-
-
-# The JSON type of each container and flag field of ``repository.json``.
-_REPOSITORY_TYPES = {"iocs": dict, "hypotheses": list, "evidence": dict,
-                     "expansion_queue": list, "pending_leads": list,
-                     "budget_exhausted": bool, "remediation": list}
 
 
 @dataclass
@@ -148,58 +142,34 @@ class InvestigationRepository:
     @classmethod
     def from_dict(cls, data: dict) -> tuple["InvestigationRepository", int]:
         """The repository ``to_dict`` gave, still without its journal, and
-        the journal's length; a missing or unknown key, a container field of
-        another JSON type, an IOC stored under another uuid than its own, or
-        a reference to an IOC that names none raises."""
+        the journal's length."""
         state = dict(data, journal_entries=[])
-        length = count_field(state, "journal_length")
-        del state["journal_length"]
-        repo = record(cls, _REPOSITORY_TYPES)(state)
-        ioc = record(IOCRecord, {"related_ioc_refs": list})
-        repo.iocs = {u: ioc(r) for u, r in repo.iocs.items()}
-        repo.hypotheses = list(map(
-            record(Hypothesis, {"target_refs": list, "spawned_leads": list}),
-            repo.hypotheses))
-        repo.pending_leads = list(map(
-            keys("graph_name node_uuid reason origin parent"),
-            repo.pending_leads))
-        for uuid, stored in repo.iocs.items():
-            if stored.node_uuid != uuid:
-                raise ValueError(f"IOC {stored.node_uuid!r} is stored as "
-                                 f"{uuid!r}")
-        refs = [*repo.expansion_queue,
-                *(ref for hyp in repo.hypotheses for ref in hyp.target_refs
-                  if ref not in KILL_CHAIN_PHASES),
-                *(ref for stored in repo.iocs.values()
-                  for ref in stored.related_ioc_refs),
-                *(lead["parent"] for lead in repo.pending_leads
-                  if lead["parent"] is not None)]
-        unknown = [ref for ref in refs
-                   if type(ref) is not str or ref not in repo.iocs]
-        if unknown:
-            raise ValueError(f"{unknown[0]!r} names no IOC")
+        length = state.pop("journal_length")
+        repo = record(cls)(state)
+        repo.iocs = {u: record(IOCRecord)(r) for u, r in repo.iocs.items()}
+        repo.hypotheses = list(map(record(Hypothesis), repo.hypotheses))
         return repo, length
 
     def save(self, directory: str | Path) -> None:
-        base = Path(directory)
-        write_json(base / "repository.json", self.to_dict(), indent=2)
-        write_jsonl(base / "journal.jsonl", self.journal_entries)
+        paths = repository_paths(directory)
+        write_json(paths["repository"], self.to_dict(), indent=2)
+        write_jsonl(paths["journal"], self.journal_entries)
+        seal(paths)
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvestigationRepository":
-        """The saved repository; a journal entry out of sequence or without
-        its action raises ArtifactError naming ``journal.jsonl``."""
-        base = Path(directory)
-        path = base / "journal.jsonl"
-        repo, length = read_json(base / "repository.json", cls.from_dict)
-        repo.journal_entries = read_jsonl(path, length)
-        with reading(path):
-            for seq, entry in enumerate(repo.journal_entries):
-                if (not isinstance(entry, dict) or entry.get("seq") != seq
-                        or "action" not in entry):
-                    raise ValueError(f"journal entry {seq} is out of "
-                                     f"sequence or lacks its action")
+        paths = repository_paths(directory)
+        check_seal(paths)
+        repo, length = read_json(paths["repository"], cls.from_dict)
+        repo.journal_entries = read_jsonl(paths["journal"], length)
         return repo
+
+
+def repository_paths(directory: str | Path) -> dict[str, Path]:
+    base = Path(directory)
+    return {"repository": base / "repository.json",
+            "journal": base / "journal.jsonl",
+            "seal": base / "repository.seal.json"}
 
 
 # --- reporting ---------------------------------------------------------------

@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (keys, parent_made, read_blob, read_json, read_jsonl,
-                        reading, write_blob, write_json, write_jsonl)
+from .artifacts import (check_seal, parent_made, read_blob, read_json,
+                        read_jsonl, reading, seal, write_blob, write_json,
+                        write_jsonl)
 from .encoder import EncoderParams, forward
 from .errors import ConfigError
 from .features import SemanticVocab, feature_matrix
@@ -254,6 +255,7 @@ def kb_paths(directory: str | Path) -> dict[str, Path]:
         "header": base / "kb.json",
         "members": base / "kb.members.jsonl",
         "embeddings": base / "kb.embeddings.bin",
+        "seal": base / "kb.seal.json",
     }
 
 
@@ -265,21 +267,14 @@ def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
         {"uuid": uuid, "label": label, "edges": digest}
         for uuid, label, digest in zip(kb.uuids, kb.labels, kb.digests)))
     write_blob(paths["embeddings"], kb.embeddings, "<f8")
-
-
-def _header_from_json(obj) -> dict:
-    header = keys("dim epsilon members", "dim members")(obj)
-    epsilon = header["epsilon"]
-    if type(epsilon) not in (int, float) or not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon {epsilon!r} is not a number in [0, 1)")
-    return header
+    seal(paths)
 
 
 def load_kb(directory: str | Path) -> BenignKnowledgeBase:
     paths = kb_paths(directory)
-    header = read_json(paths["header"], _header_from_json)
-    members = read_jsonl(paths["members"], header["members"],
-                         keys("edges label uuid"))
+    check_seal(paths)
+    header = read_json(paths["header"])
+    members = read_jsonl(paths["members"], header["members"])
     embeddings = read_blob(paths["embeddings"], "<f8",
                            (len(members), header["dim"]))
     with reading(paths["members"]):

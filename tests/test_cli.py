@@ -12,13 +12,14 @@ from provlens import cli
 from provlens.cli import main
 from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig, load_config
 from provlens.detector import load_alerts, save_alerts
-from provlens.encoder import load_params
+from provlens.encoder import encoder_paths, load_params
 from provlens.errors import ArtifactError, LLMTransportError
-from provlens.features import load_vocab
-from provlens.ingest import EDGE_COLUMNS, load_graph
+from provlens.features import load_vocab, vocab_paths
+from provlens.ingest import EDGE_COLUMNS, graph_paths, load_graph
 from provlens.investigation import InvestigationRepository
+from provlens.investigation.repository import repository_paths
 from provlens.investigation.llm import HttpChatLLM, heuristic_mock
-from provlens.profiler import load_kb
+from provlens.profiler import kb_paths, load_kb
 from provlens.synth import default_scenario, generate_scenario, write_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -562,6 +563,75 @@ def _nan_first(dtype):
     return damage
 
 
+def _bump_after(marker):
+    """Damage that adds one to the byte after the first ``marker``: a letter
+    or a digit inside a value that no check of its loader reads."""
+    def damage(path):
+        data = bytearray(path.read_bytes())
+        at = data.index(marker) + len(marker)
+        data[at] += 1
+        path.write_bytes(bytes(data))
+    return damage
+
+
+def _flip_bit(offset):
+    """Damage that flips bit 1 of the byte at ``offset``: the low mantissa
+    byte of a blob's first float, or the low byte of an edge's weight."""
+    def damage(path):
+        data = bytearray(path.read_bytes())
+        data[offset] ^= 2
+        path.write_bytes(bytes(data))
+    return damage
+
+
+def _bump_last_operation(path):
+    """Damage that raises the last letter of the header's last operation, so
+    its operations stay sorted, distinct strings."""
+    header = json.loads(path.read_text())
+    last = header["operations"][-1]
+    header["operations"][-1] = last[:-1] + chr(ord(last[-1]) + 1)
+    path.write_text(json.dumps(header, indent=2))
+
+
+def _in_directory(load):
+    return lambda path: load(path.parent)
+
+
+WEIGHT_BYTE = EDGE_COLUMNS.index("weight") * 8
+_REPOSITORY = _in_directory(InvestigationRepository.load)
+EDITED = [  # one edit per sealed file, each to a value no check reads
+    ("graphs/benign.header.json", _bump_last_operation,
+     _graph_loader("benign"), PROFILE),
+    ("graphs/benign.nodes.jsonl", _bump_after(b'"name": "'),
+     _graph_loader("benign"), PROFILE),
+    ("graphs/benign.edges.bin", _flip_bit(WEIGHT_BYTE),
+     _graph_loader("benign"), PROFILE),
+    ("graphs/attack.header.json", _bump_last_operation,
+     _graph_loader("attack"), DETECT),
+    ("graphs/attack.nodes.jsonl", _bump_after(b'"name": "'),
+     _graph_loader("attack"), DETECT),
+    ("graphs/attack.edges.bin", _flip_bit(WEIGHT_BYTE),
+     _graph_loader("attack"), DETECT),
+    ("model/vocab.json", _bump_after(b'"tokens": ["'),
+     _in_directory(load_vocab), DETECT),
+    ("model/vocab.vectors.bin", _flip_bit(0), _in_directory(load_vocab),
+     DETECT),
+    ("model/encoder.json", _bump_after(b'"dtype": "<'),
+     _in_directory(load_params), DETECT),
+    ("model/encoder.weights.bin", _flip_bit(0), _in_directory(load_params),
+     DETECT),
+    ("kb/kb.json", _bump_after(b'"epsilon": 0.0'), _in_directory(load_kb),
+     DETECT),
+    ("kb/kb.members.jsonl", _bump_after(b'"edges": ["'),
+     _in_directory(load_kb), DETECT),
+    ("kb/kb.embeddings.bin", _flip_bit(0), _in_directory(load_kb), DETECT),
+    ("investigation/attack/repository.json", _bump_after(b'"event": "'),
+     _REPOSITORY, REPORT),
+    ("investigation/attack/journal.jsonl", _bump_after(b'"action": "'),
+     _REPOSITORY, REPORT),
+]
+
+
 def _missing_field(artifact, field, loader, argv):
     return pytest.param(artifact, _without(field), loader, argv,
                         id=f"{Path(artifact).name}-without-{field}")
@@ -576,6 +646,11 @@ DAMAGED = [
     pytest.param("investigation/attack/journal.jsonl", _delete,
                  lambda path: InvestigationRepository.load(path.parent),
                  REPORT, id="journal.jsonl-deleted"),
+    # a byte changed where the loader checks nothing fails through the seal
+    *[pytest.param(*case, id=f"{Path(case[0]).name}-edited")
+      for case in EDITED],
+    pytest.param("graphs/attack.seal.json", _delete, _graph_loader("attack"),
+                 DETECT, id="attack.seal.json-deleted-as-in-an-older-set"),
     _missing_field("investigation/attack/journal.jsonl", "action",
                    lambda path: InvestigationRepository.load(path.parent),
                    REPORT),
@@ -631,6 +706,9 @@ DAMAGED = [
           ("iocs-a-list",
            lambda repo: repo.update(iocs=list(repo["iocs"].values()))),
           ("hypotheses-an-object", lambda repo: repo.update(hypotheses={})),
+          ("paused-evidence-entry-a-number",
+           lambda repo: repo.update(status="paused", evidence={
+               **repo["evidence"], min(repo["evidence"]): 5})),
       ]],
     pytest.param("kb/kb.members.jsonl", _zero_rows,
                  lambda path: load_kb(path.parent), DETECT,
@@ -738,21 +816,38 @@ def test_truncated_artifact_exits_2_and_names_file(pipeline, tmp_path, capsys,
 
 def test_header_operation_that_no_edge_uses_exits_2(pipeline, tmp_path,
                                                      capsys):
-    """A graph's operations are those of its edges, so a header listing one
-    more disagrees with the edges file. As for a header's counts, the
-    error names the file that disagrees with the header."""
+    """A header listing one more operation than its edges use is an edit
+    after the writer sealed the set, so the seal names the header before the
+    constructor, whose "used by no edge" check ``test_ingest`` covers, could
+    name the edges file."""
     source, _ = pipeline
     artifacts = tmp_path / "artifacts"
     shutil.copytree(source, artifacts)
     header = artifacts / "graphs" / "attack.header.json"
     operations = json.loads(header.read_text())["operations"]
     _setting("operations", [*operations, "~UNUSED"])(header)
-    with pytest.raises(ArtifactError, match="used by no edge") as exc:
+    with pytest.raises(ArtifactError, match="differs from its seal") as exc:
         load_graph(header.parent, "attack")
-    assert exc.value.path == str(header.with_name("attack.edges.bin"))
+    assert exc.value.path == str(header)
     capsys.readouterr()
     assert main([*DETECT, "--artifacts", str(artifacts)]) == 2
-    assert "attack.edges.bin" in capsys.readouterr().err
+    assert "attack.header.json" in capsys.readouterr().err
+
+
+def test_every_sealed_file_has_an_edit_case(pipeline):
+    """A sealed set or file added to the pipeline without a case above
+    fails here."""
+    artifacts, _ = pipeline
+    sets = [graph_paths(artifacts / "graphs", "benign"),
+            graph_paths(artifacts / "graphs", "attack"),
+            vocab_paths(artifacts / "model"), encoder_paths(artifacts / "model"),
+            kb_paths(artifacts / "kb"),
+            repository_paths(artifacts / "investigation" / "attack")]
+    assert set(artifacts.rglob("*.seal.json")) \
+        == {paths["seal"] for paths in sets}
+    sealed = {path.relative_to(artifacts).as_posix() for paths in sets
+              for key, path in paths.items() if key != "seal"}
+    assert sealed == {artifact for artifact, *_ in EDITED}
 
 
 def test_every_record_file_has_an_at_record_boundary_case(pipeline):
@@ -795,6 +890,30 @@ def test_investigate_rejects_alerts_of_another_graph(pipeline, tmp_path,
     empty = tmp_path / "empty.alerts.jsonl"
     save_alerts([], empty)
     assert main([*INVESTIGATE, *common, "--alerts", str(empty)]) == 0
+
+
+@pytest.mark.parametrize("field,value", [
+    ("score", "x"), ("explanation", None), ("graph_name", ["attack"]),
+    ("node_uuid", 5), ("radius", "r"), ("deviation", True)])
+def test_an_alerts_file_field_of_another_json_type_exits_2(
+        pipeline, tmp_path, capsys, field, value):
+    """An alerts file is unsealed user input (``--alerts``), so each field
+    is checked: strings, numbers that are not booleans, and a radius that is
+    a number or null."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    alert = load_alerts(artifacts / "alerts" / "attack.alerts.jsonl")[0]
+    path = tmp_path / "hand.alerts.jsonl"
+    save_alerts([alert], path)
+    _first_record(field, value)(path)
+    capsys.readouterr()
+    code = main([*INVESTIGATE, "--artifacts", str(artifacts), "--alerts",
+                 str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error code=missing_artifact" in err and str(path) in err
+    assert field in err
 
 
 class _FailingAfter:

@@ -6,13 +6,15 @@ package or the benchmark. And the modules that own a JSONL artifact leave
 every JSON decode and encode to ``provlens.artifacts``. And the
 investigation retrieves through the one name the benchmark traces. And
 importing the CLI leaves ``requests`` unimported. And ``graph_paths`` names
-every file ``save_graph`` writes, which the benchmark deletes by it. And only
+every file ``save_graph`` writes, which the benchmark deletes by it, and
+each writer's seal covers the other files of its ``*_paths`` dict. And only
 ``ingest`` calls the graph constructor, and no module names an edge object,
 so the benchmark's build hook counts edge columns."""
 
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -21,7 +23,14 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
+from provlens.encoder import encoder_paths, init_params, save_params
+from provlens.features import SemanticVocab, save_vocab, vocab_paths
 from provlens.ingest import graph_paths, save_graph
+from provlens.investigation import InvestigationRepository
+from provlens.investigation.repository import repository_paths
+from provlens.profiler import BenignKnowledgeBase, kb_paths, save_kb
 
 from conftest import graph_from_events, make_event, manual_graph
 
@@ -69,6 +78,37 @@ def test_graph_paths_names_every_file_save_graph_writes(tmp_path):
                          [("s", "s", "READ", 1, 1, 1)], name="w")
     save_graph(graph, tmp_path)
     assert set(tmp_path.iterdir()) == set(graph_paths(tmp_path, "w").values())
+
+
+def _sealed_writers():
+    """Each sealed writer, bound to a tiny object and taking a directory,
+    with the ``*_paths`` function naming what it writes there."""
+    graph = manual_graph([("s", "subject", {}, "subject::a")],
+                         [("s", "s", "READ", 1, 1, 1)], name="w")
+    kb = BenignKnowledgeBase(epsilon=0.1, uuids=["s"], labels=["subject::a"],
+                             embeddings=np.zeros((1, 2)), digests=[[]])
+    vocab = SemanticVocab(tokens=["READ"], vectors=np.zeros((1, 2), "<f4"),
+                          dim=2, window=1, negatives=1, epochs=1, seed=0)
+    repo = InvestigationRepository(graph_name="w")
+    repo.journal("investigation_started")
+    return [
+        (lambda d: save_graph(graph, d), lambda d: graph_paths(d, "w")),
+        (lambda d: save_kb(kb, d), kb_paths),
+        (lambda d: save_vocab(vocab, d), vocab_paths),
+        (lambda d: save_params(init_params([3, 2]), d), encoder_paths),
+        (repo.save, repository_paths)]
+
+
+def test_each_seal_lists_exactly_the_other_files_of_its_set(tmp_path):
+    """A writer seals every file of its ``*_paths`` dict, and writes no
+    other, so a loader's ``check_seal`` covers all it reads."""
+    for i, (write, paths_of) in enumerate(_sealed_writers()):
+        directory = tmp_path / str(i)
+        write(directory)
+        paths = paths_of(directory)
+        assert set(directory.iterdir()) == set(paths.values())
+        sealed = json.loads(paths["seal"].read_text(encoding="utf-8"))
+        assert set(sealed) == set(paths) - {"seal"}
 
 
 def test_every_public_definition_has_a_caller():
