@@ -3,7 +3,6 @@
 Headers are JSON, record streams are JSONL (one object per line) and matrices
 are raw little-endian blobs. Writers create the parent directory and write
 sorted keys plus a trailing newline, so equal objects give equal bytes.
-Every JSONL file has a record count that its writer stores in a JSON header.
 ``decode`` and ``encode`` are the one JSON decoder and encoder of a record:
 each line is decoded on its own, and each record is encoded to the bytes of
 ``json.dumps(record, sort_keys=True)``, without the per-call set-up of
@@ -13,17 +12,16 @@ calls ``seal`` last; its loader calls ``check_seal`` first, so it reads only
 the bytes its writer wrote and checks no field that only a hand edit could
 break. Readers build records inside one error guard and raise ArtifactError
 naming the file when it is missing, does not decode, differs from its seal or
-holds another number of records or values than its writer recorded, or when
-a record of an unsealed input lacks a field or holds one of another JSON
-type; the CLI reports that as exit code 2. The event input of ``ingest`` is
-opened through the same guard.
+is a blob that does not fit the shape its header gives, or when a record of
+an unsealed input lacks a field or holds one of another JSON type; the CLI
+reports that as exit code 2. The event input of ``ingest`` is opened through
+the same guard.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import reprlib
 from contextlib import contextmanager
 from dataclasses import fields
@@ -85,17 +83,11 @@ def read_json(path, build: Callable | None = None):
         return value if build is None else build(value)
 
 
-def read_jsonl(path, count: int, build: Callable | None = None) -> list:
-    """The records of a JSONL file, decoded (and built) one line at a time;
-    a file holding another number of records than the ``count`` its writer
-    recorded, such as one cut at a record boundary, raises ArtifactError."""
+def read_jsonl(path, build: Callable | None = None) -> list:
+    """The records of a JSONL file, decoded (and built) one line at a time."""
     with reading(path), open(path, encoding="utf-8") as fh:
-        records = ([decode(line) for line in fh] if build is None
-                   else [build(decode(line)) for line in fh])
-        if len(records) != count:
-            raise ValueError(f"holds {len(records)} records, its writer "
-                             f"recorded {count}")
-    return records
+        return ([decode(line) for line in fh] if build is None
+                else [build(decode(line)) for line in fh])
 
 
 def _exact(expected: frozenset, obj, counts: tuple = ()) -> dict:
@@ -141,13 +133,10 @@ def record(cls, types: dict[str, str] | None = None
 
 
 def read_blob(path, dtype, shape) -> np.ndarray:
-    """A writable array of ``shape`` read from raw ``dtype`` values."""
+    """A writable array of ``shape`` read from raw ``dtype`` values; a blob
+    of another size raises ArtifactError."""
     with reading(path):
-        values = np.fromfile(path, dtype=np.uint8).view(dtype)
-    if values.size != math.prod(shape):
-        raise ArtifactError(f"artifact {path} holds {values.size} values, "
-                            f"expected {math.prod(shape)}", path=str(path))
-    return values.reshape(shape)
+        return np.fromfile(path, dtype=np.uint8).view(dtype).reshape(shape)
 
 
 def write_json(path, obj, indent: int | None = None) -> None:

@@ -53,14 +53,23 @@ def _investigation_dir(cfg: PipelineConfig, graph_name: str) -> Path:
     return Path(cfg.artifacts_dir) / "investigation" / graph_name
 
 
+def _graph_name(flag: str, name: str) -> str:
+    """``name`` if it can name a graph's files and a ``--graphs`` entry."""
+    if (name in ("", ".", "..") or name != name.strip()
+            or any(char in name for char in "/\\,")):
+        raise ConfigError(f"{flag} {name!r} is not a graph name: non-empty, "
+                          f"not '.' or '..', unpadded, no '/', '\\' or ','")
+    return name
+
+
 def _resolve_graph_names(spec: str | None) -> list[str]:
     """The benign graphs named by ``--graphs``, each once; there is no
     default, because an attack window among them would become benign
     reference behaviour."""
-    names = [name.strip() for name in (spec or "").split(",") if name.strip()]
-    if not names:
+    if spec is None:
         raise ConfigError("--graphs must name the benign graphs, "
                           "comma-separated")
+    names = [_graph_name("--graphs", n.strip()) for n in spec.split(",")]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigError(f"--graphs names {repeated[0]!r} more than once")
@@ -227,6 +236,8 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
         if not isinstance(spec, dict):
             raise ConfigError(f"scenario spec {args.spec} must be a JSON object")
         spec.setdefault("seed", cfg.seed)
+    elif args.anomalies < 0:
+        raise ConfigError("--anomalies must be >= 0")
     else:
         spec = synth.default_scenario(
             num_identities=args.identities,
@@ -324,6 +335,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        for flag in {"name", "graph"} & vars(args).keys():
+            _graph_name(f"--{flag}", vars(args)[flag])
         return args.func(cfg, args)
     except ConfigError as exc:
         print(f"error code=config detail={exc}", file=sys.stderr)

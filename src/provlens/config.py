@@ -27,9 +27,8 @@ DEFAULT_OP_VOCAB = (
     "MODIFY",
 )
 
-# the values the encoder implements, by EncoderConfig field
-KNOWN_OPERATORS = {"activation": ("relu", "tanh", "identity"),
-                   "aggregation": ("mean",)}
+# the activations the encoder implements
+KNOWN_ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 @dataclass
@@ -63,7 +62,6 @@ class EncoderConfig:
     batch_size: int = 256
     temperature: float = 0.1
     activation: str = "relu"
-    aggregation: str = "mean"
 
     def validate(self) -> None:
         if self.embedding_dim < 1 or self.num_layers < 1:
@@ -74,9 +72,8 @@ class EncoderConfig:
             raise ConfigError("temperature must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
-        for key, known in KNOWN_OPERATORS.items():
-            if getattr(self, key) not in known:
-                raise ConfigError(f"unknown {key} {getattr(self, key)!r}")
+        if self.activation not in KNOWN_ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
 
 
 @dataclass

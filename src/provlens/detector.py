@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (encode, keys, read_json, read_jsonl, record,
-                        write_json, write_jsonl)
+from .artifacts import (encode, keys, read_json, read_jsonl, reading,
+                        record, write_json, write_jsonl)
 from .encoder import EncoderParams, forward
 from .errors import ConfigError
 from .features import SemanticVocab, feature_dim, feature_matrix
@@ -137,11 +137,16 @@ def save_alerts(alerts: list[Alert], path: str | Path) -> None:
 
 
 def load_alerts(path: str | Path) -> list[Alert]:
-    """The alerts of ``path``, as ``save_alerts`` writes them; the file is
-    not sealed, so a field of another JSON type raises ArtifactError."""
+    """The alerts of ``path``, as ``save_alerts`` writes them. The file is not
+    sealed, so a field of another JSON type, or a count other than its
+    header's (as in a file cut at a record boundary), raises ArtifactError."""
     header = read_json(_header_path(path), keys("alert_count", "alert_count"))
-    return read_jsonl(path, header["alert_count"],
-                      record(Alert, _ALERT_TYPES))
+    alerts = read_jsonl(path, record(Alert, _ALERT_TYPES))
+    with reading(path):
+        if len(alerts) != header["alert_count"]:
+            raise ValueError(f"holds {len(alerts)} alerts, its header "
+                             f"records {header['alert_count']}")
+    return alerts
 
 
 def format_alert_table(alerts: list[Alert]) -> str:

@@ -42,7 +42,6 @@ class EncoderParams:
     dims: list[int]
     weights: list[np.ndarray]  # weights[l] has shape (dims[l+1], dims[l])
     activation: str = "relu"
-    aggregation: str = "mean"
     seed: int = 0
 
     @property
@@ -71,7 +70,7 @@ class TrainResult:
 
 
 def init_params(dims: list[int], activation: str = "relu",
-                aggregation: str = "mean", seed: int = 0) -> EncoderParams:
+                seed: int = 0) -> EncoderParams:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     if len(dims) < 2:
         raise ConfigError("dims must contain at least input and output sizes")
@@ -80,8 +79,7 @@ def init_params(dims: list[int], activation: str = "relu",
     for l in range(len(dims) - 1):
         bound = 1.0 / math.sqrt(dims[l])
         weights.append(rng.uniform(-bound, bound, size=(dims[l + 1], dims[l])))
-    return EncoderParams(dims=list(dims), weights=weights, activation=activation,
-                         aggregation=aggregation, seed=seed)
+    return EncoderParams(list(dims), weights, activation, seed)
 
 
 def propagation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
@@ -142,7 +140,7 @@ def batch_field(prop: sparse.csr_matrix, batch: ContrastiveBatch,
     return ops[::-1], local
 
 
-# activation -> (function, derivative), for each name KNOWN_OPERATORS lists
+# activation -> (function, derivative), for each name KNOWN_ACTIVATIONS lists
 ACTIVATIONS = {
     "relu": (lambda s: np.maximum(s, 0.0),
              lambda s: (s > 0.0).astype(np.float64)),
@@ -342,8 +340,7 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
         raise ConfigError("cannot train an encoder on an empty graph")
     matrix = np.stack([np.asarray(h0[u], dtype=np.float64) for u in graph.nodes])
     dims = [matrix.shape[1]] + [config.embedding_dim] * config.num_layers
-    params = init_params(dims, activation=config.activation,
-                         aggregation=config.aggregation, seed=seed)
+    params = init_params(dims, activation=config.activation, seed=seed)
     prop = propagation_matrix(graph)
     groups = identity_groups([node.identity for node in graph.nodes.values()])
     rng = np.random.default_rng(seed)
@@ -390,9 +387,7 @@ def save_params(params: EncoderParams, directory: str | Path) -> None:
     write_json(paths["header"], {
         "dims": params.dims,
         "activation": params.activation,
-        "aggregation": params.aggregation,
         "seed": params.seed,
-        "dtype": "<f4",
     })
     write_blob(paths["weights"],
                np.concatenate([w.ravel() for w in params.weights]), "<f4")
@@ -409,6 +404,4 @@ def load_params(directory: str | Path) -> EncoderParams:
     raw = read_blob(paths["weights"], "<f4", (sum(sizes),))
     weights = [part.reshape(shape).astype(np.float64) for part, shape
                in zip(np.split(raw, np.cumsum(sizes)[:-1]), shapes)]
-    return EncoderParams(dims=dims, weights=weights,
-                         activation=header["activation"],
-                         aggregation=header["aggregation"], seed=header["seed"])
+    return EncoderParams(dims, weights, header["activation"], header["seed"])

@@ -218,7 +218,6 @@ def save_vocab(vocab: SemanticVocab, directory: str | Path) -> None:
         "epochs": vocab.epochs,
         "seed": vocab.seed,
         "op_vocab": list(vocab.op_vocab),
-        "dtype": "<f4",
     })
     write_blob(paths["vectors"], vocab.vectors, "<f4")
     seal(paths)

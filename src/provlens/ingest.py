@@ -359,7 +359,6 @@ def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
     paths = graph_paths(directory, graph.name)
     write_json(paths["header"], {
         "name": graph.name,
-        "node_count": len(graph.nodes),
         "edge_count": len(graph.edge_columns),
         "operations": graph.operations,
     }, indent=2)
@@ -379,7 +378,7 @@ def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     with reading(paths["header"]):
         if header["name"] != name:
             raise ValueError(f"holds graph {header['name']!r}, not {name!r}")
-    nodes = read_jsonl(paths["nodes"], header["node_count"], record(Entity))
+    nodes = read_jsonl(paths["nodes"], record(Entity))
     columns = read_blob(paths["edges"], "<i8",
                         (header["edge_count"], len(EDGE_COLUMNS)))
     with reading(paths["edges"]):

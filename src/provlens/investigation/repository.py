@@ -134,21 +134,18 @@ class InvestigationRepository:
 
     def to_dict(self) -> dict:
         """The stored state: everything but the journal, which
-        ``journal.jsonl`` holds, and in its place the journal's length."""
+        ``journal.jsonl`` holds."""
         data = asdict(self)
-        data["journal_length"] = len(data.pop("journal_entries"))
+        del data["journal_entries"]
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> tuple["InvestigationRepository", int]:
-        """The repository ``to_dict`` gave, still without its journal, and
-        the journal's length."""
-        state = dict(data, journal_entries=[])
-        length = state.pop("journal_length")
-        repo = record(cls)(state)
+    def from_dict(cls, data: dict) -> "InvestigationRepository":
+        """The repository ``to_dict`` gave, still without its journal."""
+        repo = record(cls)(dict(data, journal_entries=[]))
         repo.iocs = {u: record(IOCRecord)(r) for u, r in repo.iocs.items()}
         repo.hypotheses = list(map(record(Hypothesis), repo.hypotheses))
-        return repo, length
+        return repo
 
     def save(self, directory: str | Path) -> None:
         paths = repository_paths(directory)
@@ -160,8 +157,8 @@ class InvestigationRepository:
     def load(cls, directory: str | Path) -> "InvestigationRepository":
         paths = repository_paths(directory)
         check_seal(paths)
-        repo, length = read_json(paths["repository"], cls.from_dict)
-        repo.journal_entries = read_jsonl(paths["journal"], length)
+        repo = read_json(paths["repository"], cls.from_dict)
+        repo.journal_entries = read_jsonl(paths["journal"])
         return repo
 
 

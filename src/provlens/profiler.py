@@ -261,8 +261,7 @@ def kb_paths(directory: str | Path) -> dict[str, Path]:
 
 def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
     paths = kb_paths(directory)
-    write_json(paths["header"], {"dim": kb.embedding_dim, "epsilon": kb.epsilon,
-                                 "members": kb.size()})
+    write_json(paths["header"], {"dim": kb.embedding_dim, "epsilon": kb.epsilon})
     write_jsonl(paths["members"], (
         {"uuid": uuid, "label": label, "edges": digest}
         for uuid, label, digest in zip(kb.uuids, kb.labels, kb.digests)))
@@ -274,7 +273,7 @@ def load_kb(directory: str | Path) -> BenignKnowledgeBase:
     paths = kb_paths(directory)
     check_seal(paths)
     header = read_json(paths["header"])
-    members = read_jsonl(paths["members"], header["members"])
+    members = read_jsonl(paths["members"])
     embeddings = read_blob(paths["embeddings"], "<f8",
                            (len(members), header["dim"]))
     with reading(paths["members"]):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from provlens import cli
+from provlens.artifacts import seal
 from provlens.cli import main
 from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig, load_config
 from provlens.detector import load_alerts, save_alerts
@@ -219,6 +220,49 @@ def test_synth_invalid_spec_exits_3(tmp_path, capsys):
         {"name": "ghost", "objects": []}]}), encoding="utf-8")
     code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+BAD_NAMES = {"a,b": "comma", "../escaped": "parent-path", "": "empty",
+             ".": "dot", "..": "dot-dot", " a": "leading-space",
+             "a ": "trailing-space", "x/y": "slash", "x\\y": "backslash"}
+BAD_NAME_RUNS = [
+    *[pytest.param(["ingest", "--input", "{events}", "--name", name],
+                   "--name", id=f"ingest-{case}")
+      for name, case in BAD_NAMES.items()],
+    *[pytest.param([command, "--graph", name, *extra], "--graph",
+                   id=f"{command}-{case}")
+      for command, extra, name, case in [
+          ("detect", [], "../escaped", "parent-path"),
+          ("investigate", ["--llm", "mock"], "..", "dot-dot"),
+          ("report", [], "a,b", "comma"), ("detect", [], "", "empty")]],
+    *[pytest.param([command, "--graphs", spec], "--graphs",
+                   id=f"{command}-{case}")
+      for command, spec, case in [
+          ("train", "benign,../escaped", "parent-path"),
+          ("profile", "benign,", "empty-entry"), ("train", ".", "dot"),
+          ("profile", "x\\y", "backslash")]],
+    pytest.param(["synth", "--out", "{dir}/out", "--anomalies", "-3"],
+                 "--anomalies", id="synth-negative-anomalies"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_NAME_RUNS)
+def test_a_name_that_cannot_name_a_graph_exits_3(tmp_path, capsys, argv,
+                                                 flag):
+    """Every ``--name``, ``--graph`` and ``--graphs`` entry must name files
+    in ``graphs/`` that a ``--graphs`` list can name again, and
+    ``--anomalies`` must not be negative; otherwise the command exits 3
+    naming the flag and writes nothing, under ``graphs/`` or outside it."""
+    events = tmp_path / "scenario" / "benign.jsonl"
+    write_scenario(default_scenario(num_identities=2, nodes_per_identity=3,
+                                    num_anomalies=0), events.parent)
+    before = sorted(tmp_path.rglob("*"))
+    code = main([arg.format(events=events, dir=tmp_path) for arg in argv]
+                + ["--artifacts", str(tmp_path / "artifacts")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error code=config" in err and flag in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("field,value", [
@@ -453,12 +497,13 @@ def _first_record(field, value):
 
 def _first_edge(column, value):
     """Damage that sets ``column`` of the edge blob's first row to what
-    ``value`` gives for the graph's header."""
+    ``value`` gives for the graph's header and its number of nodes."""
     def damage(path):
-        header = json.loads(path.with_name(
-            path.name.replace(".edges.bin", ".header.json")).read_text())
+        stem = path.name.removesuffix(".edges.bin")
+        header = json.loads(path.with_name(f"{stem}.header.json").read_text())
+        nodes = path.with_name(f"{stem}.nodes.jsonl").read_text().splitlines()
         values = np.fromfile(path, dtype="<i8")
-        values[EDGE_COLUMNS.index(column)] = value(header)
+        values[EDGE_COLUMNS.index(column)] = value(header, len(nodes))
         values.tofile(path)
     return damage
 
@@ -527,6 +572,23 @@ def _setting(field, value):
         header[field] = value
         path.write_text(json.dumps(header))
     return damage
+
+
+def _resealed(damage, paths_of):
+    """``damage``, then the set sealed again as its writer would, so the seal
+    passes and a check past it must name the file."""
+    def resealing(path):
+        damage(path)
+        seal(paths_of(path.parent))
+    return resealing
+
+
+def _paused_with_journal_length(path):
+    """Damage that pauses the investigation and stores its journal's length,
+    as ``repository.json`` did before ``journal_length`` was dropped."""
+    length = len(path.with_name("journal.jsonl").read_text().splitlines())
+    _edited(lambda repo: repo.update(status="paused",
+                                     journal_length=length))(path)
 
 
 def _renamed(field, earlier):
@@ -616,7 +678,7 @@ EDITED = [  # one edit per sealed file, each to a value no check reads
      _in_directory(load_vocab), DETECT),
     ("model/vocab.vectors.bin", _flip_bit(0), _in_directory(load_vocab),
      DETECT),
-    ("model/encoder.json", _bump_after(b'"dtype": "<'),
+    ("model/encoder.json", _bump_after(b'"seed": '),
      _in_directory(load_params), DETECT),
     ("model/encoder.weights.bin", _flip_bit(0), _in_directory(load_params),
      DETECT),
@@ -651,6 +713,21 @@ DAMAGED = [
       for case in EDITED],
     pytest.param("graphs/attack.seal.json", _delete, _graph_loader("attack"),
                  DETECT, id="attack.seal.json-deleted-as-in-an-older-set"),
+    # sealed again after the damage: the shape its header gives names a blob
+    *[pytest.param(blob, _resealed(_short_bytes(itemsize), paths_of), loader,
+                   DETECT, id=f"{Path(blob).name}-one-value-short-resealed")
+      for blob, itemsize, paths_of, loader in [
+          ("kb/kb.embeddings.bin", 8, kb_paths, _in_directory(load_kb)),
+          ("model/vocab.vectors.bin", 4, vocab_paths,
+           _in_directory(load_vocab)),
+          ("model/encoder.weights.bin", 4, encoder_paths,
+           _in_directory(load_params)),
+          ("graphs/attack.edges.bin", 8, lambda d: graph_paths(d, "attack"),
+           _graph_loader("attack"))]],
+    pytest.param("investigation/attack/repository.json",
+                 _resealed(_paused_with_journal_length, repository_paths),
+                 _REPOSITORY, RESUME,
+                 id="repository.json-paused-with-journal_length-resealed"),
     _missing_field("investigation/attack/journal.jsonl", "action",
                    lambda path: InvestigationRepository.load(path.parent),
                    REPORT),
@@ -665,7 +742,7 @@ DAMAGED = [
                    lambda path: load_kb(path.parent), DETECT),
     _missing_field("model/vocab.json", "op_vocab",
                    lambda path: load_vocab(path.parent), DETECT),
-    _missing_field("kb/kb.json", "members",
+    _missing_field("kb/kb.json", "dim",
                    lambda path: load_kb(path.parent), DETECT),
     _missing_field("kb/kb.members.jsonl", "uuid",
                    lambda path: load_kb(path.parent), DETECT),
@@ -731,9 +808,9 @@ DAMAGED = [
     pytest.param("model/vocab.json", _quoted("dim"),
                  lambda path: load_vocab(path.parent), DETECT,
                  id="vocab.json-dim-a-string"),
-    pytest.param("graphs/attack.header.json", _quoted("node_count"),
+    pytest.param("graphs/attack.header.json", _quoted("edge_count"),
                  _graph_loader("attack"), DETECT,
-                 id="attack.header.json-node_count-a-string"),
+                 id="attack.header.json-edge_count-a-string"),
     pytest.param("kb/kb.json", _quoted("epsilon"),
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.json-epsilon-a-string"),
@@ -754,7 +831,7 @@ DAMAGED = [
                  id="vocab.vectors.bin-nan"),
     _missing_field("model/vocab.json", "dim",
                    lambda path: load_vocab(path.parent), DETECT),
-    _missing_field("graphs/attack.header.json", "node_count",
+    _missing_field("graphs/attack.header.json", "edge_count",
                    _graph_loader("attack"), DETECT),
     _missing_field("graphs/attack.nodes.jsonl", "identity",
                    _graph_loader("attack"), DETECT),
@@ -768,12 +845,12 @@ DAMAGED = [
                  _graph_loader("attack"), DETECT,
                  id="attack.nodes.jsonl-nested-too-deep"),
     pytest.param("graphs/attack.edges.bin",
-                 _first_edge("dst_row", lambda header: header["node_count"]),
+                 _first_edge("dst_row", lambda header, nodes: nodes),
                  _graph_loader("attack"), DETECT,
                  id="attack.edges.bin-endpoint-row-node_count"),
     pytest.param("graphs/attack.edges.bin",
                  _first_edge("operation",
-                             lambda header: len(header["operations"])),
+                             lambda header, nodes: len(header["operations"])),
                  _graph_loader("attack"), DETECT,
                  id="attack.edges.bin-operation-past-operations"),
     pytest.param("graphs/attack.header.json",
@@ -951,7 +1028,7 @@ def _investigation(artifacts):
         if entry["action"] not in RESUME_ACTIONS and entry not in journal[-1:]:
             journal.append(entry)
     state = repo.to_dict()
-    for key in ("llm_calls_used", "tokens_in", "journal_length"):
+    for key in ("llm_calls_used", "tokens_in"):
         del state[key]
     return state, journal
 

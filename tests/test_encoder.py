@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from provlens.config import KNOWN_OPERATORS, EncoderConfig
+from provlens.config import KNOWN_ACTIVATIONS, EncoderConfig
 from provlens.encoder import (
     ACTIVATIONS,
     ContrastiveBatch,
@@ -82,8 +82,7 @@ def test_forward_matches_hand_matrix_arithmetic():
     matrix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # rows a, b, c
     w0 = np.array([[0.5, -0.25], [0.75, 1.0]])
     w1 = np.array([[1.0, 2.0], [-0.5, 0.25]])
-    params = EncoderParams(dims=[2, 2, 2], weights=[w0, w1],
-                           activation="tanh", aggregation="mean")
+    params = EncoderParams(dims=[2, 2, 2], weights=[w0, w1], activation="tanh")
     z = forward(graph, matrix, params)
 
     # independent straight-line recomputation of the two-layer recurrence
@@ -153,7 +152,7 @@ def field_cases(draw):
     positives = draw(st.lists(st.integers(0, n - 1), min_size=len(anchors),
                               max_size=len(anchors)))
     return field_case(field_graph(n, edges), dims,
-                      draw(st.sampled_from(KNOWN_OPERATORS["activation"])),
+                      draw(st.sampled_from(KNOWN_ACTIVATIONS)),
                       draw(st.integers(0, 2 ** 16)),
                       ContrastiveBatch(anchors=anchors, positives=positives,
                                        members=members))
@@ -421,8 +420,7 @@ def test_train_zero_epochs_returns_initial_params():
     graph, h0 = two_cluster_graph()
     config = EncoderConfig(embedding_dim=3, num_layers=1, epochs=0)
     result = train(graph, h0, config, seed=5)
-    reference = init_params([3, 3], activation=config.activation,
-                            aggregation=config.aggregation, seed=5)
+    reference = init_params([3, 3], activation=config.activation, seed=5)
     ref_weights = [w.astype("<f4").astype(np.float64)
                    for w in reference.weights]
     assert result.loss_trace == []
@@ -453,8 +451,7 @@ def test_train_reduces_canonical_loss_and_separates_clusters():
                                   eval_batch, config.temperature)
         return loss
 
-    initial = init_params([3, 4, 4], activation=config.activation,
-                          aggregation=config.aggregation, seed=5)
+    initial = init_params([3, 4, 4], activation=config.activation, seed=5)
     initial_loss = canonical_loss(embed(graph, h0, initial))
 
     result = train(graph, h0, config, seed=5)
@@ -601,7 +598,7 @@ def finite_difference_check(seed, activation, operators=whole_graph):
 
 
 def test_activation_table_covers_the_known_activations():
-    assert tuple(ACTIVATIONS) == KNOWN_OPERATORS["activation"]
+    assert tuple(ACTIVATIONS) == KNOWN_ACTIVATIONS
 
 
 def test_gradients_match_finite_differences():
@@ -632,7 +629,6 @@ def test_params_save_load_round_trip(tmp_path):
     loaded = load_params(tmp_path)
     assert loaded.dims == result.params.dims
     assert loaded.activation == result.params.activation
-    assert loaded.aggregation == result.params.aggregation
     assert loaded.seed == result.params.seed
     assert len(loaded.weights) == len(result.params.weights)
     for got, want in zip(loaded.weights, result.params.weights):

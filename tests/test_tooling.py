@@ -7,7 +7,8 @@ every JSON decode and encode to ``provlens.artifacts``. And the
 investigation retrieves through the one name the benchmark traces. And
 importing the CLI leaves ``requests`` unimported. And ``graph_paths`` names
 every file ``save_graph`` writes, which the benchmark deletes by it, and
-each writer's seal covers the other files of its ``*_paths`` dict. And only
+each writer's seal covers the other files of its ``*_paths`` dict, and each
+key a writer stores in its JSON header is one its loader reads. And only
 ``ingest`` calls the graph constructor, and no module names an edge object,
 so the benchmark's build hook counts edge columns."""
 
@@ -109,6 +110,38 @@ def test_each_seal_lists_exactly_the_other_files_of_its_set(tmp_path):
         assert set(directory.iterdir()) == set(paths.values())
         sealed = json.loads(paths["seal"].read_text(encoding="utf-8"))
         assert set(sealed) == set(paths) - {"seal"}
+
+
+HEADER_IO = [("ingest.py", "save_graph", "load_graph"),
+             ("profiler.py", "save_kb", "load_kb"),
+             ("features.py", "save_vocab", "load_vocab"),
+             ("encoder.py", "save_params", "load_params")]
+
+
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_each_header_key_a_writer_stores_is_read_by_its_loader():
+    """A key the writer puts in the dict it passes to ``write_json`` for
+    ``paths["header"]`` is read by its loader as ``header["key"]``; one that
+    is not cannot change a result, so it is not stored."""
+    unread = []
+    for module, writer, loader in HEADER_IO:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        written = {key.value for node in ast.walk(_function(tree, writer))
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "write_json"
+                   and ast.unparse(node.args[0]) == "paths['header']"
+                   for key in node.args[1].keys}
+        read = {node.slice.value for node in ast.walk(_function(tree, loader))
+                if isinstance(node, ast.Subscript)
+                and getattr(node.value, "id", None) == "header"
+                and isinstance(node.slice, ast.Constant)}
+        assert written and read, (writer, loader)
+        unread += [f"{writer}: {key}" for key in sorted(written - read)]
+    assert unread == []
 
 
 def test_every_public_definition_has_a_caller():
