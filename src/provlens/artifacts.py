@@ -90,25 +90,14 @@ def read_jsonl(path, build: Callable | None = None) -> list:
                 else [build(decode(line)) for line in fh])
 
 
-def _exact(expected: frozenset, obj, counts: tuple = ()) -> dict:
+def _exact(expected: frozenset, obj) -> dict:
+    """``obj`` if it is a JSON object whose keys are exactly ``expected``, so
+    no default fills a missing one."""
     if type(obj) is not dict or obj.keys() != expected:
         found = obj.keys() if isinstance(obj, dict) else frozenset()
         raise ValueError(f"fields missing {sorted(expected - found)}, "
                          f"unknown {sorted(found - expected)}")
-    for name in counts:
-        if type(obj[name]) is not int or obj[name] < 0:
-            raise ValueError(f"{name} {obj[name]!r} is not a non-negative "
-                             f"integer")
     return obj
-
-
-def keys(names: str, counts: str = "") -> Callable[[object], dict]:
-    """A build step passing on a JSON object whose keys are exactly the
-    space-separated ``names``, so no default fills a missing one, and whose
-    space-separated ``counts`` fields each hold a non-negative JSON integer
-    (not a boolean)."""
-    return partial(_exact, frozenset(names.split()),
-                   counts=tuple(counts.split()))
 
 
 def record(cls, types: dict[str, str] | None = None
@@ -172,7 +161,7 @@ def check_seal(paths: dict[str, Path]) -> None:
     that is missing or differs from what ``seal`` recorded. A loader calls
     it first."""
     files = {key: path for key, path in paths.items() if key != "seal"}
-    digests = read_json(paths["seal"], keys(" ".join(files)))
+    digests = read_json(paths["seal"], partial(_exact, frozenset(files)))
     for key, path in files.items():
         with reading(path):
             if _sha256(path) != digests[key]:

@@ -2,7 +2,7 @@
 -> report, plus a synthetic-scenario generator.
 
 Exit codes: 0 ok, 1 runtime failure, 2 missing or unreadable artifact, 3 bad
-configuration. Errors print a single machine-parsable line to stderr.
+configuration or usage. Errors print a single machine-parsable line to stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .investigation import (
     run_investigation,
 )
 from .investigation.llm import HttpChatLLM, heuristic_mock
+from .investigation.repository import repository_paths
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -51,6 +52,16 @@ def _alerts_path(cfg: PipelineConfig, graph_name: str) -> Path:
 
 def _investigation_dir(cfg: PipelineConfig, graph_name: str) -> Path:
     return Path(cfg.artifacts_dir) / "investigation" / graph_name
+
+
+def _load_investigation(out_dir: Path, graph_name: str):
+    """The investigation in ``out_dir``, which must be of ``graph_name``."""
+    repo = InvestigationRepository.load(out_dir)
+    with artifacts.reading(repository_paths(out_dir)["repository"]):
+        if repo.graph_name != graph_name:
+            raise ValueError(f"holds graph {repo.graph_name!r}, not "
+                             f"{graph_name!r}")
+    return repo
 
 
 def _graph_name(flag: str, name: str) -> str:
@@ -184,10 +195,11 @@ def cmd_investigate(cfg: PipelineConfig, args) -> int:
     # a resumed run takes its work from the repository, never the alerts
     repo, alerts = None, []
     if args.resume:
-        repo = InvestigationRepository.load(out_dir)
+        repo = _load_investigation(out_dir, args.graph)
     else:
-        alerts_path = (Path(args.alerts) if args.alerts
-                       else _alerts_path(cfg, args.graph))
+        alerts_path = Path(args.alerts or _alerts_path(cfg, args.graph))
+        if not args.alerts:  # an --alerts file is user input, not sealed
+            artifacts.check_seal(detector.alerts_paths(alerts_path))
         alerts = detector.load_alerts(alerts_path)
         foreign = sorted({alert.graph_name for alert in alerts} - {args.graph})
         if foreign:
@@ -213,7 +225,7 @@ def cmd_investigate(cfg: PipelineConfig, args) -> int:
 
 def cmd_report(cfg: PipelineConfig, args) -> int:
     out_dir = _investigation_dir(cfg, args.graph)
-    repo = InvestigationRepository.load(out_dir)
+    repo = _load_investigation(out_dir, args.graph)
     if repo.status != "complete":
         raise ProvlensError(f"investigation of graph {args.graph!r} is "
                             f"{repo.status}, not complete; resume it with "
@@ -252,6 +264,11 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a configuration error
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -261,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--llm", choices=("http", "mock"),
                         help="LLM backend selection")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="provlens",
         description="identity-behavior anomaly detection over provenance "
                     "graphs, with an agent-driven investigation loop")
@@ -332,8 +349,8 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         for flag in {"name", "graph"} & vars(args).keys():
             _graph_name(f"--{flag}", vars(args)[flag])

@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (encode, keys, read_json, read_jsonl, reading,
-                        record, write_json, write_jsonl)
+from .artifacts import encode, read_jsonl, record, seal, write_jsonl
 from .encoder import EncoderParams, forward
 from .errors import ConfigError
 from .features import SemanticVocab, feature_dim, feature_matrix
@@ -124,29 +123,21 @@ def detect_graph(graph: ProvenanceGraph, params: EncoderParams,
                            kb.profiles, graph.name)
 
 
-def _header_path(path: str | Path) -> Path:
+def alerts_paths(path: str | Path) -> dict[str, Path]:
+    """The alerts file ``path`` and its seal ``<stem>.seal.json`` beside it."""
     path = Path(path)
-    return path.with_name(f"{path.stem}.header.json")
+    return {"alerts": path, "seal": path.with_name(f"{path.stem}.seal.json")}
 
 
 def save_alerts(alerts: list[Alert], path: str | Path) -> None:
-    """The alerts as JSONL at ``path``, and their count in the header file
-    ``<stem>.header.json`` beside it."""
+    """The alerts as JSONL at ``path``, then their seal."""
     write_jsonl(path, map(vars, alerts))
-    write_json(_header_path(path), {"alert_count": len(alerts)})
+    seal(alerts_paths(path))
 
 
 def load_alerts(path: str | Path) -> list[Alert]:
-    """The alerts of ``path``, as ``save_alerts`` writes them. The file is not
-    sealed, so a field of another JSON type, or a count other than its
-    header's (as in a file cut at a record boundary), raises ArtifactError."""
-    header = read_json(_header_path(path), keys("alert_count", "alert_count"))
-    alerts = read_jsonl(path, record(Alert, _ALERT_TYPES))
-    with reading(path):
-        if len(alerts) != header["alert_count"]:
-            raise ValueError(f"holds {len(alerts)} alerts, its header "
-                             f"records {header['alert_count']}")
-    return alerts
+    """The alerts of ``path``, whose seal, if any, is the caller's to check."""
+    return read_jsonl(path, record(Alert, _ALERT_TYPES))
 
 
 def format_alert_table(alerts: list[Alert]) -> str:

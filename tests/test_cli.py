@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from provlens import cli
-from provlens.artifacts import seal
+from provlens.artifacts import check_seal, seal
 from provlens.cli import main
 from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig, load_config
-from provlens.detector import load_alerts, save_alerts
+from provlens.detector import alerts_paths, load_alerts, save_alerts
 from provlens.encoder import encoder_paths, load_params
 from provlens.errors import ArtifactError, LLMTransportError
 from provlens.features import load_vocab, vocab_paths
@@ -49,6 +49,20 @@ def test_help_exits_zero(command, capsys):
     out = capsys.readouterr().out
     assert "usage" in out
     assert "--epsilon" not in out and "--budget" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect"], ["detect", "--graph", "attack", "--bogus"],
+    ["synth", "--out", "out", "--identities", "abc"], []],
+    ids=["detect-without-graph", "unknown-flag", "synth-identities-abc",
+         "no-command"])
+def test_usage_error_is_one_config_line_with_exit_3(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error code=config detail=provlens")
 
 
 def test_detect_without_model_exits_2_and_names_artifact(tmp_path, capsys):
@@ -436,11 +450,18 @@ def _graph_loader(name):
     return lambda path: load_graph(path.parent, name)
 
 
+def _detected_alerts(path):
+    """The alerts of ``path`` as ``investigate`` reads ``detect``'s own:
+    the seal first."""
+    check_seal(alerts_paths(path))
+    return load_alerts(path)
+
+
 RECORD_FILES = [  # every JSONL file the pipeline fixture writes
     ("graphs/benign.nodes.jsonl", _graph_loader("benign"), PROFILE),
     ("graphs/attack.nodes.jsonl", _graph_loader("attack"), DETECT),
     ("kb/kb.members.jsonl", lambda path: load_kb(path.parent), DETECT),
-    ("alerts/attack.alerts.jsonl", load_alerts, INVESTIGATE),
+    ("alerts/attack.alerts.jsonl", _detected_alerts, INVESTIGATE),
     ("investigation/attack/journal.jsonl",
      lambda path: InvestigationRepository.load(path.parent), REPORT),
 ]
@@ -687,6 +708,8 @@ EDITED = [  # one edit per sealed file, each to a value no check reads
     ("kb/kb.members.jsonl", _bump_after(b'"edges": ["'),
      _in_directory(load_kb), DETECT),
     ("kb/kb.embeddings.bin", _flip_bit(0), _in_directory(load_kb), DETECT),
+    ("alerts/attack.alerts.jsonl", _bump_after(b'"explanation": "'),
+     _detected_alerts, INVESTIGATE),
     ("investigation/attack/repository.json", _bump_after(b'"event": "'),
      _REPOSITORY, REPORT),
     ("investigation/attack/journal.jsonl", _bump_after(b'"action": "'),
@@ -817,9 +840,10 @@ DAMAGED = [
     pytest.param("kb/kb.json", _setting("dim", True),
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.json-dim-true"),
-    pytest.param("alerts/attack.alerts.header.json", _delete,
-                 lambda path: load_alerts(path.with_name("attack.alerts.jsonl")),
-                 INVESTIGATE, id="attack.alerts.header.json-deleted"),
+    pytest.param("alerts/attack.alerts.seal.json", _delete,
+                 lambda path: check_seal(alerts_paths(
+                     path.with_name("attack.alerts.jsonl"))),
+                 INVESTIGATE, id="attack.alerts.seal.json-deleted"),
     pytest.param("kb/kb.embeddings.bin", _nan_first("<f8"),
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.embeddings.bin-nan"),
@@ -911,15 +935,21 @@ def test_header_operation_that_no_edge_uses_exits_2(pipeline, tmp_path,
     assert "attack.header.json" in capsys.readouterr().err
 
 
+def _sealed_sets(artifacts):
+    """The ``*_paths`` dict of every sealed set the pipeline fixture writes."""
+    return [graph_paths(artifacts / "graphs", "benign"),
+            graph_paths(artifacts / "graphs", "attack"),
+            vocab_paths(artifacts / "model"), encoder_paths(artifacts / "model"),
+            kb_paths(artifacts / "kb"),
+            alerts_paths(artifacts / "alerts" / "attack.alerts.jsonl"),
+            repository_paths(artifacts / "investigation" / "attack")]
+
+
 def test_every_sealed_file_has_an_edit_case(pipeline):
     """A sealed set or file added to the pipeline without a case above
     fails here."""
     artifacts, _ = pipeline
-    sets = [graph_paths(artifacts / "graphs", "benign"),
-            graph_paths(artifacts / "graphs", "attack"),
-            vocab_paths(artifacts / "model"), encoder_paths(artifacts / "model"),
-            kb_paths(artifacts / "kb"),
-            repository_paths(artifacts / "investigation" / "attack")]
+    sets = _sealed_sets(artifacts)
     assert set(artifacts.rglob("*.seal.json")) \
         == {paths["seal"] for paths in sets}
     sealed = {path.relative_to(artifacts).as_posix() for paths in sets
@@ -927,9 +957,26 @@ def test_every_sealed_file_has_an_edit_case(pipeline):
     assert sealed == {artifact for artifact, *_ in EDITED}
 
 
+# the files a command writes for a person, which no later command reads
+NAMED_OUTPUTS = {"model/loss_trace.csv", "investigation/attack/report.md",
+                 "investigation/attack/attack_graph.dot"}
+
+
+def test_every_pipeline_file_is_sealed_or_a_named_output(pipeline):
+    """A file a later command reads must belong to a sealed set, so one added
+    to the pipeline without a seal, as the alerts once were, fails here."""
+    artifacts, _ = pipeline
+    sealed = {path for paths in _sealed_sets(artifacts)
+              for path in paths.values()}
+    unsealed = {path.relative_to(artifacts).as_posix()
+                for path in artifacts.rglob("*")
+                if path.is_file() and path not in sealed}
+    assert unsealed == NAMED_OUTPUTS
+
+
 def test_every_record_file_has_an_at_record_boundary_case(pipeline):
-    """A record file added to the pipeline without a recorded count, and so
-    without a case above, fails here."""
+    """A record file added to the pipeline without a case above fails
+    here."""
     artifacts, _ = pipeline
     written = {path.relative_to(artifacts).as_posix()
                for path in artifacts.rglob("*.jsonl")}
@@ -969,6 +1016,19 @@ def test_investigate_rejects_alerts_of_another_graph(pipeline, tmp_path,
     assert main([*INVESTIGATE, *common, "--alerts", str(empty)]) == 0
 
 
+def test_investigate_reads_an_alerts_file_without_seal_or_header(
+        pipeline, tmp_path):
+    """An ``--alerts`` file is user input, so nothing beside it is read."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    path = tmp_path / "hand.alerts.jsonl"
+    shutil.copy(artifacts / "alerts" / "attack.alerts.jsonl", path)
+    assert list(tmp_path.glob("hand.*")) == [path]
+    assert main([*INVESTIGATE, "--artifacts", str(artifacts), "--alerts",
+                 str(path)]) == 0
+
+
 @pytest.mark.parametrize("field,value", [
     ("score", "x"), ("explanation", None), ("graph_name", ["attack"]),
     ("node_uuid", 5), ("radius", "r"), ("deviation", True)])
@@ -991,6 +1051,28 @@ def test_an_alerts_file_field_of_another_json_type_exits_2(
     assert code == 2
     assert "error code=missing_artifact" in err and str(path) in err
     assert field in err
+
+
+@pytest.mark.parametrize("argv", [REPORT, RESUME], ids=["report", "resume"])
+def test_an_investigation_of_another_graph_exits_2(pipeline, tmp_path,
+                                                   capsys, argv):
+    """A repository copied to another graph's directory passes its seal,
+    which names no graph, but is not that graph's investigation."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    shutil.copytree(artifacts / "investigation" / "attack",
+                    artifacts / "investigation" / "benign")
+    capsys.readouterr()
+    code = main([*argv, "--artifacts", str(artifacts)])
+    assert code == 0  # the repository in its own directory is fine
+    renamed = [arg.replace("attack", "benign") for arg in argv]
+    code = main([*renamed, "--artifacts", str(artifacts)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error code=missing_artifact" in err
+    assert str(artifacts / "investigation" / "benign" / "repository.json") \
+        in err
 
 
 class _FailingAfter:

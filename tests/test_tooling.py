@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from provlens.detector import Alert, alerts_paths, save_alerts
 from provlens.encoder import encoder_paths, init_params, save_params
 from provlens.features import SemanticVocab, save_vocab, vocab_paths
 from provlens.ingest import graph_paths, save_graph
@@ -90,6 +91,9 @@ def _sealed_writers():
                              embeddings=np.zeros((1, 2)), digests=[[]])
     vocab = SemanticVocab(tokens=["READ"], vectors=np.zeros((1, 2), "<f4"),
                           dim=2, window=1, negatives=1, epochs=1, seed=0)
+    alert = Alert(node_uuid="s", graph_name="w", claimed="subject::a",
+                  matched="subject::a", deviation=1.0, radius=0.5,
+                  violation="deviation", explanation="e", score=1.0)
     repo = InvestigationRepository(graph_name="w")
     repo.journal("investigation_started")
     return [
@@ -97,6 +101,8 @@ def _sealed_writers():
         (lambda d: save_kb(kb, d), kb_paths),
         (lambda d: save_vocab(vocab, d), vocab_paths),
         (lambda d: save_params(init_params([3, 2]), d), encoder_paths),
+        (lambda d: save_alerts([alert], d / "w.alerts.jsonl"),
+         lambda d: alerts_paths(d / "w.alerts.jsonl")),
         (repo.save, repository_paths)]
 
 
