@@ -17,14 +17,10 @@ from pathlib import Path
 from . import artifacts, detector, encoder, features, ingest, profiler, synth
 from .config import PipelineConfig, load_config
 from .errors import ArtifactError, ConfigError, ProvlensError
-from .investigation import (
-    GraphStore,
-    InvestigationBudget,
-    InvestigationRepository,
-    run_investigation,
-)
+from .investigation.graphstore import GraphStore
 from .investigation.llm import HttpChatLLM, heuristic_mock
-from .investigation.repository import repository_paths
+from .investigation.orchestrator import run_investigation
+from .investigation.repository import InvestigationRepository, repository_paths
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -210,8 +206,7 @@ def cmd_investigate(cfg: PipelineConfig, args) -> int:
 
     store = GraphStore.build([graph], params, vocab, cfg.features.op_vocab)
     backend = _build_backend(cfg)
-    budget = InvestigationBudget.from_config(cfg.budget)
-    repo = run_investigation(alerts, store, kb, backend, budget,
+    repo = run_investigation(alerts, store, kb, backend, cfg.budget,
                              knn_k=cfg.llm.knn_k, repo=repo)
     repo.save(out_dir)
     if repo.status == "complete":

@@ -85,6 +85,7 @@ class InvestigationBudget:
 
     @classmethod
     def from_config(cls, cfg: "InvestigationBudget") -> "InvestigationBudget":
+        """A copy of ``cfg``, under the name the benchmark's workloads call."""
         return cls(**asdict(cfg))
 
     def validate(self) -> None:

@@ -316,13 +316,12 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
 
 
 def union_graph(graphs: list[ProvenanceGraph]) -> ProvenanceGraph:
-    """Disjoint union used to train one encoder over several benign windows.
-    Each node is keyed ``<position in graphs>:<uuid>``, so a uuid seen in two
-    windows stays two nodes with their own edges, as in the knowledge base.
-    Each graph's node rows and operation indices move to their places in the
-    sorted union, and one stable sort restores canonical row order."""
-    if len(graphs) == 1:
-        return graphs[0]
+    """Disjoint union used to train one encoder over one benign window or
+    several. Each node is keyed ``<position in graphs>:<uuid>``, one window
+    included, so a uuid seen in two windows stays two nodes with their own
+    edges, as in the knowledge base. Each graph's node rows and operation
+    indices move to their places in the sorted union, and one stable sort
+    restores canonical row order."""
     nodes, ops, parts = {}, [], []
     for position, graph in enumerate(graphs):
         # rows and indices into the concatenated nodes and operations

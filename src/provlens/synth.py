@@ -11,10 +11,12 @@ seeded generator, so a fixed seed reproduces the files byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
+from . import ingest
 from .artifacts import write_json, write_jsonl
 from .config import DEFAULT_OP_VOCAB
 from .errors import ConfigError
@@ -112,6 +114,46 @@ def _count(value) -> bool:
     return type(value) is int and value >= 0
 
 
+def _positive(value) -> bool:
+    """Whether ``value`` is a finite positive number (a bool is not)."""
+    return type(value) in (int, float) and 0 < value < math.inf
+
+
+def _check(ok, where: str, field: str, expected: str) -> None:
+    if not ok:
+        raise ConfigError(f"{where} field {field!r} must be {expected}")
+
+
+def _validate_template(template: dict) -> None:
+    """Each entry has the type the generator reads and ``ingest`` accepts,
+    so no template can crash the generator or write a line ingest skips."""
+    where = f"template {template['name']!r}"
+    objects = template.get("objects")
+    _check(objects and type(objects) is list
+           and all(type(obj) is dict for obj in objects), where, "objects",
+           "a non-empty list of objects")
+    _check(_positive(template.get("gap_scale", 1)), where, "gap_scale",
+           "a positive number")
+    for index, obj in enumerate(objects):
+        at, kind = f"{where} object {index}", obj.get("kind")
+        _check(type(kind) is str and kind in ingest.KEY_ATTRIBUTE, at, "kind",
+               f"one of {sorted(ingest.KEY_ATTRIBUTE)}")
+        key, required = ingest.KEY_ATTRIBUTE[kind]
+        _check(type(obj.get(key)) is required, at, key,
+               f"of type {required.__name__}")
+        _check(kind != "netflow" or type(obj.get("ip", "")) is str, at, "ip",
+               "of type str")
+        _check(_positive(obj.get("weight", 1)), at, "weight",
+               "a positive number")
+        _check(type(obj.get("shared", False)) is bool, at, "shared",
+               "a boolean")
+        ops = obj.get("ops")
+        _check(ops and type(ops) is dict and set(ops) <= set(DEFAULT_OP_VOCAB)
+               and all(map(_positive, ops.values())), at, "ops",
+               "a non-empty object mapping vocabulary operations to positive "
+               "numbers")
+
+
 def _validate_scenario(spec: dict) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("scenario spec must be a JSON object")
@@ -122,21 +164,12 @@ def _validate_scenario(spec: dict) -> dict:
         raise ConfigError("scenario spec needs a non-empty 'identities' list "
                           "of objects")
     names = [t.get("name") for t in identities]
-    if len(set(names)) != len(names) or not all(names):
-        raise ConfigError("identity template names must be unique and non-empty")
+    if (not all(type(name) is str and name for name in names)
+            or len(set(names)) != len(names)):
+        raise ConfigError("identity template field 'name' must be a unique "
+                          "non-empty string")
     for template in identities:
-        if not template.get("objects"):
-            raise ConfigError(f"template {template['name']!r} has no objects")
-        for obj in template["objects"]:
-            ops = obj.get("ops")
-            if not ops:
-                raise ConfigError(f"template {template['name']!r} has an "
-                                  "object without operations")
-            unknown = set(ops) - set(DEFAULT_OP_VOCAB)
-            if unknown:
-                raise ConfigError(
-                    f"template {template['name']!r} uses operations outside "
-                    f"the vocabulary: {sorted(unknown)}")
+        _validate_template(template)
     anomalies = spec.get("anomalies", [])
     if type(anomalies) is not list:
         raise ConfigError("scenario spec field 'anomalies' must be a list")
@@ -172,14 +205,10 @@ def _object_ref(template: dict, obj_index: int, obj: dict,
     else:
         uuid = f"o-{owner}-{obj_index}"
     kind = obj["kind"]
-    if kind == "file":
-        attrs = {"path": obj["path"]}
-    elif kind == "netflow":
-        attrs = {"port": obj["port"], "ip": obj.get("ip", "10.0.0.1")}
-    elif kind == "subject":
-        attrs = {"name": obj["name"]}
-    else:
-        raise ConfigError(f"unknown object kind {kind!r}")
+    key = ingest.KEY_ATTRIBUTE[kind][0]
+    attrs = {key: obj[key]}
+    if kind == "netflow":
+        attrs["ip"] = obj.get("ip", "10.0.0.1")
     return uuid, attrs, kind
 
 

@@ -14,9 +14,9 @@ import pytest
 
 from provlens import detector, encoder, features, ingest, profiler, synth
 from provlens.cli import main as cli_main
-from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig
+from provlens.config import (DEFAULT_OP_VOCAB, InvestigationBudget,
+                             PipelineConfig)
 from provlens.encoder import ContrastiveBatch, batch_loss_grad
-from provlens.investigation import InvestigationBudget
 from provlens.profiler import compute_centroid, compute_radius, euclidean_distance
 
 from conftest import EMPTY_VOCAB, edge_objects, feature_blocks, manual_graph

@@ -17,9 +17,9 @@ from provlens.encoder import encoder_paths, load_params
 from provlens.errors import ArtifactError, LLMTransportError
 from provlens.features import load_vocab, vocab_paths
 from provlens.ingest import EDGE_COLUMNS, graph_paths, load_graph
-from provlens.investigation import InvestigationRepository
-from provlens.investigation.repository import repository_paths
 from provlens.investigation.llm import HttpChatLLM, heuristic_mock
+from provlens.investigation.repository import (InvestigationRepository,
+                                                repository_paths)
 from provlens.profiler import kb_paths, load_kb
 from provlens.synth import default_scenario, generate_scenario, write_scenario
 
@@ -293,6 +293,62 @@ def test_synth_spec_field_of_the_wrong_type_exits_3(tmp_path, capsys, field,
     err = capsys.readouterr().err
     assert code == 3
     assert "error code=config" in err and repr(field) in err
+
+
+def _set(*path_and_value):
+    """An edit of a template that sets the entry at ``path`` to ``value``."""
+    *path, key, value = path_and_value
+
+    def edit(template):
+        for step in path:
+            template = template[step]
+        template[key] = value
+    return edit
+
+
+TEMPLATE_EDITS = {
+    "objects-of-numbers": (_set("objects", [5]), "objects"),
+    "objects-an-object": (_set("objects", {"kind": "file", "path": "/x"}),
+                          "objects"),
+    "ops-weight-negative": (_set("objects", 0, "ops", "RECV", -1), "ops"),
+    "ops-a-list": (_set("objects", 0, "ops", ["READ"]), "ops"),
+    "ops-weight-zero": (_set("objects", 0, "ops", {"READ": 0}), "ops"),
+    "ops-weight-string": (_set("objects", 0, "ops", "RECV", "1"), "ops"),
+    "ops-outside-vocabulary": (_set("objects", 0, "ops", "PTRACE", 1),
+                               "ops"),
+    "every-weight-zero": (lambda t: [obj.update(weight=0)
+                                     for obj in t["objects"]], "weight"),
+    "weight-string": (_set("objects", 0, "weight", "x"), "weight"),
+    "weight-boolean": (_set("objects", 0, "weight", True), "weight"),
+    "file-without-path": (lambda t: t["objects"][1].pop("path"), "path"),
+    "gap-scale-string": (_set("gap_scale", "x"), "gap_scale"),
+    "gap-scale-negative": (_set("gap_scale", -1), "gap_scale"),
+    "port-string": (_set("objects", 0, "port", "443"), "port"),
+    "ip-number": (_set("objects", 0, "ip", 5), "ip"),
+    "kind-unknown": (_set("objects", 0, "kind", "pipe"), "kind"),
+    "name-number": (_set("name", 5), "name"),
+    "shared-string": (_set("objects", 0, "shared", "yes"), "shared"),
+}
+
+
+@pytest.mark.parametrize("edit,field", TEMPLATE_EDITS.values(),
+                         ids=TEMPLATE_EDITS.keys())
+def test_synth_template_entry_of_the_wrong_type_exits_3(tmp_path, capsys,
+                                                        edit, field):
+    """Every template entry must have the type the generator reads and
+    ``ingest`` accepts, and every weight must be positive; otherwise synth
+    exits 3 on one line naming the field, and writes no file."""
+    spec = default_scenario(num_identities=2, nodes_per_identity=5,
+                            num_anomalies=0)
+    edit(spec["identities"][0])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code = main(["synth", "--spec", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1
+    assert "error code=config" in err and repr(field) in err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_scenario_anomalies_swap_behavior():
@@ -1201,6 +1257,25 @@ def test_multi_graph_train_has_a_row_per_profile_member(pipeline, tmp_path,
     assert set(benign.nodes) & set(attack.nodes)
     assert rows["nodes"] == rows["members"] \
         == str(len(benign.nodes) + len(attack.nodes))
+
+
+@pytest.mark.parametrize("graphs", ["benign", "benign,attack"],
+                         ids=["one-graph", "two-graphs"])
+def test_exported_features_are_keyed_by_position_in_graphs(pipeline,
+                                                           tmp_path, graphs):
+    """``train --export-features`` keys every row ``<position in
+    --graphs>:<uuid>``, one graph included, in the union's node order."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source / "graphs", artifacts / "graphs")
+    dump = tmp_path / "features.jsonl"
+    assert main(["train", "--artifacts", str(artifacts), "--graphs", graphs,
+                 "--epochs", "0", "--export-features", str(dump)]) == 0
+    keys = sorted(f"{position}:{uuid}"
+                  for position, name in enumerate(graphs.split(","))
+                  for uuid in load_graph(artifacts / "graphs", name).nodes)
+    rows = dump.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(row)["uuid"] for row in rows] == keys
 
 
 @pytest.mark.parametrize("command", ["train", "profile"])

@@ -25,7 +25,7 @@ from provlens.ingest import (
     save_graph,
     union_graph,
 )
-from provlens.investigation import GraphStore
+from provlens.investigation.graphstore import GraphStore
 from provlens.profiler import edge_digest
 
 import graph_oracle
@@ -306,8 +306,6 @@ def test_incidence_readers_equal_the_object_walks(case):
 def _union_of_edges(graphs):
     """``union_graph`` built from edge objects: every node and edge copied
     with its uuids keyed by the graph's position."""
-    if len(graphs) == 1:
-        return graphs[0]
     nodes, edges = {}, []
     for position, graph in enumerate(graphs):
         prefix = f"{position}:"

@@ -3,23 +3,20 @@ import json
 import numpy as np
 import pytest
 
+from provlens import profiler
+from provlens.config import InvestigationBudget
 from provlens.detector import Alert
+from provlens.encoder import forward, init_params
 from provlens.errors import LLMError, LLMTransportError
-from provlens.investigation import (
-    GraphStore,
-    InvestigationBudget,
-    InvestigationRepository,
-    IOCRecord,
+from provlens.features import feature_dim, feature_matrix
+from provlens.investigation import agents
+from provlens.investigation.agents import (
     analyst_validate,
     investigator_expand,
     leader_synthesize,
-    run_investigation,
     similar_behavior,
 )
-from provlens import profiler
-from provlens.encoder import forward, init_params
-from provlens.features import feature_dim, feature_matrix
-from provlens.investigation import agents
+from provlens.investigation.graphstore import GraphStore
 from provlens.investigation.llm import (
     FALLBACKS,
     MAX_ATTEMPTS,
@@ -27,7 +24,12 @@ from provlens.investigation.llm import (
     heuristic_mock,
     validate_response,
 )
-from provlens.investigation.repository import FALLBACK_SUMMARY
+from provlens.investigation.orchestrator import run_investigation
+from provlens.investigation.repository import (
+    FALLBACK_SUMMARY,
+    InvestigationRepository,
+    IOCRecord,
+)
 from provlens.profiler import BenignKnowledgeBase, edge_digest
 
 from conftest import (EMPTY_VOCAB, assert_canonical_json_files,

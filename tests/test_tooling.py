@@ -10,7 +10,8 @@ every file ``save_graph`` writes, which the benchmark deletes by it, and
 each writer's seal covers the other files of its ``*_paths`` dict, and each
 key a writer stores in its JSON header is one its loader reads. And only
 ``ingest`` calls the graph constructor, and no module names an edge object,
-so the benchmark's build hook counts edge columns."""
+so the benchmark's build hook counts edge columns. And the investigation
+package binds exactly the names the benchmark reads through it."""
 
 import ast
 import importlib
@@ -30,8 +31,8 @@ from provlens.detector import Alert, alerts_paths, save_alerts
 from provlens.encoder import encoder_paths, init_params, save_params
 from provlens.features import SemanticVocab, save_vocab, vocab_paths
 from provlens.ingest import graph_paths, save_graph
-from provlens.investigation import InvestigationRepository
-from provlens.investigation.repository import repository_paths
+from provlens.investigation.repository import (InvestigationRepository,
+                                                repository_paths)
 from provlens.profiler import BenignKnowledgeBase, kb_paths, save_kb
 
 from conftest import graph_from_events, make_event, manual_graph
@@ -54,6 +55,64 @@ def test_perfbench_span_targets_resolve(monkeypatch):
         except AttributeError:
             missing.append(f"{module_name}.{attr_path}")
     assert missing == []
+
+
+def _bound_names(tree):
+    """The names a module's top-level statements bind."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(alias.asname or alias.name).partition(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound |= {target.id for target in node.targets
+                      if isinstance(target, ast.Name)}
+    return bound
+
+
+def _imported_module(path, node):
+    """The absolute module an ``ast.ImportFrom`` in ``path`` imports from."""
+    package = path.relative_to(ROOT / "src").parent.parts
+    base = package[:len(package) + 1 - node.level] if node.level else ()
+    return ".".join([*base, *filter(None, [node.module])])
+
+
+def test_investigation_package_binds_what_perfbench_reads_through_it(
+        monkeypatch):
+    """``provlens.investigation`` binds exactly the names perfbench reads
+    through the package: each ``investigation.<name>`` in ``workloads.py``
+    and each ``layers.TARGETS`` entry resolved in the package. Every module
+    under ``src/`` imports a name from the module that defines it, so the
+    package imports only its submodules."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    workloads = ast.parse(
+        (PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    alias = next(alias.asname for node in ast.walk(workloads)
+                 if isinstance(node, ast.Import) for alias in node.names
+                 if alias.name == "provlens.investigation")
+    read = {node.attr for node in ast.walk(workloads)
+            if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == alias}
+    read |= {attr.partition(".")[0] for _, module, attr, _ in layers.TARGETS
+             if module == "provlens.investigation"}
+    package = PACKAGE / "investigation"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    assert _bound_names(init) == read
+    through = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == package / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and _imported_module(path, node)
+                    == "provlens.investigation"):
+                through += [f"{path.name}: {alias.name}"
+                            for alias in node.names
+                            if not (package / f"{alias.name}.py").exists()]
+    assert through == []
 
 
 def test_perfbench_selftest_passes():
