@@ -43,6 +43,9 @@ KEY_ATTRIBUTE = {"subject": ("name", str), "file": ("path", str),
 
 @dataclass(slots=True)
 class RawEvent:
+    """One parsed audit event. Events of one ``parse_events`` call may share
+    their uuid, operation and kind strings and their attribute maps, so
+    neither map may be mutated."""
     event_id: str
     subject_uuid: str
     object_uuid: str
@@ -169,18 +172,43 @@ def derive_identity(kind: str, attrs: dict) -> str:
     return f"{prefix}::{key}"
 
 
-def _attribute_map(record: dict, name: str) -> dict:
-    """The attribute map ``name`` of ``record``: a JSON object, or ``{}`` when
-    it is missing or null."""
+def _attribute_map(record: dict, name: str, kind: str,
+                   held: dict[str, dict], uuid: str) -> dict:
+    """The attribute map ``name`` of ``record``: a JSON object, or ``{}``
+    when it is missing or null, whose key attribute (``KEY_ATTRIBUTE`` of
+    ``kind``) is missing, null or of the type that table gives.
+
+    A map whose values are all strings or integers is shared: if it equals
+    the map ``held`` keeps for ``uuid``, that map is returned in its place,
+    else ``held`` keeps this one. Equal strings, or equal integers, have one
+    JSON text, while 1 == 1.0 == True, 0.0 == -0.0 and [1] == [1.0] do not,
+    so sharing never changes a value's type or sign."""
     attrs = record.get(name)
     if attrs is None:
-        return {}
-    if type(attrs) is not dict:
+        attrs = {}
+    elif type(attrs) is not dict:
         raise ValueError(f"{name} must be an object")
+    key, required = KEY_ATTRIBUTE[kind]
+    value = attrs.get(key)
+    if value is not None and type(value) is not required:
+        raise ValueError(f"a {kind}'s {key} must be of type "
+                         f"{required.__name__}")
+    for item in attrs.values():
+        if type(item) is not str and type(item) is not int:
+            return attrs
+    last = held.get(uuid)
+    if last == attrs:
+        return last
+    held[uuid] = attrs
     return attrs
 
 
-def _event_from_record(record: dict) -> RawEvent:
+def _event_from_record(record: dict, ops: set, first: dict[str, str],
+                       subject_maps: dict[str, dict],
+                       object_maps: dict[str, dict]) -> RawEvent:
+    """The event of ``record``. It takes each uuid, operation and kind
+    string from ``first``, the first equal string seen, and its attribute
+    maps from ``subject_maps`` and ``object_maps`` (``_attribute_map``)."""
     subject_uuid = record["subject_uuid"]
     object_uuid = record["object_uuid"]
     if (type(subject_uuid) is not str or type(object_uuid) is not str
@@ -194,19 +222,19 @@ def _event_from_record(record: dict) -> RawEvent:
     object_kind = record["object_kind"]
     if object_kind not in ENTITY_KINDS:
         raise ValueError(f"unknown object_kind {object_kind!r}")
-    subject_attrs = _attribute_map(record, "subject_attrs")
-    object_attrs = _attribute_map(record, "object_attrs")
-    name = subject_attrs.get("name")
-    if name is not None and type(name) is not str:
-        raise ValueError("a subject's name must be a string")
-    key, required = KEY_ATTRIBUTE[object_kind]
-    value = object_attrs.get(key)
-    if value is not None and type(value) is not required:
-        raise ValueError(f"a {object_kind}'s {key} must be of type "
-                         f"{required.__name__}")
+    operation = str(record["operation"])
+    if operation not in ops:
+        raise ValueError(f"operation {operation!r} not in vocabulary")
+    share = first.setdefault
+    subject_uuid = share(subject_uuid, subject_uuid)
+    object_uuid = share(object_uuid, object_uuid)
     return RawEvent(str(record["event_id"]), subject_uuid, object_uuid,
-                    str(record["operation"]), timestamp, subject_attrs,
-                    object_attrs, object_kind)
+                    share(operation, operation), timestamp,
+                    _attribute_map(record, "subject_attrs", "subject",
+                                   subject_maps, subject_uuid),
+                    _attribute_map(record, "object_attrs", object_kind,
+                                   object_maps, object_uuid),
+                    share(object_kind, object_kind))
 
 
 def parse_events(source, op_vocab: Iterable[str] = DEFAULT_OP_VOCAB) -> ParseResult:
@@ -224,7 +252,14 @@ def parse_events(source, op_vocab: Iterable[str] = DEFAULT_OP_VOCAB) -> ParseRes
 
 
 def _parse_lines(lines: Iterable[str], ops: set, origin: str) -> ParseResult:
+    """The events of ``lines``. Within the call, events share one string
+    per distinct uuid, operation and kind (``first``), and per role and uuid
+    an attribute map of strings and integers (``_attribute_map``), so no
+    field of an event may be mutated."""
     events: list[RawEvent] = []
+    first: dict[str, str] = {}
+    subject_maps: dict[str, dict] = {}
+    object_maps: dict[str, dict] = {}
     skipped = 0
     total = 0
     for line in lines:
@@ -233,9 +268,8 @@ def _parse_lines(lines: Iterable[str], ops: set, origin: str) -> ParseResult:
             continue
         total += 1
         try:
-            event = _event_from_record(decode(line))
-            if event.operation not in ops:
-                raise ValueError(f"operation {event.operation!r} not in vocabulary")
+            event = _event_from_record(decode(line), ops, first, subject_maps,
+                                       object_maps)
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             skipped += 1
             log.debug("skipping malformed line in %s: %s", origin, exc)

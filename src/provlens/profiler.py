@@ -220,7 +220,9 @@ def _knn_block(kb: BenignKnowledgeBase, block: np.ndarray,
                        + np.einsum("ij,ij->i", block, block))
         delta = 4.0 * (dim + 2) * (EPSILON * scale + SUBNORMAL)
         limit = np.partition(scores, j, axis=1)[:, j] + 2.0 * delta
-    query, rows = np.nonzero(~(scores > limit[:, None]))
+    # (query, row) of each candidate in C order, as ``np.nonzero`` gives
+    # them but without its slower 2-D walk
+    query, rows = np.divmod(np.flatnonzero(~(scores > limit[:, None])), n)
     distances = euclidean_distance(kb.embeddings[rows], block[query])
     order = np.lexsort((kb.uuid_rank[rows], distances, query))
     pairs = list(zip(rows[order].tolist(), distances[order].tolist()))
