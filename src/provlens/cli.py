@@ -90,14 +90,33 @@ def _load_graphs(cfg: PipelineConfig, names: list[str]) -> list[ingest.Provenanc
 def _load_model(cfg: PipelineConfig):
     """The trained vocabulary and encoder. The configured operation list must
     be the one the model was trained on, order included, because it orders
-    the columns of the action block."""
+    the columns of the action block, and the encoder must take the features
+    the vocabulary and that list make."""
     vocab = features.load_vocab(_model_dir(cfg))
     ops = cfg.features.op_vocab
     if vocab.op_vocab != ops:
         raise ConfigError(f"features.op_vocab {list(ops)} is not the list "
                           f"{list(vocab.op_vocab)} the model in "
                           f"{_model_dir(cfg)} was trained on")
-    return vocab, encoder.load_params(_model_dir(cfg))
+    params = encoder.load_params(_model_dir(cfg))
+    expected = features.feature_dim(vocab.dim, ops)
+    if params.dims[0] != expected:
+        raise ConfigError(
+            f"encoder input dimension {params.dims[0]} does not match the "
+            f"feature dimension {expected} (semantic={vocab.dim}, "
+            f"ops={len(ops)}, temporal={features.TEMPORAL_DIM})")
+    return vocab, params
+
+
+def _load_kb(cfg: PipelineConfig, params: encoder.EncoderParams):
+    """The knowledge base, whose members must be embedded in the encoder's
+    output dimension."""
+    kb = profiler.load_kb(_kb_dir(cfg))
+    if kb.embedding_dim != params.dims[-1]:
+        raise ConfigError(
+            f"knowledge-base embedding dimension {kb.embedding_dim} does not "
+            f"match encoder output dimension {params.dims[-1]}")
+    return kb
 
 
 def _build_backend(cfg: PipelineConfig):
@@ -138,12 +157,14 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         summaries, cfg.features.semantic_dim, window=cfg.features.w2v_window,
         negatives=cfg.features.w2v_negatives, epochs=cfg.features.w2v_epochs,
         seed=cfg.seed, op_vocab=cfg.features.op_vocab)
-    features.save_vocab(vocab, _model_dir(cfg))
 
     uuids, h0 = features.feature_matrix(union, vocab, cfg.features.op_vocab)
     if args.export_features:
         features.export_features(union, h0, vocab.dim, args.export_features)
     result = encoder.train(union, dict(zip(uuids, h0)), cfg.encoder, cfg.seed)
+    # saved once training has succeeded, so a failed run leaves the model
+    # it would have replaced whole
+    features.save_vocab(vocab, _model_dir(cfg))
     encoder.save_params(result.params, _model_dir(cfg))
     trace_path = _model_dir(cfg) / "loss_trace.csv"
     with open(trace_path, "w", encoding="utf-8") as fh:
@@ -173,7 +194,7 @@ def cmd_profile(cfg: PipelineConfig, args) -> int:
 def cmd_detect(cfg: PipelineConfig, args) -> int:
     graph = ingest.load_graph(_graphs_dir(cfg), args.graph)
     vocab, params = _load_model(cfg)
-    kb = profiler.load_kb(_kb_dir(cfg))
+    kb = _load_kb(cfg, params)
     alerts = detector.detect_graph(graph, params, vocab, kb,
                                    cfg.features.op_vocab)
     path = _alerts_path(cfg, args.graph)
@@ -186,7 +207,7 @@ def cmd_detect(cfg: PipelineConfig, args) -> int:
 def cmd_investigate(cfg: PipelineConfig, args) -> int:
     graph = ingest.load_graph(_graphs_dir(cfg), args.graph)
     vocab, params = _load_model(cfg)
-    kb = profiler.load_kb(_kb_dir(cfg))
+    kb = _load_kb(cfg, params)
     out_dir = _investigation_dir(cfg, args.graph)
     # a resumed run takes its work from the repository, never the alerts
     repo, alerts = None, []
@@ -202,7 +223,6 @@ def cmd_investigate(cfg: PipelineConfig, args) -> int:
             raise ArtifactError(f"artifact {alerts_path} holds alerts of "
                                 f"graph {foreign[0]!r}, not of {args.graph!r}",
                                 path=str(alerts_path))
-    detector.check_dimensions(params, vocab, kb, cfg.features.op_vocab)
 
     store = GraphStore.build([graph], params, vocab, cfg.features.op_vocab)
     backend = _build_backend(cfg)

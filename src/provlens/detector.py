@@ -15,8 +15,7 @@ import numpy as np
 
 from .artifacts import encode, read_jsonl, record, seal, write_jsonl
 from .encoder import EncoderParams, forward
-from .errors import ConfigError
-from .features import SemanticVocab, feature_dim, feature_matrix
+from .features import SemanticVocab, feature_matrix
 from .ingest import ProvenanceGraph
 from .profiler import BenignKnowledgeBase, IdentityProfile, euclidean_distance
 
@@ -92,31 +91,16 @@ def detect_embedded(uuids: list[str], z: np.ndarray, claimed: list[str],
     return alerts
 
 
-def check_dimensions(params: EncoderParams, vocab: SemanticVocab,
-                     kb: BenignKnowledgeBase, op_vocab) -> None:
-    """Raise ConfigError unless the encoder takes the features ``vocab`` and
-    ``op_vocab`` make and emits vectors of the knowledge base's dimension."""
-    expected = feature_dim(vocab.dim, op_vocab)
-    if params.dims[0] != expected:
-        raise ConfigError(
-            f"encoder input dimension {params.dims[0]} does not match the "
-            f"feature dimension {expected} "
-            f"(semantic={vocab.dim}, ops={len(op_vocab)}, temporal=3)")
-    if kb.embedding_dim != params.dims[-1]:
-        raise ConfigError(
-            f"knowledge-base embedding dimension {kb.embedding_dim} does not "
-            f"match encoder output dimension {params.dims[-1]}")
-
-
 def detect_graph(graph: ProvenanceGraph, params: EncoderParams,
                  vocab: SemanticVocab, kb: BenignKnowledgeBase,
                  op_vocab) -> list[Alert]:
-    """Embed every node of ``graph`` and detect over the embedded rows.
+    """Embed every node of ``graph`` and detect over the embedded rows, with
+    a model that fits: ``params`` takes the features ``vocab`` and
+    ``op_vocab`` make and emits vectors of ``kb``'s dimension.
 
     Alerts come back sorted by score descending, uuid ascending, so identical
     inputs always produce an identical alert list.
     """
-    check_dimensions(params, vocab, kb, op_vocab)
     uuids, h0 = feature_matrix(graph, vocab, op_vocab)
     return detect_embedded(uuids, forward(graph, h0, params),
                            [node.identity for node in graph.nodes.values()],

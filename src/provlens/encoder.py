@@ -29,7 +29,7 @@ from scipy import sparse
 from .artifacts import (check_seal, read_blob, read_json, seal, write_blob,
                         write_json)
 from .config import EncoderConfig
-from .errors import ConfigError, TrainingError
+from .errors import TrainingError
 from .ingest import ProvenanceGraph
 
 log = logging.getLogger(__name__)
@@ -72,8 +72,6 @@ class TrainResult:
 def init_params(dims: list[int], activation: str = "relu",
                 seed: int = 0) -> EncoderParams:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
-    if len(dims) < 2:
-        raise ConfigError("dims must contain at least input and output sizes")
     rng = np.random.default_rng(seed)
     weights = []
     for l in range(len(dims) - 1):
@@ -154,10 +152,6 @@ def forward_pass(ops: list[sparse.csr_matrix], h0: np.ndarray,
     """Run all layers, layer ``l`` aggregating with ``ops[l]``, returning the
     final embeddings of ``ops[-1]``'s rows and the per-layer cache
     (aggregated inputs and pre-activations) needed for backpropagation."""
-    if h0.shape[1] != params.dims[0]:
-        raise ConfigError(
-            f"feature dimension {h0.shape[1]} does not match encoder input "
-            f"dimension {params.dims[0]}")
     h = h0
     agg_cache, pre_cache = [], []
     for op, w in zip(ops, params.weights):
@@ -285,8 +279,6 @@ def sample_contrastive_batch(groups: list[list[int]], batch_size: int,
     as that anchor's negative. Singleton identities can only ever appear as
     negatives.
     """
-    if batch_size < 2:
-        raise ConfigError("batch_size must be >= 2")
     members = rng.permutation(len(groups))[:batch_size].tolist()
     anchors, positives = [], []
     consumed: set[int] = set()
@@ -336,8 +328,6 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
     float32-representable values at the end so that serialization round-trips
     exactly.
     """
-    if not graph.nodes:
-        raise ConfigError("cannot train an encoder on an empty graph")
     matrix = np.stack([np.asarray(h0[u], dtype=np.float64) for u in graph.nodes])
     dims = [matrix.shape[1]] + [config.embedding_dim] * config.num_layers
     params = init_params(dims, activation=config.activation, seed=seed)

@@ -70,10 +70,6 @@ def train_semantic_vocab(summaries: list[list[str]], dim: int, window: int = 5,
     ``seed`` are recorded but no longer affect the vectors. ``op_vocab`` is
     recorded as the column order of the action block the model is trained on.
     """
-    if dim < 1:
-        raise ConfigError("semantic dimension must be >= 1")
-    if window < 1 or negatives < 1:
-        raise ConfigError("skip-gram window and negatives must be >= 1")
     counts = Counter(chain.from_iterable(summaries))
     if not counts:
         raise ConfigError("cannot train semantic vocabulary on an empty corpus")

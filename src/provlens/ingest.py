@@ -150,22 +150,27 @@ class ParseResult:
     skipped: int
 
 
-def derive_identity(kind: str, attrs: dict) -> str:
-    """Map an entity to its fine-grained identity label.
+def identity_key(kind: str, attrs: dict) -> str:
+    """The text an entity of ``kind`` is identified by: a subject's process
+    name, a file's name (basename of the path) or a network flow's remote
+    service port; "" when its key attribute is missing or names nothing."""
+    key = attrs.get(KEY_ATTRIBUTE[kind][0])
+    if kind == "file" and key:
+        key = key.rstrip("/").rpartition("/")[2]
+    return "" if key is None else str(key)
 
-    Subjects are keyed by process name, files by file name (basename of the
-    path) and network flows by the remote service port. A missing key attribute
-    yields the reserved "<prefix>::unknown" label instead of failing. Parsing
-    has already made a line malformed whose key attribute has another type
-    than ``KEY_ATTRIBUTE`` names.
+
+def derive_identity(kind: str, attrs: dict) -> str:
+    """Map an entity to its fine-grained identity label, "<prefix>::<key>"
+    of its ``identity_key``. An empty key yields the reserved
+    "<prefix>::unknown" label instead of failing. Parsing has already made a
+    line malformed whose key attribute has another type than
+    ``KEY_ATTRIBUTE`` names.
     """
     prefix = IDENTITY_PREFIX.get(kind)
     if prefix is None:
         raise ValueError(f"unknown entity kind {kind!r}")
-    key = attrs.get(KEY_ATTRIBUTE[kind][0])
-    if kind == "file" and key:
-        key = key.rstrip("/").rpartition("/")[2]
-    key = "" if key is None else str(key)
+    key = identity_key(kind, attrs)
     if not key:
         log.warning("entity of kind %s has no key attribute; labelling unknown", kind)
         key = "unknown"
@@ -302,8 +307,6 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
     than ``window_ns`` is walked, one edge at a time; the rest is array
     operations on the integer codes of uuids and operations.
     """
-    if window_ns <= 0:
-        raise ValueError("window_ns must be positive")
     events = list(events)
     uuids, codes = _ranked([e.subject_uuid for e in events]
                            + [e.object_uuid for e in events])

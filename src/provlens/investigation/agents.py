@@ -126,7 +126,7 @@ def leader_synthesize(repo: InvestigationRepository, session: LLMSession,
     valid_refs = known | set(KILL_CHAIN_PHASES)
     hypotheses = []
     for hyp in response["hypotheses"]:
-        refs = [str(r) for r in hyp["target_refs"]]
+        refs = hyp["target_refs"]
         if not refs or any(r not in valid_refs for r in refs):
             repo.journal("hypothesis_rejected", statement=hyp["statement"],
                          target_refs=refs,
@@ -171,5 +171,4 @@ def reporter_compose(repo: InvestigationRepository,
         "narrative": repo.narrative(),
     }
     response = session.invoke("reporter", payload)
-    return (response["campaign_summary"],
-            [str(step) for step in response["remediation"]])
+    return response["campaign_summary"], response["remediation"]

@@ -106,8 +106,11 @@ def _require(cond: bool, message: str) -> None:
 
 
 def validate_response(role: str, obj) -> dict:
-    """Check the minimal structural contract of a role response; raises
-    LLMError describing the violation (used as the repair echo)."""
+    """Check the minimal structural contract of a role response and return
+    it in the types its consumers read: the Analyst's ``confidence`` a
+    float, its ``rationale`` a string, and ``cited_evidence``, each
+    hypothesis's ``target_refs`` and ``remediation`` lists of strings.
+    Raises LLMError describing the violation (used as the repair echo)."""
     _require(isinstance(obj, dict), "response must be a JSON object")
     if role == "analyst":
         _require(obj.get("verdict") in ("ANOMALY", "BENIGN"),
@@ -117,8 +120,9 @@ def validate_response(role: str, obj) -> dict:
                  'field "confidence" must be a number in [0, 1]')
         _require(isinstance(obj.get("cited_evidence", []), list),
                  'field "cited_evidence" must be a list')
-        obj.setdefault("cited_evidence", [])
-        obj.setdefault("rationale", "")
+        obj["confidence"] = float(conf)
+        obj["cited_evidence"] = list(map(str, obj.get("cited_evidence", [])))
+        obj["rationale"] = str(obj.get("rationale", ""))
     elif role == "investigator":
         _require(isinstance(obj.get("event"), str), 'field "event" must be a string')
         phase = obj.get("kill_chain_phase", UNASSIGNED)
@@ -150,6 +154,7 @@ def validate_response(role: str, obj) -> dict:
                      'every hypothesis needs "kind" in '
                      '{missing_stage,false_positive}, a "statement" string '
                      'and a "target_refs" list')
+            hyp["target_refs"] = list(map(str, hyp["target_refs"]))
         flags = obj.get("false_positive_flags", [])
         _require(isinstance(flags, list)
                  and all(isinstance(flag, str) for flag in flags),
@@ -163,7 +168,7 @@ def validate_response(role: str, obj) -> dict:
         remediation = obj.get("remediation", [])
         _require(isinstance(remediation, list),
                  'field "remediation" must be a list')
-        obj.setdefault("remediation", [])
+        obj["remediation"] = list(map(str, remediation))
     else:
         raise LLMError(f"unknown agent role {role!r}")
     return obj

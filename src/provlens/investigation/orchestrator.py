@@ -64,11 +64,11 @@ class _Orchestrator:
 
     def ask_analyst(self, node: Entity, reason: str,
                     origin: str) -> tuple[dict, list[str]]:
-        """One journaled Analyst reply on ``node``, its confidence made a
-        float, and the edge digest the Analyst was shown. A node's similar
-        behavior is fetched with that of the next distinct pending leads in
-        the store, one ``knn_query`` block in all, so a budget that runs out
-        wastes at most one block's retrieval."""
+        """One journaled Analyst reply on ``node`` and the edge digest the
+        Analyst was shown. A node's similar behavior is fetched with that of
+        the next distinct pending leads in the store, one ``knn_query`` block
+        in all, so a budget that runs out wastes at most one block's
+        retrieval."""
         if node.uuid not in self.similar:
             block, size = {node.uuid: None}, knn_block_rows(self.kb)
             for lead in self.repo.pending_leads:
@@ -81,7 +81,6 @@ class _Orchestrator:
         reply, edges = analyst_validate(
             node, reason, self.similar.pop(node.uuid), self.kb, self.store,
             self.session, digest_limit=self.budget.max_leads_per_ioc)
-        reply["confidence"] = float(reply["confidence"])
         self.repo.journal("analyst_verdict", node_uuid=node.uuid,
                           origin=origin, verdict=reply["verdict"],
                           confidence=round(reply["confidence"], 6))
@@ -111,12 +110,11 @@ class _Orchestrator:
             if lead["parent"] is not None:
                 record.related_ioc_refs.append(lead["parent"])
             record.status = "validated"
-            record.event = str(reply["rationale"]) or "validated anomaly"
+            record.event = reply["rationale"] or "validated anomaly"
             repo.iocs[uuid] = record
             repo.journal("ioc_validated", node_uuid=uuid, origin=origin,
                          confidence=record.confidence)
-            cited = [str(e) for e in reply["cited_evidence"]]
-            repo.add_evidence(uuid, edges + cited)
+            repo.add_evidence(uuid, edges + reply["cited_evidence"])
             repo.expansion_queue.append(uuid)
             return
         if reply["verdict"] == "ANOMALY":

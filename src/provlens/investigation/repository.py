@@ -178,6 +178,11 @@ def _phase_order(phase: str) -> int:
         return len(KILL_CHAIN_PHASES)
 
 
+def _dot(text: str) -> str:
+    """``text`` for a quoted DOT string: its backslashes and quotes escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def attack_graph_dot(repo: InvestigationRepository) -> str:
     """Directed attack graph: validated IOCs as nodes, and an edge from each
     validated IOC whose expansion led to another to that one. Plain DOT,
@@ -186,12 +191,12 @@ def attack_graph_dot(repo: InvestigationRepository) -> str:
     valid_ids = {ioc.node_uuid for ioc in validated}
     lines = ["digraph attack {", "  rankdir=LR;"]
     for ioc in validated:
-        label = f"{ioc.identity}\\n{ioc.kill_chain_phase}"
-        lines.append(f'  "{ioc.node_uuid}" [label="{label}"];')
+        label = f"{_dot(ioc.identity)}\\n{_dot(ioc.kill_chain_phase)}"
+        lines.append(f'  "{_dot(ioc.node_uuid)}" [label="{label}"];')
     edges = {(ref, ioc.node_uuid) for ioc in validated
              for ref in ioc.related_ioc_refs if ref in valid_ids}
     for src, dst in sorted(edges):
-        lines.append(f'  "{src}" -> "{dst}" [label="expanded"];')
+        lines.append(f'  "{_dot(src)}" -> "{_dot(dst)}" [label="expanded"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

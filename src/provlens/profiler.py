@@ -110,20 +110,14 @@ def euclidean_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
 
 
 def compute_centroid(members) -> np.ndarray:
-    members = np.asarray(members, dtype=np.float64)
-    if len(members) == 0:
-        raise ValueError("cannot compute the centroid of zero members")
-    return np.mean(members, axis=0)
+    """The mean of one or more member rows."""
+    return np.mean(np.asarray(members, dtype=np.float64), axis=0)
 
 
 def compute_radius(members, centroid: np.ndarray, epsilon: float) -> float:
     """Smallest radius enclosing at least a (1 - epsilon) fraction of members:
     the ceil((1 - epsilon) * N)-th smallest distance to the centroid."""
-    if not 0.0 <= epsilon < 1.0:
-        raise ConfigError("epsilon must lie in [0, 1)")
     members = np.asarray(members, dtype=np.float64)
-    if len(members) == 0:
-        raise ValueError("cannot compute a radius over zero members")
     m = math.ceil((1.0 - epsilon) * len(members))
     distances = np.partition(euclidean_distance(members, centroid), m - 1)
     return float(distances[m - 1])
@@ -189,11 +183,7 @@ def knn_query(kb: BenignKnowledgeBase, queries: np.ndarray,
     each query keeps its first k. Each distance depends only on its own
     pair, so the rows, their tie order and the distance bits are those of a
     scan of every row for that query alone."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2:
-        raise ValueError("queries must be an (m, d) matrix")
     step = knn_block_rows(kb)
     results = []
     for start in range(0, len(queries), step):

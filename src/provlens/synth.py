@@ -141,6 +141,8 @@ def _validate_template(template: dict) -> None:
         key, required = ingest.KEY_ATTRIBUTE[kind]
         _check(type(obj.get(key)) is required, at, key,
                f"of type {required.__name__}")
+        _check(ingest.identity_key(kind, obj), at, key,
+               "a value that names an identity, not empty")
         _check(kind != "netflow" or type(obj.get("ip", "")) is str, at, "ip",
                "of type str")
         _check(_positive(obj.get("weight", 1)), at, "weight",

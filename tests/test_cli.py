@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from provlens import cli
+from provlens import cli, encoder
 from provlens.artifacts import check_seal, seal
 from provlens.cli import main
 from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig, load_config
 from provlens.detector import alerts_paths, load_alerts, save_alerts
 from provlens.encoder import encoder_paths, load_params
-from provlens.errors import ArtifactError, LLMTransportError
+from provlens.errors import ArtifactError, LLMTransportError, TrainingError
 from provlens.features import load_vocab, vocab_paths
 from provlens.ingest import EDGE_COLUMNS, graph_paths, load_graph
 from provlens.investigation.llm import HttpChatLLM, heuristic_mock
@@ -117,6 +117,14 @@ INVALID_CONFIG = [
     _config('{"seed": -1}', "seed must be >= 0", "negative-seed"),
     _config('{"llm": {"knn_k": 0}}', "llm.knn_k", "knn_k-zero"),
     _config('{"llm": {"timeout_s": 0}}', "llm.timeout_s", "timeout_s-zero"),
+    _config('{"epsilon": 1.0}', "epsilon", "epsilon-one"),
+    _config('{"epsilon": -0.1}', "epsilon", "epsilon-negative"),
+    _config('{"features": {"semantic_dim": 0}}', "semantic_dim",
+            "semantic_dim-zero"),
+    _config('{"features": {"window_ns": 0}}', "window_ns", "window_ns-zero"),
+    _config('{"encoder": {"batch_size": 1}}', "batch_size", "batch_size-one"),
+    _config('{"encoder": {"num_layers": 0}}', "num_layers",
+            "num_layers-zero"),
     _config(b'{"seed": "caf\xe9"}', "input.json", "config-not-utf8"),
     pytest.param(["synth", "--out", "{dir}/out", "--seed", "-1"], "",
                  "seed must be >= 0", id="seed-flag-negative"),
@@ -328,6 +336,10 @@ TEMPLATE_EDITS = {
     "kind-unknown": (_set("objects", 0, "kind", "pipe"), "kind"),
     "name-number": (_set("name", 5), "name"),
     "shared-string": (_set("objects", 0, "shared", "yes"), "shared"),
+    "file-path-empty": (_set("objects", 1, "path", ""), "path"),
+    "file-path-root": (_set("objects", 1, "path", "/"), "path"),
+    "subject-name-empty": (_set("objects", 0, {
+        "kind": "subject", "name": "", "ops": {"FORK": 1}}), "name"),
 }
 
 
@@ -336,8 +348,10 @@ TEMPLATE_EDITS = {
 def test_synth_template_entry_of_the_wrong_type_exits_3(tmp_path, capsys,
                                                         edit, field):
     """Every template entry must have the type the generator reads and
-    ``ingest`` accepts, and every weight must be positive; otherwise synth
-    exits 3 on one line naming the field, and writes no file."""
+    ``ingest`` accepts, every weight must be positive and every key attribute
+    must name an identity (a file path with a basename, a non-empty subject
+    name), not ``::unknown``; otherwise synth exits 3 on one line naming the
+    field, and writes no file."""
     spec = default_scenario(num_identities=2, nodes_per_identity=5,
                             num_anomalies=0)
     edit(spec["identities"][0])
@@ -1330,6 +1344,53 @@ def test_kb_encoder_dimension_mismatch_exits_3(pipeline, tmp_path, capsys):
         assert code == 3
         assert ("error code=config detail=knowledge-base embedding dimension "
                 "16 does not match encoder output dimension 32") in err
+
+
+@pytest.mark.parametrize("argv", [PROFILE, DETECT, INVESTIGATE],
+                         ids=lambda argv: argv[0])
+def test_encoder_of_another_semantic_dim_exits_3(pipeline, tmp_path, capsys,
+                                                 argv):
+    """An encoder trained on 16-d semantic features beside the 32-d
+    vocabulary: each command that loads the model rejects it, naming both
+    widths, and writes nothing."""
+    source, _ = pipeline
+    artifacts, other = tmp_path / "artifacts", tmp_path / "other"
+    shutil.copytree(source, artifacts)
+    shutil.copytree(source, other)
+    config = tmp_path / "semantic16.json"
+    config.write_text('{"features": {"semantic_dim": 16}}', encoding="utf-8")
+    assert main(["train", "--graphs", "benign", "--epochs", "1",
+                 "--artifacts", str(other), "--config", str(config)]) == 0
+    for path in encoder_paths(other / "model").values():
+        shutil.copy(path, artifacts / "model" / path.name)
+    before = _files(artifacts)
+    capsys.readouterr()
+    code = main([*argv, "--artifacts", str(artifacts)])
+    err = capsys.readouterr().err
+    width = len(DEFAULT_OP_VOCAB) + 3
+    assert code == 3
+    assert (f"error code=config detail=encoder input dimension {16 + width} "
+            f"does not match the feature dimension {32 + width}") in err
+    assert _files(artifacts) == before
+
+
+def test_failed_train_leaves_the_model_it_would_replace(pipeline, tmp_path,
+                                                       capsys, monkeypatch):
+    """A train that fails writes no file of the model, so no new vocabulary
+    is left beside the old encoder and knowledge base."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    before = _files(artifacts / "model")
+
+    def diverge(*args, **kwargs):
+        raise TrainingError("non-finite evaluation loss after epoch 0")
+    monkeypatch.setattr(encoder, "train", diverge)
+    capsys.readouterr()
+    code = main(["train", "--graphs", "attack", "--artifacts", str(artifacts)])
+    assert code == 1
+    assert "non-finite evaluation loss" in capsys.readouterr().err
+    assert _files(artifacts / "model") == before
 
 
 def _files(directory):

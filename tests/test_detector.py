@@ -15,10 +15,9 @@ from provlens.detector import (
     load_alerts,
     save_alerts,
 )
-from provlens.encoder import init_params, train
+from provlens.encoder import train
 from provlens.config import EncoderConfig
-from provlens.errors import ConfigError
-from provlens.features import build_node_summary, feature_dim, train_semantic_vocab
+from provlens.features import build_node_summary, train_semantic_vocab
 from provlens.ingest import build_graph
 from provlens.profiler import (
     IdentityProfile,
@@ -261,15 +260,6 @@ def test_detect_graph_deterministic_and_sorted():
     assert [a.to_json() for a in one] == [a.to_json() for a in two]
     keys = [(-a.score, a.node_uuid) for a in one]
     assert keys == sorted(keys)
-
-
-def test_detect_graph_names_mismatching_dimension():
-    train_graph, _, params, vocab, kb = synthetic_two_identity_setup()
-    bad = init_params([7, 6], seed=0)
-    with pytest.raises(ConfigError) as err:
-        detect_graph(train_graph, bad, vocab, kb, DEFAULT_OP_VOCAB)
-    expected = feature_dim(vocab.dim, DEFAULT_OP_VOCAB)
-    assert str(expected) in str(err.value) and "7" in str(err.value)
 
 
 def test_epsilon_monotonicity_on_training_set():

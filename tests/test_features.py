@@ -113,12 +113,6 @@ def test_vocab_epochs_and_seed_only_recorded():
     assert (two.epochs, two.seed) == (9, 2)
 
 
-@pytest.mark.parametrize("bad", [{"dim": 0}, {"window": 0}, {"negatives": 0}])
-def test_vocab_rejects_non_positive_sizes(bad):
-    with pytest.raises(ConfigError):
-        train_semantic_vocab([["a", "b"]], **{"dim": 4, **bad})
-
-
 def test_vocab_cooccurrence_orders_similarity():
     # SPPMI makes tokens alike through shared contexts: alpha and beta share x.
     corpus = ([["alpha", "x"], ["beta", "x"]] * 60

@@ -1,7 +1,11 @@
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from provlens import profiler
 from provlens.config import InvestigationBudget
@@ -233,6 +237,60 @@ def test_validate_response_parses_fields():
                                         "cited_evidence": ["edge"],
                                         "rationale": "because"})
     assert obj["confidence"] == 0.25 and obj["cited_evidence"] == ["edge"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+ANY_LIST = st.lists(JSON_VALUES, max_size=4) | JSON_VALUES
+ROLE_REPLIES = st.one_of(
+    st.tuples(st.just("analyst"), st.fixed_dictionaries(
+        {"verdict": st.sampled_from(["ANOMALY", "BENIGN"]),
+         "confidence": st.floats(0.0, 1.0) | st.integers(0, 1) | JSON_VALUES},
+        optional={"cited_evidence": ANY_LIST, "rationale": JSON_VALUES})),
+    st.tuples(st.just("leader"), st.fixed_dictionaries(
+        {"terminate": st.booleans(),
+         "hypotheses": st.lists(st.fixed_dictionaries(
+             {"kind": st.sampled_from(["missing_stage", "false_positive"]),
+              "statement": st.text(max_size=4), "target_refs": ANY_LIST}),
+             max_size=3)})),
+    st.tuples(st.just("reporter"), st.fixed_dictionaries(
+        {"campaign_summary": st.text(max_size=4)},
+        optional={"remediation": ANY_LIST})))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ROLE_REPLIES)
+@example(("analyst", {"verdict": "ANOMALY", "confidence": 1,
+                      "cited_evidence": [1, None, ["e"]], "rationale": 2.5}))
+@example(("leader", {"terminate": False, "hypotheses": [
+    {"kind": "missing_stage", "statement": "s", "target_refs": [7, "CC"]}]}))
+@example(("reporter", {"campaign_summary": "s", "remediation": [True, {}]}))
+def test_an_accepted_reply_comes_back_in_the_types_its_consumers_read(reply):
+    """Each reply ``validate_response`` accepts comes back with a float
+    confidence, a string rationale and lists of strings, holding the values
+    ``float`` and ``str`` made of the fields it was sent."""
+    role, sent = reply
+    original = copy.deepcopy(sent)
+    try:
+        obj = validate_response(role, sent)
+    except LLMError:
+        return
+    if role == "analyst":
+        assert type(obj["confidence"]) is float
+        assert obj["confidence"] == original["confidence"]
+        assert obj["rationale"] == str(original.get("rationale", ""))
+        lists = [(obj["cited_evidence"], original.get("cited_evidence", []))]
+    elif role == "leader":
+        lists = [(hyp["target_refs"], sent_hyp["target_refs"]) for hyp, sent_hyp
+                 in zip(obj["hypotheses"], original["hypotheses"], strict=True)]
+    else:
+        lists = [(obj["remediation"], original.get("remediation", []))]
+    for got, sent_items in lists:
+        assert type(got) is list and all(type(item) is str for item in got)
+        assert got == [str(item) for item in sent_items]
 
 
 # --- analyst ---------------------------------------------------------------------
@@ -608,6 +666,26 @@ def test_attack_graph_counts_match_repository():
                       for ref in ioc.related_ioc_refs if ref in valid}
     assert expected_edges
     assert len(edge_lines) == len(expected_edges)
+
+
+def test_attack_graph_dot_escapes_quotes_and_backslashes():
+    """Uuids and identities may hold ``"`` and ``\\``: every quoted DOT
+    string escapes both, and the label keeps its line break between identity
+    and phase."""
+    repo = InvestigationRepository("g")
+    uuids = ['a"b', "c\\d"]
+    for i, uuid in enumerate(uuids):
+        repo.iocs[uuid] = IOCRecord(
+            node_uuid=uuid, identity=f'file::x"{i}\\', kill_chain_phase="CC",
+            status="validated", related_ioc_refs=uuids[:i])
+    lines = repo.attack_graph_dot.splitlines()
+    assert lines[2:] == ['  "a\\"b" [label="file::x\\"0\\\\\\nCC"];',
+                         '  "c\\\\d" [label="file::x\\"1\\\\\\nCC"];',
+                         '  "a\\"b" -> "c\\\\d" [label="expanded"];',
+                         "}"]
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    for line in lines[2:-1]:
+        assert not set('"\\') & set(quoted.sub("", line))
 
 
 def test_false_positive_flag_demotes_to_appendix():
