@@ -108,14 +108,15 @@ def _load_model(cfg: PipelineConfig):
     return vocab, params
 
 
-def _load_kb(cfg: PipelineConfig, params: encoder.EncoderParams):
-    """The knowledge base, whose members must be embedded in the encoder's
-    output dimension."""
+def _load_kb(cfg: PipelineConfig, vocab: features.SemanticVocab,
+             params: encoder.EncoderParams):
+    """The knowledge base, which must have been profiled with the loaded
+    vocabulary and encoder."""
     kb = profiler.load_kb(_kb_dir(cfg))
-    if kb.embedding_dim != params.dims[-1]:
-        raise ConfigError(
-            f"knowledge-base embedding dimension {kb.embedding_dim} does not "
-            f"match encoder output dimension {params.dims[-1]}")
+    if kb.model != profiler.model_digest(params, vocab):
+        raise ConfigError(f"knowledge base in {_kb_dir(cfg)} was profiled "
+                          f"with another model than the one in "
+                          f"{_model_dir(cfg)}; rerun profile")
     return kb
 
 
@@ -194,7 +195,7 @@ def cmd_profile(cfg: PipelineConfig, args) -> int:
 def cmd_detect(cfg: PipelineConfig, args) -> int:
     graph = ingest.load_graph(_graphs_dir(cfg), args.graph)
     vocab, params = _load_model(cfg)
-    kb = _load_kb(cfg, params)
+    kb = _load_kb(cfg, vocab, params)
     alerts = detector.detect_graph(graph, params, vocab, kb,
                                    cfg.features.op_vocab)
     path = _alerts_path(cfg, args.graph)
@@ -207,7 +208,7 @@ def cmd_detect(cfg: PipelineConfig, args) -> int:
 def cmd_investigate(cfg: PipelineConfig, args) -> int:
     graph = ingest.load_graph(_graphs_dir(cfg), args.graph)
     vocab, params = _load_model(cfg)
-    kb = _load_kb(cfg, params)
+    kb = _load_kb(cfg, vocab, params)
     out_dir = _investigation_dir(cfg, args.graph)
     # a resumed run takes its work from the repository, never the alerts
     repo, alerts = None, []

@@ -339,25 +339,29 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
 
     batches_per_epoch = max(1, math.ceil(len(matrix) / config.batch_size))
     trace: list[float] = []
-    for epoch in range(config.epochs):
-        for step in range(batches_per_epoch):
-            batch = sample_contrastive_batch(groups, config.batch_size, rng)
-            if not batch.anchors:
-                continue
-            ops, batch = batch_field(prop, batch, params.num_layers)
-            z, cache = forward_pass(ops, matrix, params)
-            loss, dz = batch_loss_grad(z, batch, config.temperature)
-            if not math.isfinite(loss):
+    # a diverging run overflows on its way to a non-finite loss, which the
+    # checks below report; numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        for epoch in range(config.epochs):
+            for step in range(batches_per_epoch):
+                batch = sample_contrastive_batch(groups, config.batch_size, rng)
+                if not batch.anchors:
+                    continue
+                ops, batch = batch_field(prop, batch, params.num_layers)
+                z, cache = forward_pass(ops, matrix, params)
+                loss, dz = batch_loss_grad(z, batch, config.temperature)
+                if not math.isfinite(loss):
+                    raise TrainingError(
+                        f"non-finite loss {loss} at epoch {epoch} step {step}")
+                grads = backward_pass(ops, params, cache, dz)
+                for w, dw in zip(params.weights, grads):
+                    w -= config.learning_rate * dw
+            z, _ = forward_pass(eval_ops, matrix, params)
+            epoch_loss = batch_loss(z, eval_batch, config.temperature)
+            if not math.isfinite(epoch_loss):
                 raise TrainingError(
-                    f"non-finite loss {loss} at epoch {epoch} step {step}")
-            grads = backward_pass(ops, params, cache, dz)
-            for w, dw in zip(params.weights, grads):
-                w -= config.learning_rate * dw
-        z, _ = forward_pass(eval_ops, matrix, params)
-        epoch_loss = batch_loss(z, eval_batch, config.temperature)
-        if not math.isfinite(epoch_loss):
-            raise TrainingError(f"non-finite evaluation loss after epoch {epoch}")
-        trace.append(epoch_loss)
+                    f"non-finite evaluation loss after epoch {epoch}")
+            trace.append(epoch_loss)
 
     params.weights = [w.astype("<f4").astype(np.float64) for w in params.weights]
     return TrainResult(params=params, loss_trace=trace)

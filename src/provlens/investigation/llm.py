@@ -1,29 +1,95 @@
-"""LLM access layer: role prompts, response schemas, backends, call session.
+"""LLM access layer: reply contracts, role prompts, backends, call session.
 
 Two interchangeable backends sit behind one interface: an HTTP chat-completion
 client for live runs and a deterministic scripted mock whose per-role handler
-functions answer from the request payload alone. Schema violations trigger a
-bounded number of repair retries in which the previous error is echoed back to
-the model; persistent failures fall back to the role's fail-closed default
-(never a fabricated anomaly).
+functions answer from the request payload alone. ``REPLIES`` declares each
+role's reply once; a reply that breaks it triggers a bounded number of repair
+retries in which the previous error is echoed back to the model; persistent
+failures fall back to the role's fail-closed default (never a fabricated
+anomaly).
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import logging
 import re
 from dataclasses import dataclass
 
 from ..errors import LLMError, LLMTransportError
 from .repository import KILL_CHAIN_PHASES, UNASSIGNED
 
-log = logging.getLogger(__name__)
-
 MAX_ATTEMPTS = 3
 
-ROLE_PROMPTS = {
+
+# --- reply contracts ----------------------------------------------------------
+
+def _is_text(value) -> bool:
+    return isinstance(value, str)
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(map(_is_text, value))
+
+
+def _one_of(*choices) -> tuple:
+    return "|".join(map(json.dumps, choices)), choices.__contains__
+
+
+def _object_line(fields: dict) -> str:
+    """The JSON shape of an object of ``fields``, as the prompt shows it."""
+    return "{" + ", ".join(f'"{name}": {spec[0]}'
+                           for name, spec in fields.items()) + "}"
+
+
+def _records(**fields) -> tuple:
+    """A list of objects, each holding every one of ``fields``."""
+    def check(value) -> bool:
+        return isinstance(value, list) and all(
+            isinstance(item, dict)
+            and all(test(item.get(name)) for name, (_, test) in fields.items())
+            for item in value)
+    return f"[{_object_line(fields)}]", check
+
+
+_NAME = ("string", lambda value: _is_text(value) and value != "")
+_PHASES = (*KILL_CHAIN_PHASES, UNASSIGNED)
+
+# Each role's reply fields in prompt order, as name: (sketch, check,
+# default). The sketch is the JSON shape the prompt shows and the repair echo
+# names, and a value must pass the check. A field whose default is None is
+# required, since no check passes None.
+REPLIES = {
+    "analyst": {
+        "verdict": (*_one_of("ANOMALY", "BENIGN"), None),
+        "confidence": ("number", lambda value: type(value) in (int, float)
+                       and 0.0 <= value <= 1.0, None),
+        "cited_evidence": ("[string]", _strings, []),
+        "rationale": ("string", _is_text, ""),
+    },
+    "investigator": {
+        "event": ("string", _is_text, None),
+        "kill_chain_phase": ("string", _PHASES.__contains__, UNASSIGNED),
+        "leads": (*_records(graph_name=_NAME, node_uuid=_NAME, reason=_NAME),
+                  []),
+    },
+    "leader": {
+        "phase_coverage": ("{phase: [node_uuid]}",
+                           lambda value: isinstance(value, dict), {}),
+        "hypotheses": (*_records(kind=_one_of("missing_stage",
+                                              "false_positive"),
+                                 statement=("string", _is_text),
+                                 target_refs=("[string]", _strings)), []),
+        "false_positive_flags": ("[node_uuid]", _strings, []),
+        "terminate": ("bool", lambda value: isinstance(value, bool), None),
+    },
+    "reporter": {
+        "campaign_summary": ("string", _is_text, None),
+        "remediation": ("[string]", _strings, []),
+    },
+}
+
+_INSTRUCTIONS = {
     "analyst": (
         "You are the security Analyst, the validation gatekeeper of the "
         "investigation. The input describes exactly one suspicious node "
@@ -39,9 +105,6 @@ ROLE_PROMPTS = {
         "3. Cite concrete neighbor edges, operations, or temporal behavior "
         "in cited_evidence.\n"
         "4. Always include a confidence between 0 and 1, even for BENIGN.\n"
-        'Respond with JSON only: {"verdict": "ANOMALY"|"BENIGN", '
-        '"confidence": number, "cited_evidence": [string], '
-        '"rationale": string}'
     ),
     "investigator": (
         "You are the Investigator performing event-level forensics on one "
@@ -52,9 +115,6 @@ ROLE_PROMPTS = {
         "carry graph_name, node_uuid and reason so the Analyst can query "
         "the right graph; describe only why the clue looks risky.\n"
         f"Phase codes: {', '.join(KILL_CHAIN_PHASES)} or {UNASSIGNED}.\n"
-        'Respond with JSON only: {"event": string, "kill_chain_phase": '
-        'string, "leads": [{"graph_name": string, "node_uuid": string, '
-        '"reason": string}]}'
     ),
     "leader": (
         "You are the Leader coordinating the investigation of a single "
@@ -72,106 +132,45 @@ ROLE_PROMPTS = {
         "3. List IOCs to drop outright in false_positive_flags.\n"
         "4. Set terminate to true once the chain is coherent or nothing "
         "testable remains.\n"
-        'Respond with JSON only: {"phase_coverage": {phase: [node_uuid]}, '
-        '"hypotheses": [{"kind": "missing_stage"|"false_positive", '
-        '"statement": string, "target_refs": [string]}], '
-        '"false_positive_flags": [node_uuid], "terminate": bool}'
     ),
     "reporter": (
         "You are the Reporter. From the structured investigation results, "
         "write a concise campaign summary for human security analysts and "
         "actionable remediation steps. Ground every claim in the supplied "
         "IOC data.\n"
-        'Respond with JSON only: {"campaign_summary": string, '
-        '"remediation": [string]}'
     ),
 }
 
-FALLBACKS = {
-    "analyst": {"verdict": "BENIGN", "confidence": 0.0, "cited_evidence": [],
-                "rationale": "response unusable; failing closed"},
-    "investigator": {"event": "", "kill_chain_phase": UNASSIGNED, "leads": []},
-    "leader": {"phase_coverage": {}, "hypotheses": [],
-               "false_positive_flags": [], "terminate": False},
-    "reporter": {"campaign_summary": "(campaign summary unavailable)",
-                 "remediation": []},
-}
-
-
-# --- schema validation ------------------------------------------------------
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise LLMError(message)
+ROLE_PROMPTS = {role: f"{text}Respond with JSON only: "
+                      f"{_object_line(REPLIES[role])}"
+                for role, text in _INSTRUCTIONS.items()}
 
 
 def validate_response(role: str, obj) -> dict:
-    """Check the minimal structural contract of a role response and return
-    it in the types its consumers read: the Analyst's ``confidence`` a
-    float, its ``rationale`` a string, and ``cited_evidence``, each
-    hypothesis's ``target_refs`` and ``remediation`` lists of strings.
-    Raises LLMError describing the violation (used as the repair echo)."""
-    _require(isinstance(obj, dict), "response must be a JSON object")
+    """The reply ``obj`` of agent ``role`` as ``REPLIES`` declares it: each
+    field in prompt order, an absent one as its default, and the Analyst's
+    ``confidence`` as a float. Raises LLMError naming the first field that
+    fails its check and the shape it must have (used as the repair echo)."""
+    if not isinstance(obj, dict):
+        raise LLMError("response must be a JSON object")
+    reply = {}
+    for name, (sketch, check, default) in REPLIES[role].items():
+        reply[name] = obj[name] if name in obj else copy.deepcopy(default)
+        if not check(reply[name]):
+            raise LLMError(f'field "{name}" must be {sketch}')
     if role == "analyst":
-        _require(obj.get("verdict") in ("ANOMALY", "BENIGN"),
-                 'field "verdict" must be "ANOMALY" or "BENIGN"')
-        conf = obj.get("confidence")
-        _require(type(conf) in (int, float) and 0.0 <= conf <= 1.0,
-                 'field "confidence" must be a number in [0, 1]')
-        _require(isinstance(obj.get("cited_evidence", []), list),
-                 'field "cited_evidence" must be a list')
-        obj["confidence"] = float(conf)
-        obj["cited_evidence"] = list(map(str, obj.get("cited_evidence", [])))
-        obj["rationale"] = str(obj.get("rationale", ""))
-    elif role == "investigator":
-        _require(isinstance(obj.get("event"), str), 'field "event" must be a string')
-        phase = obj.get("kill_chain_phase", UNASSIGNED)
-        _require(phase in KILL_CHAIN_PHASES + (UNASSIGNED,),
-                 f'field "kill_chain_phase" must be one of '
-                 f'{KILL_CHAIN_PHASES + (UNASSIGNED,)}')
-        leads = obj.get("leads", [])
-        _require(isinstance(leads, list), 'field "leads" must be a list')
-        for lead in leads:
-            _require(isinstance(lead, dict)
-                     and all(isinstance(lead.get(k), str) and lead.get(k)
-                             for k in ("graph_name", "node_uuid", "reason")),
-                     'every lead needs string fields "graph_name", '
-                     '"node_uuid" and "reason"')
-        obj.setdefault("kill_chain_phase", UNASSIGNED)
-        obj.setdefault("leads", [])
-    elif role == "leader":
-        _require(isinstance(obj.get("terminate"), bool),
-                 'field "terminate" must be a boolean')
-        coverage = obj.get("phase_coverage", {})
-        _require(isinstance(coverage, dict), 'field "phase_coverage" must be an object')
-        hypotheses = obj.get("hypotheses", [])
-        _require(isinstance(hypotheses, list), 'field "hypotheses" must be a list')
-        for hyp in hypotheses:
-            _require(isinstance(hyp, dict)
-                     and hyp.get("kind") in ("missing_stage", "false_positive")
-                     and isinstance(hyp.get("statement"), str)
-                     and isinstance(hyp.get("target_refs"), list),
-                     'every hypothesis needs "kind" in '
-                     '{missing_stage,false_positive}, a "statement" string '
-                     'and a "target_refs" list')
-            hyp["target_refs"] = list(map(str, hyp["target_refs"]))
-        flags = obj.get("false_positive_flags", [])
-        _require(isinstance(flags, list)
-                 and all(isinstance(flag, str) for flag in flags),
-                 'field "false_positive_flags" must be a list of strings')
-        obj.setdefault("phase_coverage", {})
-        obj.setdefault("hypotheses", [])
-        obj.setdefault("false_positive_flags", [])
-    elif role == "reporter":
-        _require(isinstance(obj.get("campaign_summary"), str),
-                 'field "campaign_summary" must be a string')
-        remediation = obj.get("remediation", [])
-        _require(isinstance(remediation, list),
-                 'field "remediation" must be a list')
-        obj["remediation"] = list(map(str, remediation))
-    else:
-        raise LLMError(f"unknown agent role {role!r}")
-    return obj
+        reply["confidence"] = float(reply["confidence"])
+    return reply
+
+
+# each role's fail-closed required values, and the Analyst's reason
+FALLBACKS = {role: validate_response(role, values) for role, values in {
+    "analyst": {"verdict": "BENIGN", "confidence": 0.0,
+                "rationale": "response unusable; failing closed"},
+    "investigator": {"event": ""},
+    "leader": {"terminate": False},
+    "reporter": {"campaign_summary": "(campaign summary unavailable)"},
+}.items()}
 
 
 # --- backends ---------------------------------------------------------------

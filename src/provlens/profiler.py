@@ -12,6 +12,7 @@ rows as benign reference behavior.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (check_seal, parent_made, read_blob, read_json,
+from .artifacts import (check_seal, encode, parent_made, read_blob, read_json,
                         read_jsonl, reading, seal, write_blob, write_json,
                         write_jsonl)
 from .encoder import EncoderParams, forward
@@ -49,14 +50,16 @@ class BenignKnowledgeBase:
     ``embeddings[i]`` and ``digests[i]``, its edge digest, sorted by
     (label, uuid). ``rows[label]`` is the label's slice of rows and
     ``profiles[label]`` the profile derived from that slice. It holds at
-    least one row, so detection always has an identity to match. It is not
-    changed once built, so the rows' squared norms, which only retrieval
-    reads, are cached on first use."""
+    least one row, so detection always has an identity to match. ``model``
+    is the ``model_digest`` of the vocabulary and encoder that embedded the
+    rows. It is not changed once built, so the rows' squared norms, which
+    only retrieval reads, are cached on first use."""
     epsilon: float
     uuids: list[str]
     labels: list[str]
     embeddings: np.ndarray
     digests: list[list[str]]
+    model: str = ""
     rows: dict[str, slice] = field(init=False, repr=False)
     uuid_rank: np.ndarray = field(init=False, repr=False)
     profiles: dict[str, IdentityProfile] = field(init=False, repr=False)
@@ -136,6 +139,18 @@ def edge_digest(graph: ProvenanceGraph, uuid: str,
     return lines
 
 
+def model_digest(params: EncoderParams, vocab: SemanticVocab) -> str:
+    """sha256 of what a member's embedding depends on: the encoder's dims,
+    activation and weights and the vocabulary's tokens, width, operation list
+    and vectors, each array in the ``<f4`` it is saved in."""
+    digest = hashlib.sha256(encode([params.dims, params.activation,
+                                    vocab.tokens, vocab.dim,
+                                    list(vocab.op_vocab)]).encode("utf-8"))
+    for array in (*params.weights, vocab.vectors):
+        digest.update(np.ascontiguousarray(array, dtype="<f4").tobytes())
+    return digest.hexdigest()
+
+
 def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
                          epsilon: float, op_vocab) -> BenignKnowledgeBase:
     """Embed every node of the benign graphs as one member row, which carries
@@ -154,7 +169,8 @@ def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
         epsilon=epsilon, uuids=[members[i][1] for i in order],
         labels=[members[i][0] for i in order],
         embeddings=np.concatenate(embeddings)[order],
-        digests=[members[i][2] for i in order])
+        digests=[members[i][2] for i in order],
+        model=model_digest(params, vocab))
 
 
 def knn_query(kb: BenignKnowledgeBase, queries: np.ndarray,
@@ -253,7 +269,8 @@ def kb_paths(directory: str | Path) -> dict[str, Path]:
 
 def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
     paths = kb_paths(directory)
-    write_json(paths["header"], {"dim": kb.embedding_dim, "epsilon": kb.epsilon})
+    write_json(paths["header"], {"dim": kb.embedding_dim, "epsilon": kb.epsilon,
+                                 "model": kb.model})
     write_jsonl(paths["members"], (
         {"uuid": uuid, "label": label, "edges": digest}
         for uuid, label, digest in zip(kb.uuids, kb.labels, kb.digests)))
@@ -265,6 +282,8 @@ def load_kb(directory: str | Path) -> BenignKnowledgeBase:
     paths = kb_paths(directory)
     check_seal(paths)
     header = read_json(paths["header"])
+    with reading(paths["header"]):  # absent from a KB of an earlier version
+        model = header["model"]
     members = read_jsonl(paths["members"])
     embeddings = read_blob(paths["embeddings"], "<f8",
                            (len(members), header["dim"]))
@@ -272,4 +291,4 @@ def load_kb(directory: str | Path) -> BenignKnowledgeBase:
         return BenignKnowledgeBase(
             epsilon=header["epsilon"], uuids=[m["uuid"] for m in members],
             labels=[m["label"] for m in members], embeddings=embeddings,
-            digests=[m["edges"] for m in members])
+            digests=[m["edges"] for m in members], model=model)

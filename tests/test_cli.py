@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -821,6 +822,9 @@ DAMAGED = [
                  _resealed(_paused_with_journal_length, repository_paths),
                  _REPOSITORY, RESUME,
                  id="repository.json-paused-with-journal_length-resealed"),
+    pytest.param("kb/kb.json", _resealed(_without("model"), kb_paths),
+                 _in_directory(load_kb), DETECT,
+                 id="kb.json-without-model-resealed-as-in-an-older-set"),
     _missing_field("investigation/attack/journal.jsonl", "action",
                    lambda path: InvestigationRepository.load(path.parent),
                    REPORT),
@@ -1342,8 +1346,54 @@ def test_kb_encoder_dimension_mismatch_exits_3(pipeline, tmp_path, capsys):
         code = main([*argv, *common])
         err = capsys.readouterr().err
         assert code == 3
-        assert ("error code=config detail=knowledge-base embedding dimension "
-                "16 does not match encoder output dimension 32") in err
+        assert err == _profiled_with_another_model(artifacts)
+
+
+def _profiled_with_another_model(artifacts):
+    return (f"error code=config detail=knowledge base in {artifacts / 'kb'} "
+            f"was profiled with another model than the one in "
+            f"{artifacts / 'model'}; rerun profile\n")
+
+
+@pytest.mark.parametrize("argv", [DETECT, INVESTIGATE],
+                         ids=lambda argv: argv[0])
+def test_a_model_trained_again_after_profile_exits_3_and_writes_nothing(
+        pipeline, tmp_path, capsys, argv):
+    """A model trained again with another seed has the knowledge base's
+    widths, but the knowledge base holds the embeddings of the model it
+    replaced, so each command that reads both rejects them."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    common = ["--artifacts", str(artifacts)]
+    assert main(["train", "--graphs", "benign", "--epochs", "1", "--seed",
+                 "3", *common]) == 0
+    before = _files(artifacts)
+    capsys.readouterr()
+    code = main([*argv, *common])
+    assert code == 3
+    assert capsys.readouterr().err == _profiled_with_another_model(artifacts)
+    assert _files(artifacts) == before
+
+
+def test_a_diverging_train_prints_one_line_and_keeps_the_model(pipeline,
+                                                               tmp_path):
+    """At a learning rate of 1e300 the first steps overflow. The loss check
+    reports that on the one error line, with no numpy warning before it, and
+    the model stays as it was."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    config = tmp_path / "diverge.json"
+    config.write_text('{"encoder": {"learning_rate": 1e300}}',
+                      encoding="utf-8")
+    before = _files(artifacts / "model")
+    done = _python(["-m", "provlens.cli", "train", "--graphs", "benign",
+                    "--artifacts", str(artifacts), "--config", str(config)])
+    assert done.returncode == 1
+    assert re.fullmatch(r"error code=runtime detail=non-finite "
+                        r"(evaluation )?loss [^\n]*\n", done.stderr)
+    assert _files(artifacts / "model") == before
 
 
 @pytest.mark.parametrize("argv", [PROFILE, DETECT, INVESTIGATE],

@@ -24,6 +24,7 @@ from provlens.investigation.graphstore import GraphStore
 from provlens.investigation.llm import (
     FALLBACKS,
     MAX_ATTEMPTS,
+    ROLE_PROMPTS,
     LLMSession,
     heuristic_mock,
     validate_response,
@@ -244,12 +245,13 @@ JSON_VALUES = st.recursive(
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
     max_leaves=6)
-ANY_LIST = st.lists(JSON_VALUES, max_size=4) | JSON_VALUES
+TEXT = st.text(max_size=4) | JSON_VALUES
+ANY_LIST = st.lists(TEXT, max_size=4) | JSON_VALUES
 ROLE_REPLIES = st.one_of(
     st.tuples(st.just("analyst"), st.fixed_dictionaries(
         {"verdict": st.sampled_from(["ANOMALY", "BENIGN"]),
          "confidence": st.floats(0.0, 1.0) | st.integers(0, 1) | JSON_VALUES},
-        optional={"cited_evidence": ANY_LIST, "rationale": JSON_VALUES})),
+        optional={"cited_evidence": ANY_LIST, "rationale": TEXT})),
     st.tuples(st.just("leader"), st.fixed_dictionaries(
         {"terminate": st.booleans(),
          "hypotheses": st.lists(st.fixed_dictionaries(
@@ -261,17 +263,27 @@ ROLE_REPLIES = st.one_of(
         optional={"remediation": ANY_LIST})))
 
 
+def _texts(role, reply):
+    """The lists of text a ``reply`` of ``role`` carries: the Analyst's
+    ``cited_evidence`` and its ``rationale`` as a one-item list, each
+    hypothesis's ``target_refs``, or the Reporter's ``remediation``."""
+    if role == "analyst":
+        return [reply.get("cited_evidence", []), [reply.get("rationale", "")]]
+    if role == "leader":
+        return [hyp["target_refs"] for hyp in reply["hypotheses"]]
+    return [reply.get("remediation", [])]
+
+
 @settings(max_examples=300, deadline=None)
 @given(ROLE_REPLIES)
 @example(("analyst", {"verdict": "ANOMALY", "confidence": 1,
-                      "cited_evidence": [1, None, ["e"]], "rationale": 2.5}))
+                      "cited_evidence": ["e", ""], "rationale": "r"}))
 @example(("leader", {"terminate": False, "hypotheses": [
-    {"kind": "missing_stage", "statement": "s", "target_refs": [7, "CC"]}]}))
-@example(("reporter", {"campaign_summary": "s", "remediation": [True, {}]}))
+    {"kind": "missing_stage", "statement": "s", "target_refs": ["x", "CC"]}]}))
+@example(("reporter", {"campaign_summary": "s", "remediation": ["step"]}))
 def test_an_accepted_reply_comes_back_in_the_types_its_consumers_read(reply):
     """Each reply ``validate_response`` accepts comes back with a float
-    confidence, a string rationale and lists of strings, holding the values
-    ``float`` and ``str`` made of the fields it was sent."""
+    confidence, and its rationale and lists of strings as they were sent."""
     role, sent = reply
     original = copy.deepcopy(sent)
     try:
@@ -281,16 +293,80 @@ def test_an_accepted_reply_comes_back_in_the_types_its_consumers_read(reply):
     if role == "analyst":
         assert type(obj["confidence"]) is float
         assert obj["confidence"] == original["confidence"]
-        assert obj["rationale"] == str(original.get("rationale", ""))
-        lists = [(obj["cited_evidence"], original.get("cited_evidence", []))]
-    elif role == "leader":
-        lists = [(hyp["target_refs"], sent_hyp["target_refs"]) for hyp, sent_hyp
-                 in zip(obj["hypotheses"], original["hypotheses"], strict=True)]
-    else:
-        lists = [(obj["remediation"], original.get("remediation", []))]
-    for got, sent_items in lists:
+    for got in _texts(role, obj):
         assert type(got) is list and all(type(item) is str for item in got)
-        assert got == [str(item) for item in sent_items]
+    assert _texts(role, obj) == _texts(role, original)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ROLE_REPLIES)
+@example(("analyst", {"verdict": "ANOMALY", "confidence": 1,
+                      "cited_evidence": [1, None, ["e"]], "rationale": "r"}))
+@example(("analyst", {"verdict": "BENIGN", "confidence": 0.5,
+                      "rationale": {"a": 1}}))
+@example(("leader", {"terminate": False, "hypotheses": [
+    {"kind": "missing_stage", "statement": "s", "target_refs": [7, "CC"]}]}))
+@example(("reporter", {"campaign_summary": "s", "remediation": [True, {}]}))
+def test_a_reply_whose_text_is_not_strings_is_rejected(reply):
+    """A rationale or an item of a list of text that is not a string is
+    never coerced: the reply is rejected, so the repair retry asks again."""
+    role, sent = reply
+    if all(type(texts) is list and all(type(item) is str for item in texts)
+           for texts in _texts(role, sent)):
+        return
+    with pytest.raises(LLMError):
+        validate_response(role, sent)
+
+
+CONTRACT_LINES = {
+    "analyst": 'Respond with JSON only: {"verdict": "ANOMALY"|"BENIGN", '
+               '"confidence": number, "cited_evidence": [string], '
+               '"rationale": string}',
+    "investigator": 'Respond with JSON only: {"event": string, '
+                    '"kill_chain_phase": string, "leads": [{"graph_name": '
+                    'string, "node_uuid": string, "reason": string}]}',
+    "leader": 'Respond with JSON only: {"phase_coverage": {phase: '
+              '[node_uuid]}, "hypotheses": [{"kind": "missing_stage"|'
+              '"false_positive", "statement": string, "target_refs": '
+              '[string]}], "false_positive_flags": [node_uuid], '
+              '"terminate": bool}',
+    "reporter": 'Respond with JSON only: {"campaign_summary": string, '
+                '"remediation": [string]}',
+}
+
+
+@pytest.mark.parametrize("role", CONTRACT_LINES)
+def test_each_prompt_ends_with_its_reply_contract(role):
+    assert ROLE_PROMPTS[role].splitlines()[-1] == CONTRACT_LINES[role]
+
+
+@pytest.mark.parametrize("role", sorted(FALLBACKS))
+def test_each_fallback_passes_its_reply_contract_unchanged(role):
+    fallback = json.dumps(FALLBACKS[role])
+    assert json.dumps(validate_response(role, json.loads(fallback))) == fallback
+
+
+def test_a_citation_that_is_not_a_string_takes_a_schema_retry():
+    """An Analyst that cites ``[7, null]`` is asked again with an echo that
+    names ``cited_evidence``, and its valid second reply is taken."""
+    requests = []
+    replies = [{"verdict": "ANOMALY", "confidence": 0.9,
+                "cited_evidence": [7, None], "rationale": "r"},
+               {"verdict": "ANOMALY", "confidence": 0.9,
+                "cited_evidence": ["7"], "rationale": "r"}]
+
+    def analyst(payload):
+        requests.append(payload)
+        return replies[len(requests) - 1]
+
+    backend = RecordingLLM(handlers={"analyst": analyst})
+    response, repo = invoke_once(backend, "analyst", {"node_uuid": "n"})
+    assert response["cited_evidence"] == ["7"] and not fell_back(repo)
+    retries = [e for e in repo.journal_entries
+               if e["action"] == "llm_schema_retry"]
+    assert len(retries) == 1 and len(requests) == 2
+    assert requests[1]["previous_error"] == retries[0]["error"] \
+        == 'field "cited_evidence" must be [string]'
 
 
 # --- analyst ---------------------------------------------------------------------
@@ -613,7 +689,7 @@ def test_integer_confidence_is_journaled_and_stored_as_a_float():
 
 def test_validated_ioc_evidence_is_the_analyst_digest_then_its_citations():
     seen = {}
-    repo = run_chain(backend=_anomaly_on_alert(0.9, [7, "cited line"], seen))
+    repo = run_chain(backend=_anomaly_on_alert(0.9, ["7", "cited line"], seen))
     assert seen["att-a"]
     assert repo.evidence["att-a"] == seen["att-a"] + ["7", "cited line"]
 

@@ -8,16 +8,19 @@ investigation retrieves through the one name the benchmark traces. And
 importing the CLI leaves ``requests`` unimported. And ``graph_paths`` names
 every file ``save_graph`` writes, which the benchmark deletes by it, and
 each writer's seal covers the other files of its ``*_paths`` dict, and each
-key a writer stores in its JSON header is one its loader reads. And only
-``ingest`` calls the graph constructor, and no module names an edge object,
-so the benchmark's build hook counts edge columns. And the investigation
-package binds exactly the names the benchmark reads through it."""
+key a writer stores in its JSON header is one its loader reads, and each
+field an agent's reply declares is one the agents or the orchestrator read.
+And only ``ingest`` calls the graph constructor, and no module names an edge
+object, so the benchmark's build hook counts edge columns. And the
+investigation package binds exactly the names the benchmark reads through
+it."""
 
 import ast
 import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tokenize
@@ -31,6 +34,7 @@ from provlens.detector import Alert, alerts_paths, save_alerts
 from provlens.encoder import encoder_paths, init_params, save_params
 from provlens.features import SemanticVocab, save_vocab, vocab_paths
 from provlens.ingest import graph_paths, save_graph
+from provlens.investigation.llm import REPLIES
 from provlens.investigation.repository import (InvestigationRepository,
                                                 repository_paths)
 from provlens.profiler import BenignKnowledgeBase, kb_paths, save_kb
@@ -207,6 +211,25 @@ def test_each_header_key_a_writer_stores_is_read_by_its_loader():
         assert written and read, (writer, loader)
         unread += [f"{writer}: {key}" for key in sorted(written - read)]
     assert unread == []
+
+
+def test_each_reply_field_an_agent_declares_is_read():
+    """Every field ``REPLIES`` declares, the fields of a list's objects
+    included, is read as ``reply["field"]`` in the agents or the
+    orchestrator; a field that nothing reads only costs output tokens."""
+    declared = set()
+    for fields in REPLIES.values():
+        declared |= set(fields)
+        for sketch, _, _ in fields.values():
+            declared |= set(re.findall(r'"(\w+)":', sketch))
+    read = set()
+    for module in ("agents.py", "orchestrator.py"):
+        path = PACKAGE / "investigation" / module
+        read |= {node.slice.value
+                 for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                 if isinstance(node, ast.Subscript)
+                 and isinstance(node.slice, ast.Constant)}
+    assert "node_uuid" in declared and sorted(declared - read) == []
 
 
 def test_every_public_definition_has_a_caller():
