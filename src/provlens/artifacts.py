@@ -23,9 +23,10 @@ from __future__ import annotations
 import hashlib
 import json
 import reprlib
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import fields
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -90,6 +91,29 @@ def read_jsonl(path, build: Callable | None = None) -> list:
                 else [build(decode(line)) for line in fh])
 
 
+class LazyJsonl(Sequence):
+    """The records of a JSONL file as a sequence, decoded from ``data``, the
+    file's bytes, when the first one is read. A record that does not decode
+    raises ArtifactError naming ``path``."""
+
+    def __init__(self, path, data: bytes):
+        self.path, self.data = path, data
+
+    @cached_property
+    def records(self) -> list:
+        with reading(self.path):
+            records = [decode(line)
+                       for line in self.data.decode("utf-8").splitlines()]
+        self.data = None
+        return records
+
+    def __getitem__(self, index):
+        return self.records[index]
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+
 def _exact(expected: frozenset, obj) -> dict:
     """``obj`` if it is a JSON object whose keys are exactly ``expected``, so
     no default fills a missing one."""
@@ -143,26 +167,27 @@ def write_blob(path, array, dtype) -> None:
     parent_made(path).write_bytes(np.asarray(array).astype(dtype).tobytes())
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def seal(paths: dict[str, Path]) -> None:
     """Record the sha256 of every file of ``paths`` but ``paths["seal"]`` in
     that file, keyed by its entry, so a renamed or copied set keeps its seal.
     A writer calls it last."""
-    write_json(paths["seal"], {key: _sha256(path)
-                               for key, path in paths.items() if key != "seal"})
+    write_json(paths["seal"], {
+        key: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for key, path in paths.items() if key != "seal"})
 
 
-def check_seal(paths: dict[str, Path]) -> None:
+def check_seal(paths: dict[str, Path]) -> dict[str, bytes]:
     """Raise ArtifactError naming the seal if it is missing (as in a set
     written before seals) or unreadable, else the first file of ``paths``
     that is missing or differs from what ``seal`` recorded. A loader calls
-    it first."""
+    it first. Returns the bytes it checked of each file, keyed as in
+    ``paths``, for a loader that decodes a file later than it loads."""
     files = {key: path for key, path in paths.items() if key != "seal"}
     digests = read_json(paths["seal"], partial(_exact, frozenset(files)))
+    checked = {}
     for key, path in files.items():
         with reading(path):
-            if _sha256(path) != digests[key]:
+            checked[key] = Path(path).read_bytes()
+            if hashlib.sha256(checked[key]).hexdigest() != digests[key]:
                 raise ValueError(f"differs from its seal {paths['seal']}")
+    return checked

@@ -1,6 +1,9 @@
 """Audit-event ingestion: JSONL parsing, provenance-graph construction, identities.
 
-Events arrive as one JSON object per line (see README for the schema). Repeated
+Events arrive as one JSON object per line (see README for the schema), and
+parsing appends each accepted line's fields to one list per field
+(``EventColumns``), which ``build_graph`` reads as they are, so no object is
+made per event. Repeated
 events with the same (source, destination, operation) inside a temporal window
 are collapsed into a single weighted edge so that high-frequency system noise
 does not explode the graph. A graph is its columns: ``build_graph`` and
@@ -42,18 +45,22 @@ KEY_ATTRIBUTE = {"subject": ("name", str), "file": ("path", str),
 
 
 @dataclass(slots=True)
-class RawEvent:
-    """One parsed audit event. Events of one ``parse_events`` call may share
-    their uuid, operation and kind strings and their attribute maps, so
-    neither map may be mutated."""
-    event_id: str
-    subject_uuid: str
-    object_uuid: str
-    operation: str
-    timestamp: int  # ns since epoch
-    subject_attrs: dict = field(default_factory=dict)
-    object_attrs: dict = field(default_factory=dict)
-    object_kind: str = "file"
+class EventColumns:
+    """Parsed audit events as one list per field: event i is entry i of
+    every list, and ``len`` is the event count. The events of one
+    ``parse_events`` call may share their uuid, operation and kind strings
+    and their attribute maps, so no entry may be mutated."""
+    event_id: list[str] = field(default_factory=list)
+    subject_uuid: list[str] = field(default_factory=list)
+    object_uuid: list[str] = field(default_factory=list)
+    operation: list[str] = field(default_factory=list)
+    timestamp: list[int] = field(default_factory=list)  # ns since epoch
+    subject_attrs: list[dict] = field(default_factory=list)
+    object_attrs: list[dict] = field(default_factory=list)
+    object_kind: list[str] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.event_id)
 
 
 @dataclass
@@ -146,7 +153,7 @@ class Incidence(NamedTuple):
 
 @dataclass
 class ParseResult:
-    events: list[RawEvent]
+    events: EventColumns
     skipped: int
 
 
@@ -208,12 +215,13 @@ def _attribute_map(record: dict, name: str, kind: str,
     return attrs
 
 
-def _event_from_record(record: dict, ops: set, first: dict[str, str],
-                       subject_maps: dict[str, dict],
-                       object_maps: dict[str, dict]) -> RawEvent:
-    """The event of ``record``. It takes each uuid, operation and kind
-    string from ``first``, the first equal string seen, and its attribute
-    maps from ``subject_maps`` and ``object_maps`` (``_attribute_map``)."""
+def _add_event(record: dict, events: EventColumns, ops: set,
+               first: dict[str, str], subject_maps: dict[str, dict],
+               object_maps: dict[str, dict]) -> None:
+    """Append the event of ``record`` to ``events`` once every field checks
+    out. It takes each uuid, operation and kind string from ``first``, the
+    first equal string seen, and its attribute maps from ``subject_maps``
+    and ``object_maps`` (``_attribute_map``)."""
     subject_uuid = record["subject_uuid"]
     object_uuid = record["object_uuid"]
     if (type(subject_uuid) is not str or type(object_uuid) is not str
@@ -230,16 +238,22 @@ def _event_from_record(record: dict, ops: set, first: dict[str, str],
     operation = str(record["operation"])
     if operation not in ops:
         raise ValueError(f"operation {operation!r} not in vocabulary")
+    event_id = str(record["event_id"])
     share = first.setdefault
     subject_uuid = share(subject_uuid, subject_uuid)
     object_uuid = share(object_uuid, object_uuid)
-    return RawEvent(str(record["event_id"]), subject_uuid, object_uuid,
-                    share(operation, operation), timestamp,
-                    _attribute_map(record, "subject_attrs", "subject",
-                                   subject_maps, subject_uuid),
-                    _attribute_map(record, "object_attrs", object_kind,
-                                   object_maps, object_uuid),
-                    share(object_kind, object_kind))
+    subject_attrs = _attribute_map(record, "subject_attrs", "subject",
+                                   subject_maps, subject_uuid)
+    object_attrs = _attribute_map(record, "object_attrs", object_kind,
+                                  object_maps, object_uuid)
+    events.event_id.append(event_id)
+    events.subject_uuid.append(subject_uuid)
+    events.object_uuid.append(object_uuid)
+    events.operation.append(share(operation, operation))
+    events.timestamp.append(timestamp)
+    events.subject_attrs.append(subject_attrs)
+    events.object_attrs.append(object_attrs)
+    events.object_kind.append(share(object_kind, object_kind))
 
 
 def parse_events(source, op_vocab: Iterable[str] = DEFAULT_OP_VOCAB) -> ParseResult:
@@ -257,11 +271,11 @@ def parse_events(source, op_vocab: Iterable[str] = DEFAULT_OP_VOCAB) -> ParseRes
 
 
 def _parse_lines(lines: Iterable[str], ops: set, origin: str) -> ParseResult:
-    """The events of ``lines``. Within the call, events share one string
-    per distinct uuid, operation and kind (``first``), and per role and uuid
-    an attribute map of strings and integers (``_attribute_map``), so no
-    field of an event may be mutated."""
-    events: list[RawEvent] = []
+    """The events of ``lines`` as columns. Within the call, events share one
+    string per distinct uuid, operation and kind (``first``), and per role
+    and uuid an attribute map of strings and integers (``_attribute_map``),
+    so no entry of a column may be mutated."""
+    events = EventColumns()
     first: dict[str, str] = {}
     subject_maps: dict[str, dict] = {}
     object_maps: dict[str, dict] = {}
@@ -273,13 +287,11 @@ def _parse_lines(lines: Iterable[str], ops: set, origin: str) -> ParseResult:
             continue
         total += 1
         try:
-            event = _event_from_record(decode(line), ops, first, subject_maps,
-                                       object_maps)
+            _add_event(decode(line), events, ops, first, subject_maps,
+                       object_maps)
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             skipped += 1
             log.debug("skipping malformed line in %s: %s", origin, exc)
-            continue
-        events.append(event)
     if total > 0 and skipped * 2 > total:
         raise FormatError(
             f"{skipped}/{total} lines of {origin} are malformed; "
@@ -295,9 +307,9 @@ def _ranked(names: list[str]) -> tuple[list[str], np.ndarray]:
                                  len(names))
 
 
-def build_graph(events: Iterable[RawEvent], window_ns: int,
+def build_graph(events: EventColumns, window_ns: int,
                 name: str = "graph") -> ProvenanceGraph:
-    """Aggregate raw events into a provenance graph.
+    """Aggregate parsed events into a provenance graph.
 
     Events are taken in (timestamp, subject, object, operation, event_id)
     order. Those of one (src, dst, operation) key merge into one weighted edge
@@ -307,16 +319,14 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
     than ``window_ns`` is walked, one edge at a time; the rest is array
     operations on the integer codes of uuids and operations.
     """
-    events = list(events)
-    uuids, codes = _ranked([e.subject_uuid for e in events]
-                           + [e.object_uuid for e in events])
+    uuids, codes = _ranked(events.subject_uuid + events.object_uuid)
     src, dst = codes[:len(events)], codes[len(events):]
-    operations, op = _ranked([e.operation for e in events])
-    ts = np.array([e.timestamp for e in events], dtype=np.int64)
+    operations, op = _ranked(events.operation)
+    ts = np.array(events.timestamp, dtype=np.int64)
 
     # Events by key and time, and in event order: time, then key. Both sorts
     # are stable and start from event id order, so event ids break ties.
-    ids = [e.event_id for e in events]
+    ids = events.event_id
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), np.intp)
     by_key = by_id[np.lexsort(np.stack([ts, op, dst, src])[:, by_id])]
     order = by_key[np.argsort(ts[by_key], kind="stable")]
@@ -327,8 +337,8 @@ def build_graph(events: Iterable[RawEvent], window_ns: int,
     nodes = {}
     for uuid, i, as_object in zip(uuids, order[named // 2].tolist(),
                                   (named % 2).tolist()):
-        kind, attrs = ((events[i].object_kind, events[i].object_attrs)
-                       if as_object else ("subject", events[i].subject_attrs))
+        kind, attrs = ((events.object_kind[i], events.object_attrs[i])
+                       if as_object else ("subject", events.subject_attrs[i]))
         nodes[uuid] = Entity(uuid, kind, dict(attrs),
                              derive_identity(kind, attrs))
 

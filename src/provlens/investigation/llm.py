@@ -53,6 +53,7 @@ def _records(**fields) -> tuple:
 
 
 _NAME = ("string", lambda value: _is_text(value) and value != "")
+_LEAD = dict.fromkeys(("graph_name", "node_uuid", "reason"), _NAME)
 _PHASES = (*KILL_CHAIN_PHASES, UNASSIGNED)
 
 # Each role's reply fields in prompt order, as name: (sketch, check,
@@ -70,8 +71,7 @@ REPLIES = {
     "investigator": {
         "event": ("string", _is_text, None),
         "kill_chain_phase": ("string", _PHASES.__contains__, UNASSIGNED),
-        "leads": (*_records(graph_name=_NAME, node_uuid=_NAME, reason=_NAME),
-                  []),
+        "leads": (*_records(**_LEAD), []),
     },
     "leader": {
         "phase_coverage": ("{phase: [node_uuid]}",
@@ -141,6 +141,14 @@ _INSTRUCTIONS = {
     ),
 }
 
+# The shape the repair echo names for a field whose check is stricter than
+# the sketch the prompt shows.
+_ECHOES = {
+    ("investigator", "kill_chain_phase"): _one_of(*_PHASES)[0],
+    ("investigator", "leads"):
+        f"[{_object_line(dict.fromkeys(_LEAD, ('non-empty string',)))}]",
+}
+
 ROLE_PROMPTS = {role: f"{text}Respond with JSON only: "
                       f"{_object_line(REPLIES[role])}"
                 for role, text in _INSTRUCTIONS.items()}
@@ -150,14 +158,16 @@ def validate_response(role: str, obj) -> dict:
     """The reply ``obj`` of agent ``role`` as ``REPLIES`` declares it: each
     field in prompt order, an absent one as its default, and the Analyst's
     ``confidence`` as a float. Raises LLMError naming the first field that
-    fails its check and the shape it must have (used as the repair echo)."""
+    fails its check and the shape it must have, its sketch or its
+    ``_ECHOES`` entry (used as the repair echo)."""
     if not isinstance(obj, dict):
         raise LLMError("response must be a JSON object")
     reply = {}
     for name, (sketch, check, default) in REPLIES[role].items():
         reply[name] = obj[name] if name in obj else copy.deepcopy(default)
         if not check(reply[name]):
-            raise LLMError(f'field "{name}" must be {sketch}')
+            raise LLMError(f'field "{name}" must be '
+                           f'{_ECHOES.get((role, name), sketch)}')
     if role == "analyst":
         reply["confidence"] = float(reply["confidence"])
     return reply

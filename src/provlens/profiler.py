@@ -15,15 +15,16 @@ import csv
 import hashlib
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (check_seal, encode, parent_made, read_blob, read_json,
-                        read_jsonl, reading, seal, write_blob, write_json,
-                        write_jsonl)
+from .artifacts import (LazyJsonl, check_seal, encode, parent_made, read_blob,
+                        read_json, read_jsonl, reading, seal, write_blob,
+                        write_json, write_jsonl)
 from .encoder import EncoderParams, forward
 from .errors import ConfigError
 from .features import SemanticVocab, feature_matrix
@@ -52,16 +53,17 @@ class BenignKnowledgeBase:
     ``profiles[label]`` the profile derived from that slice. It holds at
     least one row, so detection always has an identity to match. ``model``
     is the ``model_digest`` of the vocabulary and encoder that embedded the
-    rows. It is not changed once built, so the rows' squared norms, which
-    only retrieval reads, are cached on first use."""
+    rows. Only the investigation reads ``digests``, which a loaded KB decodes
+    on that first read. It is not changed once built, so the rows' squared
+    norms and uuid ranks, which only retrieval reads, are cached on first
+    use."""
     epsilon: float
     uuids: list[str]
     labels: list[str]
     embeddings: np.ndarray
-    digests: list[list[str]]
+    digests: Sequence[list[str]]
     model: str = ""
     rows: dict[str, slice] = field(init=False, repr=False)
-    uuid_rank: np.ndarray = field(init=False, repr=False)
     profiles: dict[str, IdentityProfile] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -72,10 +74,6 @@ class BenignKnowledgeBase:
         self.rows = {label: slice(bisect_left(self.labels, label),
                                   bisect_right(self.labels, label))
                      for label in dict.fromkeys(self.labels)}
-        # each row's position in (uuid, row) order, the tie-break of kNN
-        by_uuid = np.argsort(np.array(self.uuids, dtype=str), kind="stable")
-        self.uuid_rank = np.empty_like(by_uuid)
-        self.uuid_rank[by_uuid] = np.arange(len(by_uuid))
         self.profiles = {}
         for label, rows in self.rows.items():
             vectors = self.embeddings[rows]
@@ -92,6 +90,14 @@ class BenignKnowledgeBase:
         norms = np.einsum("ij,ij->i", self.embeddings, self.embeddings)
         norms.flags.writeable = False
         return norms
+
+    @cached_property
+    def uuid_rank(self) -> np.ndarray:
+        """Each row's position in (uuid, row) order, the kNN tie-break."""
+        by_uuid = np.argsort(np.array(self.uuids, dtype=str), kind="stable")
+        rank = np.empty_like(by_uuid)
+        rank[by_uuid] = np.arange(len(by_uuid))
+        return rank
 
     @property
     def embedding_dim(self) -> int:
@@ -262,6 +268,7 @@ def kb_paths(directory: str | Path) -> dict[str, Path]:
     return {
         "header": base / "kb.json",
         "members": base / "kb.members.jsonl",
+        "digests": base / "kb.digests.jsonl",
         "embeddings": base / "kb.embeddings.bin",
         "seal": base / "kb.seal.json",
     }
@@ -271,16 +278,18 @@ def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
     paths = kb_paths(directory)
     write_json(paths["header"], {"dim": kb.embedding_dim, "epsilon": kb.epsilon,
                                  "model": kb.model})
-    write_jsonl(paths["members"], (
-        {"uuid": uuid, "label": label, "edges": digest}
-        for uuid, label, digest in zip(kb.uuids, kb.labels, kb.digests)))
+    write_jsonl(paths["members"], ({"uuid": uuid, "label": label}
+                                   for uuid, label in zip(kb.uuids, kb.labels)))
+    write_jsonl(paths["digests"], kb.digests)
     write_blob(paths["embeddings"], kb.embeddings, "<f8")
     seal(paths)
 
 
 def load_kb(directory: str | Path) -> BenignKnowledgeBase:
+    """The saved KB once every file matches its seal. The digests are
+    decoded from the bytes the seal was checked on when the first is read."""
     paths = kb_paths(directory)
-    check_seal(paths)
+    digests = LazyJsonl(paths["digests"], check_seal(paths)["digests"])
     header = read_json(paths["header"])
     with reading(paths["header"]):  # absent from a KB of an earlier version
         model = header["model"]
@@ -291,4 +300,4 @@ def load_kb(directory: str | Path) -> BenignKnowledgeBase:
         return BenignKnowledgeBase(
             epsilon=header["epsilon"], uuids=[m["uuid"] for m in members],
             labels=[m["label"] for m in members], embeddings=embeddings,
-            digests=[m["edges"] for m in members], model=model)
+            digests=digests, model=model)

@@ -7,6 +7,7 @@ sets, the node feature rows built by one walk over each node's incident edges,
 and the detection rule applied to one node at a time."""
 
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -14,10 +15,27 @@ from scipy import sparse
 from provlens.detector import SCORE_DELTA, Alert
 from provlens.errors import ConfigError
 from provlens.features import TEMPORAL_DIM
-from provlens.ingest import Entity, derive_identity
+from provlens.ingest import Entity, EventColumns, derive_identity
 from provlens.profiler import euclidean_distance
 
 from conftest import ProvEdge, edge_objects, edge_order
+
+
+class Event(NamedTuple):
+    """One audit event, its fields in the order of ``EventColumns``."""
+    event_id: str
+    subject_uuid: str
+    object_uuid: str
+    operation: str
+    timestamp: int
+    subject_attrs: dict
+    object_attrs: dict
+    object_kind: str
+
+
+def event_columns(events) -> EventColumns:
+    """``events`` as the columns ``parse_events`` gives."""
+    return EventColumns(*map(list, zip(*events)))
 
 
 _event_order = attrgetter("timestamp", "subject_uuid", "object_uuid",

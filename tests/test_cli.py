@@ -532,6 +532,8 @@ RECORD_FILES = [  # every JSONL file the pipeline fixture writes
     ("graphs/benign.nodes.jsonl", _graph_loader("benign"), PROFILE),
     ("graphs/attack.nodes.jsonl", _graph_loader("attack"), DETECT),
     ("kb/kb.members.jsonl", lambda path: load_kb(path.parent), DETECT),
+    # never decoded by detect, but checked against the seal at load
+    ("kb/kb.digests.jsonl", lambda path: load_kb(path.parent), DETECT),
     ("alerts/attack.alerts.jsonl", _detected_alerts, INVESTIGATE),
     ("investigation/attack/journal.jsonl",
      lambda path: InvestigationRepository.load(path.parent), REPORT),
@@ -776,8 +778,10 @@ EDITED = [  # one edit per sealed file, each to a value no check reads
      DETECT),
     ("kb/kb.json", _bump_after(b'"epsilon": 0.0'), _in_directory(load_kb),
      DETECT),
-    ("kb/kb.members.jsonl", _bump_after(b'"edges": ["'),
+    ("kb/kb.members.jsonl", _bump_after(b'"uuid": "'),
      _in_directory(load_kb), DETECT),
+    ("kb/kb.digests.jsonl", _bump_after(b'["'), _in_directory(load_kb),
+     DETECT),
     ("kb/kb.embeddings.bin", _flip_bit(0), _in_directory(load_kb), DETECT),
     ("alerts/attack.alerts.jsonl", _bump_after(b'"explanation": "'),
      _detected_alerts, INVESTIGATE),

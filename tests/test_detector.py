@@ -18,7 +18,7 @@ from provlens.detector import (
 from provlens.encoder import train
 from provlens.config import EncoderConfig
 from provlens.features import build_node_summary, train_semantic_vocab
-from provlens.ingest import build_graph
+from provlens.ingest import EventColumns, build_graph
 from provlens.profiler import (
     IdentityProfile,
     build_knowledge_base,
@@ -249,7 +249,7 @@ def test_detect_graph_flags_identity_swapped_node():
 
 def test_detect_graph_empty_graph():
     _, _, params, vocab, kb = synthetic_two_identity_setup()
-    empty = build_graph([], window_ns=10, name="empty")
+    empty = build_graph(EventColumns(), window_ns=10, name="empty")
     assert detect_graph(empty, params, vocab, kb, DEFAULT_OP_VOCAB) == []
 
 

@@ -2,7 +2,7 @@ import json
 import random
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,8 @@ from provlens.ingest import (
     KEY_ATTRIBUTE,
     TIMESTAMP_END,
     Entity,
+    EventColumns,
     ProvenanceGraph,
-    RawEvent,
     build_graph,
     derive_identity,
     graph_paths,
@@ -48,17 +48,17 @@ def test_parse_single_line_round_trips_fields():
     result = parse_events(events_to_lines([event]))
     assert result.skipped == 0
     assert len(result.events) == 1
-    parsed = result.events[0]
-    assert parsed.event_id == "abc"
-    assert parsed.subject_uuid == "s9"
-    assert parsed.object_uuid == "o9"
-    assert parsed.operation == "WRITE"
-    assert parsed.timestamp == 123
+    parsed = result.events
+    assert parsed.event_id == ["abc"]
+    assert parsed.subject_uuid == ["s9"]
+    assert parsed.object_uuid == ["o9"]
+    assert parsed.operation == ["WRITE"]
+    assert parsed.timestamp == [123]
 
 
 def test_parse_empty_input():
     result = parse_events([])
-    assert result.events == [] and result.skipped == 0
+    assert result.events == EventColumns() and result.skipped == 0
 
 
 def test_parse_skips_malformed_lines():
@@ -161,7 +161,7 @@ def test_parse_reads_a_null_or_missing_attribute_map_as_empty(field):
     del missing[field]
     result = parse_events(events_to_lines([null, missing]))
     assert result.skipped == 0
-    assert [getattr(e, field) for e in result.events] == [{}, {}]
+    assert getattr(result.events, field) == [{}, {}]
 
 
 def test_parse_judges_each_line_on_its_own():
@@ -175,7 +175,7 @@ def test_parse_judges_each_line_on_its_own():
     result = parse_events([*good, "[1", "2]", joined, "[" * 100_000,
                            "null", "[]", '"e"'])
     assert result.skipped == 7
-    assert [e.event_id for e in result.events] == [f"e{i}" for i in range(8)]
+    assert result.events.event_id == [f"e{i}" for i in range(8)]
 
 
 def test_parse_mostly_malformed_is_a_format_error():
@@ -189,7 +189,7 @@ def test_parse_unreadable_path():
         parse_events("/nonexistent/events.jsonl")
 
 
-def _oracle_event(line: str) -> RawEvent:
+def _oracle_event(line: str) -> graph_oracle.Event:
     """The event of one line: ``json.loads`` and each check of the event
     format, with no object shared with another line's event."""
     record = json.loads(line)
@@ -215,8 +215,8 @@ def _oracle_event(line: str) -> RawEvent:
             raise ValueError(key)
     if str(record["operation"]) not in DEFAULT_OP_VOCAB:
         raise ValueError("operation")
-    return RawEvent(str(record["event_id"]), subject, obj,
-                    str(record["operation"]), timestamp, *maps, kind)
+    return graph_oracle.Event(str(record["event_id"]), subject, obj,
+                              str(record["operation"]), timestamp, *maps, kind)
 
 
 def _oracle_parse(lines):
@@ -232,12 +232,14 @@ def _oracle_parse(lines):
     return FormatError if skipped * 2 > total else (events, skipped)
 
 
-def _as_json(events, window_ns=5):
-    """Every field of ``events`` and the node attrs ``build_graph`` gives
-    them, as JSON text, so that 1, 1.0 and True, and 0.0 and -0.0, differ."""
+def _as_json(events: EventColumns, window_ns=5):
+    """Every field of every event of the columns ``events`` and the node
+    attrs ``build_graph`` gives them, as JSON text, so that 1, 1.0 and True,
+    and 0.0 and -0.0, differ."""
     graph = build_graph(events, window_ns)
-    return (json.dumps([[getattr(e, f) for f in RawEvent.__slots__]
-                        for e in events], sort_keys=True),
+    return (json.dumps(list(zip(*(getattr(events, f.name)
+                                  for f in fields(EventColumns)))),
+                       sort_keys=True),
             json.dumps([[uuid, node.kind, node.attrs, node.identity]
                         for uuid, node in graph.nodes.items()],
                        sort_keys=True))
@@ -312,9 +314,9 @@ def _first_naming_case(earlier, later):
 @example(_first_naming_case(0.0, -0.0))
 @example(_first_naming_case([1], [1.0]))
 def test_parse_equals_the_line_by_line_oracle(lines):
-    """Every event field and every node's attrs are the JSON text of its own
-    line's, though parsing shares repeated uuids, operations, kinds and
-    attribute maps across lines."""
+    """Every entry of every event column and every node's attrs are the
+    JSON text of its own line's, though parsing shares repeated uuids,
+    operations, kinds and attribute maps across lines."""
     try:
         result = parse_events(lines)
     except FormatError:
@@ -324,12 +326,13 @@ def test_parse_equals_the_line_by_line_oracle(lines):
         assert result is want
         return
     assert result.skipped == want[1]
-    assert _as_json(result.events) == _as_json(want[0])
+    assert _as_json(result.events) == _as_json(
+        graph_oracle.event_columns(want[0]))
 
 
 # Bytes ``parse_events`` retains per event of the 3x20-node synth scenario on
-# CPython 3.11: 231 when repeats are shared, against 1,037 with a copy of each
-# per event.
+# CPython 3.11: 192 in columns with repeats shared, 231 as one object per
+# event, against 1,037 with a copy of each per event.
 RETAINED_BYTES_PER_EVENT = 400
 
 
@@ -349,13 +352,12 @@ def test_parse_shares_repeats_and_retains_few_bytes_per_event():
     assert len(events) == len(benign) > 1000
     assert retained <= RETAINED_BYTES_PER_EVENT * len(events)
     for role in ("subject", "object"):
-        uuid = getattr(events[0], f"{role}_uuid")
-        first, second = [e for e in events
-                         if getattr(e, f"{role}_uuid") == uuid][:2]
-        assert getattr(first, f"{role}_uuid") is getattr(second,
-                                                         f"{role}_uuid")
-        assert getattr(first, f"{role}_attrs") is getattr(second,
-                                                          f"{role}_attrs")
+        uuids = getattr(events, f"{role}_uuid")
+        maps = getattr(events, f"{role}_attrs")
+        first, second = [i for i, uuid in enumerate(uuids)
+                         if uuid == uuids[0]][:2]
+        assert uuids[first] is uuids[second]
+        assert maps[first] is maps[second]
 
 
 # --- build_graph -------------------------------------------------------------
@@ -538,7 +540,7 @@ EXTRA_ATTR = st.dictionaries(st.just("v"), st.sampled_from([1, 1.0, True]),
 def raw_events(draw):
     kind = draw(st.sampled_from(ENTITY_KINDS))
     key, values = KEY_ATTRS[kind]
-    return RawEvent(
+    return graph_oracle.Event(
         draw(st.sampled_from(["e0", "e1", "e2"])),
         draw(st.sampled_from(["a", "b", "c"])),
         draw(st.sampled_from(["a", "b", "c", "d"])),
@@ -551,9 +553,10 @@ def raw_events(draw):
 
 
 def _event(event_id, src, dst, timestamp, name="p", kind="file", **attrs):
-    return RawEvent(event_id, src, dst, "READ", timestamp,
-                    {"name": name}, {**attrs, "path": "/a"} if kind == "file"
-                    else {**attrs, "name": name}, kind)
+    return graph_oracle.Event(event_id, src, dst, "READ", timestamp,
+                              {"name": name},
+                              {**attrs, "path": "/a"} if kind == "file"
+                              else {**attrs, "name": name}, kind)
 
 
 @settings(max_examples=300, deadline=None)
@@ -567,9 +570,10 @@ def _event(event_id, src, dst, timestamp, name="p", kind="file", **attrs):
           _event("e1", "a", "c", 2), _event("e2", "c", "a", 3)], 1)
 def test_build_graph_equals_the_event_walk(events, window_ns):
     """Node order, kind, attributes and identity, ``operations`` and
-    ``edge_columns`` equal the event-by-event oracle's, compared by repr so
-    that 1, 1.0 and True differ."""
-    graph = build_graph(events, window_ns, name="w")
+    ``edge_columns`` of the events' columns equal the event-by-event
+    oracle's, compared by repr so that 1, 1.0 and True differ."""
+    graph = build_graph(graph_oracle.event_columns(events), window_ns,
+                        name="w")
     nodes, operations, rows = graph_oracle.build_graph(events, window_ns)
     assert repr(list(graph.nodes.items())) == repr(list(nodes.items()))
     assert graph.operations == operations

@@ -32,6 +32,8 @@ from provlens.investigation.llm import (
 from provlens.investigation.orchestrator import run_investigation
 from provlens.investigation.repository import (
     FALLBACK_SUMMARY,
+    KILL_CHAIN_PHASES,
+    UNASSIGNED,
     InvestigationRepository,
     IOCRecord,
 )
@@ -344,6 +346,24 @@ def test_each_prompt_ends_with_its_reply_contract(role):
 def test_each_fallback_passes_its_reply_contract_unchanged(role):
     fallback = json.dumps(FALLBACKS[role])
     assert json.dumps(validate_response(role, json.loads(fallback))) == fallback
+
+
+LEAD = {"graph_name": "g", "node_uuid": "n", "reason": "r"}
+
+
+@pytest.mark.parametrize("reply,echo", [
+    ({"kill_chain_phase": "XX"}, 'field "kill_chain_phase" must be '
+     + "|".join(f'"{code}"' for code in (*KILL_CHAIN_PHASES, UNASSIGNED))),
+    *[({"leads": [LEAD, {**LEAD, field: ""}]},
+       'field "leads" must be [{"graph_name": non-empty string, "node_uuid": '
+       'non-empty string, "reason": non-empty string}]') for field in LEAD],
+], ids=["phase", *[f"empty-{field}" for field in LEAD]])
+def test_a_check_stricter_than_its_sketch_echoes_what_it_wants(reply, echo):
+    """The prompt shows these fields as plain strings, so the repair echo
+    names the phase codes, or that a lead's strings must not be empty."""
+    with pytest.raises(LLMError) as raised:
+        validate_response("investigator", {"event": "e", **reply})
+    assert str(raised.value) == echo
 
 
 def test_a_citation_that_is_not_a_string_takes_a_schema_retry():

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from provlens import artifacts
 from provlens.config import DEFAULT_OP_VOCAB
+from provlens.detector import detect_graph
 from provlens.encoder import init_params
 from provlens.errors import ConfigError
 from provlens.features import feature_dim, train_semantic_vocab, build_node_summary
 from provlens import profiler
-from provlens.ingest import build_graph
+from provlens.ingest import EventColumns, build_graph
 from provlens.profiler import (
     BenignKnowledgeBase,
     attribute_query,
@@ -199,14 +201,16 @@ def test_build_kb_deterministic_serialization(tmp_path):
         kb = build_knowledge_base([graph], params, vocab, 0.02,
                                   DEFAULT_OP_VOCAB)
         save_kb(kb, tmp_path / sub)
-    for name in ("kb.json", "kb.members.jsonl", "kb.embeddings.bin"):
+    for name in ("kb.json", "kb.members.jsonl", "kb.digests.jsonl",
+                 "kb.embeddings.bin"):
         assert (tmp_path / "one" / name).read_bytes() \
             == (tmp_path / "two" / name).read_bytes()
 
 
 def test_build_kb_requires_graphs():
     graph, vocab, params = small_benign_setup()
-    for graphs in ([], [build_graph([], window_ns=10, name="empty")]):
+    empty = build_graph(EventColumns(), window_ns=10, name="empty")
+    for graphs in ([], [empty]):
         with pytest.raises(ConfigError):
             build_knowledge_base(graphs, params, vocab, 0.02, DEFAULT_OP_VOCAB)
 
@@ -227,8 +231,31 @@ def test_kb_save_load_round_trip(tmp_path):
     assert loaded.labels == kb.labels
     assert loaded.rows == kb.rows
     assert np.array_equal(loaded.embeddings, kb.embeddings)
-    assert loaded.digests == kb.digests
+    assert loaded.digests[0] == kb.digests[0]  # the first read decodes all
+    assert list(loaded.digests) == kb.digests
     assert_canonical_json_files(tmp_path)
+
+
+def test_load_kb_and_detect_graph_decode_no_digest(tmp_path, monkeypatch):
+    """Detection never reads a member's edge digest, so loading the KB and
+    detecting decode none; the first digest read decodes every one."""
+    graph, vocab, params = small_benign_setup()
+    kb = build_knowledge_base([graph], params, vocab, 0.02, DEFAULT_OP_VOCAB)
+    save_kb(kb, tmp_path)
+    lines = {line for digest in kb.digests for line in digest}
+    assert lines
+    decoded, decode = [], artifacts.decode
+    monkeypatch.setattr(artifacts, "decode",
+                        lambda text: decoded.append(text) or decode(text))
+
+    def digests_decoded():
+        return sum(any(line in text for line in lines) for text in decoded)
+
+    loaded = load_kb(tmp_path)
+    detect_graph(graph, params, vocab, loaded, DEFAULT_OP_VOCAB)
+    assert decoded and digests_decoded() == 0
+    assert loaded.digests[0] == kb.digests[0]
+    assert digests_decoded() == kb.size()
 
 
 # --- queries --------------------------------------------------------------------
