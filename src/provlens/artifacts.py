@@ -26,7 +26,7 @@ import reprlib
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import fields
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -180,11 +180,12 @@ def check_seal(paths: dict[str, Path]) -> dict[str, bytes]:
     """Raise ArtifactError naming the seal if it is missing (as in a set
     written before seals) or unreadable, else the first file of ``paths``
     that is missing or differs from what ``seal`` recorded. A loader calls
-    it first. Returns the bytes it checked of each file, keyed as in
-    ``paths``, for a loader that decodes a file later than it loads."""
+    it first. Returns the bytes it checked of each file and the seal, keyed
+    as in ``paths``, for a loader that decodes a file later than it loads."""
     files = {key: path for key, path in paths.items() if key != "seal"}
-    digests = read_json(paths["seal"], partial(_exact, frozenset(files)))
-    checked = {}
+    with reading(paths["seal"]):
+        checked = {"seal": Path(paths["seal"]).read_bytes()}
+        digests = _exact(frozenset(files), decode(checked["seal"].decode()))
     for key, path in files.items():
         with reading(path):
             checked[key] = Path(path).read_bytes()

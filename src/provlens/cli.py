@@ -88,36 +88,28 @@ def _load_graphs(cfg: PipelineConfig, names: list[str]) -> list[ingest.Provenanc
 
 
 def _load_model(cfg: PipelineConfig):
-    """The trained vocabulary and encoder. The configured operation list must
-    be the one the model was trained on, order included, because it orders
-    the columns of the action block, and the encoder must take the features
-    the vocabulary and that list make."""
-    vocab = features.load_vocab(_model_dir(cfg))
+    """The trained vocabulary and encoder, which one seal binds, and the
+    model's id. The configured operation list must be the one the model was
+    trained on, order included, because it orders the action block."""
+    vocab, params, model = encoder.load_model(_model_dir(cfg))
     ops = cfg.features.op_vocab
     if vocab.op_vocab != ops:
         raise ConfigError(f"features.op_vocab {list(ops)} is not the list "
                           f"{list(vocab.op_vocab)} the model in "
                           f"{_model_dir(cfg)} was trained on")
-    params = encoder.load_params(_model_dir(cfg))
-    expected = features.feature_dim(vocab.dim, ops)
-    if params.dims[0] != expected:
-        raise ConfigError(
-            f"encoder input dimension {params.dims[0]} does not match the "
-            f"feature dimension {expected} (semantic={vocab.dim}, "
-            f"ops={len(ops)}, temporal={features.TEMPORAL_DIM})")
-    return vocab, params
+    return vocab, params, model
 
 
-def _load_kb(cfg: PipelineConfig, vocab: features.SemanticVocab,
-             params: encoder.EncoderParams):
-    """The knowledge base, which must have been profiled with the loaded
-    vocabulary and encoder."""
+def _load_profiled_model(cfg: PipelineConfig):
+    """The vocabulary, the encoder and the knowledge base, which must have
+    been profiled with that model."""
+    vocab, params, model = _load_model(cfg)
     kb = profiler.load_kb(_kb_dir(cfg))
-    if kb.model != profiler.model_digest(params, vocab):
+    if kb.model != model:
         raise ConfigError(f"knowledge base in {_kb_dir(cfg)} was profiled "
                           f"with another model than the one in "
                           f"{_model_dir(cfg)}; rerun profile")
-    return kb
+    return vocab, params, kb
 
 
 def _build_backend(cfg: PipelineConfig):
@@ -164,9 +156,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         features.export_features(union, h0, vocab.dim, args.export_features)
     result = encoder.train(union, dict(zip(uuids, h0)), cfg.encoder, cfg.seed)
     # saved once training has succeeded, so a failed run leaves the model
-    # it would have replaced whole
-    features.save_vocab(vocab, _model_dir(cfg))
-    encoder.save_params(result.params, _model_dir(cfg))
+    # it would have replaced whole, and a save cut short fails the seal
+    encoder.save_model(vocab, result.params, _model_dir(cfg))
     trace_path = _model_dir(cfg) / "loss_trace.csv"
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write("epoch,loss\n")
@@ -181,9 +172,9 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 def cmd_profile(cfg: PipelineConfig, args) -> int:
     names = _resolve_graph_names(args.graphs)
     graphs = _load_graphs(cfg, names)
-    vocab, params = _load_model(cfg)
+    vocab, params, model = _load_model(cfg)
     kb = profiler.build_knowledge_base(graphs, params, vocab, cfg.epsilon,
-                                       cfg.features.op_vocab)
+                                       cfg.features.op_vocab, model=model)
     profiler.save_kb(kb, _kb_dir(cfg))
     if args.export_embeddings:
         profiler.export_embeddings(kb, args.export_embeddings)
@@ -194,8 +185,7 @@ def cmd_profile(cfg: PipelineConfig, args) -> int:
 
 def cmd_detect(cfg: PipelineConfig, args) -> int:
     graph = ingest.load_graph(_graphs_dir(cfg), args.graph)
-    vocab, params = _load_model(cfg)
-    kb = _load_kb(cfg, vocab, params)
+    vocab, params, kb = _load_profiled_model(cfg)
     alerts = detector.detect_graph(graph, params, vocab, kb,
                                    cfg.features.op_vocab)
     path = _alerts_path(cfg, args.graph)
@@ -207,8 +197,7 @@ def cmd_detect(cfg: PipelineConfig, args) -> int:
 
 def cmd_investigate(cfg: PipelineConfig, args) -> int:
     graph = ingest.load_graph(_graphs_dir(cfg), args.graph)
-    vocab, params = _load_model(cfg)
-    kb = _load_kb(cfg, vocab, params)
+    vocab, params, kb = _load_profiled_model(cfg)
     out_dir = _investigation_dir(cfg, args.graph)
     # a resumed run takes its work from the repository, never the alerts
     repo, alerts = None, []
@@ -271,7 +260,8 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
             num_identities=args.identities,
             nodes_per_identity=args.nodes_per_identity,
             num_anomalies=args.anomalies, seed=cfg.seed)
-    paths = synth.write_scenario(spec, args.out)
+    paths = synth.write_scenario(spec, args.out,
+                                 op_vocab=cfg.features.op_vocab)
     labels = artifacts.read_json(paths["labels"])
     print(f"synthesized out={args.out} labeled={labels['total_labeled']} "
           f"anomalies={len(labels['anomalous'])}")

@@ -17,6 +17,7 @@ entries in the same order as in the whole graph.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from bisect import bisect_left
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from . import features
 from .artifacts import (check_seal, read_blob, read_json, seal, write_blob,
                         write_json)
 from .config import EncoderConfig
@@ -372,8 +374,7 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
 def encoder_paths(directory: str | Path) -> dict[str, Path]:
     base = Path(directory)
     return {"header": base / "encoder.json",
-            "weights": base / "encoder.weights.bin",
-            "seal": base / "encoder.seal.json"}
+            "weights": base / "encoder.weights.bin"}
 
 
 def save_params(params: EncoderParams, directory: str | Path) -> None:
@@ -385,12 +386,10 @@ def save_params(params: EncoderParams, directory: str | Path) -> None:
     })
     write_blob(paths["weights"],
                np.concatenate([w.ravel() for w in params.weights]), "<f4")
-    seal(paths)
 
 
 def load_params(directory: str | Path) -> EncoderParams:
     paths = encoder_paths(directory)
-    check_seal(paths)
     header = read_json(paths["header"])
     dims = header["dims"]
     shapes = list(zip(dims[1:], dims[:-1]))
@@ -399,3 +398,29 @@ def load_params(directory: str | Path) -> EncoderParams:
     weights = [part.reshape(shape).astype(np.float64) for part, shape
                in zip(np.split(raw, np.cumsum(sizes)[:-1]), shapes)]
     return EncoderParams(dims, weights, header["activation"], header["seed"])
+
+
+def model_paths(directory: str | Path) -> dict[str, Path]:
+    """The files of a trained model, the vocabulary's and the encoder's,
+    keyed by name, and the one seal over them."""
+    paths = {path.name: path for part in (features.vocab_paths, encoder_paths)
+             for path in part(directory).values()}
+    return {**paths, "seal": Path(directory) / "model.seal.json"}
+
+
+def save_model(vocab: features.SemanticVocab, params: EncoderParams,
+               directory: str | Path) -> None:
+    """Write the vocabulary and the encoder, then seal them, so a save cut
+    short leaves a set that fails its seal."""
+    features.save_vocab(vocab, directory)
+    save_params(params, directory)
+    seal(model_paths(directory))
+
+
+def load_model(directory: str | Path
+               ) -> tuple[features.SemanticVocab, EncoderParams, str]:
+    """The vocabulary and the encoder once every file of the model matches
+    the seal, and the model's id: the sha256 of the seal as checked."""
+    checked = check_seal(model_paths(directory))
+    return (features.load_vocab(directory), load_params(directory),
+            hashlib.sha256(checked["seal"]).hexdigest())

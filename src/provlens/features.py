@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (check_seal, read_blob, read_json, seal, write_blob,
-                        write_json, write_jsonl)
+from .artifacts import read_blob, read_json, write_blob, write_json, write_jsonl
 from .config import DEFAULT_OP_VOCAB
 from .errors import ConfigError
 from .ingest import Entity, ProvenanceGraph
@@ -102,10 +101,6 @@ def train_semantic_vocab(summaries: list[list[str]], dim: int, window: int = 5,
     return SemanticVocab(tokens=tokens, vectors=vectors.astype(np.float32),
                          dim=dim, window=window, negatives=negatives,
                          epochs=epochs, seed=seed, op_vocab=tuple(op_vocab))
-
-
-def feature_dim(semantic_dim: int, op_vocab) -> int:
-    return semantic_dim + len(op_vocab) + TEMPORAL_DIM
 
 
 def feature_matrix(graph: ProvenanceGraph, vocab: SemanticVocab,
@@ -198,10 +193,10 @@ def export_features(graph: ProvenanceGraph, h0: np.ndarray, semantic_dim: int,
 
 # --- serialization ---------------------------------------------------------
 
+# one part of the model set that ``encoder.save_model`` seals
 def vocab_paths(directory: str | Path) -> dict[str, Path]:
     base = Path(directory)
-    return {"header": base / "vocab.json", "vectors": base / "vocab.vectors.bin",
-            "seal": base / "vocab.seal.json"}
+    return {"header": base / "vocab.json", "vectors": base / "vocab.vectors.bin"}
 
 
 def save_vocab(vocab: SemanticVocab, directory: str | Path) -> None:
@@ -216,12 +211,10 @@ def save_vocab(vocab: SemanticVocab, directory: str | Path) -> None:
         "op_vocab": list(vocab.op_vocab),
     })
     write_blob(paths["vectors"], vocab.vectors, "<f4")
-    seal(paths)
 
 
 def load_vocab(directory: str | Path) -> SemanticVocab:
     paths = vocab_paths(directory)
-    check_seal(paths)
     header = read_json(paths["header"])
     vectors = read_blob(paths["vectors"], "<f4",
                         (len(header["tokens"]), header["dim"]))

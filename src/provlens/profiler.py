@@ -12,7 +12,6 @@ rows as benign reference behavior.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (LazyJsonl, check_seal, encode, parent_made, read_blob,
+from .artifacts import (LazyJsonl, check_seal, parent_made, read_blob,
                         read_json, read_jsonl, reading, seal, write_blob,
                         write_json, write_jsonl)
 from .encoder import EncoderParams, forward
@@ -52,11 +51,11 @@ class BenignKnowledgeBase:
     (label, uuid). ``rows[label]`` is the label's slice of rows and
     ``profiles[label]`` the profile derived from that slice. It holds at
     least one row, so detection always has an identity to match. ``model``
-    is the ``model_digest`` of the vocabulary and encoder that embedded the
-    rows. Only the investigation reads ``digests``, which a loaded KB decodes
-    on that first read. It is not changed once built, so the rows' squared
-    norms and uuid ranks, which only retrieval reads, are cached on first
-    use."""
+    is the id of the trained model that embedded the rows, the sha256 of its
+    seal (``encoder.load_model``). Only the investigation reads ``digests``,
+    which a loaded KB decodes on that first read. It is not changed once
+    built, so the rows' squared norms and uuid ranks, which only retrieval
+    reads, are cached on first use."""
     epsilon: float
     uuids: list[str]
     labels: list[str]
@@ -145,22 +144,12 @@ def edge_digest(graph: ProvenanceGraph, uuid: str,
     return lines
 
 
-def model_digest(params: EncoderParams, vocab: SemanticVocab) -> str:
-    """sha256 of what a member's embedding depends on: the encoder's dims,
-    activation and weights and the vocabulary's tokens, width, operation list
-    and vectors, each array in the ``<f4`` it is saved in."""
-    digest = hashlib.sha256(encode([params.dims, params.activation,
-                                    vocab.tokens, vocab.dim,
-                                    list(vocab.op_vocab)]).encode("utf-8"))
-    for array in (*params.weights, vocab.vectors):
-        digest.update(np.ascontiguousarray(array, dtype="<f4").tobytes())
-    return digest.hexdigest()
-
-
 def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
-                         epsilon: float, op_vocab) -> BenignKnowledgeBase:
+                         epsilon: float, op_vocab,
+                         model: str = "") -> BenignKnowledgeBase:
     """Embed every node of the benign graphs as one member row, which carries
-    the edge digest of its own graph."""
+    the edge digest of its own graph. ``model`` is the id of the model that
+    ``params`` and ``vocab`` were loaded from."""
     members: list[tuple[str, str, list[str]]] = []  # (label, uuid, digest)
     embeddings: list[np.ndarray] = []
     for graph in graphs:
@@ -175,8 +164,7 @@ def build_knowledge_base(graphs, params: EncoderParams, vocab: SemanticVocab,
         epsilon=epsilon, uuids=[members[i][1] for i in order],
         labels=[members[i][0] for i in order],
         embeddings=np.concatenate(embeddings)[order],
-        digests=[members[i][2] for i in order],
-        model=model_digest(params, vocab))
+        digests=[members[i][2] for i in order], model=model)
 
 
 def knn_query(kb: BenignKnowledgeBase, queries: np.ndarray,

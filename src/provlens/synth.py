@@ -124,7 +124,7 @@ def _check(ok, where: str, field: str, expected: str) -> None:
         raise ConfigError(f"{where} field {field!r} must be {expected}")
 
 
-def _validate_template(template: dict) -> None:
+def _validate_template(template: dict, op_vocab) -> None:
     """Each entry has the type the generator reads and ``ingest`` accepts,
     so no template can crash the generator or write a line ingest skips."""
     where = f"template {template['name']!r}"
@@ -150,13 +150,13 @@ def _validate_template(template: dict) -> None:
         _check(type(obj.get("shared", False)) is bool, at, "shared",
                "a boolean")
         ops = obj.get("ops")
-        _check(ops and type(ops) is dict and set(ops) <= set(DEFAULT_OP_VOCAB)
+        _check(ops and type(ops) is dict and set(ops) <= set(op_vocab)
                and all(map(_positive, ops.values())), at, "ops",
-               "a non-empty object mapping vocabulary operations to positive "
-               "numbers")
+               "a non-empty object mapping operations of features.op_vocab "
+               "to positive numbers")
 
 
-def _validate_scenario(spec: dict) -> dict:
+def _validate_scenario(spec: dict, op_vocab) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("scenario spec must be a JSON object")
     spec = dict(spec)
@@ -171,7 +171,7 @@ def _validate_scenario(spec: dict) -> dict:
         raise ConfigError("identity template field 'name' must be a unique "
                           "non-empty string")
     for template in identities:
-        _validate_template(template)
+        _validate_template(template, op_vocab)
     anomalies = spec.get("anomalies", [])
     if type(anomalies) is not list:
         raise ConfigError("scenario spec field 'anomalies' must be a list")
@@ -251,13 +251,14 @@ def _emit_node_events(rng: np.random.Generator, spec: dict, template: dict,
     return events
 
 
-def generate_scenario(spec: dict) -> tuple[list[dict], list[dict], dict]:
+def generate_scenario(spec: dict, op_vocab=DEFAULT_OP_VOCAB
+                      ) -> tuple[list[dict], list[dict], dict]:
     """Build (benign events, attack events, labels) from a scenario spec.
 
     The attack event list is the benign background plus the events of the
     injected identity-swapped nodes.
     """
-    spec = _validate_scenario(spec)
+    spec = _validate_scenario(spec, op_vocab)
     rng = np.random.default_rng(spec["seed"])
     templates = {t["name"]: t for t in spec["identities"]}
 
@@ -287,9 +288,10 @@ def generate_scenario(spec: dict) -> tuple[list[dict], list[dict], dict]:
     return benign, benign + injected, labels
 
 
-def write_scenario(spec: dict, directory: str | Path) -> dict[str, Path]:
+def write_scenario(spec: dict, directory: str | Path,
+                   op_vocab=DEFAULT_OP_VOCAB) -> dict[str, Path]:
     """Generate and write benign.jsonl, attack.jsonl and labels.json."""
-    benign, attack, labels = generate_scenario(spec)
+    benign, attack, labels = generate_scenario(spec, op_vocab)
     base = Path(directory)
     paths = {
         "benign": base / "benign.jsonl",

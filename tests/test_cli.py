@@ -1,3 +1,5 @@
+import errno
+import hashlib
 import json
 import os
 import re
@@ -14,9 +16,10 @@ from provlens.artifacts import check_seal, seal
 from provlens.cli import main
 from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig, load_config
 from provlens.detector import alerts_paths, load_alerts, save_alerts
-from provlens.encoder import encoder_paths, load_params
+from provlens.encoder import (encoder_paths, load_model, load_params,
+                              model_paths)
 from provlens.errors import ArtifactError, LLMTransportError, TrainingError
-from provlens.features import load_vocab, vocab_paths
+from provlens.features import load_vocab
 from provlens.ingest import EDGE_COLUMNS, graph_paths, load_graph
 from provlens.investigation.llm import HttpChatLLM, heuristic_mock
 from provlens.investigation.repository import (InvestigationRepository,
@@ -77,7 +80,7 @@ def test_detect_without_model_exits_2_and_names_artifact(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error code=missing_artifact" in captured.err
-    assert "vocab" in captured.err or "encoder" in captured.err
+    assert "model.seal.json" in captured.err
 
 
 def _config(text, names, case):
@@ -383,6 +386,68 @@ def test_scenario_anomalies_swap_behavior():
     assert anomaly_ops <= behavior_ops
 
 
+def test_synth_rejects_a_template_op_outside_the_configured_op_vocab(
+        tmp_path, capsys):
+    """``ingest`` with the same configuration would skip each event of an
+    operation outside ``features.op_vocab``, so synth exits 3 naming the
+    field, and writes no file."""
+    config = _op_vocab_config(tmp_path, ["READ", "WRITE"])
+    out = tmp_path / "out"
+    code = main(["synth", "--config", config, "--out", str(out),
+                 "--identities", "2", "--nodes-per-identity", "5",
+                 "--anomalies", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error code=config" in err and "'ops'" in err
+    assert not out.exists()
+
+
+def test_synth_takes_a_template_op_of_the_configured_op_vocab(tmp_path,
+                                                             capsys):
+    """An operation the configuration adds to the list is one a template
+    may use, and ``ingest`` with that configuration keeps its events."""
+    ops = [*DEFAULT_OP_VOCAB, "RENAME"]
+    config = _op_vocab_config(tmp_path, ops)
+    spec = default_scenario(num_identities=2, nodes_per_identity=5,
+                            num_anomalies=1)
+    spec["identities"][0]["objects"][0]["ops"]["RENAME"] = 1
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", config, "--spec", str(path), "--out",
+                 str(out)]) == 0
+    events = (out / "benign.jsonl").read_text(encoding="utf-8").splitlines()
+    assert any(json.loads(line)["operation"] == "RENAME" for line in events)
+    capsys.readouterr()
+    assert main(["ingest", "--config", config, "--input",
+                 str(out / "benign.jsonl"), "--name", "benign",
+                 "--artifacts", str(tmp_path / "artifacts")]) == 0
+    assert f"events={len(events)} skipped=0 " in capsys.readouterr().out
+
+
+# sha256 of the files of ``synth --identities 2 --nodes-per-identity 5
+# --anomalies 1`` at seed 7
+PINNED_SYNTH = {
+    "benign.jsonl":
+        "8b9580799bdc1cfb8f15c65712ec0ddd70aa2940dab8e9aa41bcb88590f116bf",
+    "attack.jsonl":
+        "b645652171b34196cbba2857f7019185cb4055bac9792b165f23733640008be4",
+    "labels.json":
+        "9d5ea1dfc79e23dafa5b45ba19e876e8d3fa2b406e3aa64bf8405f8065a2596b",
+}
+
+
+def test_default_synth_files_are_pinned(tmp_path):
+    """The generator writes the same default scenario from one version to
+    the next; two runs of one version, as ``test_pipeline_determinism``
+    compares, would not notice a change."""
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--seed", "7", "--identities",
+                 "2", "--nodes-per-identity", "5", "--anomalies", "1"]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()} == PINNED_SYNTH
+
+
 # --- pipeline --------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -521,6 +586,12 @@ def _graph_loader(name):
     return lambda path: load_graph(path.parent, name)
 
 
+def _model_of(path):
+    """The model in ``path``'s directory, as each command that reads it
+    loads it: the seal first."""
+    return load_model(path.parent)
+
+
 def _detected_alerts(path):
     """The alerts of ``path`` as ``investigate`` reads ``detect``'s own:
     the seal first."""
@@ -543,8 +614,8 @@ TRUNCATED = [
     ("graphs/attack.header.json", _graph_loader("attack"), DETECT),
     ("graphs/benign.edges.bin", _graph_loader("benign"), PROFILE),
     ("graphs/attack.edges.bin", _graph_loader("attack"), DETECT),
-    ("model/encoder.json", lambda path: load_params(path.parent), DETECT),
-    ("model/vocab.json", lambda path: load_vocab(path.parent), DETECT),
+    ("model/encoder.json", _model_of, DETECT),
+    ("model/vocab.json", _model_of, DETECT),
     ("kb/kb.json", lambda path: load_kb(path.parent), DETECT),
     ("investigation/attack/repository.json",
      lambda path: InvestigationRepository.load(path.parent), REPORT),
@@ -768,14 +839,10 @@ EDITED = [  # one edit per sealed file, each to a value no check reads
      _graph_loader("attack"), DETECT),
     ("graphs/attack.edges.bin", _flip_bit(WEIGHT_BYTE),
      _graph_loader("attack"), DETECT),
-    ("model/vocab.json", _bump_after(b'"tokens": ["'),
-     _in_directory(load_vocab), DETECT),
-    ("model/vocab.vectors.bin", _flip_bit(0), _in_directory(load_vocab),
-     DETECT),
-    ("model/encoder.json", _bump_after(b'"seed": '),
-     _in_directory(load_params), DETECT),
-    ("model/encoder.weights.bin", _flip_bit(0), _in_directory(load_params),
-     DETECT),
+    ("model/vocab.json", _bump_after(b'"tokens": ["'), _model_of, DETECT),
+    ("model/vocab.vectors.bin", _flip_bit(0), _model_of, DETECT),
+    ("model/encoder.json", _bump_after(b'"seed": '), _model_of, DETECT),
+    ("model/encoder.weights.bin", _flip_bit(0), _model_of, DETECT),
     ("kb/kb.json", _bump_after(b'"epsilon": 0.0'), _in_directory(load_kb),
      DETECT),
     ("kb/kb.members.jsonl", _bump_after(b'"uuid": "'),
@@ -811,15 +878,15 @@ DAMAGED = [
       for case in EDITED],
     pytest.param("graphs/attack.seal.json", _delete, _graph_loader("attack"),
                  DETECT, id="attack.seal.json-deleted-as-in-an-older-set"),
+    pytest.param("model/model.seal.json", _delete, _model_of, PROFILE,
+                 id="model.seal.json-deleted-as-in-an-older-set"),
     # sealed again after the damage: the shape its header gives names a blob
     *[pytest.param(blob, _resealed(_short_bytes(itemsize), paths_of), loader,
                    DETECT, id=f"{Path(blob).name}-one-value-short-resealed")
       for blob, itemsize, paths_of, loader in [
           ("kb/kb.embeddings.bin", 8, kb_paths, _in_directory(load_kb)),
-          ("model/vocab.vectors.bin", 4, vocab_paths,
-           _in_directory(load_vocab)),
-          ("model/encoder.weights.bin", 4, encoder_paths,
-           _in_directory(load_params)),
+          ("model/vocab.vectors.bin", 4, model_paths, _model_of),
+          ("model/encoder.weights.bin", 4, model_paths, _model_of),
           ("graphs/attack.edges.bin", 8, lambda d: graph_paths(d, "attack"),
            _graph_loader("attack"))]],
     pytest.param("investigation/attack/repository.json",
@@ -834,15 +901,13 @@ DAMAGED = [
                    REPORT),
     _missing_field("alerts/attack.alerts.jsonl", "score", load_alerts,
                    INVESTIGATE),
-    _missing_field("model/encoder.json", "dims",
-                   lambda path: load_params(path.parent), DETECT),
+    _missing_field("model/encoder.json", "dims", _model_of, DETECT),
     _missing_field("investigation/attack/repository.json", "iteration",
                    lambda path: InvestigationRepository.load(path.parent),
                    REPORT),
     _missing_field("kb/kb.json", "epsilon",
                    lambda path: load_kb(path.parent), DETECT),
-    _missing_field("model/vocab.json", "op_vocab",
-                   lambda path: load_vocab(path.parent), DETECT),
+    _missing_field("model/vocab.json", "op_vocab", _model_of, DETECT),
     _missing_field("kb/kb.json", "dim",
                    lambda path: load_kb(path.parent), DETECT),
     _missing_field("kb/kb.members.jsonl", "uuid",
@@ -898,16 +963,12 @@ DAMAGED = [
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.json-epsilon-1.5"),
     pytest.param("model/encoder.json", _setting("aggregation", "sum"),
-                 lambda path: load_params(path.parent), DETECT,
-                 id="encoder.json-sum-aggregation"),
+                 _model_of, DETECT, id="encoder.json-sum-aggregation"),
     pytest.param("model/encoder.json", _setting("activation", "gelu"),
-                 lambda path: load_params(path.parent), DETECT,
-                 id="encoder.json-unknown-activation"),
-    pytest.param("model/vocab.json", _setting("op_vocab", 5),
-                 lambda path: load_vocab(path.parent), DETECT,
-                 id="vocab.json-op_vocab-not-a-list"),
-    pytest.param("model/vocab.json", _quoted("dim"),
-                 lambda path: load_vocab(path.parent), DETECT,
+                 _model_of, DETECT, id="encoder.json-unknown-activation"),
+    pytest.param("model/vocab.json", _setting("op_vocab", 5), _model_of,
+                 DETECT, id="vocab.json-op_vocab-not-a-list"),
+    pytest.param("model/vocab.json", _quoted("dim"), _model_of, DETECT,
                  id="vocab.json-dim-a-string"),
     pytest.param("graphs/attack.header.json", _quoted("edge_count"),
                  _graph_loader("attack"), DETECT,
@@ -925,14 +986,11 @@ DAMAGED = [
     pytest.param("kb/kb.embeddings.bin", _nan_first("<f8"),
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.embeddings.bin-nan"),
-    pytest.param("model/encoder.weights.bin", _nan_first("<f4"),
-                 lambda path: load_params(path.parent), DETECT,
-                 id="encoder.weights.bin-nan"),
-    pytest.param("model/vocab.vectors.bin", _nan_first("<f4"),
-                 lambda path: load_vocab(path.parent), DETECT,
-                 id="vocab.vectors.bin-nan"),
-    _missing_field("model/vocab.json", "dim",
-                   lambda path: load_vocab(path.parent), DETECT),
+    pytest.param("model/encoder.weights.bin", _nan_first("<f4"), _model_of,
+                 DETECT, id="encoder.weights.bin-nan"),
+    pytest.param("model/vocab.vectors.bin", _nan_first("<f4"), _model_of,
+                 DETECT, id="vocab.vectors.bin-nan"),
+    _missing_field("model/vocab.json", "dim", _model_of, DETECT),
     _missing_field("graphs/attack.header.json", "edge_count",
                    _graph_loader("attack"), DETECT),
     _missing_field("graphs/attack.nodes.jsonl", "identity",
@@ -1017,8 +1075,7 @@ def _sealed_sets(artifacts):
     """The ``*_paths`` dict of every sealed set the pipeline fixture writes."""
     return [graph_paths(artifacts / "graphs", "benign"),
             graph_paths(artifacts / "graphs", "attack"),
-            vocab_paths(artifacts / "model"), encoder_paths(artifacts / "model"),
-            kb_paths(artifacts / "kb"),
+            model_paths(artifacts / "model"), kb_paths(artifacts / "kb"),
             alerts_paths(artifacts / "alerts" / "attack.alerts.jsonl"),
             repository_paths(artifacts / "investigation" / "attack")]
 
@@ -1402,11 +1459,12 @@ def test_a_diverging_train_prints_one_line_and_keeps_the_model(pipeline,
 
 @pytest.mark.parametrize("argv", [PROFILE, DETECT, INVESTIGATE],
                          ids=lambda argv: argv[0])
-def test_encoder_of_another_semantic_dim_exits_3(pipeline, tmp_path, capsys,
+def test_encoder_of_another_semantic_dim_exits_2(pipeline, tmp_path, capsys,
                                                  argv):
-    """An encoder trained on 16-d semantic features beside the 32-d
-    vocabulary: each command that loads the model rejects it, naming both
-    widths, and writes nothing."""
+    """An encoder trained on 16-d semantic features copied beside the 32-d
+    vocabulary: the model's one seal names the encoder's header, the first
+    file that differs from it, in each command that loads the model, and
+    the command writes nothing."""
     source, _ = pipeline
     artifacts, other = tmp_path / "artifacts", tmp_path / "other"
     shutil.copytree(source, artifacts)
@@ -1421,10 +1479,10 @@ def test_encoder_of_another_semantic_dim_exits_3(pipeline, tmp_path, capsys,
     capsys.readouterr()
     code = main([*argv, "--artifacts", str(artifacts)])
     err = capsys.readouterr().err
-    width = len(DEFAULT_OP_VOCAB) + 3
-    assert code == 3
-    assert (f"error code=config detail=encoder input dimension {16 + width} "
-            f"does not match the feature dimension {32 + width}") in err
+    assert code == 2
+    assert (f"error code=missing_artifact detail=unreadable artifact "
+            f"{artifacts / 'model' / 'encoder.json'}: differs from its seal"
+            ) in err
     assert _files(artifacts) == before
 
 
@@ -1445,6 +1503,37 @@ def test_failed_train_leaves_the_model_it_would_replace(pipeline, tmp_path,
     assert code == 1
     assert "non-finite evaluation loss" in capsys.readouterr().err
     assert _files(artifacts / "model") == before
+
+
+def _fail_disk_full(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [PROFILE, DETECT, INVESTIGATE],
+                         ids=lambda argv: argv[0])
+def test_a_train_cut_short_while_saving_leaves_a_model_each_command_rejects(
+        pipeline, tmp_path, capsys, monkeypatch, argv):
+    """A disk that fills once the new vocabulary is written leaves it beside
+    the old encoder. The model's one seal still holds the old vocabulary's
+    digests, so each command that loads the model exits 2 naming the
+    vocabulary, and writes nothing."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    monkeypatch.setattr(encoder, "save_params", _fail_disk_full)
+    common = ["--artifacts", str(artifacts)]
+    assert main(["train", "--graphs", "attack", "--epochs", "1",
+                 *common]) == 1
+    monkeypatch.undo()
+    vocab = artifacts / "model" / "vocab.json"
+    assert vocab.read_bytes() != (source / "model" / "vocab.json").read_bytes()
+    before = _files(artifacts)
+    capsys.readouterr()
+    code = main([*argv, *common])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error code=missing_artifact" in err and str(vocab) in err
+    assert _files(artifacts) == before
 
 
 def _files(directory):

@@ -10,8 +10,8 @@ from provlens.config import DEFAULT_OP_VOCAB
 from provlens.errors import ConfigError
 from provlens.features import (
     SemanticVocab,
+    TEMPORAL_DIM,
     build_node_summary,
-    feature_dim,
     feature_matrix,
     load_vocab,
     save_vocab,
@@ -247,7 +247,7 @@ def test_initial_features_concatenation():
     x_sem, x_act, x_tmp = feature_blocks(graph, vocab, ("READ", "WRITE"))
     assert np.array_equal(h0[uuids.index("c")],
                           np.concatenate([x_sem, x_act, x_tmp]))
-    assert h0.shape == (len(graph.nodes), feature_dim(2, ("READ", "WRITE")))
+    assert h0.shape == (len(graph.nodes), 2 + 2 + TEMPORAL_DIM)
 
 
 def test_initial_features_isolated_node():

@@ -12,7 +12,7 @@ from provlens.config import InvestigationBudget
 from provlens.detector import Alert
 from provlens.encoder import forward, init_params
 from provlens.errors import LLMError, LLMTransportError
-from provlens.features import feature_dim, feature_matrix
+from provlens.features import TEMPORAL_DIM, feature_matrix
 from provlens.investigation import agents
 from provlens.investigation.agents import (
     analyst_validate,
@@ -513,8 +513,8 @@ def tiny_model():
     """Encoder parameters, a token vocabulary and an operation vocabulary
     that embed any graph into two dimensions."""
     op_vocab = ("READ", "WRITE", "EXECUTE")
-    params = init_params([feature_dim(EMPTY_VOCAB.dim, op_vocab), 3, 2],
-                         activation="identity", seed=4)
+    width = EMPTY_VOCAB.dim + len(op_vocab) + TEMPORAL_DIM
+    params = init_params([width, 3, 2], activation="identity", seed=4)
     return params, EMPTY_VOCAB, op_vocab
 
 

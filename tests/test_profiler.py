@@ -12,7 +12,8 @@ from provlens.config import DEFAULT_OP_VOCAB
 from provlens.detector import detect_graph
 from provlens.encoder import init_params
 from provlens.errors import ConfigError
-from provlens.features import feature_dim, train_semantic_vocab, build_node_summary
+from provlens.features import (TEMPORAL_DIM, build_node_summary,
+                               train_semantic_vocab)
 from provlens import profiler
 from provlens.ingest import EventColumns, build_graph
 from provlens.profiler import (
@@ -148,7 +149,7 @@ def small_benign_setup(n_subjects=4):
     summaries = [build_node_summary(graph.nodes[u], graph)
                  for u in sorted(graph.nodes)]
     vocab = train_semantic_vocab(summaries, dim=6, epochs=1, seed=4)
-    params = init_params([feature_dim(6, DEFAULT_OP_VOCAB), 5], seed=4)
+    params = init_params([6 + len(DEFAULT_OP_VOCAB) + TEMPORAL_DIM, 5], seed=4)
     params.weights = [w.astype("<f4").astype(np.float64)
                       for w in params.weights]
     return graph, vocab, params
@@ -178,7 +179,7 @@ def test_build_kb_duplicate_uuid_across_graphs(tmp_path):
     summaries = [build_node_summary(g.nodes[u], g)
                  for g in graphs for u in sorted(g.nodes)]
     vocab = train_semantic_vocab(summaries, dim=6, epochs=1, seed=4)
-    params = init_params([feature_dim(6, DEFAULT_OP_VOCAB), 5], seed=4)
+    params = init_params([6 + len(DEFAULT_OP_VOCAB) + TEMPORAL_DIM, 5], seed=4)
     kb = build_knowledge_base(graphs, params, vocab, 0.02, DEFAULT_OP_VOCAB)
     assert kb.uuids[kb.rows["subject::worker"]] == ["s0", "s0"]
     assert kb.profiles["subject::worker"].count == 2

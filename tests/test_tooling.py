@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from provlens.detector import Alert, alerts_paths, save_alerts
-from provlens.encoder import encoder_paths, init_params, save_params
-from provlens.features import SemanticVocab, save_vocab, vocab_paths
+from provlens.encoder import init_params, model_paths, save_model
+from provlens.features import SemanticVocab
 from provlens.ingest import graph_paths, save_graph
 from provlens.investigation.llm import REPLIES
 from provlens.investigation.repository import (InvestigationRepository,
@@ -162,8 +162,7 @@ def _sealed_writers():
     return [
         (lambda d: save_graph(graph, d), lambda d: graph_paths(d, "w")),
         (lambda d: save_kb(kb, d), kb_paths),
-        (lambda d: save_vocab(vocab, d), vocab_paths),
-        (lambda d: save_params(init_params([3, 2]), d), encoder_paths),
+        (lambda d: save_model(vocab, init_params([3, 2]), d), model_paths),
         (lambda d: save_alerts([alert], d / "w.alerts.jsonl"),
          lambda d: alerts_paths(d / "w.alerts.jsonl")),
         (repo.save, repository_paths)]
