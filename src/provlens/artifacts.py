@@ -3,14 +3,15 @@
 Headers are JSON, record streams are JSONL (one object per line) and matrices
 are raw little-endian blobs. Writers create the parent directory and write
 sorted keys plus a trailing newline, so equal objects give equal bytes.
-``decode`` and ``encode`` are the one JSON decoder and encoder of a record:
-each line is decoded on its own, and each record is encoded to the bytes of
-``json.dumps(record, sort_keys=True)``, without the per-call set-up of
-``json.loads`` and ``json.dumps``.
+``decode`` and ``encode`` are the one JSON decoder and encoder: ``decode``
+reads every JSON document, agent replies and config included, and each
+record is encoded to the bytes of ``json.dumps(record, sort_keys=True)``,
+without the per-call set-up of ``json.loads`` and ``json.dumps``.
 Each writer of an artifact set names its files in one ``*_paths`` dict and
-calls ``seal`` last; its loader calls ``check_seal`` first, so it reads only
-the bytes its writer wrote and checks no field that only a hand edit could
-break. Readers build records inside one error guard and raise ArtifactError
+calls ``seal`` last; its loader calls ``check_seal`` first and decodes the
+bytes that check returned, so it decodes exactly the bytes the seal covers,
+each file read once, and checks no field that only a hand edit could break.
+Readers build records inside one error guard and raise ArtifactError
 naming the file when it is missing, does not decode, differs from its seal or
 is a blob that does not fit the shape its header gives, or when a record of
 an unsealed input lacks a field or holds one of another JSON type; the CLI
@@ -41,10 +42,13 @@ _JSON_TYPES = {"string": (str,), "number": (int, float), "null": (type(None),)}
 
 
 def decode(text: str):
-    """The JSON value that ``text`` holds, with JSON whitespace around it;
-    like ``json.loads``, anything else after the value raises ValueError."""
+    """The JSON value that ``text`` holds, with JSON whitespace around it.
+    Anything after it, or nesting too deep to decode, raises ValueError."""
     text = text.strip(_JSON_SPACE)
-    value, end = _raw_decode(text)
+    try:
+        value, end = _raw_decode(text)
+    except RecursionError:
+        raise ValueError("nested past the decoder's depth") from None
     if end != len(text):
         raise ValueError(f"extra data at column {end + 1}")
     return value
@@ -64,8 +68,7 @@ def reading(path):
         yield
     except FileNotFoundError as exc:
         raise ArtifactError(f"missing artifact {path}", path=str(path)) from exc
-    # decoding (RecursionError: nested past the decoder's depth) and fields
-    except (OSError, ValueError, KeyError, RecursionError) as exc:
+    except (OSError, ValueError, KeyError) as exc:  # decoding and fields
         raise ArtifactError(f"unreadable artifact {path}: {exc}",
                             path=str(path)) from exc
 
@@ -77,33 +80,32 @@ def parent_made(path) -> Path:
     return path
 
 
-def read_json(path, build: Callable | None = None):
-    """The JSON value of ``path``, passed through ``build`` when given."""
-    with reading(path), open(path, encoding="utf-8") as fh:
-        value = decode(fh.read())
+def read_json(path, data: bytes, build: Callable | None = None):
+    """The JSON value of ``path``'s bytes ``data``, through ``build`` if any."""
+    with reading(path):
+        value = decode(data.decode("utf-8"))
         return value if build is None else build(value)
 
 
-def read_jsonl(path, build: Callable | None = None) -> list:
-    """The records of a JSONL file, decoded (and built) one line at a time."""
-    with reading(path), open(path, encoding="utf-8") as fh:
-        return ([decode(line) for line in fh] if build is None
-                else [build(decode(line)) for line in fh])
+def read_jsonl(path, data: bytes, build: Callable | None = None) -> list:
+    """The records of ``data``, the bytes of JSONL file ``path``, decoded and
+    built a line at a time; a line ends where it does in text mode."""
+    with reading(path):
+        lines = (decode(line.decode("utf-8")) for line in data.splitlines())
+        return list(lines if build is None else map(build, lines))
 
 
 class LazyJsonl(Sequence):
-    """The records of a JSONL file as a sequence, decoded from ``data``, the
-    file's bytes, when the first one is read. A record that does not decode
-    raises ArtifactError naming ``path``."""
+    """``read_jsonl(path, data)`` as a sequence, decoded when its first
+    record is read, so a record that does not decode raises ArtifactError
+    naming ``path`` then."""
 
     def __init__(self, path, data: bytes):
         self.path, self.data = path, data
 
     @cached_property
     def records(self) -> list:
-        with reading(self.path):
-            records = [decode(line)
-                       for line in self.data.decode("utf-8").splitlines()]
+        records = read_jsonl(self.path, self.data)
         self.data = None
         return records
 
@@ -145,11 +147,11 @@ def record(cls, types: dict[str, str] | None = None
     return build
 
 
-def read_blob(path, dtype, shape) -> np.ndarray:
-    """A writable array of ``shape`` read from raw ``dtype`` values; a blob
-    of another size raises ArtifactError."""
+def read_blob(path, data: bytes, dtype, shape) -> np.ndarray:
+    """A read-only array of ``shape`` over ``data``, the raw ``dtype`` values
+    of ``path``; a blob of another size raises ArtifactError."""
     with reading(path):
-        return np.fromfile(path, dtype=np.uint8).view(dtype).reshape(shape)
+        return np.frombuffer(data, dtype=dtype).reshape(shape)
 
 
 def write_json(path, obj, indent: int | None = None) -> None:
@@ -177,11 +179,11 @@ def seal(paths: dict[str, Path]) -> None:
 
 
 def check_seal(paths: dict[str, Path]) -> dict[str, bytes]:
-    """Raise ArtifactError naming the seal if it is missing (as in a set
-    written before seals) or unreadable, else the first file of ``paths``
-    that is missing or differs from what ``seal`` recorded. A loader calls
-    it first. Returns the bytes it checked of each file and the seal, keyed
-    as in ``paths``, for a loader that decodes a file later than it loads."""
+    """Raise ArtifactError naming the seal if it is missing (as in a set of
+    an earlier version) or unreadable, else the first file of ``paths`` that
+    is missing or differs from what ``seal`` recorded. A loader calls it
+    first and decodes what it returns: the bytes it checked of each file and
+    the seal, keyed as in ``paths``."""
     files = {key: path for key, path in paths.items() if key != "seal"}
     with reading(paths["seal"]):
         checked = {"seal": Path(paths["seal"]).read_bytes()}

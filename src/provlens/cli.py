@@ -8,7 +8,6 @@ configuration or usage. Errors print a single machine-parsable line to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -205,9 +204,8 @@ def cmd_investigate(cfg: PipelineConfig, args) -> int:
         repo = _load_investigation(out_dir, args.graph)
     else:
         alerts_path = Path(args.alerts or _alerts_path(cfg, args.graph))
-        if not args.alerts:  # an --alerts file is user input, not sealed
-            artifacts.check_seal(detector.alerts_paths(alerts_path))
-        alerts = detector.load_alerts(alerts_path)
+        alerts = (detector.load_alerts(alerts_path) if args.alerts  # unsealed
+                  else detector.load_detected_alerts(alerts_path))
         foreign = sorted({alert.graph_name for alert in alerts} - {args.graph})
         if foreign:
             raise ArtifactError(f"artifact {alerts_path} holds alerts of "
@@ -243,11 +241,11 @@ def cmd_report(cfg: PipelineConfig, args) -> int:
 def cmd_synth(cfg: PipelineConfig, args) -> int:
     if args.spec:
         try:
-            spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+            spec = artifacts.decode(Path(args.spec).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ArtifactError(f"cannot read scenario spec {args.spec}: {exc}",
                                 path=args.spec) from exc
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except ValueError as exc:  # not UTF-8, not JSON, or nested too deep
             raise ConfigError(f"scenario spec {args.spec} is not valid JSON: "
                               f"{exc}") from exc
         if not isinstance(spec, dict):
@@ -260,9 +258,8 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
             num_identities=args.identities,
             nodes_per_identity=args.nodes_per_identity,
             num_anomalies=args.anomalies, seed=cfg.seed)
-    paths = synth.write_scenario(spec, args.out,
-                                 op_vocab=cfg.features.op_vocab)
-    labels = artifacts.read_json(paths["labels"])
+    labels = synth.write_scenario(spec, args.out,
+                                  op_vocab=cfg.features.op_vocab)
     print(f"synthesized out={args.out} labeled={labels['total_labeled']} "
           f"anomalies={len(labels['anomalous'])}")
     return EXIT_OK

@@ -8,9 +8,11 @@ not a setting, and the CLI reads it from ``PROVLENS_API_KEY``.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from pathlib import Path
 
+from .artifacts import decode, encode
 from .errors import ConfigError
 
 DEFAULT_OP_VOCAB = (
@@ -142,10 +144,13 @@ def _apply_tree(cfg, tree: dict, path: str = "") -> None:
     """Set fields from a JSON object. A value is accepted only if it has the
     JSON type of the field's default: an integer may stand for a number, a
     boolean is never an integer, a section is an object and ``op_vocab`` is a
-    list of strings."""
+    list of strings. A number must be finite."""
     known = {f.name for f in fields(cfg)}
     for key, value in tree.items():
         name = path + key
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"config value {encode(value)} is not a finite "
+                              f"number")
         if key not in known:
             raise ConfigError(f"unknown config key {name!r}")
         current = getattr(cfg, key)
@@ -164,21 +169,16 @@ def _apply_tree(cfg, tree: dict, path: str = "") -> None:
                               f"got {value!r}")
 
 
-def _reject_non_finite(literal: str):
-    raise ConfigError(f"config value {literal} is not a finite number")
-
-
 def load_config(path: str | None = None,
                 overrides: dict | None = None) -> PipelineConfig:
     """Build a validated PipelineConfig from the file, then flag overrides."""
     cfg = PipelineConfig()
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
-                tree = json.load(fh, parse_constant=_reject_non_finite)
+            tree = decode(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except ValueError as exc:  # not UTF-8, not JSON, or nested too deep
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(tree, dict):
             raise ConfigError("config file must contain a JSON object")

@@ -13,20 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import encode, read_jsonl, record, seal, write_jsonl
+from .artifacts import (check_seal, encode, read_jsonl, reading, record,
+                        seal, write_jsonl)
 from .encoder import EncoderParams, forward
 from .features import SemanticVocab, feature_matrix
 from .ingest import ProvenanceGraph
 from .profiler import BenignKnowledgeBase, IdentityProfile, euclidean_distance
 
 SCORE_DELTA = 1e-9
-# The JSON type of each field of an alert. An alerts file may be made by
-# hand (``investigate --alerts``), so it is checked field by field.
-_ALERT_TYPES = {**dict.fromkeys(("node_uuid", "graph_name", "claimed",
-                                 "matched", "violation", "explanation"),
-                                "string"),
-                "deviation": "number", "score": "number",
-                "radius": "number null"}
 
 
 @dataclass
@@ -43,6 +37,14 @@ class Alert:
 
     def to_json(self) -> str:
         return encode(asdict(self))
+
+
+# An alert, checked field by field: an ``--alerts`` file is made by hand.
+_ALERT = record(Alert, {**dict.fromkeys(("node_uuid", "graph_name", "claimed",
+                                         "matched", "violation",
+                                         "explanation"), "string"),
+                        "deviation": "number", "score": "number",
+                        "radius": "number null"})
 
 
 def detect_embedded(uuids: list[str], z: np.ndarray, claimed: list[str],
@@ -120,8 +122,16 @@ def save_alerts(alerts: list[Alert], path: str | Path) -> None:
 
 
 def load_alerts(path: str | Path) -> list[Alert]:
-    """The alerts of ``path``, whose seal, if any, is the caller's to check."""
-    return read_jsonl(path, record(Alert, _ALERT_TYPES))
+    """The alerts of ``path`` as a user's file is read, such as one given to
+    ``investigate --alerts``: once, and without a seal."""
+    with reading(path):
+        return read_jsonl(path, Path(path).read_bytes(), _ALERT)
+
+
+def load_detected_alerts(path: str | Path) -> list[Alert]:
+    """The alerts ``save_alerts`` wrote to ``path``, decoded from the bytes
+    its seal check read."""
+    return read_jsonl(path, check_seal(alerts_paths(path))["alerts"], _ALERT)
 
 
 def format_alert_table(alerts: list[Alert]) -> str:

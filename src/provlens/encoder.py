@@ -388,13 +388,15 @@ def save_params(params: EncoderParams, directory: str | Path) -> None:
                np.concatenate([w.ravel() for w in params.weights]), "<f4")
 
 
-def load_params(directory: str | Path) -> EncoderParams:
+def load_params(directory: str | Path, checked: dict) -> EncoderParams:
+    """The encoder from ``load_model``'s checked bytes by file name."""
     paths = encoder_paths(directory)
-    header = read_json(paths["header"])
+    header = read_json(paths["header"], checked[paths["header"].name])
     dims = header["dims"]
     shapes = list(zip(dims[1:], dims[:-1]))
     sizes = [rows * cols for rows, cols in shapes]
-    raw = read_blob(paths["weights"], "<f4", (sum(sizes),))
+    raw = read_blob(paths["weights"], checked[paths["weights"].name], "<f4",
+                    (sum(sizes),))
     weights = [part.reshape(shape).astype(np.float64) for part, shape
                in zip(np.split(raw, np.cumsum(sizes)[:-1]), shapes)]
     return EncoderParams(dims, weights, header["activation"], header["seed"])
@@ -419,8 +421,9 @@ def save_model(vocab: features.SemanticVocab, params: EncoderParams,
 
 def load_model(directory: str | Path
                ) -> tuple[features.SemanticVocab, EncoderParams, str]:
-    """The vocabulary and the encoder once every file of the model matches
-    the seal, and the model's id: the sha256 of the seal as checked."""
+    """The vocabulary and the encoder, decoded from the bytes the model's
+    seal check read, and the model's id: the sha256 of the seal as checked."""
     checked = check_seal(model_paths(directory))
-    return (features.load_vocab(directory), load_params(directory),
+    return (features.load_vocab(directory, checked),
+            load_params(directory, checked),
             hashlib.sha256(checked["seal"]).hexdigest())

@@ -213,11 +213,12 @@ def save_vocab(vocab: SemanticVocab, directory: str | Path) -> None:
     write_blob(paths["vectors"], vocab.vectors, "<f4")
 
 
-def load_vocab(directory: str | Path) -> SemanticVocab:
+def load_vocab(directory: str | Path, checked: dict) -> SemanticVocab:
+    """The vocabulary from ``encoder.load_model``'s bytes by file name."""
     paths = vocab_paths(directory)
-    header = read_json(paths["header"])
-    vectors = read_blob(paths["vectors"], "<f4",
-                        (len(header["tokens"]), header["dim"]))
+    header = read_json(paths["header"], checked[paths["header"].name])
+    vectors = read_blob(paths["vectors"], checked[paths["vectors"].name],
+                        "<f4", (len(header["tokens"]), header["dim"]))
     return SemanticVocab(tokens=header["tokens"], vectors=vectors,
                          dim=header["dim"], window=header["window"],
                          negatives=header["negatives"], epochs=header["epochs"],

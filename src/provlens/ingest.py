@@ -289,7 +289,7 @@ def _parse_lines(lines: Iterable[str], ops: set, origin: str) -> ParseResult:
         try:
             _add_event(decode(line), events, ops, first, subject_maps,
                        object_maps)
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             skipped += 1
             log.debug("skipping malformed line in %s: %s", origin, exc)
     if total > 0 and skipped * 2 > total:
@@ -419,13 +419,13 @@ def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     set), or a graph the constructor rejects, raises ArtifactError naming the
     file."""
     paths = graph_paths(directory, name)
-    check_seal(paths)
-    header = read_json(paths["header"])
+    checked = check_seal(paths)
+    header = read_json(paths["header"], checked["header"])
     with reading(paths["header"]):
         if header["name"] != name:
             raise ValueError(f"holds graph {header['name']!r}, not {name!r}")
-    nodes = read_jsonl(paths["nodes"], record(Entity))
-    columns = read_blob(paths["edges"], "<i8",
+    nodes = read_jsonl(paths["nodes"], checked["nodes"], record(Entity))
+    columns = read_blob(paths["edges"], checked["edges"], "<i8",
                         (header["edge_count"], len(EDGE_COLUMNS)))
     with reading(paths["edges"]):
         return ProvenanceGraph(name, {node.uuid: node for node in nodes},

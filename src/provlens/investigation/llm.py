@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 
+from ..artifacts import decode
 from ..errors import LLMError, LLMTransportError
 from .repository import KILL_CHAIN_PHASES, UNASSIGNED
 
@@ -234,7 +235,7 @@ class HttpChatLLM:
             data = resp.json()
             return data["choices"][0]["message"]["content"]
         except (requests.RequestException, KeyError, IndexError, TypeError,
-                ValueError) as exc:
+                ValueError, RecursionError) as exc:  # a body nested too deep
             raise LLMTransportError(f"chat completion request failed: {exc}") from exc
 
 
@@ -271,8 +272,8 @@ class LLMSession:
             try:
                 if not isinstance(raw, str):  # e.g. a null message content
                     raise LLMError("response content must be a string")
-                return validate_response(role, json.loads(raw))
-            except (json.JSONDecodeError, LLMError) as exc:
+                return validate_response(role, decode(raw))
+            except (ValueError, LLMError) as exc:
                 self.repo.journal("llm_schema_retry", role=role, error=str(exc))
                 request = dict(payload)
                 request["previous_error"] = str(exc)

@@ -156,9 +156,10 @@ class InvestigationRepository:
     @classmethod
     def load(cls, directory: str | Path) -> "InvestigationRepository":
         paths = repository_paths(directory)
-        check_seal(paths)
-        repo = read_json(paths["repository"], cls.from_dict)
-        repo.journal_entries = read_jsonl(paths["journal"])
+        checked = check_seal(paths)
+        repo = read_json(paths["repository"], checked["repository"],
+                         cls.from_dict)
+        repo.journal_entries = read_jsonl(paths["journal"], checked["journal"])
         return repo
 
 

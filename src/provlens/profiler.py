@@ -274,15 +274,16 @@ def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
 
 
 def load_kb(directory: str | Path) -> BenignKnowledgeBase:
-    """The saved KB once every file matches its seal. The digests are
-    decoded from the bytes the seal was checked on when the first is read."""
+    """The saved KB, decoded from the bytes its seal check read; the digests
+    when the first is read."""
     paths = kb_paths(directory)
-    digests = LazyJsonl(paths["digests"], check_seal(paths)["digests"])
-    header = read_json(paths["header"])
+    checked = check_seal(paths)
+    digests = LazyJsonl(paths["digests"], checked["digests"])
+    header = read_json(paths["header"], checked["header"])
     with reading(paths["header"]):  # absent from a KB of an earlier version
         model = header["model"]
-    members = read_jsonl(paths["members"])
-    embeddings = read_blob(paths["embeddings"], "<f8",
+    members = read_jsonl(paths["members"], checked["members"])
+    embeddings = read_blob(paths["embeddings"], checked["embeddings"], "<f8",
                            (len(members), header["dim"]))
     with reading(paths["members"]):
         return BenignKnowledgeBase(

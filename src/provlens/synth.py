@@ -10,7 +10,7 @@ seeded generator, so a fixed seed reproduces the files byte for byte.
 
 from __future__ import annotations
 
-import json
+import copy
 import math
 from pathlib import Path
 
@@ -89,8 +89,7 @@ def default_scenario(num_identities: int = 5, nodes_per_identity: int = 50,
     if not 1 <= num_identities <= len(DEFAULT_TEMPLATES):
         raise ConfigError(
             f"num_identities must be in [1, {len(DEFAULT_TEMPLATES)}]")
-    templates = [json.loads(json.dumps(t))
-                 for t in DEFAULT_TEMPLATES[:num_identities]]
+    templates = copy.deepcopy(DEFAULT_TEMPLATES[:num_identities])
     anomalies = []
     for i in range(num_anomalies):
         claimed = templates[i % num_identities]["name"]
@@ -289,16 +288,11 @@ def generate_scenario(spec: dict, op_vocab=DEFAULT_OP_VOCAB
 
 
 def write_scenario(spec: dict, directory: str | Path,
-                   op_vocab=DEFAULT_OP_VOCAB) -> dict[str, Path]:
-    """Generate and write benign.jsonl, attack.jsonl and labels.json."""
+                   op_vocab=DEFAULT_OP_VOCAB) -> dict:
+    """Write benign.jsonl, attack.jsonl and labels.json; return the labels."""
     benign, attack, labels = generate_scenario(spec, op_vocab)
     base = Path(directory)
-    paths = {
-        "benign": base / "benign.jsonl",
-        "attack": base / "attack.jsonl",
-        "labels": base / "labels.json",
-    }
-    write_jsonl(paths["benign"], benign)
-    write_jsonl(paths["attack"], attack)
-    write_json(paths["labels"], labels, indent=2)
-    return paths
+    write_jsonl(base / "benign.jsonl", benign)
+    write_jsonl(base / "attack.jsonl", attack)
+    write_json(base / "labels.json", labels, indent=2)
+    return labels

@@ -64,7 +64,7 @@ def test_write_jsonl_lines_equal_json_dumps(tmp_path):
     write_jsonl(path, RECORDS)
     assert path.read_text(encoding="utf-8").splitlines() == [
         json.dumps(record, sort_keys=True) for record in RECORDS]
-    assert read_jsonl(path) == RECORDS
+    assert read_jsonl(path, path.read_bytes()) == RECORDS
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,22 +6,22 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from provlens import cli, encoder
+from provlens import cli, encoder, ingest, profiler
 from provlens.artifacts import check_seal, seal
 from provlens.cli import main
 from provlens.config import DEFAULT_OP_VOCAB, PipelineConfig, load_config
-from provlens.detector import alerts_paths, load_alerts, save_alerts
-from provlens.encoder import (encoder_paths, load_model, load_params,
-                              model_paths)
+from provlens.detector import (alerts_paths, load_alerts, load_detected_alerts,
+                               save_alerts)
+from provlens.encoder import encoder_paths, load_model, model_paths
 from provlens.errors import ArtifactError, LLMTransportError, TrainingError
-from provlens.features import load_vocab
 from provlens.ingest import EDGE_COLUMNS, graph_paths, load_graph
-from provlens.investigation.llm import HttpChatLLM, heuristic_mock
+from provlens.investigation.llm import HttpChatLLM, ScriptedLLM, heuristic_mock
 from provlens.investigation.repository import (InvestigationRepository,
                                                 repository_paths)
 from provlens.profiler import kb_paths, load_kb
@@ -130,6 +130,7 @@ INVALID_CONFIG = [
     _config('{"encoder": {"num_layers": 0}}', "num_layers",
             "num_layers-zero"),
     _config(b'{"seed": "caf\xe9"}', "input.json", "config-not-utf8"),
+    _config("[" * 200000, "input.json", "config-nested-too-deep"),
     pytest.param(["synth", "--out", "{dir}/out", "--seed", "-1"], "",
                  "seed must be >= 0", id="seed-flag-negative"),
     pytest.param(["train", "--artifacts", "{dir}", "--epochs", "-1"], "",
@@ -138,6 +139,8 @@ INVALID_CONFIG = [
                  "JSON object", id="spec-not-object"),
     pytest.param(["synth", "--out", "{dir}/out", "--spec", "{file}"],
                  b'{"seed": "caf\xe9"}', "input.json", id="spec-not-utf8"),
+    pytest.param(["synth", "--out", "{dir}/out", "--spec", "{file}"],
+                 "[" * 200000, "input.json", id="spec-nested-too-deep"),
     pytest.param(["train", "--artifacts", "{dir}"], "", "--graphs",
                  id="train-without-graphs"),
     pytest.param(["profile", "--artifacts", "{dir}"], "", "--graphs",
@@ -543,9 +546,9 @@ EDGE_ROW_BYTES = len(EDGE_COLUMNS) * 8
 BLOBS = [  # every blob the pipeline fixture writes
     ("kb/kb.embeddings.bin", load_kb, lambda kb: kb.embeddings[0].nbytes,
      DETECT),
-    ("model/vocab.vectors.bin", load_vocab, lambda v: v.vectors[0].nbytes,
-     DETECT),
-    ("model/encoder.weights.bin", load_params,
+    ("model/vocab.vectors.bin", lambda path: load_model(path)[0],
+     lambda v: v.vectors[0].nbytes, DETECT),
+    ("model/encoder.weights.bin", lambda path: load_model(path)[1],
      lambda params: params.weights[-1][0].astype("<f4").nbytes, DETECT),
     ("graphs/attack.edges.bin", lambda path: load_graph(path, "attack"),
      lambda graph: EDGE_ROW_BYTES, DETECT),
@@ -582,6 +585,76 @@ def test_every_blob_has_a_one_row_short_case(pipeline):
     assert written == {blob for blob, *_ in BLOBS}
 
 
+@pytest.fixture(scope="module")
+def read_audit():
+    """``recording["reads"]``, while it is a list, takes the path of each
+    file opened for reading, from an audit hook, which cannot be removed."""
+    recording = {"reads": None}
+
+    def record_read(event, args):
+        if (event == "open" and recording["reads"] is not None
+                and isinstance(args[0], (str, os.PathLike))
+                and args[2] & os.O_ACCMODE == os.O_RDONLY):
+            recording["reads"].append(Path(os.fsdecode(args[0])))
+    sys.addaudithook(record_read)
+    return recording
+
+
+@pytest.mark.parametrize("argv", [DETECT, INVESTIGATE, REPORT],
+                         ids=lambda argv: argv[0])
+def test_each_artifact_file_is_read_once(pipeline, tmp_path, read_audit,
+                                         argv):
+    """A loader decodes the bytes its seal check read, so no command opens
+    an artifact file twice: not the seal check and then the decoding."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    reads = read_audit["reads"] = []
+    try:
+        assert main([*argv, "--artifacts", str(artifacts)]) == 0
+    finally:
+        read_audit["reads"] = None
+    opened = Counter(path.relative_to(artifacts).as_posix()
+                     for path in reads if path.is_relative_to(artifacts))
+    assert {name for name, count in opened.items() if count > 1} == set()
+    expected = ({"investigation/attack/journal.jsonl"} if argv is REPORT else
+                {"graphs/attack.edges.bin", "model/vocab.vectors.bin",
+                 "model/encoder.weights.bin", "kb/kb.embeddings.bin"})
+    assert expected <= set(opened)
+
+
+def _replaced_after_check(monkeypatch, module, path, key, value):
+    """Make ``module``'s seal check set ``key`` of the JSON file ``path`` to
+    ``value`` once it has checked the set."""
+    check = module.check_seal
+
+    def check_then_replace(paths):
+        checked = check(paths)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**obj, key: value}), encoding="utf-8")
+        return checked
+    monkeypatch.setattr(module, "check_seal", check_then_replace)
+
+
+def test_a_header_replaced_after_its_seal_check_is_not_decoded(
+        pipeline, tmp_path, monkeypatch):
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    graph = load_graph(artifacts / "graphs", "attack")
+    kb = load_kb(artifacts / "kb")
+    _replaced_after_check(monkeypatch, ingest,
+                          artifacts / "graphs" / "attack.header.json",
+                          "name", "benign")
+    _replaced_after_check(monkeypatch, profiler, artifacts / "kb" / "kb.json",
+                          "epsilon", 0.5)
+    assert load_graph(artifacts / "graphs", "attack") == graph
+    loaded = load_kb(artifacts / "kb")
+    assert loaded.epsilon == kb.epsilon
+    assert ({label: p.radius for label, p in loaded.profiles.items()}
+            == {label: p.radius for label, p in kb.profiles.items()})
+
+
 def _graph_loader(name):
     return lambda path: load_graph(path.parent, name)
 
@@ -592,20 +665,13 @@ def _model_of(path):
     return load_model(path.parent)
 
 
-def _detected_alerts(path):
-    """The alerts of ``path`` as ``investigate`` reads ``detect``'s own:
-    the seal first."""
-    check_seal(alerts_paths(path))
-    return load_alerts(path)
-
-
 RECORD_FILES = [  # every JSONL file the pipeline fixture writes
     ("graphs/benign.nodes.jsonl", _graph_loader("benign"), PROFILE),
     ("graphs/attack.nodes.jsonl", _graph_loader("attack"), DETECT),
     ("kb/kb.members.jsonl", lambda path: load_kb(path.parent), DETECT),
     # never decoded by detect, but checked against the seal at load
     ("kb/kb.digests.jsonl", lambda path: load_kb(path.parent), DETECT),
-    ("alerts/attack.alerts.jsonl", _detected_alerts, INVESTIGATE),
+    ("alerts/attack.alerts.jsonl", load_detected_alerts, INVESTIGATE),
     ("investigation/attack/journal.jsonl",
      lambda path: InvestigationRepository.load(path.parent), REPORT),
 ]
@@ -851,7 +917,7 @@ EDITED = [  # one edit per sealed file, each to a value no check reads
      DETECT),
     ("kb/kb.embeddings.bin", _flip_bit(0), _in_directory(load_kb), DETECT),
     ("alerts/attack.alerts.jsonl", _bump_after(b'"explanation": "'),
-     _detected_alerts, INVESTIGATE),
+     load_detected_alerts, INVESTIGATE),
     ("investigation/attack/repository.json", _bump_after(b'"event": "'),
      _REPOSITORY, REPORT),
     ("investigation/attack/journal.jsonl", _bump_after(b'"action": "'),
@@ -1279,6 +1345,27 @@ def test_investigate_resume_matches_an_uninterrupted_run(
     assert (state, entries) == _investigation(whole)
 
 
+def test_a_reply_nested_too_deep_falls_back_and_keeps_the_investigation(
+        pipeline, tmp_path, capsys, monkeypatch):
+    """A reply nested past the decoder's depth is a schema failure like any
+    other: each call is retried, then takes the role's fallback, and the run
+    completes and writes its repository."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    shutil.rmtree(artifacts / "investigation")
+    backend = ScriptedLLM({**heuristic_mock().handlers,
+                           "investigator": lambda payload: "[" * 200000})
+    monkeypatch.setattr(cli, "_build_backend", lambda cfg: backend)
+    assert main([*INVESTIGATE, "--artifacts", str(artifacts)]) == 0
+    assert "status=complete" in capsys.readouterr().out
+    actions = [entry["action"] for entry in InvestigationRepository.load(
+        artifacts / "investigation" / "attack").journal_entries
+        if entry.get("role") == "investigator"]
+    assert actions and actions == (["llm_schema_retry"] * 3
+                                   + ["llm_fallback"]) * (len(actions) // 4)
+
+
 def test_investigate_resume_of_a_complete_investigation_changes_nothing(
         pipeline, tmp_path, capsys, monkeypatch):
     source, _ = pipeline
@@ -1557,7 +1644,7 @@ def test_reordered_op_vocab_exits_3_and_writes_nothing(pipeline, tmp_path,
     source, _ = pipeline
     artifacts = tmp_path / "artifacts"
     shutil.copytree(source, artifacts)
-    assert load_vocab(artifacts / "model").op_vocab == DEFAULT_OP_VOCAB
+    assert load_model(artifacts / "model")[0].op_vocab == DEFAULT_OP_VOCAB
     before = _files(artifacts)
     config = _op_vocab_config(tmp_path, reversed(DEFAULT_OP_VOCAB))
     capsys.readouterr()
@@ -1577,7 +1664,7 @@ def test_model_trained_on_a_reordered_op_vocab_takes_that_order(pipeline,
     common = ["--artifacts", str(artifacts),
               "--config", _op_vocab_config(tmp_path, ops)]
     assert main(["train", "--graphs", "benign", "--epochs", "1", *common]) == 0
-    assert load_vocab(artifacts / "model").op_vocab == ops
+    assert load_model(artifacts / "model")[0].op_vocab == ops
     assert main([*PROFILE, *common]) == 0
     assert main([*DETECT, *common]) == 0
     assert main([*DETECT, "--artifacts", str(artifacts)]) == 3

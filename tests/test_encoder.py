@@ -15,6 +15,7 @@ from provlens.encoder import (
     batch_loss_grad,
     backward_pass,
     canonical_eval_batch,
+    encoder_paths,
     forward,
     forward_pass,
     identity_groups,
@@ -613,7 +614,8 @@ def test_params_save_load_round_trip(tmp_path):
                            batch_size=4, learning_rate=0.01)
     result = train(graph, h0, config, seed=8)
     save_params(result.params, tmp_path)
-    loaded = load_params(tmp_path)
+    loaded = load_params(tmp_path, {path.name: path.read_bytes() for path
+                                    in encoder_paths(tmp_path).values()})
     assert loaded.dims == result.params.dims
     assert loaded.activation == result.params.activation
     assert loaded.seed == result.params.seed

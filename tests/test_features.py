@@ -16,6 +16,7 @@ from provlens.features import (
     load_vocab,
     save_vocab,
     train_semantic_vocab,
+    vocab_paths,
 )
 
 import graph_oracle
@@ -321,7 +322,8 @@ def test_vocab_save_load_round_trip(tmp_path):
     corpus = [["a", "b"], ["b", "c"]] * 5
     vocab = train_semantic_vocab(corpus, dim=6, seed=9)
     save_vocab(vocab, tmp_path)
-    loaded = load_vocab(tmp_path)
+    loaded = load_vocab(tmp_path, {path.name: path.read_bytes() for path
+                                   in vocab_paths(tmp_path).values()})
     assert loaded.tokens == vocab.tokens
     assert np.array_equal(loaded.vectors, vocab.vectors)
     assert (loaded.dim, loaded.window, loaded.negatives, loaded.epochs,

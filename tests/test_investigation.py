@@ -1139,6 +1139,24 @@ def test_http_backend_wraps_transport_errors():
         backend.invoke("analyst", "sys", {"node_uuid": "n"})
 
 
+def test_http_backend_wraps_a_body_nested_too_deep():
+    """``requests``' decoder raises RecursionError, not ValueError, on a body
+    nested past its depth; that is a transport failure too."""
+    import requests
+    from provlens.investigation.llm import HttpChatLLM
+
+    class DeepSession:
+        def post(self, *args, **kwargs):
+            response = requests.Response()
+            response.status_code, response._content = 200, b"[" * 200000
+            return response
+
+    backend = HttpChatLLM(endpoint="https://llm.example/v1", model="m",
+                          session=DeepSession())
+    with pytest.raises(LLMTransportError):
+        backend.invoke("analyst", "sys", {"node_uuid": "n"})
+
+
 @pytest.mark.parametrize("envelope", [
     {"choices": None}, "not an object", {"choices": [{"message": None}]},
     {"choices": []}], ids=["null-choices", "string", "null-message",

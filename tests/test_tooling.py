@@ -258,22 +258,39 @@ JSONL_OWNERS = ["ingest.py", "features.py", "profiler.py", "detector.py",
 JSON_CALLS = {"load", "loads", "dump", "dumps"}
 
 
+def _json_calls(name: str, calls: set) -> list[str]:
+    """Where module ``name`` of the package names a function of ``calls``
+    of ``json``: as ``json.<call>`` or by ``from json import``."""
+    found = []
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in calls
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"):
+            found.append(f"{name}:{node.lineno} json.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend(f"{name}:{node.lineno} from json import "
+                         f"{alias.name}" for alias in node.names
+                         if alias.name in calls)
+    return found
+
+
 def test_jsonl_owners_call_no_json_function():
     """Their records cross the JSONL boundary only through the one decoder
     and encoder of ``artifacts``."""
-    found = []
-    for name in JSONL_OWNERS:
-        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr in JSON_CALLS
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "json"):
-                found.append(f"{name}:{node.lineno} json.{node.attr}")
-            elif isinstance(node, ast.ImportFrom) and node.module == "json":
-                found.extend(f"{name}:{node.lineno} from json import "
-                             f"{alias.name}" for alias in node.names
-                             if alias.name in JSON_CALLS)
-    assert found == []
+    assert [site for name in JSONL_OWNERS
+            for site in _json_calls(name, JSON_CALLS)] == []
+
+
+def test_only_artifacts_decodes_json():
+    """Every JSON document the program reads, an agent reply, the config
+    file and the synth spec included, is decoded by ``artifacts.decode``, so
+    one rule holds for malformed and over-deep input everywhere."""
+    found = [site for path in sorted(PACKAGE.rglob("*.py"))
+             for site in _json_calls(path.relative_to(PACKAGE).as_posix(),
+                                     {"load", "loads"})]
+    assert [site for site in found if not site.startswith("artifacts.py:")] \
+        == []
 
 
 def test_only_the_agents_module_names_knn_query():
