@@ -7,10 +7,14 @@ sorted keys plus a trailing newline, so equal objects give equal bytes.
 reads every JSON document, agent replies and config included, and each
 record is encoded to the bytes of ``json.dumps(record, sort_keys=True)``,
 without the per-call set-up of ``json.loads`` and ``json.dumps``.
-Each writer of an artifact set names its files in one ``*_paths`` dict and
-calls ``seal`` last; its loader calls ``check_seal`` first and decodes the
-bytes that check returned, so it decodes exactly the bytes the seal covers,
-each file read once, and checks no field that only a hand edit could break.
+Each writer returns the sha256 hex digest of the bytes it wrote. Each writer
+of an artifact set names its files in one ``*_paths`` dict and calls
+``seal`` last with those digests, so no file is read back to be sealed; its
+loader calls ``check_seal`` first and decodes the bytes that check returned,
+so it decodes exactly the bytes the seal covers, each file read once, and
+checks no field that only a hand edit could break. A record file that its
+loader decodes whole is one JSON object of columns (``columns``); one
+decoded a record at a time is JSONL.
 Readers build records inside one error guard and raise ArtifactError
 naming the file when it is missing, does not decode, differs from its seal or
 is a blob that does not fit the shape its header gives, or when a record of
@@ -147,6 +151,24 @@ def record(cls, types: dict[str, str] | None = None
     return build
 
 
+def columns(*names: str) -> Callable[[object], list[list]]:
+    """A build step that takes a JSON object holding exactly the columns
+    ``names``, each a list and all of one length, and returns them in that
+    order."""
+    expected = frozenset(names)
+
+    def build(obj):
+        found = list(map(_exact(expected, obj).__getitem__, names))
+        for name, column in zip(names, found):
+            if type(column) is not list:
+                raise ValueError(f"column {name} is not a list")
+        lengths = dict(zip(names, map(len, found)))
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"columns of unequal length {lengths}")
+        return found
+    return build
+
+
 def read_blob(path, data: bytes, dtype, shape) -> np.ndarray:
     """A read-only array of ``shape`` over ``data``, the raw ``dtype`` values
     of ``path``; a blob of another size raises ArtifactError."""
@@ -154,28 +176,32 @@ def read_blob(path, data: bytes, dtype, shape) -> np.ndarray:
         return np.frombuffer(data, dtype=dtype).reshape(shape)
 
 
-def write_json(path, obj, indent: int | None = None) -> None:
+def _write(path, data: bytes) -> str:
+    """Write ``data`` to ``path``; the sha256 hex digest of ``data``."""
+    parent_made(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_json(path, obj, indent: int | None = None) -> str:
     text = (encode(obj) if indent is None
             else json.dumps(obj, sort_keys=True, indent=indent))
-    parent_made(path).write_text(text + "\n", encoding="utf-8")
+    return _write(path, (text + "\n").encode("utf-8"))
 
 
-def write_jsonl(path, records: Iterable[dict]) -> None:
-    with open(parent_made(path), "w", encoding="utf-8") as fh:
-        fh.writelines(encode(record) + "\n" for record in records)
+def write_jsonl(path, records: Iterable[dict]) -> str:
+    return _write(path, "".join(encode(record) + "\n"
+                                for record in records).encode("utf-8"))
 
 
-def write_blob(path, array, dtype) -> None:
-    parent_made(path).write_bytes(np.asarray(array).astype(dtype).tobytes())
+def write_blob(path, array, dtype) -> str:
+    return _write(path, np.asarray(array).astype(dtype).tobytes())
 
 
-def seal(paths: dict[str, Path]) -> None:
-    """Record the sha256 of every file of ``paths`` but ``paths["seal"]`` in
-    that file, keyed by its entry, so a renamed or copied set keeps its seal.
-    A writer calls it last."""
-    write_json(paths["seal"], {
-        key: hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        for key, path in paths.items() if key != "seal"})
+def seal(paths: dict[str, Path], digests: dict[str, str]) -> None:
+    """Record ``digests``, the digest each writer returned for a file of
+    ``paths`` but ``paths["seal"]``, in that file, keyed by its entry, so a
+    renamed or copied set keeps its seal. A writer calls it last."""
+    write_json(paths["seal"], _exact(frozenset(paths) - {"seal"}, digests))
 
 
 def check_seal(paths: dict[str, Path]) -> dict[str, bytes]:

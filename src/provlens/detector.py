@@ -117,8 +117,7 @@ def alerts_paths(path: str | Path) -> dict[str, Path]:
 
 def save_alerts(alerts: list[Alert], path: str | Path) -> None:
     """The alerts as JSONL at ``path``, then their seal."""
-    write_jsonl(path, map(vars, alerts))
-    seal(alerts_paths(path))
+    seal(alerts_paths(path), {"alerts": write_jsonl(path, map(vars, alerts))})
 
 
 def load_alerts(path: str | Path) -> list[Alert]:

@@ -377,15 +377,19 @@ def encoder_paths(directory: str | Path) -> dict[str, Path]:
             "weights": base / "encoder.weights.bin"}
 
 
-def save_params(params: EncoderParams, directory: str | Path) -> None:
+def save_params(params: EncoderParams, directory: str | Path
+                ) -> dict[str, str]:
+    """Write the encoder; the digest of each file written, by file name."""
     paths = encoder_paths(directory)
-    write_json(paths["header"], {
-        "dims": params.dims,
-        "activation": params.activation,
-        "seed": params.seed,
-    })
-    write_blob(paths["weights"],
-               np.concatenate([w.ravel() for w in params.weights]), "<f4")
+    return {
+        paths["header"].name: write_json(paths["header"], {
+            "dims": params.dims,
+            "activation": params.activation,
+            "seed": params.seed,
+        }),
+        paths["weights"].name: write_blob(
+            paths["weights"],
+            np.concatenate([w.ravel() for w in params.weights]), "<f4")}
 
 
 def load_params(directory: str | Path, checked: dict) -> EncoderParams:
@@ -412,11 +416,11 @@ def model_paths(directory: str | Path) -> dict[str, Path]:
 
 def save_model(vocab: features.SemanticVocab, params: EncoderParams,
                directory: str | Path) -> None:
-    """Write the vocabulary and the encoder, then seal them, so a save cut
-    short leaves a set that fails its seal."""
-    features.save_vocab(vocab, directory)
-    save_params(params, directory)
-    seal(model_paths(directory))
+    """Write the vocabulary and the encoder, then seal them with the digests
+    their writers return, so a save cut short leaves a set that fails its
+    seal."""
+    seal(model_paths(directory), {**features.save_vocab(vocab, directory),
+                                  **save_params(params, directory)})
 
 
 def load_model(directory: str | Path

@@ -26,7 +26,6 @@ from .errors import ConfigError
 from .ingest import Entity, ProvenanceGraph
 
 TEMPORAL_DIM = 3
-SCATTER_CHUNK = 8192  # incidences per scatter, bounding its (chunk, dim) temporary
 # Integer-valued float64 terms sum exactly, in any order, while the sum stays
 # below 2**53. Past that the order decides the last bit, so such a row takes
 # the reduction a per-node walk uses: the norm's dot product and the mean's sum.
@@ -123,20 +122,18 @@ def feature_matrix(graph: ProvenanceGraph, vocab: SemanticVocab,
 
 def _semantic_block(graph, row, incident, vocab):
     """Per node, the running sum of its token vectors (identity first) over
-    its token count."""
+    its token count. Each column is one ``bincount``, which adds a node's
+    terms from 0.0 in incidence order."""
     n, dim = len(graph.nodes), vocab.dim
     tokens = [node.identity for node in graph.nodes.values()] + graph.operations
     tok = np.array([vocab.index.get(t, -1) for t in tokens], dtype=np.intp)
-    # Row -1 of the table, an out-of-vocabulary token's, is zeros.
-    table = np.vstack([vocab.vectors.astype(np.float64), np.zeros((1, dim))])
+    # Column -1 of the table, an out-of-vocabulary token's, is zeros.
+    table = np.hstack([vocab.vectors.T.astype(np.float64), np.zeros((dim, 1))])
     sem_row = np.r_[np.arange(n), row]
     sem_tok = np.r_[tok[:n], tok[n:][incident[:, 2]]]
-    semantic = np.zeros((n, dim))
-    for start in range(0, len(sem_row), SCATTER_CHUNK):
-        chunk = slice(start, start + SCATTER_CHUNK)
-        cells = sem_row[chunk, None] * dim + np.arange(dim)
-        np.add.at(semantic.ravel(), cells.ravel(), table[sem_tok[chunk]].ravel())
-    return semantic / np.bincount(sem_row, minlength=n)[:, None]
+    sums = np.array([np.bincount(sem_row, column[sem_tok], n)
+                     for column in table], dtype=np.float64)
+    return sums.T / np.bincount(sem_row, minlength=n)[:, None]
 
 
 def _action_block(graph, row, incident, op_vocab):
@@ -145,9 +142,10 @@ def _action_block(graph, row, incident, op_vocab):
     positions = {op: i for i, op in enumerate(op_vocab)}
     op_col = np.array([positions.get(op, -1) for op in graph.operations],
                       dtype=np.intp)[incident[:, 2]]
-    counts = np.zeros((n, width))
     kept = op_col >= 0
-    np.add.at(counts.ravel(), row[kept] * width + op_col[kept], incident[kept, 5])
+    # An empty input gives int64 counts.
+    counts = np.bincount(row[kept] * width + op_col[kept], incident[kept, 5],
+                         n * width).astype(np.float64).reshape(n, width)
     squares = np.einsum("ij,ij->i", counts, counts)
     norm = np.sqrt(squares)
     for k in np.flatnonzero(squares >= EXACT_SUM):
@@ -199,18 +197,21 @@ def vocab_paths(directory: str | Path) -> dict[str, Path]:
     return {"header": base / "vocab.json", "vectors": base / "vocab.vectors.bin"}
 
 
-def save_vocab(vocab: SemanticVocab, directory: str | Path) -> None:
+def save_vocab(vocab: SemanticVocab, directory: str | Path) -> dict[str, str]:
+    """Write the vocabulary; the digest of each file written, by file name."""
     paths = vocab_paths(directory)
-    write_json(paths["header"], {
-        "tokens": vocab.tokens,
-        "dim": vocab.dim,
-        "window": vocab.window,
-        "negatives": vocab.negatives,
-        "epochs": vocab.epochs,
-        "seed": vocab.seed,
-        "op_vocab": list(vocab.op_vocab),
-    })
-    write_blob(paths["vectors"], vocab.vectors, "<f4")
+    return {
+        paths["header"].name: write_json(paths["header"], {
+            "tokens": vocab.tokens,
+            "dim": vocab.dim,
+            "window": vocab.window,
+            "negatives": vocab.negatives,
+            "epochs": vocab.epochs,
+            "seed": vocab.seed,
+            "op_vocab": list(vocab.op_vocab),
+        }),
+        paths["vectors"].name: write_blob(paths["vectors"], vocab.vectors,
+                                          "<f4")}
 
 
 def load_vocab(directory: str | Path, checked: dict) -> SemanticVocab:

@@ -23,9 +23,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .artifacts import (check_seal, decode, read_blob, read_json, read_jsonl,
-                        reading, record, seal, write_blob, write_json,
-                        write_jsonl)
+from .artifacts import (check_seal, columns, decode, read_blob, read_json,
+                        reading, seal, write_blob, write_json)
 from .config import DEFAULT_OP_VOCAB
 from .errors import FormatError
 
@@ -393,7 +392,7 @@ def graph_paths(directory: str | Path, name: str) -> dict[str, Path]:
     base = Path(directory)
     return {
         "header": base / f"{name}.header.json",
-        "nodes": base / f"{name}.nodes.jsonl",
+        "nodes": base / f"{name}.nodes.json",
         "edges": base / f"{name}.edges.bin",
         "seal": base / f"{name}.seal.json",
     }
@@ -401,16 +400,23 @@ def graph_paths(directory: str | Path, name: str) -> dict[str, Path]:
 
 def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
     """Write the stored form: the header with the graph's ``operations``, the
-    nodes in node order as JSONL, ``edge_columns`` as ``<i8``, and the seal."""
+    nodes in node order as one object of columns, ``edge_columns`` as
+    ``<i8``, and the seal."""
     paths = graph_paths(directory, graph.name)
-    write_json(paths["header"], {
-        "name": graph.name,
-        "edge_count": len(graph.edge_columns),
-        "operations": graph.operations,
-    }, indent=2)
-    write_jsonl(paths["nodes"], map(vars, graph.nodes.values()))
-    write_blob(paths["edges"], graph.edge_columns, "<i8")
-    seal(paths)
+    nodes = graph.nodes.values()
+    seal(paths, {
+        "header": write_json(paths["header"], {
+            "name": graph.name,
+            "edge_count": len(graph.edge_columns),
+            "operations": graph.operations,
+        }, indent=2),
+        "nodes": write_json(paths["nodes"], {
+            "uuid": list(graph.nodes),
+            "kind": [node.kind for node in nodes],
+            "attrs": [node.attrs for node in nodes],
+            "identity": [node.identity for node in nodes],
+        }),
+        "edges": write_blob(paths["edges"], graph.edge_columns, "<i8")})
 
 
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
@@ -424,9 +430,13 @@ def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     with reading(paths["header"]):
         if header["name"] != name:
             raise ValueError(f"holds graph {header['name']!r}, not {name!r}")
-    nodes = read_jsonl(paths["nodes"], checked["nodes"], record(Entity))
-    columns = read_blob(paths["edges"], checked["edges"], "<i8",
-                        (header["edge_count"], len(EDGE_COLUMNS)))
+    uuids, kinds, attrs, identities = read_json(
+        paths["nodes"], checked["nodes"],
+        columns("uuid", "kind", "attrs", "identity"))
+    edge_columns = read_blob(paths["edges"], checked["edges"], "<i8",
+                             (header["edge_count"], len(EDGE_COLUMNS)))
     with reading(paths["edges"]):
-        return ProvenanceGraph(name, {node.uuid: node for node in nodes},
-                               header["operations"], columns)
+        return ProvenanceGraph(
+            name, dict(zip(uuids, map(Entity, uuids, kinds, attrs,
+                                      identities))),
+            header["operations"], edge_columns)

@@ -149,9 +149,10 @@ class InvestigationRepository:
 
     def save(self, directory: str | Path) -> None:
         paths = repository_paths(directory)
-        write_json(paths["repository"], self.to_dict(), indent=2)
-        write_jsonl(paths["journal"], self.journal_entries)
-        seal(paths)
+        seal(paths, {
+            "repository": write_json(paths["repository"], self.to_dict(),
+                                     indent=2),
+            "journal": write_jsonl(paths["journal"], self.journal_entries)})
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvestigationRepository":

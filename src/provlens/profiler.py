@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (LazyJsonl, check_seal, parent_made, read_blob,
-                        read_json, read_jsonl, reading, seal, write_blob,
+from .artifacts import (LazyJsonl, check_seal, columns, parent_made,
+                        read_blob, read_json, reading, seal, write_blob,
                         write_json, write_jsonl)
 from .encoder import EncoderParams, forward
 from .errors import ConfigError
@@ -255,7 +255,7 @@ def kb_paths(directory: str | Path) -> dict[str, Path]:
     base = Path(directory)
     return {
         "header": base / "kb.json",
-        "members": base / "kb.members.jsonl",
+        "members": base / "kb.members.json",
         "digests": base / "kb.digests.jsonl",
         "embeddings": base / "kb.embeddings.bin",
         "seal": base / "kb.seal.json",
@@ -263,14 +263,17 @@ def kb_paths(directory: str | Path) -> dict[str, Path]:
 
 
 def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
+    """Write the header, the members' uuid and label columns, their digests
+    as JSONL, their embeddings as ``<f8``, and the seal."""
     paths = kb_paths(directory)
-    write_json(paths["header"], {"dim": kb.embedding_dim, "epsilon": kb.epsilon,
-                                 "model": kb.model})
-    write_jsonl(paths["members"], ({"uuid": uuid, "label": label}
-                                   for uuid, label in zip(kb.uuids, kb.labels)))
-    write_jsonl(paths["digests"], kb.digests)
-    write_blob(paths["embeddings"], kb.embeddings, "<f8")
-    seal(paths)
+    seal(paths, {
+        "header": write_json(paths["header"], {
+            "dim": kb.embedding_dim, "epsilon": kb.epsilon,
+            "model": kb.model}),
+        "members": write_json(paths["members"], {"uuid": kb.uuids,
+                                                 "label": kb.labels}),
+        "digests": write_jsonl(paths["digests"], kb.digests),
+        "embeddings": write_blob(paths["embeddings"], kb.embeddings, "<f8")})
 
 
 def load_kb(directory: str | Path) -> BenignKnowledgeBase:
@@ -282,11 +285,11 @@ def load_kb(directory: str | Path) -> BenignKnowledgeBase:
     header = read_json(paths["header"], checked["header"])
     with reading(paths["header"]):  # absent from a KB of an earlier version
         model = header["model"]
-    members = read_jsonl(paths["members"], checked["members"])
+    uuids, labels = read_json(paths["members"], checked["members"],
+                              columns("uuid", "label"))
     embeddings = read_blob(paths["embeddings"], checked["embeddings"], "<f8",
-                           (len(members), header["dim"]))
+                           (len(uuids), header["dim"]))
     with reading(paths["members"]):
         return BenignKnowledgeBase(
-            epsilon=header["epsilon"], uuids=[m["uuid"] for m in members],
-            labels=[m["label"] for m in members], embeddings=embeddings,
-            digests=digests, model=model)
+            epsilon=header["epsilon"], uuids=uuids, labels=labels,
+            embeddings=embeddings, digests=digests, model=model)

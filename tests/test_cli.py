@@ -587,17 +587,29 @@ def test_every_blob_has_a_one_row_short_case(pipeline):
 
 @pytest.fixture(scope="module")
 def read_audit():
-    """``recording["reads"]``, while it is a list, takes the path of each
-    file opened for reading, from an audit hook, which cannot be removed."""
-    recording = {"reads": None}
+    """``recording["opens"]``, while it is a list, takes ``(path, written)``
+    for each file opened, ``written`` false when it is opened for reading
+    only, from an audit hook, which cannot be removed."""
+    recording = {"opens": None}
 
-    def record_read(event, args):
-        if (event == "open" and recording["reads"] is not None
-                and isinstance(args[0], (str, os.PathLike))
-                and args[2] & os.O_ACCMODE == os.O_RDONLY):
-            recording["reads"].append(Path(os.fsdecode(args[0])))
-    sys.addaudithook(record_read)
+    def record_open(event, args):
+        if (event == "open" and recording["opens"] is not None
+                and isinstance(args[0], (str, os.PathLike))):
+            recording["opens"].append(
+                (Path(os.fsdecode(args[0])),
+                 args[2] & os.O_ACCMODE != os.O_RDONLY))
+    sys.addaudithook(record_open)
     return recording
+
+
+def _opened(read_audit, argv, artifacts):
+    """``(path, written)`` for each file that ``argv`` opens, in order."""
+    opens = read_audit["opens"] = []
+    try:
+        assert main([*argv, "--artifacts", str(artifacts)]) == 0
+    finally:
+        read_audit["opens"] = None
+    return opens
 
 
 @pytest.mark.parametrize("argv", [DETECT, INVESTIGATE, REPORT],
@@ -609,18 +621,38 @@ def test_each_artifact_file_is_read_once(pipeline, tmp_path, read_audit,
     source, _ = pipeline
     artifacts = tmp_path / "artifacts"
     shutil.copytree(source, artifacts)
-    reads = read_audit["reads"] = []
-    try:
-        assert main([*argv, "--artifacts", str(artifacts)]) == 0
-    finally:
-        read_audit["reads"] = None
     opened = Counter(path.relative_to(artifacts).as_posix()
-                     for path in reads if path.is_relative_to(artifacts))
+                     for path, written in _opened(read_audit, argv, artifacts)
+                     if not written and path.is_relative_to(artifacts))
     assert {name for name, count in opened.items() if count > 1} == set()
     expected = ({"investigation/attack/journal.jsonl"} if argv is REPORT else
-                {"graphs/attack.edges.bin", "model/vocab.vectors.bin",
-                 "model/encoder.weights.bin", "kb/kb.embeddings.bin"})
+                {"graphs/attack.nodes.json", "graphs/attack.edges.bin",
+                 "model/vocab.vectors.bin", "model/encoder.weights.bin",
+                 "kb/kb.members.json", "kb/kb.embeddings.bin"})
     assert expected <= set(opened)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ingest", "--input", "{scenario}/attack.jsonl", "--name", "attack"),
+    ("train", "--graphs", "benign", "--epochs", "1"), PROFILE, DETECT,
+    INVESTIGATE, REPORT], ids=lambda argv: argv[0])
+def test_no_command_reads_back_a_file_it_wrote(pipeline, tmp_path,
+                                               read_audit, argv):
+    """Each writer hashes the bytes it writes for its seal, so no command
+    opens a file it wrote for reading, not even to seal it."""
+    source, scenario = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source, artifacts)
+    argv = [arg.format(scenario=scenario) for arg in argv]
+    written, read_back = set(), []
+    for path, writing in _opened(read_audit, argv, artifacts):
+        if writing:
+            written.add(path)
+        elif path in written:
+            read_back.append(path.relative_to(artifacts).as_posix())
+    assert any(path.name.endswith(".seal.json") for path in written) \
+        or argv[0] == "report"
+    assert read_back == []
 
 
 def _replaced_after_check(monkeypatch, module, path, key, value):
@@ -666,9 +698,6 @@ def _model_of(path):
 
 
 RECORD_FILES = [  # every JSONL file the pipeline fixture writes
-    ("graphs/benign.nodes.jsonl", _graph_loader("benign"), PROFILE),
-    ("graphs/attack.nodes.jsonl", _graph_loader("attack"), DETECT),
-    ("kb/kb.members.jsonl", lambda path: load_kb(path.parent), DETECT),
     # never decoded by detect, but checked against the seal at load
     ("kb/kb.digests.jsonl", lambda path: load_kb(path.parent), DETECT),
     ("alerts/attack.alerts.jsonl", load_detected_alerts, INVESTIGATE),
@@ -677,6 +706,9 @@ RECORD_FILES = [  # every JSONL file the pipeline fixture writes
 ]
 TRUNCATED = [
     *RECORD_FILES,
+    ("graphs/benign.nodes.json", _graph_loader("benign"), PROFILE),
+    ("graphs/attack.nodes.json", _graph_loader("attack"), DETECT),
+    ("kb/kb.members.json", lambda path: load_kb(path.parent), DETECT),
     ("graphs/attack.header.json", _graph_loader("attack"), DETECT),
     ("graphs/benign.edges.bin", _graph_loader("benign"), PROFILE),
     ("graphs/attack.edges.bin", _graph_loader("attack"), DETECT),
@@ -702,20 +734,6 @@ def _halve_at_record(path):
     path.write_bytes(b"".join(lines[:len(lines) // 2]))
 
 
-def _repeat_first_record(path):
-    """Damage that overwrites the last record with a copy of the first, so
-    the record count is kept and a uuid is repeated."""
-    lines = path.read_bytes().splitlines(keepends=True)
-    path.write_bytes(b"".join([*lines[:-1], lines[0]]))
-
-
-def _nest_first_record(path):
-    """Damage that replaces the first record with a value nested past the
-    decoder's depth."""
-    _, _, rest = path.read_text().partition("\n")
-    path.write_text("[" * 100_000 + "\n" + rest)
-
-
 def _first_record(field, value):
     """Damage that sets ``field`` of the file's first record to ``value``."""
     def damage(path):
@@ -726,23 +744,57 @@ def _first_record(field, value):
     return damage
 
 
+def _rows_edited(edit):
+    """Damage that applies ``edit`` to the rows of a file of columns, each
+    row a dict of its entries, and stores the rows as columns again."""
+    def damage(path):
+        obj = json.loads(path.read_text())
+        rows = [dict(zip(obj, row)) for row in zip(*obj.values())]
+        edit(rows)
+        path.write_text(json.dumps({name: [row[name] for row in rows]
+                                    for name in obj}))
+    return damage
+
+
+def _repeat_first_row(rows):
+    """Overwrite the last row with a copy of the first, so the row count is
+    kept and a uuid is repeated."""
+    rows[-1] = rows[0]
+
+
+def _swap_rows(first, second):
+    """Swap rows ``first`` and ``second``."""
+    def edit(rows):
+        rows[first], rows[second] = rows[second], rows[first]
+    return edit
+
+
+def _first_row(column, value):
+    """Set ``column`` of the first row to ``value``."""
+    return lambda rows: rows[0].update({column: value})
+
+
+def _nest_first(column):
+    """Damage that makes the first entry of ``column`` a value nested past
+    the decoder's depth."""
+    def damage(path):
+        _rows_edited(_first_row(column, "@nest@"))(path)
+        path.write_text(path.read_text().replace(
+            '"@nest@"', "[" * 100_000 + "]" * 100_000))
+    return damage
+
+
 def _first_edge(column, value):
     """Damage that sets ``column`` of the edge blob's first row to what
     ``value`` gives for the graph's header and its number of nodes."""
     def damage(path):
         stem = path.name.removesuffix(".edges.bin")
         header = json.loads(path.with_name(f"{stem}.header.json").read_text())
-        nodes = path.with_name(f"{stem}.nodes.jsonl").read_text().splitlines()
+        nodes = json.loads(path.with_name(f"{stem}.nodes.json").read_text())
         values = np.fromfile(path, dtype="<i8")
-        values[EDGE_COLUMNS.index(column)] = value(header, len(nodes))
+        values[EDGE_COLUMNS.index(column)] = value(header, len(nodes["uuid"]))
         values.tofile(path)
     return damage
-
-
-def _swap_first_records(path):
-    """Damage that swaps the first two records, keeping every byte."""
-    first, second, *rest = path.read_bytes().splitlines(keepends=True)
-    path.write_bytes(b"".join([second, first, *rest]))
 
 
 def _swap_first_edges(path):
@@ -787,13 +839,10 @@ def _without(field):
     return damage
 
 
-def _swap_first_and_last(path):
-    """Damage that swaps the first and last records, so the labels are out
-    of order."""
-    lines = path.read_text().splitlines()
-    assert json.loads(lines[0])["label"] != json.loads(lines[-1])["label"]
-    lines[0], lines[-1] = lines[-1], lines[0]
-    path.write_text("\n".join(lines) + "\n")
+def _swap_first_and_last_labels(rows):
+    """Swap the first and last rows, so the labels are out of order."""
+    assert rows[0]["label"] != rows[-1]["label"]
+    _swap_rows(0, -1)(rows)
 
 
 def _setting(field, value):
@@ -810,7 +859,9 @@ def _resealed(damage, paths_of):
     passes and a check past it must name the file."""
     def resealing(path):
         damage(path)
-        seal(paths_of(path.parent))
+        paths = paths_of(path.parent)
+        seal(paths, {key: hashlib.sha256(file.read_bytes()).hexdigest()
+                     for key, file in paths.items() if key != "seal"})
     return resealing
 
 
@@ -843,7 +894,7 @@ def _quoted(field):
 
 def _zero_rows(path):
     """Damage that leaves the knowledge base without member rows."""
-    path.write_bytes(b"")
+    _rows_edited(list.clear)(path)
     (path.parent / "kb.embeddings.bin").write_bytes(b"")
 
 
@@ -895,13 +946,13 @@ _REPOSITORY = _in_directory(InvestigationRepository.load)
 EDITED = [  # one edit per sealed file, each to a value no check reads
     ("graphs/benign.header.json", _bump_last_operation,
      _graph_loader("benign"), PROFILE),
-    ("graphs/benign.nodes.jsonl", _bump_after(b'"name": "'),
+    ("graphs/benign.nodes.json", _bump_after(b'"name": "'),
      _graph_loader("benign"), PROFILE),
     ("graphs/benign.edges.bin", _flip_bit(WEIGHT_BYTE),
      _graph_loader("benign"), PROFILE),
     ("graphs/attack.header.json", _bump_last_operation,
      _graph_loader("attack"), DETECT),
-    ("graphs/attack.nodes.jsonl", _bump_after(b'"name": "'),
+    ("graphs/attack.nodes.json", _bump_after(b'"name": "'),
      _graph_loader("attack"), DETECT),
     ("graphs/attack.edges.bin", _flip_bit(WEIGHT_BYTE),
      _graph_loader("attack"), DETECT),
@@ -911,7 +962,7 @@ EDITED = [  # one edit per sealed file, each to a value no check reads
     ("model/encoder.weights.bin", _flip_bit(0), _model_of, DETECT),
     ("kb/kb.json", _bump_after(b'"epsilon": 0.0'), _in_directory(load_kb),
      DETECT),
-    ("kb/kb.members.jsonl", _bump_after(b'"uuid": "'),
+    ("kb/kb.members.json", _bump_after(b'"uuid": ["'),
      _in_directory(load_kb), DETECT),
     ("kb/kb.digests.jsonl", _bump_after(b'["'), _in_directory(load_kb),
      DETECT),
@@ -976,9 +1027,9 @@ DAMAGED = [
     _missing_field("model/vocab.json", "op_vocab", _model_of, DETECT),
     _missing_field("kb/kb.json", "dim",
                    lambda path: load_kb(path.parent), DETECT),
-    _missing_field("kb/kb.members.jsonl", "uuid",
+    _missing_field("kb/kb.members.json", "uuid",
                    lambda path: load_kb(path.parent), DETECT),
-    _missing_field("kb/kb.members.jsonl", "label",
+    _missing_field("kb/kb.members.json", "label",
                    lambda path: load_kb(path.parent), DETECT),
     pytest.param("investigation/attack/repository.json",
                  _setting("pending_leads", [{"graph_name": "attack",
@@ -1019,12 +1070,24 @@ DAMAGED = [
            lambda repo: repo.update(status="paused", evidence={
                **repo["evidence"], min(repo["evidence"]): 5})),
       ]],
-    pytest.param("kb/kb.members.jsonl", _zero_rows,
+    pytest.param("kb/kb.members.json", _zero_rows,
                  lambda path: load_kb(path.parent), DETECT,
-                 id="kb.members.jsonl-zero-rows"),
-    pytest.param("kb/kb.members.jsonl", _swap_first_and_last,
+                 id="kb.members.json-zero-rows"),
+    pytest.param("kb/kb.members.json",
+                 _rows_edited(_swap_first_and_last_labels),
                  lambda path: load_kb(path.parent), DETECT,
-                 id="kb.members.jsonl-labels-out-of-order"),
+                 id="kb.members.json-labels-out-of-order"),
+    # sealed again after the damage: the columns' build step names the file
+    *[pytest.param(artifact, _resealed(_edited(edit), paths_of),
+                   loader, DETECT, id=f"{Path(artifact).name}-{name}-resealed")
+      for artifact, paths_of, loader in [
+          ("kb/kb.members.json", kb_paths, _in_directory(load_kb)),
+          ("graphs/attack.nodes.json", lambda d: graph_paths(d, "attack"),
+           _graph_loader("attack"))]
+      for name, edit in [
+          ("columns-of-unequal-length", lambda obj: obj["uuid"].pop()),
+          ("an-unknown-column",
+           lambda obj: obj.update(extra=[None] * len(obj["uuid"])))]],
     pytest.param("kb/kb.json", _setting("epsilon", 1.5),
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.json-epsilon-1.5"),
@@ -1059,17 +1122,17 @@ DAMAGED = [
     _missing_field("model/vocab.json", "dim", _model_of, DETECT),
     _missing_field("graphs/attack.header.json", "edge_count",
                    _graph_loader("attack"), DETECT),
-    _missing_field("graphs/attack.nodes.jsonl", "identity",
+    _missing_field("graphs/attack.nodes.json", "identity",
                    _graph_loader("attack"), DETECT),
-    pytest.param("graphs/attack.nodes.jsonl", _repeat_first_record,
+    pytest.param("graphs/attack.nodes.json", _rows_edited(_repeat_first_row),
                  _graph_loader("attack"), DETECT,
-                 id="attack.nodes.jsonl-repeated-uuid"),
+                 id="attack.nodes.json-repeated-uuid"),
     pytest.param("graphs/attack.edges.bin", _short_bytes(3),
                  _graph_loader("attack"), DETECT,
                  id="attack.edges.bin-wrong-byte-length"),
-    pytest.param("graphs/attack.nodes.jsonl", _nest_first_record,
+    pytest.param("graphs/attack.nodes.json", _nest_first("attrs"),
                  _graph_loader("attack"), DETECT,
-                 id="attack.nodes.jsonl-nested-too-deep"),
+                 id="attack.nodes.json-nested-too-deep"),
     pytest.param("graphs/attack.edges.bin",
                  _first_edge("dst_row", lambda header, nodes: nodes),
                  _graph_loader("attack"), DETECT,
@@ -1086,12 +1149,13 @@ DAMAGED = [
     pytest.param("graphs/attack.header.json", _setting("name", "other"),
                  _graph_loader("attack"), DETECT,
                  id="attack.header.json-name-of-another-graph"),
-    pytest.param("graphs/attack.nodes.jsonl", _first_record("attrs", []),
+    pytest.param("graphs/attack.nodes.json",
+                 _rows_edited(_first_row("attrs", [])),
                  _graph_loader("attack"), DETECT,
-                 id="attack.nodes.jsonl-attrs-a-list"),
-    pytest.param("graphs/attack.nodes.jsonl", _swap_first_records,
+                 id="attack.nodes.json-attrs-a-list"),
+    pytest.param("graphs/attack.nodes.json", _rows_edited(_swap_rows(0, 1)),
                  _graph_loader("attack"), DETECT,
-                 id="attack.nodes.jsonl-first-two-swapped"),
+                 id="attack.nodes.json-first-two-swapped"),
     pytest.param("graphs/attack.edges.bin", _swap_first_edges,
                  _graph_loader("attack"), DETECT,
                  id="attack.edges.bin-first-two-rows-swapped"),
@@ -1699,7 +1763,7 @@ def test_command_idempotence_identical_artifacts(tmp_path):
         return Path(artifacts)
 
     one, two = run("one"), run("two")
-    for rel in ("graphs/b.nodes.jsonl", "graphs/b.edges.bin",
+    for rel in ("graphs/b.nodes.json", "graphs/b.edges.bin",
                 "model/vocab.vectors.bin", "model/encoder.weights.bin",
                 "model/loss_trace.csv"):
         assert (one / rel).read_bytes() == (two / rel).read_bytes()

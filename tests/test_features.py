@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,9 +276,29 @@ def test_features_invariant_to_event_order():
     assert np.array_equal(h_fwd, h_bwd)
 
 
+def _no_operation_in_op_vocab():
+    """``oracle_case`` with an operation vocabulary that none of its edges'
+    operations is in, so the action block scatters nothing."""
+    graph, vocab, _ = oracle_case()
+    assert not set(graph.operations) & {"CONNECT"}
+    return graph, vocab, ("CONNECT",)
+
+
+def _negative_zero_components():
+    """``oracle_case`` whose vocabulary vectors have -0.0 as their first
+    component: a sum started from 0.0 stays 0.0, one started from its
+    first term would be -0.0."""
+    graph, vocab, op_vocab = oracle_case()
+    vectors = vocab.vectors.copy()
+    vectors[:, 0] = -0.0
+    return graph, replace(vocab, vectors=vectors), op_vocab
+
+
 @settings(max_examples=500, deadline=None)
 @given(oracle_graphs(), st.randoms(use_true_random=False))
 @example(oracle_case(), random.Random(0))
+@example(_no_operation_in_op_vocab(), random.Random(0))
+@example(_negative_zero_components(), random.Random(0))
 def test_feature_matrix_bytes_match_per_node_oracle(case, order):
     """Also for the same graph built from its nodes and edges shuffled."""
     graph, vocab, op_vocab = case

@@ -202,7 +202,7 @@ def test_build_kb_deterministic_serialization(tmp_path):
         kb = build_knowledge_base([graph], params, vocab, 0.02,
                                   DEFAULT_OP_VOCAB)
         save_kb(kb, tmp_path / sub)
-    for name in ("kb.json", "kb.members.jsonl", "kb.digests.jsonl",
+    for name in ("kb.json", "kb.members.json", "kb.digests.jsonl",
                  "kb.embeddings.bin"):
         assert (tmp_path / "one" / name).read_bytes() \
             == (tmp_path / "two" / name).read_bytes()

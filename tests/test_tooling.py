@@ -7,8 +7,10 @@ every JSON decode and encode to ``provlens.artifacts``. And the
 investigation retrieves through the one name the benchmark traces. And
 importing the CLI leaves ``requests`` unimported. And ``graph_paths`` names
 every file ``save_graph`` writes, which the benchmark deletes by it, and
-each writer's seal covers the other files of its ``*_paths`` dict, and each
-key a writer stores in its JSON header is one its loader reads, and each
+each writer's seal covers the other files of its ``*_paths`` dict with the
+digests of the bytes written, and each key a writer stores in its JSON
+header, and each column of its file of columns, is one its loader reads, and
+each
 field an agent's reply declares is one the agents or the orchestrator read.
 And only ``ingest`` calls the graph constructor, and no module names an edge
 object, so the benchmark's build hook counts edge columns. And the
@@ -16,6 +18,7 @@ investigation package binds exactly the names the benchmark reads through
 it."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import json
@@ -169,21 +172,31 @@ def _sealed_writers():
 
 
 def test_each_seal_lists_exactly_the_other_files_of_its_set(tmp_path):
-    """A writer seals every file of its ``*_paths`` dict, and writes no
-    other, so a loader's ``check_seal`` covers all it reads."""
+    """A writer seals every file of its ``*_paths`` dict, the column files
+    of a graph's nodes and a KB's members included, and writes no other, so
+    a loader's ``check_seal`` covers all it reads. The digest sealed for a
+    file, which its writer returned, is the sha256 of the file's bytes."""
     for i, (write, paths_of) in enumerate(_sealed_writers()):
         directory = tmp_path / str(i)
         write(directory)
         paths = paths_of(directory)
         assert set(directory.iterdir()) == set(paths.values())
         sealed = json.loads(paths["seal"].read_text(encoding="utf-8"))
-        assert set(sealed) == set(paths) - {"seal"}
+        assert sealed == {
+            key: hashlib.sha256(path.read_bytes()).hexdigest()
+            for key, path in paths.items() if key != "seal"}
+    assert {"nodes", "members"} <= {key for _, paths_of in _sealed_writers()
+                                     for key in paths_of(tmp_path)}
 
 
-HEADER_IO = [("ingest.py", "save_graph", "load_graph"),
-             ("profiler.py", "save_kb", "load_kb"),
-             ("features.py", "save_vocab", "load_vocab"),
-             ("encoder.py", "save_params", "load_params")]
+# Each JSON file a writer stores as one object of named fields: its header,
+# or its record file of columns, which the loader reads through ``columns``.
+HEADER_IO = [("ingest.py", "save_graph", "load_graph", "header"),
+             ("ingest.py", "save_graph", "load_graph", "nodes"),
+             ("profiler.py", "save_kb", "load_kb", "header"),
+             ("profiler.py", "save_kb", "load_kb", "members"),
+             ("features.py", "save_vocab", "load_vocab", "header"),
+             ("encoder.py", "save_params", "load_params", "header")]
 
 
 def _function(tree, name):
@@ -193,22 +206,31 @@ def _function(tree, name):
 
 def test_each_header_key_a_writer_stores_is_read_by_its_loader():
     """A key the writer puts in the dict it passes to ``write_json`` for
-    ``paths["header"]`` is read by its loader as ``header["key"]``; one that
-    is not cannot change a result, so it is not stored."""
+    ``paths["header"]`` is read by its loader as ``header["key"]``, and a
+    column it writes to a file of columns is one its loader names in
+    ``columns(...)``; one that is not cannot change a result, so it is not
+    stored."""
     unread = []
-    for module, writer, loader in HEADER_IO:
+    for module, writer, loader, file in HEADER_IO:
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         written = {key.value for node in ast.walk(_function(tree, writer))
                    if isinstance(node, ast.Call)
                    and getattr(node.func, "id", None) == "write_json"
-                   and ast.unparse(node.args[0]) == "paths['header']"
+                   and ast.unparse(node.args[0]) == f"paths['{file}']"
                    for key in node.args[1].keys}
-        read = {node.slice.value for node in ast.walk(_function(tree, loader))
-                if isinstance(node, ast.Subscript)
-                and getattr(node.value, "id", None) == "header"
-                and isinstance(node.slice, ast.Constant)}
-        assert written and read, (writer, loader)
-        unread += [f"{writer}: {key}" for key in sorted(written - read)]
+        if file == "header":
+            read = {node.slice.value
+                    for node in ast.walk(_function(tree, loader))
+                    if isinstance(node, ast.Subscript)
+                    and getattr(node.value, "id", None) == "header"
+                    and isinstance(node.slice, ast.Constant)}
+        else:
+            read = {arg.value for node in ast.walk(_function(tree, loader))
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "columns"
+                    for arg in node.args}
+        assert written and read, (writer, loader, file)
+        unread += [f"{writer}: {file} {key}" for key in sorted(written - read)]
     assert unread == []
 
 
