@@ -204,10 +204,27 @@ def seal(paths: dict[str, Path], digests: dict[str, str]) -> None:
     write_json(paths["seal"], _exact(frozenset(paths) - {"seal"}, digests))
 
 
+def _sealed_bytes(path: Path) -> bytes:
+    """The bytes of ``path``. Where a JSON file of columns is missing and
+    the JSONL file an earlier version wrote in its place is there, raise
+    ArtifactError naming that file."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        earlier = path.with_suffix(".jsonl")
+        if path.suffix == ".json" and earlier.is_file():
+            raise ArtifactError(
+                f"unreadable artifact {earlier}: JSONL of an earlier "
+                f"version, where {path.name} is expected; write the set "
+                f"again", path=str(earlier)) from None
+        raise
+
+
 def check_seal(paths: dict[str, Path]) -> dict[str, bytes]:
     """Raise ArtifactError naming the seal if it is missing (as in a set of
     an earlier version) or unreadable, else the first file of ``paths`` that
-    is missing or differs from what ``seal`` recorded. A loader calls it
+    is missing (or, of an earlier version, JSONL where columns are expected)
+    or differs from what ``seal`` recorded. A loader calls it
     first and decodes what it returns: the bytes it checked of each file and
     the seal, keyed as in ``paths``."""
     files = {key: path for key, path in paths.items() if key != "seal"}
@@ -216,7 +233,7 @@ def check_seal(paths: dict[str, Path]) -> dict[str, bytes]:
         digests = _exact(frozenset(files), decode(checked["seal"].decode()))
     for key, path in files.items():
         with reading(path):
-            checked[key] = Path(path).read_bytes()
+            checked[key] = _sealed_bytes(Path(path))
             if hashlib.sha256(checked[key]).hexdigest() != digests[key]:
                 raise ValueError(f"differs from its seal {paths['seal']}")
     return checked

@@ -728,6 +728,17 @@ def _halve(path):
     path.write_bytes(data[:cut])
 
 
+def _as_earlier_jsonl(path):
+    """Damage that turns the set into one of an earlier version: the rows of
+    the columns file beside ``path`` as JSONL in ``path``, the columns file
+    gone."""
+    columns = path.with_suffix(".json")
+    obj = json.loads(columns.read_text())
+    path.write_text("".join(json.dumps(dict(zip(obj, row))) + "\n"
+                            for row in zip(*obj.values())))
+    columns.unlink()
+
+
 def _halve_at_record(path):
     """Damage that keeps the first half of the records, each one whole."""
     lines = path.read_bytes().splitlines(keepends=True)
@@ -990,6 +1001,14 @@ DAMAGED = [
     pytest.param("investigation/attack/journal.jsonl", _delete,
                  lambda path: InvestigationRepository.load(path.parent),
                  REPORT, id="journal.jsonl-deleted"),
+    # the JSONL file an earlier version wrote in place of a columns file
+    *[pytest.param(artifact, _as_earlier_jsonl, loader, argv,
+                   id=Path(artifact).name)
+      for artifact, loader, argv in [
+          ("graphs/benign.nodes.jsonl", _graph_loader("benign"), PROFILE),
+          ("graphs/attack.nodes.jsonl", _graph_loader("attack"), DETECT),
+          ("kb/kb.members.jsonl", lambda path: load_kb(path.parent),
+           DETECT)]],
     # a byte changed where the loader checks nothing fails through the seal
     *[pytest.param(*case, id=f"{Path(case[0]).name}-edited")
       for case in EDITED],
