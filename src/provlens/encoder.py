@@ -13,6 +13,11 @@ receptive field (``batch_field``): only the rows the batch's loss reads and,
 layer by layer, the rows those read, as in GraphSAGE's minibatch algorithm
 (Hamilton et al., arXiv:1706.02216). Each of those rows aggregates the same
 entries in the same order as in the whole graph.
+
+A batch is drawn in a few vectorized rounds on the training generator, and
+its gradient rows are scattered through flat element indices; both give the
+bytes of a per-member loop and of row-wise scatters, so a model depends only
+on its inputs and seed.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -218,7 +222,8 @@ def _softmax_terms(z: np.ndarray, batch: ContrastiveBatch,
     exp_mem[owner, own[owner, which]] = -np.inf
     shift = np.maximum(logit_pos, np.max(exp_mem, axis=1, initial=-np.inf))
     exp_pos = np.exp(logit_pos - shift)
-    np.exp(exp_mem - shift[:, None], out=exp_mem)
+    np.subtract(exp_mem, shift[:, None], out=exp_mem)
+    np.exp(exp_mem, out=exp_mem)
     denom = exp_pos + exp_mem.sum(axis=1)
     p_pos = exp_pos / denom
     return (float(-np.sum(np.log(p_pos))), idx, unit, inv, cos_members,
@@ -254,68 +259,112 @@ def batch_loss_grad(z: np.ndarray, batch: ContrastiveBatch,
     d_positive = g_pos[:, None] * anchors - (g_pos * cos_pos)[:, None] * positives
 
     # Members are distinct, so they take a direct indexed add; anchors and
-    # positives may repeat, so they accumulate in order.
-    dz = np.zeros_like(z)
-    np.add.at(dz, idx[0], d_anchor * inv[0][:, None])
+    # positives may repeat, so they accumulate in order, element by element
+    # through the flat view of a C-ordered dz (a reshape of any other layout
+    # would be a copy), which adds in the order of a row-wise add.at.
+    dz = np.zeros(z.shape, dtype=z.dtype)
+    flat, width = dz.reshape(-1), np.arange(z.shape[1])
+    np.add.at(flat, (idx[0][:, None] * len(width) + width).ravel(),
+              (d_anchor * inv[0][:, None]).ravel())
     dz[idx[1]] += d_member * inv[1][:, None]
-    np.add.at(dz, idx[2], d_positive * inv[2][:, None])
+    np.add.at(flat, (idx[2][:, None] * len(width) + width).ravel(),
+              (d_positive * inv[2][:, None]).ravel())
     return loss, dz
 
 
-def identity_groups(identities: list[str]) -> list[list[int]]:
-    """Row -> the ascending rows that share its identity. Rows of one identity
-    share one list object."""
-    by_identity: dict[str, list[int]] = {}
-    for row, identity in enumerate(identities):
-        by_identity.setdefault(identity, []).append(row)
-    return [by_identity[identity] for identity in identities]
+@dataclass(frozen=True)
+class IdentityGroups:
+    """Rows grouped by identity, as read-only arrays. ``flat`` holds every
+    identity's rows, contiguous and ascending; row ``r``'s group is
+    ``flat[start[r]:start[r] + size[r]]``, and ``r`` is at position
+    ``rank[r]`` in it."""
+    flat: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    rank: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start)
 
 
-def sample_contrastive_batch(groups: list[list[int]], batch_size: int,
+def identity_groups(identities: list[str]) -> IdentityGroups:
+    """The rows of each identity, for rows ``0 .. len(identities) - 1``."""
+    ids: dict[str, int] = {}
+    label = np.fromiter((ids.setdefault(identity, len(ids))
+                         for identity in identities),
+                        dtype=np.intp, count=len(identities))
+    flat = np.argsort(label, kind="stable")
+    counts = np.bincount(label, minlength=len(ids))
+    start = (np.cumsum(counts) - counts)[label]
+    rank = np.empty_like(flat)
+    rank[flat] = np.arange(len(flat)) - start[flat]
+    parts = (flat, start, counts[label], rank)
+    for part in parts:
+        part.flags.writeable = False
+    return IdentityGroups(*parts)
+
+
+def sample_contrastive_batch(groups: IdentityGroups, batch_size: int,
                              rng: np.random.Generator) -> ContrastiveBatch:
     """Draw a training batch over rows ``0 .. len(groups) - 1``.
 
-    Batch members are a uniform sample of rows. Each member whose identity has
-    at least two rows anchors one pair (its positive is drawn from all
-    same-identity peers and both are consumed); every other batch member acts
-    as that anchor's negative. Singleton identities can only ever appear as
-    negatives.
+    Batch members are a uniform sample of rows. In member order, each member
+    not yet consumed whose identity has at least two rows anchors one pair:
+    its positive is drawn from all same-identity peers, and both are
+    consumed. Every other batch member acts as that anchor's negative.
+    Singleton identities can only ever appear as negatives.
+
+    The positives are drawn in rounds, one ``rng.integers`` call per round
+    for every candidate from the round's first position on. The draws before
+    the first candidate that an earlier draw consumes are final; they are
+    drawn again from the round's saved generator state, which gives the same
+    values and leaves the generator where one call per anchor would, so the
+    batch and the stream are those of the per-member loop.
     """
-    members = rng.permutation(len(groups))[:batch_size].tolist()
-    anchors, positives = [], []
-    consumed: set[int] = set()
-    for member in members:
-        group = groups[member]
-        if member in consumed or len(group) < 2:
-            continue
-        k = int(rng.integers(len(group) - 1))
-        if k >= bisect_left(group, member):
-            k += 1  # step past the member itself
-        positive = group[k]
-        consumed.add(member)
-        consumed.add(positive)
-        anchors.append(member)
-        positives.append(positive)
-    if not anchors:
+    members = rng.permutation(len(groups))[:batch_size]
+    n = len(members)
+    position = np.full(len(groups), n)  # n: a row outside the batch
+    position[members] = np.arange(n)
+    high, rank = groups.size[members] - 1, groups.rank[members]
+    base = groups.start[members]
+    live = np.append(high > 0, False)  # eligible and not yet consumed
+    taken = chosen = np.empty(0, dtype=np.intp)
+    lo = 0
+    while len(cand := lo + np.flatnonzero(live[lo:n])):
+        state = rng.bit_generator.state
+        k = rng.integers(high[cand])
+        k += k >= rank[cand]  # step past the member itself
+        positive = groups.flat[base[cand] + k]
+        hit = position[positive]
+        hit[hit <= cand] = n  # a positive on no later member clashes with none
+        lo = hit.min()  # the first later member an earlier draw consumes
+        final = np.searchsorted(cand, lo)  # the draws before it are final
+        if final < len(cand):
+            rng.bit_generator.state = state
+            rng.integers(high[cand[:final]])
+            cand, positive = cand[:final], positive[:final]
+        live[position[positive]] = False
+        taken = np.concatenate([taken, cand])
+        chosen = np.concatenate([chosen, positive])
+        lo += 1
+    if not len(taken):
         log.warning("no identity with >= 2 members in batch sample; step skipped")
-    return ContrastiveBatch(anchors=anchors, positives=positives,
-                            members=members)
+    return ContrastiveBatch(anchors=members[taken].tolist(),
+                            positives=chosen.tolist(),
+                            members=members.tolist())
 
 
-def canonical_eval_batch(groups: list[list[int]],
+def canonical_eval_batch(groups: IdentityGroups,
                          cap: int = EVAL_BATCH_CAP) -> ContrastiveBatch:
     """Deterministic batch used to trace training progress: the first ``cap``
     rows, each eligible one anchored with its first peer."""
-    members = list(range(min(len(groups), cap)))
-    anchors, positives = [], []
-    for member in members:
-        group = groups[member]
-        if len(group) < 2:
-            continue
-        anchors.append(member)
-        positives.append(group[1] if group[0] == member else group[0])
-    return ContrastiveBatch(anchors=anchors, positives=positives,
-                            members=members)
+    members = np.arange(min(len(groups), cap))
+    anchors = members[groups.size[members] >= 2]
+    positives = groups.flat[groups.start[anchors]
+                            + (groups.rank[anchors] == 0)]
+    return ContrastiveBatch(anchors=anchors.tolist(),
+                            positives=positives.tolist(),
+                            members=members.tolist())
 
 
 def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],

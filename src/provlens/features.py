@@ -79,10 +79,13 @@ def train_semantic_vocab(summaries: list[list[str]], dim: int, window: int = 5,
                       dtype=np.intp)
     summary_of = np.repeat(np.arange(len(summaries)), list(map(len, summaries)))
 
-    pairs = np.zeros((vocab_size, vocab_size))
+    pairs = np.zeros(vocab_size * vocab_size)
     for distance in range(1, window + 1):
         same = summary_of[:-distance] == summary_of[distance:]
-        np.add.at(pairs, (ids[:-distance][same], ids[distance:][same]), 1.0)
+        pairs += np.bincount(ids[:-distance][same] * vocab_size
+                             + ids[distance:][same],
+                             minlength=vocab_size * vocab_size)
+    pairs = pairs.reshape(vocab_size, vocab_size)
     pairs += pairs.T  # each pair is visited from both of its tokens
 
     centres = pairs.sum(axis=1)  # #(w)

@@ -422,8 +422,8 @@ def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     """The saved graph, built from its files as they are. A file that differs
     from its seal, a header of another graph than ``name`` (as in a renamed
-    set), or a graph the constructor rejects, raises ArtifactError naming the
-    file."""
+    set), a nodes file that repeats a uuid, or a graph the constructor
+    rejects, raises ArtifactError naming the file."""
     paths = graph_paths(directory, name)
     checked = check_seal(paths)
     header = read_json(paths["header"], checked["header"])
@@ -433,10 +433,11 @@ def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     uuids, kinds, attrs, identities = read_json(
         paths["nodes"], checked["nodes"],
         columns("uuid", "kind", "attrs", "identity"))
+    with reading(paths["nodes"]):
+        nodes = dict(zip(uuids, map(Entity, uuids, kinds, attrs, identities)))
+        if len(nodes) < len(uuids):
+            raise ValueError("repeats a uuid")
     edge_columns = read_blob(paths["edges"], checked["edges"], "<i8",
                              (header["edge_count"], len(EDGE_COLUMNS)))
     with reading(paths["edges"]):
-        return ProvenanceGraph(
-            name, dict(zip(uuids, map(Entity, uuids, kinds, attrs,
-                                      identities))),
-            header["operations"], edge_columns)
+        return ProvenanceGraph(name, nodes, header["operations"], edge_columns)

@@ -1,12 +1,16 @@
 """Reference implementations the encoder tests check the production code
 against: a pairwise contrastive loss with explicit per-pair gradients, the
-full-matrix batch loss the production loss must match byte for byte, and the
+full-matrix batch loss the production loss must match byte for byte, the
 uuid-space batch sampler whose random draws the index-space sampler must
-reproduce."""
+reproduce, and the training loop built from those two, whose weights and loss
+trace the production loop must match byte for byte."""
 
 import math
 
 import numpy as np
+
+from provlens.encoder import (ContrastiveBatch, backward_pass, batch_field,
+                              forward_pass, init_params, propagation_matrix)
 
 
 def _cosine_and_grads(a: np.ndarray, b: np.ndarray):
@@ -123,3 +127,52 @@ def batch_loss_grad(z: np.ndarray, anchors, positives, members,
     np.add.at(dz, member_idx, d_member * inv[member_idx][:, None])
     np.add.at(dz, pos_idx, d_positive * inv[pos_idx][:, None])
     return loss, dz
+
+
+def train_reference(graph, h0, config, seed):
+    """(weights, loss trace) of ``encoder.train`` as a per-member loop: each
+    step draws its batch with ``sample_uuid_batch``, one ``rng.integers``
+    call per anchor, and takes its loss and gradient from the full-matrix
+    ``batch_loss_grad``; the epoch's evaluation batch anchors each of the
+    first 512 rows that has a peer with its first peer."""
+    uuids = list(graph.nodes)
+    row = {uuid: i for i, uuid in enumerate(uuids)}
+    identities = {uuid: node.identity for uuid, node in graph.nodes.items()}
+    peers: dict[str, list[int]] = {}
+    for uuid in uuids:
+        peers.setdefault(identities[uuid], []).append(row[uuid])
+    members = list(range(min(len(uuids), 512)))
+    eval_pairs = [(r, next(p for p in peers[identities[uuids[r]]] if p != r))
+                  for r in members if len(peers[identities[uuids[r]]]) > 1]
+    eval_ops, eval_batch = batch_field(
+        propagation_matrix(graph),
+        ContrastiveBatch(anchors=[a for a, _ in eval_pairs],
+                         positives=[p for _, p in eval_pairs],
+                         members=members), config.num_layers)
+
+    matrix = np.stack([np.asarray(h0[u], dtype=np.float64) for u in uuids])
+    params = init_params([matrix.shape[1]]
+                         + [config.embedding_dim] * config.num_layers,
+                         activation=config.activation, seed=seed)
+    prop = propagation_matrix(graph)
+    rng = np.random.default_rng(seed)
+    trace = []
+    for _ in range(config.epochs):
+        for _ in range(max(1, math.ceil(len(uuids) / config.batch_size))):
+            parts = sample_uuid_batch(uuids, identities, config.batch_size, rng)
+            if not parts[0]:
+                continue
+            ops, batch = batch_field(prop, ContrastiveBatch(
+                *[[row[u] for u in part] for part in parts]),
+                params.num_layers)
+            z, cache = forward_pass(ops, matrix, params)
+            _, dz = batch_loss_grad(z, batch.anchors, batch.positives,
+                                    batch.members, config.temperature)
+            for w, dw in zip(params.weights,
+                             backward_pass(ops, params, cache, dz)):
+                w -= config.learning_rate * dw
+        z, _ = forward_pass(eval_ops, matrix, params)
+        trace.append(batch_loss_grad(z, eval_batch.anchors,
+                                     eval_batch.positives, eval_batch.members,
+                                     config.temperature)[0])
+    return [w.astype("<f4").astype(np.float64) for w in params.weights], trace

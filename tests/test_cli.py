@@ -1146,6 +1146,11 @@ DAMAGED = [
     pytest.param("graphs/attack.nodes.json", _rows_edited(_repeat_first_row),
                  _graph_loader("attack"), DETECT,
                  id="attack.nodes.json-repeated-uuid"),
+    pytest.param("graphs/attack.nodes.json",
+                 _resealed(_rows_edited(_repeat_first_row),
+                           lambda d: graph_paths(d, "attack")),
+                 _graph_loader("attack"), DETECT,
+                 id="attack.nodes.json-repeated-uuid-resealed"),
     pytest.param("graphs/attack.edges.bin", _short_bytes(3),
                  _graph_loader("attack"), DETECT,
                  id="attack.edges.bin-wrong-byte-length"),

@@ -288,9 +288,29 @@ def named_loss_case():
     return z, batch, 0.5
 
 
+def negative_zero_case():
+    """Zero-norm rows of -0.0 as an anchor (2) and as a repeated positive
+    (2, 4), so that their gradient rows take -0.0 terms, which a scatter
+    starting from +0.0 adds to +0.0."""
+    z = np.random.default_rng(6).normal(size=(5, 3))
+    z[2] = z[4] = -0.0
+    batch = ContrastiveBatch(anchors=[2, 0, 0, 3], positives=[3, 2, 2, 4],
+                             members=[0, 1, 2, 3])
+    return z, batch, 0.07
+
+
+def fortran_case():
+    """``named_loss_case`` with ``z`` in Fortran order, whose ``zeros_like``
+    would be Fortran-ordered too, so that a flat view of it is a copy."""
+    z, batch, temperature = named_loss_case()
+    return np.asfortranarray(z), batch, temperature
+
+
 @settings(max_examples=300, deadline=None)
 @given(loss_cases())
 @example(named_loss_case())
+@example(negative_zero_case())
+@example(fortran_case())
 def test_batch_loss_grad_bytes_match_full_matrix_oracle(case):
     z, batch, temperature = case
     loss, dz = batch_loss_grad(z, batch, temperature)
@@ -382,6 +402,56 @@ def test_sampler_matches_uuid_space_draw_sequence():
             assert got == want, (labels, batch_size, seed)
 
 
+@st.composite
+def clashing_samples(draw):
+    """(labels, batch size, seed): one to three identities of one to twelve
+    rows, some singleton identities, and batches of half the rows to three
+    more than all of them, so that positives often land on later members."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    sizes += [1] * draw(st.integers(0, 3))
+    labels = [f"I{i}" for i, size in enumerate(sizes) for _ in range(size)]
+    labels = draw(st.permutations(labels))
+    n = len(labels)
+    batch_size = draw(st.integers(max(2, n // 2), n + 3))
+    return labels, batch_size, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clashing_samples())
+@example((["A"] * 8, 8, 0))
+@example((["A", "B", "A", "C", "A", "B"], 9, 3))
+def test_sampler_matches_uuid_space_oracle_and_leaves_the_same_stream(case):
+    """Three consecutive batches equal the per-member reference's, and the
+    generator's next draw after them is the reference's next draw."""
+    labels, batch_size, seed = case
+    nodes = [f"u{j:03d}" for j in reversed(range(len(labels)))]
+    identities = dict(zip(nodes, labels))
+    uuids = sorted(nodes)
+    groups = identity_groups([identities[u] for u in uuids])
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        batch = sample_contrastive_batch(groups, batch_size, rng)
+        got = ([uuids[i] for i in batch.anchors],
+               [uuids[i] for i in batch.positives],
+               [uuids[i] for i in batch.members])
+        assert got == sample_uuid_batch(nodes, identities, batch_size, ref_rng)
+    assert rng.integers(2 ** 40) == ref_rng.integers(2 ** 40)
+
+
+def test_identity_groups_hand_arrays():
+    groups = identity_groups(["B", "A", "B", "C", "A", "B"])
+    assert groups.flat.tolist() == [0, 2, 5, 1, 4, 3]
+    assert groups.start.tolist() == [0, 3, 0, 5, 3, 0]
+    assert groups.size.tolist() == [3, 2, 3, 1, 2, 3]
+    assert groups.rank.tolist() == [0, 0, 1, 0, 1, 2]
+    assert len(groups) == 6
+    with pytest.raises(ValueError):
+        groups.flat[0] = 1
+    eval_batch = canonical_eval_batch(groups, cap=5)
+    assert (eval_batch.anchors, eval_batch.positives, eval_batch.members) \
+        == ([0, 1, 2, 4], [2, 4, 0, 1], [0, 1, 2, 3, 4])
+
+
 def test_sampler_no_eligible_identity_gives_empty_batch():
     batch = sample_contrastive_batch(identity_groups(["A", "B"]), 2,
                                      np.random.default_rng(0))
@@ -461,6 +531,40 @@ def test_train_reduces_canonical_loss_and_separates_clusters():
                       for y in a_nodes[i + 1:]])
     inter = mean_cos([(x, y) for x in a_nodes for y in b_nodes])
     assert intra > inter
+
+
+def mixed_identity_graph():
+    """24 rows of identities of 9, 6, 4 and 2 rows and three singletons,
+    on a chain with a few chords, and random 3-d features."""
+    sizes = [9, 6, 4, 2, 1, 1, 1]
+    labels = [f"I{i}" for i, size in enumerate(sizes) for _ in range(size)]
+    order = np.random.default_rng(12).permutation(len(labels))
+    nodes = [(f"n{j:02d}", "subject", {}, labels[i])
+             for j, i in enumerate(order)]
+    edges = [(f"n{j - 1:02d}", f"n{j:02d}", "READ", j, j, 1)
+             for j in range(1, len(nodes))]
+    edges += [(f"n{j:02d}", f"n{(5 * j) % len(nodes):02d}", "WRITE", j, j, 1)
+              for j in range(0, len(nodes), 3)]
+    h0 = np.random.default_rng(13).normal(size=(len(nodes), 3))
+    return manual_graph(nodes, edges), dict(zip(sorted(n[0] for n in nodes),
+                                                h0))
+
+
+@pytest.mark.parametrize("seed,batch_size", [(0, 5), (1, 12), (2, 30)])
+def test_train_bytes_match_per_member_loop(seed, batch_size):
+    """The weights and loss trace of ``train`` are, byte for byte, those of
+    the per-member sampler and the row-wise scatters; 30 is more than the
+    graph's 24 rows."""
+    graph, h0 = mixed_identity_graph()
+    config = EncoderConfig(embedding_dim=4, num_layers=2, epochs=4,
+                           batch_size=batch_size, temperature=0.2,
+                           activation="tanh")
+    result = train(graph, h0, config, seed=seed)
+    weights, trace = contrastive_oracle.train_reference(graph, h0, config,
+                                                        seed)
+    assert [w.tobytes() for w in result.params.weights] \
+        == [w.tobytes() for w in weights]
+    assert np.array(result.loss_trace).tobytes() == np.array(trace).tobytes()
 
 
 def test_train_steps_compute_only_the_batch_field(monkeypatch):
