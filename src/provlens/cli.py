@@ -142,20 +142,11 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 def cmd_train(cfg: PipelineConfig, args) -> int:
     names = _resolve_graph_names(args.graphs)
     union = ingest.union_graph(_load_graphs(cfg, names))
-
-    summaries = [features.build_node_summary(node, union)
-                 for node in union.nodes.values()]
-    vocab = features.train_semantic_vocab(
-        summaries, cfg.features.semantic_dim, window=cfg.features.w2v_window,
-        negatives=cfg.features.w2v_negatives, epochs=cfg.features.w2v_epochs,
-        seed=cfg.seed, op_vocab=cfg.features.op_vocab)
-
-    uuids, h0 = features.feature_matrix(union, vocab, cfg.features.op_vocab)
+    vocab, result = encoder.fit(union, cfg)
+    # written once training has succeeded: a failed run writes no dump or model
     if args.export_features:
+        _, h0 = features.feature_matrix(union, vocab, cfg.features.op_vocab)
         features.export_features(union, h0, vocab.dim, args.export_features)
-    result = encoder.train(union, dict(zip(uuids, h0)), cfg.encoder, cfg.seed)
-    # saved once training has succeeded, so a failed run leaves the model
-    # it would have replaced whole, and a save cut short fails the seal
     encoder.save_model(vocab, result.params, _model_dir(cfg))
     trace_path = _model_dir(cfg) / "loss_trace.csv"
     with open(trace_path, "w", encoding="utf-8") as fh:
@@ -163,7 +154,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         for epoch, loss in enumerate(result.loss_trace, start=1):
             fh.write(f"{epoch},{loss!r}\n")
     final = result.loss_trace[-1] if result.loss_trace else float("nan")
-    print(f"trained graphs={','.join(names)} nodes={len(uuids)} "
+    print(f"trained graphs={','.join(names)} nodes={len(union.nodes)} "
           f"epochs={cfg.encoder.epochs} final_loss={final:.6g}")
     return EXIT_OK
 

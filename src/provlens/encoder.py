@@ -18,6 +18,9 @@ A batch is drawn in a few vectorized rounds on the training generator, and
 its gradient rows are scattered through flat element indices; both give the
 bytes of a per-member loop and of row-wise scatters, so a model depends only
 on its inputs and seed.
+
+``fit`` is the model ``provlens train`` saves: the semantic vocabulary of a
+graph's node summaries, then the encoder trained on its feature rows.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from scipy import sparse
 from . import features
 from .artifacts import (check_seal, read_blob, read_json, seal, write_blob,
                         write_json)
-from .config import EncoderConfig
+from .config import EncoderConfig, PipelineConfig
 from .errors import TrainingError
 from .ingest import ProvenanceGraph
 
@@ -57,7 +60,9 @@ class EncoderParams:
 
 @dataclass
 class ContrastiveBatch:
-    """Row indices into the graph's node list, as lists or integer arrays.
+    """Row indices into the graph's node list: lists from the sampler and
+    ``canonical_eval_batch``, since the benchmark's sample hook tests
+    ``anchors`` for truth, and integer arrays from ``batch_field``.
     ``anchors[i]`` pairs with ``positives[i]``; every member other than those
     two is a negative. Members are distinct; anchors and positives may repeat,
     and a positive need not be a member."""
@@ -453,6 +458,19 @@ def load_params(directory: str | Path, checked: dict) -> EncoderParams:
     weights = [part.reshape(shape).astype(np.float64) for part, shape
                in zip(np.split(raw, np.cumsum(sizes)[:-1]), shapes)]
     return EncoderParams(dims, weights, header["activation"], header["seed"])
+
+
+def fit(graph: ProvenanceGraph, cfg: PipelineConfig
+        ) -> tuple[features.SemanticVocab, TrainResult]:
+    """``provlens train``'s vocabulary and encoder for ``graph``, unsaved."""
+    summaries = [features.build_node_summary(node, graph)
+                 for node in graph.nodes.values()]
+    vocab = features.train_semantic_vocab(
+        summaries, cfg.features.semantic_dim, window=cfg.features.w2v_window,
+        negatives=cfg.features.w2v_negatives, epochs=cfg.features.w2v_epochs,
+        seed=cfg.seed, op_vocab=cfg.features.op_vocab)
+    uuids, h0 = features.feature_matrix(graph, vocab, cfg.features.op_vocab)
+    return vocab, train(graph, dict(zip(uuids, h0)), cfg.encoder, cfg.seed)
 
 
 def model_paths(directory: str | Path) -> dict[str, Path]:

@@ -422,8 +422,9 @@ def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     """The saved graph, built from its files as they are. A file that differs
     from its seal, a header of another graph than ``name`` (as in a renamed
-    set), a nodes file that repeats a uuid, or a graph the constructor
-    rejects, raises ArtifactError naming the file."""
+    set), a nodes file with a uuid or identity that is not a string or that
+    repeats a uuid, or a graph the constructor rejects, raises ArtifactError
+    naming the file."""
     paths = graph_paths(directory, name)
     checked = check_seal(paths)
     header = read_json(paths["header"], checked["header"])
@@ -434,6 +435,8 @@ def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
         paths["nodes"], checked["nodes"],
         columns("uuid", "kind", "attrs", "identity"))
     with reading(paths["nodes"]):
+        if set(map(type, uuids + identities)) - {str}:
+            raise ValueError("holds a uuid or identity that is not a string")
         nodes = dict(zip(uuids, map(Entity, uuids, kinds, attrs, identities)))
         if len(nodes) < len(uuids):
             raise ValueError("repeats a uuid")

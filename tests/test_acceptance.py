@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from provlens import detector, encoder, features, ingest, profiler, synth
+from provlens import detector, encoder, ingest, profiler, synth
 from provlens.cli import main as cli_main
 from provlens.config import (DEFAULT_OP_VOCAB, InvestigationBudget,
                              PipelineConfig)
@@ -196,16 +196,7 @@ def synthetic_experiment():
 
     train_graph = build(benign_events, "benign")
     test_graph = build(attack_events, "attack")
-    summaries = [features.build_node_summary(train_graph.nodes[u], train_graph)
-                 for u in sorted(train_graph.nodes)]
-    vocab = features.train_semantic_vocab(
-        summaries, cfg.features.semantic_dim, window=cfg.features.w2v_window,
-        negatives=cfg.features.w2v_negatives, epochs=cfg.features.w2v_epochs,
-        seed=cfg.seed)
-    uuids, h0 = features.feature_matrix(train_graph, vocab,
-                                        cfg.features.op_vocab)
-    result = encoder.train(train_graph, dict(zip(uuids, h0)), cfg.encoder,
-                           cfg.seed)
+    vocab, result = encoder.fit(train_graph, cfg)
     kb = profiler.build_knowledge_base([train_graph], result.params, vocab,
                                        cfg.epsilon, cfg.features.op_vocab)
     train_alerts = detector.detect_graph(train_graph, result.params, vocab,

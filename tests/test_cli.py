@@ -785,6 +785,14 @@ def _first_row(column, value):
     return lambda rows: rows[0].update({column: value})
 
 
+def _last_of(column, change):
+    """Edit that replaces the last entry of ``column`` by what ``change``
+    gives for it."""
+    def edit(obj):
+        obj[column][-1] = change(obj[column][-1])
+    return edit
+
+
 def _nest_first(column):
     """Damage that makes the first entry of ``column`` a value nested past
     the decoder's depth."""
@@ -1107,6 +1115,16 @@ DAMAGED = [
           ("columns-of-unequal-length", lambda obj: obj["uuid"].pop()),
           ("an-unknown-column",
            lambda obj: obj.update(extra=[None] * len(obj["uuid"])))]],
+    # sealed again after the edit: the nodes guard's type check names the file
+    *[pytest.param("graphs/attack.nodes.json",
+                   _resealed(_edited(_last_of(column, change)),
+                             lambda d: graph_paths(d, "attack")),
+                   _graph_loader("attack"), DETECT,
+                   id=f"attack.nodes.json-last-{column}-{name}-resealed")
+      for column, name, change in [
+          ("uuid", "a-list", lambda uuid: [uuid]),
+          ("uuid", "an-integer", lambda uuid: 7),
+          ("identity", "a-list", lambda identity: [identity])]],
     pytest.param("kb/kb.json", _setting("epsilon", 1.5),
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.json-epsilon-1.5"),
@@ -1532,6 +1550,31 @@ def test_exported_features_are_keyed_by_position_in_graphs(pipeline,
     assert [json.loads(row)["uuid"] for row in rows] == keys
 
 
+def test_train_writes_the_model_fit_returns(pipeline, tmp_path):
+    """``train`` is ``encoder.fit`` on the union of ``--graphs`` plus its
+    files: exactly the files ``save_model`` writes for fit's model, and
+    fit's loss trace in ``loss_trace.csv``."""
+    source, _ = pipeline
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(source / "graphs", artifacts / "graphs")
+    assert main(["train", "--artifacts", str(artifacts), "--graphs",
+                 "benign,attack", "--epochs", "2"]) == 0
+    union = ingest.union_graph([load_graph(artifacts / "graphs", name)
+                                for name in ("benign", "attack")])
+    vocab, result = encoder.fit(union,
+                                load_config(None, {"encoder": {"epochs": 2}}))
+    encoder.save_model(vocab, result.params, tmp_path / "fit")
+    trained = artifacts / "model"
+    assert {path.name: path.read_bytes() for path in trained.iterdir()
+            if path.name != "loss_trace.csv"} \
+        == {path.name: path.read_bytes()
+            for path in (tmp_path / "fit").iterdir()}
+    assert (trained / "loss_trace.csv").read_text(encoding="utf-8") \
+        == "epoch,loss\n" + "".join(
+            f"{epoch},{loss!r}\n"
+            for epoch, loss in enumerate(result.loss_trace, start=1))
+
+
 @pytest.mark.parametrize("command", ["train", "profile"])
 def test_graphs_naming_a_graph_twice_exits_3(pipeline, tmp_path, capsys,
                                              command):
@@ -1664,7 +1707,8 @@ def test_encoder_of_another_semantic_dim_exits_2(pipeline, tmp_path, capsys,
 def test_failed_train_leaves_the_model_it_would_replace(pipeline, tmp_path,
                                                        capsys, monkeypatch):
     """A train that fails writes no file of the model, so no new vocabulary
-    is left beside the old encoder and knowledge base."""
+    is left beside the old encoder and knowledge base, and no
+    ``--export-features`` dump."""
     source, _ = pipeline
     artifacts = tmp_path / "artifacts"
     shutil.copytree(source, artifacts)
@@ -1674,10 +1718,13 @@ def test_failed_train_leaves_the_model_it_would_replace(pipeline, tmp_path,
         raise TrainingError("non-finite evaluation loss after epoch 0")
     monkeypatch.setattr(encoder, "train", diverge)
     capsys.readouterr()
-    code = main(["train", "--graphs", "attack", "--artifacts", str(artifacts)])
+    dump = tmp_path / "features.jsonl"
+    code = main(["train", "--graphs", "attack", "--artifacts", str(artifacts),
+                 "--export-features", str(dump)])
     assert code == 1
     assert "non-finite evaluation loss" in capsys.readouterr().err
     assert _files(artifacts / "model") == before
+    assert not dump.exists()
 
 
 def _fail_disk_full(*args, **kwargs):

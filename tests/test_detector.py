@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from provlens import detector
-from provlens.config import DEFAULT_OP_VOCAB
+from provlens.config import (DEFAULT_OP_VOCAB, EncoderConfig, FeatureConfig,
+                             PipelineConfig)
 from provlens.detector import (
     Alert,
     detect_embedded,
@@ -15,9 +16,7 @@ from provlens.detector import (
     load_alerts,
     save_alerts,
 )
-from provlens.encoder import train
-from provlens.config import EncoderConfig
-from provlens.features import build_node_summary, train_semantic_vocab
+from provlens.encoder import fit
 from provlens.ingest import EventColumns, build_graph
 from provlens.profiler import (
     IdentityProfile,
@@ -211,15 +210,10 @@ def synthetic_two_identity_setup(swap_one=False):
         test_events.extend(writer_events("impostor", "reader", 3))
     train_graph = graph_from_events(events, window_ns=10, name="train")
     test_graph = graph_from_events(test_events, window_ns=10, name="test")
-    summaries = [build_node_summary(train_graph.nodes[u], train_graph)
-                 for u in sorted(train_graph.nodes)]
-    vocab = train_semantic_vocab(summaries, dim=8, epochs=2, seed=6)
-    uuids_h0 = None
-    from provlens.features import feature_matrix
-    uuids, h0 = feature_matrix(train_graph, vocab, DEFAULT_OP_VOCAB)
-    config = EncoderConfig(embedding_dim=6, num_layers=2, epochs=5,
-                           batch_size=8)
-    result = train(train_graph, dict(zip(uuids, h0)), config, seed=6)
+    vocab, result = fit(train_graph, PipelineConfig(
+        seed=6, features=FeatureConfig(semantic_dim=8, w2v_epochs=2),
+        encoder=EncoderConfig(embedding_dim=6, num_layers=2, epochs=5,
+                              batch_size=8)))
     kb = build_knowledge_base([train_graph], result.params, vocab, 0.02,
                               DEFAULT_OP_VOCAB)
     return train_graph, test_graph, result.params, vocab, kb

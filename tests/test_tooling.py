@@ -13,7 +13,8 @@ header, and each column of its file of columns, is one its loader reads, and
 each
 field an agent's reply declares is one the agents or the orchestrator read.
 And only ``ingest`` calls the graph constructor, and no module names an edge
-object, so the benchmark's build hook counts edge columns. And the
+object, so the benchmark's build hook counts edge columns. And only
+``encoder`` trains the vocabulary and the encoder, in ``fit``. And the
 investigation package binds exactly the names the benchmark reads through
 it."""
 
@@ -34,13 +35,15 @@ from pathlib import Path
 import numpy as np
 
 from provlens.detector import Alert, alerts_paths, save_alerts
-from provlens.encoder import init_params, model_paths, save_model
+from provlens.config import EncoderConfig, PipelineConfig
+from provlens.encoder import fit, init_params, model_paths, save_model
 from provlens.features import SemanticVocab
 from provlens.ingest import graph_paths, save_graph
 from provlens.investigation.llm import REPLIES
 from provlens.investigation.repository import (InvestigationRepository,
                                                 repository_paths)
 from provlens.profiler import BenignKnowledgeBase, kb_paths, save_kb
+from provlens.synth import default_scenario, generate_scenario
 
 from conftest import graph_from_events, make_event, manual_graph
 
@@ -127,6 +130,26 @@ def test_perfbench_selftest_passes():
                           cwd=PERFBENCH.parent, capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_perfbench_train_model_is_encoder_fit(monkeypatch, tmp_path):
+    """perfbench trains its models with its own copy of the fit sequence,
+    which must give ``encoder.fit``'s vocabulary and weights, byte for
+    byte."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    cfg = PipelineConfig(encoder=EncoderConfig(epochs=3))
+    benign, _, _ = generate_scenario(default_scenario(
+        num_identities=3, nodes_per_identity=10, num_anomalies=0, seed=3))
+    graph = workloads.graph_from_lines(workloads.event_lines(benign), cfg,
+                                       "benign")
+    save_model(*workloads.train_model(graph, cfg), tmp_path / "bench")
+    vocab, result = fit(graph, cfg)
+    save_model(vocab, result.params, tmp_path / "fit")
+    bench, fitted = ({path.name: path.read_bytes()
+                      for path in (tmp_path / name).iterdir()}
+                     for name in ("bench", "fit"))
+    assert bench == fitted
 
 
 def test_cli_import_leaves_requests_unloaded():
@@ -351,6 +374,25 @@ def test_only_the_ingest_module_constructs_graphs_and_edges():
             if not site.startswith("ingest.py:")] == []
     assert calling  # the walk sees ingest's own calls
     assert naming == []
+
+
+def test_only_the_encoder_module_fits_the_model():
+    """The vocabulary → features → training sequence has one copy in the
+    package, ``encoder.fit``: no other module calls ``train_semantic_vocab``
+    or the encoder's ``train``, bare or through a module attribute such as
+    ``encoder.train(...)``."""
+    calling = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = path.relative_to(PACKAGE).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calling += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None))
+                    in ("train_semantic_vocab", "train")]
+    assert [site for site in calling
+            if not site.startswith("encoder.py:")] == []
+    assert len(calling) == 2  # the walk sees fit's own two calls
 
 
 def test_perfbench_build_hook_counts_edge_columns(monkeypatch):
