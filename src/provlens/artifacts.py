@@ -11,14 +11,16 @@ Each writer returns the sha256 hex digest of the bytes it wrote. Each writer
 of an artifact set names its files in one ``*_paths`` dict and calls
 ``seal`` last with those digests, so no file is read back to be sealed; its
 loader calls ``check_seal`` first and decodes the bytes that check returned,
-so it decodes exactly the bytes the seal covers, each file read once, and
-checks no field that only a hand edit could break. A record file that its
+so it decodes exactly the bytes the seal covers, each file read once; of
+what only a hand edit could break it checks just a header's keys and their
+JSON types (``keys``). A record file that its
 loader decodes whole is one JSON object of columns (``columns``); one
 decoded a record at a time is JSONL.
 Readers build records inside one error guard and raise ArtifactError
 naming the file when it is missing, does not decode, differs from its seal or
-is a blob that does not fit the shape its header gives, or when a record of
-an unsealed input lacks a field or holds one of another JSON type; the CLI
+is a blob that does not fit the shape its header gives, or when a header or
+a record of an unsealed input lacks a key or holds one of another JSON type
+or an unknown one (as a header of an earlier version may); the CLI
 reports that as exit code 2. The event input of ``ingest`` is opened through
 the same guard.
 """
@@ -41,8 +43,10 @@ from .errors import ArtifactError
 
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"
-# The Python types of each JSON type a ``record`` field may be declared as.
-_JSON_TYPES = {"string": (str,), "number": (int, float), "null": (type(None),)}
+# The Python types of each JSON type a header key or a ``record`` field may
+# be declared as; a boolean is none of them.
+_JSON_TYPES = {"string": (str,), "integer": (int,), "number": (int, float),
+               "array": (list,), "null": (type(None),)}
 
 
 def decode(text: str):
@@ -130,25 +134,37 @@ def _exact(expected: frozenset, obj) -> dict:
     return obj
 
 
-def record(cls, types: dict[str, str] | None = None
-           ) -> Callable[[object], object]:
-    """A build step that makes dataclass ``cls`` from a JSON object holding
-    exactly its fields, each field named in ``types`` of one of the
-    space-separated JSON types it gives there: string, number (a boolean is
-    none) or null."""
-    expected = frozenset(f.name for f in fields(cls))
+def _typed(expected: frozenset, types: dict) -> Callable[[object], dict]:
+    """A check that passes on a JSON object whose keys are exactly
+    ``expected``, each key named in ``types`` of one of the space-separated
+    JSON types it gives there: string, integer, number (a boolean is none),
+    array or null."""
     checks = [(name, kinds, tuple(t for kind in kinds.split()
                                   for t in _JSON_TYPES[kind]))
-              for name, kinds in (types or {}).items()]
+              for name, kinds in types.items()]
 
-    def build(obj):
+    def check(obj):
         _exact(expected, obj)
         for name, kinds, allowed in checks:
             if type(obj[name]) not in allowed:
                 raise ValueError(f"{name} {reprlib.repr(obj[name])} is not "
                                  f"a JSON {' or '.join(kinds.split())}")
-        return cls(**obj)
-    return build
+        return obj
+    return check
+
+
+def keys(**types: str) -> Callable[[object], dict]:
+    """A build step that takes a header holding exactly the keys of
+    ``types``, each of the JSON types it gives there, as ``_typed`` takes."""
+    return _typed(frozenset(types), types)
+
+
+def record(cls, types: dict[str, str] | None = None
+           ) -> Callable[[object], object]:
+    """A build step that makes dataclass ``cls`` from a JSON object of
+    exactly its fields, those named in ``types`` checked as ``_typed`` does."""
+    check = _typed(frozenset(f.name for f in fields(cls)), types or {})
+    return lambda obj: cls(**check(obj))
 
 
 def columns(*names: str) -> Callable[[object], list[list]]:

@@ -29,10 +29,6 @@ DEFAULT_OP_VOCAB = (
     "MODIFY",
 )
 
-# the activations the encoder implements
-KNOWN_ACTIVATIONS = ("relu", "tanh", "identity")
-
-
 @dataclass
 class FeatureConfig:
     semantic_dim: int = 32
@@ -63,7 +59,6 @@ class EncoderConfig:
     epochs: int = 50
     batch_size: int = 256
     temperature: float = 0.1
-    activation: str = "relu"
 
     def validate(self) -> None:
         if self.embedding_dim < 1 or self.num_layers < 1:
@@ -74,8 +69,6 @@ class EncoderConfig:
             raise ConfigError("temperature must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
-        if self.activation not in KNOWN_ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Message-passing node encoder trained with an identity-contrastive objective.
 
-Each layer computes h_i' = act(W @ agg({h_j : j in N(i) or j == i})) where the
-neighborhood is the undirected 1-hop set. Embeddings of nodes that share an
+Each layer computes h_i' = ReLU(W @ agg({h_j : j in N(i) or j == i})) where
+the neighborhood is the undirected 1-hop set. Embeddings of nodes that share an
 identity label are pulled together (and every other batch member pushed
 apart) by a temperature-scaled softmax over cosine similarities. Forward and
 backward passes are written out explicitly so gradients can be audited against
@@ -35,8 +35,8 @@ import numpy as np
 from scipy import sparse
 
 from . import features
-from .artifacts import (check_seal, read_blob, read_json, seal, write_blob,
-                        write_json)
+from .artifacts import (check_seal, keys, read_blob, read_json, seal,
+                        write_blob, write_json)
 from .config import EncoderConfig, PipelineConfig
 from .errors import TrainingError
 from .ingest import ProvenanceGraph
@@ -48,10 +48,11 @@ EVAL_BATCH_CAP = 512
 
 @dataclass
 class EncoderParams:
-    dims: list[int]
     weights: list[np.ndarray]  # weights[l] has shape (dims[l+1], dims[l])
-    activation: str = "relu"
-    seed: int = 0
+
+    @property
+    def dims(self) -> list[int]:
+        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     @property
     def num_layers(self) -> int:
@@ -80,15 +81,14 @@ class TrainResult:
     loss_trace: list[float] = field(default_factory=list)
 
 
-def init_params(dims: list[int], activation: str = "relu",
-                seed: int = 0) -> EncoderParams:
+def init_params(dims: list[int], seed: int = 0) -> EncoderParams:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     rng = np.random.default_rng(seed)
     weights = []
     for l in range(len(dims) - 1):
         bound = 1.0 / math.sqrt(dims[l])
         weights.append(rng.uniform(-bound, bound, size=(dims[l + 1], dims[l])))
-    return EncoderParams(list(dims), weights, activation, seed)
+    return EncoderParams(weights)
 
 
 def propagation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
@@ -149,15 +149,6 @@ def batch_field(prop: sparse.csr_matrix, batch: ContrastiveBatch,
     return ops[::-1], local
 
 
-# activation -> (function, derivative), for each name KNOWN_ACTIVATIONS lists
-ACTIVATIONS = {
-    "relu": (lambda s: np.maximum(s, 0.0),
-             lambda s: (s > 0.0).astype(np.float64)),
-    "tanh": (np.tanh, lambda s: 1.0 - np.tanh(s) ** 2),
-    "identity": (lambda s: s, np.ones_like),
-}
-
-
 def forward_pass(ops: list[sparse.csr_matrix], h0: np.ndarray,
                  params: EncoderParams):
     """Run all layers, layer ``l`` aggregating with ``ops[l]``, returning the
@@ -170,7 +161,7 @@ def forward_pass(ops: list[sparse.csr_matrix], h0: np.ndarray,
         pre = aggregated @ w.T
         agg_cache.append(aggregated)
         pre_cache.append(pre)
-        h = ACTIVATIONS[params.activation][0](pre)
+        h = np.maximum(pre, 0.0)
     return h, (agg_cache, pre_cache)
 
 
@@ -183,7 +174,7 @@ def backward_pass(ops: list[sparse.csr_matrix], params: EncoderParams, cache,
     grads: list[np.ndarray] = [np.zeros_like(w) for w in params.weights]
     g = d_out
     for l in reversed(range(params.num_layers)):
-        d_pre = g * ACTIVATIONS[params.activation][1](pre_cache[l])
+        d_pre = g * (pre_cache[l] > 0.0).astype(np.float64)
         grads[l] = d_pre.T @ agg_cache[l]
         if l > 0:
             g = ops[l].T @ (d_pre @ params.weights[l])
@@ -352,8 +343,6 @@ def sample_contrastive_batch(groups: IdentityGroups, batch_size: int,
         taken = np.concatenate([taken, cand])
         chosen = np.concatenate([chosen, positive])
         lo += 1
-    if not len(taken):
-        log.warning("no identity with >= 2 members in batch sample; step skipped")
     return ContrastiveBatch(anchors=members[taken].tolist(),
                             positives=chosen.tolist(),
                             members=members.tolist())
@@ -386,7 +375,7 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
     """
     matrix = np.stack([np.asarray(h0[u], dtype=np.float64) for u in graph.nodes])
     dims = [matrix.shape[1]] + [config.embedding_dim] * config.num_layers
-    params = init_params(dims, activation=config.activation, seed=seed)
+    params = init_params(dims, seed=seed)
     prop = propagation_matrix(graph)
     groups = identity_groups([node.identity for node in graph.nodes.values()])
     rng = np.random.default_rng(seed)
@@ -395,6 +384,7 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
 
     batches_per_epoch = max(1, math.ceil(len(matrix) / config.batch_size))
     trace: list[float] = []
+    skipped = 0
     # a diverging run overflows on its way to a non-finite loss, which the
     # checks below report; numpy's warnings would only repeat it
     with np.errstate(all="ignore"):
@@ -402,6 +392,7 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
             for step in range(batches_per_epoch):
                 batch = sample_contrastive_batch(groups, config.batch_size, rng)
                 if not batch.anchors:
+                    skipped += 1
                     continue
                 ops, batch = batch_field(prop, batch, params.num_layers)
                 z, cache = forward_pass(ops, matrix, params)
@@ -418,6 +409,9 @@ def train(graph: ProvenanceGraph, h0: dict[str, np.ndarray],
                 raise TrainingError(
                     f"non-finite evaluation loss after epoch {epoch}")
             trace.append(epoch_loss)
+    if skipped:
+        log.warning("%d of %d steps skipped: no identity with >= 2 members in "
+                    "the batch", skipped, config.epochs * batches_per_epoch)
 
     params.weights = [w.astype("<f4").astype(np.float64) for w in params.weights]
     return TrainResult(params=params, loss_trace=trace)
@@ -436,11 +430,8 @@ def save_params(params: EncoderParams, directory: str | Path
     """Write the encoder; the digest of each file written, by file name."""
     paths = encoder_paths(directory)
     return {
-        paths["header"].name: write_json(paths["header"], {
-            "dims": params.dims,
-            "activation": params.activation,
-            "seed": params.seed,
-        }),
+        paths["header"].name: write_json(paths["header"],
+                                         {"dims": params.dims}),
         paths["weights"].name: write_blob(
             paths["weights"],
             np.concatenate([w.ravel() for w in params.weights]), "<f4")}
@@ -449,7 +440,8 @@ def save_params(params: EncoderParams, directory: str | Path
 def load_params(directory: str | Path, checked: dict) -> EncoderParams:
     """The encoder from ``load_model``'s checked bytes by file name."""
     paths = encoder_paths(directory)
-    header = read_json(paths["header"], checked[paths["header"].name])
+    header = read_json(paths["header"], checked[paths["header"].name],
+                       keys(dims="array"))
     dims = header["dims"]
     shapes = list(zip(dims[1:], dims[:-1]))
     sizes = [rows * cols for rows, cols in shapes]
@@ -457,7 +449,7 @@ def load_params(directory: str | Path, checked: dict) -> EncoderParams:
                     (sum(sizes),))
     weights = [part.reshape(shape).astype(np.float64) for part, shape
                in zip(np.split(raw, np.cumsum(sizes)[:-1]), shapes)]
-    return EncoderParams(dims, weights, header["activation"], header["seed"])
+    return EncoderParams(weights)
 
 
 def fit(graph: ProvenanceGraph, cfg: PipelineConfig
@@ -467,8 +459,7 @@ def fit(graph: ProvenanceGraph, cfg: PipelineConfig
                  for node in graph.nodes.values()]
     vocab = features.train_semantic_vocab(
         summaries, cfg.features.semantic_dim, window=cfg.features.w2v_window,
-        negatives=cfg.features.w2v_negatives, epochs=cfg.features.w2v_epochs,
-        seed=cfg.seed, op_vocab=cfg.features.op_vocab)
+        negatives=cfg.features.w2v_negatives, op_vocab=cfg.features.op_vocab)
     uuids, h0 = features.feature_matrix(graph, vocab, cfg.features.op_vocab)
     return vocab, train(graph, dict(zip(uuids, h0)), cfg.encoder, cfg.seed)
 

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_blob, read_json, write_blob, write_json, write_jsonl
+from .artifacts import (keys, read_blob, read_json, write_blob, write_json,
+                        write_jsonl)
 from .config import DEFAULT_OP_VOCAB
 from .errors import ConfigError
 from .ingest import Entity, ProvenanceGraph
@@ -36,15 +37,14 @@ EXACT_SUM = 2.0 ** 53
 class SemanticVocab:
     tokens: list[str]
     vectors: np.ndarray  # (V, dim) float32
-    dim: int
-    window: int
-    negatives: int
-    epochs: int
-    seed: int
     op_vocab: tuple[str, ...] = DEFAULT_OP_VOCAB  # the action block's columns
 
     def __post_init__(self):
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
 
 def build_node_summary(node: Entity, graph: ProvenanceGraph) -> list[str]:
@@ -65,8 +65,8 @@ def train_semantic_vocab(summaries: list[list[str]], dim: int, window: int = 5,
     negatives from, so this is the matrix its objective is optimal at. Vectors
     are truncated or zero-padded to ``dim``; a token with no positive entry gets
     the zero vector, as an out-of-vocabulary token does. ``epochs`` and
-    ``seed`` are recorded but no longer affect the vectors. ``op_vocab`` is
-    recorded as the column order of the action block the model is trained on.
+    ``seed`` are accepted and ignored. ``op_vocab`` is recorded as the column
+    order of the action block the model is trained on.
     """
     counts = Counter(chain.from_iterable(summaries))
     if not counts:
@@ -101,8 +101,7 @@ def train_semantic_vocab(summaries: list[list[str]], dim: int, window: int = 5,
     vectors[:, :vocab_size] = (u * np.sqrt(s))[:, :dim]
     vectors[~sppmi.any(axis=1)] = 0.0
     return SemanticVocab(tokens=tokens, vectors=vectors.astype(np.float32),
-                         dim=dim, window=window, negatives=negatives,
-                         epochs=epochs, seed=seed, op_vocab=tuple(op_vocab))
+                         op_vocab=tuple(op_vocab))
 
 
 def feature_matrix(graph: ProvenanceGraph, vocab: SemanticVocab,
@@ -207,10 +206,6 @@ def save_vocab(vocab: SemanticVocab, directory: str | Path) -> dict[str, str]:
         paths["header"].name: write_json(paths["header"], {
             "tokens": vocab.tokens,
             "dim": vocab.dim,
-            "window": vocab.window,
-            "negatives": vocab.negatives,
-            "epochs": vocab.epochs,
-            "seed": vocab.seed,
             "op_vocab": list(vocab.op_vocab),
         }),
         paths["vectors"].name: write_blob(paths["vectors"], vocab.vectors,
@@ -220,11 +215,9 @@ def save_vocab(vocab: SemanticVocab, directory: str | Path) -> dict[str, str]:
 def load_vocab(directory: str | Path, checked: dict) -> SemanticVocab:
     """The vocabulary from ``encoder.load_model``'s bytes by file name."""
     paths = vocab_paths(directory)
-    header = read_json(paths["header"], checked[paths["header"].name])
+    header = read_json(paths["header"], checked[paths["header"].name],
+                       keys(tokens="array", dim="integer", op_vocab="array"))
     vectors = read_blob(paths["vectors"], checked[paths["vectors"].name],
                         "<f4", (len(header["tokens"]), header["dim"]))
     return SemanticVocab(tokens=header["tokens"], vectors=vectors,
-                         dim=header["dim"], window=header["window"],
-                         negatives=header["negatives"], epochs=header["epochs"],
-                         seed=header["seed"],
                          op_vocab=tuple(header["op_vocab"]))

@@ -23,8 +23,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .artifacts import (check_seal, columns, decode, read_blob, read_json,
-                        reading, seal, write_blob, write_json)
+from .artifacts import (check_seal, columns, decode, keys, read_blob,
+                        read_json, reading, seal, write_blob, write_json)
 from .config import DEFAULT_OP_VOCAB
 from .errors import FormatError
 
@@ -176,11 +176,7 @@ def derive_identity(kind: str, attrs: dict) -> str:
     prefix = IDENTITY_PREFIX.get(kind)
     if prefix is None:
         raise ValueError(f"unknown entity kind {kind!r}")
-    key = identity_key(kind, attrs)
-    if not key:
-        log.warning("entity of kind %s has no key attribute; labelling unknown", kind)
-        key = "unknown"
-    return f"{prefix}::{key}"
+    return f"{prefix}::{identity_key(kind, attrs) or 'unknown'}"
 
 
 def _attribute_map(record: dict, name: str, kind: str,
@@ -340,6 +336,10 @@ def build_graph(events: EventColumns, window_ns: int,
                        if as_object else ("subject", events.subject_attrs[i]))
         nodes[uuid] = Entity(uuid, kind, dict(attrs),
                              derive_identity(kind, attrs))
+    if unknown := sum(not identity_key(node.kind, node.attrs)
+                      for node in nodes.values()):
+        log.warning("%d entities have no key attribute; labelled unknown",
+                    unknown)
 
     # Every key starts an edge, and an edge ends where the next one starts.
     src, dst, op, ts = src[by_key], dst[by_key], op[by_key], ts[by_key]
@@ -421,13 +421,16 @@ def save_graph(graph: ProvenanceGraph, directory: str | Path) -> None:
 
 def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     """The saved graph, built from its files as they are. A file that differs
-    from its seal, a header of another graph than ``name`` (as in a renamed
-    set), a nodes file with a uuid or identity that is not a string or that
-    repeats a uuid, or a graph the constructor rejects, raises ArtifactError
-    naming the file."""
+    from its seal, a header with other keys or types than ``save_graph``
+    writes or of another graph than ``name`` (as in a renamed set), a nodes
+    file with a uuid or identity that is not a string, a kind outside
+    ``ENTITY_KINDS`` or a repeated uuid, or a graph the constructor rejects,
+    raises ArtifactError naming the file."""
     paths = graph_paths(directory, name)
     checked = check_seal(paths)
-    header = read_json(paths["header"], checked["header"])
+    header = read_json(paths["header"], checked["header"],
+                       keys(name="string", edge_count="integer",
+                            operations="array"))
     with reading(paths["header"]):
         if header["name"] != name:
             raise ValueError(f"holds graph {header['name']!r}, not {name!r}")
@@ -437,6 +440,9 @@ def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     with reading(paths["nodes"]):
         if set(map(type, uuids + identities)) - {str}:
             raise ValueError("holds a uuid or identity that is not a string")
+        # a kind may be a list, so membership is not tested through a set
+        if not all(kind in ENTITY_KINDS for kind in kinds):
+            raise ValueError(f"holds a kind other than {ENTITY_KINDS}")
         nodes = dict(zip(uuids, map(Entity, uuids, kinds, attrs, identities)))
         if len(nodes) < len(uuids):
             raise ValueError("repeats a uuid")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (LazyJsonl, check_seal, columns, parent_made,
+from .artifacts import (LazyJsonl, check_seal, columns, keys, parent_made,
                         read_blob, read_json, reading, seal, write_blob,
                         write_json, write_jsonl)
 from .encoder import EncoderParams, forward
@@ -282,9 +282,8 @@ def load_kb(directory: str | Path) -> BenignKnowledgeBase:
     paths = kb_paths(directory)
     checked = check_seal(paths)
     digests = LazyJsonl(paths["digests"], checked["digests"])
-    header = read_json(paths["header"], checked["header"])
-    with reading(paths["header"]):  # absent from a KB of an earlier version
-        model = header["model"]
+    header = read_json(paths["header"], checked["header"],
+                       keys(dim="integer", epsilon="number", model="string"))
     uuids, labels = read_json(paths["members"], checked["members"],
                               columns("uuid", "label"))
     embeddings = read_blob(paths["embeddings"], checked["embeddings"], "<f8",
@@ -292,4 +291,4 @@ def load_kb(directory: str | Path) -> BenignKnowledgeBase:
     with reading(paths["members"]):
         return BenignKnowledgeBase(
             epsilon=header["epsilon"], uuids=uuids, labels=labels,
-            embeddings=embeddings, digests=digests, model=model)
+            embeddings=embeddings, digests=digests, model=header["model"])

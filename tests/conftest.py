@@ -133,8 +133,7 @@ def oracle_graphs(draw):
     vectors = (rng.normal(size=(len(tokens), dim))
                * 2.0 ** rng.integers(-30, 30, size=(len(tokens), dim))
                ).astype(np.float32)
-    vocab = SemanticVocab(tokens=tokens, vectors=vectors, dim=dim, window=1,
-                          negatives=1, epochs=0, seed=0)
+    vocab = SemanticVocab(tokens=tokens, vectors=vectors)
     op_vocab = tuple(draw(st.permutations(ORACLE_OPS[:2])))
     return manual_graph(nodes, edges), vocab, op_vocab
 
@@ -154,14 +153,12 @@ def oracle_case():
              ("n3", "n4", "READ", 4, 4, 1), ("n1", "n4", "WRITE", 15, 20, 1)]
     tokens = ["subject::a", "file::c", "READ", "EXEC"]
     vocab = SemanticVocab(tokens=tokens, vectors=np.random.default_rng(3).normal(
-        size=(len(tokens), 2)).astype(np.float32), dim=2, window=1, negatives=1,
-        epochs=0, seed=0)
+        size=(len(tokens), 2)).astype(np.float32))
     return manual_graph(nodes, edges), vocab, ("WRITE", "READ")
 
 
 # every token is out of vocabulary, so the semantic block is one zero
-EMPTY_VOCAB = SemanticVocab(tokens=[], vectors=np.zeros((0, 1), np.float32),
-                            dim=1, window=1, negatives=1, epochs=0, seed=0)
+EMPTY_VOCAB = SemanticVocab(tokens=[], vectors=np.zeros((0, 1), np.float32))
 
 
 def feature_blocks(graph, vocab, op_vocab, uuid="c"):

@@ -153,7 +153,7 @@ def train_reference(graph, h0, config, seed):
     matrix = np.stack([np.asarray(h0[u], dtype=np.float64) for u in uuids])
     params = init_params([matrix.shape[1]]
                          + [config.embedding_dim] * config.num_layers,
-                         activation=config.activation, seed=seed)
+                         seed=seed)
     prop = propagation_matrix(graph)
     rng = np.random.default_rng(seed)
     trace = []

@@ -141,10 +141,9 @@ def test_infonce_hand_value():
 def test_gradient_check():
     from test_encoder import finite_difference_check
 
-    activations = ["identity", "tanh", "relu"]
     worst, checked, seed = 0.0, 0, 100
     while checked < 20:
-        result = finite_difference_check(seed, activations[seed % 3])
+        result = finite_difference_check(seed)
         seed += 1
         if result is None:
             continue

@@ -112,6 +112,8 @@ INVALID_CONFIG = [
             "negative-learning_rate"),
     _config('{"encoder": {"aggregation": "sum"}}', "aggregation",
             "sum-aggregation"),
+    _config('{"encoder": {"activation": "relu"}}', "'encoder.activation'",
+            "activation-unknown"),
     _config('{"encoder": {"temperature": NaN}}', "NaN", "temperature-NaN"),
     _config('{"encoder": {"learning_rate": Infinity}}', "Infinity",
             "learning_rate-Infinity"),
@@ -902,13 +904,19 @@ def _renamed(field, earlier):
     return damage
 
 
-def _quoted(field):
-    """Damage that turns the header's ``field`` into a JSON string."""
+def _retyped(field, convert):
+    """Damage that replaces the header's ``field`` by ``convert`` of it."""
     def damage(path):
         header = json.loads(path.read_text())
-        header[field] = str(header[field])
+        header[field] = convert(header[field])
         path.write_text(json.dumps(header))
     return damage
+
+
+def _spaced(path):
+    """Damage that adds a space after the first colon, so every JSON value
+    is unchanged."""
+    path.write_bytes(path.read_bytes().replace(b":", b": ", 1))
 
 
 def _zero_rows(path):
@@ -962,7 +970,7 @@ def _in_directory(load):
 
 WEIGHT_BYTE = EDGE_COLUMNS.index("weight") * 8
 _REPOSITORY = _in_directory(InvestigationRepository.load)
-EDITED = [  # one edit per sealed file, each to a value no check reads
+EDITED = [  # one edit per sealed file, that only its seal check sees
     ("graphs/benign.header.json", _bump_last_operation,
      _graph_loader("benign"), PROFILE),
     ("graphs/benign.nodes.json", _bump_after(b'"name": "'),
@@ -977,7 +985,7 @@ EDITED = [  # one edit per sealed file, each to a value no check reads
      _graph_loader("attack"), DETECT),
     ("model/vocab.json", _bump_after(b'"tokens": ["'), _model_of, DETECT),
     ("model/vocab.vectors.bin", _flip_bit(0), _model_of, DETECT),
-    ("model/encoder.json", _bump_after(b'"seed": '), _model_of, DETECT),
+    ("model/encoder.json", _spaced, _model_of, DETECT),
     ("model/encoder.weights.bin", _flip_bit(0), _model_of, DETECT),
     ("kb/kb.json", _bump_after(b'"epsilon": 0.0'), _in_directory(load_kb),
      DETECT),
@@ -1124,7 +1132,33 @@ DAMAGED = [
       for column, name, change in [
           ("uuid", "a-list", lambda uuid: [uuid]),
           ("uuid", "an-integer", lambda uuid: 7),
-          ("identity", "a-list", lambda identity: [identity])]],
+          ("identity", "a-list", lambda identity: [identity]),
+          ("kind", "a-list", lambda kind: [kind]),
+          ("kind", "unknown", lambda kind: "socket")]],
+    # sealed again after the edit: the header's build step names the file
+    *[pytest.param(artifact, _resealed(damage, paths_of), loader, DETECT,
+                   id=f"{Path(artifact).name}-{name}-resealed")
+      for artifact, paths_of, loader, damages in [
+          ("graphs/attack.header.json", lambda d: graph_paths(d, "attack"),
+           _graph_loader("attack"),
+           [("without-edge_count", _without("edge_count")),
+            ("without-operations", _without("operations")),
+            ("edge_count-a-float", _retyped("edge_count", float))]),
+          ("kb/kb.json", kb_paths, _in_directory(load_kb),
+           [("without-dim", _without("dim")),
+            ("without-epsilon", _without("epsilon")),
+            ("dim-a-string", _retyped("dim", str))]),
+          ("model/vocab.json", model_paths, _model_of,
+           [("without-tokens", _without("tokens")),
+            ("dim-a-float", _retyped("dim", float)),
+            ("of-an-earlier-version", _edited(lambda header: header.update(
+                window=5, negatives=5, epochs=3, seed=7)))]),
+          ("model/encoder.json", model_paths, _model_of,
+           [("without-dims", _without("dims")),
+            ("dims-a-string", _retyped("dims", str)),
+            ("of-an-earlier-version", _edited(lambda header: header.update(
+                activation="relu", seed=7)))])]
+      for name, damage in damages],
     pytest.param("kb/kb.json", _setting("epsilon", 1.5),
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.json-epsilon-1.5"),
@@ -1134,12 +1168,12 @@ DAMAGED = [
                  _model_of, DETECT, id="encoder.json-unknown-activation"),
     pytest.param("model/vocab.json", _setting("op_vocab", 5), _model_of,
                  DETECT, id="vocab.json-op_vocab-not-a-list"),
-    pytest.param("model/vocab.json", _quoted("dim"), _model_of, DETECT,
+    pytest.param("model/vocab.json", _retyped("dim", str), _model_of, DETECT,
                  id="vocab.json-dim-a-string"),
-    pytest.param("graphs/attack.header.json", _quoted("edge_count"),
+    pytest.param("graphs/attack.header.json", _retyped("edge_count", str),
                  _graph_loader("attack"), DETECT,
                  id="attack.header.json-edge_count-a-string"),
-    pytest.param("kb/kb.json", _quoted("epsilon"),
+    pytest.param("kb/kb.json", _retyped("epsilon", str),
                  lambda path: load_kb(path.parent), DETECT,
                  id="kb.json-epsilon-a-string"),
     pytest.param("kb/kb.json", _setting("dim", True),

@@ -30,8 +30,7 @@ from conftest import (EMPTY_VOCAB, assert_canonical_json_files,
 def vocab_from_table(table):
     tokens = sorted(table)
     vectors = np.array([table[t] for t in tokens], dtype=np.float32)
-    return SemanticVocab(tokens=tokens, vectors=vectors, dim=vectors.shape[1],
-                         window=2, negatives=2, epochs=1, seed=0)
+    return SemanticVocab(tokens=tokens, vectors=vectors)
 
 
 def star_graph(ops_with_ts, identity="subject::cat"):
@@ -107,12 +106,17 @@ def test_vocab_gram_matches_sppmi_oracle(dim):
     assert np.array_equal(vocab.vectors[vocab.index["solo"]], np.zeros(dim))
 
 
-def test_vocab_epochs_and_seed_only_recorded():
+def test_vocab_ignores_epochs_and_seed(tmp_path):
+    """``epochs`` and ``seed`` change neither the vectors nor a byte the
+    vocabulary saves."""
     corpus = [["a", "b", "c"], ["b", "c", "d"], ["a", "d"]] * 10
     one = train_semantic_vocab(corpus, dim=6, epochs=1, seed=1)
     two = train_semantic_vocab(corpus, dim=6, epochs=9, seed=2)
     assert np.array_equal(one.vectors, two.vectors)
-    assert (two.epochs, two.seed) == (9, 2)
+    save_vocab(one, tmp_path / "one")
+    save_vocab(two, tmp_path / "two")
+    for path in vocab_paths(tmp_path / "one").values():
+        assert path.read_bytes() == (tmp_path / "two" / path.name).read_bytes()
 
 
 def test_vocab_cooccurrence_orders_similarity():
@@ -347,7 +351,5 @@ def test_vocab_save_load_round_trip(tmp_path):
                                    in vocab_paths(tmp_path).values()})
     assert loaded.tokens == vocab.tokens
     assert np.array_equal(loaded.vectors, vocab.vectors)
-    assert (loaded.dim, loaded.window, loaded.negatives, loaded.epochs,
-            loaded.seed) == (vocab.dim, vocab.window, vocab.negatives,
-                             vocab.epochs, vocab.seed)
+    assert (loaded.dim, loaded.op_vocab) == (vocab.dim, vocab.op_vocab)
     assert_canonical_json_files(tmp_path)

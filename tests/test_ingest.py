@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 import tempfile
 import tracemalloc
@@ -638,6 +639,22 @@ def test_identity_file_uses_basename():
 def test_identity_missing_key_attribute_is_total():
     assert derive_identity("file", {}) == "file::unknown"
     assert derive_identity("subject", {"name": ""}) == "subject::unknown"
+
+
+def test_unlabelled_entities_log_one_warning_per_graph(caplog):
+    """30 events whose 60 entities have no key attribute log one warning
+    with the count, not one per entity; ``derive_identity`` logs nothing."""
+    events = [make_event(event_id=f"e{i}", subject_uuid=f"s{i}",
+                         object_uuid=f"o{i}", timestamp=i, subject_attrs={},
+                         object_attrs={}) for i in range(30)]
+    with caplog.at_level(logging.WARNING, logger="provlens.ingest"):
+        graph = graph_from_events(events)
+        assert len(graph.nodes) == 60
+        assert [record.getMessage() for record in caplog.records] == [
+            "60 entities have no key attribute; labelled unknown"]
+        caplog.clear()
+        assert derive_identity("file", {}) == "file::unknown"
+        assert caplog.records == []
 
 
 def test_identity_is_pure():

@@ -178,8 +178,7 @@ def _sealed_writers():
                          [("s", "s", "READ", 1, 1, 1)], name="w")
     kb = BenignKnowledgeBase(epsilon=0.1, uuids=["s"], labels=["subject::a"],
                              embeddings=np.zeros((1, 2)), digests=[[]])
-    vocab = SemanticVocab(tokens=["READ"], vectors=np.zeros((1, 2), "<f4"),
-                          dim=2, window=1, negatives=1, epochs=1, seed=0)
+    vocab = SemanticVocab(tokens=["READ"], vectors=np.zeros((1, 2), "<f4"))
     alert = Alert(node_uuid="s", graph_name="w", claimed="subject::a",
                   matched="subject::a", deviation=1.0, radius=0.5,
                   violation="deviation", explanation="e", score=1.0)
@@ -228,32 +227,39 @@ def _function(tree, name):
 
 
 def test_each_header_key_a_writer_stores_is_read_by_its_loader():
-    """A key the writer puts in the dict it passes to ``write_json`` for
-    ``paths["header"]`` is read by its loader as ``header["key"]``, and a
-    column it writes to a file of columns is one its loader names in
-    ``columns(...)``; one that is not cannot change a result, so it is not
-    stored."""
+    """The keys the writer puts in the dict it passes to ``write_json`` for
+    ``paths["header"]`` are the keys its loader's ``keys(...)`` step names,
+    and the loader reads each as ``header["key"]``; a column it writes to a
+    file of columns is one its loader names in ``columns(...)``. A key that
+    is stored but not read cannot change a result, so it is not stored."""
     unread = []
     for module, writer, loader, file in HEADER_IO:
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        load = _function(tree, loader)
         written = {key.value for node in ast.walk(_function(tree, writer))
                    if isinstance(node, ast.Call)
                    and getattr(node.func, "id", None) == "write_json"
                    and ast.unparse(node.args[0]) == f"paths['{file}']"
                    for key in node.args[1].keys}
         if file == "header":
-            read = {node.slice.value
-                    for node in ast.walk(_function(tree, loader))
+            read = {keyword.arg for node in ast.walk(load)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "keys"
+                    for keyword in node.keywords}
+            used = {node.slice.value for node in ast.walk(load)
                     if isinstance(node, ast.Subscript)
                     and getattr(node.value, "id", None) == "header"
                     and isinstance(node.slice, ast.Constant)}
+            unread += [f"{loader}: header {key} never used"
+                       for key in sorted(read - used)]
         else:
-            read = {arg.value for node in ast.walk(_function(tree, loader))
+            read = {arg.value for node in ast.walk(load)
                     if isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "columns"
                     for arg in node.args}
         assert written and read, (writer, loader, file)
-        unread += [f"{writer}: {file} {key}" for key in sorted(written - read)]
+        unread += [f"{writer}: {file} {key}"
+                   for key in sorted(written ^ read)]
     assert unread == []
 
 
