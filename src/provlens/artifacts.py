@@ -13,9 +13,9 @@ of an artifact set names its files in one ``*_paths`` dict and calls
 loader calls ``check_seal`` first and decodes the bytes that check returned,
 so it decodes exactly the bytes the seal covers, each file read once; of
 what only a hand edit could break it checks just a header's keys and their
-JSON types (``keys``). A record file that its
-loader decodes whole is one JSON object of columns (``columns``); one
-decoded a record at a time is JSONL.
+JSON types, an array's element type included (``keys``). A record file
+that its loader decodes whole is one JSON object of columns (``columns``);
+one decoded a record at a time is JSONL.
 Readers build records inside one error guard and raise ArtifactError
 naming the file when it is missing, does not decode, differs from its seal or
 is a blob that does not fit the shape its header gives, or when a header or
@@ -47,6 +47,16 @@ _JSON_SPACE = " \t\n\r"
 # be declared as; a boolean is none of them.
 _JSON_TYPES = {"string": (str,), "integer": (int,), "number": (int, float),
                "array": (list,), "null": (type(None),)}
+
+
+def _is(kind: str) -> Callable[[object], bool]:
+    """Whether a value is of JSON type ``kind``, or for ``<type>[]`` an
+    array of values of that type."""
+    if kind.endswith("[]"):
+        item = _is(kind[:-2])
+        return lambda value: type(value) is list and all(map(item, value))
+    allowed = _JSON_TYPES[kind]
+    return lambda value: type(value) in allowed
 
 
 def decode(text: str):
@@ -138,15 +148,14 @@ def _typed(expected: frozenset, types: dict) -> Callable[[object], dict]:
     """A check that passes on a JSON object whose keys are exactly
     ``expected``, each key named in ``types`` of one of the space-separated
     JSON types it gives there: string, integer, number (a boolean is none),
-    array or null."""
-    checks = [(name, kinds, tuple(t for kind in kinds.split()
-                                  for t in _JSON_TYPES[kind]))
+    array, null, or ``<type>[]``, an array of values of that type."""
+    checks = [(name, kinds, [_is(kind) for kind in kinds.split()])
               for name, kinds in types.items()]
 
     def check(obj):
         _exact(expected, obj)
-        for name, kinds, allowed in checks:
-            if type(obj[name]) not in allowed:
+        for name, kinds, tests in checks:
+            if not any(test(obj[name]) for test in tests):
                 raise ValueError(f"{name} {reprlib.repr(obj[name])} is not "
                                  f"a JSON {' or '.join(kinds.split())}")
         return obj

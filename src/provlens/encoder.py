@@ -441,7 +441,7 @@ def load_params(directory: str | Path, checked: dict) -> EncoderParams:
     """The encoder from ``load_model``'s checked bytes by file name."""
     paths = encoder_paths(directory)
     header = read_json(paths["header"], checked[paths["header"].name],
-                       keys(dims="array"))
+                       keys(dims="integer[]"))
     dims = header["dims"]
     shapes = list(zip(dims[1:], dims[:-1]))
     sizes = [rows * cols for rows, cols in shapes]

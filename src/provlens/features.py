@@ -216,7 +216,8 @@ def load_vocab(directory: str | Path, checked: dict) -> SemanticVocab:
     """The vocabulary from ``encoder.load_model``'s bytes by file name."""
     paths = vocab_paths(directory)
     header = read_json(paths["header"], checked[paths["header"].name],
-                       keys(tokens="array", dim="integer", op_vocab="array"))
+                       keys(tokens="string[]", dim="integer",
+                            op_vocab="string[]"))
     vectors = read_blob(paths["vectors"], checked[paths["vectors"].name],
                         "<f4", (len(header["tokens"]), header["dim"]))
     return SemanticVocab(tokens=header["tokens"], vectors=vectors,

@@ -179,78 +179,6 @@ def derive_identity(kind: str, attrs: dict) -> str:
     return f"{prefix}::{identity_key(kind, attrs) or 'unknown'}"
 
 
-def _attribute_map(record: dict, name: str, kind: str,
-                   held: dict[str, dict], uuid: str) -> dict:
-    """The attribute map ``name`` of ``record``: a JSON object, or ``{}``
-    when it is missing or null, whose key attribute (``KEY_ATTRIBUTE`` of
-    ``kind``) is missing, null or of the type that table gives.
-
-    A map whose values are all strings or integers is shared: if it equals
-    the map ``held`` keeps for ``uuid``, that map is returned in its place,
-    else ``held`` keeps this one. Equal strings, or equal integers, have one
-    JSON text, while 1 == 1.0 == True, 0.0 == -0.0 and [1] == [1.0] do not,
-    so sharing never changes a value's type or sign."""
-    attrs = record.get(name)
-    if attrs is None:
-        attrs = {}
-    elif type(attrs) is not dict:
-        raise ValueError(f"{name} must be an object")
-    key, required = KEY_ATTRIBUTE[kind]
-    value = attrs.get(key)
-    if value is not None and type(value) is not required:
-        raise ValueError(f"a {kind}'s {key} must be of type "
-                         f"{required.__name__}")
-    for item in attrs.values():
-        if type(item) is not str and type(item) is not int:
-            return attrs
-    last = held.get(uuid)
-    if last == attrs:
-        return last
-    held[uuid] = attrs
-    return attrs
-
-
-def _add_event(record: dict, events: EventColumns, ops: set,
-               first: dict[str, str], subject_maps: dict[str, dict],
-               object_maps: dict[str, dict]) -> None:
-    """Append the event of ``record`` to ``events`` once every field checks
-    out. It takes each uuid, operation and kind string from ``first``, the
-    first equal string seen, and its attribute maps from ``subject_maps``
-    and ``object_maps`` (``_attribute_map``)."""
-    subject_uuid = record["subject_uuid"]
-    object_uuid = record["object_uuid"]
-    if (type(subject_uuid) is not str or type(object_uuid) is not str
-            or not subject_uuid or not object_uuid):
-        raise ValueError("subject_uuid and object_uuid must be non-empty "
-                         "strings")
-    timestamp = record["timestamp"]
-    if type(timestamp) is not int or not 0 <= timestamp < TIMESTAMP_END:
-        raise ValueError("timestamp must be a non-negative integer below "
-                         "2**63")
-    object_kind = record["object_kind"]
-    if object_kind not in ENTITY_KINDS:
-        raise ValueError(f"unknown object_kind {object_kind!r}")
-    operation = str(record["operation"])
-    if operation not in ops:
-        raise ValueError(f"operation {operation!r} not in vocabulary")
-    event_id = str(record["event_id"])
-    share = first.setdefault
-    subject_uuid = share(subject_uuid, subject_uuid)
-    object_uuid = share(object_uuid, object_uuid)
-    subject_attrs = _attribute_map(record, "subject_attrs", "subject",
-                                   subject_maps, subject_uuid)
-    object_attrs = _attribute_map(record, "object_attrs", object_kind,
-                                  object_maps, object_uuid)
-    events.event_id.append(event_id)
-    events.subject_uuid.append(subject_uuid)
-    events.object_uuid.append(object_uuid)
-    events.operation.append(share(operation, operation))
-    events.timestamp.append(timestamp)
-    events.subject_attrs.append(subject_attrs)
-    events.object_attrs.append(object_attrs)
-    events.object_kind.append(share(object_kind, object_kind))
-
-
 def parse_events(source, op_vocab: Iterable[str] = DEFAULT_OP_VOCAB) -> ParseResult:
     """Parse a JSONL event stream, skipping (and counting) malformed lines.
 
@@ -266,27 +194,85 @@ def parse_events(source, op_vocab: Iterable[str] = DEFAULT_OP_VOCAB) -> ParseRes
 
 
 def _parse_lines(lines: Iterable[str], ops: set, origin: str) -> ParseResult:
-    """The events of ``lines`` as columns. Within the call, events share one
-    string per distinct uuid, operation and kind (``first``), and per role
-    and uuid an attribute map of strings and integers (``_attribute_map``),
-    so no entry of a column may be mutated."""
+    """The events of ``lines`` as columns, a line's event appended once every
+    field checks out. An attribute map is a JSON object, or ``{}`` when it is
+    missing or null, whose key attribute (``KEY_ATTRIBUTE`` of its role's
+    kind) is missing, null or of the type that table gives. Within the call,
+    events share one string per distinct uuid, operation and kind, the first
+    equal one seen, and per role and uuid a map whose values are all strings
+    or integers: one equal to the map ``held`` keeps for that role and uuid
+    is replaced by it, else ``held`` keeps it. So no entry may be mutated."""
     events = EventColumns()
-    first: dict[str, str] = {}
+    share = {}.setdefault
     subject_maps: dict[str, dict] = {}
     object_maps: dict[str, dict] = {}
-    skipped = 0
-    total = 0
+    skipped = total = 0
     for line in lines:
         line = line.strip()
         if not line:
             continue
         total += 1
         try:
-            _add_event(decode(line), events, ops, first, subject_maps,
-                       object_maps)
+            record = decode(line)
+            subject_uuid = record["subject_uuid"]
+            object_uuid = record["object_uuid"]
+            if (type(subject_uuid) is not str or type(object_uuid) is not str
+                    or not subject_uuid or not object_uuid):
+                raise ValueError("subject_uuid and object_uuid must be "
+                                 "non-empty strings")
+            timestamp = record["timestamp"]
+            if (type(timestamp) is not int
+                    or not 0 <= timestamp < TIMESTAMP_END):
+                raise ValueError("timestamp must be a non-negative integer "
+                                 "below 2**63")
+            object_kind = record["object_kind"]
+            if object_kind not in ENTITY_KINDS:
+                raise ValueError(f"unknown object_kind {object_kind!r}")
+            operation = str(record["operation"])
+            if operation not in ops:
+                raise ValueError(f"operation {operation!r} not in vocabulary")
+            event_id = str(record["event_id"])
+            subject_uuid = share(subject_uuid, subject_uuid)
+            object_uuid = share(object_uuid, object_uuid)
+            maps = []
+            for name, kind, held, uuid in (
+                    ("subject_attrs", "subject", subject_maps, subject_uuid),
+                    ("object_attrs", object_kind, object_maps, object_uuid)):
+                attrs = record.get(name)
+                if attrs is None:
+                    attrs = {}
+                elif type(attrs) is not dict:
+                    raise ValueError(f"{name} must be an object")
+                key, required = KEY_ATTRIBUTE[kind]
+                value = attrs.get(key)
+                if value is not None and type(value) is not required:
+                    raise ValueError(f"a {kind}'s {key} must be of type "
+                                     f"{required.__name__}")
+                # Equal strings, or equal integers, have one JSON text, while
+                # 1 == 1.0 == True, 0.0 == -0.0 and [1] == [1.0] do not, so
+                # sharing never changes a value's type or sign.
+                for item in attrs.values():
+                    if type(item) is not str and type(item) is not int:
+                        break
+                else:
+                    last = held.get(uuid)
+                    if last == attrs:
+                        attrs = last
+                    else:
+                        held[uuid] = attrs
+                maps.append(attrs)
         except (ValueError, KeyError, TypeError) as exc:
             skipped += 1
             log.debug("skipping malformed line in %s: %s", origin, exc)
+            continue
+        events.event_id.append(event_id)
+        events.subject_uuid.append(subject_uuid)
+        events.object_uuid.append(object_uuid)
+        events.operation.append(share(operation, operation))
+        events.timestamp.append(timestamp)
+        events.subject_attrs.append(maps[0])
+        events.object_attrs.append(maps[1])
+        events.object_kind.append(share(object_kind, object_kind))
     if total > 0 and skipped * 2 > total:
         raise FormatError(
             f"{skipped}/{total} lines of {origin} are malformed; "
@@ -319,11 +305,14 @@ def build_graph(events: EventColumns, window_ns: int,
     operations, op = _ranked(events.operation)
     ts = np.array(events.timestamp, dtype=np.int64)
 
+    # One integer per (src, dst, operation) key, in the order of the codes.
+    key = np.ravel_multi_index((src, dst, op), (len(uuids), len(uuids),
+                                                len(operations)))
     # Events by key and time, and in event order: time, then key. Both sorts
     # are stable and start from event id order, so event ids break ties.
     ids = events.event_id
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), np.intp)
-    by_key = by_id[np.lexsort(np.stack([ts, op, dst, src])[:, by_id])]
+    by_key = by_id[np.lexsort((ts[by_id], key[by_id]))]
     order = by_key[np.argsort(ts[by_key], kind="stable")]
     # A uuid's first naming: the subject (even) or the object (odd) of an
     # event, the subject first.
@@ -343,8 +332,7 @@ def build_graph(events: EventColumns, window_ns: int,
 
     # Every key starts an edge, and an edge ends where the next one starts.
     src, dst, op, ts = src[by_key], dst[by_key], op[by_key], ts[by_key]
-    bounds = np.flatnonzero(np.diff(np.stack([src, dst, op]), prepend=-1,
-                                    append=-1).any(axis=0))
+    bounds = np.flatnonzero(np.diff(key[by_key], prepend=-1, append=-1))
     spread = np.flatnonzero(ts[bounds[1:] - 1] - ts[bounds[:-1]] > window_ns)
     heads, stamps = bounds.tolist(), ts.tolist()  # with len(ts) as a sentinel
     for head, stop in zip(bounds[spread].tolist(),
@@ -430,7 +418,7 @@ def load_graph(directory: str | Path, name: str) -> ProvenanceGraph:
     checked = check_seal(paths)
     header = read_json(paths["header"], checked["header"],
                        keys(name="string", edge_count="integer",
-                            operations="array"))
+                            operations="string[]"))
     with reading(paths["header"]):
         if header["name"] != name:
             raise ValueError(f"holds graph {header['name']!r}, not {name!r}")

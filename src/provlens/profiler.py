@@ -278,12 +278,16 @@ def save_kb(kb: BenignKnowledgeBase, directory: str | Path) -> None:
 
 def load_kb(directory: str | Path) -> BenignKnowledgeBase:
     """The saved KB, decoded from the bytes its seal check read; the digests
-    when the first is read."""
+    when the first is read. A header ``epsilon`` outside [0, 1), which
+    ``profile`` refuses as config, raises ArtifactError naming ``kb.json``."""
     paths = kb_paths(directory)
     checked = check_seal(paths)
     digests = LazyJsonl(paths["digests"], checked["digests"])
     header = read_json(paths["header"], checked["header"],
                        keys(dim="integer", epsilon="number", model="string"))
+    with reading(paths["header"]):
+        if not 0.0 <= header["epsilon"] < 1.0:
+            raise ValueError(f"epsilon {header['epsilon']} is outside [0, 1)")
     uuids, labels = read_json(paths["members"], checked["members"],
                               columns("uuid", "label"))
     embeddings = read_blob(paths["embeddings"], checked["embeddings"], "<f8",

@@ -1143,11 +1143,14 @@ DAMAGED = [
            _graph_loader("attack"),
            [("without-edge_count", _without("edge_count")),
             ("without-operations", _without("operations")),
-            ("edge_count-a-float", _retyped("edge_count", float))]),
+            ("edge_count-a-float", _retyped("edge_count", float)),
+            ("operations-holding-an-integer",
+             _retyped("operations", lambda ops: [*ops[:-1], 1]))]),
           ("kb/kb.json", kb_paths, _in_directory(load_kb),
            [("without-dim", _without("dim")),
             ("without-epsilon", _without("epsilon")),
-            ("dim-a-string", _retyped("dim", str))]),
+            ("dim-a-string", _retyped("dim", str)),
+            ("epsilon-1.5", _setting("epsilon", 1.5))]),
           ("model/vocab.json", model_paths, _model_of,
            [("without-tokens", _without("tokens")),
             ("dim-a-float", _retyped("dim", float)),
@@ -1156,6 +1159,10 @@ DAMAGED = [
           ("model/encoder.json", model_paths, _model_of,
            [("without-dims", _without("dims")),
             ("dims-a-string", _retyped("dims", str)),
+            ("dims-holding-a-string",
+             _retyped("dims", lambda dims: [str(dims[0]), *dims[1:]])),
+            ("dims-holding-a-float",
+             _retyped("dims", lambda dims: [float(dims[0]), *dims[1:]])),
             ("of-an-earlier-version", _edited(lambda header: header.update(
                 activation="relu", seed=7)))])]
       for name, damage in damages],

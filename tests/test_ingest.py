@@ -308,8 +308,16 @@ def _first_naming_case(earlier, later):
             for i, value in enumerate((earlier, later))]
 
 
+# Whitespace that ``str.strip`` removes and JSON does not allow: a line is
+# stripped before it is decoded, so padding of it still parses.
+NON_JSON_SPACE = ("\x0c", "\x1c", "\x85", "\u2028")
+
+
 @settings(max_examples=300, deadline=None)
 @given(event_lines())
+@example([pad + json.dumps(make_event(event_id=f"e{i}")) + pad
+          for i, pad in enumerate(NON_JSON_SPACE)])
+@example([json.dumps(make_event()) + "\r"])
 @example(_first_naming_case(1, 1.0))
 @example(_first_naming_case(1, True))
 @example(_first_naming_case(0.0, -0.0))

@@ -310,9 +310,11 @@ JSON_CALLS = {"load", "loads", "dump", "dumps"}
 
 
 def _json_calls(name: str, calls: set) -> list[str]:
-    """Where module ``name`` of the package names a function of ``calls``
-    of ``json``: as ``json.<call>`` or by ``from json import``."""
+    """Where module ``name`` of the package names a name of ``calls`` of
+    ``json``: as ``json.<call>``, by ``from json import`` or, for a
+    submodule, by ``import json.<call>`` or ``from json.<call> import``."""
     found = []
+    submodules = {f"json.{call}" for call in calls}
     tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr in calls
@@ -323,6 +325,12 @@ def _json_calls(name: str, calls: set) -> list[str]:
             found.extend(f"{name}:{node.lineno} from json import "
                          f"{alias.name}" for alias in node.names
                          if alias.name in calls)
+        elif isinstance(node, ast.ImportFrom) and node.module in submodules:
+            found.append(f"{name}:{node.lineno} from {node.module} import")
+        elif isinstance(node, ast.Import):
+            found.extend(f"{name}:{node.lineno} import {alias.name}"
+                         for alias in node.names
+                         if alias.name in submodules)
     return found
 
 
@@ -335,11 +343,13 @@ def test_jsonl_owners_call_no_json_function():
 
 def test_only_artifacts_decodes_json():
     """Every JSON document the program reads, an agent reply, the config
-    file and the synth spec included, is decoded by ``artifacts.decode``, so
-    one rule holds for malformed and over-deep input everywhere."""
+    file, the synth spec and every event line included, is decoded by
+    ``artifacts.decode``, so one rule holds for malformed and over-deep input
+    everywhere. A decoder or scanner of ``json`` counts as decoding too."""
     found = [site for path in sorted(PACKAGE.rglob("*.py"))
              for site in _json_calls(path.relative_to(PACKAGE).as_posix(),
-                                     {"load", "loads"})]
+                                     {"load", "loads", "JSONDecoder",
+                                      "decoder", "scanner"})]
     assert [site for site in found if not site.startswith("artifacts.py:")] \
         == []
 
